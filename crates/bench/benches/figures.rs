@@ -1,8 +1,8 @@
 //! Benchmark harness regenerating every figure and table of the paper's
 //! evaluation section.
 //!
-//! Each bench group prints the reproduced table once (so `cargo bench`
-//! output doubles as the data behind EXPERIMENTS.md) and then times the
+//! Each bench group prints the reproduced table once (the same table the
+//! `run_experiments` example prints) and then times the
 //! experiment runner at a reduced-but-representative setting so pipeline
 //! regressions are caught.
 

@@ -28,6 +28,22 @@
 //! every listener kind (receiver, tag, carrier), so downlink collisions are
 //! arbitrated with the same capture rule as the uplink.
 //!
+//! ## One layout at every fleet size
+//!
+//! Tables are kept for every pairing whose side counts are small
+//! (receivers, carriers, external sources). The two n²-sized pairings —
+//! tag ↔ tag and tag ↔ carrier — are evaluated per query instead, one
+//! `log10` over the live geometry plus cached per-tag terms. A capture
+//! arbitration reads a handful of such pairs, so a 100k-tag campus and a
+//! ten-bed ward share one code path and one memory profile.
+//!
+//! Build cost is linear in the fleet because the position-independent
+//! terms are memoised on their real inputs: a tag's receive package
+//! (antenna gain − tissue) once per `(profile, frequency)`, keyed by
+//! `f64::to_bits`, and its uplink terms once per (carrier, receiver,
+//! profile, sideband, PHY). Both return the very f64 the direct
+//! evaluation gives, so memoisation never moves a digest.
+//!
 //! ## Live geometry and invalidation
 //!
 //! Since mobility landed ([`crate::mobility`]), the matrix owns the *live*
@@ -205,61 +221,72 @@ impl Table2d {
     }
 }
 
-/// Fleet size up to which the tag-pair tables are materialised densely.
-/// Above it, [`PairTables::Lazy`] evaluates pair powers on demand: the
-/// dense n² layout for a 100k-tag campus would need tens of gigabytes,
-/// while the lazy path recomputes the *same expressions from the same
-/// cached terms* — bitwise-identical f64 results, pinned by the
-/// `lazy_pair_tables_match_dense_bitwise` test.
-const DENSE_TAG_PAIR_LIMIT: usize = 4096;
+/// The four tag packages, in `TagProfile as usize` order — the column
+/// index of [`PkgGains`].
+const PROFILES: [TagProfile; 4] = [
+    TagProfile::Bench,
+    TagProfile::ContactLens,
+    TagProfile::NeuralImplant,
+    TagProfile::Card,
+];
 
-/// The closed loop's tag-pair power tables, in one of two layouts chosen
-/// by fleet size at build time.
+/// Every tag's receive package (antenna gain − tissue, one forward hop) at
+/// every frequency an emitter of the run uses. The package is a pure
+/// function of `(profile, frequency)` and a fleet uses a handful of each,
+/// so every value is evaluated once, at registration, and every pair
+/// query reads it back. Frequencies are keyed by `f64::to_bits`: a lookup
+/// returns exactly the f64 [`rx_pkg_db`] would produce.
 #[derive(Debug, Clone)]
-enum PairTables {
-    /// Materialised tables, refreshed incrementally on motion/re-tunes —
-    /// the O(n²)-memory layout every preset-sized scenario uses.
-    Dense {
-        /// `[u][t]`: tag `u`'s emission at tag `t`'s detector, dBm.
-        tag_at_tag: Table2d,
-        /// `[u][c]`: tag `u`'s emission at carrier `c`, dBm.
-        tag_at_carrier: Table2d,
-        /// `[t][c]`: carrier `c`'s poll at tag `t`'s detector, dBm —
-        /// tag-major so a moved tag's refresh writes one contiguous row.
-        carrier_at_tag: Table2d,
-        /// `[u][t]`: tag `t`'s receive package (antenna gain − tissue) at
-        /// tag `u`'s emission frequency, dB.
-        pkg_at_tag_freq: Table2d,
-        /// `[t][c]`: ditto at carrier `c`'s tone frequency (tag-major).
-        pkg_at_carrier_freq: Table2d,
-    },
-    /// City-scale: pair powers evaluated on demand from the live geometry
-    /// and the cached position-independent terms. A capture arbitration
-    /// touches a handful of interferer pairs per reception, so paying one
-    /// `log10` per query beats holding (and refreshing) n² cells.
-    Lazy {
-        /// Per tag: its emission frequency, Hz (follows re-tunes).
-        emit_freq_hz: Vec<f64>,
-        /// Per tag: its package profile (fixed for the run).
-        profiles: Vec<TagProfile>,
-        /// Per carrier: transmit power, dBm.
-        carrier_tx_dbm: Vec<f64>,
-        /// Per carrier: tone frequency, Hz.
-        carrier_freq_hz: Vec<f64>,
-    },
+struct PkgGains {
+    /// Registered frequencies, as bit patterns.
+    freq_bits: Vec<u64>,
+    /// `[f][profile]`: `rx_pkg_db(PROFILES[profile], f)`, dB.
+    db: Vec<[f64; 4]>,
+    /// Per tag: its package (fixed for the run).
+    tag_profile: Vec<TagProfile>,
+    /// Per tag: its emission frequency (follows re-tunes).
+    tag_freq: Vec<u32>,
+    /// Per carrier: its tone frequency (closed loop only).
+    carrier_freq: Vec<u32>,
+    /// Per sink: its downlink frequency (closed loop only).
+    sink_freq: Vec<u32>,
+    /// Per external source: its band centre (`None` for silent models).
+    ext_freq: Vec<Option<u32>>,
 }
 
-/// The closed-loop extension: downlink budgets plus the full emitter ×
+impl PkgGains {
+    /// The index of `freq_hz`, evaluating all four packages at it the first
+    /// time it is seen.
+    fn register(&mut self, freq_hz: f64) -> u32 {
+        let bits = freq_hz.to_bits();
+        if let Some(f) = self.freq_bits.iter().position(|&b| b == bits) {
+            return f as u32;
+        }
+        self.freq_bits.push(bits);
+        self.db.push(PROFILES.map(|p| rx_pkg_db(p, freq_hz)));
+        (self.freq_bits.len() - 1) as u32
+    }
+
+    /// Tag `t`'s receive package at registered frequency `f`, dB.
+    #[inline]
+    fn at(&self, t: usize, f: u32) -> f64 {
+        self.db[f as usize][self.tag_profile[t] as usize]
+    }
+}
+
+/// The closed-loop extension: downlink budgets plus the emitter ×
 /// listener power tables (only built for `MacMode::ClosedLoop` scenarios —
-/// open-loop runs never arbitrate at tags or carriers).
+/// open-loop runs never arbitrate at tags or carriers). Tag ↔ tag and
+/// tag ↔ carrier powers are evaluated per query, not tabled (see the
+/// module docs).
 #[derive(Debug, Clone)]
 struct ClosedLoopTables {
     /// Per tag: carrier poll → the tag's envelope detector.
     poll_budgets: Vec<LinkBudget>,
     /// Per tag: sink ack → the tag's carrier radio.
     ack_budgets: Vec<LinkBudget>,
-    /// The tag-pair tables (dense or lazy by fleet size).
-    pairs: PairTables,
+    /// Per carrier: transmit power, dBm.
+    carrier_tx_dbm: Vec<f64>,
     /// `[c][r]`: carrier `c`'s poll at receiver `r`, dBm.
     carrier_at_rx: Table2d,
     /// `[c][c2]`: carrier `c`'s poll at carrier `c2`, dBm.
@@ -275,9 +302,6 @@ struct ClosedLoopTables {
     pl_carrier: Vec<FastPathLoss>,
     /// Per sink: path-loss evaluator at its downlink frequency.
     pl_sink: Vec<FastPathLoss>,
-    /// `[t][s]`: tag `t`'s receive package at sink `s`'s downlink
-    /// frequency, dB (tag-major).
-    pkg_at_sink_freq: Table2d,
     /// Per sink: the shadowing sigma of its downlink path-loss model — the
     /// value a re-tuned tag's poll/ack budgets pick up.
     sink_sigma_db: Vec<f64>,
@@ -304,9 +328,6 @@ struct ExtTables {
     pl: Vec<Option<FastPathLoss>>,
     /// Per source: transmit power + antenna gain, dBm.
     eirp_dbm: Vec<f64>,
-    /// `pkg_at_ext_freq[t][k]`: tag `t`'s receive package at source `k`'s
-    /// emission frequency, dB.
-    pkg_at_ext_freq: Table2d,
     /// Per source: where it sits (static for the whole run).
     pos: Vec<Position>,
 }
@@ -322,6 +343,8 @@ pub struct LinkMatrix {
     interference_dbm: Table2d,
     closed_loop: Option<ClosedLoopTables>,
     ext: Option<ExtTables>,
+    /// Package gains of every tag at every emitter frequency.
+    pkg: PkgGains,
     // --- live geometry ---
     tag_pos: Vec<Position>,
     carrier_pos: Vec<Position>,
@@ -404,20 +427,15 @@ fn sink_freq_hz(scenario: &Scenario, s: usize) -> f64 {
 }
 
 /// A tag's receive package at `freq_hz`: effective antenna gain minus the
-/// tissue covering it (one forward hop), dB — the shared kernel of the
-/// dense table fills and the lazy on-demand pair evaluations.
+/// tissue covering it (one forward hop), dB — evaluated once per
+/// `(profile, frequency)` by [`PkgGains::register`].
 fn rx_pkg_db(profile: TagProfile, freq_hz: f64) -> f64 {
     profile.antenna().effective_gain_dbi() - profile.tissue().attenuation_db(freq_hz)
 }
 
-/// Tag `t`'s receive package at `freq_hz`, dB.
-fn tag_rx_pkg_db(scenario: &Scenario, t: usize, freq_hz: f64) -> f64 {
-    rx_pkg_db(scenario.tags[t].profile, freq_hz)
-}
-
-/// Tag `t`'s position-independent uplink terms, one row of the parallel
-/// fill in [`LinkMatrix::build`]: the budget skeleton, the fixed dB term
-/// and the two cached path-loss models.
+/// Tag `t`'s position-independent uplink terms: the budget skeleton, the
+/// fixed dB term and the two cached path-loss models.
+#[derive(Debug, Clone, Copy)]
 struct UplinkRowTerms {
     budget: LinkBudget,
     fixed_db: f64,
@@ -446,12 +464,26 @@ fn uplink_row_terms(scenario: &Scenario, t: usize) -> Result<UplinkRowTerms, Net
     })
 }
 
-/// Every tag's receive package at one emitter's frequency — one row of
-/// the dense `pkg_at_tag_freq` table, filled in parallel by the build.
-fn pkg_row(scenario: &Scenario, freq_hz: f64) -> Vec<f64> {
-    (0..scenario.tags.len())
-        .map(|t| tag_rx_pkg_db(scenario, t, freq_hz))
-        .collect()
+/// Everything of tag `t` that [`uplink_row_terms`] reads: carrier,
+/// receiver, package, sideband and PHY (as a kind and an exact payload).
+/// A fleet shares a few hundred of these, so the build evaluates each once.
+type UplinkKey = (usize, usize, usize, usize, u8, u64);
+
+fn uplink_key(scenario: &Scenario, t: usize) -> UplinkKey {
+    let tag = &scenario.tags[t];
+    let phy = match tag.phy {
+        NetPhy::Wifi { rate, channel } => (0, (rate as u64) << 8 | u64::from(channel)),
+        NetPhy::Zigbee { channel } => (1, u64::from(channel)),
+        NetPhy::CardOok { bit_rate_bps } => (2, bit_rate_bps.to_bits()),
+    };
+    (
+        tag.carrier,
+        tag.receiver,
+        tag.profile as usize,
+        tag.sideband as usize,
+        phy.0,
+        phy.1,
+    )
 }
 
 impl LinkMatrix {
@@ -460,12 +492,6 @@ impl LinkMatrix {
     /// row functions [`LinkMatrix::flush`] uses — so an incremental update
     /// lands on exactly the values a fresh build would produce.
     pub fn build(scenario: &Scenario) -> Result<LinkMatrix, NetError> {
-        Self::build_with_layout(scenario, scenario.tags.len() <= DENSE_TAG_PAIR_LIMIT)
-    }
-
-    /// [`LinkMatrix::build`] with the tag-pair layout forced — the lazy/
-    /// dense equivalence test drives both layouts over the same fleet.
-    fn build_with_layout(scenario: &Scenario, dense_pairs: bool) -> Result<LinkMatrix, NetError> {
         let n_tags = scenario.tags.len();
         let n_rx = scenario.receivers.len();
         let n_carriers = scenario.carriers.len();
@@ -474,22 +500,39 @@ impl LinkMatrix {
         let carrier_pos: Vec<Position> = scenario.carriers.iter().map(|c| c.position()).collect();
         let sink_pos: Vec<Position> = scenario.receivers.iter().map(|r| r.position()).collect();
 
-        // The per-tag rows are independent of each other, so they fill
-        // across worker threads through the ordered merge — results come
-        // back in tag order, bit-for-bit what the serial loop produced
-        // (pinned by `parallel_build_matches_serial_bit_for_bit`).
+        let mut pkg = PkgGains {
+            freq_bits: Vec::new(),
+            db: Vec::new(),
+            tag_profile: scenario.tags.iter().map(|t| t.profile).collect(),
+            tag_freq: Vec::with_capacity(n_tags),
+            carrier_freq: Vec::new(),
+            sink_freq: Vec::new(),
+            ext_freq: Vec::new(),
+        };
+        // The per-tag uplink terms, memoised on their inputs (sorted by
+        // key): each distinct key is evaluated once, in tag order, so the
+        // first invalid link is the one reported.
+        let mut memo: Vec<(UplinkKey, UplinkRowTerms, u32)> = Vec::new();
         let mut budgets = Vec::with_capacity(n_tags);
         let mut up_fixed_db = Vec::with_capacity(n_tags);
         let mut up_pl_src = Vec::with_capacity(n_tags);
         let mut up_pl_emit = Vec::with_capacity(n_tags);
-        let mut emit_freqs = Vec::with_capacity(n_tags);
-        for row in rayon::det::map_indexed_ordered(n_tags, |t| uplink_row_terms(scenario, t)) {
-            let row = row?;
+        for t in 0..n_tags {
+            let key = uplink_key(scenario, t);
+            let (row, freq) = match memo.binary_search_by(|m| m.0.cmp(&key)) {
+                Ok(i) => (memo[i].1, memo[i].2),
+                Err(i) => {
+                    let row = uplink_row_terms(scenario, t)?;
+                    let freq = pkg.register(row.emit_freq_hz);
+                    memo.insert(i, (key, row, freq));
+                    (row, freq)
+                }
+            };
             budgets.push(row.budget);
             up_fixed_db.push(row.fixed_db);
             up_pl_src.push(row.pl_src);
             up_pl_emit.push(row.pl_emit);
-            emit_freqs.push(row.emit_freq_hz);
+            pkg.tag_freq.push(freq);
         }
 
         let closed_loop = match scenario.mac {
@@ -506,47 +549,14 @@ impl LinkMatrix {
                 let sink_models: Vec<LogDistanceModel> = (0..n_rx)
                     .map(|s| LogDistanceModel::indoor_los(sink_freq_hz(scenario, s)))
                     .collect();
-                let pairs = if dense_pairs {
-                    // The n² package-gain table is the expensive part of a
-                    // dense build; each row depends only on its emitter's
-                    // frequency, so rows fill in parallel and land in
-                    // emitter order.
-                    let mut pkg_at_tag_freq = Table2d::new(n_tags, n_tags, 0.0);
-                    let rows = rayon::det::map_indexed_ordered(n_tags, |u| {
-                        pkg_row(scenario, emit_freqs[u])
-                    });
-                    for (u, row) in rows.into_iter().enumerate() {
-                        for (t, v) in row.into_iter().enumerate() {
-                            pkg_at_tag_freq.set(u, t, v);
-                        }
-                    }
-                    let mut pkg_at_carrier_freq = Table2d::new(n_tags, n_carriers, 0.0);
-                    for t in 0..n_tags {
-                        for (c, pl) in carrier_models.iter().enumerate() {
-                            pkg_at_carrier_freq.set(t, c, tag_rx_pkg_db(scenario, t, pl.freq_hz));
-                        }
-                    }
-                    PairTables::Dense {
-                        tag_at_tag: Table2d::new(n_tags, n_tags, 0.0),
-                        tag_at_carrier: Table2d::new(n_tags, n_carriers, 0.0),
-                        carrier_at_tag: Table2d::new(n_tags, n_carriers, 0.0),
-                        pkg_at_tag_freq,
-                        pkg_at_carrier_freq,
-                    }
-                } else {
-                    PairTables::Lazy {
-                        emit_freq_hz: emit_freqs.clone(),
-                        profiles: scenario.tags.iter().map(|t| t.profile).collect(),
-                        carrier_tx_dbm: scenario.carriers.iter().map(|c| c.tx_power_dbm).collect(),
-                        carrier_freq_hz: carrier_models.iter().map(|m| m.freq_hz).collect(),
-                    }
-                };
-                let mut pkg_at_sink_freq = Table2d::new(n_tags, n_rx, 0.0);
-                for t in 0..n_tags {
-                    for (s, pl) in sink_models.iter().enumerate() {
-                        pkg_at_sink_freq.set(t, s, tag_rx_pkg_db(scenario, t, pl.freq_hz));
-                    }
-                }
+                pkg.carrier_freq = carrier_models
+                    .iter()
+                    .map(|m| pkg.register(m.freq_hz))
+                    .collect();
+                pkg.sink_freq = sink_models
+                    .iter()
+                    .map(|m| pkg.register(m.freq_hz))
+                    .collect();
                 let sink_sigma_db: Vec<f64> =
                     sink_models.iter().map(|m| m.shadowing_sigma_db).collect();
                 let budget = |sensitivity_dbm: f64, noise_floor_dbm: f64, sigma: f64| LinkBudget {
@@ -578,7 +588,7 @@ impl LinkMatrix {
                             )
                         })
                         .collect(),
-                    pairs,
+                    carrier_tx_dbm: scenario.carriers.iter().map(|c| c.tx_power_dbm).collect(),
                     carrier_at_rx: Table2d::new(n_carriers, n_rx, 0.0),
                     carrier_at_carrier: Table2d::new(n_carriers, n_carriers, 0.0),
                     sink_at_rx: Table2d::new(n_rx, n_rx, 0.0),
@@ -586,7 +596,6 @@ impl LinkMatrix {
                     sink_at_carrier: Table2d::new(n_rx, n_carriers, 0.0),
                     pl_carrier: carrier_models.iter().map(FastPathLoss::new).collect(),
                     pl_sink: sink_models.iter().map(FastPathLoss::new).collect(),
-                    pkg_at_sink_freq,
                     sink_sigma_db,
                 })
             }
@@ -601,14 +610,11 @@ impl LinkMatrix {
             .filter(|cfg| !cfg.sources.is_empty())
             .map(|cfg| {
                 let n_src = cfg.sources.len();
-                let mut pkg_at_ext_freq = Table2d::new(n_tags, n_src, 0.0);
-                for t in 0..n_tags {
-                    for (k, s) in cfg.sources.iter().enumerate() {
-                        if let Some(b) = s.model.traffic().band() {
-                            pkg_at_ext_freq.set(t, k, tag_rx_pkg_db(scenario, t, b.center_hz));
-                        }
-                    }
-                }
+                pkg.ext_freq = cfg
+                    .sources
+                    .iter()
+                    .map(|s| s.model.traffic().band().map(|b| pkg.register(b.center_hz)))
+                    .collect();
                 ExtTables {
                     at_rx: Table2d::new(n_src, n_rx, SILENT_DBM),
                     at_tag: Table2d::new(n_tags, n_src, SILENT_DBM),
@@ -623,7 +629,6 @@ impl LinkMatrix {
                         })
                         .collect(),
                     eirp_dbm: cfg.sources.iter().map(|s| s.tx_power_dbm + 2.0).collect(),
-                    pkg_at_ext_freq,
                     pos: cfg.sources.iter().map(|s| s.position).collect(),
                 }
             });
@@ -642,6 +647,7 @@ impl LinkMatrix {
             interference_dbm: Table2d::new(n_tags, n_rx, 0.0),
             closed_loop,
             ext,
+            pkg,
             tag_pos,
             carrier_pos,
             sink_pos,
@@ -654,16 +660,14 @@ impl LinkMatrix {
             up_base_db: vec![0.0; n_tags],
             dirty: Vec::new(),
         };
-        // Every tag's pass writes its own rows; with every peer marked as
-        // having its own pass, the columns complete each other exactly
-        // once.
-        let everyone = vec![true; n_tags];
         for t in 0..n_tags {
-            matrix.refresh_tag(scenario, t, &everyone);
+            matrix.refresh_tag(scenario, t);
         }
         for c in 0..n_carriers {
             matrix.refresh_carrier_rows(scenario, c);
         }
+        // The tag passes already wrote every tag × sink cell (and every
+        // ack budget); only the sinks' own rows remain.
         for s in 0..n_rx {
             matrix.refresh_sink_rows(scenario, s);
         }
@@ -732,13 +736,11 @@ impl LinkMatrix {
                 EntityId::Sink(s) => sinks.push(s),
             }
         }
-        // Dirty tags first (their passes refresh the cached bases the
-        // carrier and sink rows reuse); each pass leaves the cells owned
-        // by another dirty tag's pass to that pass, so when the whole
-        // fleet moves in one tick no cell is computed twice.
-        for t in 0..scenario.tags.len() {
-            if tag_dirty[t] {
-                self.refresh_tag(scenario, t, &tag_dirty);
+        // Dirty tags first: their passes refresh the cached bases the sink
+        // rows reuse.
+        for (t, &dirty) in tag_dirty.iter().enumerate() {
+            if dirty {
+                self.refresh_tag(scenario, t);
             }
         }
         for c in carriers {
@@ -746,24 +748,17 @@ impl LinkMatrix {
         }
         for s in sinks {
             self.refresh_sink_rows(scenario, s);
+            self.refresh_sink_tag_cells(scenario, s);
         }
         refreshed
     }
 
-    /// Tag `t` as **emitter and listener**: recomputes every row and
-    /// column touching it — uplink interference and budget, and (closed
-    /// loop) its power at every detector/radio, every emitter's power at
-    /// its detector, and its poll/ack budgets. Each peer pair costs one
-    /// distance and one `log10`, shared between the two directions.
-    ///
-    /// `peer_dirty[v]` marks tags whose own refresh runs in the same
-    /// flush: their `[v][t]` cells are left to that refresh (and the
-    /// cached base of a dirty peer may be stale, so it must not be read).
-    fn refresh_tag(&mut self, scenario: &Scenario, t: usize, peer_dirty: &[bool]) {
-        // The tag being refreshed must be marked as having its own pass —
-        // the tag ↔ tag loop below relies on it to skip the self-cell
-        // while its row is detached.
-        debug_assert!(peer_dirty[t]);
+    /// Tag `t` as **emitter and listener**: recomputes every tabled row
+    /// touching it — uplink interference and budget, external sources and
+    /// (closed loop) every sink's ack at its detector, and its poll/ack
+    /// budgets. Its pairs with other tags and with carriers are evaluated
+    /// on demand from the base cached here.
+    fn refresh_tag(&mut self, scenario: &Scenario, t: usize) {
         let tag = &scenario.tags[t];
         let pos = self.tag_pos[t];
         let pl_emit_t = self.up_pl_emit[t];
@@ -784,36 +779,28 @@ impl LinkMatrix {
 
         // External sources at this tag's detector (sources are static, so
         // only the tag's own motion dirties this row).
+        let pkg = &self.pkg;
         if let Some(ext) = self.ext.as_mut() {
-            for k in 0..ext.pos.len() {
-                let Some(pl) = ext.pl[k] else { continue };
+            for (k, f) in pkg.ext_freq.iter().enumerate() {
+                let (Some(pl), Some(f)) = (ext.pl[k], *f) else {
+                    continue;
+                };
                 let (l, near) = log_distance(&pos, &ext.pos[k]);
-                ext.at_tag.set(
-                    t,
-                    k,
-                    ext.eirp_dbm[k] + ext.pkg_at_ext_freq.at(t, k) - pl.db_at(l, near),
-                );
+                ext.at_tag
+                    .set(t, k, ext.eirp_dbm[k] + pkg.at(t, f) - pl.db_at(l, near));
             }
         }
 
-        let Self {
-            ref tag_pos,
-            ref carrier_pos,
-            ref sink_pos,
-            up_base_db: ref up_base,
-            up_pl_emit: ref pl_emit,
-            ref mut closed_loop,
-            ..
-        } = *self;
-        let Some(cl) = closed_loop.as_mut() else {
+        let Some(cl) = self.closed_loop.as_mut() else {
             return;
         };
+        let (carrier_pos, sink_pos) = (&self.carrier_pos, &self.sink_pos);
         let s = rx_s;
         // Poll: the carrier's AM frame on the tag's service band, one
         // conventional hop into the envelope detector (same distance as
         // the illumination hop above).
         cl.poll_budgets[t].median_rssi_dbm =
-            scenario.carriers[tag.carrier].tx_power_dbm + 2.0 + cl.pkg_at_sink_freq.at(t, s)
+            scenario.carriers[tag.carrier].tx_power_dbm + 2.0 + pkg.at(t, pkg.sink_freq[s])
                 - cl.pl_sink[s].db_at(hop1.0, hop1.1);
         // Ack: the sink's AM frame into the carrier's radio. Independent
         // of the tag's own position but cheap, and it keeps every budget
@@ -821,67 +808,13 @@ impl LinkMatrix {
         let ack_hop = log_distance(&sink_pos[s], &carrier_pos[tag.carrier]);
         cl.ack_budgets[t].median_rssi_dbm = scenario.receivers[s].downlink_tx_power_dbm + 2.0 + 2.0
             - cl.pl_sink[s].db_at(ack_hop.0, ack_hop.1);
-        // Tag ↔ tag and tag ↔ carrier: only the dense layout materialises
-        // these; the lazy layout evaluates pairs on demand from the live
-        // geometry, so there is nothing to refresh.
-        if let PairTables::Dense {
-            tag_at_tag,
-            tag_at_carrier,
-            carrier_at_tag,
-            pkg_at_tag_freq,
-            pkg_at_carrier_freq,
-        } = &mut cl.pairs
-        {
-            // Tag ↔ tag: both directions of every pair this pass owns, one
-            // log-distance each. A pair of tags that are *both* dirty in
-            // this flush belongs to the higher-indexed tag's pass (passes
-            // run in ascending order, so the lower peer's base is fresh by
-            // then); pairs with an unmoved peer belong to the moved tag.
-            // This is the hottest loop of a mobility tick.
-            for ((v, v_pos), &dirty) in tag_pos.iter().enumerate().zip(peer_dirty.iter()) {
-                if dirty && v > t {
-                    continue; // v's own pass owns this pair
-                }
-                let (l, near) = log_distance(&pos, v_pos);
-                tag_at_tag.set(
-                    t,
-                    v,
-                    base_t - pl_emit_t.db_at(l, near) - 2.0 + pkg_at_tag_freq.at(t, v),
-                );
-                if v != t {
-                    tag_at_tag.set(
-                        v,
-                        t,
-                        up_base[v] - pl_emit[v].db_at(l, near) - 2.0 + pkg_at_tag_freq.at(v, t),
-                    );
-                }
-            }
-            // Tag ↔ carrier: t's emission at every radio, every poll at
-            // t's detector (both tables are tag-major, so these are
-            // contiguous row writes).
-            for (c, ((c_spec, c_pos), pl_c)) in scenario
-                .carriers
-                .iter()
-                .zip(carrier_pos.iter())
-                .zip(cl.pl_carrier.iter())
-                .enumerate()
-            {
-                let (l, near) = log_distance(&pos, c_pos);
-                tag_at_carrier.set(t, c, base_t - pl_emit_t.db_at(l, near));
-                carrier_at_tag.set(
-                    t,
-                    c,
-                    c_spec.tx_power_dbm + 2.0 + pkg_at_carrier_freq.at(t, c) - pl_c.db_at(l, near),
-                );
-            }
-        }
         // Sink → tag: every ack frame at t's detector.
         for (s2, s2_pos) in sink_pos.iter().enumerate() {
             let (l, near) = log_distance(&pos, s2_pos);
             cl.sink_at_tag.set(
                 t,
                 s2,
-                scenario.receivers[s2].downlink_tx_power_dbm + 2.0 + cl.pkg_at_sink_freq.at(t, s2)
+                scenario.receivers[s2].downlink_tx_power_dbm + 2.0 + pkg.at(t, pkg.sink_freq[s2])
                     - cl.pl_sink[s2].db_at(l, near),
             );
         }
@@ -901,13 +834,10 @@ impl LinkMatrix {
             }
         }
         let Self {
-            ref tag_pos,
             ref carrier_pos,
             ref sink_pos,
             ref tag_rx,
             ref carrier_tags,
-            up_base_db: ref up_base,
-            up_pl_emit: ref pl_emit,
             ref mut closed_loop,
             ..
         } = *self;
@@ -915,10 +845,7 @@ impl LinkMatrix {
             return;
         };
         let spec = &scenario.carriers[c];
-        // Carrier c's poll at every receiver, and tag ↔ carrier both ways
-        // (one log-distance per pair, the same formulas `refresh_tag`
-        // writes — bases are fresh: a carrier move marks its tags dirty
-        // and their passes run first).
+        // Carrier c's poll at every receiver.
         for (r, r_pos) in sink_pos.iter().enumerate() {
             let (l, near) = log_distance(&pos, r_pos);
             cl.carrier_at_rx.set(
@@ -926,26 +853,6 @@ impl LinkMatrix {
                 r,
                 spec.tx_power_dbm + 2.0 + 2.0 - cl.pl_carrier[c].db_at(l, near),
             );
-        }
-        // Tag ↔ carrier rows only exist in the dense layout (the lazy one
-        // reads live geometry on demand).
-        if let PairTables::Dense {
-            tag_at_carrier,
-            carrier_at_tag,
-            pkg_at_carrier_freq,
-            ..
-        } = &mut cl.pairs
-        {
-            for (t, t_pos) in tag_pos.iter().enumerate() {
-                let (l, near) = log_distance(&pos, t_pos);
-                carrier_at_tag.set(
-                    t,
-                    c,
-                    spec.tx_power_dbm + 2.0 + pkg_at_carrier_freq.at(t, c)
-                        - cl.pl_carrier[c].db_at(l, near),
-                );
-                tag_at_carrier.set(t, c, up_base[t] - pl_emit[t].db_at(l, near));
-            }
         }
         for (c2, c2_pos) in carrier_pos.iter().enumerate() {
             let (l, near) = log_distance(&pos, c2_pos);
@@ -977,18 +884,12 @@ impl LinkMatrix {
         }
     }
 
-    /// Sink `s` as an **emitter and listener**: every tag's uplink power at
-    /// it, and — closed loop — its ack power at every listener.
+    /// Sink `s` as an **emitter and listener** towards every entity but
+    /// the tags: external sources at it and — closed loop — its ack power
+    /// at every receiver and carrier, and every carrier's poll at it. The
+    /// tag × sink cells are [`LinkMatrix::refresh_sink_tag_cells`]'s.
     fn refresh_sink_rows(&mut self, scenario: &Scenario, s: usize) {
         let pos = self.sink_pos[s];
-        for u in 0..scenario.tags.len() {
-            let (l, near) = log_distance(&self.tag_pos[u], &pos);
-            self.interference_dbm
-                .set(u, s, self.up_base_db[u] - self.up_pl_emit[u].db_at(l, near));
-            if self.tag_rx[u] == s {
-                self.budgets[u].median_rssi_dbm = self.interference_dbm.at(u, s);
-            }
-        }
         // External sources at this receiver.
         if let Some(ext) = self.ext.as_mut() {
             for k in 0..ext.pos.len() {
@@ -999,10 +900,8 @@ impl LinkMatrix {
             }
         }
         let Self {
-            ref tag_pos,
             ref carrier_pos,
             ref sink_pos,
-            ref sink_tags,
             ref mut closed_loop,
             ..
         } = *self;
@@ -1025,15 +924,6 @@ impl LinkMatrix {
                     - cl.pl_sink[r].db_at(l, near),
             );
         }
-        for (t, t_pos) in tag_pos.iter().enumerate() {
-            let (l, near) = log_distance(&pos, t_pos);
-            cl.sink_at_tag.set(
-                t,
-                s,
-                spec.downlink_tx_power_dbm + 2.0 + cl.pkg_at_sink_freq.at(t, s)
-                    - cl.pl_sink[s].db_at(l, near),
-            );
-        }
         for (c, c_pos) in carrier_pos.iter().enumerate() {
             let (l, near) = log_distance(&pos, c_pos);
             cl.sink_at_carrier.set(
@@ -1047,9 +937,39 @@ impl LinkMatrix {
                 scenario.carriers[c].tx_power_dbm + 2.0 + 2.0 - cl.pl_carrier[c].db_at(l, near),
             );
         }
+    }
+
+    /// Sink `s` against every tag: each tag's uplink power at it and —
+    /// closed loop — its ack at each tag's detector and the ack budgets of
+    /// the tags it serves. Only a moved sink needs this: at build time
+    /// [`LinkMatrix::refresh_tag`] has already written every one of these
+    /// cells (`log_distance` is symmetric, so the values are the same).
+    fn refresh_sink_tag_cells(&mut self, scenario: &Scenario, s: usize) {
+        let pos = self.sink_pos[s];
+        for u in 0..scenario.tags.len() {
+            let (l, near) = log_distance(&self.tag_pos[u], &pos);
+            self.interference_dbm
+                .set(u, s, self.up_base_db[u] - self.up_pl_emit[u].db_at(l, near));
+            if self.tag_rx[u] == s {
+                self.budgets[u].median_rssi_dbm = self.interference_dbm.at(u, s);
+            }
+        }
+        let Some(cl) = self.closed_loop.as_mut() else {
+            return;
+        };
+        let (pkg, spec) = (&self.pkg, &scenario.receivers[s]);
+        for (t, t_pos) in self.tag_pos.iter().enumerate() {
+            let (l, near) = log_distance(&pos, t_pos);
+            cl.sink_at_tag.set(
+                t,
+                s,
+                spec.downlink_tx_power_dbm + 2.0 + pkg.at(t, pkg.sink_freq[s])
+                    - cl.pl_sink[s].db_at(l, near),
+            );
+        }
         // Ack budgets of every tag this sink currently serves (the live
         // assignment index, maintained across re-stripes).
-        for &t in &sink_tags[s] {
+        for &t in &self.sink_tags[s] {
             cl.ack_budgets[t].median_rssi_dbm = cl.sink_at_carrier.at(s, scenario.tags[t].carrier);
         }
     }
@@ -1058,8 +978,8 @@ impl LinkMatrix {
     /// the adaptive re-striping entry point ([`crate::coex::ReStripe`]).
     /// Recomputes the position-independent terms that depend on the
     /// emission frequency and destination (uplink fixed terms, path-loss
-    /// evaluator, sensitivity/noise, the tag's `pkg_at_tag_freq` emitter
-    /// row and the poll/ack shadowing sigmas), then marks the tag dirty:
+    /// evaluator, sensitivity/noise, the emission frequency's package
+    /// gains and the poll/ack shadowing sigmas), then marks the tag dirty:
     /// call [`LinkMatrix::flush`] afterwards to land the new budgets, the
     /// same way a mobility tick does.
     pub fn retune_tag(&mut self, scenario: &Scenario, t: usize, new_rx: usize, new_phy: NetPhy) {
@@ -1083,24 +1003,10 @@ impl LinkMatrix {
         self.budgets[t].shadow_sigma_db = sigma;
         self.budgets[t].sensitivity_dbm = scenario.receivers[new_rx].sensitivity_dbm;
         self.budgets[t].noise_floor_dbm = new_phy.noise_model().noise_floor_dbm();
-        let emission_freq = link.tag_to_rx.freq_hz;
+        // Peers' packages at the new emission frequency: evaluated once,
+        // the first time any tag emits there.
+        self.pkg.tag_freq[t] = self.pkg.register(link.tag_to_rx.freq_hz);
         if let Some(cl) = self.closed_loop.as_mut() {
-            match &mut cl.pairs {
-                // The tag's emitter row: every peer's receive package at
-                // the *new* emission frequency. (The columns `[v][t]` —
-                // this tag's package at the peers' frequencies — do not
-                // depend on where this tag transmits.)
-                PairTables::Dense {
-                    pkg_at_tag_freq, ..
-                } => {
-                    for v in 0..scenario.tags.len() {
-                        pkg_at_tag_freq.set(t, v, tag_rx_pkg_db(scenario, v, emission_freq));
-                    }
-                }
-                // The lazy layout derives the packages from the emission
-                // frequency at query time.
-                PairTables::Lazy { emit_freq_hz, .. } => emit_freq_hz[t] = emission_freq,
-            }
             cl.poll_budgets[t].shadow_sigma_db = cl.sink_sigma_db[new_rx];
             cl.ack_budgets[t].shadow_sigma_db = cl.sink_sigma_db[new_rx];
         }
@@ -1153,52 +1059,26 @@ impl LinkMatrix {
         self.interference_dbm.at(tag, rx)
     }
 
-    /// Tag `u`'s emission at tag `t`'s detector, dBm — dense table read or
-    /// lazy on-demand evaluation of the *same expression* the dense
-    /// refresh writes (bitwise-identical: `log_distance` is symmetric and
-    /// every cached term is shared).
+    /// Tag `u`'s emission at tag `t`'s detector, dBm, from the live
+    /// geometry, `u`'s cached base and `t`'s package at `u`'s frequency.
     fn tag_at_tag_dbm(&self, u: usize, t: usize) -> f64 {
-        match &self.closed().pairs {
-            PairTables::Dense { tag_at_tag, .. } => tag_at_tag.at(u, t),
-            PairTables::Lazy {
-                emit_freq_hz,
-                profiles,
-                ..
-            } => {
-                let (l, near) = log_distance(&self.tag_pos[u], &self.tag_pos[t]);
-                self.up_base_db[u] - self.up_pl_emit[u].db_at(l, near) - 2.0
-                    + rx_pkg_db(profiles[t], emit_freq_hz[u])
-            }
-        }
+        let (l, near) = log_distance(&self.tag_pos[u], &self.tag_pos[t]);
+        self.up_base_db[u] - self.up_pl_emit[u].db_at(l, near) - 2.0
+            + self.pkg.at(t, self.pkg.tag_freq[u])
     }
 
     /// Tag `u`'s emission at carrier `c`'s radio, dBm.
     fn tag_at_carrier_dbm(&self, u: usize, c: usize) -> f64 {
-        match &self.closed().pairs {
-            PairTables::Dense { tag_at_carrier, .. } => tag_at_carrier.at(u, c),
-            PairTables::Lazy { .. } => {
-                let (l, near) = log_distance(&self.tag_pos[u], &self.carrier_pos[c]);
-                self.up_base_db[u] - self.up_pl_emit[u].db_at(l, near)
-            }
-        }
+        let (l, near) = log_distance(&self.tag_pos[u], &self.carrier_pos[c]);
+        self.up_base_db[u] - self.up_pl_emit[u].db_at(l, near)
     }
 
     /// Carrier `p`'s poll at tag `t`'s detector, dBm.
     fn carrier_at_tag_dbm(&self, p: usize, t: usize) -> f64 {
         let cl = self.closed();
-        match &cl.pairs {
-            PairTables::Dense { carrier_at_tag, .. } => carrier_at_tag.at(t, p),
-            PairTables::Lazy {
-                profiles,
-                carrier_tx_dbm,
-                carrier_freq_hz,
-                ..
-            } => {
-                let (l, near) = log_distance(&self.tag_pos[t], &self.carrier_pos[p]);
-                carrier_tx_dbm[p] + 2.0 + rx_pkg_db(profiles[t], carrier_freq_hz[p])
-                    - cl.pl_carrier[p].db_at(l, near)
-            }
-        }
+        let (l, near) = log_distance(&self.tag_pos[t], &self.carrier_pos[p]);
+        cl.carrier_tx_dbm[p] + 2.0 + self.pkg.at(t, self.pkg.carrier_freq[p])
+            - cl.pl_carrier[p].db_at(l, near)
     }
 
     /// Live margin of `tag`'s uplink above its receiver's sensitivity
@@ -1211,8 +1091,8 @@ impl LinkMatrix {
     }
 
     /// Median power of emitter `from`'s signal at listener `at`, dBm. Used
-    /// for capture arbitration; every pairing except tag → receiver needs
-    /// the closed-loop tables.
+    /// for capture arbitration; carrier and sink emitters need the
+    /// closed-loop tables, external ones the scenario's coex sources.
     pub fn power_dbm(&self, from: Emitter, at: Listener) -> f64 {
         match (from, at) {
             (Emitter::Tag(u), Listener::Receiver(r)) => self.interference_dbm.at(u, r),
@@ -1250,17 +1130,96 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
+    /// Every preset the memo tests sweep: each closed-loop bedside preset
+    /// (with coex sources, mobility and card OOK among them) and a small
+    /// campus.
+    fn presets() -> Vec<Scenario> {
+        vec![
+            Scenario::hospital_ward(24).closed_loop(),
+            Scenario::contact_lens_fleet(6).closed_loop(),
+            Scenario::card_to_card_room(5).closed_loop(),
+            Scenario::zigbee_wing(12).closed_loop(),
+            Scenario::congested_ward(16).closed_loop(),
+            Scenario::ambulatory_ward(8).closed_loop(),
+            Scenario::campus(600),
+        ]
+    }
+
+    /// Every registered package gain is the f64 `rx_pkg_db` gives, and
+    /// every emitter points at its own frequency.
+    fn assert_pkg_gains_exact(m: &LinkMatrix, scenario: &Scenario, when: &str) {
+        let pkg = &m.pkg;
+        for (&bits, row) in pkg.freq_bits.iter().zip(&pkg.db) {
+            let freq = f64::from_bits(bits);
+            for (&profile, &db) in PROFILES.iter().zip(row) {
+                let direct = rx_pkg_db(profile, freq);
+                assert_eq!(
+                    db.to_bits(),
+                    direct.to_bits(),
+                    "{when}: {profile:?} at {freq} Hz"
+                );
+            }
+        }
+        let freq_of = |f: u32| pkg.freq_bits[f as usize];
+        for (t, tag) in scenario.tags.iter().enumerate() {
+            assert_eq!(pkg.tag_profile[t], tag.profile, "{when}: tag {t}");
+            let emit = uplink_model(scenario, t, &tag.phy).tag_to_rx.freq_hz;
+            assert_eq!(freq_of(pkg.tag_freq[t]), emit.to_bits(), "{when}: tag {t}");
+        }
+        if m.closed_loop.is_some() {
+            for (c, spec) in scenario.carriers.iter().enumerate() {
+                assert_eq!(
+                    freq_of(pkg.carrier_freq[c]),
+                    spec.carrier_freq_hz().to_bits()
+                );
+            }
+            for s in 0..scenario.receivers.len() {
+                assert_eq!(
+                    freq_of(pkg.sink_freq[s]),
+                    sink_freq_hz(scenario, s).to_bits()
+                );
+            }
+        }
+        if let Some(cfg) = scenario.coex.as_ref() {
+            for (k, src) in cfg.sources.iter().enumerate() {
+                let band = src.model.traffic().band().map(|b| b.center_hz.to_bits());
+                assert_eq!(pkg.ext_freq[k].map(freq_of), band, "{when}: source {k}");
+            }
+        }
+    }
+
     #[test]
-    fn parallel_build_matches_serial_bit_for_bit() {
-        // The build's parallel row fills (per-tag uplink terms, dense
-        // pkg table) must land exactly what the serial loops produced —
-        // equal to the last mantissa bit, both layouts.
-        for (scenario, dense) in [
-            (Scenario::hospital_ward(24).closed_loop(), true),
-            (Scenario::hospital_ward(24).closed_loop(), false),
-            (Scenario::congested_ward(16), true),
-        ] {
-            let matrix = LinkMatrix::build_with_layout(&scenario, dense).unwrap();
+    fn pkg_gains_match_direct_evaluation() {
+        use interscatter_wifi::dot11b::DsssRate;
+        for scenario in presets() {
+            let matrix = LinkMatrix::build(&scenario).unwrap();
+            assert_pkg_gains_exact(&matrix, &scenario, &scenario.name);
+            // A handful of frequencies serve the whole fleet.
+            assert!(matrix.pkg.freq_bits.len() <= 16, "{}", scenario.name);
+        }
+        // A channel no emitter of the run has used yet: registering it
+        // evaluates four fresh gains, which must match too.
+        let ward = Scenario::hospital_ward(1);
+        let mut matrix = LinkMatrix::build(&ward).unwrap();
+        let before = matrix.pkg.freq_bits.len();
+        let ch11 = NetPhy::Wifi {
+            rate: DsssRate::Mbps2,
+            channel: 11,
+        };
+        matrix.retune_tag(&ward, 0, 2, ch11);
+        assert_eq!(matrix.pkg.freq_bits.len(), before + 1);
+        let mut moved = ward.clone();
+        moved.tags[0].receiver = 2;
+        moved.tags[0].phy = ch11;
+        assert_pkg_gains_exact(&matrix, &moved, "after a re-tune to a new channel");
+    }
+
+    #[test]
+    fn memoised_uplink_terms_match_direct_evaluation() {
+        // Tags sharing an uplink key share one evaluation; every tag must
+        // still land exactly its own terms, to the last mantissa bit.
+        for scenario in presets() {
+            let matrix = LinkMatrix::build(&scenario).unwrap();
             for t in 0..scenario.tags.len() {
                 let row = uplink_row_terms(&scenario, t).unwrap();
                 let b = (&matrix.budgets[t], &row.budget);
@@ -1268,36 +1227,51 @@ mod tests {
                 assert_eq!(b.0.sensitivity_dbm.to_bits(), b.1.sensitivity_dbm.to_bits());
                 assert_eq!(b.0.noise_floor_dbm.to_bits(), b.1.noise_floor_dbm.to_bits());
                 assert_eq!(matrix.up_fixed_db[t].to_bits(), row.fixed_db.to_bits());
-                assert_eq!(
-                    matrix.up_pl_src[t].ref_loss_db.to_bits(),
-                    row.pl_src.ref_loss_db.to_bits()
-                );
-                assert_eq!(
-                    matrix.up_pl_src[t].half_decade_db.to_bits(),
-                    row.pl_src.half_decade_db.to_bits()
-                );
-                assert_eq!(
-                    matrix.up_pl_emit[t].ref_loss_db.to_bits(),
-                    row.pl_emit.ref_loss_db.to_bits()
-                );
-                assert_eq!(
-                    matrix.up_pl_emit[t].half_decade_db.to_bits(),
-                    row.pl_emit.half_decade_db.to_bits()
-                );
-            }
-            if let Some(PairTables::Dense {
-                pkg_at_tag_freq, ..
-            }) = matrix.closed_loop.as_ref().map(|cl| &cl.pairs)
-            {
-                assert!(dense);
-                for u in 0..scenario.tags.len() {
-                    let freq = uplink_row_terms(&scenario, u).unwrap().emit_freq_hz;
-                    for (t, &v) in pkg_row(&scenario, freq).iter().enumerate() {
-                        assert_eq!(pkg_at_tag_freq.at(u, t).to_bits(), v.to_bits());
-                    }
+                for (a, b) in [
+                    (matrix.up_pl_src[t], row.pl_src),
+                    (matrix.up_pl_emit[t], row.pl_emit),
+                ] {
+                    assert_eq!(a.ref_loss_db.to_bits(), b.ref_loss_db.to_bits());
+                    assert_eq!(a.half_decade_db.to_bits(), b.half_decade_db.to_bits());
                 }
+                let freq = matrix.pkg.freq_bits[matrix.pkg.tag_freq[t] as usize];
+                assert_eq!(
+                    freq,
+                    row.emit_freq_hz.to_bits(),
+                    "{}: tag {t}",
+                    scenario.name
+                );
             }
         }
+    }
+
+    #[test]
+    fn one_and_zero_tag_fleets_are_well_defined() {
+        // One tag (with an external source in the room) and no tags at
+        // all: every emitter × listener power the matrix holds is finite.
+        let one = Scenario::congested_ward(1).closed_loop();
+        let mut empty = Scenario::hospital_ward(1).closed_loop();
+        empty.tags.clear();
+        for (scenario, n_tags) in [(&one, 1), (&empty, 0)] {
+            let matrix = LinkMatrix::build(scenario).unwrap();
+            assert_eq!(matrix.len(), n_tags);
+            for (from, at) in pairs(&matrix) {
+                let p = matrix.power_dbm(from, at);
+                assert!(p.is_finite(), "{from:?} at {at:?}: {p} dBm");
+            }
+        }
+        // The one-tag fleet runs without NaN; the empty one is refused
+        // with the typed error, by the builder and `net::run` alike.
+        let run = crate::run(&one, 7).unwrap();
+        assert!(!run.metrics.report().contains("NaN"));
+        assert!(matches!(
+            crate::run(&empty, 7),
+            Err(NetError::InvalidScenario(_))
+        ));
+        assert!(matches!(
+            empty.builder().build(),
+            Err(NetError::InvalidScenario(_))
+        ));
     }
 
     #[test]
@@ -1407,13 +1381,37 @@ mod tests {
         let _ = matrix.poll_budget(0);
     }
 
+    /// Every emitter × listener pairing a matrix can answer: all of them
+    /// for closed-loop matrices, tag → receiver otherwise, plus the
+    /// external sources when the scenario has any.
+    fn pairs(m: &LinkMatrix) -> Vec<(Emitter, Listener)> {
+        let closed = m.closed_loop.is_some();
+        let mut emitters: Vec<Emitter> = (0..m.len()).map(Emitter::Tag).collect();
+        let mut listeners: Vec<Listener> = (0..m.sink_pos.len()).map(Listener::Receiver).collect();
+        if closed {
+            emitters.extend((0..m.carrier_pos.len()).map(Emitter::Carrier));
+            emitters.extend((0..m.sink_pos.len()).map(Emitter::Sink));
+            listeners.extend((0..m.len()).map(Listener::Tag));
+            listeners.extend((0..m.carrier_pos.len()).map(Listener::Carrier));
+        }
+        if let Some(ext) = m.ext.as_ref() {
+            emitters.extend((0..ext.pos.len()).map(Emitter::External));
+        }
+        let mut out = Vec::new();
+        for &from in &emitters {
+            for &at in &listeners {
+                out.push((from, at));
+            }
+        }
+        out
+    }
+
     /// Every emitter × listener pairing of two matrices (and every budget)
     /// agrees to within floating-point noise, read through the public
-    /// query surface so it covers both pair-table layouts.
+    /// query surface.
     fn assert_tables_match(a: &LinkMatrix, b: &LinkMatrix, what: &str) {
         let close = |x: f64, y: f64| (x - y).abs() < 1e-9;
         let n_rx = a.sink_pos.len();
-        let n_carriers = a.carrier_pos.len();
         for t in 0..a.len() {
             assert!(
                 close(a.budget(t).median_rssi_dbm, b.budget(t).median_rssi_dbm),
@@ -1445,81 +1443,9 @@ mod tests {
                 "{what}: ack budget of tag {t}"
             );
         }
-        let mut emitters: Vec<Emitter> = Vec::new();
-        let mut listeners: Vec<Listener> = Vec::new();
-        for t in 0..a.len() {
-            emitters.push(Emitter::Tag(t));
-            listeners.push(Listener::Tag(t));
-        }
-        for c in 0..n_carriers {
-            emitters.push(Emitter::Carrier(c));
-            listeners.push(Listener::Carrier(c));
-        }
-        for s in 0..n_rx {
-            emitters.push(Emitter::Sink(s));
-            listeners.push(Listener::Receiver(s));
-        }
-        for &from in &emitters {
-            for &at in &listeners {
-                let (pa, pb) = (a.power_dbm(from, at), b.power_dbm(from, at));
-                assert!(close(pa, pb), "{what}: {from:?} at {at:?}: {pa} vs {pb}");
-            }
-        }
-    }
-
-    #[test]
-    fn lazy_pair_tables_match_dense_bitwise() {
-        use interscatter_wifi::dot11b::DsssRate;
-        // The on-demand pair evaluation must reproduce the dense tables
-        // bit for bit — same expressions over the same cached terms — and
-        // keep doing so through motion and a re-stripe re-tune.
-        for base in [
-            Scenario::hospital_ward(10).closed_loop(),
-            Scenario::congested_ward(12).closed_loop(),
-        ] {
-            let mut dense = LinkMatrix::build_with_layout(&base, true).unwrap();
-            let mut lazy = LinkMatrix::build_with_layout(&base, false).unwrap();
-            let check = |dense: &LinkMatrix, lazy: &LinkMatrix, when: &str| {
-                for u in 0..base.tags.len() {
-                    for t in 0..base.tags.len() {
-                        let (d, l) = (
-                            dense.power_dbm(Emitter::Tag(u), Listener::Tag(t)),
-                            lazy.power_dbm(Emitter::Tag(u), Listener::Tag(t)),
-                        );
-                        assert_eq!(d.to_bits(), l.to_bits(), "{when}: tag {u} at tag {t}");
-                    }
-                    for c in 0..base.carriers.len() {
-                        let (d, l) = (
-                            dense.power_dbm(Emitter::Tag(u), Listener::Carrier(c)),
-                            lazy.power_dbm(Emitter::Tag(u), Listener::Carrier(c)),
-                        );
-                        assert_eq!(d.to_bits(), l.to_bits(), "{when}: tag {u} at carrier {c}");
-                        let (d, l) = (
-                            dense.power_dbm(Emitter::Carrier(c), Listener::Tag(u)),
-                            lazy.power_dbm(Emitter::Carrier(c), Listener::Tag(u)),
-                        );
-                        assert_eq!(d.to_bits(), l.to_bits(), "{when}: carrier {c} at tag {u}");
-                    }
-                }
-            };
-            check(&dense, &lazy, "fresh build");
-
-            let moved = Position::new(4.5, 6.5, 1.1);
-            dense.set_position(EntityId::Tag(0), moved);
-            lazy.set_position(EntityId::Tag(0), moved);
-            dense.flush(&base);
-            lazy.flush(&base);
-            check(&dense, &lazy, "after a move");
-
-            let new_phy = NetPhy::Wifi {
-                rate: DsssRate::Mbps2,
-                channel: 1,
-            };
-            dense.retune_tag(&base, 1, 0, new_phy);
-            lazy.retune_tag(&base, 1, 0, new_phy);
-            dense.flush(&base);
-            lazy.flush(&base);
-            check(&dense, &lazy, "after a re-tune");
+        for (from, at) in pairs(a) {
+            let (pa, pb) = (a.power_dbm(from, at), b.power_dbm(from, at));
+            assert!(close(pa, pb), "{what}: {from:?} at {at:?}: {pa} vs {pb}");
         }
     }
 

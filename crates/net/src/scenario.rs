@@ -889,10 +889,9 @@ impl Scenario {
     /// Three neighbour Wi-Fi networks (one per channel) load the band
     /// through [`crate::coex`].
     ///
-    /// Carrier count stays O(`n_tags` / 256): the only dense
-    /// carrier × carrier link table then stays tiny while the per-tag
-    /// pair tables switch to the lazy layout above
-    /// [`crate::links`]' dense-pair limit.
+    /// Carrier count stays O(`n_tags` / 256), so the carrier × carrier
+    /// link table stays tiny; tag pairs are never tabled
+    /// ([`crate::links`] evaluates them on demand).
     ///
     /// ```
     /// use interscatter_net::scenario::Scenario;
@@ -1891,8 +1890,8 @@ mod tests {
             "city scale requires streaming metrics"
         );
         assert!(quad.coex.is_some(), "preset attaches coex load");
-        // Shared helpers, O(n / 256): the one dense carrier × carrier
-        // link table stays tiny while the per-tag pair tables go lazy.
+        // Shared helpers, O(n / 256): the carrier × carrier link table
+        // stays tiny.
         assert_eq!(quad.carriers.len(), 100_000usize.div_ceil(256));
         // Striped: the helpers spread across several sub-bands, and each
         // implant is tuned to its helper's stripe.
@@ -1914,8 +1913,8 @@ mod tests {
     #[test]
     fn campus_closed_loop_runs_above_the_dense_pair_limit() {
         use crate::engine::NetworkSim;
-        // 4200 tags: past the dense-pair limit, so this run exercises the
-        // lazy link-table layout end to end.
+        // 4200 tags in one engine: the largest single-engine closed-loop
+        // run in the suite, end to end through the link tables.
         let quad = Scenario::campus(4_200);
         let run = |seed| {
             NetworkSim::new(&quad, seed)

@@ -1,5 +1,6 @@
-//! Runs every experiment of the evaluation and prints the tables recorded in
-//! EXPERIMENTS.md.
+//! Runs every experiment of the evaluation and prints its tables: the
+//! reproduced figures, packet fit, power budget and ablations, in paper
+//! order.
 //!
 //! Run with `cargo run --release --example run_experiments`.
 

@@ -157,11 +157,11 @@ fn all_experiment_runners_smoke() {
     assert!(!exp::ablations::report(&square, &guards, &shifts).is_empty());
 }
 
-/// The headline numbers recorded in EXPERIMENTS.md stay true: packet-fit
+/// The headline numbers `run_experiments` prints stay true: packet-fit
 /// matches the paper exactly, the IC budget matches the paper within 2 %,
 /// and the SSB/DSB ordering holds in both the spectral and the MAC domains.
 #[test]
-fn experiments_md_headline_numbers() {
+fn run_experiments_headline_numbers() {
     let fit = exp::packet_fit::run();
     assert_eq!(fit[1].max_psdu_bytes, Some(38));
     assert_eq!(fit[2].max_psdu_bytes, Some(104));
