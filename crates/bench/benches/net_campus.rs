@@ -19,23 +19,21 @@ fn bench_campus_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("net_campus");
     group.sample_size(10);
     for n in [10_000usize, 100_000] {
-        let scenario = Scenario::campus(n);
+        let scenario = Scenario::campus(n)
+            .builder()
+            .execution(ExecutionSection::new().trace(false))
+            .build()
+            .unwrap();
         // One calibration run supplies the exact engine event count, so
         // the reported throughput is events/sec, not an approximation.
         let events = NetworkSim::new(&scenario, 42)
-            .with_trace(false)
             .run()
             .unwrap()
             .telemetry
             .events;
         group.throughput(Throughput::Elements(events));
         group.bench_function(format!("campus_{}k_tags", n / 1000), |b| {
-            b.iter(|| {
-                NetworkSim::new(&scenario, 42)
-                    .with_trace(false)
-                    .run()
-                    .unwrap()
-            })
+            b.iter(|| NetworkSim::new(&scenario, 42).run().unwrap())
         });
     }
     for shards in [1usize, 4] {

@@ -12,20 +12,25 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use interscatter_net::coex::ReStripe;
 use interscatter_net::engine::NetworkSim;
-use interscatter_net::scenario::Scenario;
+use interscatter_net::scenario::{ExecutionSection, Scenario};
 
-/// Shortens a ward's horizon so the 100-tag points stay benchable, and
-/// pulls every coex source's activity window to t = 0 so the clipped run
-/// actually contains the external traffic being measured (the preset's
-/// hammer only switches on at t = 3 s, past the short horizons here).
+/// Shortens a ward's horizon so the 100-tag points stay benchable, turns
+/// its trace off, and pulls every coex source's activity window to t = 0
+/// so the clipped run actually contains the external traffic being
+/// measured (the preset's hammer only switches on at t = 3 s, past the
+/// short horizons here).
 fn clipped(mut scenario: Scenario, duration_s: f64) -> Scenario {
-    scenario.duration_s = duration_s;
     if let Some(cfg) = scenario.coex.as_mut() {
         for source in &mut cfg.sources {
             source.start_s = 0.0;
         }
     }
     scenario
+        .builder()
+        .duration_s(duration_s)
+        .execution(ExecutionSection::new().trace(false))
+        .build()
+        .unwrap()
 }
 
 fn bench_coex(c: &mut Criterion) {
@@ -57,11 +62,7 @@ fn bench_coex(c: &mut Criterion) {
             // One pre-run pins the workload size (deterministic per seed):
             // fleet attempts plus external emissions are the events whose
             // rate matters.
-            let m = NetworkSim::new(&scenario, 42)
-                .with_trace(false)
-                .run()
-                .unwrap()
-                .metrics;
+            let m = NetworkSim::new(&scenario, 42).run().unwrap().metrics;
             assert!(
                 label == "legacy" || m.external_emissions() > 0,
                 "{label}_{n}: the congested workload must actually congest"
@@ -69,12 +70,7 @@ fn bench_coex(c: &mut Criterion) {
             let events = m.attempts() + m.external_emissions();
             group.throughput(Throughput::Elements(events.max(1) as u64));
             group.bench_function(format!("{label}_{n}_tags"), |b| {
-                b.iter(|| {
-                    NetworkSim::new(&scenario, 42)
-                        .with_trace(false)
-                        .run()
-                        .unwrap()
-                })
+                b.iter(|| NetworkSim::new(&scenario, 42).run().unwrap())
             });
         }
     }

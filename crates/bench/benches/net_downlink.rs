@@ -6,13 +6,21 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use interscatter_net::engine::NetworkSim;
-use interscatter_net::scenario::Scenario;
+use interscatter_net::scenario::{ExecutionSection, Scenario};
+
+/// `scenario` cut to 1 simulated second, traces off.
+fn one_second_untraced(scenario: Scenario) -> Scenario {
+    scenario
+        .builder()
+        .duration_s(1.0)
+        .execution(ExecutionSection::new().trace(false))
+        .build()
+        .unwrap()
+}
 
 /// A 1-second closed-loop ward sized to `n` tags, traces off.
 fn ward(n: usize) -> Scenario {
-    let mut scenario = Scenario::hospital_ward(n).closed_loop();
-    scenario.duration_s = 1.0;
-    scenario
+    one_second_untraced(Scenario::hospital_ward(n).closed_loop())
 }
 
 fn bench_transaction_scaling(c: &mut Criterion) {
@@ -23,19 +31,13 @@ fn bench_transaction_scaling(c: &mut Criterion) {
         // Annotate with the completed-transaction count of the measured
         // run so criterion reports transactions per wall-clock second.
         let transactions = NetworkSim::new(&scenario, 42)
-            .with_trace(false)
             .run()
             .unwrap()
             .metrics
             .completed_transactions();
         group.throughput(Throughput::Elements(transactions.max(1) as u64));
         group.bench_function(format!("ward_{n}_tags"), |b| {
-            b.iter(|| {
-                NetworkSim::new(&scenario, 42)
-                    .with_trace(false)
-                    .run()
-                    .unwrap()
-            })
+            b.iter(|| NetworkSim::new(&scenario, 42).run().unwrap())
         });
     }
     group.finish();
@@ -46,19 +48,13 @@ fn bench_loop_overhead(c: &mut Criterion) {
     // feedback; this pair quantifies the simulation cost of that choice.
     let mut group = c.benchmark_group("net_mac_mode");
     group.sample_size(20);
-    let mut open = Scenario::hospital_ward(20);
-    open.duration_s = 1.0;
+    let open = one_second_untraced(Scenario::hospital_ward(20));
     group.bench_function("open_loop_ward_20", |b| {
-        b.iter(|| NetworkSim::new(&open, 42).with_trace(false).run().unwrap())
+        b.iter(|| NetworkSim::new(&open, 42).run().unwrap())
     });
     let closed = ward(20);
     group.bench_function("closed_loop_ward_20", |b| {
-        b.iter(|| {
-            NetworkSim::new(&closed, 42)
-                .with_trace(false)
-                .run()
-                .unwrap()
-        })
+        b.iter(|| NetworkSim::new(&closed, 42).run().unwrap())
     });
     group.finish();
 }

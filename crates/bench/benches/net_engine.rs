@@ -5,14 +5,21 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use interscatter_net::engine::NetworkSim;
-use interscatter_net::runner::MonteCarlo;
-use interscatter_net::scenario::Scenario;
+use interscatter_net::scenario::{ExecutionSection, Scenario};
+
+/// A 1-second ward scenario sized to `n` tags with the given run shape.
+fn ward(n: usize, execution: ExecutionSection) -> Scenario {
+    Scenario::hospital_ward(n)
+        .builder()
+        .duration_s(1.0)
+        .execution(execution)
+        .build()
+        .unwrap()
+}
 
 /// A 1-second ward scenario sized to `n` tags, traces off.
-fn ward(n: usize) -> Scenario {
-    let mut scenario = Scenario::hospital_ward(n);
-    scenario.duration_s = 1.0;
-    scenario
+fn untraced_ward(n: usize) -> Scenario {
+    ward(n, ExecutionSection::new().trace(false))
 }
 
 /// Events processed by one run: arrivals + slots + tx ends, approximated
@@ -36,44 +43,35 @@ fn bench_engine_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("net_engine");
     group.sample_size(20);
     for n in [1usize, 10, 100] {
-        let scenario = ward(n);
+        let scenario = untraced_ward(n);
         group.throughput(Throughput::Elements(approx_events(&scenario)));
         group.bench_function(format!("ward_{n}_tags"), |b| {
-            b.iter(|| {
-                NetworkSim::new(&scenario, 42)
-                    .with_trace(false)
-                    .run()
-                    .unwrap()
-            })
+            b.iter(|| NetworkSim::new(&scenario, 42).run().unwrap())
         });
     }
     group.finish();
 }
 
 fn bench_trace_overhead(c: &mut Criterion) {
-    let scenario = ward(10);
+    let traced = ward(10, ExecutionSection::new());
+    let untraced = untraced_ward(10);
     let mut group = c.benchmark_group("net_trace");
     group.sample_size(20);
     group.bench_function("traced", |b| {
-        b.iter(|| NetworkSim::new(&scenario, 42).run().unwrap())
+        b.iter(|| NetworkSim::new(&traced, 42).run().unwrap())
     });
     group.bench_function("untraced", |b| {
-        b.iter(|| {
-            NetworkSim::new(&scenario, 42)
-                .with_trace(false)
-                .run()
-                .unwrap()
-        })
+        b.iter(|| NetworkSim::new(&untraced, 42).run().unwrap())
     });
     group.finish();
 }
 
 fn bench_monte_carlo(c: &mut Criterion) {
-    let scenario = ward(20);
+    let scenario = ward(20, ExecutionSection::new().trials(8));
     let mut group = c.benchmark_group("net_monte_carlo");
     group.sample_size(10);
     group.bench_function("8_trials_parallel", |b| {
-        b.iter(|| MonteCarlo::new(scenario.clone(), 8, 7).run().unwrap())
+        b.iter(|| interscatter_net::run_trials(&scenario, 7).unwrap())
     });
     group.finish();
 }

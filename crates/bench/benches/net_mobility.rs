@@ -12,7 +12,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughpu
 use interscatter_net::engine::NetworkSim;
 use interscatter_net::entities::Position;
 use interscatter_net::links::{EntityId, LinkMatrix};
-use interscatter_net::scenario::Scenario;
+use interscatter_net::scenario::{ExecutionSection, Scenario};
 
 /// The 100-patient closed-loop ambulatory ward: the heaviest matrix the
 /// engine builds (uplink rows plus every poll/ack and emitter × listener
@@ -59,28 +59,23 @@ fn bench_tick_vs_rebuild(c: &mut Criterion) {
 fn bench_mobile_run(c: &mut Criterion) {
     // End to end: the walking ward with ticks, row refreshes and the
     // poll/ack loop interleaved, 1 simulated second.
-    let mut scenario = Scenario::ambulatory_ward(20).closed_loop();
-    scenario.duration_s = 1.0;
+    let scenario = Scenario::ambulatory_ward(20)
+        .closed_loop()
+        .builder()
+        .duration_s(1.0)
+        .execution(ExecutionSection::new().trace(false))
+        .build()
+        .unwrap();
     let mut frozen = scenario.clone();
     frozen.mobility = None;
 
     let mut group = c.benchmark_group("net_mobile_run");
     group.sample_size(20);
     group.bench_function("ambulatory_ward_20", |b| {
-        b.iter(|| {
-            NetworkSim::new(&scenario, 42)
-                .with_trace(false)
-                .run()
-                .unwrap()
-        })
+        b.iter(|| NetworkSim::new(&scenario, 42).run().unwrap())
     });
     group.bench_function("frozen_ward_20", |b| {
-        b.iter(|| {
-            NetworkSim::new(&frozen, 42)
-                .with_trace(false)
-                .run()
-                .unwrap()
-        })
+        b.iter(|| NetworkSim::new(&frozen, 42).run().unwrap())
     });
     group.finish();
 }

@@ -7,15 +7,19 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use interscatter_net::engine::NetworkSim;
-use interscatter_net::scenario::Scenario;
+use interscatter_net::scenario::{ExecutionSection, Scenario};
 use interscatter_net::sched::SchedPolicy;
 
 /// A ward sized to `n` tags with traces off and the horizon shortened so
 /// the 1000-tag point stays benchable.
 fn ward(n: usize, policy: SchedPolicy) -> Scenario {
-    let mut scenario = Scenario::hospital_ward(n).with_scheduler(policy);
-    scenario.duration_s = if n >= 1000 { 0.25 } else { 1.0 };
-    scenario
+    Scenario::hospital_ward(n)
+        .builder()
+        .scheduling(policy)
+        .duration_s(if n >= 1000 { 0.25 } else { 1.0 })
+        .execution(ExecutionSection::new().trace(false))
+        .build()
+        .unwrap()
 }
 
 fn bench_policies(c: &mut Criterion) {
@@ -32,19 +36,13 @@ fn bench_policies(c: &mut Criterion) {
             // One pre-run pins the grant count (deterministic per seed),
             // so the reported rate is true grants per second.
             let grants = NetworkSim::new(&scenario, 42)
-                .with_trace(false)
                 .run()
                 .unwrap()
                 .metrics
                 .grants();
             group.throughput(Throughput::Elements(grants.max(1) as u64));
             group.bench_function(format!("{}_{n}_tags", policy.slug()), |b| {
-                b.iter(|| {
-                    NetworkSim::new(&scenario, 42)
-                        .with_trace(false)
-                        .run()
-                        .unwrap()
-                })
+                b.iter(|| NetworkSim::new(&scenario, 42).run().unwrap())
             });
         }
     }

@@ -6,15 +6,20 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use interscatter_net::engine::NetworkSim;
-use interscatter_net::scenario::Scenario;
-use interscatter_net::telemetry::{Dataset, Filter, SinkSpec, Subscription, TelemetryKind};
+use interscatter_net::scenario::{ExecutionSection, Scenario};
+use interscatter_net::telemetry::{
+    Dataset, Filter, SinkSpec, Subscription, TelemetryConfig, TelemetryKind,
+};
 
 /// A ward sized to `n` tags, short enough that the 1000-tag case stays in
 /// the quick tier, traces off so telemetry is the only observer.
 fn ward(n: usize) -> Scenario {
-    let mut scenario = Scenario::hospital_ward(n);
-    scenario.duration_s = if n >= 1000 { 0.2 } else { 1.0 };
-    scenario
+    Scenario::hospital_ward(n)
+        .builder()
+        .duration_s(if n >= 1000 { 0.2 } else { 1.0 })
+        .execution(ExecutionSection::new().trace(false))
+        .build()
+        .unwrap()
 }
 
 /// `count` distinct subscriptions spanning every sink kind and filter axis.
@@ -67,25 +72,15 @@ fn bench_subscription_overhead(c: &mut Criterion) {
         let base = ward(n_tags);
         // Events per run, measured once so the throughput annotation is
         // events/sec rather than runs/sec.
-        let events = NetworkSim::new(&base, 42)
-            .with_trace(false)
-            .run()
-            .unwrap()
-            .telemetry
-            .events;
+        let events = NetworkSim::new(&base, 42).run().unwrap().telemetry.events;
         group.throughput(Throughput::Elements(events));
         for n_subs in [0usize, 1, 8] {
-            let mut scenario = base.clone();
-            for sub in subscriptions(n_subs, n_tags) {
-                scenario = scenario.subscribe(sub);
-            }
+            let telemetry = subscriptions(n_subs, n_tags)
+                .into_iter()
+                .fold(TelemetryConfig::new(), TelemetryConfig::subscribe);
+            let scenario = base.clone().builder().telemetry(telemetry).build().unwrap();
             group.bench_function(format!("{n_tags}_tags_{n_subs}_subs"), |b| {
-                b.iter(|| {
-                    NetworkSim::new(&scenario, 42)
-                        .with_trace(false)
-                        .run()
-                        .unwrap()
-                })
+                b.iter(|| NetworkSim::new(&scenario, 42).run().unwrap())
             });
         }
     }

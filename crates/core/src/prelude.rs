@@ -22,7 +22,7 @@ pub use crate::channel::pathloss::LogDistanceModel;
 pub use crate::dsp::Cplx;
 pub use crate::net::engine::{NetRunResult, NetworkSim};
 pub use crate::net::mac::{MacLoop, MacMode};
-pub use crate::net::runner::{MonteCarlo, MonteCarloReport};
+pub use crate::net::runner::MonteCarloReport;
 pub use crate::net::scenario::Scenario;
 pub use crate::sim::downlink::DownlinkScenario;
 pub use crate::sim::uplink::UplinkScenario;

@@ -189,35 +189,27 @@ pub struct NetRunResult {
 pub struct NetworkSim<'a> {
     scenario: &'a Scenario,
     seed: u64,
-    record_trace: bool,
 }
 
 impl<'a> NetworkSim<'a> {
-    /// Prepares a run of `scenario` with the given seed. Tracing is on by
-    /// default; disable it with [`NetworkSim::with_trace`] for large
-    /// Monte-Carlo sweeps.
+    /// Prepares a run of `scenario` with the given seed. The event trace
+    /// is recorded when the scenario's
+    /// [`crate::scenario::ExecutionConfig::trace`] is set (the default).
     pub fn new(scenario: &'a Scenario, seed: u64) -> Self {
-        NetworkSim {
-            scenario,
-            seed,
-            record_trace: true,
-        }
-    }
-
-    /// Enables or disables event-trace recording.
-    pub fn with_trace(mut self, record: bool) -> Self {
-        self.record_trace = record;
-        self
+        NetworkSim { scenario, seed }
     }
 
     /// Runs the simulation to its horizon.
     ///
-    /// This is the legacy single-engine reference path: one event loop over
-    /// the whole scenario, no cell partition, no epoch chunking. The
-    /// sharded executor ([`crate::run`] / [`crate::shard`]) drives the same
-    /// engine core per spatial cell instead.
+    /// This is the exact single-engine reference: one event loop over the
+    /// whole scenario, no cell partition, no epoch chunking. The sharded
+    /// executor ([`crate::run`] / [`crate::shard`]) drives the same engine
+    /// core per spatial cell instead, which is byte-identical on
+    /// single-cell scenarios and approximates cross-cell interference on
+    /// multi-cell ones.
     pub fn run(self) -> Result<NetRunResult, NetError> {
-        let mut core = EngineCore::new(self.scenario, self.seed, self.record_trace)?;
+        let trace = self.scenario.execution.trace;
+        let mut core = EngineCore::new(self.scenario, self.seed, trace)?;
         core.run_until(Time::from_nanos(u64::MAX));
         Ok(core.finish())
     }
@@ -252,7 +244,7 @@ impl BoundaryAccum {
 }
 
 /// Charges an in-model emission window to the boundary accumulator (no-op
-/// on the legacy unsharded path, where `boundary` is `None`).
+/// on the exact unsharded path, where `boundary` is `None`).
 fn charge_boundary(
     boundary: &mut Option<BoundaryAccum>,
     primary: Band,
@@ -556,7 +548,7 @@ impl<'a> EngineCore<'a> {
     }
 
     /// Drains the per-band airtime charged since the previous drain, in
-    /// the canonical band order. Empty on the legacy unsharded path.
+    /// the canonical band order. Empty on the exact unsharded path.
     pub(crate) fn drain_boundary(&mut self) -> Vec<(Band, f64)> {
         match self.boundary.as_mut() {
             Some(b) => std::mem::take(&mut b.rows),
@@ -1730,7 +1722,18 @@ fn exponential_s<R: Rng>(rng: &mut R, rate_pps: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::mobility::{Bounds, MobilityModel, RandomWaypoint};
-    use crate::scenario::Scenario;
+    use crate::scenario::{ExecutionSection, Scenario};
+
+    /// Runs `scenario` on the exact engine with event-trace recording off.
+    fn run_untraced(scenario: &Scenario, seed: u64) -> NetRunResult {
+        let scenario = scenario
+            .clone()
+            .builder()
+            .execution(ExecutionSection::new().trace(false))
+            .build()
+            .unwrap();
+        NetworkSim::new(&scenario, seed).run().unwrap()
+    }
 
     #[test]
     fn runs_and_delivers_traffic() {
@@ -1759,10 +1762,7 @@ mod tests {
     #[test]
     fn trace_can_be_disabled() {
         let scenario = Scenario::contact_lens_fleet(6);
-        let result = NetworkSim::new(&scenario, 3)
-            .with_trace(false)
-            .run()
-            .unwrap();
+        let result = run_untraced(&scenario, 3);
         assert!(result.trace.records().is_empty());
         assert!(result.metrics.offered_packets() > 0);
     }
@@ -1770,20 +1770,14 @@ mod tests {
     #[test]
     fn contention_grows_with_fleet_size() {
         // More tags per carrier slot supply → lower delivery ratio.
-        let small = NetworkSim::new(&Scenario::contact_lens_fleet(2), 5)
-            .with_trace(false)
-            .run()
-            .unwrap();
+        let small = run_untraced(&Scenario::contact_lens_fleet(2), 5);
         let mut big_scenario = Scenario::contact_lens_fleet(48);
         // Stress: one carrier only, so 48 tags share 100 slots/s.
         for tag in &mut big_scenario.tags {
             tag.carrier = 0;
         }
         big_scenario.carriers.truncate(1);
-        let big = NetworkSim::new(&big_scenario, 5)
-            .with_trace(false)
-            .run()
-            .unwrap();
+        let big = run_untraced(&big_scenario, 5);
         assert!(
             big.metrics.delivery_ratio() < small.metrics.delivery_ratio(),
             "small {} vs big {}",
@@ -1813,10 +1807,7 @@ mod tests {
     #[test]
     fn zigbee_wing_delivers() {
         let scenario = Scenario::zigbee_wing(10);
-        let result = NetworkSim::new(&scenario, 21)
-            .with_trace(false)
-            .run()
-            .unwrap();
+        let result = run_untraced(&scenario, 21);
         assert!(result.metrics.delivered_packets() > 0);
     }
 
@@ -1866,11 +1857,7 @@ mod tests {
     #[test]
     fn closed_loop_accounting_is_conserved() {
         let scenario = Scenario::hospital_ward(16).closed_loop();
-        let m = NetworkSim::new(&scenario, 4)
-            .with_trace(false)
-            .run()
-            .unwrap()
-            .metrics;
+        let m = run_untraced(&scenario, 4).metrics;
         for (t, stats) in m.tags.iter().enumerate() {
             // Every poll resolves as a loss, a timeout, an ack loss, a
             // completed transaction — or is still in flight at the horizon.
@@ -1941,26 +1928,22 @@ mod tests {
         // patients walk: the carrier → tag hop collapses with distance and
         // delivery must fall well below the static ward's.
         let static_ward = Scenario::hospital_ward(10);
-        let mobile_ward = Scenario::hospital_ward(10).with_mobility(MobilityConfig {
-            model: MobilityModel::RandomWaypoint(RandomWaypoint {
-                speed_min_mps: 0.8,
-                speed_max_mps: 1.5,
-                pause_s: 0.5,
-            }),
-            tick_interval_s: 0.1,
-            bounds: Bounds::room(12.0, 9.0, 1.0),
-            carriers_follow: false,
-        });
-        let fixed = NetworkSim::new(&static_ward, 11)
-            .with_trace(false)
-            .run()
-            .unwrap()
-            .metrics;
-        let walking = NetworkSim::new(&mobile_ward, 11)
-            .with_trace(false)
-            .run()
-            .unwrap()
-            .metrics;
+        let mobile_ward = Scenario::hospital_ward(10)
+            .builder()
+            .mobility(MobilityConfig {
+                model: MobilityModel::RandomWaypoint(RandomWaypoint {
+                    speed_min_mps: 0.8,
+                    speed_max_mps: 1.5,
+                    pause_s: 0.5,
+                }),
+                tick_interval_s: 0.1,
+                bounds: Bounds::room(12.0, 9.0, 1.0),
+                carriers_follow: false,
+            })
+            .build()
+            .unwrap();
+        let fixed = run_untraced(&static_ward, 11).metrics;
+        let walking = run_untraced(&mobile_ward, 11).metrics;
         assert!(fixed.mobility_series.iter().all(|s| s.is_empty()));
         assert!(
             walking.delivery_ratio() < fixed.delivery_ratio() - 0.2,
@@ -2002,12 +1985,16 @@ mod tests {
 
     #[test]
     fn static_mobility_config_schedules_no_ticks() {
-        let scenario = Scenario::hospital_ward(4).with_mobility(MobilityConfig {
-            model: MobilityModel::Static,
-            tick_interval_s: 0.1,
-            bounds: Bounds::room(12.0, 9.0, 1.0),
-            carriers_follow: false,
-        });
+        let scenario = Scenario::hospital_ward(4)
+            .builder()
+            .mobility(MobilityConfig {
+                model: MobilityModel::Static,
+                tick_interval_s: 0.1,
+                bounds: Bounds::room(12.0, 9.0, 1.0),
+                carriers_follow: false,
+            })
+            .build()
+            .unwrap();
         let result = NetworkSim::new(&scenario, 3).run().unwrap();
         let text = String::from_utf8(result.trace.to_bytes()).unwrap();
         assert!(!text.contains("mobility tick"));
@@ -2140,7 +2127,11 @@ mod tests {
             ),
             (
                 "walking_8_margin",
-                Scenario::walking_ward(8).with_scheduler(SchedPolicy::margin_aware()),
+                Scenario::walking_ward(8)
+                    .builder()
+                    .scheduling(SchedPolicy::margin_aware())
+                    .build()
+                    .unwrap(),
                 0xF140_4873_4D67_7F54,
             ),
             (
@@ -2164,7 +2155,10 @@ mod tests {
                 "hospital_16_striped_pf",
                 Scenario::hospital_ward(16)
                     .with_subband_striping()
-                    .with_scheduler(SchedPolicy::proportional_fair()),
+                    .builder()
+                    .scheduling(SchedPolicy::proportional_fair())
+                    .build()
+                    .unwrap(),
                 0xDAC0_2872_E363_DFB1,
             ),
             (
@@ -2176,7 +2170,10 @@ mod tests {
                 "hospital_12_deadline_closed",
                 Scenario::hospital_ward(12)
                     .closed_loop()
-                    .with_scheduler(SchedPolicy::deadline_aware()),
+                    .builder()
+                    .scheduling(SchedPolicy::deadline_aware())
+                    .build()
+                    .unwrap(),
                 0x6217_9E49_3798_3BEF,
             ),
         ];
@@ -2201,7 +2198,10 @@ mod tests {
         ] {
             let scenario = Scenario::walking_ward(10)
                 .closed_loop()
-                .with_scheduler(policy);
+                .builder()
+                .scheduling(policy)
+                .build()
+                .unwrap();
             let a = NetworkSim::new(&scenario, 17).run().unwrap();
             let b = NetworkSim::new(&scenario, 17).run().unwrap();
             assert_eq!(
@@ -2230,20 +2230,16 @@ mod tests {
         // mid-fade tags (starvation-bounded) must convert into a higher
         // packet reception ratio than blind rotation.
         let seed = 42;
-        let rr = NetworkSim::new(&Scenario::walking_ward(12).closed_loop(), seed)
-            .with_trace(false)
-            .run()
-            .unwrap()
-            .metrics;
-        let ma = NetworkSim::new(
+        let rr = run_untraced(&Scenario::walking_ward(12).closed_loop(), seed).metrics;
+        let ma = run_untraced(
             &Scenario::walking_ward(12)
                 .closed_loop()
-                .with_scheduler(crate::sched::SchedPolicy::margin_aware()),
+                .builder()
+                .scheduling(crate::sched::SchedPolicy::margin_aware())
+                .build()
+                .unwrap(),
             seed,
         )
-        .with_trace(false)
-        .run()
-        .unwrap()
         .metrics;
         let (prr_rr, prr_ma) = (1.0 - rr.per(), 1.0 - ma.per());
         assert!(
@@ -2261,12 +2257,11 @@ mod tests {
     fn deadline_misses_surface_under_congestion() {
         let scenario = Scenario::walking_ward(12)
             .closed_loop()
-            .with_scheduler(crate::sched::SchedPolicy::deadline_aware());
-        let m = NetworkSim::new(&scenario, 42)
-            .with_trace(false)
-            .run()
-            .unwrap()
-            .metrics;
+            .builder()
+            .scheduling(crate::sched::SchedPolicy::deadline_aware())
+            .build()
+            .unwrap();
+        let m = run_untraced(&scenario, 42).metrics;
         assert!(m.grants() > 0);
         assert!(
             m.deadline_misses() > 0,
@@ -2274,21 +2269,13 @@ mod tests {
         );
         assert!(m.deadline_miss_rate() > 0.0 && m.deadline_miss_rate() < 1.0);
         // Deadline-blind policies never report misses.
-        let rr = NetworkSim::new(&Scenario::walking_ward(12).closed_loop(), 42)
-            .with_trace(false)
-            .run()
-            .unwrap()
-            .metrics;
+        let rr = run_untraced(&Scenario::walking_ward(12).closed_loop(), 42).metrics;
         assert_eq!(rr.deadline_misses(), 0);
     }
 
     #[test]
     fn grants_feed_poll_latency_and_fairness() {
-        let m = NetworkSim::new(&Scenario::hospital_ward(12), 7)
-            .with_trace(false)
-            .run()
-            .unwrap()
-            .metrics;
+        let m = run_untraced(&Scenario::hospital_ward(12), 7).metrics;
         // Open loop: every attempt was a granted slot.
         assert_eq!(m.grants(), m.attempts());
         assert_eq!(m.poll_latency_ms.samples().len(), m.grants());
@@ -2361,11 +2348,7 @@ mod tests {
         // hidden Wi-Fi transmitter hammers channel 6, so stripe-1 tags
         // keep transmitting (they cannot hear it) and lose captures at
         // their AP — external collisions, not fleet contention.
-        let quiet = NetworkSim::new(&Scenario::hospital_ward(12).with_subband_striping(), 42)
-            .with_trace(false)
-            .run()
-            .unwrap()
-            .metrics;
+        let quiet = run_untraced(&Scenario::hospital_ward(12).with_subband_striping(), 42).metrics;
         let congested = NetworkSim::new(&Scenario::congested_ward(12), 42)
             .run()
             .unwrap()
@@ -2396,11 +2379,7 @@ mod tests {
         // Carrier 1 sits on stripe 1 (channel 6, the hammered one),
         // carrier 0 on stripe 0 (channel 1): their sensed-occupancy series
         // must diverge once the hidden source switches on at t = 3 s.
-        let m = NetworkSim::new(&Scenario::congested_ward(12), 42)
-            .with_trace(false)
-            .run()
-            .unwrap()
-            .metrics;
+        let m = run_untraced(&Scenario::congested_ward(12), 42).metrics;
         let late_peak = |c: usize| -> f64 {
             m.occupancy_series[c]
                 .iter()
@@ -2436,14 +2415,16 @@ mod tests {
         // members actually deliver on, not the never-assigned stripe.
         // Carrier 2's first member (tag 4) delivers to the channel-6 AP;
         // carrier 0's (tag 0) to channel 1.
-        let hammered = Scenario::hospital_ward(12).with_coex(CoexConfig::with_sources(vec![
-            CoexSource::hidden_wifi(Position::new(6.0, 8.0, 2.0), 6, 0.6),
-        ]));
-        let m = NetworkSim::new(&hammered, 42)
-            .with_trace(false)
-            .run()
-            .unwrap()
-            .metrics;
+        let hammered = Scenario::hospital_ward(12)
+            .builder()
+            .coex(CoexConfig::with_sources(vec![CoexSource::hidden_wifi(
+                Position::new(6.0, 8.0, 2.0),
+                6,
+                0.6,
+            )]))
+            .build()
+            .unwrap();
+        let m = run_untraced(&hammered, 42).metrics;
         assert!(
             m.peak_occupancy(2).unwrap() > 0.4,
             "channel-6 carrier sensed {:?}",
@@ -2456,11 +2437,7 @@ mod tests {
         );
         // And re-striping keys on the same member-derived channel: the
         // channel-6 carriers escape even though their subband was 0.
-        let adaptive = NetworkSim::new(&hammered.with_restripe(ReStripe::default()), 42)
-            .with_trace(false)
-            .run()
-            .unwrap()
-            .metrics;
+        let adaptive = run_untraced(&hammered.with_restripe(ReStripe::default()), 42).metrics;
         assert!(adaptive.restripes() > 0, "no re-stripes fired");
         assert!(adaptive
             .restripe_events
@@ -2474,9 +2451,16 @@ mod tests {
         // A source windowed to [1 s, 2 s) must put airtime on the medium
         // inside the window and none after it — even when a burst is
         // drawn just before the edge (emissions clip at stop_s).
-        let mut scenario = Scenario::hospital_ward(4).with_coex(CoexConfig::with_sources(vec![
-            CoexSource::hidden_wifi(Position::new(6.0, 8.0, 2.0), 6, 0.6).active(1.0, 2.0),
-        ]));
+        let mut scenario = Scenario::hospital_ward(4)
+            .builder()
+            .coex(CoexConfig::with_sources(vec![CoexSource::hidden_wifi(
+                Position::new(6.0, 8.0, 2.0),
+                6,
+                0.6,
+            )
+            .active(1.0, 2.0)]))
+            .build()
+            .unwrap();
         scenario.duration_s = 4.0;
         let result = NetworkSim::new(&scenario, 5).run().unwrap();
         let m = &result.metrics;
@@ -2505,11 +2489,7 @@ mod tests {
         // re-tune themselves and their tags to the quietest sub-band, and
         // convert the escape into a large PRR uplift over static striping.
         let seed = 42;
-        let fixed = NetworkSim::new(&Scenario::congested_ward(12), seed)
-            .with_trace(false)
-            .run()
-            .unwrap()
-            .metrics;
+        let fixed = run_untraced(&Scenario::congested_ward(12), seed).metrics;
         let scenario = Scenario::congested_ward(12).with_restripe(crate::coex::ReStripe::default());
         let result = NetworkSim::new(&scenario, seed).run().unwrap();
         let adaptive = &result.metrics;
@@ -2546,14 +2526,16 @@ mod tests {
         // A well-behaved neighbour AP on the lens fleet's only channel:
         // heavy load means it keeps bumping into the fleet's emissions and
         // NAV reservations, deferring with a backoff each time.
-        let scenario = Scenario::contact_lens_fleet(8).with_coex(CoexConfig::with_sources(vec![
-            CoexSource::wifi_neighbor(Position::new(1.5, 1.5, 2.0), 11, 0.5),
-        ]));
-        let m = NetworkSim::new(&scenario, 9)
-            .with_trace(false)
-            .run()
-            .unwrap()
-            .metrics;
+        let scenario = Scenario::contact_lens_fleet(8)
+            .builder()
+            .coex(CoexConfig::with_sources(vec![CoexSource::wifi_neighbor(
+                Position::new(1.5, 1.5, 2.0),
+                11,
+                0.5,
+            )]))
+            .build()
+            .unwrap();
+        let m = run_untraced(&scenario, 9).metrics;
         assert!(m.external_emissions() > 50);
         let defers: usize = m.coex_defers.iter().sum();
         assert!(defers > 0, "a CSMA source must defer sometimes");
@@ -2574,10 +2556,17 @@ mod tests {
             CoexSource::constant(2, 0.1),
         ]);
         for scenario in [
-            Scenario::hospital_ward(10).with_coex(config.clone()),
+            Scenario::hospital_ward(10)
+                .builder()
+                .coex(config.clone())
+                .build()
+                .unwrap(),
             Scenario::hospital_ward(10)
                 .closed_loop()
-                .with_coex(config.clone()),
+                .builder()
+                .coex(config.clone())
+                .build()
+                .unwrap(),
         ] {
             let a = NetworkSim::new(&scenario, 31).run().unwrap();
             let b = NetworkSim::new(&scenario, 31).run().unwrap();

@@ -385,7 +385,7 @@ impl SinkReceiver {
 ///
 /// | stream | constructor | consumer |
 /// |--------|-------------|----------|
-/// | 0 | [`streams::trial_seed`] | Monte-Carlo trials ([`crate::runner::MonteCarlo`]) |
+/// | 0 | [`streams::trial_seed`] | Monte-Carlo trials ([`crate::run_trials`]) |
 /// | 1 | [`streams::tag_rng`] | tag traffic arrivals |
 /// | 2 | [`streams::carrier_rng`] | carrier CSMA backoff |
 /// | 3 | [`streams::mobility_rng`] | per-tag mobility walks |

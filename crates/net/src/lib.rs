@@ -97,22 +97,33 @@
 //! the RNG streams, so the event trace stays byte-identical with any
 //! number attached.
 //!
-//! ## Monte-Carlo runs
+//! ## Running a scenario
 //!
-//! [`runner::MonteCarlo`] fans trials out across threads (one derived seed
-//! per trial) and aggregates throughput, PER, latency and Jain fairness
-//! into a [`runner::MonteCarloReport`]. In streaming mode the per-trial
-//! sketches are pooled by exact bucket-count merge, in trial order, so the
-//! pooled quantiles are deterministic regardless of thread interleaving.
+//! Configure a scenario with [`scenario::ScenarioBuilder`] (presets open
+//! one with [`scenario::Scenario::builder`]), then run it with [`run`]
+//! (one seed) or [`run_trials`] (the Monte-Carlo trials set in
+//! [`scenario::ExecutionSection::trials`], aggregated into a
+//! [`runner::MonteCarloReport`]). Both go through the sharded executor.
+//! [`engine::NetworkSim`] runs the same scenario as one exact engine: it
+//! is byte-identical to [`run`] on single-cell scenarios and is the
+//! reference the sharded path is measured against on multi-cell ones.
 //!
 //! ```
 //! use interscatter_net::prelude::*;
 //!
-//! let scenario = Scenario::hospital_ward(8);
-//! let result = NetworkSim::new(&scenario, 42).run().unwrap();
+//! let scenario = Scenario::hospital_ward(8)
+//!     .builder()
+//!     .execution(ExecutionSection::new().trials(4))
+//!     .build()
+//!     .unwrap();
+//! let result = run(&scenario, 42).unwrap();
 //! assert!(result.metrics.offered_packets() > 0);
-//! let replay = NetworkSim::new(&scenario, 42).run().unwrap();
+//! let replay = run(&scenario, 42).unwrap();
 //! assert_eq!(result.trace.to_bytes(), replay.trace.to_bytes());
+//! let exact = NetworkSim::new(&scenario, 42).run().unwrap();
+//! assert_eq!(result.trace.digest(), exact.trace.digest());
+//! let report = run_trials(&scenario, 7).unwrap();
+//! assert_eq!(report.trials.len(), 4);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -214,20 +225,19 @@ mod tests {
 /// scenario's [`scenario::ExecutionConfig`], set through
 /// [`scenario::ExecutionSection`] on the builder. The result is
 /// byte-identical at any shard count (see [`shard`]), and on single-cell
-/// scenarios byte-identical to the legacy
-/// [`engine::NetworkSim::run`].
+/// scenarios byte-identical to the exact [`engine::NetworkSim::run`].
 ///
 /// ```
 /// use interscatter_net::prelude::*;
 ///
-/// let scenario = Scenario::hospital_ward(8)
+/// let sharded = Scenario::hospital_ward(8)
 ///     .builder()
 ///     .execution(ExecutionSection::new().shards(4))
 ///     .build()
 ///     .unwrap();
-/// let result = interscatter_net::run(&scenario, 42).unwrap();
-/// let legacy = NetworkSim::new(&Scenario::hospital_ward(8), 42).run().unwrap();
-/// assert_eq!(result.trace.digest(), legacy.trace.digest());
+/// let result = interscatter_net::run(&sharded, 42).unwrap();
+/// let exact = NetworkSim::new(&Scenario::hospital_ward(8), 42).run().unwrap();
+/// assert_eq!(result.trace.digest(), exact.trace.digest());
 /// ```
 pub fn run(scenario: &scenario::Scenario, seed: u64) -> Result<engine::NetRunResult, NetError> {
     shard::execute(scenario, seed, scenario.execution.trace)
@@ -287,7 +297,7 @@ pub mod prelude {
     pub use crate::metrics::{NetworkMetrics, ShardLoad};
     pub use crate::mobility::{Bounds, Mobility, MobilityConfig, MobilityModel};
     pub use crate::prof::{ProfReport, ProfSummary, Profiler};
-    pub use crate::runner::{MonteCarlo, MonteCarloReport};
+    pub use crate::runner::MonteCarloReport;
     pub use crate::scenario::{
         ExecutionConfig, ExecutionSection, RadioSection, Scenario, ScenarioBuilder,
     };

@@ -404,7 +404,7 @@ pub struct NetworkMetrics {
     /// every **multi-cell** run (profiling on or off — the counts come
     /// from simulation state, so they are digest-neutral and
     /// shard-count-invariant). `None` on single-cell runs, which stay
-    /// byte-identical to the legacy unsharded engine.
+    /// byte-identical to the exact unsharded engine.
     pub shard_load: Option<ShardLoad>,
 }
 

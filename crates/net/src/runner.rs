@@ -1,69 +1,11 @@
-//! The parallel Monte-Carlo runner: many independent trials of one
-//! scenario, one derived seed per trial, fanned out across worker threads
-//! and aggregated into a fleet-level report.
+//! The Monte-Carlo report: many independent trials of one scenario (run
+//! by [`crate::run_trials`], one derived seed per trial, fanned out
+//! across worker threads) aggregated into a fleet-level summary.
 
-use crate::entities::streams;
 use crate::metrics::{NetworkMetrics, StreamingSeries};
 use crate::prof::ProfSummary;
 use crate::scenario::Scenario;
-use crate::NetError;
 use interscatter_sim::measurements::{mean, Cdf};
-
-/// A Monte-Carlo experiment over one scenario.
-#[derive(Debug, Clone)]
-pub struct MonteCarlo {
-    /// The scenario every trial runs.
-    pub scenario: Scenario,
-    /// Number of independent trials.
-    pub trials: usize,
-    /// Base seed; trial `i` runs with a seed derived from `(base_seed, i)`.
-    pub base_seed: u64,
-}
-
-impl MonteCarlo {
-    /// Builds a runner with the given trial count and base seed.
-    pub fn new(scenario: Scenario, trials: usize, base_seed: u64) -> Self {
-        MonteCarlo {
-            scenario,
-            trials,
-            base_seed,
-        }
-    }
-
-    /// The seed trial `i` runs with: the named trial stream (stream 0) of
-    /// the entity-seed derivation, so neighbouring trials get decorrelated
-    /// streams.
-    pub fn trial_seed(&self, trial: usize) -> u64 {
-        streams::trial_seed(self.base_seed, trial)
-    }
-
-    /// Runs every trial (in parallel, traces disabled) and aggregates.
-    ///
-    /// Legacy shim over the sharded executor: each trial now runs through
-    /// [`crate::run`]'s engine, honouring
-    /// [`crate::scenario::ExecutionConfig::shards`]. Prefer
-    /// [`crate::run_trials`] with the trial count set through
-    /// [`crate::scenario::ExecutionSection::trials`]; this entrypoint
-    /// stays for source compatibility and produces identical reports.
-    pub fn run(&self) -> Result<MonteCarloReport, NetError> {
-        self.scenario.validate()?;
-        let results: Vec<Result<(NetworkMetrics, Option<ProfSummary>), NetError>> =
-            rayon::det::map_indexed_ordered(self.trials, |trial| {
-                crate::shard::execute(&self.scenario, self.trial_seed(trial), false).map(|r| {
-                    let prof = r.prof.map(|p| p.summary());
-                    (r.metrics, prof)
-                })
-            });
-        let mut trials = Vec::with_capacity(results.len());
-        let mut prof = Vec::new();
-        for r in results {
-            let (metrics, summary) = r?;
-            trials.push(metrics);
-            prof.extend(summary);
-        }
-        Ok(MonteCarloReport::aggregate(&self.scenario, trials, prof))
-    }
-}
 
 /// Aggregates over a set of Monte-Carlo trials.
 #[derive(Debug, Clone)]
@@ -230,28 +172,37 @@ impl MonteCarloReport {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::entities::streams;
+    use crate::scenario::{ExecutionSection, Scenario};
+    use crate::telemetry::MetricsMode;
+
+    /// `scenario` set up for `trials` Monte-Carlo trials.
+    fn with_trials(scenario: Scenario, trials: usize) -> Scenario {
+        scenario
+            .builder()
+            .execution(ExecutionSection::new().trials(trials))
+            .build()
+            .unwrap()
+    }
 
     #[test]
     fn trials_are_reproducible_and_decorrelated() {
-        let mc = MonteCarlo::new(Scenario::hospital_ward(6), 4, 1234);
-        let a = mc.run().unwrap();
-        let b = mc.run().unwrap();
+        let scenario = with_trials(Scenario::hospital_ward(6), 4);
+        let a = crate::run_trials(&scenario, 1234).unwrap();
+        let b = crate::run_trials(&scenario, 1234).unwrap();
         assert_eq!(a.trials.len(), 4);
         assert_eq!(format!("{:?}", a.trials), format!("{:?}", b.trials));
         // Different trials are different runs.
         assert_ne!(format!("{:?}", a.trials[0]), format!("{:?}", a.trials[1]));
         // Different base seed, different results.
-        let c = MonteCarlo::new(Scenario::hospital_ward(6), 4, 999)
-            .run()
-            .unwrap();
+        let c = crate::run_trials(&scenario, 999).unwrap();
         assert_ne!(format!("{:?}", a.trials), format!("{:?}", c.trials));
     }
 
     #[test]
     fn report_summarizes() {
-        let mc = MonteCarlo::new(Scenario::card_to_card_room(4), 3, 7);
-        let report = mc.run().unwrap();
+        let scenario = with_trials(Scenario::card_to_card_room(4), 3);
+        let report = crate::run_trials(&scenario, 7).unwrap();
         assert!(report.mean_throughput_bps() >= 0.0);
         assert!((0.0..=1.0).contains(&report.mean_per()));
         assert!((0.0..=1.0).contains(&report.mean_fairness()));
@@ -262,12 +213,13 @@ mod tests {
 
     #[test]
     fn report_pools_scheduler_aggregates() {
-        let mc = MonteCarlo::new(
-            Scenario::hospital_ward(6).with_scheduler(crate::sched::SchedPolicy::deadline_aware()),
-            3,
-            7,
-        );
-        let report = mc.run().unwrap();
+        let scenario = Scenario::hospital_ward(6)
+            .builder()
+            .scheduling(crate::sched::SchedPolicy::deadline_aware())
+            .execution(ExecutionSection::new().trials(3))
+            .build()
+            .unwrap();
+        let report = crate::run_trials(&scenario, 7).unwrap();
         // Every granted slot contributed a poll-latency sample, pooled
         // across trials; the miss-rate Cdf holds one sample per trial.
         assert!(report.poll_latency_ms.median().is_some());
@@ -277,9 +229,17 @@ mod tests {
 
     #[test]
     fn streaming_trials_pool_sketches_deterministically() {
-        let mc = MonteCarlo::new(Scenario::hospital_ward(6).with_streaming_metrics(), 4, 1234);
-        let a = mc.run().unwrap();
-        let b = mc.run().unwrap();
+        let scenario = Scenario::hospital_ward(6)
+            .builder()
+            .execution(
+                ExecutionSection::new()
+                    .trials(4)
+                    .metrics(MetricsMode::Streaming),
+            )
+            .build()
+            .unwrap();
+        let a = crate::run_trials(&scenario, 1234).unwrap();
+        let b = crate::run_trials(&scenario, 1234).unwrap();
         assert_eq!(a.streaming, b.streaming);
         let pooled = a.streaming.as_ref().expect("streaming trials pool");
         // Exact merge: the pooled sketch holds every trial's samples.
@@ -298,7 +258,6 @@ mod tests {
 
     #[test]
     fn trial_seeds_differ() {
-        let mc = MonteCarlo::new(Scenario::hospital_ward(2), 2, 42);
-        assert_ne!(mc.trial_seed(0), mc.trial_seed(1));
+        assert_ne!(streams::trial_seed(42, 0), streams::trial_seed(42, 1));
     }
 }

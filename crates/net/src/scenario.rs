@@ -15,7 +15,7 @@ use crate::entities::{
 use crate::mac::MacMode;
 use crate::mobility::{Bounds, MobilityConfig, MobilityModel, RandomWaypoint};
 use crate::sched::SchedPolicy;
-use crate::telemetry::{MetricsMode, Subscription, TelemetryConfig};
+use crate::telemetry::{MetricsMode, TelemetryConfig};
 use crate::NetError;
 use interscatter_backscatter::tag::SidebandMode;
 use interscatter_wifi::dot11b::DsssRate;
@@ -96,8 +96,8 @@ pub struct ExecutionConfig {
     /// Monte-Carlo trial count used by [`crate::run_trials`] (≥ 1).
     pub trials: usize,
     /// Whether the run records its event trace ([`crate::event::EventTrace`]).
-    /// [`crate::run_trials`] always disables tracing per trial, matching
-    /// the legacy [`crate::runner::MonteCarlo`] behaviour.
+    /// Both [`crate::run`] and [`crate::engine::NetworkSim::run`] honour
+    /// it; [`crate::run_trials`] always disables tracing per trial.
     pub trace: bool,
     /// Whether the run records a self-profile ([`crate::prof`]): wall-clock
     /// span timelines and a phase/shard-load summary. Digest-neutral —
@@ -144,7 +144,7 @@ impl ExecutionConfig {
         if self.shards == 0 {
             return Err("shards must be at least 1".into());
         }
-        if !(self.epoch_s > 0.0 && self.epoch_s.is_finite()) {
+        if !positive_finite(self.epoch_s) {
             return Err(format!(
                 "epoch {} s must be positive and finite",
                 self.epoch_s
@@ -161,9 +161,9 @@ impl Scenario {
     /// Checks indices, capacities and timing so the engine can assume a
     /// well-formed scenario.
     pub fn validate(&self) -> Result<(), NetError> {
-        if self.duration_s <= 0.0 {
+        if !positive_finite(self.duration_s) {
             return Err(NetError::InvalidScenario(
-                "duration must be positive".into(),
+                "duration must be positive and finite".into(),
             ));
         }
         if self.carriers.is_empty() || self.tags.is_empty() || self.receivers.is_empty() {
@@ -177,9 +177,15 @@ impl Scenario {
             ));
         }
         for (c, carrier) in self.carriers.iter().enumerate() {
-            if carrier.slot_interval_s <= 0.0 || carrier.slot_window_s <= 0.0 {
+            if !(positive_finite(carrier.slot_interval_s) && positive_finite(carrier.slot_window_s))
+            {
                 return Err(NetError::InvalidScenario(format!(
-                    "carrier {c}: slot interval and window must be positive"
+                    "carrier {c}: slot interval and window must be positive and finite"
+                )));
+            }
+            if !carrier.tx_power_dbm.is_finite() {
+                return Err(NetError::InvalidScenario(format!(
+                    "carrier {c}: tx power must be finite"
                 )));
             }
         }
@@ -202,9 +208,9 @@ impl Scenario {
                     tag.receiver
                 )));
             }
-            if tag.arrival_rate_pps <= 0.0 {
+            if !positive_finite(tag.arrival_rate_pps) {
                 return Err(NetError::InvalidScenario(format!(
-                    "tag {t}: arrival rate must be positive"
+                    "tag {t}: arrival rate must be positive and finite"
                 )));
             }
             if tag.payload_bytes == 0 {
@@ -505,7 +511,8 @@ impl Scenario {
 
     /// The closed-loop variant of any preset: carriers poll their tags with
     /// AM-OFDM downlink frames, tags respond with backscattered uplink, and
-    /// the sink acks — see [`crate::mac`]. Works on all four builders:
+    /// the sink acks — see [`crate::mac`]. Works on every preset and names
+    /// the variant:
     ///
     /// ```
     /// use interscatter_net::scenario::Scenario;
@@ -513,71 +520,10 @@ impl Scenario {
     /// assert!(ward.name.ends_with("closed-loop"));
     /// ward.validate().unwrap();
     /// ```
-    ///
-    /// *Legacy shim* over [`ScenarioBuilder::radio`] (via
-    /// [`RadioSection::mac`]); prefer the builder for eager validation.
-    /// This combinator additionally renames the scenario and keeps
-    /// validation deferred, so existing call sites behave unchanged.
     pub fn closed_loop(mut self) -> Scenario {
         self.name = format!("{}-closed-loop", self.name);
-        let radio = RadioSection::new(
-            std::mem::take(&mut self.carriers),
-            std::mem::take(&mut self.tags),
-            std::mem::take(&mut self.receivers),
-        )
-        .cts_to_self(self.cts_to_self)
-        .max_queue(self.max_queue)
-        .mac(MacMode::ClosedLoop);
-        self.builder().radio(radio).finish_deferred()
-    }
-
-    /// The mobile variant of any preset: attaches a mobility model that
-    /// moves every tag during the run, with the engine re-deriving the
-    /// affected [`crate::links::LinkMatrix`] rows at every tick. Works on
-    /// all builders and composes with [`Scenario::closed_loop`]:
-    ///
-    /// ```
-    /// use interscatter_net::mobility::{Bounds, MobilityConfig, MobilityModel, RandomWalk};
-    /// use interscatter_net::scenario::Scenario;
-    /// let ward = Scenario::contact_lens_fleet(8).with_mobility(MobilityConfig {
-    ///     model: MobilityModel::RandomWalk(RandomWalk { speed_mps: 0.3, turn_rad: 0.8 }),
-    ///     tick_interval_s: 0.1,
-    ///     bounds: Bounds::room(3.0, 3.0, 1.2),
-    ///     carriers_follow: false,
-    /// });
-    /// assert!(ward.name.ends_with("mobile"));
-    /// ward.validate().unwrap();
-    /// ```
-    ///
-    /// *Legacy shim* over [`ScenarioBuilder::mobility`]; prefer
-    /// `.builder().mobility(config).build()` for eager validation. This
-    /// combinator additionally renames the scenario and keeps validation
-    /// deferred, so existing call sites behave unchanged.
-    pub fn with_mobility(mut self, config: MobilityConfig) -> Scenario {
-        self.name = format!("{}-mobile", self.name);
-        self.builder().mobility(config).finish_deferred()
-    }
-
-    /// Swaps the carrier arbitration policy of any preset
-    /// ([`crate::sched`]): which backlogged tag a carrier slot illuminates.
-    /// Works on all builders and composes with [`Scenario::closed_loop`]
-    /// and [`Scenario::with_mobility`]:
-    ///
-    /// ```
-    /// use interscatter_net::sched::SchedPolicy;
-    /// use interscatter_net::scenario::Scenario;
-    /// let ward = Scenario::hospital_ward(8).with_scheduler(SchedPolicy::margin_aware());
-    /// assert!(ward.name.ends_with("margin-aware"));
-    /// ward.validate().unwrap();
-    /// ```
-    ///
-    /// *Legacy shim* over [`ScenarioBuilder::scheduling`]; prefer
-    /// `.builder().scheduling(policy).build()` for eager validation.
-    /// This combinator additionally renames the scenario and keeps
-    /// validation deferred, so existing call sites behave unchanged.
-    pub fn with_scheduler(mut self, policy: SchedPolicy) -> Scenario {
-        self.name = format!("{}-{}", self.name, policy.slug());
-        self.builder().scheduling(policy).finish_deferred()
+        self.mac = MacMode::ClosedLoop;
+        self
     }
 
     /// Stripes the carriers across the scenario's Wi-Fi channels, making
@@ -619,45 +565,16 @@ impl Scenario {
         self
     }
 
-    /// Attaches a coexistence configuration ([`crate::coex`]): external
-    /// traffic sources sharing the band, per-carrier occupancy sensing,
-    /// and (optionally) adaptive re-striping. Works on all builders and
-    /// composes with every other combinator:
-    ///
-    /// ```
-    /// use interscatter_net::coex::{CoexConfig, CoexSource};
-    /// use interscatter_net::entities::Position;
-    /// use interscatter_net::scenario::Scenario;
-    /// let ward = Scenario::hospital_ward(8).with_coex(CoexConfig::with_sources(vec![
-    ///     CoexSource::wifi_neighbor(Position::new(6.0, 4.0, 2.0), 6, 0.3),
-    /// ]));
-    /// assert!(ward.name.ends_with("coex"));
-    /// ward.validate().unwrap();
-    /// ```
-    ///
-    /// *Legacy shim* over [`ScenarioBuilder::coex`]; prefer
-    /// `.builder().coex(config).build()` for eager validation. This
-    /// combinator additionally renames the scenario and keeps validation
-    /// deferred, so existing call sites behave unchanged.
-    pub fn with_coex(mut self, config: CoexConfig) -> Scenario {
-        self.name = format!("{}-coex", self.name);
-        self.builder().coex(config).finish_deferred()
-    }
-
-    /// The backward-compatibility bridge: attaches a coex config whose
-    /// only sources are [`crate::coex::CoexModel::Constant`] scalars
+    /// The backward-compatibility bridge: replaces any coex config with one
+    /// whose only sources are [`crate::coex::CoexModel::Constant`] scalars
     /// mirroring each sink's legacy `external_occupancy`. The engine then
     /// takes the *same* per-sink delivery-probability fold with the same
     /// RNG draws, so trace digests reproduce the pre-coex engine byte for
     /// byte (pinned by `constant_coex_reproduces_legacy_digests`).
-    pub fn with_constant_coex(self) -> Scenario {
-        let sources = self
-            .receivers
-            .iter()
-            .enumerate()
-            .map(|(s, rx)| CoexSource::constant(s, rx.external_occupancy))
-            .collect();
-        self.with_coex(CoexConfig::with_sources(sources))
+    pub fn with_constant_coex(mut self) -> Scenario {
+        self.coex = Some(self.constant_coex());
+        self.name = format!("{}-coex", self.name);
+        self
     }
 
     /// Attaches (or swaps) the adaptive re-striping policy on a scenario
@@ -668,82 +585,22 @@ impl Scenario {
     /// adaptive-vs-static difference is the re-striping, not a silently
     /// zeroed occupancy fold.
     pub fn with_restripe(mut self, policy: ReStripe) -> Scenario {
-        let config = self.coex.take().unwrap_or_else(|| {
-            CoexConfig::with_sources(
-                self.receivers
-                    .iter()
-                    .enumerate()
-                    .map(|(s, rx)| CoexSource::constant(s, rx.external_occupancy))
-                    .collect(),
-            )
-        });
+        let config = self.coex.take().unwrap_or_else(|| self.constant_coex());
+        self.coex = Some(config.with_restripe(policy));
         self.name = format!("{}-adaptive", self.name);
-        self.builder()
-            .coex(config.with_restripe(policy))
-            .finish_deferred()
+        self
     }
 
-    /// Replaces the whole telemetry configuration ([`crate::telemetry`]).
-    /// Unlike every other combinator this does **not** rename the
-    /// scenario: observing a run must not change what the run reports
-    /// itself as, and the trace stays byte-identical either way.
-    ///
-    /// ```
-    /// use interscatter_net::prelude::*;
-    /// let ward = Scenario::hospital_ward(8).with_telemetry(
-    ///     TelemetryConfig::new()
-    ///         .subscribe(Subscription::new(
-    ///             "poll-tail",
-    ///             Filter::all(),
-    ///             SinkSpec::Quantiles(Dataset::PollLatencyMs),
-    ///         ))
-    ///         .with_progress(1.0),
-    /// );
-    /// assert_eq!(ward.name, Scenario::hospital_ward(8).name);
-    /// ward.validate().unwrap();
-    /// ```
-    ///
-    /// *Legacy shim* over [`ScenarioBuilder::telemetry`]; prefer
-    /// `.builder().telemetry(config).build()` for eager validation.
-    pub fn with_telemetry(self, config: TelemetryConfig) -> Scenario {
-        self.builder().telemetry(config).finish_deferred()
-    }
-
-    /// Registers one telemetry subscription on top of whatever the
-    /// scenario already carries (see [`Scenario::with_telemetry`]).
-    pub fn subscribe(mut self, sub: Subscription) -> Scenario {
-        let telemetry = std::mem::take(&mut self.telemetry).subscribe(sub);
-        self.builder().telemetry(telemetry).finish_deferred()
-    }
-
-    /// Switches the metrics pipeline to streaming sketches
-    /// ([`crate::telemetry::MetricsMode::Streaming`]): sample `Vec`s stay
-    /// empty, quantiles come from mergeable sketches, memory stays
-    /// O(entities + subscriptions) however long the run.
-    ///
-    /// *Legacy shim* over the execution section; prefer
-    /// `.builder().execution(ExecutionSection::new().metrics(MetricsMode::Streaming)).build()`
-    /// ([`ExecutionSection::metrics`]) for eager validation. This
-    /// combinator keeps validation deferred, so existing call sites
-    /// behave unchanged.
-    pub fn with_streaming_metrics(mut self) -> Scenario {
-        let telemetry = std::mem::take(&mut self.telemetry).streaming();
-        self.builder().telemetry(telemetry).finish_deferred()
-    }
-
-    /// Emits a one-line run status every `every_s` simulated seconds
-    /// (collected into [`crate::engine::NetRunResult::telemetry`]; pass
-    /// `live` to also mirror each line to stderr as the run executes).
-    ///
-    /// *Legacy shim* over the execution section; prefer
-    /// `.builder().execution(ExecutionSection::new().progress(every_s, live)).build()`
-    /// ([`ExecutionSection::progress`]) for eager validation. This
-    /// combinator keeps validation deferred, so existing call sites
-    /// behave unchanged.
-    pub fn with_progress(mut self, every_s: f64, live: bool) -> Scenario {
-        let mut telemetry = std::mem::take(&mut self.telemetry).with_progress(every_s);
-        telemetry.live_progress = live;
-        self.builder().telemetry(telemetry).finish_deferred()
+    /// One [`CoexSource::constant`] per sink, mirroring its legacy
+    /// `external_occupancy` scalar.
+    fn constant_coex(&self) -> CoexConfig {
+        CoexConfig::with_sources(
+            self.receivers
+                .iter()
+                .enumerate()
+                .map(|(s, rx)| CoexSource::constant(s, rx.external_occupancy))
+                .collect(),
+        )
     }
 
     /// The congestion-stress ward: the striped hospital ward (carriers and
@@ -758,16 +615,15 @@ impl Scenario {
     /// re-striping regression tests compare policies on.
     pub fn congested_ward(n_tags: usize) -> Scenario {
         let n = n_tags.max(1);
-        let mut ward = Scenario::hospital_ward(n)
-            .with_subband_striping()
-            .with_coex(CoexConfig::with_sources(vec![CoexSource::hidden_wifi(
-                // Beside the channel-6 AP on the far wall: loud at the
-                // APs, unheard at the bedside helpers.
-                Position::new(6.0, 8.0, 2.0),
-                6,
-                0.6,
-            )
-            .active(3.0, f64::INFINITY)]));
+        let mut ward = Scenario::hospital_ward(n).with_subband_striping();
+        ward.coex = Some(CoexConfig::with_sources(vec![CoexSource::hidden_wifi(
+            // Beside the channel-6 AP on the far wall: loud at the APs,
+            // unheard at the bedside helpers.
+            Position::new(6.0, 8.0, 2.0),
+            6,
+            0.6,
+        )
+        .active(3.0, f64::INFINITY)]));
         ward.name = format!("congested-ward-{n}");
         ward
     }
@@ -825,7 +681,7 @@ impl Scenario {
             .collect();
 
         Scenario {
-            name: format!("ambulatory-ward-{n}"),
+            name: format!("ambulatory-ward-{n}-mobile"),
             duration_s: 10.0,
             carriers,
             tags,
@@ -833,22 +689,21 @@ impl Scenario {
             cts_to_self: true,
             max_queue: 64,
             mac: MacMode::OpenLoop,
-            mobility: None,
+            mobility: Some(MobilityConfig {
+                model: MobilityModel::RandomWaypoint(RandomWaypoint {
+                    speed_min_mps: 0.6,
+                    speed_max_mps: 1.2,
+                    pause_s: 2.0,
+                }),
+                tick_interval_s: 0.1,
+                bounds: Bounds::room(width, depth, 1.0),
+                carriers_follow: true,
+            }),
             scheduler: SchedPolicy::RoundRobin,
             coex: None,
             telemetry: TelemetryConfig::default(),
             execution: ExecutionConfig::default(),
         }
-        .with_mobility(MobilityConfig {
-            model: MobilityModel::RandomWaypoint(RandomWaypoint {
-                speed_min_mps: 0.6,
-                speed_max_mps: 1.2,
-                pause_s: 2.0,
-            }),
-            tick_interval_s: 0.1,
-            bounds: Bounds::room(width, depth, 1.0),
-            carriers_follow: true,
-        })
     }
 
     /// The arbitration-stress ward: `n_tags` implanted patients *walking*
@@ -860,7 +715,8 @@ impl Scenario {
     /// `scheduler_shootout` example and the scheduler regression tests
     /// compare policies on.
     pub fn walking_ward(n_tags: usize) -> Scenario {
-        Scenario::hospital_ward(n_tags).with_mobility(MobilityConfig {
+        let mut ward = Scenario::hospital_ward(n_tags);
+        ward.mobility = Some(MobilityConfig {
             model: MobilityModel::RandomWaypoint(RandomWaypoint {
                 speed_min_mps: 0.8,
                 speed_max_mps: 1.5,
@@ -869,7 +725,9 @@ impl Scenario {
             tick_interval_s: 0.1,
             bounds: Bounds::room(12.0, 9.0, 1.0),
             carriers_follow: false,
-        })
+        });
+        ward.name = format!("{}-mobile", ward.name);
+        ward
     }
 
     /// The city-scale stress preset: `n_tags` implants clustered around
@@ -1013,10 +871,9 @@ impl Scenario {
             mobility: None,
             scheduler: SchedPolicy::RoundRobin,
             coex: Some(coex),
-            telemetry: TelemetryConfig::default(),
+            telemetry: TelemetryConfig::default().streaming(),
             execution: ExecutionConfig::default(),
         }
-        .with_streaming_metrics()
     }
 
     /// Opens the typed builder API on this scenario: section setters
@@ -1041,9 +898,9 @@ impl Scenario {
     /// assert_eq!(ward.name, Scenario::hospital_ward(8).name);
     /// ```
     ///
-    /// Unlike the legacy `.with_*()` combinators the builder never
-    /// renames the scenario, and a configuration `validate()` would
-    /// reject is refused at `build()` time instead of at run time.
+    /// The builder never renames the scenario, and a configuration
+    /// `validate()` would reject is refused at `build()` time instead of
+    /// at run time.
     pub fn builder(self) -> ScenarioBuilder {
         ScenarioBuilder { scenario: self }
     }
@@ -1107,13 +964,11 @@ impl RadioSection {
 ///
 /// The first four land in [`Scenario::execution`]; the metrics mode and
 /// progress cadence are *applied onto* the scenario's telemetry section
-/// (they have always lived in [`TelemetryConfig`]) so the section
-/// subsumes the scattered legacy knobs — `.with_streaming_metrics()`,
-/// `.with_progress(..)`, `NetworkSim::with_trace(..)` and
-/// `MonteCarlo::new(.., trials, ..)` — without forking their storage.
-/// Leaving [`ExecutionSection::metrics`]/[`ExecutionSection::progress`]
-/// unset keeps whatever the telemetry section already configured, so
-/// `.execution(..)` composes with `.telemetry(..)` in either order.
+/// (they live in [`TelemetryConfig`]). Leaving
+/// [`ExecutionSection::metrics`]/[`ExecutionSection::progress`] unset
+/// keeps whatever the telemetry section already configured. Setting them
+/// and then calling [`ScenarioBuilder::telemetry`] loses them, since that
+/// replaces the whole section: call `.telemetry(..)` first.
 ///
 /// ```
 /// use interscatter_net::prelude::*;
@@ -1201,8 +1056,7 @@ impl ExecutionSection {
 /// Assembles a [`Scenario`] out of cohesive sections — radio, mobility,
 /// scheduling, coex, telemetry — with **eager** validation:
 /// [`ScenarioBuilder::build`] runs [`Scenario::validate`] and refuses an
-/// ill-formed configuration at construction time, where the legacy
-/// `.with_*()` combinators deferred the error to run time.
+/// ill-formed configuration at construction time, not at run time.
 ///
 /// ```
 /// use interscatter_net::prelude::*;
@@ -1347,14 +1201,12 @@ impl ScenarioBuilder {
         }
         Ok(self.scenario)
     }
+}
 
-    /// The legacy escape hatch the `.with_*()` shims delegate through:
-    /// returns the scenario with validation still deferred to
-    /// [`Scenario::validate`] / run time, preserving those combinators'
-    /// long-standing contract.
-    pub(crate) fn finish_deferred(self) -> Scenario {
-        self.scenario
-    }
+/// `x > 0` and finite; false for NaN, so a NaN input is rejected rather
+/// than slipping past a `<= 0.0` test.
+fn positive_finite(x: f64) -> bool {
+    x > 0.0 && x.is_finite()
 }
 
 /// Lays `n` tag positions out as *couples*: `ceil(n/2)` couple centres on
@@ -1536,60 +1388,52 @@ mod tests {
             bounds: Bounds::room(12.0, 9.0, 1.0),
             carriers_follow: false,
         };
-        for scenario in [
-            Scenario::hospital_ward(8).with_mobility(config),
-            Scenario::contact_lens_fleet(6).with_mobility(config),
-            Scenario::card_to_card_room(4).with_mobility(config),
-            Scenario::zigbee_wing(8).with_mobility(config),
+        for preset in [
+            Scenario::hospital_ward(8),
+            Scenario::contact_lens_fleet(6),
+            Scenario::card_to_card_room(4),
+            Scenario::zigbee_wing(8),
         ] {
-            assert!(scenario.name.ends_with("mobile"), "name {}", scenario.name);
+            let name = preset.name.clone();
+            let scenario = preset
+                .builder()
+                .mobility(config)
+                .build()
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
             assert_eq!(scenario.mobility, Some(config));
-            scenario
-                .validate()
-                .unwrap_or_else(|e| panic!("{}: {e}", scenario.name));
+            assert_eq!(scenario.name, name, "the builder never renames");
         }
-        // Invalid mobility configs are rejected at validation.
-        let mut bad = Scenario::hospital_ward(4).with_mobility(config);
-        bad.mobility = Some(MobilityConfig {
-            tick_interval_s: 0.0,
-            ..config
-        });
-        assert!(matches!(bad.validate(), Err(NetError::InvalidScenario(_))));
     }
 
     #[test]
     fn every_preset_takes_a_scheduler() {
-        use crate::sched::{DeadlineAware, SchedPolicy};
-        for scenario in [
-            Scenario::hospital_ward(8).with_scheduler(SchedPolicy::proportional_fair()),
-            Scenario::contact_lens_fleet(6).with_scheduler(SchedPolicy::deadline_aware()),
-            Scenario::card_to_card_room(4).with_scheduler(SchedPolicy::margin_aware()),
-            Scenario::zigbee_wing(8).with_scheduler(SchedPolicy::RoundRobin),
-            Scenario::ambulatory_ward(4)
-                .closed_loop()
-                .with_scheduler(SchedPolicy::margin_aware()),
+        use crate::sched::SchedPolicy;
+        for (preset, policy) in [
+            (Scenario::hospital_ward(8), SchedPolicy::proportional_fair()),
+            (
+                Scenario::contact_lens_fleet(6),
+                SchedPolicy::deadline_aware(),
+            ),
+            (Scenario::card_to_card_room(4), SchedPolicy::margin_aware()),
+            (Scenario::zigbee_wing(8), SchedPolicy::RoundRobin),
+            (
+                Scenario::ambulatory_ward(4).closed_loop(),
+                SchedPolicy::margin_aware(),
+            ),
         ] {
-            assert!(
-                scenario.name.ends_with(scenario.scheduler.slug()),
-                "name {} vs policy {}",
-                scenario.name,
-                scenario.scheduler.slug()
-            );
-            scenario
-                .validate()
-                .unwrap_or_else(|e| panic!("{}: {e}", scenario.name));
+            let name = preset.name.clone();
+            let scenario = preset
+                .builder()
+                .scheduling(policy)
+                .build()
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(scenario.scheduler, policy);
         }
-        // Presets default to the baseline, and bad parameters are caught
-        // at validation.
+        // Presets default to the baseline.
         assert_eq!(
             Scenario::hospital_ward(4).scheduler,
             SchedPolicy::RoundRobin
         );
-        let bad =
-            Scenario::hospital_ward(4).with_scheduler(SchedPolicy::DeadlineAware(DeadlineAware {
-                deadline_s: -1.0,
-            }));
-        assert!(matches!(bad.validate(), Err(NetError::InvalidScenario(_))));
     }
 
     #[test]
@@ -1632,23 +1476,24 @@ mod tests {
             CoexSource::microwave_oven(Position::new(5.0, 5.0, 1.0)),
             CoexSource::ble_beacon(Position::new(1.0, 1.0, 1.0), 0.1),
         ]);
-        for scenario in [
-            Scenario::hospital_ward(8).with_coex(config.clone()),
-            Scenario::contact_lens_fleet(6).with_coex(config.clone()),
-            Scenario::card_to_card_room(4).with_coex(config.clone()),
-            Scenario::zigbee_wing(8).with_coex(config.clone()),
-            Scenario::ambulatory_ward(4)
-                .closed_loop()
-                .with_coex(config.clone()),
+        for preset in [
+            Scenario::hospital_ward(8),
+            Scenario::contact_lens_fleet(6),
+            Scenario::card_to_card_room(4),
+            Scenario::zigbee_wing(8),
+            Scenario::ambulatory_ward(4).closed_loop(),
         ] {
-            assert!(scenario.name.ends_with("coex"), "name {}", scenario.name);
+            let name = preset.name.clone();
+            let scenario = preset
+                .builder()
+                .coex(config.clone())
+                .build()
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
             assert_eq!(scenario.coex, Some(config.clone()));
-            scenario
-                .validate()
-                .unwrap_or_else(|e| panic!("{}: {e}", scenario.name));
         }
         // The constant bridge mirrors each sink's legacy scalar.
         let bridged = Scenario::hospital_ward(8).with_constant_coex();
+        assert!(bridged.name.ends_with("coex"));
         let cfg = bridged.coex.as_ref().unwrap();
         assert_eq!(cfg.sources.len(), bridged.receivers.len());
         for (s, rx) in bridged.receivers.iter().enumerate() {
@@ -1671,10 +1516,6 @@ mod tests {
             assert_eq!(cfg.constant_occupancy(s), rx.external_occupancy);
         }
         adaptive.validate().unwrap();
-        // Bad coex parameters are rejected at validation.
-        let bad = Scenario::hospital_ward(4)
-            .with_coex(CoexConfig::with_sources(vec![CoexSource::constant(9, 0.1)]));
-        assert!(matches!(bad.validate(), Err(NetError::InvalidScenario(_))));
     }
 
     #[test]
@@ -1720,44 +1561,45 @@ mod tests {
             ))
             .streaming()
             .with_progress(1.0);
-        for scenario in [
-            Scenario::hospital_ward(8).with_telemetry(config.clone()),
-            Scenario::contact_lens_fleet(6).with_telemetry(config.clone()),
-            Scenario::card_to_card_room(4).with_telemetry(config.clone()),
-            Scenario::zigbee_wing(8).with_telemetry(config.clone()),
-            Scenario::congested_ward(8)
-                .closed_loop()
-                .with_telemetry(config.clone()),
+        for preset in [
+            Scenario::hospital_ward(8),
+            Scenario::contact_lens_fleet(6),
+            Scenario::card_to_card_room(4),
+            Scenario::zigbee_wing(8),
+            Scenario::congested_ward(8).closed_loop(),
         ] {
+            let name = preset.name.clone();
+            let scenario = preset
+                .builder()
+                .telemetry(config.clone())
+                .build()
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
             assert_eq!(scenario.telemetry, config);
-            scenario
-                .validate()
-                .unwrap_or_else(|e| panic!("{}: {e}", scenario.name));
+            // Telemetry never renames: observation is invisible to reports.
+            assert_eq!(scenario.name, name);
         }
-        // Telemetry never renames: observation is invisible to reports.
-        assert_eq!(
-            Scenario::hospital_ward(8).with_telemetry(config).name,
-            Scenario::hospital_ward(8).name
-        );
-        // Incremental combinators compose.
+        // The execution section's metrics mode and progress cadence land
+        // on top of a telemetry section set first.
         let ward = Scenario::hospital_ward(4)
-            .subscribe(Subscription::new("c", Filter::all(), SinkSpec::Counters))
-            .with_streaming_metrics()
-            .with_progress(0.5, false);
+            .builder()
+            .telemetry(TelemetryConfig::new().subscribe(Subscription::new(
+                "c",
+                Filter::all(),
+                SinkSpec::Counters,
+            )))
+            .execution(
+                ExecutionSection::new()
+                    .metrics(crate::telemetry::MetricsMode::Streaming)
+                    .progress(0.5, false),
+            )
+            .build()
+            .unwrap();
         assert_eq!(ward.telemetry.subscriptions.len(), 1);
         assert_eq!(
             ward.telemetry.mode,
             crate::telemetry::MetricsMode::Streaming
         );
         assert_eq!(ward.telemetry.progress_every_s, Some(0.5));
-        ward.validate().unwrap();
-        // Out-of-range filters are rejected at validation.
-        let bad = Scenario::hospital_ward(4).subscribe(Subscription::new(
-            "bad",
-            Filter::all().tags([99]),
-            SinkSpec::Counters,
-        ));
-        assert!(matches!(bad.validate(), Err(NetError::InvalidScenario(_))));
     }
 
     #[test]
@@ -1812,7 +1654,7 @@ mod tests {
     fn builder_rejects_invalid_configs_at_build_time() {
         use crate::coex::{CoexConfig, CoexSource};
         use crate::sched::DeadlineAware;
-        use crate::telemetry::{Filter, SinkSpec};
+        use crate::telemetry::{Filter, SinkSpec, Subscription};
         let donor = Scenario::hospital_ward(4);
 
         // build() surfaces exactly the validate() error, eagerly.
@@ -1915,13 +1757,12 @@ mod tests {
         use crate::engine::NetworkSim;
         // 4200 tags in one engine: the largest single-engine closed-loop
         // run in the suite, end to end through the link tables.
-        let quad = Scenario::campus(4_200);
-        let run = |seed| {
-            NetworkSim::new(&quad, seed)
-                .with_trace(false)
-                .run()
-                .unwrap()
-        };
+        let quad = Scenario::campus(4_200)
+            .builder()
+            .execution(ExecutionSection::new().trace(false))
+            .build()
+            .unwrap();
+        let run = |seed| NetworkSim::new(&quad, seed).run().unwrap();
         let a = run(42);
         assert!(a.metrics.delivered_packets() > 0, "campus delivers nothing");
         // Streaming contract: no per-event samples at this scale.
@@ -1988,5 +1829,36 @@ mod tests {
         let mut s = Scenario::hospital_ward(4);
         s.tags[0].arrival_rate_pps = 0.0;
         assert!(s.validate().is_err());
+    }
+
+    #[test]
+    fn build_rejects_non_finite_inputs() {
+        // Each of these once built fine and then reported NaN throughput,
+        // panicked, never returned, or ran on silently.
+        type Edit = fn(&mut Scenario);
+        let cases: [(&str, Edit); 6] = [
+            ("NaN duration", |s| s.duration_s = f64::NAN),
+            ("NaN slot interval", |s| {
+                s.carriers[0].slot_interval_s = f64::NAN
+            }),
+            ("NaN slot window", |s| {
+                s.carriers[0].slot_window_s = f64::NAN
+            }),
+            ("NaN tx power", |s| s.carriers[0].tx_power_dbm = f64::NAN),
+            ("NaN arrival rate", |s| {
+                s.tags[0].arrival_rate_pps = f64::NAN
+            }),
+            ("infinite arrival rate", |s| {
+                s.tags[0].arrival_rate_pps = f64::INFINITY
+            }),
+        ];
+        for (what, edit) in cases {
+            let mut s = Scenario::hospital_ward(4);
+            edit(&mut s);
+            assert!(
+                matches!(s.builder().build(), Err(NetError::InvalidScenario(_))),
+                "{what} must be rejected at build()"
+            );
+        }
     }
 }

@@ -331,7 +331,7 @@ pub(crate) fn execute(
     if cells.len() <= 1 {
         // One cell: run the *original* scenario (original entity ids keep
         // the RNG streams, and therefore the digest, byte-identical to
-        // the legacy unsharded engine) in epoch-sized chunks.
+        // the exact unsharded engine) in epoch-sized chunks.
         let mut core = EngineCore::new(scenario, seed, record_trace)?;
         let mut limit = epoch_ns;
         while !core.is_done() {

@@ -44,7 +44,10 @@ fn main() {
             // footing the congested rows stand on, minus the hammer.
             Scenario::hospital_ward(n_tags)
                 .with_subband_striping()
-                .with_coex(CoexConfig::default()),
+                .builder()
+                .coex(CoexConfig::default())
+                .build()
+                .expect("scenario is valid"),
         ),
         ("static striping", Scenario::congested_ward(n_tags)),
         (

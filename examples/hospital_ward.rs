@@ -13,8 +13,7 @@
 //! runs are easy to compare.
 
 use interscatter::net::engine::NetworkSim;
-use interscatter::net::runner::MonteCarlo;
-use interscatter::net::scenario::Scenario;
+use interscatter::net::scenario::{ExecutionSection, Scenario};
 
 fn main() {
     let seed: u64 = std::env::args()
@@ -22,7 +21,13 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(42);
 
-    let scenario = Scenario::hospital_ward(60);
+    // Eight Monte-Carlo trials for the spread sweep at the end; a single
+    // run ignores the trial count.
+    let scenario = Scenario::hospital_ward(60)
+        .builder()
+        .execution(ExecutionSection::new().trials(8))
+        .build()
+        .expect("scenario is valid");
     println!(
         "=== {} ===\n{} tags, {} bedside carriers, {} APs, {:.0} s simulated, seed {seed}\n",
         scenario.name,
@@ -47,7 +52,6 @@ fn main() {
     println!("(re-run with the same seed: identical digest; different seed: different digest)");
 
     // A small Monte-Carlo sweep over independent seeds shows the spread.
-    let mc = MonteCarlo::new(scenario, 8, seed);
-    let report = mc.run().expect("trials run");
+    let report = interscatter::net::run_trials(&scenario, seed).expect("trials run");
     println!("\n{}", report.report());
 }

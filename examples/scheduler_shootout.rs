@@ -51,7 +51,11 @@ fn main() {
         "policy", "polls", "PRR", "deliv", "fairness", "poll p50", "poll p95", "misses"
     );
     for policy in policies {
-        let scenario = base().with_scheduler(policy);
+        let scenario = base()
+            .builder()
+            .scheduling(policy)
+            .build()
+            .expect("scenario is valid");
         let result = NetworkSim::new(&scenario, seed)
             .run()
             .expect("scenario is valid");

@@ -21,7 +21,9 @@
 
 use interscatter::net::prelude::ExecutionSection;
 use interscatter::net::scenario::Scenario;
-use interscatter::net::telemetry::{Dataset, Filter, SinkSpec, Subscription};
+use interscatter::net::telemetry::{
+    Dataset, Filter, MetricsMode, SinkSpec, Subscription, TelemetryConfig,
+};
 use interscatter::net::trace_digest::fnv1a_str;
 
 /// Soak length, simulated seconds: 10× the hospital-ward preset's 10 s.
@@ -33,27 +35,47 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(42);
 
-    let mut scenario = Scenario::hospital_ward(60);
-    let base_duration_s = scenario.duration_s;
-    scenario.duration_s = SOAK_DURATION_S;
-    let scenario = scenario
-        .with_streaming_metrics()
-        .with_progress(10.0, true)
-        .subscribe(Subscription::new(
-            "latency",
-            Filter::all(),
-            SinkSpec::Quantiles(Dataset::DeliveryLatencyMs),
-        ))
-        .subscribe(Subscription::new(
-            "prr-1s",
-            Filter::all(),
-            SinkSpec::WindowedPrr { window_s: 1.0 },
-        ))
-        .subscribe(Subscription::new(
-            "counters",
-            Filter::all(),
-            SinkSpec::Counters,
-        ));
+    // The trace is the one O(events) artifact left — a soak run disables
+    // it; reproducibility is checked through the report digest instead.
+    // Profiling rides along when PROF_OUT / PROF_TRACE_OUT ask for it;
+    // this single-cell run stays byte-identical to the exact engine
+    // either way.
+    let prof_out = std::env::var_os("PROF_OUT");
+    let prof_trace_out = std::env::var_os("PROF_TRACE_OUT");
+    let profile = prof_out.is_some() || prof_trace_out.is_some();
+    let base = Scenario::hospital_ward(60);
+    let base_duration_s = base.duration_s;
+    let scenario = base
+        .builder()
+        .duration_s(SOAK_DURATION_S)
+        .telemetry(
+            TelemetryConfig::new()
+                .subscribe(Subscription::new(
+                    "latency",
+                    Filter::all(),
+                    SinkSpec::Quantiles(Dataset::DeliveryLatencyMs),
+                ))
+                .subscribe(Subscription::new(
+                    "prr-1s",
+                    Filter::all(),
+                    SinkSpec::WindowedPrr { window_s: 1.0 },
+                ))
+                .subscribe(Subscription::new(
+                    "counters",
+                    Filter::all(),
+                    SinkSpec::Counters,
+                )),
+        )
+        // After the telemetry section, which it writes into.
+        .execution(
+            ExecutionSection::new()
+                .metrics(MetricsMode::Streaming)
+                .progress(10.0, true)
+                .trace(false)
+                .profile(profile),
+        )
+        .build()
+        .expect("scenario is valid");
 
     println!(
         "=== soak: {} ===\n{} tags, {:.0} s simulated ({:.0}x the base preset), seed {seed}\n",
@@ -63,19 +85,6 @@ fn main() {
         scenario.duration_s / base_duration_s,
     );
 
-    // The trace is the one O(events) artifact left — a soak run disables
-    // it; reproducibility is checked through the report digest instead.
-    // Profiling rides along when PROF_OUT / PROF_TRACE_OUT ask for it;
-    // this single-cell run stays byte-identical to the legacy engine
-    // either way.
-    let prof_out = std::env::var_os("PROF_OUT");
-    let prof_trace_out = std::env::var_os("PROF_TRACE_OUT");
-    let profile = prof_out.is_some() || prof_trace_out.is_some();
-    let scenario = scenario
-        .builder()
-        .execution(ExecutionSection::new().trace(false).profile(profile))
-        .build()
-        .expect("scenario is valid");
     let result = interscatter::net::run(&scenario, seed).expect("scenario runs");
 
     // The streaming contract: nothing accumulated per event.

@@ -6,10 +6,21 @@
 
 use interscatter::net::engine::NetworkSim;
 use interscatter::net::links::LinkBudget;
-use interscatter::net::scenario::Scenario;
+use interscatter::net::scenario::{ExecutionSection, Scenario};
 use interscatter::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+
+/// Runs `scenario` on the exact engine with event-trace recording off.
+fn run_untraced(scenario: &Scenario, seed: u64) -> NetRunResult {
+    let scenario = scenario
+        .clone()
+        .builder()
+        .execution(ExecutionSection::new().trace(false))
+        .build()
+        .unwrap();
+    NetworkSim::new(&scenario, seed).run().unwrap()
+}
 
 /// The distance at which `scenario`'s received power hits `target_dbm`
 /// (the path-loss model is monotone in distance).
@@ -97,10 +108,7 @@ fn closed_loop_ward_completes_transactions_at_every_scale() {
     // transaction.
     for n_tags in [1usize, 10, 100] {
         let scenario = Scenario::hospital_ward(n_tags).closed_loop();
-        let result = NetworkSim::new(&scenario, 42)
-            .with_trace(false)
-            .run()
-            .unwrap();
+        let result = run_untraced(&scenario, 42);
         let m = &result.metrics;
         assert!(
             m.completed_transactions() > 0,
@@ -117,16 +125,8 @@ fn closed_loop_pays_for_feedback_with_airtime() {
     // The loop's three frames per delivery cost slots: under the same
     // offered load the closed loop cannot beat open-loop delivery, but it
     // must still deliver the bulk of the traffic.
-    let open = NetworkSim::new(&Scenario::hospital_ward(30), 9)
-        .with_trace(false)
-        .run()
-        .unwrap()
-        .metrics;
-    let closed = NetworkSim::new(&Scenario::hospital_ward(30).closed_loop(), 9)
-        .with_trace(false)
-        .run()
-        .unwrap()
-        .metrics;
+    let open = run_untraced(&Scenario::hospital_ward(30), 9).metrics;
+    let closed = run_untraced(&Scenario::hospital_ward(30).closed_loop(), 9).metrics;
     assert!(closed.delivery_ratio() <= open.delivery_ratio() + 0.05);
     assert!(
         closed.delivery_ratio() > 0.5,

@@ -6,8 +6,8 @@
 use interscatter::net::coex::{CoexConfig, CoexSource, ReStripe};
 use interscatter::net::engine::NetworkSim;
 use interscatter::net::prelude::Position;
-use interscatter::net::runner::MonteCarlo;
-use interscatter::net::scenario::Scenario;
+use interscatter::net::run_trials;
+use interscatter::net::scenario::{ExecutionSection, Scenario};
 use interscatter::net::sched::SchedPolicy;
 use interscatter::net::trace_digest::fnv1a;
 
@@ -33,28 +33,45 @@ fn scenarios() -> Vec<Scenario> {
         // its picks — and hence the whole trace — replay exactly from the
         // seed (round-robin is the default everywhere above; the
         // margin-aware case also exercises the sub-band striping axis).
-        Scenario::hospital_ward(16).with_scheduler(SchedPolicy::proportional_fair()),
+        Scenario::hospital_ward(16)
+            .builder()
+            .scheduling(SchedPolicy::proportional_fair())
+            .build()
+            .unwrap(),
         Scenario::hospital_ward(16)
             .closed_loop()
-            .with_scheduler(SchedPolicy::deadline_aware()),
+            .builder()
+            .scheduling(SchedPolicy::deadline_aware())
+            .build()
+            .unwrap(),
         Scenario::ambulatory_ward(10)
             .closed_loop()
-            .with_scheduler(SchedPolicy::margin_aware()),
+            .builder()
+            .scheduling(SchedPolicy::margin_aware())
+            .build()
+            .unwrap(),
         Scenario::hospital_ward(16)
             .with_subband_striping()
-            .with_scheduler(SchedPolicy::margin_aware()),
+            .builder()
+            .scheduling(SchedPolicy::margin_aware())
+            .build()
+            .unwrap(),
         // Coexistence cases: every external generator kind injects real
         // seeded emissions into the medium, and each source's arrival
         // process rides its own RNG stream — so the trace (including every
         // collision with external traffic) replays exactly from the seed.
-        Scenario::hospital_ward(12).with_coex(CoexConfig::with_sources(vec![
-            CoexSource::wifi_neighbor(Position::new(6.0, 8.0, 2.0), 6, 0.3),
-            CoexSource::hidden_wifi(Position::new(2.0, 8.0, 2.0), 1, 0.15),
-            CoexSource::ble_beacon(Position::new(0.5, 0.5, 1.0), 0.05),
-            CoexSource::zigbee_neighbor(Position::new(11.0, 1.0, 1.0), 17, 40.0),
-            CoexSource::microwave_oven(Position::new(11.5, 8.5, 1.0)),
-            CoexSource::constant(2, 0.1),
-        ])),
+        Scenario::hospital_ward(12)
+            .builder()
+            .coex(CoexConfig::with_sources(vec![
+                CoexSource::wifi_neighbor(Position::new(6.0, 8.0, 2.0), 6, 0.3),
+                CoexSource::hidden_wifi(Position::new(2.0, 8.0, 2.0), 1, 0.15),
+                CoexSource::ble_beacon(Position::new(0.5, 0.5, 1.0), 0.05),
+                CoexSource::zigbee_neighbor(Position::new(11.0, 1.0, 1.0), 17, 40.0),
+                CoexSource::microwave_oven(Position::new(11.5, 8.5, 1.0)),
+                CoexSource::constant(2, 0.1),
+            ]))
+            .build()
+            .unwrap(),
         // The legacy bridge: constant sources mirroring the sink scalars.
         Scenario::hospital_ward(12)
             .closed_loop()
@@ -123,9 +140,13 @@ fn different_seed_different_bytes() {
 fn determinism_survives_the_parallel_runner() {
     // The Monte-Carlo runner fans trials across threads; aggregation must
     // not depend on completion order.
-    let mc = MonteCarlo::new(Scenario::hospital_ward(16), 6, 77);
-    let a = mc.run().unwrap();
-    let b = mc.run().unwrap();
+    let scenario = Scenario::hospital_ward(16)
+        .builder()
+        .execution(ExecutionSection::new().trials(6))
+        .build()
+        .unwrap();
+    let a = run_trials(&scenario, 77).unwrap();
+    let b = run_trials(&scenario, 77).unwrap();
     assert_eq!(format!("{:?}", a.trials), format!("{:?}", b.trials));
     assert_eq!(a.report(), b.report());
 }

@@ -6,7 +6,8 @@
 //! deployment, which every downstream digest would silently inherit.
 
 use interscatter::net::coex::ReStripe;
-use interscatter::net::scenario::Scenario;
+use interscatter::net::engine::NetworkSim;
+use interscatter::net::scenario::{ExecutionSection, Scenario};
 use interscatter::net::trace_digest::fnv1a_str;
 
 fn digest(s: &Scenario) -> u64 {
@@ -89,4 +90,20 @@ fn presets_and_variants_match_their_pinned_digests() {
         .map(|((label, _), d)| format!("{label}: {d:#018x}"))
         .collect();
     assert_eq!(got, want);
+}
+
+#[test]
+fn exact_engine_honours_the_scenario_trace_switch() {
+    let traced = Scenario::hospital_ward(8).closed_loop();
+    let untraced = traced
+        .clone()
+        .builder()
+        .execution(ExecutionSection::new().trace(false))
+        .build()
+        .unwrap();
+    let on = NetworkSim::new(&traced, 42).run().unwrap();
+    let off = NetworkSim::new(&untraced, 42).run().unwrap();
+    assert!(!on.trace.records().is_empty());
+    assert!(off.trace.records().is_empty());
+    assert_eq!(on.metrics.report(), off.metrics.report());
 }

@@ -4,8 +4,10 @@
 //! stored-sample baseline to within the documented bound.
 
 use interscatter::net::engine::NetworkSim;
-use interscatter::net::scenario::Scenario;
-use interscatter::net::telemetry::{Dataset, Filter, SinkSpec, Subscription, TelemetryKind};
+use interscatter::net::scenario::{ExecutionSection, Scenario, ScenarioBuilder};
+use interscatter::net::telemetry::{
+    Dataset, Filter, MetricsMode, SinkSpec, Subscription, TelemetryConfig, TelemetryKind,
+};
 use interscatter::net::trace_digest::fnv1a;
 
 /// The four closed-loop presets: poll/ack MACs exercise every telemetry
@@ -21,45 +23,56 @@ fn closed_loop_presets() -> Vec<Scenario> {
 
 /// A deliberately busy subscription set: every sink kind, plus filters
 /// along each axis (entity subset, kind subset, time window).
-fn observe(base: Scenario) -> Scenario {
-    base.subscribe(Subscription::new(
-        "latency",
-        Filter::all(),
-        SinkSpec::Quantiles(Dataset::DeliveryLatencyMs),
-    ))
-    .subscribe(Subscription::new(
-        "txn",
-        Filter::all(),
-        SinkSpec::Quantiles(Dataset::TransactionLatencyMs),
-    ))
-    .subscribe(Subscription::new(
-        "poll",
-        Filter::all().window(0.0, 5.0),
-        SinkSpec::Quantiles(Dataset::PollLatencyMs),
-    ))
-    .subscribe(Subscription::new(
-        "prr-front",
-        Filter::all().tags([0usize, 1, 2]),
-        SinkSpec::WindowedPrr { window_s: 1.0 },
-    ))
-    .subscribe(Subscription::new(
-        "counters",
-        Filter::all().kinds([
-            TelemetryKind::Offered,
-            TelemetryKind::Delivery,
-            TelemetryKind::Loss,
-            TelemetryKind::Dropped,
-        ]),
-        SinkSpec::Counters,
-    ))
-    .with_progress(1.0, false)
+fn observe(base: Scenario) -> ScenarioBuilder {
+    base.builder().telemetry(
+        TelemetryConfig::new()
+            .subscribe(Subscription::new(
+                "latency",
+                Filter::all(),
+                SinkSpec::Quantiles(Dataset::DeliveryLatencyMs),
+            ))
+            .subscribe(Subscription::new(
+                "txn",
+                Filter::all(),
+                SinkSpec::Quantiles(Dataset::TransactionLatencyMs),
+            ))
+            .subscribe(Subscription::new(
+                "poll",
+                Filter::all().window(0.0, 5.0),
+                SinkSpec::Quantiles(Dataset::PollLatencyMs),
+            ))
+            .subscribe(Subscription::new(
+                "prr-front",
+                Filter::all().tags([0usize, 1, 2]),
+                SinkSpec::WindowedPrr { window_s: 1.0 },
+            ))
+            .subscribe(Subscription::new(
+                "counters",
+                Filter::all().kinds([
+                    TelemetryKind::Offered,
+                    TelemetryKind::Delivery,
+                    TelemetryKind::Loss,
+                    TelemetryKind::Dropped,
+                ]),
+                SinkSpec::Counters,
+            ))
+            .with_progress(1.0),
+    )
+}
+
+/// Streaming metrics on top of whatever telemetry `builder` carries.
+fn streaming(builder: ScenarioBuilder) -> Scenario {
+    builder
+        .execution(ExecutionSection::new().metrics(MetricsMode::Streaming))
+        .build()
+        .unwrap()
 }
 
 #[test]
 fn subscriptions_leave_traces_byte_identical() {
     for base in closed_loop_presets() {
         let plain = NetworkSim::new(&base, 0x0B5E7).run().unwrap();
-        let observed = NetworkSim::new(&observe(base.clone()), 0x0B5E7)
+        let observed = NetworkSim::new(&observe(base.clone()).build().unwrap(), 0x0B5E7)
             .run()
             .unwrap();
         // Observation is free: the trace and metrics are bit-for-bit what
@@ -98,7 +111,7 @@ fn subscriptions_leave_traces_byte_identical() {
 fn streaming_quantiles_match_stored_within_one_percent() {
     let base = Scenario::congested_ward(12).closed_loop();
     let stored = NetworkSim::new(&base, 0xC0FFEE).run().unwrap().metrics;
-    let streamed = NetworkSim::new(&base.clone().with_streaming_metrics(), 0xC0FFEE)
+    let streamed = NetworkSim::new(&streaming(base.clone().builder()), 0xC0FFEE)
         .run()
         .unwrap()
         .metrics;
@@ -156,7 +169,7 @@ fn streaming_run_reproduces_the_stored_trace() {
     // change a single byte of the event trace.
     let base = Scenario::congested_ward(10);
     let stored = NetworkSim::new(&base, 0x5EED).run().unwrap();
-    let streamed = NetworkSim::new(&observe(base.with_streaming_metrics()), 0x5EED)
+    let streamed = NetworkSim::new(&streaming(observe(base)), 0x5EED)
         .run()
         .unwrap();
     assert_eq!(stored.trace.to_bytes(), streamed.trace.to_bytes());
