@@ -9,7 +9,7 @@
 //! sensitivity cliff, exactly like the range curves of Figs. 10/14/15/16
 //! but evaluated across a whole fleet at once.
 //!
-//! The matrix also precomputes every tag's signal strength at every *other*
+//! The matrix also answers every tag's signal strength at every *other*
 //! receiver: that is what turns an overlapping transmission into a
 //! measurable interferer during collision arbitration (capture effect).
 //!
@@ -30,12 +30,14 @@
 //!
 //! ## One layout at every fleet size
 //!
-//! Tables are kept for every pairing whose side counts are small
-//! (receivers, carriers, external sources). The two n²-sized pairings —
-//! tag ↔ tag and tag ↔ carrier — are evaluated per query instead, one
-//! `log10` over the live geometry plus cached per-tag terms. A capture
-//! arbitration reads a handful of such pairs, so a 100k-tag campus and a
-//! ten-bed ward share one code path and one memory profile.
+//! Tables are kept only for pairings whose both sides are small
+//! (receivers, carriers, external sources). Every pairing with a tag on
+//! one side — tag ↔ tag, tag ↔ carrier, tag ↔ receiver, sink → tag and
+//! external source → tag — is evaluated per query instead, one `log10`
+//! over the live geometry plus cached per-tag terms; only each tag's own
+//! uplink, poll and ack budgets are stored. A capture arbitration reads a
+//! handful of such pairs, so a 100k-tag campus and a ten-bed ward share
+//! one code path and one memory profile.
 //!
 //! Build cost is linear in the fleet because the position-independent
 //! terms are memoised on their real inputs: a tag's receive package
@@ -49,8 +51,8 @@
 //! Since mobility landed ([`crate::mobility`]), the matrix owns the *live*
 //! geometry: a position per entity, initialised from the scenario and
 //! updated through [`LinkMatrix::set_position`]. Moving an entity marks its
-//! rows dirty; [`LinkMatrix::flush`] then recomputes **only the uplink,
-//! poll, ack and emitter × listener capture rows touching the moved
+//! rows dirty; [`LinkMatrix::flush`] then recomputes **only the budgets
+//! and the small emitter × listener tables touching the moved
 //! entities**, from position-independent terms (antenna gains, tissue
 //! attenuations, conversion losses, per-frequency path-loss models) cached
 //! once at build time. A mobility tick over a hundred tags therefore costs
@@ -274,11 +276,11 @@ impl PkgGains {
     }
 }
 
-/// The closed-loop extension: downlink budgets plus the emitter ×
-/// listener power tables (only built for `MacMode::ClosedLoop` scenarios —
-/// open-loop runs never arbitrate at tags or carriers). Tag ↔ tag and
-/// tag ↔ carrier powers are evaluated per query, not tabled (see the
-/// module docs).
+/// The closed-loop extension: downlink budgets plus the carrier/sink
+/// emitter × listener power tables (only built for `MacMode::ClosedLoop`
+/// scenarios — open-loop runs never arbitrate at tags or carriers). Every
+/// pairing with a tag on one side is evaluated per query, not tabled (see
+/// the module docs).
 #[derive(Debug, Clone)]
 struct ClosedLoopTables {
     /// Per tag: carrier poll → the tag's envelope detector.
@@ -287,14 +289,14 @@ struct ClosedLoopTables {
     ack_budgets: Vec<LinkBudget>,
     /// Per carrier: transmit power, dBm.
     carrier_tx_dbm: Vec<f64>,
+    /// Per sink: downlink transmit power, dBm.
+    sink_tx_dbm: Vec<f64>,
     /// `[c][r]`: carrier `c`'s poll at receiver `r`, dBm.
     carrier_at_rx: Table2d,
     /// `[c][c2]`: carrier `c`'s poll at carrier `c2`, dBm.
     carrier_at_carrier: Table2d,
     /// `[s][r]`: sink `s`'s ack at receiver `r`, dBm.
     sink_at_rx: Table2d,
-    /// `[t][s]`: sink `s`'s ack at tag `t`'s detector, dBm (tag-major).
-    sink_at_tag: Table2d,
     /// `[s][c]`: sink `s`'s ack at carrier `c`, dBm.
     sink_at_carrier: Table2d,
     // --- position-independent terms cached for row recomputes ---
@@ -311,16 +313,14 @@ struct ClosedLoopTables {
 const SILENT_DBM: f64 = -300.0;
 
 /// Median power of every external coexistence source at every listener
-/// kind (only built when the scenario attaches [`crate::coex::CoexSource`]s
-/// with real emission bands). Sources never move, so these rows are only
-/// refreshed when the *listener* moves.
+/// kind but tags (only built when the scenario attaches
+/// [`crate::coex::CoexSource`]s with real emission bands; the power at a
+/// tag's detector is evaluated per query). Sources never move, so these
+/// rows are only refreshed when the *listener* moves.
 #[derive(Debug, Clone)]
 struct ExtTables {
     /// `at_rx[k][r]`: source `k`'s emission at receiver `r`, dBm.
     at_rx: Table2d,
-    /// `at_tag[t][k]`: source `k`'s emission at tag `t`'s detector, dBm
-    /// (tag-major, like the closed-loop tables).
-    at_tag: Table2d,
     /// `at_carrier[k][c]`: source `k`'s emission at carrier `c`, dBm.
     at_carrier: Table2d,
     /// Per source: path-loss evaluator at its emission frequency (`None`
@@ -332,15 +332,12 @@ struct ExtTables {
     pos: Vec<Position>,
 }
 
-/// Precomputed budgets for every tag, every emitter's interference power at
-/// every listener, the live geometry they were computed from, and the
-/// cached terms that make row-level recomputation cheap.
+/// Precomputed budgets for every tag, the small emitter × listener power
+/// tables, the live geometry they were computed from, and the cached terms
+/// that make row-level recomputation and per-query powers cheap.
 #[derive(Debug, Clone)]
 pub struct LinkMatrix {
     budgets: Vec<LinkBudget>,
-    /// `interference_dbm[tag][rx]`: median power of `tag`'s emission at
-    /// receiver `rx`, dBm.
-    interference_dbm: Table2d,
     closed_loop: Option<ClosedLoopTables>,
     ext: Option<ExtTables>,
     /// Package gains of every tag at every emitter frequency.
@@ -589,10 +586,14 @@ impl LinkMatrix {
                         })
                         .collect(),
                     carrier_tx_dbm: scenario.carriers.iter().map(|c| c.tx_power_dbm).collect(),
+                    sink_tx_dbm: scenario
+                        .receivers
+                        .iter()
+                        .map(|r| r.downlink_tx_power_dbm)
+                        .collect(),
                     carrier_at_rx: Table2d::new(n_carriers, n_rx, 0.0),
                     carrier_at_carrier: Table2d::new(n_carriers, n_carriers, 0.0),
                     sink_at_rx: Table2d::new(n_rx, n_rx, 0.0),
-                    sink_at_tag: Table2d::new(n_tags, n_rx, 0.0),
                     sink_at_carrier: Table2d::new(n_rx, n_carriers, 0.0),
                     pl_carrier: carrier_models.iter().map(FastPathLoss::new).collect(),
                     pl_sink: sink_models.iter().map(FastPathLoss::new).collect(),
@@ -617,7 +618,6 @@ impl LinkMatrix {
                     .collect();
                 ExtTables {
                     at_rx: Table2d::new(n_src, n_rx, SILENT_DBM),
-                    at_tag: Table2d::new(n_tags, n_src, SILENT_DBM),
                     at_carrier: Table2d::new(n_src, n_carriers, SILENT_DBM),
                     pl: cfg
                         .sources
@@ -644,7 +644,6 @@ impl LinkMatrix {
 
         let mut matrix = LinkMatrix {
             budgets,
-            interference_dbm: Table2d::new(n_tags, n_rx, 0.0),
             closed_loop,
             ext,
             pkg,
@@ -666,8 +665,8 @@ impl LinkMatrix {
         for c in 0..n_carriers {
             matrix.refresh_carrier_rows(scenario, c);
         }
-        // The tag passes already wrote every tag × sink cell (and every
-        // ack budget); only the sinks' own rows remain.
+        // The tag passes already wrote every tag's budgets; only the
+        // sinks' own rows remain.
         for s in 0..n_rx {
             matrix.refresh_sink_rows(scenario, s);
         }
@@ -753,49 +752,26 @@ impl LinkMatrix {
         refreshed
     }
 
-    /// Tag `t` as **emitter and listener**: recomputes every tabled row
-    /// touching it — uplink interference and budget, external sources and
-    /// (closed loop) every sink's ack at its detector, and its poll/ack
-    /// budgets. Its pairs with other tags and with carriers are evaluated
-    /// on demand from the base cached here.
+    /// Tag `t`'s own budgets: its uplink to its live receiver (and the
+    /// cached carrier → tag base every per-query power of `t` as an
+    /// emitter reuses) and — closed loop — its poll and ack budgets. Its
+    /// pairs with every other entity are evaluated on demand.
     fn refresh_tag(&mut self, scenario: &Scenario, t: usize) {
         let tag = &scenario.tags[t];
         let pos = self.tag_pos[t];
-        let pl_emit_t = self.up_pl_emit[t];
         // The tag's *live* destination: the scenario's assignment, unless a
         // re-stripe re-tuned it ([`LinkMatrix::retune_tag`]).
-        let rx_s = self.tag_rx[t];
-        // The carrier → tag hop: the base every cell of this emitter row
-        // shares, and (closed loop) the poll distance.
+        let s = self.tag_rx[t];
+        // The carrier → tag hop: the base of every emission of this tag,
+        // and (closed loop) the poll distance.
         let hop1 = log_distance(&self.carrier_pos[tag.carrier], &pos);
-        let base_t = self.up_fixed_db[t] - self.up_pl_src[t].db_at(hop1.0, hop1.1);
-        self.up_base_db[t] = base_t;
-        for (s, s_pos) in self.sink_pos.iter().enumerate() {
-            let (l, near) = log_distance(&pos, s_pos);
-            self.interference_dbm
-                .set(t, s, base_t - pl_emit_t.db_at(l, near));
-        }
-        self.budgets[t].median_rssi_dbm = self.interference_dbm.at(t, rx_s);
-
-        // External sources at this tag's detector (sources are static, so
-        // only the tag's own motion dirties this row).
-        let pkg = &self.pkg;
-        if let Some(ext) = self.ext.as_mut() {
-            for (k, f) in pkg.ext_freq.iter().enumerate() {
-                let (Some(pl), Some(f)) = (ext.pl[k], *f) else {
-                    continue;
-                };
-                let (l, near) = log_distance(&pos, &ext.pos[k]);
-                ext.at_tag
-                    .set(t, k, ext.eirp_dbm[k] + pkg.at(t, f) - pl.db_at(l, near));
-            }
-        }
+        self.up_base_db[t] = self.up_fixed_db[t] - self.up_pl_src[t].db_at(hop1.0, hop1.1);
+        self.budgets[t].median_rssi_dbm = self.tag_at_rx_dbm(t, s);
 
         let Some(cl) = self.closed_loop.as_mut() else {
             return;
         };
-        let (carrier_pos, sink_pos) = (&self.carrier_pos, &self.sink_pos);
-        let s = rx_s;
+        let pkg = &self.pkg;
         // Poll: the carrier's AM frame on the tag's service band, one
         // conventional hop into the envelope detector (same distance as
         // the illumination hop above).
@@ -805,19 +781,9 @@ impl LinkMatrix {
         // Ack: the sink's AM frame into the carrier's radio. Independent
         // of the tag's own position but cheap, and it keeps every budget
         // of tag `t` fresh through one entry point.
-        let ack_hop = log_distance(&sink_pos[s], &carrier_pos[tag.carrier]);
+        let ack_hop = log_distance(&self.sink_pos[s], &self.carrier_pos[tag.carrier]);
         cl.ack_budgets[t].median_rssi_dbm = scenario.receivers[s].downlink_tx_power_dbm + 2.0 + 2.0
             - cl.pl_sink[s].db_at(ack_hop.0, ack_hop.1);
-        // Sink → tag: every ack frame at t's detector.
-        for (s2, s2_pos) in sink_pos.iter().enumerate() {
-            let (l, near) = log_distance(&pos, s2_pos);
-            cl.sink_at_tag.set(
-                t,
-                s2,
-                scenario.receivers[s2].downlink_tx_power_dbm + 2.0 + pkg.at(t, pkg.sink_freq[s2])
-                    - cl.pl_sink[s2].db_at(l, near),
-            );
-        }
     }
 
     /// Carrier `c` as an **emitter and listener** (closed loop): its poll
@@ -939,36 +905,18 @@ impl LinkMatrix {
         }
     }
 
-    /// Sink `s` against every tag: each tag's uplink power at it and —
-    /// closed loop — its ack at each tag's detector and the ack budgets of
-    /// the tags it serves. Only a moved sink needs this: at build time
-    /// [`LinkMatrix::refresh_tag`] has already written every one of these
-    /// cells (`log_distance` is symmetric, so the values are the same).
+    /// Sink `s` against the tags it currently serves (the live assignment
+    /// index, maintained across re-stripes): their uplink and ack budgets.
+    /// Only a moved sink needs this: at build time
+    /// [`LinkMatrix::refresh_tag`] has already written every budget.
     fn refresh_sink_tag_cells(&mut self, scenario: &Scenario, s: usize) {
-        let pos = self.sink_pos[s];
-        for u in 0..scenario.tags.len() {
-            let (l, near) = log_distance(&self.tag_pos[u], &pos);
-            self.interference_dbm
-                .set(u, s, self.up_base_db[u] - self.up_pl_emit[u].db_at(l, near));
-            if self.tag_rx[u] == s {
-                self.budgets[u].median_rssi_dbm = self.interference_dbm.at(u, s);
-            }
+        for i in 0..self.sink_tags[s].len() {
+            let u = self.sink_tags[s][i];
+            self.budgets[u].median_rssi_dbm = self.tag_at_rx_dbm(u, s);
         }
         let Some(cl) = self.closed_loop.as_mut() else {
             return;
         };
-        let (pkg, spec) = (&self.pkg, &scenario.receivers[s]);
-        for (t, t_pos) in self.tag_pos.iter().enumerate() {
-            let (l, near) = log_distance(&pos, t_pos);
-            cl.sink_at_tag.set(
-                t,
-                s,
-                spec.downlink_tx_power_dbm + 2.0 + pkg.at(t, pkg.sink_freq[s])
-                    - cl.pl_sink[s].db_at(l, near),
-            );
-        }
-        // Ack budgets of every tag this sink currently serves (the live
-        // assignment index, maintained across re-stripes).
         for &t in &self.sink_tags[s] {
             cl.ack_budgets[t].median_rssi_dbm = cl.sink_at_carrier.at(s, scenario.tags[t].carrier);
         }
@@ -1056,7 +1004,14 @@ impl LinkMatrix {
 
     /// Median power of `tag`'s emission at receiver `rx`, dBm.
     pub fn interference_dbm(&self, tag: usize, rx: usize) -> f64 {
-        self.interference_dbm.at(tag, rx)
+        self.tag_at_rx_dbm(tag, rx)
+    }
+
+    /// Tag `u`'s emission at receiver `r`, dBm, from the live geometry and
+    /// `u`'s cached base.
+    fn tag_at_rx_dbm(&self, u: usize, r: usize) -> f64 {
+        let (l, near) = log_distance(&self.tag_pos[u], &self.sink_pos[r]);
+        self.up_base_db[u] - self.up_pl_emit[u].db_at(l, near)
     }
 
     /// Tag `u`'s emission at tag `t`'s detector, dBm, from the live
@@ -1071,6 +1026,25 @@ impl LinkMatrix {
     fn tag_at_carrier_dbm(&self, u: usize, c: usize) -> f64 {
         let (l, near) = log_distance(&self.tag_pos[u], &self.carrier_pos[c]);
         self.up_base_db[u] - self.up_pl_emit[u].db_at(l, near)
+    }
+
+    /// Sink `s`'s ack at tag `t`'s detector, dBm.
+    fn sink_at_tag_dbm(&self, s: usize, t: usize) -> f64 {
+        let cl = self.closed();
+        let (l, near) = log_distance(&self.tag_pos[t], &self.sink_pos[s]);
+        cl.sink_tx_dbm[s] + 2.0 + self.pkg.at(t, self.pkg.sink_freq[s])
+            - cl.pl_sink[s].db_at(l, near)
+    }
+
+    /// External source `k`'s emission at tag `t`'s detector, dBm
+    /// ([`SILENT_DBM`] for a silent source).
+    fn ext_at_tag_dbm(&self, k: usize, t: usize) -> f64 {
+        let ext = self.ext();
+        let (Some(pl), Some(f)) = (ext.pl[k], self.pkg.ext_freq[k]) else {
+            return SILENT_DBM;
+        };
+        let (l, near) = log_distance(&self.tag_pos[t], &ext.pos[k]);
+        ext.eirp_dbm[k] + self.pkg.at(t, f) - pl.db_at(l, near)
     }
 
     /// Carrier `p`'s poll at tag `t`'s detector, dBm.
@@ -1095,7 +1069,7 @@ impl LinkMatrix {
     /// closed-loop tables, external ones the scenario's coex sources.
     pub fn power_dbm(&self, from: Emitter, at: Listener) -> f64 {
         match (from, at) {
-            (Emitter::Tag(u), Listener::Receiver(r)) => self.interference_dbm.at(u, r),
+            (Emitter::Tag(u), Listener::Receiver(r)) => self.tag_at_rx_dbm(u, r),
             (Emitter::Tag(u), Listener::Tag(t)) => self.tag_at_tag_dbm(u, t),
             (Emitter::Tag(u), Listener::Carrier(c)) => self.tag_at_carrier_dbm(u, c),
             (Emitter::Carrier(p), Listener::Receiver(r)) => self.closed().carrier_at_rx.at(p, r),
@@ -1104,10 +1078,10 @@ impl LinkMatrix {
                 self.closed().carrier_at_carrier.at(p, c)
             }
             (Emitter::Sink(s), Listener::Receiver(r)) => self.closed().sink_at_rx.at(s, r),
-            (Emitter::Sink(s), Listener::Tag(t)) => self.closed().sink_at_tag.at(t, s),
+            (Emitter::Sink(s), Listener::Tag(t)) => self.sink_at_tag_dbm(s, t),
             (Emitter::Sink(s), Listener::Carrier(c)) => self.closed().sink_at_carrier.at(s, c),
             (Emitter::External(k), Listener::Receiver(r)) => self.ext().at_rx.at(k, r),
-            (Emitter::External(k), Listener::Tag(t)) => self.ext().at_tag.at(t, k),
+            (Emitter::External(k), Listener::Tag(t)) => self.ext_at_tag_dbm(k, t),
             (Emitter::External(k), Listener::Carrier(c)) => self.ext().at_carrier.at(k, c),
         }
     }
@@ -1406,77 +1380,111 @@ mod tests {
         out
     }
 
-    /// Every emitter × listener pairing of two matrices (and every budget)
-    /// agrees to within floating-point noise, read through the public
-    /// query surface.
+    /// Every emitter × listener pairing of two matrices and every budget
+    /// agree to the last mantissa bit, read through the public query
+    /// surface.
     fn assert_tables_match(a: &LinkMatrix, b: &LinkMatrix, what: &str) {
-        let close = |x: f64, y: f64| (x - y).abs() < 1e-9;
-        let n_rx = a.sink_pos.len();
+        let same = |x: &LinkBudget, y: &LinkBudget| {
+            [
+                (x.median_rssi_dbm, y.median_rssi_dbm),
+                (x.shadow_sigma_db, y.shadow_sigma_db),
+                (x.sensitivity_dbm, y.sensitivity_dbm),
+                (x.noise_floor_dbm, y.noise_floor_dbm),
+            ]
+            .iter()
+            .all(|(p, q)| p.to_bits() == q.to_bits())
+        };
         for t in 0..a.len() {
+            let (x, y) = (a.budget(t), b.budget(t));
             assert!(
-                close(a.budget(t).median_rssi_dbm, b.budget(t).median_rssi_dbm),
-                "{what}: uplink budget of tag {t}"
+                same(x, y),
+                "{what}: uplink budget of tag {t}: {x:?} vs {y:?}"
             );
-            for r in 0..n_rx {
-                assert!(
-                    close(a.interference_dbm(t, r), b.interference_dbm(t, r)),
-                    "{what}: interference {t}→{r}"
-                );
+            if a.closed_loop.is_some() {
+                let (x, y) = (a.poll_budget(t), b.poll_budget(t));
+                assert!(same(x, y), "{what}: poll budget of tag {t}: {x:?} vs {y:?}");
+                let (x, y) = (a.ack_budget(t), b.ack_budget(t));
+                assert!(same(x, y), "{what}: ack budget of tag {t}: {x:?} vs {y:?}");
             }
-        }
-        if a.closed_loop.is_none() {
-            return;
-        }
-        for t in 0..a.len() {
-            assert!(
-                close(
-                    a.poll_budget(t).median_rssi_dbm,
-                    b.poll_budget(t).median_rssi_dbm
-                ),
-                "{what}: poll budget of tag {t}"
-            );
-            assert!(
-                close(
-                    a.ack_budget(t).median_rssi_dbm,
-                    b.ack_budget(t).median_rssi_dbm
-                ),
-                "{what}: ack budget of tag {t}"
-            );
         }
         for (from, at) in pairs(a) {
             let (pa, pb) = (a.power_dbm(from, at), b.power_dbm(from, at));
-            assert!(close(pa, pb), "{what}: {from:?} at {at:?}: {pa} vs {pb}");
+            assert_eq!(
+                pa.to_bits(),
+                pb.to_bits(),
+                "{what}: {from:?} at {at:?}: {pa} vs {pb}"
+            );
+        }
+    }
+
+    /// Moves `id` by `(dx, dy)` in both the matrix and the scenario copy the
+    /// rebuild reads.
+    fn nudge(matrix: &mut LinkMatrix, moved: &mut Scenario, id: EntityId, dx: f64, dy: f64) {
+        let p = matrix.position(id);
+        let p = Position::new(p.x + dx, p.y + dy, p.z);
+        matrix.set_position(id, p);
+        match id {
+            EntityId::Tag(t) => moved.place_tag(t, p),
+            EntityId::Carrier(c) => moved.place_carrier(c, p),
+            EntityId::Sink(s) => moved.place_sink(s, p),
+        }
+    }
+
+    /// Re-tunes the first Wi-Fi tag to another Wi-Fi receiver's channel, in
+    /// both the matrix and the scenario copy (a no-op on presets without
+    /// such a pair).
+    fn retune_first_wifi_tag(matrix: &mut LinkMatrix, base: &Scenario, moved: &mut Scenario) {
+        for (t, tag) in base.tags.iter().enumerate() {
+            let NetPhy::Wifi { rate, .. } = tag.phy else {
+                continue;
+            };
+            for (r, rx) in base.receivers.iter().enumerate() {
+                let crate::entities::SinkKind::Wifi { channel } = rx.kind else {
+                    continue;
+                };
+                if r == matrix.tag_receiver(t) {
+                    continue;
+                }
+                let phy = NetPhy::Wifi { rate, channel };
+                matrix.retune_tag(base, t, r, phy);
+                moved.tags[t].receiver = r;
+                moved.tags[t].phy = phy;
+                return;
+            }
         }
     }
 
     #[test]
     fn incremental_update_matches_full_rebuild() {
-        // Move a tag, a carrier and a sink through the incremental path and
-        // through a from-scratch build of the moved scenario: every table
-        // must agree.
-        for base in [
-            Scenario::hospital_ward(10),
-            Scenario::hospital_ward(10).closed_loop(),
-            Scenario::card_to_card_room(5).closed_loop(),
-        ] {
+        // Move tags, a carrier and a sink and re-tune a tag through the
+        // incremental path, then build the moved scenario from scratch:
+        // every budget and every emitter × listener power must agree bit
+        // for bit, through two rounds of moves and flushes.
+        for base in presets() {
             let mut matrix = LinkMatrix::build(&base).unwrap();
             let mut moved = base.clone();
-            let new_tag_pos = Position::new(4.5, 6.5, 1.1);
-            let new_carrier_pos = Position::new(2.0, 2.5, 1.0);
-            let new_sink_pos = Position::new(9.0, 1.0, 2.0);
-            moved.place_tag(0, new_tag_pos);
-            moved.place_carrier(0, new_carrier_pos);
-            moved.place_sink(0, new_sink_pos);
-
-            matrix.set_position(EntityId::Tag(0), new_tag_pos);
-            matrix.set_position(EntityId::Carrier(0), new_carrier_pos);
-            matrix.set_position(EntityId::Sink(0), new_sink_pos);
+            let last = base.tags.len() - 1;
+            nudge(&mut matrix, &mut moved, EntityId::Tag(0), 0.7, -0.4);
+            nudge(&mut matrix, &mut moved, EntityId::Carrier(0), -0.3, 0.5);
+            nudge(&mut matrix, &mut moved, EntityId::Sink(0), 0.9, 0.2);
             assert_eq!(matrix.dirty_len(), 3);
+            // The re-tuned tag is tag 0, already dirty, on every Wi-Fi preset.
+            retune_first_wifi_tag(&mut matrix, &base, &mut moved);
             assert_eq!(matrix.flush(&base), 3);
             assert_eq!(matrix.dirty_len(), 0);
+            assert_tables_match(&matrix, &LinkMatrix::build(&moved).unwrap(), &base.name);
 
-            let rebuilt = LinkMatrix::build(&moved).unwrap();
-            assert_tables_match(&matrix, &rebuilt, &base.name);
+            // A second round, as a mobility tick would: every entity kind
+            // again, including the last tag and sink.
+            nudge(&mut matrix, &mut moved, EntityId::Tag(last), -0.2, 0.3);
+            nudge(&mut matrix, &mut moved, EntityId::Tag(0), 0.1, 0.1);
+            let last_sink = EntityId::Sink(base.receivers.len() - 1);
+            nudge(&mut matrix, &mut moved, last_sink, -0.5, 0.4);
+            let last_carrier = EntityId::Carrier(base.carriers.len() - 1);
+            nudge(&mut matrix, &mut moved, last_carrier, 0.2, -0.6);
+            matrix.flush(&base);
+            let what = format!("{} (second round)", base.name);
+            assert_tables_match(&matrix, &LinkMatrix::build(&moved).unwrap(), &what);
         }
     }
 
@@ -1549,12 +1557,8 @@ mod tests {
             retuned.place_carrier(0, moved);
             retuned.validate().unwrap();
             let rebuilt = LinkMatrix::build(&retuned).unwrap();
-            assert_tables_match(&matrix, &rebuilt, &base.name);
             // The sigma/sensitivity terms re-derive too, not just medians.
-            let (a, b) = (matrix.budget(1), rebuilt.budget(1));
-            assert!((a.shadow_sigma_db - b.shadow_sigma_db).abs() < 1e-9);
-            assert!((a.sensitivity_dbm - b.sensitivity_dbm).abs() < 1e-9);
-            assert!((a.noise_floor_dbm - b.noise_floor_dbm).abs() < 1e-9);
+            assert_tables_match(&matrix, &rebuilt, &base.name);
         }
     }
 
