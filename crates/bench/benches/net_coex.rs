@@ -11,7 +11,6 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use interscatter_net::coex::ReStripe;
-use interscatter_net::engine::NetworkSim;
 use interscatter_net::scenario::{ExecutionSection, Scenario};
 
 /// Shortens a ward's horizon so the 100-tag points stay benchable, turns
@@ -62,7 +61,7 @@ fn bench_coex(c: &mut Criterion) {
             // One pre-run pins the workload size (deterministic per seed):
             // fleet attempts plus external emissions are the events whose
             // rate matters.
-            let m = NetworkSim::new(&scenario, 42).run().unwrap().metrics;
+            let m = interscatter_net::run(&scenario, 42).unwrap().metrics;
             assert!(
                 label == "legacy" || m.external_emissions() > 0,
                 "{label}_{n}: the congested workload must actually congest"
@@ -70,7 +69,7 @@ fn bench_coex(c: &mut Criterion) {
             let events = m.attempts() + m.external_emissions();
             group.throughput(Throughput::Elements(events.max(1) as u64));
             group.bench_function(format!("{label}_{n}_tags"), |b| {
-                b.iter(|| NetworkSim::new(&scenario, 42).run().unwrap())
+                b.iter(|| interscatter_net::run(&scenario, 42).unwrap())
             });
         }
     }

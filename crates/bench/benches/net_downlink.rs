@@ -5,7 +5,6 @@
 //! trajectory the way `net_engine` anchors the uplink-only engine's.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use interscatter_net::engine::NetworkSim;
 use interscatter_net::scenario::{ExecutionSection, Scenario};
 
 /// `scenario` cut to 1 simulated second, traces off.
@@ -30,14 +29,13 @@ fn bench_transaction_scaling(c: &mut Criterion) {
         let scenario = ward(n);
         // Annotate with the completed-transaction count of the measured
         // run so criterion reports transactions per wall-clock second.
-        let transactions = NetworkSim::new(&scenario, 42)
-            .run()
+        let transactions = interscatter_net::run(&scenario, 42)
             .unwrap()
             .metrics
             .completed_transactions();
         group.throughput(Throughput::Elements(transactions.max(1) as u64));
         group.bench_function(format!("ward_{n}_tags"), |b| {
-            b.iter(|| NetworkSim::new(&scenario, 42).run().unwrap())
+            b.iter(|| interscatter_net::run(&scenario, 42).unwrap())
         });
     }
     group.finish();
@@ -50,11 +48,11 @@ fn bench_loop_overhead(c: &mut Criterion) {
     group.sample_size(20);
     let open = one_second_untraced(Scenario::hospital_ward(20));
     group.bench_function("open_loop_ward_20", |b| {
-        b.iter(|| NetworkSim::new(&open, 42).run().unwrap())
+        b.iter(|| interscatter_net::run(&open, 42).unwrap())
     });
     let closed = ward(20);
     group.bench_function("closed_loop_ward_20", |b| {
-        b.iter(|| NetworkSim::new(&closed, 42).run().unwrap())
+        b.iter(|| interscatter_net::run(&closed, 42).unwrap())
     });
     group.finish();
 }

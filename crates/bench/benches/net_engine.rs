@@ -4,7 +4,6 @@
 //! This anchors the performance trajectory as the engine grows.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use interscatter_net::engine::NetworkSim;
 use interscatter_net::scenario::{ExecutionSection, Scenario};
 
 /// A 1-second ward scenario sized to `n` tags with the given run shape.
@@ -46,7 +45,7 @@ fn bench_engine_scaling(c: &mut Criterion) {
         let scenario = untraced_ward(n);
         group.throughput(Throughput::Elements(approx_events(&scenario)));
         group.bench_function(format!("ward_{n}_tags"), |b| {
-            b.iter(|| NetworkSim::new(&scenario, 42).run().unwrap())
+            b.iter(|| interscatter_net::run(&scenario, 42).unwrap())
         });
     }
     group.finish();
@@ -58,10 +57,10 @@ fn bench_trace_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("net_trace");
     group.sample_size(20);
     group.bench_function("traced", |b| {
-        b.iter(|| NetworkSim::new(&traced, 42).run().unwrap())
+        b.iter(|| interscatter_net::run(&traced, 42).unwrap())
     });
     group.bench_function("untraced", |b| {
-        b.iter(|| NetworkSim::new(&untraced, 42).run().unwrap())
+        b.iter(|| interscatter_net::run(&untraced, 42).unwrap())
     });
     group.finish();
 }

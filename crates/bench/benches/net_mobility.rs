@@ -9,7 +9,6 @@
 //! what buys that gap.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use interscatter_net::engine::NetworkSim;
 use interscatter_net::entities::Position;
 use interscatter_net::links::{EntityId, LinkMatrix};
 use interscatter_net::scenario::{ExecutionSection, Scenario};
@@ -72,10 +71,10 @@ fn bench_mobile_run(c: &mut Criterion) {
     let mut group = c.benchmark_group("net_mobile_run");
     group.sample_size(20);
     group.bench_function("ambulatory_ward_20", |b| {
-        b.iter(|| NetworkSim::new(&scenario, 42).run().unwrap())
+        b.iter(|| interscatter_net::run(&scenario, 42).unwrap())
     });
     group.bench_function("frozen_ward_20", |b| {
-        b.iter(|| NetworkSim::new(&frozen, 42).run().unwrap())
+        b.iter(|| interscatter_net::run(&frozen, 42).unwrap())
     });
     group.finish();
 }

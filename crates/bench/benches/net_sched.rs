@@ -6,7 +6,6 @@
 //! and anchors the cost of the smarter policies.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use interscatter_net::engine::NetworkSim;
 use interscatter_net::scenario::{ExecutionSection, Scenario};
 use interscatter_net::sched::SchedPolicy;
 
@@ -35,14 +34,13 @@ fn bench_policies(c: &mut Criterion) {
             let scenario = ward(n, policy);
             // One pre-run pins the grant count (deterministic per seed),
             // so the reported rate is true grants per second.
-            let grants = NetworkSim::new(&scenario, 42)
-                .run()
+            let grants = interscatter_net::run(&scenario, 42)
                 .unwrap()
                 .metrics
                 .grants();
             group.throughput(Throughput::Elements(grants.max(1) as u64));
             group.bench_function(format!("{}_{n}_tags", policy.slug()), |b| {
-                b.iter(|| NetworkSim::new(&scenario, 42).run().unwrap())
+                b.iter(|| interscatter_net::run(&scenario, 42).unwrap())
             });
         }
     }

@@ -5,7 +5,6 @@
 //! pre-telemetry engine (`net_engine/ward_*` tracks the same scenarios).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use interscatter_net::engine::NetworkSim;
 use interscatter_net::scenario::{ExecutionSection, Scenario};
 use interscatter_net::telemetry::{
     Dataset, Filter, SinkSpec, Subscription, TelemetryConfig, TelemetryKind,
@@ -72,7 +71,7 @@ fn bench_subscription_overhead(c: &mut Criterion) {
         let base = ward(n_tags);
         // Events per run, measured once so the throughput annotation is
         // events/sec rather than runs/sec.
-        let events = NetworkSim::new(&base, 42).run().unwrap().telemetry.events;
+        let events = interscatter_net::run(&base, 42).unwrap().telemetry.events;
         group.throughput(Throughput::Elements(events));
         for n_subs in [0usize, 1, 8] {
             let telemetry = subscriptions(n_subs, n_tags)
@@ -80,7 +79,7 @@ fn bench_subscription_overhead(c: &mut Criterion) {
                 .fold(TelemetryConfig::new(), TelemetryConfig::subscribe);
             let scenario = base.clone().builder().telemetry(telemetry).build().unwrap();
             group.bench_function(format!("{n_tags}_tags_{n_subs}_subs"), |b| {
-                b.iter(|| NetworkSim::new(&scenario, 42).run().unwrap())
+                b.iter(|| interscatter_net::run(&scenario, 42).unwrap())
             });
         }
     }

@@ -20,7 +20,7 @@ pub use crate::channel::antenna::Antenna;
 pub use crate::channel::link::BackscatterLink;
 pub use crate::channel::pathloss::LogDistanceModel;
 pub use crate::dsp::Cplx;
-pub use crate::net::engine::{NetRunResult, NetworkSim};
+pub use crate::net::engine::NetRunResult;
 pub use crate::net::mac::{MacLoop, MacMode};
 pub use crate::net::runner::MonteCarloReport;
 pub use crate::net::scenario::Scenario;

@@ -46,10 +46,11 @@ pub enum RuleId {
     /// deterministic-merge helper.
     OrderedMerge,
     /// A shared-state or message-passing primitive (`Mutex`, `RwLock`,
-    /// `Atomic*`, `mpsc`, raw `thread` spawns …) in the engine crate:
-    /// cross-shard state must flow through the epoch-boundary
-    /// drain → merge → inject surface of the sharded executor, never
-    /// through a side channel whose observation order the scheduler picks.
+    /// `Atomic*`, `mpsc`, raw `thread` spawns …) in the engine crate: a
+    /// run's state belongs to its one engine core, and parallel work
+    /// (Monte-Carlo trials) merges through `rayon::det`'s ordered helpers,
+    /// never through a side channel whose observation order the scheduler
+    /// picks.
     ShardExchange,
     /// A malformed allow-pragma: unknown rule name or missing
     /// justification.
@@ -116,9 +117,9 @@ impl RuleId {
                  instead of raw parallel iterators, so results merge in input order"
             }
             RuleId::ShardExchange => {
-                "cross-shard state must cross cell boundaries through the sharded \
-                 executor's epoch exchange (net::shard's drain/merge/inject path over \
-                 rayon::det), not through locks, atomics, channels or raw threads"
+                "a run's state belongs to its one engine core: run parallel work \
+                 (Monte-Carlo trials) through rayon::det's ordered helpers, not \
+                 through locks, atomics, channels or raw threads"
             }
             RuleId::BadPragma => {
                 "write // detlint: allow(<rule>): <justification> — the \
@@ -380,8 +381,9 @@ fn check_idents(path: &str, code: &[&Token], findings: &mut Vec<Finding>) {
                 RuleId::ShardExchange,
                 t.line,
                 format!(
-                    "`{}` is a cross-shard side channel: shard state may only \
-                     cross cell boundaries through the epoch exchange",
+                    "`{}` is a side channel in the engine crate: run state \
+                     stays with its engine core, and parallel results merge \
+                     through rayon::det",
                     t.text
                 ),
             ),
@@ -389,8 +391,9 @@ fn check_idents(path: &str, code: &[&Token], findings: &mut Vec<Finding>) {
                 RuleId::ShardExchange,
                 t.line,
                 format!(
-                    "`{}` shares mutable state across workers outside the \
-                     epoch exchange; observation order is scheduler-picked",
+                    "`{}` shares mutable state across workers outside \
+                     rayon::det's ordered merge; observation order is \
+                     scheduler-picked",
                     t.text
                 ),
             ),

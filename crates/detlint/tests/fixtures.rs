@@ -222,8 +222,9 @@ fn shard_exchange_fires_on_sync_primitives_in_the_engine_crate() {
 
 #[test]
 fn shard_exchange_silent_on_the_epoch_exchange_and_outside_the_engine() {
-    // The sanctioned path: ordered chunking plus the boundary drain/inject.
-    let ok = "fn step(cores: &mut [EngineCore]) {\n  rayon::det::for_each_mut_ordered(4, cores, |_, c| c.run_until(limit));\n  let rows: Vec<_> = cores.iter_mut().map(|c| c.drain_boundary()).collect();\n}\n";
+    // The sanctioned path: one core stepped through its epoch chunks, and
+    // trials merged in order by the rayon shim's helper.
+    let ok = "fn step(core: &mut EngineCore) {\n  while !core.is_done() { core.run_until(limit); }\n  let trials = rayon::det::map_indexed_ordered(4, |t| trial(t));\n}\n";
     assert_eq!(fire(NET, ok, RuleId::ShardExchange), 0);
     // The rayon shim holds the scoped threads; bench code times freely.
     let shim = "fn f() { std::thread::scope(|s| { s.spawn(|| {}); }); }\n";

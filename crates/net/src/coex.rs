@@ -248,36 +248,6 @@ impl CoexTraffic for Microwave {
     }
 }
 
-/// The sharded executor's cross-cell interference proxy
-/// ([`crate::shard`]): never schedules traffic of its own — the executor
-/// injects hidden ghost windows directly into the cell's medium at epoch
-/// boundaries — but reports a nominal mid-ISM band so the link tables
-/// build power rows for it. Not constructible from presets; one is
-/// appended per cell by the executor.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GhostProxy;
-
-impl CoexTraffic for GhostProxy {
-    fn next_emission(&self, _rng: &mut SmallRng) -> Option<(f64, f64)> {
-        // Silent on its own RNG stream: the executor schedules the windows.
-        None
-    }
-
-    fn band(&self) -> Option<Band> {
-        // A nominal mid-ISM band: only the *path-loss model* keys on this
-        // (the injected windows carry their real exchanged bands).
-        Some(Band::new(2.44e9, 80e6))
-    }
-
-    fn access(&self) -> MediumAccess {
-        MediumAccess::Hidden
-    }
-
-    fn slug(&self) -> &'static str {
-        "ghost"
-    }
-}
-
 /// The generator catalogue a [`CoexSource`] can run (plain data, `Copy`,
 /// like [`crate::mobility::MobilityModel`] and
 /// [`crate::sched::SchedPolicy`]).
@@ -293,8 +263,6 @@ pub enum CoexModel {
     ZigbeeChatter(ZigbeeChatter),
     /// An on/off microwave duty cycle.
     Microwave(Microwave),
-    /// The sharded executor's cross-cell interference proxy.
-    Ghost(GhostProxy),
 }
 
 impl CoexModel {
@@ -306,7 +274,6 @@ impl CoexModel {
             CoexModel::BleAdvertiser(m) => m,
             CoexModel::ZigbeeChatter(m) => m,
             CoexModel::Microwave(m) => m,
-            CoexModel::Ghost(m) => m,
         }
     }
 }
@@ -423,13 +390,6 @@ impl CoexSource {
         )
     }
 
-    /// The sharded executor's per-cell cross-cell interference emitter:
-    /// placed at the centroid of the *other* cells' carriers, as loud as
-    /// the loudest foreign carrier ([`crate::shard`]).
-    pub(crate) fn ghost(position: Position, tx_power_dbm: f64) -> Self {
-        CoexSource::always(position, tx_power_dbm, CoexModel::Ghost(GhostProxy))
-    }
-
     /// Restricts the source to the `[start_s, stop_s)` window (builder
     /// style) — how a preset hammers a channel *mid-run*.
     pub fn active(mut self, start_s: f64, stop_s: f64) -> Self {
@@ -496,8 +456,6 @@ impl CoexSource {
                     ));
                 }
             }
-            // The executor-internal proxy has no parameters of its own.
-            CoexModel::Ghost(GhostProxy) => {}
         }
         Ok(())
     }

@@ -1,6 +1,6 @@
 //! The discrete-event simulation loop.
 //!
-//! One [`NetworkSim`] owns the event queue, the medium, the link matrix
+//! One engine core owns the event queue, the medium, the link matrix
 //! and every entity's runtime state (packet queues, round-robin cursors,
 //! per-entity RNG streams). Determinism comes from three rules:
 //!
@@ -26,7 +26,7 @@ use crate::mac::{self, LoopPhase, MacLoop, MacMode};
 use crate::medium::{Band, Emitter, Medium, TxReport};
 use crate::metrics::{MobilitySample, NetworkMetrics, OccupancySample, ReStripeEvent, TagTable};
 use crate::mobility::{MobilityConfig, MotionState};
-use crate::prof::{CellProf, ProfReport};
+use crate::prof::{CellProf, ProfReport, Profiler};
 use crate::scenario::Scenario;
 use crate::sched::{CarrierSched, SlotView};
 use crate::telemetry::{
@@ -178,94 +178,54 @@ pub struct NetRunResult {
     /// event count) when the scenario registers no subscriptions.
     pub telemetry: TelemetryReport,
     /// The run's self-profile ([`crate::prof`]): wall-clock span timeline
-    /// plus phase/shard-load summary. `Some` only when
+    /// plus phase summary. `Some` only when
     /// [`crate::scenario::ExecutionConfig::profile`] was set; never
     /// consulted by the simulation, so digests are identical either way.
     pub prof: Option<ProfReport>,
 }
 
-/// A configured simulation, ready to run.
-#[derive(Debug, Clone)]
-pub struct NetworkSim<'a> {
-    scenario: &'a Scenario,
+/// Runs `scenario` once with `seed` on one engine core, in
+/// [`crate::scenario::ExecutionConfig::epoch_s`] chunks — the engine behind
+/// [`crate::run`] and [`crate::run_trials`].
+///
+/// The chunks exist only for progress lines and `"epoch"` profiling spans:
+/// the [`crate::event::EventQueue::pop_before`] gate makes the chunked pop
+/// sequence identical to one uninterrupted pass, so the trace, metrics and
+/// telemetry are byte-identical at any epoch length.
+pub(crate) fn execute(
+    scenario: &Scenario,
     seed: u64,
-}
-
-impl<'a> NetworkSim<'a> {
-    /// Prepares a run of `scenario` with the given seed. The event trace
-    /// is recorded when the scenario's
-    /// [`crate::scenario::ExecutionConfig::trace`] is set (the default).
-    pub fn new(scenario: &'a Scenario, seed: u64) -> Self {
-        NetworkSim { scenario, seed }
+    record_trace: bool,
+) -> Result<NetRunResult, NetError> {
+    let profiler = scenario
+        .execution
+        .profile
+        .then(|| Profiler::wall(scenario.execution.build_ns));
+    let epoch_ns = Time::from_secs(scenario.execution.epoch_s)
+        .as_nanos()
+        .max(1);
+    let mut core = EngineCore::new(scenario, seed, record_trace)?;
+    let mut limit = epoch_ns;
+    while !core.is_done() {
+        core.run_until(Time(limit));
+        limit = limit.saturating_add(epoch_ns);
     }
-
-    /// Runs the simulation to its horizon.
-    ///
-    /// This is the exact single-engine reference: one event loop over the
-    /// whole scenario, no cell partition, no epoch chunking. The sharded
-    /// executor ([`crate::run`] / [`crate::shard`]) drives the same engine
-    /// core per spatial cell instead, which is byte-identical on
-    /// single-cell scenarios and approximates cross-cell interference on
-    /// multi-cell ones.
-    pub fn run(self) -> Result<NetRunResult, NetError> {
-        let trace = self.scenario.execution.trace;
-        let mut core = EngineCore::new(self.scenario, self.seed, trace)?;
-        core.run_until(Time::from_nanos(u64::MAX));
-        Ok(core.finish())
-    }
-}
-
-/// Per-band in-model emission airtime accumulated since the last epoch
-/// boundary. The sharded executor drains this at every boundary and turns
-/// each cell's foreign share into a hidden ghost window in every *other*
-/// cell ([`crate::shard`]). Rows stay sorted by the canonical band order
-/// (`total_cmp` on center, then bandwidth bits), so the drain order is
-/// deterministic and independent of emission arrival order.
-#[derive(Debug, Default)]
-pub(crate) struct BoundaryAccum {
-    rows: Vec<(Band, f64)>,
-}
-
-/// The canonical cross-cell band order: bit-exact float comparison, the
-/// same identity the medium's band registry uses.
-pub(crate) fn band_order(a: &Band, b: &Band) -> std::cmp::Ordering {
-    a.center_hz
-        .total_cmp(&b.center_hz)
-        .then(a.bandwidth_hz.total_cmp(&b.bandwidth_hz))
-}
-
-impl BoundaryAccum {
-    fn charge(&mut self, band: Band, airtime_s: f64) {
-        match self.rows.binary_search_by(|(b, _)| band_order(b, &band)) {
-            Ok(i) => self.rows[i].1 += airtime_s,
-            Err(i) => self.rows.insert(i, (band, airtime_s)),
+    let mut result = core.finish();
+    if let Some(mut p) = profiler {
+        if let Some(engine) = result.prof.take() {
+            p.absorb(engine);
         }
+        result.prof = Some(p.finish(&scenario.name));
     }
-}
-
-/// Charges an in-model emission window to the boundary accumulator (no-op
-/// on the exact unsharded path, where `boundary` is `None`).
-fn charge_boundary(
-    boundary: &mut Option<BoundaryAccum>,
-    primary: Band,
-    mirror: Option<Band>,
-    window_s: f64,
-) {
-    let Some(b) = boundary.as_mut() else { return };
-    b.charge(primary, window_s);
-    if let Some(m) = mirror {
-        b.charge(m, window_s);
-    }
+    Ok(result)
 }
 
 /// The resumable engine: all of a run's state behind a `run_until` cursor.
 ///
-/// [`NetworkSim::run`] is `new` + `run_until(u64::MAX)` + `finish` — one
-/// uninterrupted pass, byte-identical to the pre-refactor engine. The
-/// sharded executor instead interleaves `run_until(epoch_k)` calls across
-/// cells with an interference exchange between epochs; the
+/// [`execute`] drives it as `new`, then `run_until(epoch_k)` for ascending
+/// epoch boundaries until the horizon, then `finish`; the
 /// [`crate::event::EventQueue::pop_before`] gate guarantees the chunked
-/// pop sequence is identical to the uninterrupted one.
+/// pop sequence is identical to one uninterrupted pass.
 pub(crate) struct EngineCore<'a> {
     scenario: &'a Scenario,
     links: LinkMatrix,
@@ -285,14 +245,6 @@ pub(crate) struct EngineCore<'a> {
     airborne: Vec<bool>,
     ext_occ: Vec<f64>,
     coex: Option<CoexRuntime<'a>>,
-    /// `Some` only in sharded mode: per-band airtime for the exchange.
-    boundary: Option<BoundaryAccum>,
-    /// Pending ghost windows: `(band, end)` per [`EventKind::GhostStart`]
-    /// index. Band/Time live here because [`EventKind`] derives `Eq` and
-    /// [`Band`] holds floats.
-    ghosts: Vec<(Band, Time)>,
-    /// Index of the cell's ghost coex source (sharded mode only).
-    ghost_source: Option<usize>,
     /// Self-profiling recorder, `Some` only when the scenario enables
     /// profiling. Wall-clock state stays out of the event loop's inputs —
     /// detlint's `wall_clock` rule keeps `Instant` itself in `prof.rs`.
@@ -518,66 +470,14 @@ impl<'a> EngineCore<'a> {
             airborne,
             ext_occ,
             coex,
-            boundary: None,
-            ghosts: Vec::new(),
-            ghost_source: None,
             prof,
             done: false,
         })
     }
 
-    /// Re-tags the core's profiling spans onto cell `cell`'s track. The
-    /// sharded executor calls this after construction — init spans are
-    /// recorded before the core knows which cell it runs.
-    pub(crate) fn set_prof_track(&mut self, cell: u32) {
-        if let Some(p) = self.prof.as_mut() {
-            p.set_track(cell + 1);
-        }
-    }
-
-    /// Switches the core into sharded mode: accumulate per-band in-model
-    /// airtime for the epoch-boundary exchange, and resolve the cell's
-    /// ghost coex source (the emitter foreign interference is charged to).
-    pub(crate) fn enable_boundary_exchange(&mut self) {
-        self.boundary = Some(BoundaryAccum::default());
-        self.ghost_source = self.scenario.coex.as_ref().and_then(|cfg| {
-            cfg.sources
-                .iter()
-                .position(|s| matches!(s.model, crate::coex::CoexModel::Ghost(_)))
-        });
-    }
-
-    /// Drains the per-band airtime charged since the previous drain, in
-    /// the canonical band order. Empty on the exact unsharded path.
-    pub(crate) fn drain_boundary(&mut self) -> Vec<(Band, f64)> {
-        match self.boundary.as_mut() {
-            Some(b) => std::mem::take(&mut b.rows),
-            None => Vec::new(),
-        }
-    }
-
-    /// Schedules a hidden cross-cell interference window `[at, end)` on
-    /// `band`, emitted by the cell's ghost coex source. Only the sharded
-    /// executor calls this, between epochs.
-    pub(crate) fn inject_ghost(&mut self, at: Time, band: Band, end: Time) {
-        debug_assert!(
-            self.ghost_source.is_some(),
-            "inject_ghost without enable_boundary_exchange"
-        );
-        let ghost = self.ghosts.len();
-        self.ghosts.push((band, end));
-        self.queue.schedule(at, EventKind::GhostStart { ghost });
-    }
-
     /// True once the horizon event has been consumed.
     pub(crate) fn is_done(&self) -> bool {
         self.done
-    }
-
-    /// Engine events processed so far (the sharded executor's progress
-    /// lines sum this across cells mid-run).
-    pub(crate) fn events_so_far(&self) -> u64 {
-        self.tele.events()
     }
 
     /// Pops and handles every event strictly before `limit` (and nothing
@@ -608,9 +508,6 @@ impl<'a> EngineCore<'a> {
             ref mut airborne,
             ref ext_occ,
             ref mut coex,
-            ref mut boundary,
-            ref ghosts,
-            ghost_source,
             ref mut prof,
             ref mut done,
         } = *self;
@@ -896,7 +793,6 @@ impl<'a> EngineCore<'a> {
                                 airtime,
                             );
                             let tx_id = medium.start(Emitter::Tag(tag), primary, mirror, now, end);
-                            charge_boundary(boundary, primary, mirror, airtime);
                             airborne[tag] = true;
                             queue.schedule(
                                 end,
@@ -951,7 +847,6 @@ impl<'a> EngineCore<'a> {
                             }
                             let tx_id =
                                 medium.start(Emitter::Carrier(carrier), band, None, now, end);
-                            charge_boundary(boundary, band, None, poll_air);
                             mac_state.poll_started(tag, now);
                             tag_stats.polls[tag] += 1;
                             queue.schedule(
@@ -1017,12 +912,6 @@ impl<'a> EngineCore<'a> {
                         // emission window: the band is held anyway.
                         let tx_id =
                             medium.start(Emitter::Tag(tag), primary, mirror, now, response_end);
-                        charge_boundary(
-                            boundary,
-                            primary,
-                            mirror,
-                            response_end.since(now).as_secs(),
-                        );
                         airborne[tag] = true;
                         mac_loop
                             .as_mut()
@@ -1200,7 +1089,6 @@ impl<'a> EngineCore<'a> {
                             let ack_end = ack_start.after_secs(mac::ack_airtime_s());
                             let ack_tx =
                                 medium.start(Emitter::Sink(rx_idx), band, None, now, ack_end);
-                            charge_boundary(boundary, band, None, ack_end.since(now).as_secs());
                             mac_loop.as_mut().expect("closed loop").ack_started(tag);
                             queue.schedule(
                                 ack_end,
@@ -1277,31 +1165,6 @@ impl<'a> EngineCore<'a> {
                             )
                         });
                     }
-                }
-                EventKind::GhostStart { ghost } => {
-                    let now = event.at;
-                    let (band, end) = ghosts[ghost];
-                    let source = ghost_source.expect("ghost window without a ghost source");
-                    // Hidden, like a distant transmitter: invisible to the
-                    // fleet's carrier-sense, but its power lands in the
-                    // capture arbitration and the AP-side occupancy that
-                    // sensing reads.
-                    let tx_id =
-                        medium.start_hidden(Emitter::External(source), band, None, now, end);
-                    queue.schedule(end, EventKind::GhostEnd { ghost, tx_id });
-                    trace.record(now, || {
-                        format!(
-                            "ghost window: {} ns foreign airtime on {} Hz",
-                            end.since(now).as_nanos(),
-                            band.center_hz as u64
-                        )
-                    });
-                }
-                EventKind::GhostEnd { ghost: _, tx_id } => {
-                    // Like an external burst's end, the report is nobody's
-                    // business: in-model victims collect it at their own
-                    // finishes.
-                    let _ = medium.finish(tx_id);
                 }
             }
         }
@@ -1724,7 +1587,7 @@ mod tests {
     use crate::mobility::{Bounds, MobilityModel, RandomWaypoint};
     use crate::scenario::{ExecutionSection, Scenario};
 
-    /// Runs `scenario` on the exact engine with event-trace recording off.
+    /// Runs `scenario` with event-trace recording off.
     fn run_untraced(scenario: &Scenario, seed: u64) -> NetRunResult {
         let scenario = scenario
             .clone()
@@ -1732,13 +1595,17 @@ mod tests {
             .execution(ExecutionSection::new().trace(false))
             .build()
             .unwrap();
-        NetworkSim::new(&scenario, seed).run().unwrap()
+        run(&scenario, seed)
+    }
+
+    fn run(scenario: &Scenario, seed: u64) -> NetRunResult {
+        crate::run(scenario, seed).unwrap()
     }
 
     #[test]
     fn runs_and_delivers_traffic() {
         let scenario = Scenario::hospital_ward(12);
-        let result = NetworkSim::new(&scenario, 7).run().unwrap();
+        let result = run(&scenario, 7);
         let m = &result.metrics;
         // ~12 tags × 2 pps × 10 s ≈ 240 offered packets.
         assert!(m.offered_packets() > 120, "offered {}", m.offered_packets());
@@ -1751,11 +1618,11 @@ mod tests {
     #[test]
     fn same_seed_reproduces_different_seed_diverges() {
         let scenario = Scenario::hospital_ward(8);
-        let a = NetworkSim::new(&scenario, 99).run().unwrap();
-        let b = NetworkSim::new(&scenario, 99).run().unwrap();
+        let a = run(&scenario, 99);
+        let b = run(&scenario, 99);
         assert_eq!(a.trace.to_bytes(), b.trace.to_bytes());
         assert_eq!(format!("{:?}", a.metrics), format!("{:?}", b.metrics));
-        let c = NetworkSim::new(&scenario, 100).run().unwrap();
+        let c = run(&scenario, 100);
         assert_ne!(a.trace.to_bytes(), c.trace.to_bytes());
     }
 
@@ -1793,7 +1660,7 @@ mod tests {
     #[test]
     fn card_room_runs_on_shared_spectrum() {
         let scenario = Scenario::card_to_card_room(9);
-        let result = NetworkSim::new(&scenario, 11).run().unwrap();
+        let result = run(&scenario, 11);
         // All pairs share one band: carrier-slot scheduling must still
         // deliver most packets (one tx at a time).
         assert!(result.metrics.delivered_packets() > 0);
@@ -1819,7 +1686,7 @@ mod tests {
             Scenario::card_to_card_room(4).closed_loop(),
             Scenario::zigbee_wing(8).closed_loop(),
         ] {
-            let result = NetworkSim::new(&scenario, 13).run().unwrap();
+            let result = run(&scenario, 13);
             let m = &result.metrics;
             assert!(m.polls() > 0, "{}: no polls", scenario.name);
             assert!(
@@ -1885,22 +1752,22 @@ mod tests {
     #[test]
     fn closed_loop_is_deterministic() {
         let scenario = Scenario::hospital_ward(12).closed_loop();
-        let a = NetworkSim::new(&scenario, 123).run().unwrap();
-        let b = NetworkSim::new(&scenario, 123).run().unwrap();
+        let a = run(&scenario, 123);
+        let b = run(&scenario, 123);
         assert_eq!(a.trace.to_bytes(), b.trace.to_bytes());
         assert_eq!(format!("{:?}", a.metrics), format!("{:?}", b.metrics));
-        let c = NetworkSim::new(&scenario, 124).run().unwrap();
+        let c = run(&scenario, 124);
         assert_ne!(a.trace.to_bytes(), c.trace.to_bytes());
     }
 
     #[test]
     fn mobile_runs_are_deterministic_and_track_displacement() {
         let scenario = Scenario::ambulatory_ward(8);
-        let a = NetworkSim::new(&scenario, 5).run().unwrap();
-        let b = NetworkSim::new(&scenario, 5).run().unwrap();
+        let a = run(&scenario, 5);
+        let b = run(&scenario, 5);
         assert_eq!(a.trace.to_bytes(), b.trace.to_bytes());
         assert_eq!(format!("{:?}", a.metrics), format!("{:?}", b.metrics));
-        let c = NetworkSim::new(&scenario, 6).run().unwrap();
+        let c = run(&scenario, 6);
         assert_ne!(a.trace.to_bytes(), c.trace.to_bytes());
 
         let text = String::from_utf8(a.trace.to_bytes()).unwrap();
@@ -1968,7 +1835,7 @@ mod tests {
     #[test]
     fn closed_loop_survives_mobility() {
         let scenario = Scenario::ambulatory_ward(6).closed_loop();
-        let result = NetworkSim::new(&scenario, 13).run().unwrap();
+        let result = run(&scenario, 13);
         let m = &result.metrics;
         assert!(m.polls() > 0);
         assert!(
@@ -1979,7 +1846,7 @@ mod tests {
         assert!(m.max_displacement_m() > 1.0);
         // Determinism holds with the full poll/ack loop and mobility
         // interleaved.
-        let replay = NetworkSim::new(&scenario, 13).run().unwrap();
+        let replay = run(&scenario, 13);
         assert_eq!(result.trace.to_bytes(), replay.trace.to_bytes());
     }
 
@@ -1995,7 +1862,7 @@ mod tests {
             })
             .build()
             .unwrap();
-        let result = NetworkSim::new(&scenario, 3).run().unwrap();
+        let result = run(&scenario, 3);
         let text = String::from_utf8(result.trace.to_bytes()).unwrap();
         assert!(!text.contains("mobility tick"));
         assert!(result.metrics.mobility_series.iter().all(|s| s.is_empty()));
@@ -2048,7 +1915,7 @@ mod tests {
             ),
         ];
         for (what, scenario, seed, expect) in cases {
-            let result = NetworkSim::new(&scenario, seed).run().unwrap();
+            let result = run(&scenario, seed);
             let digest = result.trace.digest();
             assert_eq!(
                 digest, expect,
@@ -2178,7 +2045,7 @@ mod tests {
             ),
         ];
         for (what, scenario, expect) in cases {
-            let result = NetworkSim::new(&scenario, 42).run().unwrap();
+            let result = run(&scenario, 42);
             let digest = result.trace.digest();
             assert_eq!(
                 digest, expect,
@@ -2202,8 +2069,8 @@ mod tests {
                 .scheduling(policy)
                 .build()
                 .unwrap();
-            let a = NetworkSim::new(&scenario, 17).run().unwrap();
-            let b = NetworkSim::new(&scenario, 17).run().unwrap();
+            let a = run(&scenario, 17);
+            let b = run(&scenario, 17);
             assert_eq!(
                 a.trace.to_bytes(),
                 b.trace.to_bytes(),
@@ -2299,8 +2166,8 @@ mod tests {
             assert_eq!(tag.receiver, striped.carriers[tag.carrier].subband);
         }
         // Both run; striping changes the channel map, hence the trace.
-        let a = NetworkSim::new(&plain, 9).run().unwrap();
-        let b = NetworkSim::new(&striped, 9).run().unwrap();
+        let a = run(&plain, 9);
+        let b = run(&striped, 9);
         assert!(b.metrics.delivered_packets() > 0);
         assert_ne!(a.trace.to_bytes(), b.trace.to_bytes());
     }
@@ -2333,7 +2200,7 @@ mod tests {
         ];
         for (what, scenario, seed, expect) in cases {
             assert!(scenario.coex.is_some());
-            let result = NetworkSim::new(&scenario, seed).run().unwrap();
+            let result = run(&scenario, seed);
             let digest = result.trace.digest();
             assert_eq!(
                 digest, expect,
@@ -2349,10 +2216,7 @@ mod tests {
         // keep transmitting (they cannot hear it) and lose captures at
         // their AP — external collisions, not fleet contention.
         let quiet = run_untraced(&Scenario::hospital_ward(12).with_subband_striping(), 42).metrics;
-        let congested = NetworkSim::new(&Scenario::congested_ward(12), 42)
-            .run()
-            .unwrap()
-            .metrics;
+        let congested = run(&Scenario::congested_ward(12), 42).metrics;
         assert!(congested.external_emissions() > 100);
         assert!(congested.external_airtime_s() > 1.0);
         let ext: usize = congested.tags.iter().map(|t| t.external_collisions).sum();
@@ -2364,9 +2228,7 @@ mod tests {
             congested.per()
         );
         // The trace shows the external bursts.
-        let result = NetworkSim::new(&Scenario::congested_ward(12), 42)
-            .run()
-            .unwrap();
+        let result = run(&Scenario::congested_ward(12), 42);
         let text = String::from_utf8(result.trace.to_bytes()).unwrap();
         assert!(
             text.contains("coex wifi-bursty"),
@@ -2462,7 +2324,7 @@ mod tests {
             .build()
             .unwrap();
         scenario.duration_s = 4.0;
-        let result = NetworkSim::new(&scenario, 5).run().unwrap();
+        let result = run(&scenario, 5);
         let m = &result.metrics;
         assert!(
             m.coex_emissions[0] > 20,
@@ -2491,7 +2353,7 @@ mod tests {
         let seed = 42;
         let fixed = run_untraced(&Scenario::congested_ward(12), seed).metrics;
         let scenario = Scenario::congested_ward(12).with_restripe(crate::coex::ReStripe::default());
-        let result = NetworkSim::new(&scenario, seed).run().unwrap();
+        let result = run(&scenario, seed);
         let adaptive = &result.metrics;
         let (prr_fixed, prr_adaptive) = (1.0 - fixed.per(), 1.0 - adaptive.per());
         assert!(
@@ -2516,7 +2378,7 @@ mod tests {
             "no re-stripe traced"
         );
         // Determinism holds across the mid-run re-stripe.
-        let replay = NetworkSim::new(&scenario, seed).run().unwrap();
+        let replay = run(&scenario, seed);
         assert_eq!(result.trace.to_bytes(), replay.trace.to_bytes());
     }
 
@@ -2568,15 +2430,15 @@ mod tests {
                 .build()
                 .unwrap(),
         ] {
-            let a = NetworkSim::new(&scenario, 31).run().unwrap();
-            let b = NetworkSim::new(&scenario, 31).run().unwrap();
+            let a = run(&scenario, 31);
+            let b = run(&scenario, 31);
             assert_eq!(
                 a.trace.to_bytes(),
                 b.trace.to_bytes(),
                 "{}: same-seed coex traces must match",
                 scenario.name
             );
-            let c = NetworkSim::new(&scenario, 32).run().unwrap();
+            let c = run(&scenario, 32);
             assert_ne!(a.trace.to_bytes(), c.trace.to_bytes());
             // All four emitting kinds actually emitted (the constant is
             // silent by design).

@@ -86,23 +86,6 @@ pub enum EventKind {
     /// integer-nanosecond grid (tick `k` fires at exactly `k · period`),
     /// so the cadence never drifts against the carrier slots.
     MobilityTick,
-    /// Sharded execution only ([`crate::shard`]): a cross-cell ghost
-    /// interference window starts. The executor injected the aggregate
-    /// foreign-cell airtime observed over the previous epoch as one
-    /// hidden emission; `ghost` indexes the engine's pending ghost-window
-    /// table (band + end time), not a scenario entity.
-    GhostStart {
-        /// Index into the engine's pending ghost-window table.
-        ghost: usize,
-    },
-    /// A ghost interference window ends: the hidden emission is taken off
-    /// the air.
-    GhostEnd {
-        /// Index into the engine's pending ghost-window table.
-        ghost: usize,
-        /// Identifier of the in-flight hidden emission in the medium.
-        tx_id: u64,
-    },
     /// End of the simulated horizon; processing stops here.
     Horizon,
 }
@@ -264,12 +247,11 @@ impl EventQueue {
 
     /// Pops the earliest event only if it fires strictly before `limit`;
     /// otherwise leaves the queue intact (the event stays pending) and
-    /// returns `None`. This is the epoch gate of the sharded executor
-    /// ([`crate::shard`]): a shard drains its queue up to the epoch
-    /// boundary, pauses for the cross-shard exchange, and resumes — with
-    /// the pop order still the exact `(at, seq)` total order `pop` alone
-    /// would produce, which is what keeps epoch chunking invisible in the
-    /// trace.
+    /// returns `None`. This is the epoch gate of [`crate::run`]: the
+    /// engine drains its queue up to each epoch boundary (the progress and
+    /// profiling chunk) and resumes — with the pop order still the exact
+    /// `(at, seq)` total order `pop` alone would produce, which is what
+    /// keeps epoch chunking invisible in the trace.
     pub fn pop_before(&mut self, limit: Time) -> Option<Event> {
         if self.stash.is_none() {
             self.stash = self.pop_inner();
@@ -422,18 +404,6 @@ impl EventTrace {
     /// The recorded lines.
     pub fn records(&self) -> &[TraceRecord] {
         &self.records
-    }
-
-    /// Consumes the trace into its records (the sharded executor's merge
-    /// input: per-cell traces are interleaved by `(at, cell, index)`).
-    pub(crate) fn into_records(self) -> Vec<TraceRecord> {
-        self.records
-    }
-
-    /// Rebuilds a trace from already-ordered records (the sharded
-    /// executor's merge output).
-    pub(crate) fn from_records(records: Vec<TraceRecord>, enabled: bool) -> Self {
-        EventTrace { records, enabled }
     }
 
     /// Serializes the trace to one newline-separated byte string, the form

@@ -32,7 +32,7 @@
 //!
 //! ## Event model
 //!
-//! The engine ([`engine::NetworkSim`]) is a classic discrete-event
+//! The engine ([`engine`], run through [`run`]) is a classic discrete-event
 //! simulation: a hierarchical timing-wheel [`event::EventQueue`] orders
 //! [`event::EventKind`]s by integer-nanosecond timestamps
 //! ([`time::Time`]), with a monotone sequence number breaking ties so the
@@ -103,10 +103,11 @@
 //! one with [`scenario::Scenario::builder`]), then run it with [`run`]
 //! (one seed) or [`run_trials`] (the Monte-Carlo trials set in
 //! [`scenario::ExecutionSection::trials`], aggregated into a
-//! [`runner::MonteCarloReport`]). Both go through the sharded executor.
-//! [`engine::NetworkSim`] runs the same scenario as one exact engine: it
-//! is byte-identical to [`run`] on single-cell scenarios and is the
-//! reference the sharded path is measured against on multi-cell ones.
+//! [`runner::MonteCarloReport`]). Both simulate the whole scenario on one
+//! engine core: every tag shares one medium, so interference between
+//! neighbouring deployments is modelled exactly. The core runs in
+//! [`scenario::ExecutionConfig::epoch_s`] chunks only for progress lines
+//! and profiling spans; the result is byte-identical at any epoch length.
 //!
 //! ```
 //! use interscatter_net::prelude::*;
@@ -120,8 +121,6 @@
 //! assert!(result.metrics.offered_packets() > 0);
 //! let replay = run(&scenario, 42).unwrap();
 //! assert_eq!(result.trace.to_bytes(), replay.trace.to_bytes());
-//! let exact = NetworkSim::new(&scenario, 42).run().unwrap();
-//! assert_eq!(result.trace.digest(), exact.trace.digest());
 //! let report = run_trials(&scenario, 7).unwrap();
 //! assert_eq!(report.trials.len(), 4);
 //! ```
@@ -217,36 +216,36 @@ mod tests {
     }
 }
 
-/// Runs `scenario` once with `seed` through the sharded executor and
-/// returns its metrics, event trace and telemetry report.
+/// Runs `scenario` once with `seed` on one engine core and returns its
+/// metrics, event trace and telemetry report.
 ///
-/// This is the unified entrypoint behind every run shape: the execution
-/// knobs — shard count, epoch length, trace recording — come from the
+/// This is the one entrypoint behind every run shape: the execution
+/// knobs — epoch length, trace recording, profiling — come from the
 /// scenario's [`scenario::ExecutionConfig`], set through
-/// [`scenario::ExecutionSection`] on the builder. The result is
-/// byte-identical at any shard count (see [`shard`]), and on single-cell
-/// scenarios byte-identical to the exact [`engine::NetworkSim::run`].
+/// [`scenario::ExecutionSection`] on the builder. The epoch length only
+/// sets the progress and profiling chunk; the result is byte-identical at
+/// any epoch length.
 ///
 /// ```
 /// use interscatter_net::prelude::*;
 ///
-/// let sharded = Scenario::hospital_ward(8)
+/// let chunked = Scenario::hospital_ward(8)
 ///     .builder()
-///     .execution(ExecutionSection::new().shards(4))
+///     .execution(ExecutionSection::new().epoch_s(0.003))
 ///     .build()
 ///     .unwrap();
-/// let result = interscatter_net::run(&sharded, 42).unwrap();
-/// let exact = NetworkSim::new(&Scenario::hospital_ward(8), 42).run().unwrap();
-/// assert_eq!(result.trace.digest(), exact.trace.digest());
+/// let result = interscatter_net::run(&chunked, 42).unwrap();
+/// let default_chunks = interscatter_net::run(&Scenario::hospital_ward(8), 42).unwrap();
+/// assert_eq!(result.trace.digest(), default_chunks.trace.digest());
 /// ```
 pub fn run(scenario: &scenario::Scenario, seed: u64) -> Result<engine::NetRunResult, NetError> {
-    shard::execute(scenario, seed, scenario.execution.trace)
+    engine::execute(scenario, seed, scenario.execution.trace)
 }
 
 /// Runs the scenario's Monte-Carlo trials
 /// ([`scenario::ExecutionConfig::trials`], one derived seed per trial,
-/// traces disabled) through the sharded executor and aggregates them into
-/// a [`runner::MonteCarloReport`].
+/// traces disabled) and aggregates them into a
+/// [`runner::MonteCarloReport`].
 ///
 /// ```
 /// use interscatter_net::prelude::*;
@@ -267,7 +266,7 @@ pub fn run_trials(
     type TrialOut = (metrics::NetworkMetrics, Option<prof::ProfSummary>);
     let results: Vec<Result<TrialOut, NetError>> =
         rayon::det::map_indexed_ordered(scenario.execution.trials, |trial| {
-            shard::execute(
+            engine::execute(
                 scenario,
                 entities::streams::trial_seed(base_seed, trial),
                 false,
@@ -290,11 +289,11 @@ pub fn run_trials(
 /// The commonly used types in one import.
 pub mod prelude {
     pub use crate::coex::{CoexConfig, CoexModel, CoexSource, CoexTraffic, ReStripe, SenseConfig};
-    pub use crate::engine::{NetRunResult, NetworkSim};
+    pub use crate::engine::NetRunResult;
     pub use crate::entities::{CarrierSource, NetPhy, Position, SinkReceiver, TagNode, TagProfile};
     pub use crate::links::{EntityId, LinkMatrix};
     pub use crate::mac::{MacLoop, MacMode};
-    pub use crate::metrics::{NetworkMetrics, ShardLoad};
+    pub use crate::metrics::NetworkMetrics;
     pub use crate::mobility::{Bounds, Mobility, MobilityConfig, MobilityModel};
     pub use crate::prof::{ProfReport, ProfSummary, Profiler};
     pub use crate::runner::MonteCarloReport;

@@ -284,79 +284,6 @@ pub struct ReStripeEvent {
     pub to_subband: usize,
 }
 
-/// Deterministic shard-load telemetry from a multi-cell sharded run:
-/// how the event load spread over the partition's interference cells and
-/// epochs. Every count is derived from simulation state (events handled,
-/// ghost windows injected) — never the wall clock — so the values are
-/// byte-identical at any shard count and with profiling on or off; the
-/// wall-clock side of the same story lives in [`crate::prof`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ShardLoad {
-    /// Total engine events handled per cell, in cell (partition) order.
-    pub cell_events: Vec<u64>,
-    /// Events handled per epoch per cell: `epoch_events[e][cell]`. The
-    /// final epoch is the partial one in which the last cell reached its
-    /// horizon.
-    pub epoch_events: Vec<Vec<u64>>,
-    /// Hidden ghost interference windows injected *into* each cell by the
-    /// epoch-boundary exchange.
-    pub ghost_windows: Vec<u64>,
-}
-
-impl ShardLoad {
-    /// Number of epochs the run took (including the final partial one).
-    pub fn epochs(&self) -> usize {
-        self.epoch_events.len()
-    }
-
-    /// Jain's fairness index over per-cell event totals: 1 when the
-    /// partition balanced perfectly, → 1/cells when one cell carried the
-    /// whole run.
-    pub fn load_fairness(&self) -> f64 {
-        let xs: Vec<f64> = self.cell_events.iter().map(|&e| e as f64).collect();
-        jain_index(&xs)
-    }
-
-    /// Per-epoch load skew — the busiest cell's event count over the mean
-    /// cell's, for each epoch that handled any events — reduced to
-    /// `(max, mean)` over epochs. 1.0 means perfectly level epochs; the
-    /// max bounds how much the lockstep epoch barrier can idle workers.
-    pub fn epoch_skew(&self) -> (f64, f64) {
-        let mut max_skew = 0.0f64;
-        let mut sum = 0.0f64;
-        let mut n = 0usize;
-        for row in &self.epoch_events {
-            let total: u64 = row.iter().sum();
-            if total == 0 || row.is_empty() {
-                continue;
-            }
-            let mean = total as f64 / row.len() as f64;
-            let peak = row.iter().copied().max().unwrap_or(0) as f64;
-            let skew = peak / mean;
-            max_skew = max_skew.max(skew);
-            sum += skew;
-            n += 1;
-        }
-        if n == 0 {
-            return (0.0, 0.0);
-        }
-        (max_skew, sum / n as f64)
-    }
-
-    /// The epoch that handled the most events in its busiest cell (ties
-    /// break to the earliest) — the deterministic proxy for the
-    /// wall-clock critical path [`crate::prof::ProfSummary`] measures.
-    pub fn busiest_epoch(&self) -> Option<usize> {
-        self.epoch_events
-            .iter()
-            .enumerate()
-            .map(|(e, row)| (e, row.iter().copied().max().unwrap_or(0)))
-            .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
-            .filter(|&(_, peak)| peak > 0)
-            .map(|(e, _)| e)
-    }
-}
-
 /// Aggregated results of one simulation run.
 #[derive(Debug, Clone, Default)]
 pub struct NetworkMetrics {
@@ -400,12 +327,6 @@ pub struct NetworkMetrics {
     /// default stored mode. When set, the sample `Vec`s above stay empty
     /// and every accessor below routes here.
     pub streaming: Option<StreamingSeries>,
-    /// Deterministic shard-load telemetry: set by the sharded executor on
-    /// every **multi-cell** run (profiling on or off — the counts come
-    /// from simulation state, so they are digest-neutral and
-    /// shard-count-invariant). `None` on single-cell runs, which stay
-    /// byte-identical to the exact unsharded engine.
-    pub shard_load: Option<ShardLoad>,
 }
 
 impl NetworkMetrics {
@@ -426,7 +347,6 @@ impl NetworkMetrics {
             coex_airtime_s: Vec::new(),
             coex_defers: Vec::new(),
             streaming: None,
-            shard_load: None,
         }
     }
 
@@ -830,17 +750,6 @@ impl NetworkMetrics {
                     "PRR under occupancy <0.3: {quiet:.3}  ≥0.3: {busy:.3}\n"
                 ));
             }
-        }
-        if let Some(load) = &self.shard_load {
-            let (skew_max, skew_mean) = load.epoch_skew();
-            let ghosts: u64 = load.ghost_windows.iter().sum();
-            out.push_str(&format!(
-                "shards: {} cells over {} epochs  load fairness {:.3}  \
-                 ghost windows {ghosts}  epoch skew max {skew_max:.2} mean {skew_mean:.2}\n",
-                load.cell_events.len(),
-                load.epochs(),
-                load.load_fairness(),
-            ));
         }
         let max_disp = self.max_displacement_m();
         if max_disp > 0.0 {

@@ -4,9 +4,9 @@
 //! Where [`crate::telemetry`] observes the *simulation* (PRR, latency,
 //! occupancy — simulated-time quantities), this module observes the
 //! *executor*: how long scenario validation, link-matrix construction,
-//! engine-core init, each cell's per-epoch event loop, the boundary ghost
-//! exchange and the final merge actually take on the host. The ROADMAP's
-//! claim that setup dominates the 100k-tag wall clock becomes a measured,
+//! engine-core init, each epoch chunk of the event loop, the mobility
+//! flushes and the finalisation actually take on the host. The claim that
+//! setup dominates the 100k-tag wall clock becomes a measured,
 //! attributable time budget instead of folklore.
 //!
 //! ## Determinism contract
@@ -14,7 +14,7 @@
 //! Profiling is **digest-neutral**: enabling
 //! [`crate::scenario::ExecutionConfig::profile`] must not change the event
 //! trace, the metrics report or the telemetry output by a single byte, at
-//! any shard count. Three rules enforce that:
+//! any epoch length. Three rules enforce that:
 //!
 //! * Wall-clock values live **only** in the prof output
 //!   ([`crate::engine::NetRunResult::prof`], `PROF_net.json`, the Chrome
@@ -22,11 +22,9 @@
 //! * This file is the one sanctioned home for [`std::time::Instant`] in
 //!   `crates/net`; detlint's `wall_clock` rule scopes its allowance to
 //!   exactly this path and still fails the build anywhere else.
-//! * No cross-shard side channels: each cell records spans into its own
-//!   [`CellProf`] ring buffer (riding its engine core through the ordered
-//!   chunking of `rayon::det`), and the buffers are merged **in fixed cell
-//!   order** after the run — no locks, no atomics, per detlint's
-//!   `shard_exchange` rule.
+//! * No shared recorders: the engine core records spans into its own
+//!   [`CellProf`] ring buffer, and [`Profiler`] absorbs it after the run —
+//!   no locks, no atomics, per detlint's `shard_exchange` rule.
 //!
 //! Tests swap the monotonic [`WallClock`] for the deterministic
 //! [`FakeClock`] through the [`ProfClock`] trait, pinning span nesting,
@@ -38,15 +36,12 @@
 //! A finished [`ProfReport`] exports two ways:
 //!
 //! * [`ProfReport::to_chrome_trace`] — Chrome/Perfetto trace-event JSON
-//!   (`ph: "X"` complete events, one `tid` per cell), loadable at
+//!   (`ph: "X"` complete events, one `tid` per track), loadable at
 //!   `ui.perfetto.dev` or `chrome://tracing`.
 //! * [`ProfReport::summary`] — a machine-readable [`ProfSummary`] (phase
-//!   totals, per-cell per-epoch busy time, the critical-path epoch,
-//!   exchange/merge overhead) whose [`ProfSummary::to_json`] is what
-//!   `PROF_net.json` holds, optionally joined with the *deterministic*
-//!   shard-load telemetry ([`crate::metrics::ShardLoad`]).
+//!   totals, per-epoch busy time, the critical-path epoch) whose
+//!   [`ProfSummary::to_json`] is what `PROF_net.json` holds.
 
-use crate::metrics::ShardLoad;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -151,18 +146,18 @@ impl ProfClock for Clock {
     }
 }
 
-/// One closed span: a named phase of the pipeline on one track (track 0 is
-/// the executor's main thread, track `c + 1` is cell `c`).
+/// One closed span: a named phase of the pipeline on one track (every span
+/// of a [`crate::run`] is on track 0; a [`Profiler`] summarises tracks
+/// `c + 1` as cell `c` when handed several).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Span {
     /// Phase name, from the fixed vocabulary the instrumentation sites
-    /// use (`"scenario_build"`, `"partition"`, `"engine_init"`,
-    /// `"link_build"`, `"epoch"`, `"link_flush"`, `"exchange"`,
-    /// `"finalize"`, `"merge_finalize"`).
+    /// use (`"scenario_build"`, `"engine_init"`, `"link_build"`,
+    /// `"epoch"`, `"link_flush"`, `"finalize"`).
     pub name: &'static str,
     /// Optional argument — the epoch index for `"epoch"` spans.
     pub arg: Option<u64>,
-    /// Track id: 0 for the executor, `cell + 1` for cell-local spans.
+    /// Track id: 0 for the run, `cell + 1` for cell-local spans.
     pub track: u32,
     /// Start, nanoseconds on the merged timeline.
     pub start_ns: u64,
@@ -213,9 +208,9 @@ impl SpanRing {
 }
 
 /// One track's recorder: a clock, an open-span stack and a bounded ring of
-/// closed spans. Each engine core owns one (when profiling is on), so the
-/// parallel epoch step needs no shared state — the executor collects the
-/// rings afterwards, in cell order.
+/// closed spans. The engine core owns one (when profiling is on), so the
+/// event loop needs no shared state — [`Profiler`] collects the ring
+/// afterwards.
 #[derive(Debug, Clone)]
 pub struct CellProf {
     clock: Clock,
@@ -308,9 +303,8 @@ impl CellProf {
         SpanGuard { prof: self, token }
     }
 
-    /// Re-tags every span (recorded and open) onto `track`. The sharded
-    /// executor calls this right after constructing a cell's core: the
-    /// core records its init spans before it learns which cell it is.
+    /// Re-tags every recorded span, and every span still to close, onto
+    /// `track`.
     pub fn set_track(&mut self, track: u32) {
         self.track = track;
         for span in &mut self.ring.spans {
@@ -346,10 +340,9 @@ impl Drop for SpanGuard<'_> {
     }
 }
 
-/// The run-level profiling handle the sharded executor owns: a main-track
-/// recorder (partition, exchange, merge spans) plus the cell reports it
-/// absorbs after the run, merged **in fixed cell order** into one
-/// [`ProfReport`].
+/// The run-level profiling handle [`crate::run`] owns: a main-track
+/// recorder plus the engine reports it absorbs after the run, merged **in
+/// absorb order** into one [`ProfReport`].
 #[derive(Debug)]
 pub struct Profiler {
     main: CellProf,
@@ -396,16 +389,16 @@ impl Profiler {
         self.main.scope(name)
     }
 
-    /// Absorbs one cell's finished report. Call in cell order — the merge
-    /// preserves it, which is what makes the merged profile
-    /// deterministic under a fake clock.
+    /// Absorbs one finished engine report. The merge preserves absorb
+    /// order, which is what makes the merged profile deterministic under a
+    /// fake clock.
     pub fn absorb(&mut self, report: ProfReport) {
         self.cells.push(report);
     }
 
-    /// Closes the main track, rebases every absorbed cell report onto the
-    /// main clock's timeline (each cell's anchor was captured later, at
-    /// its core's construction), prepends the synthetic
+    /// Closes the main track, rebases every absorbed report onto the main
+    /// clock's timeline (each engine's anchor was captured later, at its
+    /// core's construction), prepends the synthetic
     /// `"scenario_build"` span, and returns the merged report.
     pub fn finish(self, scenario: &str) -> ProfReport {
         let Profiler {
@@ -499,24 +492,24 @@ impl ProfReport {
     }
 
     /// Reduces the span sequence to the machine-readable [`ProfSummary`]:
-    /// phase totals, per-cell per-epoch busy time, the critical-path
-    /// epoch and the exchange/merge overhead.
+    /// phase totals, per-cell per-epoch busy time and the critical-path
+    /// epoch.
     pub fn summary(&self) -> ProfSummary {
         let mut phase_totals: BTreeMap<&'static str, u64> = BTreeMap::new();
         for span in &self.spans {
             *phase_totals.entry(span.name).or_insert(0) += span.dur_ns;
         }
 
-        // Per-cell epoch busy time: cell tracks (>= 1) when the run was
-        // sharded, the lone track 0 otherwise.
+        // Per-cell epoch busy time: cell tracks (>= 1) when cell tracks
+        // were absorbed, the lone track 0 otherwise.
         let epoch_spans: Vec<&Span> = self.spans.iter().filter(|s| s.name == "epoch").collect();
-        let sharded = epoch_spans.iter().any(|s| s.track > 0);
+        let per_cell = epoch_spans.iter().any(|s| s.track > 0);
         let mut cells: BTreeMap<u32, CellBusy> = BTreeMap::new();
         for span in &epoch_spans {
-            if sharded && span.track == 0 {
+            if per_cell && span.track == 0 {
                 continue;
             }
-            let cell = if sharded { span.track - 1 } else { 0 };
+            let cell = if per_cell { span.track - 1 } else { 0 };
             let entry = cells.entry(cell).or_insert_with(|| CellBusy {
                 cell,
                 busy_ns: 0,
@@ -547,8 +540,6 @@ impl ProfReport {
 
         ProfSummary {
             scenario: self.scenario.clone(),
-            exchange_ns: phase_totals.get("exchange").copied().unwrap_or(0),
-            merge_ns: phase_totals.get("merge_finalize").copied().unwrap_or(0),
             phase_totals_ns: phase_totals
                 .into_iter()
                 .map(|(name, ns)| (name.to_string(), ns))
@@ -572,8 +563,7 @@ pub struct CellBusy {
 }
 
 /// The machine-readable reduction of a profile — what `PROF_net.json`
-/// holds (via [`ProfSummary::to_json`], optionally joined with the
-/// deterministic [`ShardLoad`] telemetry).
+/// holds (via [`ProfSummary::to_json`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProfSummary {
     /// Scenario name.
@@ -583,22 +573,16 @@ pub struct ProfSummary {
     /// Per-cell busy time, ascending by cell.
     pub cells: Vec<CellBusy>,
     /// The epoch whose slowest cell took longest — the run's wall-clock
-    /// critical path under the lockstep epoch barrier.
+    /// critical path.
     pub critical_path_epoch: Option<u64>,
-    /// Total `"exchange"` time (the ghost drain/merge/inject step).
-    pub exchange_ns: u64,
-    /// Total `"merge_finalize"` time (trace/metrics/telemetry merge).
-    pub merge_ns: u64,
     /// Spans lost to ring wrap-around.
     pub dropped: u64,
 }
 
 impl ProfSummary {
-    /// Serialises the summary — plus the deterministic shard-load
-    /// telemetry when the run produced it — as the `PROF_net.json`
-    /// document. Hand-rolled JSON, like every serialiser in this
-    /// offline workspace.
-    pub fn to_json(&self, load: Option<&ShardLoad>) -> String {
+    /// Serialises the summary as the `PROF_net.json` document.
+    /// Hand-rolled JSON, like every serialiser in this offline workspace.
+    pub fn to_json(&self) -> String {
         let mut out = String::from("{");
         out.push_str(&format!(
             "\"scenario\":\"{}\",",
@@ -617,10 +601,7 @@ impl ProfSummary {
             self.critical_path_epoch
                 .map_or("null".to_string(), |e| e.to_string())
         ));
-        out.push_str(&format!(
-            "\"exchange_ns\":{},\"merge_ns\":{},\"dropped_spans\":{},",
-            self.exchange_ns, self.merge_ns, self.dropped
-        ));
+        out.push_str(&format!("\"dropped_spans\":{},", self.dropped));
         out.push_str("\"cells\":[");
         for (i, cell) in self.cells.iter().enumerate() {
             if i > 0 {
@@ -639,31 +620,6 @@ impl ProfSummary {
             out.push_str("]}");
         }
         out.push(']');
-        if let Some(load) = load {
-            let (skew_max, skew_mean) = load.epoch_skew();
-            out.push_str(&format!(
-                ",\"load\":{{\"cells\":{},\"epochs\":{},\"fairness\":{:.6},\"epoch_skew_max\":{:.6},\"epoch_skew_mean\":{:.6},\"cell_events\":[",
-                load.cell_events.len(),
-                load.epochs(),
-                load.load_fairness(),
-                skew_max,
-                skew_mean,
-            ));
-            for (i, events) in load.cell_events.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&events.to_string());
-            }
-            out.push_str("],\"ghost_windows\":[");
-            for (i, ghosts) in load.ghost_windows.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&ghosts.to_string());
-            }
-            out.push_str("]}");
-        }
         out.push('}');
         out
     }
@@ -910,21 +866,16 @@ mod tests {
         }
         .finish("ward \"q\"")
         .summary();
-        let load = ShardLoad {
-            cell_events: vec![10, 30],
-            epoch_events: vec![vec![4, 12], vec![6, 18]],
-            ghost_windows: vec![2, 1],
-        };
-        let json = summary.to_json(Some(&load));
+        let json = summary.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"scenario\":\"ward \\\"q\\\"\""));
         assert!(json.contains("\"phase_totals_ns\":{\"epoch\":"));
         assert!(json.contains("\"scenario_build\":7"));
-        assert!(json.contains("\"cell_events\":[10,30]"));
-        assert!(json.contains("\"ghost_windows\":[2,1]"));
-        assert!(json.contains("\"fairness\":0.8"));
-        // Without the load block the key is absent entirely.
-        assert!(!summary.to_json(None).contains("\"load\""));
+        assert!(json.contains("\"critical_path_epoch\":0"));
+        assert!(json.contains("\"dropped_spans\":0"));
+        // The per-track busy load: one track, one epoch.
+        assert!(json.contains("\"cells\":[{\"cell\":0,\"busy_ns\":"));
+        assert_eq!(json.matches("\"epoch_busy_ns\":[[0,").count(), 1);
     }
 
     #[test]

@@ -64,12 +64,9 @@ pub struct Scenario {
     /// does **not** rename the scenario: observing a run must not change
     /// what the run reports itself as.
     pub telemetry: TelemetryConfig,
-    /// Run-shape knobs ([`ExecutionConfig`]): shard count, epoch length,
-    /// Monte-Carlo trial count and trace recording. The default (one
-    /// shard, tracing on) reproduces the unsharded engine byte for byte;
-    /// the sharded executor ([`crate::shard`]) guarantees byte-identical
-    /// trace digests at *any* shard count, so this section never changes
-    /// what a run computes — only how it is scheduled onto cores.
+    /// Run-shape knobs ([`ExecutionConfig`]): epoch length, Monte-Carlo
+    /// trial count, trace recording and profiling. None of them changes
+    /// what a run computes — only how it is chunked and what is recorded.
     pub execution: ExecutionConfig,
 }
 
@@ -77,30 +74,28 @@ pub struct Scenario {
 /// knobs that do not change *what* is simulated, only how the work is
 /// scheduled and what is recorded.
 ///
-/// The sharded executor partitions the scenario into interference cells
-/// and chunks the fixed cell list into `shards` worker groups, exchanging
-/// cross-cell interference at `epoch_s` boundaries — the cell structure
-/// (and therefore every digest and metric) depends only on the scenario,
-/// never on `shards`. See [`crate::shard`] for the determinism contract.
+/// [`crate::run`] simulates the whole scenario on one engine core, in
+/// `epoch_s` chunks; every digest and metric is byte-identical at any
+/// value of these knobs.
 #[derive(Debug, Clone)]
 pub struct ExecutionConfig {
-    /// Worker groups the partitioned cells are chunked into (≥ 1). One
-    /// shard runs every cell on the calling thread; the digest is
-    /// byte-identical at any value.
+    /// Validated (≥ 1) but has no effect: every run uses one engine core.
+    /// Kept only so existing callers of [`ExecutionSection::shards`] keep
+    /// building; slated for removal.
     pub shards: usize,
-    /// Epoch length of the cross-shard interference exchange, simulated
-    /// seconds (> 0). Only multi-cell runs consult it: cells run
-    /// independently inside an epoch and exchange foreign-airtime
-    /// summaries at each boundary.
+    /// The progress and profiling chunk, simulated seconds (> 0): the
+    /// engine runs up to each multiple of it in turn, and a profiled run
+    /// records one `"epoch"` span per chunk. The pop order, and therefore
+    /// the result, is the same at any value.
     pub epoch_s: f64,
     /// Monte-Carlo trial count used by [`crate::run_trials`] (≥ 1).
     pub trials: usize,
     /// Whether the run records its event trace ([`crate::event::EventTrace`]).
-    /// Both [`crate::run`] and [`crate::engine::NetworkSim::run`] honour
-    /// it; [`crate::run_trials`] always disables tracing per trial.
+    /// [`crate::run`] honours it; [`crate::run_trials`] always disables
+    /// tracing per trial.
     pub trace: bool,
     /// Whether the run records a self-profile ([`crate::prof`]): wall-clock
-    /// span timelines and a phase/shard-load summary. Digest-neutral —
+    /// span timelines and a phase summary. Digest-neutral —
     /// traces, metrics reports and telemetry are byte-identical with
     /// profiling on or off; wall time lives only in the prof output.
     pub profile: bool,
@@ -157,9 +152,16 @@ impl ExecutionConfig {
     }
 }
 
+/// True when every coordinate is finite. Link powers are evaluated from
+/// live positions on every query, so one NaN coordinate would poison every
+/// capture decision that touches the entity.
+fn finite_position(p: &Position) -> bool {
+    p.x.is_finite() && p.y.is_finite() && p.z.is_finite()
+}
+
 impl Scenario {
-    /// Checks indices, capacities and timing so the engine can assume a
-    /// well-formed scenario.
+    /// Checks indices, capacities, timing and geometry so the engine can
+    /// assume a well-formed scenario.
     pub fn validate(&self) -> Result<(), NetError> {
         if !positive_finite(self.duration_s) {
             return Err(NetError::InvalidScenario(
@@ -188,6 +190,24 @@ impl Scenario {
                     "carrier {c}: tx power must be finite"
                 )));
             }
+            if !finite_position(&carrier.position()) {
+                return Err(NetError::InvalidScenario(format!(
+                    "carrier {c}: position must be finite"
+                )));
+            }
+        }
+        for (r, receiver) in self.receivers.iter().enumerate() {
+            if !finite_position(&receiver.position()) {
+                return Err(NetError::InvalidScenario(format!(
+                    "receiver {r}: position must be finite"
+                )));
+            }
+            if !(0.0..=1.0).contains(&receiver.external_occupancy) {
+                return Err(NetError::InvalidScenario(format!(
+                    "receiver {r}: external occupancy {} outside [0, 1]",
+                    receiver.external_occupancy
+                )));
+            }
         }
         for (t, tag) in self.tags.iter().enumerate() {
             let Some(carrier) = self.carriers.get(tag.carrier) else {
@@ -213,6 +233,11 @@ impl Scenario {
                     "tag {t}: arrival rate must be positive and finite"
                 )));
             }
+            if !finite_position(&tag.position()) {
+                return Err(NetError::InvalidScenario(format!(
+                    "tag {t}: position must be finite"
+                )));
+            }
             if tag.payload_bytes == 0 {
                 return Err(NetError::InvalidScenario(format!("tag {t}: empty payload")));
             }
@@ -235,6 +260,15 @@ impl Scenario {
         if let Some(coex) = &self.coex {
             coex.validate(self.receivers.len())
                 .map_err(|e| NetError::InvalidScenario(format!("coex: {e}")))?;
+            if let Some(k) = coex
+                .sources
+                .iter()
+                .position(|s| !finite_position(&s.position))
+            {
+                return Err(NetError::InvalidScenario(format!(
+                    "coex: source {k}: position must be finite"
+                )));
+            }
         }
         self.telemetry
             .validate(self.tags.len(), self.carriers.len())
@@ -959,10 +993,10 @@ impl RadioSection {
 }
 
 /// The execution section of a [`ScenarioBuilder`]: every run-shape knob in
-/// one typed value — shard count, exchange epoch, Monte-Carlo trial count,
-/// trace recording, the metrics storage mode and the progress cadence.
+/// one typed value — epoch chunk, Monte-Carlo trial count, trace
+/// recording, profiling, the metrics storage mode and the progress cadence.
 ///
-/// The first four land in [`Scenario::execution`]; the metrics mode and
+/// The run-shape knobs land in [`Scenario::execution`]; the metrics mode and
 /// progress cadence are *applied onto* the scenario's telemetry section
 /// (they live in [`TelemetryConfig`]). Leaving
 /// [`ExecutionSection::metrics`]/[`ExecutionSection::progress`] unset
@@ -975,10 +1009,10 @@ impl RadioSection {
 /// use interscatter_net::scenario::ExecutionSection;
 /// let quad = Scenario::campus(1_000)
 ///     .builder()
-///     .execution(ExecutionSection::new().shards(4).trials(8).trace(false))
+///     .execution(ExecutionSection::new().trials(8).trace(false))
 ///     .build()
 ///     .unwrap();
-/// assert_eq!(quad.execution.shards, 4);
+/// assert_eq!(quad.execution.trials, 8);
 /// // Ill-formed run shapes are refused eagerly, at build() time:
 /// assert!(Scenario::campus(1_000)
 ///     .builder()
@@ -994,21 +1028,20 @@ pub struct ExecutionSection {
 }
 
 impl ExecutionSection {
-    /// The default run shape: one shard, a 10 ms exchange epoch, one
-    /// trial, tracing on, telemetry section untouched.
+    /// The default run shape: 10 ms epoch chunks, one trial, tracing on,
+    /// telemetry section untouched.
     pub fn new() -> ExecutionSection {
         ExecutionSection::default()
     }
 
-    /// Worker groups the partitioned cells are chunked into
-    /// ([`ExecutionConfig::shards`]).
+    /// Validated, no effect ([`ExecutionConfig::shards`]).
     pub fn shards(mut self, shards: usize) -> ExecutionSection {
         self.config.shards = shards;
         self
     }
 
-    /// Epoch length of the cross-shard interference exchange, simulated
-    /// seconds ([`ExecutionConfig::epoch_s`]).
+    /// The progress and profiling chunk, simulated seconds
+    /// ([`ExecutionConfig::epoch_s`]).
     pub fn epoch_s(mut self, epoch_s: f64) -> ExecutionSection {
         self.config.epoch_s = epoch_s;
         self
@@ -1029,7 +1062,7 @@ impl ExecutionSection {
     }
 
     /// Whether the run records a self-profile
-    /// ([`ExecutionConfig::profile`]): span timelines and a shard-load
+    /// ([`ExecutionConfig::profile`]): span timelines and a phase
     /// summary, exported via [`crate::engine::NetRunResult::prof`].
     /// Digest-neutral.
     pub fn profile(mut self, on: bool) -> ExecutionSection {
@@ -1169,8 +1202,8 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets the execution section ([`ExecutionSection`]): shard count,
-    /// exchange epoch, trial count, trace recording — plus the metrics
+    /// Sets the execution section ([`ExecutionSection`]): epoch chunk,
+    /// trial count, trace recording, profiling — plus the metrics
     /// mode and progress cadence, which it applies onto the telemetry
     /// section. Like every section it is validated eagerly at
     /// [`ScenarioBuilder::build`].
@@ -1604,7 +1637,6 @@ mod tests {
 
     #[test]
     fn builder_reconstructs_presets_digest_identically() {
-        use crate::engine::NetworkSim;
         let presets = [
             Scenario::hospital_ward(10),
             Scenario::contact_lens_fleet(8).closed_loop(),
@@ -1639,8 +1671,8 @@ mod tests {
             let rebuilt = builder
                 .build()
                 .unwrap_or_else(|e| panic!("{}: {e}", preset.name));
-            let original = NetworkSim::new(&preset, 42).run().unwrap();
-            let replayed = NetworkSim::new(&rebuilt, 42).run().unwrap();
+            let original = crate::run(&preset, 42).unwrap();
+            let replayed = crate::run(&rebuilt, 42).unwrap();
             assert_eq!(
                 original.trace.to_bytes(),
                 replayed.trace.to_bytes(),
@@ -1754,7 +1786,6 @@ mod tests {
 
     #[test]
     fn campus_closed_loop_runs_above_the_dense_pair_limit() {
-        use crate::engine::NetworkSim;
         // 4200 tags in one engine: the largest single-engine closed-loop
         // run in the suite, end to end through the link tables.
         let quad = Scenario::campus(4_200)
@@ -1762,7 +1793,7 @@ mod tests {
             .execution(ExecutionSection::new().trace(false))
             .build()
             .unwrap();
-        let run = |seed| NetworkSim::new(&quad, seed).run().unwrap();
+        let run = |seed| crate::run(&quad, seed).unwrap();
         let a = run(42);
         assert!(a.metrics.delivered_packets() > 0, "campus delivers nothing");
         // Streaming contract: no per-event samples at this scale.
@@ -1836,7 +1867,7 @@ mod tests {
         // Each of these once built fine and then reported NaN throughput,
         // panicked, never returned, or ran on silently.
         type Edit = fn(&mut Scenario);
-        let cases: [(&str, Edit); 6] = [
+        let cases: [(&str, Edit); 13] = [
             ("NaN duration", |s| s.duration_s = f64::NAN),
             ("NaN slot interval", |s| {
                 s.carriers[0].slot_interval_s = f64::NAN
@@ -1851,9 +1882,34 @@ mod tests {
             ("infinite arrival rate", |s| {
                 s.tags[0].arrival_rate_pps = f64::INFINITY
             }),
+            ("NaN tag position", |s| {
+                s.place_tag(0, Position::new(f64::NAN, 0.0, 0.0))
+            }),
+            ("infinite carrier position", |s| {
+                s.place_carrier(1, Position::new(0.0, f64::INFINITY, 0.0))
+            }),
+            ("NaN receiver position", |s| {
+                s.place_sink(2, Position::new(0.0, 0.0, f64::NAN))
+            }),
+            ("NaN coex source position", |s| {
+                s.coex = Some(CoexConfig::with_sources(vec![CoexSource::hidden_wifi(
+                    Position::new(f64::NAN, 8.0, 2.0),
+                    6,
+                    0.6,
+                )]))
+            }),
+            ("occupancy above 1", |s| {
+                s.receivers[0].external_occupancy = 1.7
+            }),
+            ("negative occupancy", |s| {
+                s.receivers[1].external_occupancy = -0.1
+            }),
+            ("NaN occupancy", |s| {
+                s.receivers[2].external_occupancy = f64::NAN
+            }),
         ];
         for (what, edit) in cases {
-            let mut s = Scenario::hospital_ward(4);
+            let mut s = Scenario::hospital_ward(4).closed_loop();
             edit(&mut s);
             assert!(
                 matches!(s.builder().build(), Err(NetError::InvalidScenario(_))),

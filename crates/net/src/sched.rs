@@ -463,7 +463,7 @@ impl SchedState {
 
 /// One carrier's arbitration runtime: the member tags it illuminates (in
 /// index order, fixed for the run), the sub-band the scenario striped it
-/// onto, and the policy state. This is what [`crate::engine::NetworkSim`]
+/// onto, and the policy state. This is what the engine ([`crate::run`])
 /// consults on every `CarrierSlot`.
 #[derive(Debug, Clone)]
 pub struct CarrierSched {

@@ -15,7 +15,7 @@
 //!   subscriptions whose mask bit matches.
 //! * **Online sketches** — [`LatencySketch`] (a log-bucketed histogram
 //!   with ≤ [`SKETCH_GAMMA`]·½ relative error per bucket, mergeable across
-//!   shards and Monte-Carlo trials), [`P2Quantile`] (the classic P²
+//!   Monte-Carlo trials), [`P2Quantile`] (the classic P²
 //!   streaming quantile estimator, O(1) memory), [`RateRing`] (a windowed
 //!   PRR/occupancy ring) and plain monotonic counters.
 //! * **Progress** — a periodic one-line run status (sim-time, events
@@ -348,7 +348,7 @@ impl Dataset {
 #[derive(Debug, Clone, PartialEq)]
 pub enum SinkSpec {
     /// Stream one [`Dataset`] into a [`LatencySketch`]: online quantiles
-    /// in O(log-buckets) memory, mergeable across trials and shards.
+    /// in O(log-buckets) memory, mergeable across trials.
     Quantiles(Dataset),
     /// A windowed PRR ring over [`TelemetryEvent::Attempt`] /
     /// [`TelemetryEvent::Delivery`]: live packet-reception ratio over the
@@ -594,7 +594,7 @@ impl LatencySketch {
         self.quantile(0.5)
     }
 
-    /// Merges another sketch in (the shard/trial pooling path: merging is
+    /// Merges another sketch in (the trial pooling path: merging is
     /// exact — bucket counts add — so merge order cannot change any
     /// quantile).
     pub fn merge(&mut self, other: &LatencySketch) {
@@ -1094,7 +1094,7 @@ struct SubRuntime {
 }
 
 /// The per-run telemetry engine: compiled subscriptions plus the global
-/// dispatch mask. Owned by [`crate::engine::NetworkSim::run`]; the hot
+/// dispatch mask. Owned by the engine core behind [`crate::run`]; the hot
 /// path asks [`TelemetryRuntime::wants`] (one mask test) before
 /// constructing an event.
 pub struct TelemetryRuntime {
@@ -1275,22 +1275,6 @@ impl RateBins {
         }
         self.bins[idx].0 += attempts;
         self.bins[idx].1 += delivered;
-    }
-
-    /// Adds another set of bins in, index by index (exact integer sums, so
-    /// merge order cannot change any readout — the sharded executor and
-    /// Monte-Carlo pooling rely on this). Both sides must use the same
-    /// bin width, which every engine-built instance does
-    /// ([`crate::metrics::DISPLACEMENT_BIN_M`] /
-    /// [`crate::metrics::OCCUPANCY_BIN`]).
-    pub fn merge(&mut self, other: &RateBins) {
-        if other.bins.len() > self.bins.len() {
-            self.bins.resize(other.bins.len(), (0, 0));
-        }
-        for (mine, &(attempts, delivered)) in self.bins.iter_mut().zip(&other.bins) {
-            mine.0 += attempts;
-            mine.1 += delivered;
-        }
     }
 
     /// Pooled rate over `[min, max)` (bins overlapping the range), with

@@ -178,9 +178,9 @@ pub mod prelude {
 /// site; these helpers bake it in — results always come back **in input
 /// order**, regardless of which worker finished first, so a parallel run
 /// is byte-identical to the sequential equivalent. The `detlint` pass's
-/// `ordered_merge` rule steers all simulation-crate callers here, which
-/// also pre-paves the sharded-executor work: a sharded campus run will
-/// merge per-shard results through this same ordered surface.
+/// `ordered_merge` rule steers all simulation-crate callers here
+/// (`net::run_trials` maps its Monte-Carlo trials through
+/// [`det::map_indexed_ordered`]).
 pub mod det {
     /// Maps `f` over `items` across worker threads and returns the
     /// results in input order (the deterministic merge).
@@ -201,41 +201,6 @@ pub mod det {
         F: Fn(usize) -> U + Sync,
     {
         map_ordered((0..n).collect(), f)
-    }
-
-    /// Runs `f(index, item)` over every item of `items`, split into
-    /// `groups` contiguous chunks that execute on their own scoped
-    /// threads; within a chunk items run in ascending index order.
-    ///
-    /// Each item is visited exactly once by exactly one worker and the
-    /// chunk boundaries depend only on `(groups, items.len())`, so the
-    /// result state is identical at any group count — including 1, which
-    /// runs inline with no thread at all. This is the sharded executor's
-    /// epoch step: one simulation cell per item, `shards` groups.
-    pub fn for_each_mut_ordered<T, F>(groups: usize, items: &mut [T], f: F)
-    where
-        T: Send,
-        F: Fn(usize, &mut T) + Sync,
-    {
-        let n = items.len();
-        let groups = groups.max(1).min(n.max(1));
-        if groups <= 1 || n <= 1 {
-            for (i, item) in items.iter_mut().enumerate() {
-                f(i, item);
-            }
-            return;
-        }
-        let chunk = n.div_ceil(groups);
-        std::thread::scope(|scope| {
-            for (c, group) in items.chunks_mut(chunk).enumerate() {
-                let f = &f;
-                scope.spawn(move || {
-                    for (i, item) in group.iter_mut().enumerate() {
-                        f(c * chunk + i, item);
-                    }
-                });
-            }
-        });
     }
 }
 
@@ -276,20 +241,5 @@ mod tests {
         let expected: Vec<usize> = (1..=100).collect();
         assert_eq!(idx, expected);
         assert!(super::det::map_ordered(Vec::<u8>::new(), |x| x).is_empty());
-    }
-
-    #[test]
-    fn for_each_mut_ordered_is_group_count_invariant() {
-        // Mutating in place through any number of worker groups must leave
-        // the same state as the inline single-group pass.
-        let mut reference: Vec<u64> = (0..97).collect();
-        super::det::for_each_mut_ordered(1, &mut reference, |i, x| *x = *x * 3 + i as u64);
-        for groups in [2usize, 3, 4, 8, 64, 1000] {
-            let mut items: Vec<u64> = (0..97).collect();
-            super::det::for_each_mut_ordered(groups, &mut items, |i, x| *x = *x * 3 + i as u64);
-            assert_eq!(items, reference, "groups={groups}");
-        }
-        let mut empty: Vec<u64> = Vec::new();
-        super::det::for_each_mut_ordered(4, &mut empty, |_, _| unreachable!());
     }
 }

@@ -1,22 +1,22 @@
 //! The city-scale smoke run: the `campus` preset at 100 000 closed-loop
-//! tags — shared striped helpers, coex load, streaming metrics — through
-//! the sharded executor. This is the scale target of the engine core
-//! (timing-wheel scheduler, band-indexed medium, SoA link tables); the
-//! run holds memory O(entities) and finishes in seconds.
+//! tags — shared striped helpers, coex load, streaming metrics — on one
+//! engine core. This is the scale target of the engine core (timing-wheel
+//! scheduler, band-indexed medium, per-query link powers); the run holds
+//! memory O(entities) and finishes in seconds.
 //!
-//! Run with an optional seed (default 42) and shard count (default 1):
+//! Run with an optional seed (default 42):
 //!
 //! ```text
-//! cargo run --release --example campus_smoke [seed] [shards]
+//! cargo run --release --example campus_smoke [seed]
 //! ```
 //!
 //! Stdout carries the deterministic report plus an FNV-1a digest of the
 //! whole thing, so two same-seed runs are byte-comparable (the CI smoke
-//! loop diffs them) — at any shard count, with or without profiling.
+//! loop diffs them) — with or without profiling.
 //!
 //! Set `PROF_OUT=<path>` and/or `PROF_TRACE_OUT=<path>` to run the
 //! execution observatory alongside: the first writes the `PROF_net.json`
-//! summary (phase totals, per-cell loads, Jain fairness), the second a
+//! summary (phase totals, per-epoch busy time), the second a
 //! Chrome/Perfetto trace. Both are side files — stdout stays byte-
 //! identical to an unprofiled run, per the `net::prof` contract.
 
@@ -32,10 +32,6 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(42);
-    let shards: usize = std::env::args()
-        .nth(2)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1);
     let prof_out = std::env::var_os("PROF_OUT");
     let prof_trace_out = std::env::var_os("PROF_TRACE_OUT");
     let profile = prof_out.is_some() || prof_trace_out.is_some();
@@ -44,12 +40,7 @@ fn main() {
     // disables it; reproducibility is checked through the report digest.
     let scenario = Scenario::campus(N_TAGS)
         .builder()
-        .execution(
-            ExecutionSection::new()
-                .trace(false)
-                .shards(shards)
-                .profile(profile),
-        )
+        .execution(ExecutionSection::new().trace(false).profile(profile))
         .build()
         .expect("campus preset is valid");
     println!(
@@ -88,7 +79,7 @@ fn main() {
     // the digest-checked stdout above.
     if let Some(prof) = &result.prof {
         if let Some(path) = &prof_out {
-            let doc = prof.summary().to_json(m.shard_load.as_ref());
+            let doc = prof.summary().to_json();
             std::fs::write(path, doc).expect("write PROF summary");
             eprintln!("profile summary written to {}", path.to_string_lossy());
         }

@@ -13,7 +13,6 @@
 //! reproduces identical traces and metrics byte for byte; each sweep point
 //! prints a digest of its trace so two runs are easy to compare.
 
-use interscatter::net::engine::NetworkSim;
 use interscatter::net::scenario::Scenario;
 
 fn main() {
@@ -33,9 +32,7 @@ fn main() {
             scenario.duration_s,
         );
 
-        let result = NetworkSim::new(&scenario, seed)
-            .run()
-            .expect("scenario is valid");
+        let result = interscatter::net::run(&scenario, seed).expect("scenario is valid");
         let m = &result.metrics;
         print!("{}", m.report());
         println!(

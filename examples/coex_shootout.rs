@@ -26,7 +26,6 @@
 //! occupancy sensing and re-striping decisions are all deterministic.
 
 use interscatter::net::coex::{CoexConfig, ReStripe};
-use interscatter::net::engine::NetworkSim;
 use interscatter::net::scenario::Scenario;
 
 fn main() {
@@ -66,9 +65,7 @@ fn main() {
         "strategy", "PRR", "deliv", "ext coll", "defers", "restripes", "peak occ"
     );
     for (label, scenario) in rows {
-        let result = NetworkSim::new(&scenario, seed)
-            .run()
-            .expect("scenario is valid");
+        let result = interscatter::net::run(&scenario, seed).expect("scenario is valid");
         let m = &result.metrics;
         let ext_coll: usize = m.tags.iter().map(|t| t.external_collisions).sum();
         let defers: usize = m.tags.iter().map(|t| t.csma_defers).sum();

@@ -12,7 +12,6 @@
 //! metrics, byte for byte; the example prints a digest of the trace so two
 //! runs are easy to compare.
 
-use interscatter::net::engine::NetworkSim;
 use interscatter::net::scenario::{ExecutionSection, Scenario};
 
 fn main() {
@@ -37,9 +36,7 @@ fn main() {
         scenario.duration_s,
     );
 
-    let result = NetworkSim::new(&scenario, seed)
-        .run()
-        .expect("scenario is valid");
+    let result = interscatter::net::run(&scenario, seed).expect("scenario is valid");
     print!("{}", result.metrics.report());
 
     let trace_bytes = result.trace.to_bytes();

@@ -18,7 +18,6 @@
 //! with the same seed reproduces every digest byte for byte — all four
 //! policies are deterministic, not just the baseline.
 
-use interscatter::net::engine::NetworkSim;
 use interscatter::net::scenario::Scenario;
 use interscatter::net::sched::SchedPolicy;
 
@@ -56,9 +55,7 @@ fn main() {
             .scheduling(policy)
             .build()
             .expect("scenario is valid");
-        let result = NetworkSim::new(&scenario, seed)
-            .run()
-            .expect("scenario is valid");
+        let result = interscatter::net::run(&scenario, seed).expect("scenario is valid");
         let m = &result.metrics;
         println!(
             "{:<18} {:>6} {:>7.3} {:>6.3} {:>9.3} {:>7.2} ms {:>7.2} ms {:>7}  {:016x}",

@@ -38,8 +38,7 @@ fn main() {
     // The trace is the one O(events) artifact left — a soak run disables
     // it; reproducibility is checked through the report digest instead.
     // Profiling rides along when PROF_OUT / PROF_TRACE_OUT ask for it;
-    // this single-cell run stays byte-identical to the exact engine
-    // either way.
+    // stdout stays byte-identical either way.
     let prof_out = std::env::var_os("PROF_OUT");
     let prof_trace_out = std::env::var_os("PROF_TRACE_OUT");
     let profile = prof_out.is_some() || prof_trace_out.is_some();
@@ -114,7 +113,7 @@ fn main() {
     // the digest-checked stdout above.
     if let Some(prof) = &result.prof {
         if let Some(path) = &prof_out {
-            let doc = prof.summary().to_json(m.shard_load.as_ref());
+            let doc = prof.summary().to_json();
             std::fs::write(path, doc).expect("write PROF summary");
             eprintln!("profile summary written to {}", path.to_string_lossy());
         }

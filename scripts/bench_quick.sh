@@ -6,7 +6,7 @@
 # Runs the quick-tier benches (the same loop CI runs) into
 # BENCH_net.json — one JSON line per benchmark — and a profiled campus
 # smoke run into PROF_net.json + PROF_trace.json (the execution
-# observatory's phase/load summary and Chrome/Perfetto trace; see
+# observatory's phase summary and Chrome/Perfetto trace; see
 # `net::prof`). Artifacts land in out_dir (default: the repo root), so
 # the trajectory that is otherwise only charted between CI runs can be
 # produced locally, e.g. before/after a perf change:
@@ -35,10 +35,10 @@ for bench in net_engine net_downlink net_mobility net_sched net_coex net_telemet
 done
 jq -s 'length' "$bench_out" >/dev/null # sanity: valid JSON lines
 
-# The observatory run: the campus smoke example at 4 shards with
-# profiling on. PROF output goes to side files; stdout stays identical
-# to an unprofiled run (the digest-neutrality contract).
+# The observatory run: the campus smoke example with profiling on. PROF
+# output goes to side files; stdout stays identical to an unprofiled run
+# (the digest-neutrality contract).
 PROF_OUT="$prof_out" PROF_TRACE_OUT="$trace_out" \
-  cargo run --release --example campus_smoke 42 4 >/dev/null
+  cargo run --release --example campus_smoke 42 >/dev/null
 
 echo "wrote $bench_out, $prof_out, $trace_out" >&2

@@ -1,14 +1,13 @@
 #!/usr/bin/env bash
 # Render a PROF_net.json (the execution observatory's summary document,
 # written by `PROF_OUT=... cargo run --example campus_smoke` or
-# scripts/bench_quick.sh) as a markdown shard-balance report:
+# scripts/bench_quick.sh) as a markdown phase report:
 #
 #   usage: scripts/prof_summary.sh PROF_net.json
 #
 # Output goes to stdout (CI appends it to $GITHUB_STEP_SUMMARY): the
-# setup-vs-run wall-clock split, then the per-cell load table with Jain
-# fairness and epoch skew. Exit code is always 0 — wall-clock numbers on
-# shared runners inform, they never gate.
+# setup-vs-run wall-clock split, then the per-phase totals. Exit code is
+# always 0 — wall-clock numbers on shared runners inform, they never gate.
 set -euo pipefail
 
 prof="${1:?usage: prof_summary.sh PROF_net.json}"
@@ -19,7 +18,7 @@ if [ ! -s "$prof" ]; then
   echo "## Execution observatory"
   echo
   echo "No PROF_net.json to render (missing or empty: \`$prof\`);" \
-    "skipping the shard-balance table."
+    "skipping the phase table."
   exit 0
 fi
 
@@ -30,43 +29,22 @@ jq -r '
     elif . >= 1e3 then (. / 1e3 * 100 | round / 100 | tostring) + " µs"
     else (. | round | tostring) + " ns" end;
   .phase_totals_ns as $p |
-  # Setup: everything before the first event pops — scenario validation,
-  # the cell partition, engine-core init (link_build nests inside
-  # engine_init, so it is shown but not re-added). Run: the per-epoch
-  # event loops plus the exchange and the merges.
-  (($p.scenario_build // 0) + ($p.partition // 0) + ($p.engine_init // 0)) as $setup |
-  (($p.epoch // 0) + ($p.exchange // 0) + ($p.finalize // 0) + ($p.merge_finalize // 0)) as $run |
+  # Setup: everything before the first event pops — scenario validation
+  # and engine-core init (link_build nests inside engine_init, so it is
+  # shown but not re-added). Run: the epoch chunks of the event loop plus
+  # the finalisation.
+  (($p.scenario_build // 0) + ($p.engine_init // 0)) as $setup |
+  (($p.epoch // 0) + ($p.finalize // 0)) as $run |
   ($setup + $run) as $total |
   def pct: if $total > 0 then (. / $total * 1000 | round / 10 | tostring) + "%" else "—" end;
   "## Execution observatory: \(.scenario)",
   "",
-  "Setup \($setup | fmt_ns) (\($setup | pct)) vs run \($run | fmt_ns) (\($run | pct))" +
-    " — busy time, summed across cells.",
+  "Setup \($setup | fmt_ns) (\($setup | pct)) vs run \($run | fmt_ns) (\($run | pct));" +
+    " critical-path epoch \(.critical_path_epoch // "—").",
   "",
-  "| phase | total |",
-  "|---|---:|",
-  ($p | to_entries | sort_by(.key)[] | "| \(.key) | \(.value | fmt_ns) |"),
-  "",
-  (if .load then
-    (.load.cell_events | add) as $ev_total |
-    "### Shard balance: \(.load.cells) cells over \(.load.epochs) epochs",
-    "",
-    "Jain fairness **\(.load.fairness)** over cell event counts; " +
-      "epoch skew (peak/mean cell events) max \(.load.epoch_skew_max * 100 | round / 100), " +
-      "mean \(.load.epoch_skew_mean * 100 | round / 100); " +
-      "critical-path epoch \(.critical_path_epoch // "—").",
-    "",
-    "| cell | events | share | busy | ghost windows |",
-    "|---:|---:|---:|---:|---:|",
-    ([.load.cell_events, .load.ghost_windows, (.cells | map(.busy_ns))] | transpose |
-      to_entries[] |
-      "| \(.key) | \(.value[0]) | " +
-      (if $ev_total > 0 then ((.value[0] / $ev_total * 1000 | round / 10 | tostring) + "%")
-       else "—" end) +
-      " | \(.value[2] | fmt_ns) | \(.value[1]) |")
-  else
-    "Single-cell run: no shard-load block (the load ledger is a multi-cell quantity)."
-  end),
+  "| phase | total | share |",
+  "|---|---:|---:|",
+  ($p | to_entries | sort_by(.key)[] | "| \(.key) | \(.value | fmt_ns) | \(.value | pct) |"),
   "",
   (if .dropped_spans > 0 then "⚠ \(.dropped_spans) spans dropped to ring wrap-around." else empty end)
 ' "$prof"

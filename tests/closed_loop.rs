@@ -4,7 +4,6 @@
 //! geometry — poll → backscatter → ack transactions completing at 1, 10
 //! and 100 tags — must hold.
 
-use interscatter::net::engine::NetworkSim;
 use interscatter::net::links::LinkBudget;
 use interscatter::net::scenario::{ExecutionSection, Scenario};
 use interscatter::prelude::*;
@@ -19,7 +18,7 @@ fn run_untraced(scenario: &Scenario, seed: u64) -> NetRunResult {
         .execution(ExecutionSection::new().trace(false))
         .build()
         .unwrap();
-    NetworkSim::new(&scenario, seed).run().unwrap()
+    interscatter::net::run(&scenario, seed).unwrap()
 }
 
 /// The distance at which `scenario`'s received power hits `target_dbm`

@@ -4,7 +4,6 @@
 //! reported fleet result reproducible from `(scenario, seed)` alone.
 
 use interscatter::net::coex::{CoexConfig, CoexSource, ReStripe};
-use interscatter::net::engine::NetworkSim;
 use interscatter::net::prelude::Position;
 use interscatter::net::run_trials;
 use interscatter::net::scenario::{ExecutionSection, Scenario};
@@ -91,8 +90,8 @@ fn scenarios() -> Vec<Scenario> {
 #[test]
 fn same_seed_same_bytes() {
     for scenario in scenarios() {
-        let a = NetworkSim::new(&scenario, 0xDEC0DE).run().unwrap();
-        let b = NetworkSim::new(&scenario, 0xDEC0DE).run().unwrap();
+        let a = interscatter::net::run(&scenario, 0xDEC0DE).unwrap();
+        let b = interscatter::net::run(&scenario, 0xDEC0DE).unwrap();
         let bytes_a = a.trace.to_bytes();
         assert!(
             !bytes_a.is_empty(),
@@ -125,8 +124,8 @@ fn same_seed_same_bytes() {
 #[test]
 fn different_seed_different_bytes() {
     for scenario in scenarios() {
-        let a = NetworkSim::new(&scenario, 1).run().unwrap();
-        let b = NetworkSim::new(&scenario, 2).run().unwrap();
+        let a = interscatter::net::run(&scenario, 1).unwrap();
+        let b = interscatter::net::run(&scenario, 2).unwrap();
         assert_ne!(
             a.trace.to_bytes(),
             b.trace.to_bytes(),
@@ -154,7 +153,7 @@ fn determinism_survives_the_parallel_runner() {
 #[test]
 fn trace_is_meaningful() {
     let scenario = Scenario::hospital_ward(8);
-    let result = NetworkSim::new(&scenario, 5).run().unwrap();
+    let result = interscatter::net::run(&scenario, 5).unwrap();
     let text = String::from_utf8(result.trace.to_bytes()).unwrap();
     assert!(text.contains("arrival"), "trace should log packet arrivals");
     assert!(text.contains("tx start"), "trace should log grants");
@@ -175,8 +174,8 @@ fn mid_run_restripe_replays_exactly() {
     // budgets) mid-run. Both the decision and everything downstream of it
     // must replay byte for byte.
     let scenario = Scenario::congested_ward(12).with_restripe(ReStripe::default());
-    let a = NetworkSim::new(&scenario, 0xC0EC).run().unwrap();
-    let b = NetworkSim::new(&scenario, 0xC0EC).run().unwrap();
+    let a = interscatter::net::run(&scenario, 0xC0EC).unwrap();
+    let b = interscatter::net::run(&scenario, 0xC0EC).unwrap();
     assert_eq!(a.trace.to_bytes(), b.trace.to_bytes());
     assert_eq!(format!("{:?}", a.metrics), format!("{:?}", b.metrics));
     assert!(a.metrics.restripes() > 0, "the run must actually re-stripe");
@@ -188,8 +187,8 @@ fn mid_run_restripe_replays_exactly() {
 #[test]
 fn closed_loop_trace_shows_whole_transactions() {
     let scenario = Scenario::hospital_ward(8).closed_loop();
-    let a = NetworkSim::new(&scenario, 5).run().unwrap();
-    let b = NetworkSim::new(&scenario, 5).run().unwrap();
+    let a = interscatter::net::run(&scenario, 5).unwrap();
+    let b = interscatter::net::run(&scenario, 5).unwrap();
     assert_eq!(
         a.trace.to_bytes(),
         b.trace.to_bytes(),

@@ -1,11 +1,10 @@
 //! The execution observatory's determinism contract: profiling is
 //! **byte-neutral** — the event trace, the metrics report and the
-//! telemetry output are identical with profiling on or off, at every
-//! shard count — while the prof output itself carries the phase totals,
-//! per-cell loads and Chrome-trace export `PROF_net.json` is built from.
-//! See `net::prof` for the contract and detlint's `wall_clock` scoping.
+//! telemetry output are identical with profiling on or off — while the
+//! prof output itself carries the phase totals, per-epoch busy time and
+//! Chrome-trace export `PROF_net.json` is built from. See `net::prof` for
+//! the contract and detlint's `wall_clock` scoping.
 
-use interscatter::net::engine::NetworkSim;
 use interscatter::net::prelude::ExecutionSection;
 use interscatter::net::scenario::Scenario;
 use std::collections::BTreeMap;
@@ -23,8 +22,8 @@ fn shaped(scenario: &Scenario, shards: usize, profile: bool) -> Scenario {
 
 #[test]
 fn profiling_is_byte_neutral_at_every_shard_count() {
-    // The acceptance matrix: a single-cell preset (congested_ward) and a
-    // multi-cell one (campus), profile on vs off, shards 1/2/4/8.
+    // The acceptance matrix: a bedside preset and a campus, profile on vs
+    // off, at every accepted `shards` value (validated, no effect).
     for scenario in [Scenario::congested_ward(9), Scenario::campus(768)] {
         for shards in SHARD_COUNTS {
             let off = interscatter::net::run(&shaped(&scenario, shards, false), 42).unwrap();
@@ -57,26 +56,41 @@ fn profiling_is_byte_neutral_at_every_shard_count() {
 }
 
 #[test]
-fn profiled_single_cell_runs_still_reproduce_the_legacy_engine() {
+fn profiled_runs_match_the_one_chunk_run() {
     let scenario = Scenario::hospital_ward(8).closed_loop();
-    let legacy = NetworkSim::new(&scenario, 42).run().unwrap();
-    for shards in SHARD_COUNTS {
-        let run = interscatter::net::run(&shaped(&scenario, shards, true), 42).unwrap();
-        assert_eq!(
-            run.trace.to_bytes(),
-            legacy.trace.to_bytes(),
-            "profiled run diverged from the legacy engine at {shards} shards"
-        );
-        assert_eq!(run.metrics.report(), legacy.metrics.report());
-        // Shard-load telemetry is a multi-cell quantity; single-cell runs
-        // keep the legacy metrics shape byte for byte.
-        assert!(run.metrics.shard_load.is_none());
-    }
+    let one_chunk = scenario
+        .clone()
+        .builder()
+        .execution(ExecutionSection::new().epoch_s(2.0 * scenario.duration_s))
+        .build()
+        .unwrap();
+    let reference = interscatter::net::run(&one_chunk, 42).unwrap();
+    let epoch_s = 0.5;
+    let profiled = scenario
+        .clone()
+        .builder()
+        .execution(ExecutionSection::new().epoch_s(epoch_s).profile(true))
+        .build()
+        .unwrap();
+    let run = interscatter::net::run(&profiled, 42).unwrap();
+    assert_eq!(run.trace.to_bytes(), reference.trace.to_bytes());
+    assert_eq!(run.metrics.report(), reference.metrics.report());
+    // One "epoch" span per chunk, numbered from 0.
+    let prof = run.prof.expect("profiled run carries a report");
+    let epochs: Vec<u64> = prof
+        .spans
+        .iter()
+        .filter(|s| s.name == "epoch")
+        .filter_map(|s| s.arg)
+        .collect();
+    let chunks = (scenario.duration_s / epoch_s).ceil() as usize;
+    assert!(epochs.len() >= chunks, "{} epoch spans", epochs.len());
+    assert_eq!(epochs, (0..epochs.len() as u64).collect::<Vec<_>>());
 }
 
 #[test]
-fn profiled_campus_summary_carries_phases_loads_and_exports() {
-    let scenario = shaped(&Scenario::campus(768), 4, true);
+fn profiled_campus_summary_carries_phases_and_exports() {
+    let scenario = shaped(&Scenario::campus(768), 1, true);
     // The builder timed its validation pass for the scenario_build span.
     assert!(scenario.execution.build_ns.is_some());
 
@@ -89,65 +103,61 @@ fn profiled_campus_summary_carries_phases_loads_and_exports() {
         .iter()
         .map(|(name, ns)| (name.as_str(), *ns))
         .collect();
-    for phase in [
-        "scenario_build",
-        "partition",
-        "engine_init",
-        "link_build",
-        "epoch",
-        "exchange",
-        "finalize",
-        "merge_finalize",
-    ] {
-        assert!(phases.contains_key(phase), "missing phase {phase}");
-    }
+    let names: Vec<&str> = phases.keys().copied().collect();
+    assert_eq!(
+        names,
+        [
+            "engine_init",
+            "epoch",
+            "finalize",
+            "link_build",
+            "scenario_build"
+        ]
+    );
     assert!(phases["epoch"] > 0, "epoch busy time is empty");
-    assert!(summary.exchange_ns > 0, "exchange overhead is empty");
-
-    // The deterministic shard-load ledger: every engine event is charged
-    // to exactly one cell, and the profile sees the same cells.
-    let load = run
-        .metrics
-        .shard_load
-        .as_ref()
-        .expect("multi-cell run records shard load");
-    assert!(load.cell_events.len() > 1);
-    assert_eq!(load.cell_events.iter().sum::<u64>(), run.telemetry.events);
-    assert_eq!(summary.cells.len(), load.cell_events.len());
-    assert!(summary.cells.iter().all(|c| !c.epochs.is_empty()));
-    let fairness = load.load_fairness();
-    assert!((0.0..=1.0).contains(&fairness) && fairness > 0.0);
+    // One engine: every epoch span on the one track.
+    assert_eq!(summary.cells.len(), 1);
+    assert!(!summary.cells[0].epochs.is_empty());
     assert!(summary.critical_path_epoch.is_some());
 
-    // Chrome trace export: complete events, one tid per track.
+    // Chrome trace export: complete events on the one track.
     let chrome = prof.to_chrome_trace();
     assert!(chrome.starts_with("{\"traceEvents\":["));
     assert!(chrome.contains("\"ph\":\"X\""));
     assert!(chrome.contains("\"name\":\"epoch\""));
     assert!(chrome.contains("\"displayTimeUnit\":\"ms\""));
+    assert!(!chrome.contains("\"tid\":1"));
 
-    // The PROF_net.json document joins the summary with the load block.
-    let doc = summary.to_json(run.metrics.shard_load.as_ref());
+    // The PROF_net.json document.
+    let doc = summary.to_json();
     assert!(doc.contains("\"phase_totals_ns\""));
-    assert!(doc.contains("\"load\""));
-    assert!(doc.contains("\"fairness\""));
+    assert!(doc.contains("\"cells\":[{\"cell\":0,"));
 }
 
 #[test]
-fn sharded_progress_lines_carry_execution_context() {
-    let scenario = Scenario::campus(768)
-        .builder()
-        .execution(ExecutionSection::new().progress(0.5, false))
-        .build()
-        .unwrap();
-    let run = interscatter::net::run(&scenario, 42).unwrap();
+fn progress_lines_come_from_the_engine() {
+    // The engine's own simulated-time cadence, whatever the epoch chunk.
+    let shape = |epoch_s: f64| {
+        Scenario::campus(768)
+            .builder()
+            .execution(
+                ExecutionSection::new()
+                    .epoch_s(epoch_s)
+                    .progress(0.5, false),
+            )
+            .build()
+            .unwrap()
+    };
+    let run = interscatter::net::run(&shape(0.01), 42).unwrap();
     let lines = &run.telemetry.progress;
     assert!(!lines.is_empty(), "no progress lines collected");
     for line in lines {
-        assert!(line.contains("sharded progress: epoch "), "{line}");
-        assert!(line.contains("ev/epoch"), "{line}");
-        assert!(line.contains("cells active"), "{line}");
+        assert!(line.starts_with("[progress] t="), "{line}");
+        assert!(line.contains(" events="), "{line}");
+        assert!(line.contains(" prr="), "{line}");
     }
+    let coarse = interscatter::net::run(&shape(0.7), 42).unwrap();
+    assert_eq!(&coarse.telemetry.progress, lines);
 }
 
 #[test]

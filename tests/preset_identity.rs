@@ -6,7 +6,6 @@
 //! deployment, which every downstream digest would silently inherit.
 
 use interscatter::net::coex::ReStripe;
-use interscatter::net::engine::NetworkSim;
 use interscatter::net::scenario::{ExecutionSection, Scenario};
 use interscatter::net::trace_digest::fnv1a_str;
 
@@ -101,8 +100,8 @@ fn exact_engine_honours_the_scenario_trace_switch() {
         .execution(ExecutionSection::new().trace(false))
         .build()
         .unwrap();
-    let on = NetworkSim::new(&traced, 42).run().unwrap();
-    let off = NetworkSim::new(&untraced, 42).run().unwrap();
+    let on = interscatter::net::run(&traced, 42).unwrap();
+    let off = interscatter::net::run(&untraced, 42).unwrap();
     assert!(!on.trace.records().is_empty());
     assert!(off.trace.records().is_empty());
     assert_eq!(on.metrics.report(), off.metrics.report());

@@ -3,7 +3,6 @@
 //! and streaming-mode sketches answer the same quantile questions as the
 //! stored-sample baseline to within the documented bound.
 
-use interscatter::net::engine::NetworkSim;
 use interscatter::net::scenario::{ExecutionSection, Scenario, ScenarioBuilder};
 use interscatter::net::telemetry::{
     Dataset, Filter, MetricsMode, SinkSpec, Subscription, TelemetryConfig, TelemetryKind,
@@ -71,10 +70,9 @@ fn streaming(builder: ScenarioBuilder) -> Scenario {
 #[test]
 fn subscriptions_leave_traces_byte_identical() {
     for base in closed_loop_presets() {
-        let plain = NetworkSim::new(&base, 0x0B5E7).run().unwrap();
-        let observed = NetworkSim::new(&observe(base.clone()).build().unwrap(), 0x0B5E7)
-            .run()
-            .unwrap();
+        let plain = interscatter::net::run(&base, 0x0B5E7).unwrap();
+        let observed =
+            interscatter::net::run(&observe(base.clone()).build().unwrap(), 0x0B5E7).unwrap();
         // Observation is free: the trace and metrics are bit-for-bit what
         // the unobserved run produced (telemetry consumes no RNG and
         // touches no queue), checked through the shared digest helper too.
@@ -110,9 +108,8 @@ fn subscriptions_leave_traces_byte_identical() {
 #[test]
 fn streaming_quantiles_match_stored_within_one_percent() {
     let base = Scenario::congested_ward(12).closed_loop();
-    let stored = NetworkSim::new(&base, 0xC0FFEE).run().unwrap().metrics;
-    let streamed = NetworkSim::new(&streaming(base.clone().builder()), 0xC0FFEE)
-        .run()
+    let stored = interscatter::net::run(&base, 0xC0FFEE).unwrap().metrics;
+    let streamed = interscatter::net::run(&streaming(base.clone().builder()), 0xC0FFEE)
         .unwrap()
         .metrics;
     let sketches = streamed.streaming.as_ref().expect("streaming series");
@@ -168,10 +165,8 @@ fn streaming_run_reproduces_the_stored_trace() {
     // The metrics mode is observation too: switching containers must not
     // change a single byte of the event trace.
     let base = Scenario::congested_ward(10);
-    let stored = NetworkSim::new(&base, 0x5EED).run().unwrap();
-    let streamed = NetworkSim::new(&streaming(observe(base)), 0x5EED)
-        .run()
-        .unwrap();
+    let stored = interscatter::net::run(&base, 0x5EED).unwrap();
+    let streamed = interscatter::net::run(&streaming(observe(base)), 0x5EED).unwrap();
     assert_eq!(stored.trace.to_bytes(), streamed.trace.to_bytes());
     assert_eq!(stored.trace.digest(), streamed.trace.digest());
 }
