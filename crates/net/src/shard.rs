@@ -172,4 +172,69 @@ mod tests {
         assert!(carriers.iter().all(|&x| x), "every carrier covered");
         assert!(receivers.iter().all(|&x| x), "every receiver covered");
     }
+
+    /// One uninterrupted pass of the engine core: `new`, `run_until` past
+    /// the horizon, `finish` — the reference the chunked run must match.
+    fn one_pass(scenario: &Scenario, seed: u64) -> crate::engine::NetRunResult {
+        let mut core = crate::engine::EngineCore::new(scenario, seed, true).unwrap();
+        core.run_until(crate::time::Time::from_nanos(u64::MAX));
+        core.finish()
+    }
+
+    #[test]
+    fn single_cell_execution_matches_legacy_engine_bytes() {
+        // A single-cell scenario run through `crate::run` must reproduce
+        // one uninterrupted engine pass exactly — same trace bytes, same
+        // metrics — at any shard count and any epoch length.
+        for scenario in [
+            Scenario::hospital_ward(8),
+            Scenario::hospital_ward(8).closed_loop(),
+            Scenario::card_to_card_room(6),
+        ] {
+            assert_eq!(partition(&scenario).len(), 1, "{}", scenario.name);
+            let legacy = one_pass(&scenario, 42);
+            for (shards, epoch_s) in [(1usize, 0.05), (4, 0.05), (4, 0.001)] {
+                let mut chunked = scenario.clone();
+                chunked.execution.shards = shards;
+                chunked.execution.epoch_s = epoch_s;
+                let run = crate::run(&chunked, 42).unwrap();
+                assert_eq!(
+                    run.trace.to_bytes(),
+                    legacy.trace.to_bytes(),
+                    "{} at {shards} shards, epoch {epoch_s} s",
+                    scenario.name
+                );
+                assert_eq!(
+                    format!("{:?}", run.metrics),
+                    format!("{:?}", legacy.metrics)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn multi_cell_digest_is_shard_count_invariant() {
+        // Campus splits into several interference cells, yet the shard
+        // count never reaches the simulation: digest, metrics and
+        // telemetry are identical at every count.
+        let quad = Scenario::campus(1_024);
+        assert!(partition(&quad).len() > 1);
+        let reference = crate::run(&quad, 42).unwrap();
+        assert!(!reference.trace.to_bytes().is_empty());
+        for shards in [2usize, 4, 8] {
+            let mut scenario = quad.clone();
+            scenario.execution.shards = shards;
+            let run = crate::run(&scenario, 42).unwrap();
+            assert_eq!(
+                run.trace.digest(),
+                reference.trace.digest(),
+                "campus digest diverged at {shards} shards"
+            );
+            assert_eq!(
+                format!("{:?}", run.metrics),
+                format!("{:?}", reference.metrics)
+            );
+            assert_eq!(run.telemetry, reference.telemetry);
+        }
+    }
 }

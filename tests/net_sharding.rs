@@ -1,11 +1,11 @@
-//! The sharded-execution determinism contract: a scenario's trace digest,
-//! metrics report and telemetry are **byte-identical at any shard count**
-//! (the shard knob chunks the fixed cell list, it never changes the cell
-//! structure), and on single-cell scenarios the sharded executor is
-//! byte-identical to the legacy unsharded engine. See `net::shard` for
-//! the partitioning model and the epoch-exchange relaxation.
+//! The shard-count contract: `ExecutionConfig::shards` is validated but
+//! never reaches the simulation, so a scenario's trace digest, metrics
+//! report and telemetry are **byte-identical at any shard count**, and
+//! every run — chunked at any epoch length, at any shard count — equals
+//! one uninterrupted pass of the engine (a run whose first epoch boundary
+//! already lies past the horizon). See `net::run` for the one-engine
+//! execution model and `tests/net_chunking.rs` for the chunking property.
 
-use interscatter::net::engine::NetworkSim;
 use interscatter::net::prelude::ExecutionSection;
 use interscatter::net::scenario::Scenario;
 use rand::rngs::StdRng;
@@ -18,6 +18,16 @@ fn with_shards(scenario: &Scenario, shards: usize) -> Scenario {
         .clone()
         .builder()
         .execution(ExecutionSection::new().shards(shards))
+        .build()
+        .unwrap()
+}
+
+/// The scenario as one engine pass: one chunk spanning the horizon.
+fn one_pass(scenario: &Scenario) -> Scenario {
+    scenario
+        .clone()
+        .builder()
+        .execution(ExecutionSection::new().epoch_s(2.0 * scenario.duration_s))
         .build()
         .unwrap()
 }
@@ -71,15 +81,15 @@ fn every_preset_digest_is_shard_count_invariant() {
 #[test]
 fn single_cell_presets_reproduce_the_legacy_engine() {
     // One interference cell (shared receivers couple everything): the
-    // sharded executor must reproduce `NetworkSim::run` byte for byte,
-    // whatever the shard count.
+    // default chunked run must reproduce one uninterrupted engine pass
+    // byte for byte, whatever the shard count.
     for scenario in [
         Scenario::hospital_ward(8),
         Scenario::hospital_ward(8).closed_loop(),
         Scenario::contact_lens_fleet(6).closed_loop(),
         Scenario::card_to_card_room(5).closed_loop(),
     ] {
-        let legacy = NetworkSim::new(&scenario, 42).run().unwrap();
+        let legacy = interscatter::net::run(&one_pass(&scenario), 42).unwrap();
         for shards in SHARD_COUNTS {
             let run = interscatter::net::run(&with_shards(&scenario, shards), 42).unwrap();
             assert_eq!(
@@ -95,16 +105,17 @@ fn single_cell_presets_reproduce_the_legacy_engine() {
 
 #[test]
 fn random_epoch_lengths_keep_sharded_equal_to_single_shard() {
-    // Property: for ANY epoch length, the digest at 4 shards equals the
-    // digest at 1 shard (same epoch) — the exchange cadence may change
-    // what the simulation computes, but never lets worker count in.
+    // Property: for ANY epoch length, the run at 4 shards equals the run
+    // at 1 shard (same epoch), and both equal one engine pass — neither
+    // the chunk cadence nor the worker count reaches the simulation.
     let mut rng = StdRng::seed_from_u64(0x5EED_541A);
     let multi = Scenario::campus(512);
     let single = Scenario::hospital_ward(6).closed_loop();
-    let legacy_single = NetworkSim::new(&single, 7).run().unwrap();
+    let legacy_multi = interscatter::net::run(&one_pass(&multi), 7).unwrap();
+    let legacy_single = interscatter::net::run(&one_pass(&single), 7).unwrap();
     for case in 0..8 {
         let epoch_s = 10f64.powf(rng.gen_range(-4.0..-0.3));
-        for scenario in [&multi, &single] {
+        for (scenario, legacy) in [(&multi, &legacy_multi), (&single, &legacy_single)] {
             let shape = |shards: usize| {
                 scenario
                     .clone()
@@ -122,20 +133,12 @@ fn random_epoch_lengths_keep_sharded_equal_to_single_shard() {
                 scenario.name
             );
             assert_eq!(one.metrics.report(), four.metrics.report());
+            assert_eq!(
+                one.trace.to_bytes(),
+                legacy.trace.to_bytes(),
+                "case {case}: epoch {epoch_s} s perturbed {}",
+                scenario.name
+            );
         }
-        // Single-cell runs chunk the legacy engine's own event loop, so
-        // any epoch length reproduces it exactly.
-        let chunked = single
-            .clone()
-            .builder()
-            .execution(ExecutionSection::new().epoch_s(epoch_s))
-            .build()
-            .unwrap();
-        let run = interscatter::net::run(&chunked, 7).unwrap();
-        assert_eq!(
-            run.trace.to_bytes(),
-            legacy_single.trace.to_bytes(),
-            "case {case}: epoch {epoch_s} s perturbed the single-cell run"
-        );
     }
 }
