@@ -1,7 +1,7 @@
 //! Event throughput of the engine at city scale: the `campus` closed-loop
 //! preset (shared striped helpers, coex load, streaming metrics) at 10k
 //! and 100k tags, one `net::run` row per size. This is the scale target
-//! of the engine-core work — the timing-wheel event queue, the
+//! of the engine-core work — the 4-ary heap event queue, the
 //! band-indexed medium and the per-query link powers — and the quick tier
 //! tracks its events/sec in `BENCH_net.json`.
 

@@ -1,6 +1,7 @@
 //! Event throughput of the `interscatter-net` engine vs. fleet size: how
 //! many simulation events per second the scheduler, medium and link layer
-//! sustain with 1, 10 and 100 tags, plus the parallel Monte-Carlo runner.
+//! sustain with 1, 10 and 100 tags, plus `net::run_trials` fanning trials
+//! across threads.
 //! This anchors the performance trajectory as the engine grows.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};

@@ -1,7 +1,7 @@
 //! # detlint — determinism-hazard static analysis for this workspace
 //!
 //! Every guarantee the reproduction makes — digest-pinned traces per seed,
-//! bit-for-bit equality of memoised vs direct link gains, the timing-wheel
+//! bit-for-bit equality of memoised vs direct link gains, every event-queue
 //! swap reproducing the old `(at, seq)` order — rests on a determinism
 //! discipline. This crate *verifies* that discipline instead of assuming
 //! it: a dependency-free static-analysis pass (hand-rolled lexer +

@@ -1932,6 +1932,7 @@ mod tests {
         // SoA): every preset across every axis — open/closed loop,
         // mobility, scheduling policies, sub-band striping, coexistence,
         // mid-run re-striping — must keep producing these exact bytes.
+        // They also pin the later wheel → 4-ary heap swap, unedited.
         // (Like the digests above, the constants assume the usual glibc
         // libm rounding.)
         use crate::coex::ReStripe;

@@ -2,22 +2,33 @@
 //!
 //! Events are ordered by `(time, sequence)`: the sequence number is the
 //! order of scheduling, so ties at the same nanosecond resolve identically
-//! on every run. The queue is a **hierarchical timing wheel** over the
-//! integer-nanosecond grid — `LEVELS` levels of 64 slots each, level `k`
-//! bucketing by bit group `[6k, 6k+6)` of the absolute timestamp — with a
-//! binary-heap overflow for events beyond the wheel's
-//! `WHEEL_SPAN_NS` ≈ 68.7 s horizon. Scheduling is O(1); popping
-//! cascades a higher-level slot down at most once per slot per window, so
-//! a 100k-tag run pays amortized O(1) per event where the former
-//! `BinaryHeap` paid O(log n) against a 100k-deep heap on every push and
-//! pop. The pop order is *exactly* the `(at, seq)` total order the heap
-//! produced — the byte-identical-trace contract pins it, and the
-//! `wheel_matches_reference_heap` property test drives random streams
-//! through both structures side by side.
+//! on every run. The queue is an implicit **4-ary min-heap** over a
+//! `Vec<Event>`: `schedule` sifts up, `pop` sifts a hole down from the
+//! root, and `pop_before` peeks at the root. Both are O(log₄ n), with no
+//! per-slot storage, cursor or side buffers. The pop order is the exact
+//! `(at, seq)` total order — the byte-identical-trace contract pins it,
+//! and the `queue_matches_reference_heap` property test drives random
+//! streams through this queue and a `std` binary heap side by side.
+//!
+//! The design was chosen by measurement. Perfbench at seed 1, `--seconds
+//! 8`, 3 alternating runs per candidate on a 2-core x86-64 host; every
+//! workload digest identical and 0 failed operations (ranges in seconds):
+//!
+//! | queue | ward `wall_s` | ward `setup_s` | campus `wall_s` | campus `setup_s` | campus RSS |
+//! |---|---|---|---|---|---|
+//! | hierarchical timing wheel (6 × 64 slots + far-future heap) | 0.57–0.68 | 0.58–0.68 | 0.105–0.123 | 0.122–0.162 | 90.8 MiB |
+//! | same wheel, slot capacity kept across drains | 0.36–0.42 | 0.43–0.48 | — | — | — |
+//! | `std` `BinaryHeap<Reverse<Event>>` | 0.28–0.31 | 0.29–0.31 | 0.130–0.154 | 0.159–0.185 | 88.5 MiB |
+//! | binary heap of 24 B keys + event-kind slab | — | — | 0.126–0.148 | 0.17–0.23 | 91.4 MiB |
+//! | **4-ary heap of `Event`** (this) | **0.30–0.32** | **0.28–0.35** | **0.105–0.121** | **0.119–0.149** | **88.5 MiB** |
+//!
+//! Ward's queue is only hundreds of events deep, so any heap beats the
+//! wheel's cascades and per-slot reallocation. Campus holds ≈100k pending
+//! 48 B events, more than a 2 MiB L2: there a binary heap's 17-level pops
+//! cost +15–22% in the event loop (not in set-up), and the 4-ary layout's
+//! halved depth, with siblings on adjacent cache lines, wins it back.
 
 use crate::time::Time;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
 
 /// Which leg of a closed-loop transaction an AM downlink frame carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,68 +124,32 @@ impl PartialOrd for Event {
     }
 }
 
-/// Bits per wheel level: 64 slots each.
-const SLOT_BITS: u32 = 6;
-/// Slots per wheel level.
-const SLOTS: usize = 1 << SLOT_BITS;
-/// Wheel levels. Level `k` buckets by bit group `[6k, 6k+6)` of the
-/// absolute nanosecond timestamp, so the wheel spans `2^36` ns.
-const LEVELS: usize = 6;
-/// The wheel's horizon, nanoseconds (≈ 68.7 s). Events further in the
-/// future than this sit in the overflow heap until the wheel drains into
-/// their 68.7 s window, then promote in one batch.
-pub const WHEEL_SPAN_NS: u64 = 1 << (SLOT_BITS * LEVELS as u32);
+/// Children per heap node. Four halves the depth of a binary heap and
+/// keeps a node's siblings within one or two 64 B cache lines of 48 B
+/// events, so a pop scans adjacent memory instead of chasing a deeper
+/// path.
+const ARITY: usize = 4;
 
-/// A deterministic hierarchical-timing-wheel event queue.
-///
-/// The pop order is the exact `(at, seq)` total order of a binary heap
-/// over the same stream: same-instant events resolve in scheduling order,
-/// far-future events promote from the overflow heap without reordering.
-/// Internally, `cur` is a monotone lower bound on every pending event;
-/// level-`k` slots hold events whose timestamp agrees with `cur` above bit
-/// `6(k+1)` and differs first in bit group `k`. Draining a level-0 slot
-/// (one exact nanosecond) sorts it by sequence into a FIFO buffer; a
-/// same-instant schedule during the drain appends, which preserves order
-/// because sequence numbers are globally monotone.
-#[derive(Debug)]
-pub struct EventQueue {
-    /// `slots[level][slot]`: pending events, unordered until drained.
-    slots: Vec<Vec<Vec<Event>>>,
-    /// One occupancy bit per slot per level, for next-slot scans.
-    occupancy: [u64; LEVELS],
-    /// Monotone lower bound (ns) on every pending wheel/overflow event.
-    cur: u64,
-    /// Events at exactly `cur`, sequence-sorted, ready to pop.
-    buffer: VecDeque<Event>,
-    /// Events scheduled *behind* `cur` (a DES engine never does this, but
-    /// the queue contract tolerates it: they pop first, heap-ordered).
-    past: BinaryHeap<Reverse<Event>>,
-    /// Events beyond the wheel span from `cur`'s window.
-    overflow: BinaryHeap<Reverse<Event>>,
-    /// The event [`EventQueue::pop_before`] peeked but did not release
-    /// (its time was at or past the limit). Still pending: counted by
-    /// `len`, returned by the next pop. Only `past` can hold anything
-    /// earlier, because the peek advanced `cur` to the stashed instant.
-    stash: Option<Event>,
-    /// Total pending events across all storage.
-    len: usize,
-    next_seq: u64,
+/// The `(at, seq)` order of `Ord for Event` as one integer, so a sibling
+/// comparison is a single compare the sift-down can select on.
+#[inline]
+fn key(e: &Event) -> u128 {
+    (u128::from(e.at.0) << 64) | u128::from(e.seq)
 }
 
-impl Default for EventQueue {
-    fn default() -> Self {
-        EventQueue {
-            slots: vec![vec![Vec::new(); SLOTS]; LEVELS],
-            occupancy: [0; LEVELS],
-            cur: 0,
-            buffer: VecDeque::new(),
-            past: BinaryHeap::new(),
-            overflow: BinaryHeap::new(),
-            stash: None,
-            len: 0,
-            next_seq: 0,
-        }
-    }
+/// A deterministic event queue: an implicit 4-ary min-heap over `(at,
+/// seq)`.
+///
+/// `heap[0]` is the earliest pending event; the children of `heap[i]` are
+/// `heap[4i + 1 ..= 4i + 4]`, each no earlier than their parent. Sequence
+/// numbers are unique and globally monotone, so `(at, seq)` is a total
+/// order and the pop order is fully determined by the schedule stream —
+/// same-instant events resolve in scheduling order, and an event
+/// scheduled behind the last pop simply pops next.
+#[derive(Debug, Default)]
+pub struct EventQueue {
+    heap: Vec<Event>,
+    next_seq: u64,
 }
 
 impl EventQueue {
@@ -183,66 +158,63 @@ impl EventQueue {
         EventQueue::default()
     }
 
-    /// The wheel window (bits above the span) an instant falls in.
-    #[inline]
-    fn window(ns: u64) -> u64 {
-        ns >> (SLOT_BITS * LEVELS as u32)
-    }
-
-    /// Files an event into the wheel. Caller guarantees `e.at.0 >= cur`
-    /// and `window(e.at.0) == window(cur)`.
-    #[inline]
-    fn wheel_insert(&mut self, e: Event) {
-        let diff = e.at.0 ^ self.cur;
-        let level = if diff == 0 {
-            0
-        } else {
-            ((63 - diff.leading_zeros()) / SLOT_BITS) as usize
-        };
-        let slot = ((e.at.0 >> (SLOT_BITS * level as u32)) as usize) & (SLOTS - 1);
-        self.slots[level][slot].push(e);
-        self.occupancy[level] |= 1 << slot;
-    }
-
     /// Schedules `kind` at time `at`.
     pub fn schedule(&mut self, at: Time, kind: EventKind) {
-        let seq = self.next_seq;
+        let e = Event {
+            at,
+            seq: self.next_seq,
+            kind,
+        };
         self.next_seq += 1;
-        let e = Event { at, seq, kind };
-        self.len += 1;
-        if !self.buffer.is_empty() && at.0 == self.cur {
-            // Same instant as the slot being drained: the fresh sequence
-            // number is larger than everything buffered, so FIFO append
-            // keeps `(at, seq)` order.
-            self.buffer.push_back(e);
-        } else if at.0 < self.cur {
-            self.past.push(Reverse(e));
-        } else if Self::window(at.0) == Self::window(self.cur) {
-            self.wheel_insert(e);
-        } else {
-            self.overflow.push(Reverse(e));
+        // Sift up: move later parents down into the hole until `e` fits.
+        let e_key = key(&e);
+        let mut hole = self.heap.len();
+        self.heap.push(e);
+        while hole > 0 {
+            let parent = (hole - 1) / ARITY;
+            if key(&self.heap[parent]) <= e_key {
+                break;
+            }
+            self.heap[hole] = self.heap[parent];
+            hole = parent;
         }
+        self.heap[hole] = e;
     }
 
     /// Pops the earliest event; ties resolve in scheduling order.
     pub fn pop(&mut self) -> Option<Event> {
-        if let Some(s) = self.stash {
-            // A stashed peek is the earliest thing in the wheel, but an
-            // event scheduled *since* the peek can sit behind the cursor
-            // in `past` and must pop first if it precedes the stash in
-            // the `(at, seq)` total order.
-            if let Some(&Reverse(p)) = self.past.peek() {
-                if (p.at, p.seq) < (s.at, s.seq) {
-                    self.past.pop();
-                    self.len -= 1;
-                    return Some(p);
-                }
+        let last = self.heap.pop()?;
+        let Some(&top) = self.heap.first() else {
+            return Some(last);
+        };
+        // Sift down: the root is a hole; move the earliest child up into
+        // it until `last` (the old tail) fits.
+        let n = self.heap.len();
+        let last_key = key(&last);
+        let mut hole = 0;
+        loop {
+            let first = hole * ARITY + 1;
+            if first >= n {
+                break;
             }
-            self.stash = None;
-            self.len -= 1;
-            return Some(s);
+            let mut min = first;
+            let mut min_key = key(&self.heap[first]);
+            // Selects rather than branches: which sibling is earliest is
+            // a coin flip the branch predictor cannot learn.
+            for child in first + 1..(first + ARITY).min(n) {
+                let k = key(&self.heap[child]);
+                let less = k < min_key;
+                min = if less { child } else { min };
+                min_key = if less { k } else { min_key };
+            }
+            if last_key <= min_key {
+                break;
+            }
+            self.heap[hole] = self.heap[min];
+            hole = min;
         }
-        self.pop_inner()
+        self.heap[hole] = last;
+        Some(top)
     }
 
     /// Pops the earliest event only if it fires strictly before `limit`;
@@ -253,109 +225,21 @@ impl EventQueue {
     /// `(at, seq)` total order `pop` alone would produce, which is what
     /// keeps epoch chunking invisible in the trace.
     pub fn pop_before(&mut self, limit: Time) -> Option<Event> {
-        if self.stash.is_none() {
-            self.stash = self.pop_inner();
-            if self.stash.is_some() {
-                // The stashed event is still pending: pop_inner already
-                // decremented `len`, but nothing left the queue yet.
-                self.len += 1;
-            }
-        }
-        let next_at = match (self.stash.as_ref(), self.past.peek()) {
-            (Some(s), Some(&Reverse(p))) => s.at.min(p.at),
-            (Some(s), None) => s.at,
-            (None, _) => return None,
-        };
-        if next_at < limit {
+        if self.heap.first()?.at < limit {
             self.pop()
         } else {
             None
         }
     }
 
-    /// The heap-order pop over every storage area except the stash.
-    fn pop_inner(&mut self) -> Option<Event> {
-        if self.len == 0 {
-            return None;
-        }
-        self.len -= 1;
-        // Late-scheduled events (at < cur) precede everything in the
-        // wheel, which holds only times >= cur.
-        if let Some(&Reverse(e)) = self.past.peek() {
-            self.past.pop();
-            return Some(e);
-        }
-        if let Some(e) = self.buffer.pop_front() {
-            return Some(e);
-        }
-        loop {
-            if self.occupancy.iter().all(|&b| b == 0) {
-                // Only the overflow remains: jump to its earliest window
-                // and promote that whole window into the wheel.
-                let min_at = self.overflow.peek().expect("len > 0").0.at.0;
-                self.cur = min_at;
-                while let Some(&Reverse(e)) = self.overflow.peek() {
-                    if Self::window(e.at.0) != Self::window(self.cur) {
-                        break;
-                    }
-                    self.overflow.pop();
-                    self.wheel_insert(e);
-                }
-            }
-            // Level 0: the first occupied slot at or after cur's is one
-            // exact nanosecond; drain it sequence-sorted and pop.
-            let s0 = (self.cur as usize) & (SLOTS - 1);
-            let masked = self.occupancy[0] & (!0u64 << s0);
-            if masked != 0 {
-                let s = masked.trailing_zeros() as usize;
-                let mut v = std::mem::take(&mut self.slots[0][s]);
-                self.occupancy[0] &= !(1u64 << s);
-                v.sort_unstable_by_key(|e| e.seq);
-                self.cur = v[0].at.0;
-                self.buffer.extend(v);
-                return self.buffer.pop_front();
-            }
-            // Cascade: redistribute the next occupied higher-level slot
-            // down one level and retry from level 0.
-            let mut cascaded = false;
-            for level in 1..LEVELS {
-                let shift = SLOT_BITS * level as u32;
-                let sk = ((self.cur >> shift) as usize) & (SLOTS - 1);
-                let masked = self.occupancy[level] & (!0u64 << sk);
-                if masked == 0 {
-                    continue;
-                }
-                let s = masked.trailing_zeros() as usize;
-                let v = std::mem::take(&mut self.slots[level][s]);
-                self.occupancy[level] &= !(1u64 << s);
-                let above = SLOT_BITS * (level as u32 + 1);
-                let base = ((self.cur >> above) << above) | ((s as u64) << shift);
-                self.cur = self.cur.max(base);
-                for e in v {
-                    self.wheel_insert(e);
-                }
-                cascaded = true;
-                break;
-            }
-            // No cascade found means the wheel is empty (occupied slots
-            // never sit behind `cur`'s indices), so the next iteration
-            // promotes from the overflow — `len > 0` guarantees it holds
-            // something.
-            debug_assert!(
-                cascaded || self.occupancy.iter().all(|&b| b == 0),
-                "wheel slots must never sit behind the cursor"
-            );
-        }
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 }
 
@@ -380,8 +264,8 @@ pub struct EventTrace {
 }
 
 impl EventTrace {
-    /// Creates a trace; a disabled trace records nothing (used by the
-    /// Monte-Carlo runner and benches, where only metrics matter).
+    /// Creates a trace; a disabled trace records nothing (used by
+    /// [`crate::run_trials`] and benches, where only metrics matter).
     pub fn new(enabled: bool) -> Self {
         EventTrace {
             records: Vec::new(),
@@ -429,6 +313,10 @@ impl EventTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     #[test]
     fn pops_in_time_order() {
@@ -456,54 +344,71 @@ mod tests {
         }
     }
 
-    /// A reference queue with the pre-wheel semantics: a binary heap over
-    /// `(at, seq)` with the same monotone sequence assignment.
+    /// The queue under test beside a reference — `std`'s binary heap over
+    /// the same `(at, seq)` order, with its own sequence counter. Every
+    /// schedule goes to both; every pop must agree.
     #[derive(Default)]
-    struct ReferenceQueue {
-        heap: BinaryHeap<Reverse<Event>>,
+    struct Twin {
+        queue: EventQueue,
+        reference: BinaryHeap<Reverse<Event>>,
         next_seq: u64,
     }
 
-    impl ReferenceQueue {
-        fn schedule(&mut self, at: Time, kind: EventKind) {
+    impl Twin {
+        fn schedule(&mut self, at: u64, tag: usize) {
+            let (at, kind) = (Time(at), EventKind::PacketArrival { tag });
+            self.queue.schedule(at, kind);
             let seq = self.next_seq;
             self.next_seq += 1;
-            self.heap.push(Reverse(Event { at, seq, kind }));
+            self.reference.push(Reverse(Event { at, seq, kind }));
+            assert_eq!(self.queue.len(), self.reference.len());
         }
 
-        fn pop(&mut self) -> Option<Event> {
-            self.heap.pop().map(|Reverse(e)| e)
+        /// The reference's next event.
+        fn expected(&mut self) -> Option<Event> {
+            self.reference.pop().map(|Reverse(e)| e)
+        }
+
+        /// Pops both; they must agree.
+        fn pop(&mut self, what: std::fmt::Arguments) -> Option<Event> {
+            let e = self.expected();
+            assert_eq!(self.queue.pop(), e, "{what} diverged");
+            e
+        }
+
+        /// Pops both to the end: the tails must agree too.
+        fn drain(&mut self, what: std::fmt::Arguments) {
+            while self.pop(what).is_some() {}
         }
     }
 
     #[test]
-    fn wheel_matches_reference_heap() {
-        // Random schedule/pop interleavings through the timing wheel and
-        // the reference heap side by side: every pop must agree exactly,
-        // including same-instant seq tie-breaks and far-future overflow
-        // promotion. The time distribution is deliberately lumpy — exact
-        // ties, near-future µs/ms deltas, and beyond-the-wheel jumps.
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
+    fn queue_matches_reference_heap() {
+        // Random schedule/pop interleavings through the queue and the
+        // reference heap side by side: every pop must agree exactly,
+        // including same-instant seq tie-breaks. The time distribution is
+        // deliberately lumpy — exact ties, schedules behind the last pop,
+        // near-future µs/ms deltas, and jumps of 2^36 ns (≈ 68.7 s) and
+        // more.
+        const FAR_NS: u64 = 1 << 36;
         for trial in 0..20u64 {
-            // detlint: allow(stray_rng): property-test stream fuzzing the wheel, not an engine entity
+            // detlint: allow(stray_rng): property-test stream fuzzing the event queue, not an engine entity
             let mut rng = SmallRng::seed_from_u64(0x57EE1 ^ trial);
-            let mut wheel = EventQueue::new();
-            let mut reference = ReferenceQueue::default();
+            let mut twin = Twin::default();
             let mut now = 0u64;
             let mut last_at = Vec::new();
             for step in 0..4000usize {
-                if rng.gen_bool(0.55) || wheel.is_empty() {
+                if rng.gen_bool(0.55) || twin.queue.is_empty() {
                     let at = match rng.gen_range(0u32..10) {
                         // Exact tie with a previously scheduled event.
                         0 if !last_at.is_empty() => last_at[rng.gen_range(0usize..last_at.len())],
                         // The current instant itself.
                         1 => now,
-                        // Far future: beyond the wheel span → overflow.
-                        2 => now + WHEEL_SPAN_NS + rng.gen_range(0u64..WHEEL_SPAN_NS),
-                        // Behind the cursor (allowed, pops first).
+                        // Far future: 2^36 ns to 2^37 ns ahead.
+                        2 => now + FAR_NS + rng.gen_range(0u64..FAR_NS),
+                        // Behind the last pop (allowed, pops first).
                         3 if now > 0 => rng.gen_range(0u64..now),
-                        // Near future across every wheel level.
+                        // Near future, 1 ns to ≈ 0.5 s ahead.
                         _ => {
                             let magnitude = rng.gen_range(1u32..30);
                             now + rng.gen_range(1u64..1 << magnitude)
@@ -512,36 +417,44 @@ mod tests {
                     if last_at.len() < 64 {
                         last_at.push(at);
                     }
-                    wheel.schedule(Time(at), EventKind::PacketArrival { tag: step });
-                    reference.schedule(Time(at), EventKind::PacketArrival { tag: step });
-                    assert_eq!(wheel.len(), reference.heap.len());
-                } else {
-                    let (a, b) = (wheel.pop(), reference.pop());
-                    assert_eq!(a, b, "trial {trial} step {step} diverged");
-                    if let Some(e) = a {
-                        now = now.max(e.at.0);
-                    }
+                    twin.schedule(at, step);
+                } else if let Some(e) = twin.pop(format_args!("trial {trial} step {step}")) {
+                    now = now.max(e.at.0);
                 }
             }
-            // Drain both to the end: the tails must agree too.
-            loop {
-                let (a, b) = (wheel.pop(), reference.pop());
-                assert_eq!(a, b, "trial {trial} drain diverged");
-                if a.is_none() {
-                    break;
-                }
-            }
-            assert!(wheel.is_empty());
+            twin.drain(format_args!("trial {trial} drain"));
         }
     }
 
     #[test]
-    fn far_future_events_promote_from_overflow_in_order() {
-        // A horizon far beyond the wheel span plus interleaved near events:
-        // the overflow heap must hold the horizon without reordering, and
-        // same-instant overflow events must promote in scheduling order.
+    fn deep_queue_hold_model_matches_reference_heap() {
+        // The campus regime: 100k pending events, each pop followed by one
+        // schedule a random delay ahead (the classic hold model), so every
+        // pop sifts a hole down through ≈9 levels of a full heap.
+        const DEPTH: usize = 100_000;
+        // detlint: allow(stray_rng): property-test stream fuzzing the event queue, not an engine entity
+        let mut rng = SmallRng::seed_from_u64(0xDEE9);
+        let mut twin = Twin::default();
+        for tag in 0..DEPTH {
+            twin.schedule(rng.gen_range(0u64..1_000_000_000), tag);
+        }
+        for step in 0..2 * DEPTH {
+            let e = twin
+                .pop(format_args!("step {step}"))
+                .expect("hold model never drains");
+            // Coarse delays (multiples of 1 µs) make exact ties common.
+            twin.schedule(e.at.0 + 1_000 * rng.gen_range(0u64..1_000_000), step);
+        }
+        assert_eq!(twin.queue.len(), DEPTH);
+        twin.drain(format_args!("deep drain"));
+    }
+
+    #[test]
+    fn far_future_events_pop_in_order() {
+        // A horizon far beyond every near event: same-instant far events
+        // pop in scheduling order, after everything nearer.
         let mut q = EventQueue::new();
-        let horizon = WHEEL_SPAN_NS * 3 + 17;
+        let horizon = 3 * (1u64 << 36) + 17;
         q.schedule(Time(horizon), EventKind::Horizon);
         q.schedule(Time(horizon), EventKind::MobilityTick);
         q.schedule(Time(5), EventKind::PacketArrival { tag: 0 });
@@ -552,7 +465,7 @@ mod tests {
         assert_eq!((first.at, first.kind), (Time(horizon), EventKind::Horizon));
         let second = q.pop().unwrap();
         assert_eq!(second.kind, EventKind::MobilityTick);
-        assert!(second.seq > first.seq, "ties promote in scheduling order");
+        assert!(second.seq > first.seq, "ties pop in scheduling order");
         assert!(q.pop().is_none());
     }
 
@@ -578,20 +491,20 @@ mod tests {
             EventKind::PacketArrival { tag: 2 }
         );
         assert!(q.pop_before(Time(30)).is_none());
-        // A plain pop releases the stashed peek.
+        // A plain pop releases the gated head.
         assert_eq!(q.pop().unwrap().at, Time(35));
         assert!(q.pop_before(Time(u64::MAX)).is_none());
         assert!(q.is_empty());
     }
 
     #[test]
-    fn pop_before_orders_late_schedules_against_the_stash() {
+    fn pop_before_orders_late_schedules_against_the_gated_head() {
         let mut q = EventQueue::new();
         q.schedule(Time(100), EventKind::Horizon);
-        // Peek stashes the t=100 horizon (limit not reached).
+        // The peek gates the t=100 horizon (limit not reached).
         assert!(q.pop_before(Time(50)).is_none());
-        // Events scheduled while stashed — behind the cursor and at the
-        // stashed instant — must still pop in (at, seq) order.
+        // Events scheduled after the gated peek — earlier than the head
+        // and at the head's instant — must still pop in (at, seq) order.
         q.schedule(Time(30), EventKind::PacketArrival { tag: 0 });
         q.schedule(Time(100), EventKind::PacketArrival { tag: 1 });
         assert_eq!(q.len(), 3);
@@ -609,36 +522,27 @@ mod tests {
         // Driving the queue through pop_before with arbitrary epoch
         // boundaries must release the exact same event sequence as plain
         // pops from the reference heap — chunking is invisible.
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
         for trial in 0..10u64 {
             // detlint: allow(stray_rng): property-test stream fuzzing the epoch gate, not an engine entity
             let mut rng = SmallRng::seed_from_u64(0xE60C ^ trial);
-            let mut wheel = EventQueue::new();
-            let mut reference = ReferenceQueue::default();
+            let mut twin = Twin::default();
             let mut now = 0u64;
             for step in 0..600usize {
-                let at = now + rng.gen_range(0u64..200_000);
-                wheel.schedule(Time(at), EventKind::PacketArrival { tag: step });
-                reference.schedule(Time(at), EventKind::PacketArrival { tag: step });
+                twin.schedule(now + rng.gen_range(0u64..200_000), step);
                 if rng.gen_bool(0.4) {
-                    // Drain one epoch: everything before a random limit.
-                    let limit = now + rng.gen_range(1u64..300_000);
-                    while let Some(e) = wheel.pop_before(Time(limit)) {
-                        assert!(e.at < Time(limit));
-                        assert_eq!(Some(e), reference.pop(), "trial {trial} diverged");
+                    // Drain one epoch: everything before a random limit,
+                    // and nothing at or after it.
+                    let limit = Time(now + rng.gen_range(1u64..300_000));
+                    while let Some(e) = twin.queue.pop_before(limit) {
+                        assert!(e.at < limit);
+                        assert_eq!(Some(e), twin.expected(), "trial {trial} diverged");
                         now = now.max(e.at.0);
                     }
-                    now = now.max(limit);
+                    assert!(twin.reference.peek().is_none_or(|Reverse(e)| e.at >= limit));
+                    now = now.max(limit.0);
                 }
             }
-            loop {
-                let (a, b) = (wheel.pop_before(Time(u64::MAX)), reference.pop());
-                assert_eq!(a, b, "trial {trial} drain diverged");
-                if a.is_none() {
-                    break;
-                }
-            }
+            twin.drain(format_args!("trial {trial} drain"));
         }
     }
 
@@ -648,7 +552,7 @@ mod tests {
         q.schedule(Time(1000), EventKind::Horizon);
         q.schedule(Time(100), EventKind::PacketArrival { tag: 0 });
         assert_eq!(q.pop().unwrap().at, Time(100));
-        // The cursor now sits at 100; a late event behind it still pops
+        // The last pop was at 100; a late event behind it still pops
         // before everything pending.
         q.schedule(Time(50), EventKind::PacketArrival { tag: 1 });
         q.schedule(Time(60), EventKind::PacketArrival { tag: 2 });

@@ -33,12 +33,12 @@
 //! ## Event model
 //!
 //! The engine ([`engine`], run through [`run`]) is a classic discrete-event
-//! simulation: a hierarchical timing-wheel [`event::EventQueue`] orders
+//! simulation: a 4-ary min-heap [`event::EventQueue`] orders
 //! [`event::EventKind`]s by integer-nanosecond timestamps
 //! ([`time::Time`]), with a monotone sequence number breaking ties so the
 //! execution order is total and reproducible (and byte-identical to the
-//! binary-heap queue it replaced). Three event kinds drive
-//! everything:
+//! binary heap and the timing wheel that preceded it). Three event kinds
+//! drive everything:
 //!
 //! * `PacketArrival` — a tag's application emits a packet and schedules the
 //!   next arrival from its *own* seeded RNG stream.

@@ -768,7 +768,7 @@ impl Scenario {
     /// **shared** 20 dBm helper beacons on a campus quad, polled closed
     /// loop with streaming metrics — the deployment regime the paper's
     /// "internet connectivity for implanted devices" vision implies, and
-    /// the scale target of the engine-core work (timing wheel, band
+    /// the scale target of the engine-core work (4-ary event heap, band
     /// index, SoA link tables).
     ///
     /// Layout: clusters of up to 256 implants ring one helper each (every

@@ -1,7 +1,7 @@
 //! The city-scale smoke run: the `campus` preset at 100 000 closed-loop
 //! tags — shared striped helpers, coex load, streaming metrics — on one
-//! engine core. This is the scale target of the engine core (timing-wheel
-//! scheduler, band-indexed medium, per-query link powers); the run holds
+//! engine core. This is the scale target of the engine core (4-ary heap
+//! event queue, band-indexed medium, per-query link powers); the run holds
 //! memory O(entities) and finishes in seconds.
 //!
 //! Run with an optional seed (default 42):

@@ -29,7 +29,7 @@ trace_out="$out_dir/PROF_trace.json"
 # The quick tier: every engine bench in --quick mode with --json
 # summaries, mirroring the CI loop so local and CI artifacts compare.
 : > "$bench_out"
-for bench in net_engine net_downlink net_mobility net_sched net_coex net_telemetry net_campus; do
+for bench in net_queue net_engine net_downlink net_mobility net_sched net_coex net_telemetry net_campus; do
   cargo bench -p interscatter-bench --bench "$bench" -- --quick --json \
     | tee /dev/stderr | grep '^{' >> "$bench_out"
 done
