@@ -249,17 +249,23 @@ mod tests {
         let payload = vec![0xABu8; 31];
         let tx = Dot11bTransmitter::new(DsssRate::Mbps11);
         let frame = tx.transmit(&payload).unwrap();
-        let noisy = awgn(&frame.chips, 1.6, 3);
-        let rx = Dot11bReceiver::default();
-        // Header corruption (an Err) is also an acceptable failure mode.
-        if let Ok(received) = rx.receive(&noisy) {
-            assert!(!received.fcs_ok || received.payload != payload);
-        }
         let strict = Dot11bReceiver {
             require_fcs: true,
             ..Default::default()
         };
-        assert!(strict.receive(&noisy).is_err() || !payload.is_empty());
+        // σ = 0.8 keeps the spread 1 Mbps header but corrupts the 11 Mbps
+        // PSDU; σ = 1.6 corrupts the header as well.
+        for sigma in [0.8, 1.6] {
+            let noisy = awgn(&frame.chips, sigma, 3);
+            let strict_result = strict.receive(&noisy);
+            match Dot11bReceiver::default().receive(&noisy) {
+                Ok(received) => {
+                    assert!(!received.fcs_ok, "σ {sigma}: PSDU should be corrupted");
+                    assert!(matches!(strict_result, Err(WifiError::CrcMismatch)));
+                }
+                Err(_) => assert!(strict_result.is_err(), "σ {sigma}"),
+            }
+        }
     }
 
     #[test]

@@ -3,8 +3,9 @@
 #
 #   scripts/bench_quick.sh [out_dir]
 #
-# Runs the quick-tier benches (the same loop CI runs) into
-# BENCH_net.json — one JSON line per benchmark — and a profiled campus
+# Runs the quick-tier benches (the same loops CI runs) into
+# BENCH_net.json (engine benches) and BENCH_phy.json (PHY pipelines) —
+# one JSON line per benchmark — and a profiled campus
 # smoke run into PROF_net.json + PROF_trace.json (the execution
 # observatory's phase summary and Chrome/Perfetto trace; see
 # `net::prof`). Artifacts land in out_dir (default: the repo root), so
@@ -15,6 +16,7 @@
 #   ... hack ...
 #   scripts/bench_quick.sh /tmp/after
 #   scripts/bench_trend.sh /tmp/before/BENCH_net.json /tmp/after/BENCH_net.json
+#   scripts/bench_trend.sh /tmp/before/BENCH_phy.json /tmp/after/BENCH_phy.json
 #   scripts/prof_summary.sh /tmp/after/PROF_net.json
 set -euo pipefail
 
@@ -23,6 +25,7 @@ out_dir="${1:-.}"
 mkdir -p "$out_dir"
 
 bench_out="$out_dir/BENCH_net.json"
+phy_out="$out_dir/BENCH_phy.json"
 prof_out="$out_dir/PROF_net.json"
 trace_out="$out_dir/PROF_trace.json"
 
@@ -35,10 +38,15 @@ for bench in net_queue net_engine net_downlink net_mobility net_sched net_coex n
 done
 jq -s 'length' "$bench_out" >/dev/null # sanity: valid JSON lines
 
+# The PHY layer: tx/rx chain per standard, FFT, SSB reflection.
+cargo bench -p interscatter-bench --bench phy_pipelines -- --quick --json \
+  | tee /dev/stderr | grep '^{' > "$phy_out"
+jq -s 'length' "$phy_out" >/dev/null
+
 # The observatory run: the campus smoke example with profiling on. PROF
 # output goes to side files; stdout stays identical to an unprofiled run
 # (the digest-neutrality contract).
 PROF_OUT="$prof_out" PROF_TRACE_OUT="$trace_out" \
   cargo run --release --example campus_smoke 42 >/dev/null
 
-echo "wrote $bench_out, $prof_out, $trace_out" >&2
+echo "wrote $bench_out, $phy_out, $prof_out, $trace_out" >&2
