@@ -222,9 +222,9 @@ fn shard_exchange_fires_on_sync_primitives_in_the_engine_crate() {
 
 #[test]
 fn shard_exchange_silent_on_the_epoch_exchange_and_outside_the_engine() {
-    // The sanctioned path: one core stepped through its epoch chunks, and
+    // The sanctioned path: one core run from start to horizon, and
     // trials merged in order by the rayon shim's helper.
-    let ok = "fn step(core: &mut EngineCore) {\n  while !core.is_done() { core.run_until(limit); }\n  let trials = rayon::det::map_indexed_ordered(4, |t| trial(t));\n}\n";
+    let ok = "fn step(core: &mut EngineCore) {\n  core.run();\n  let trials = rayon::det::map_indexed_ordered(4, |t| trial(t));\n}\n";
     assert_eq!(fire(NET, ok, RuleId::ShardExchange), 0);
     // The rayon shim holds the scoped threads; bench code times freely.
     let shim = "fn f() { std::thread::scope(|s| { s.spawn(|| {}); }); }\n";

@@ -26,7 +26,7 @@ use crate::mac::{self, LoopPhase, MacLoop, MacMode};
 use crate::medium::{Band, Emitter, Medium, TxReport};
 use crate::metrics::{MobilitySample, NetworkMetrics, OccupancySample, ReStripeEvent, TagTable};
 use crate::mobility::{MobilityConfig, MotionState};
-use crate::prof::{CellProf, ProfReport, Profiler};
+use crate::prof::{Clock, ProfReport, Profiler};
 use crate::scenario::Scenario;
 use crate::sched::{CarrierSched, SlotView};
 use crate::telemetry::{
@@ -184,48 +184,21 @@ pub struct NetRunResult {
     pub prof: Option<ProfReport>,
 }
 
-/// Runs `scenario` once with `seed` on one engine core, in
-/// [`crate::scenario::ExecutionConfig::epoch_s`] chunks — the engine behind
-/// [`crate::run`] and [`crate::run_trials`].
-///
-/// The chunks exist only for progress lines and `"epoch"` profiling spans:
-/// the [`crate::event::EventQueue::pop_before`] gate makes the chunked pop
-/// sequence identical to one uninterrupted pass, so the trace, metrics and
-/// telemetry are byte-identical at any epoch length.
+/// Runs `scenario` once with `seed` on one engine core — `new`, `run`,
+/// `finish` — the engine behind [`crate::run`] and [`crate::run_trials`].
 pub(crate) fn execute(
     scenario: &Scenario,
     seed: u64,
     record_trace: bool,
 ) -> Result<NetRunResult, NetError> {
-    let profiler = scenario
-        .execution
-        .profile
-        .then(|| Profiler::wall(scenario.execution.build_ns));
-    let epoch_ns = Time::from_secs(scenario.execution.epoch_s)
-        .as_nanos()
-        .max(1);
     let mut core = EngineCore::new(scenario, seed, record_trace)?;
-    let mut limit = epoch_ns;
-    while !core.is_done() {
-        core.run_until(Time(limit));
-        limit = limit.saturating_add(epoch_ns);
-    }
-    let mut result = core.finish();
-    if let Some(mut p) = profiler {
-        if let Some(engine) = result.prof.take() {
-            p.absorb(engine);
-        }
-        result.prof = Some(p.finish(&scenario.name));
-    }
-    Ok(result)
+    core.run();
+    Ok(core.finish())
 }
 
-/// The resumable engine: all of a run's state behind a `run_until` cursor.
-///
-/// [`execute`] drives it as `new`, then `run_until(epoch_k)` for ascending
-/// epoch boundaries until the horizon, then `finish`; the
-/// [`crate::event::EventQueue::pop_before`] gate guarantees the chunked
-/// pop sequence is identical to one uninterrupted pass.
+/// All of a run's state: [`execute`] builds it with `new`, pops every
+/// event up to the horizon with `run`, and materialises the result with
+/// `finish`.
 pub(crate) struct EngineCore<'a> {
     scenario: &'a Scenario,
     links: LinkMatrix,
@@ -248,8 +221,7 @@ pub(crate) struct EngineCore<'a> {
     /// Self-profiling recorder, `Some` only when the scenario enables
     /// profiling. Wall-clock state stays out of the event loop's inputs —
     /// detlint's `wall_clock` rule keeps `Instant` itself in `prof.rs`.
-    prof: Option<CellProf>,
-    done: bool,
+    prof: Option<Profiler>,
 }
 
 impl<'a> EngineCore<'a> {
@@ -259,7 +231,10 @@ impl<'a> EngineCore<'a> {
         seed: u64,
         record_trace: bool,
     ) -> Result<EngineCore<'a>, NetError> {
-        let mut prof = scenario.execution.profile.then(|| CellProf::wall(0));
+        let mut prof = scenario
+            .execution
+            .profile
+            .then(|| Profiler::new(Clock::wall(), scenario.execution.build_ns));
         let init_tok = prof.as_mut().map(|p| p.begin("engine_init"));
         scenario.validate()?;
         let link_tok = prof.as_mut().map(|p| p.begin("link_build"));
@@ -471,24 +446,15 @@ impl<'a> EngineCore<'a> {
             ext_occ,
             coex,
             prof,
-            done: false,
         })
     }
 
-    /// True once the horizon event has been consumed.
-    pub(crate) fn is_done(&self) -> bool {
-        self.done
-    }
-
-    /// Pops and handles every event strictly before `limit` (and nothing
-    /// at or after it), stopping early at the horizon. Calling this with
-    /// an ascending sequence of limits handles exactly the events — in
-    /// exactly the order — one `run_until(MAX)` would.
-    pub(crate) fn run_until(&mut self, limit: Time) {
-        if self.done {
-            return;
-        }
-        let epoch_tok = self.prof.as_mut().map(CellProf::begin_epoch);
+    /// Pops and handles every event in `(at, seq)` order up to and
+    /// including the horizon. A profiled run records the whole loop as
+    /// one `"epoch"` span, the phase name the benchmark's event-loop
+    /// metrics read.
+    pub(crate) fn run(&mut self) {
+        let epoch_tok = self.prof.as_mut().map(|p| p.begin("epoch"));
         let EngineCore {
             scenario,
             ref mut links,
@@ -509,9 +475,8 @@ impl<'a> EngineCore<'a> {
             ref ext_occ,
             ref mut coex,
             ref mut prof,
-            ref mut done,
         } = *self;
-        while let Some(event) = queue.pop_before(limit) {
+        while let Some(event) = queue.pop() {
             tele.tick_event();
             if let Some(p) = progress.as_mut() {
                 // One status line per elapsed cadence period, driven by
@@ -530,10 +495,7 @@ impl<'a> EngineCore<'a> {
                 }
             }
             match event.kind {
-                EventKind::Horizon => {
-                    *done = true;
-                    break;
-                }
+                EventKind::Horizon => break,
                 EventKind::MobilityTick => {
                     let now = event.at;
                     let mob = mobility.as_mut().expect("tick without mobility");
@@ -1177,6 +1139,7 @@ impl<'a> EngineCore<'a> {
     /// public run result.
     pub(crate) fn finish(self) -> NetRunResult {
         let EngineCore {
+            scenario,
             tag_stats,
             mut metrics,
             tele,
@@ -1201,7 +1164,7 @@ impl<'a> EngineCore<'a> {
             metrics,
             trace,
             telemetry,
-            prof: prof.map(CellProf::finish),
+            prof: prof.map(|p| p.finish(&scenario.name)),
         }
     }
 }

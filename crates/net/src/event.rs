@@ -3,12 +3,12 @@
 //! Events are ordered by `(time, sequence)`: the sequence number is the
 //! order of scheduling, so ties at the same nanosecond resolve identically
 //! on every run. The queue is an implicit **4-ary min-heap** over a
-//! `Vec<Event>`: `schedule` sifts up, `pop` sifts a hole down from the
-//! root, and `pop_before` peeks at the root. Both are O(log₄ n), with no
-//! per-slot storage, cursor or side buffers. The pop order is the exact
-//! `(at, seq)` total order — the byte-identical-trace contract pins it,
-//! and the `queue_matches_reference_heap` property test drives random
-//! streams through this queue and a `std` binary heap side by side.
+//! `Vec<Event>`: `schedule` sifts up and `pop` sifts a hole down from the
+//! root. Both are O(log₄ n), with no per-slot storage, cursor or side
+//! buffers. The pop order is the exact `(at, seq)` total order — the
+//! byte-identical-trace contract pins it, and the
+//! `queue_matches_reference_heap` property test drives random streams
+//! through this queue and a `std` binary heap side by side.
 //!
 //! The design was chosen by measurement. Perfbench at seed 1, `--seconds
 //! 8`, 3 alternating runs per candidate on a 2-core x86-64 host; every
@@ -215,21 +215,6 @@ impl EventQueue {
         }
         self.heap[hole] = last;
         Some(top)
-    }
-
-    /// Pops the earliest event only if it fires strictly before `limit`;
-    /// otherwise leaves the queue intact (the event stays pending) and
-    /// returns `None`. This is the epoch gate of [`crate::run`]: the
-    /// engine drains its queue up to each epoch boundary (the progress and
-    /// profiling chunk) and resumes — with the pop order still the exact
-    /// `(at, seq)` total order `pop` alone would produce, which is what
-    /// keeps epoch chunking invisible in the trace.
-    pub fn pop_before(&mut self, limit: Time) -> Option<Event> {
-        if self.heap.first()?.at < limit {
-            self.pop()
-        } else {
-            None
-        }
     }
 
     /// Number of pending events.
@@ -467,83 +452,6 @@ mod tests {
         assert_eq!(second.kind, EventKind::MobilityTick);
         assert!(second.seq > first.seq, "ties pop in scheduling order");
         assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn pop_before_gates_on_the_limit_and_resumes() {
-        let mut q = EventQueue::new();
-        q.schedule(Time(10), EventKind::PacketArrival { tag: 0 });
-        q.schedule(Time(20), EventKind::PacketArrival { tag: 1 });
-        q.schedule(Time(20), EventKind::PacketArrival { tag: 2 });
-        q.schedule(Time(35), EventKind::Horizon);
-        // Epoch [0, 20): only the t=10 event is released.
-        assert_eq!(q.pop_before(Time(20)).unwrap().at, Time(10));
-        assert!(q.pop_before(Time(20)).is_none());
-        assert!(q.pop_before(Time(20)).is_none(), "repeat peeks are stable");
-        assert_eq!(q.len(), 3, "gated events stay pending");
-        // Epoch [20, 30): both t=20 events, in scheduling order.
-        assert_eq!(
-            q.pop_before(Time(30)).unwrap().kind,
-            EventKind::PacketArrival { tag: 1 }
-        );
-        assert_eq!(
-            q.pop_before(Time(30)).unwrap().kind,
-            EventKind::PacketArrival { tag: 2 }
-        );
-        assert!(q.pop_before(Time(30)).is_none());
-        // A plain pop releases the gated head.
-        assert_eq!(q.pop().unwrap().at, Time(35));
-        assert!(q.pop_before(Time(u64::MAX)).is_none());
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn pop_before_orders_late_schedules_against_the_gated_head() {
-        let mut q = EventQueue::new();
-        q.schedule(Time(100), EventKind::Horizon);
-        // The peek gates the t=100 horizon (limit not reached).
-        assert!(q.pop_before(Time(50)).is_none());
-        // Events scheduled after the gated peek — earlier than the head
-        // and at the head's instant — must still pop in (at, seq) order.
-        q.schedule(Time(30), EventKind::PacketArrival { tag: 0 });
-        q.schedule(Time(100), EventKind::PacketArrival { tag: 1 });
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.pop_before(Time(50)).unwrap().at, Time(30));
-        assert!(q.pop_before(Time(50)).is_none());
-        let first = q.pop_before(Time(101)).unwrap();
-        assert_eq!((first.at, first.kind), (Time(100), EventKind::Horizon));
-        let second = q.pop_before(Time(101)).unwrap();
-        assert_eq!(second.kind, EventKind::PacketArrival { tag: 1 });
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn epoch_chunked_pops_match_plain_pops() {
-        // Driving the queue through pop_before with arbitrary epoch
-        // boundaries must release the exact same event sequence as plain
-        // pops from the reference heap — chunking is invisible.
-        for trial in 0..10u64 {
-            // detlint: allow(stray_rng): property-test stream fuzzing the epoch gate, not an engine entity
-            let mut rng = SmallRng::seed_from_u64(0xE60C ^ trial);
-            let mut twin = Twin::default();
-            let mut now = 0u64;
-            for step in 0..600usize {
-                twin.schedule(now + rng.gen_range(0u64..200_000), step);
-                if rng.gen_bool(0.4) {
-                    // Drain one epoch: everything before a random limit,
-                    // and nothing at or after it.
-                    let limit = Time(now + rng.gen_range(1u64..300_000));
-                    while let Some(e) = twin.queue.pop_before(limit) {
-                        assert!(e.at < limit);
-                        assert_eq!(Some(e), twin.expected(), "trial {trial} diverged");
-                        now = now.max(e.at.0);
-                    }
-                    assert!(twin.reference.peek().is_none_or(|Reverse(e)| e.at >= limit));
-                    now = now.max(limit.0);
-                }
-            }
-            twin.drain(format_args!("trial {trial} drain"));
-        }
     }
 
     #[test]

@@ -103,11 +103,9 @@
 //! one with [`scenario::Scenario::builder`]), then run it with [`run`]
 //! (one seed) or [`run_trials`] (the Monte-Carlo trials set in
 //! [`scenario::ExecutionSection::trials`], aggregated into a
-//! [`runner::MonteCarloReport`]). Both simulate the whole scenario on one
-//! engine core: every tag shares one medium, so interference between
-//! neighbouring deployments is modelled exactly. The core runs in
-//! [`scenario::ExecutionConfig::epoch_s`] chunks only for progress lines
-//! and profiling spans; the result is byte-identical at any epoch length.
+//! [`runner::MonteCarloReport`]). Both simulate the whole scenario in one
+//! uninterrupted pass of one engine core: every tag shares one medium, so
+//! interference between neighbouring deployments is modelled exactly.
 //!
 //! ```
 //! use interscatter_net::prelude::*;
@@ -220,23 +218,24 @@ mod tests {
 /// metrics, event trace and telemetry report.
 ///
 /// This is the one entrypoint behind every run shape: the execution
-/// knobs — epoch length, trace recording, profiling — come from the
-/// scenario's [`scenario::ExecutionConfig`], set through
-/// [`scenario::ExecutionSection`] on the builder. The epoch length only
-/// sets the progress and profiling chunk; the result is byte-identical at
-/// any epoch length.
+/// knobs — trace recording, profiling — come from the scenario's
+/// [`scenario::ExecutionConfig`], set through
+/// [`scenario::ExecutionSection`] on the builder. Neither changes what
+/// the run computes: a profiled run reproduces the plain run's trace
+/// byte for byte.
 ///
 /// ```
 /// use interscatter_net::prelude::*;
 ///
-/// let chunked = Scenario::hospital_ward(8)
+/// let profiled = Scenario::hospital_ward(8)
 ///     .builder()
-///     .execution(ExecutionSection::new().epoch_s(0.003))
+///     .execution(ExecutionSection::new().profile(true))
 ///     .build()
 ///     .unwrap();
-/// let result = interscatter_net::run(&chunked, 42).unwrap();
-/// let default_chunks = interscatter_net::run(&Scenario::hospital_ward(8), 42).unwrap();
-/// assert_eq!(result.trace.digest(), default_chunks.trace.digest());
+/// let result = interscatter_net::run(&profiled, 42).unwrap();
+/// let plain = interscatter_net::run(&Scenario::hospital_ward(8), 42).unwrap();
+/// assert_eq!(result.trace.digest(), plain.trace.digest());
+/// assert!(result.prof.is_some() && plain.prof.is_none());
 /// ```
 pub fn run(scenario: &scenario::Scenario, seed: u64) -> Result<engine::NetRunResult, NetError> {
     engine::execute(scenario, seed, scenario.execution.trace)

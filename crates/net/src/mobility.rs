@@ -16,6 +16,7 @@
 //! draw in the engine honours.
 
 use crate::entities::Position;
+use crate::scenario::positive_finite;
 use rand::rngs::SmallRng;
 use rand::Rng;
 use std::f64::consts::TAU;
@@ -285,13 +286,16 @@ impl MobilityModel {
                 speed_max_mps,
                 pause_s,
             }) => {
-                if !(speed_min_mps > 0.0 && speed_max_mps >= speed_min_mps) {
+                if !(speed_min_mps > 0.0
+                    && speed_max_mps >= speed_min_mps
+                    && speed_max_mps.is_finite())
+                {
                     return Err(format!(
-                        "waypoint speeds must satisfy 0 < min <= max, got {speed_min_mps}..{speed_max_mps}"
+                        "waypoint speeds must satisfy 0 < min <= max < ∞, got {speed_min_mps}..{speed_max_mps}"
                     ));
                 }
-                if pause_s < 0.0 {
-                    return Err("waypoint pause must be non-negative".into());
+                if !(pause_s >= 0.0 && pause_s.is_finite()) {
+                    return Err("waypoint pause must be non-negative and finite".into());
                 }
                 Ok(())
             }
@@ -299,8 +303,8 @@ impl MobilityModel {
                 speed_mps,
                 turn_rad,
             }) => {
-                if speed_mps <= 0.0 {
-                    return Err("walk speed must be positive".into());
+                if !positive_finite(speed_mps) {
+                    return Err("walk speed must be positive and finite".into());
                 }
                 if !(0.0..=TAU).contains(&turn_rad) {
                     return Err("turn limit must be in [0, 2π]".into());
@@ -333,8 +337,8 @@ pub struct MobilityConfig {
 impl MobilityConfig {
     /// Checks the configuration.
     pub fn validate(&self) -> Result<(), String> {
-        if self.tick_interval_s.is_nan() || self.tick_interval_s <= 0.0 {
-            return Err("mobility tick interval must be positive".into());
+        if !positive_finite(self.tick_interval_s) {
+            return Err("mobility tick interval must be positive and finite".into());
         }
         self.bounds.validate()?;
         self.model.validate()
@@ -486,6 +490,47 @@ mod tests {
         }
         .validate()
         .is_err());
+        for speed_mps in [f64::NAN, f64::INFINITY] {
+            let model = MobilityModel::RandomWalk(RandomWalk {
+                speed_mps,
+                turn_rad: 0.5,
+            });
+            assert!(model.validate().is_err(), "walk speed {speed_mps}");
+        }
+        let waypoint = RandomWaypoint {
+            speed_min_mps: 0.5,
+            speed_max_mps: 1.5,
+            pause_s: 1.0,
+        };
+        for bad in [
+            RandomWaypoint {
+                speed_max_mps: f64::INFINITY,
+                ..waypoint
+            },
+            RandomWaypoint {
+                speed_min_mps: f64::NAN,
+                ..waypoint
+            },
+            RandomWaypoint {
+                pause_s: f64::NAN,
+                ..waypoint
+            },
+            RandomWaypoint {
+                pause_s: f64::INFINITY,
+                ..waypoint
+            },
+        ] {
+            let model = MobilityModel::RandomWaypoint(bad);
+            assert!(model.validate().is_err(), "{bad:?}");
+        }
+        assert!(MobilityModel::RandomWaypoint(waypoint).validate().is_ok());
+        for tick_interval_s in [f64::NAN, f64::INFINITY] {
+            let config = MobilityConfig {
+                tick_interval_s,
+                ..good
+            };
+            assert!(config.validate().is_err(), "tick {tick_interval_s}");
+        }
         assert!(MobilityModel::Static.validate().is_ok());
     }
 }

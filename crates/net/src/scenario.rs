@@ -64,9 +64,9 @@ pub struct Scenario {
     /// does **not** rename the scenario: observing a run must not change
     /// what the run reports itself as.
     pub telemetry: TelemetryConfig,
-    /// Run-shape knobs ([`ExecutionConfig`]): epoch length, Monte-Carlo
-    /// trial count, trace recording and profiling. None of them changes
-    /// what a run computes — only how it is chunked and what is recorded.
+    /// Run-shape knobs ([`ExecutionConfig`]): Monte-Carlo trial count,
+    /// trace recording and profiling. None of them changes what a run
+    /// computes — only how often it runs and what is recorded.
     pub execution: ExecutionConfig,
 }
 
@@ -74,20 +74,15 @@ pub struct Scenario {
 /// knobs that do not change *what* is simulated, only how the work is
 /// scheduled and what is recorded.
 ///
-/// [`crate::run`] simulates the whole scenario on one engine core, in
-/// `epoch_s` chunks; every digest and metric is byte-identical at any
-/// value of these knobs.
+/// [`crate::run`] simulates the whole scenario in one pass of one engine
+/// core; every digest and metric is byte-identical at any value of these
+/// knobs.
 #[derive(Debug, Clone)]
 pub struct ExecutionConfig {
     /// Validated (≥ 1) but has no effect: every run uses one engine core.
     /// Kept only so existing callers of [`ExecutionSection::shards`] keep
     /// building; slated for removal.
     pub shards: usize,
-    /// The progress and profiling chunk, simulated seconds (> 0): the
-    /// engine runs up to each multiple of it in turn, and a profiled run
-    /// records one `"epoch"` span per chunk. The pop order, and therefore
-    /// the result, is the same at any value.
-    pub epoch_s: f64,
     /// Monte-Carlo trial count used by [`crate::run_trials`] (≥ 1).
     pub trials: usize,
     /// Whether the run records its event trace ([`crate::event::EventTrace`]).
@@ -113,7 +108,6 @@ impl PartialEq for ExecutionConfig {
         // scenarios with the same run shape must compare equal even when
         // one was timed and the other was not.
         self.shards == other.shards
-            && self.epoch_s == other.epoch_s
             && self.trials == other.trials
             && self.trace == other.trace
             && self.profile == other.profile
@@ -124,7 +118,6 @@ impl Default for ExecutionConfig {
     fn default() -> Self {
         ExecutionConfig {
             shards: 1,
-            epoch_s: 0.01,
             trials: 1,
             trace: true,
             profile: false,
@@ -138,12 +131,6 @@ impl ExecutionConfig {
     pub fn validate(&self) -> Result<(), String> {
         if self.shards == 0 {
             return Err("shards must be at least 1".into());
-        }
-        if !positive_finite(self.epoch_s) {
-            return Err(format!(
-                "epoch {} s must be positive and finite",
-                self.epoch_s
-            ));
         }
         if self.trials == 0 {
             return Err("trials must be at least 1".into());
@@ -993,8 +980,8 @@ impl RadioSection {
 }
 
 /// The execution section of a [`ScenarioBuilder`]: every run-shape knob in
-/// one typed value — epoch chunk, Monte-Carlo trial count, trace
-/// recording, profiling, the metrics storage mode and the progress cadence.
+/// one typed value — Monte-Carlo trial count, trace recording, profiling,
+/// the metrics storage mode and the progress cadence.
 ///
 /// The run-shape knobs land in [`Scenario::execution`]; the metrics mode and
 /// progress cadence are *applied onto* the scenario's telemetry section
@@ -1016,7 +1003,7 @@ impl RadioSection {
 /// // Ill-formed run shapes are refused eagerly, at build() time:
 /// assert!(Scenario::campus(1_000)
 ///     .builder()
-///     .execution(ExecutionSection::new().epoch_s(0.0))
+///     .execution(ExecutionSection::new().trials(0))
 ///     .build()
 ///     .is_err());
 /// ```
@@ -1028,7 +1015,7 @@ pub struct ExecutionSection {
 }
 
 impl ExecutionSection {
-    /// The default run shape: 10 ms epoch chunks, one trial, tracing on,
+    /// The default run shape: one trial, tracing on, profiling off,
     /// telemetry section untouched.
     pub fn new() -> ExecutionSection {
         ExecutionSection::default()
@@ -1037,13 +1024,6 @@ impl ExecutionSection {
     /// Validated, no effect ([`ExecutionConfig::shards`]).
     pub fn shards(mut self, shards: usize) -> ExecutionSection {
         self.config.shards = shards;
-        self
-    }
-
-    /// The progress and profiling chunk, simulated seconds
-    /// ([`ExecutionConfig::epoch_s`]).
-    pub fn epoch_s(mut self, epoch_s: f64) -> ExecutionSection {
-        self.config.epoch_s = epoch_s;
         self
     }
 
@@ -1202,10 +1182,9 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets the execution section ([`ExecutionSection`]): epoch chunk,
-    /// trial count, trace recording, profiling — plus the metrics
-    /// mode and progress cadence, which it applies onto the telemetry
-    /// section. Like every section it is validated eagerly at
+    /// Sets the execution section ([`ExecutionSection`]): trial count,
+    /// trace recording, profiling — plus the metrics mode and progress
+    /// cadence, which it applies onto the telemetry section. Like every section it is validated eagerly at
     /// [`ScenarioBuilder::build`].
     pub fn execution(mut self, section: ExecutionSection) -> ScenarioBuilder {
         self.scenario.execution = section.config;
@@ -1238,7 +1217,7 @@ impl ScenarioBuilder {
 
 /// `x > 0` and finite; false for NaN, so a NaN input is rejected rather
 /// than slipping past a `<= 0.0` test.
-fn positive_finite(x: f64) -> bool {
+pub(crate) fn positive_finite(x: f64) -> bool {
     x > 0.0 && x.is_finite()
 }
 
@@ -1747,6 +1726,12 @@ mod tests {
             )))
             .build()
             .is_err());
+        assert!(donor
+            .clone()
+            .builder()
+            .execution(ExecutionSection::new().progress(f64::NAN, false))
+            .build()
+            .is_err());
 
         // And an untouched preset round-trips through build().
         assert!(donor.builder().build().is_ok());
@@ -1867,7 +1852,18 @@ mod tests {
         // Each of these once built fine and then reported NaN throughput,
         // panicked, never returned, or ran on silently.
         type Edit = fn(&mut Scenario);
-        let cases: [(&str, Edit); 13] = [
+        /// The walking ward's mobility section with `model` swapped in.
+        fn walk(model: MobilityModel) -> Option<MobilityConfig> {
+            let mut mobility = Scenario::walking_ward(4).mobility;
+            mobility.as_mut().expect("preset attaches mobility").model = model;
+            mobility
+        }
+        const WAYPOINT: RandomWaypoint = RandomWaypoint {
+            speed_min_mps: 0.8,
+            speed_max_mps: 1.5,
+            pause_s: 0.5,
+        };
+        let cases: [(&str, Edit); 18] = [
             ("NaN duration", |s| s.duration_s = f64::NAN),
             ("NaN slot interval", |s| {
                 s.carriers[0].slot_interval_s = f64::NAN
@@ -1906,6 +1902,31 @@ mod tests {
             }),
             ("NaN occupancy", |s| {
                 s.receivers[2].external_occupancy = f64::NAN
+            }),
+            ("NaN progress cadence", |s| {
+                s.telemetry.progress_every_s = Some(f64::NAN)
+            }),
+            ("NaN walk speed", |s| {
+                s.mobility = walk(MobilityModel::RandomWalk(RandomWalk {
+                    speed_mps: f64::NAN,
+                    turn_rad: 0.5,
+                }))
+            }),
+            ("infinite waypoint speed", |s| {
+                s.mobility = walk(MobilityModel::RandomWaypoint(RandomWaypoint {
+                    speed_max_mps: f64::INFINITY,
+                    ..WAYPOINT
+                }))
+            }),
+            ("NaN waypoint pause", |s| {
+                s.mobility = walk(MobilityModel::RandomWaypoint(RandomWaypoint {
+                    pause_s: f64::NAN,
+                    ..WAYPOINT
+                }))
+            }),
+            ("infinite mobility tick", |s| {
+                s.mobility = Scenario::walking_ward(4).mobility;
+                s.mobility.as_mut().unwrap().tick_interval_s = f64::INFINITY;
             }),
         ];
         for (what, edit) in cases {

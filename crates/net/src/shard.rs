@@ -173,19 +173,19 @@ mod tests {
         assert!(receivers.iter().all(|&x| x), "every receiver covered");
     }
 
-    /// One uninterrupted pass of the engine core: `new`, `run_until` past
-    /// the horizon, `finish` — the reference the chunked run must match.
+    /// One direct pass of the engine core: `new`, `run`, `finish` — the
+    /// reference every `crate::run` shape must match.
     fn one_pass(scenario: &Scenario, seed: u64) -> crate::engine::NetRunResult {
         let mut core = crate::engine::EngineCore::new(scenario, seed, true).unwrap();
-        core.run_until(crate::time::Time::from_nanos(u64::MAX));
+        core.run();
         core.finish()
     }
 
     #[test]
     fn single_cell_execution_matches_legacy_engine_bytes() {
         // A single-cell scenario run through `crate::run` must reproduce
-        // one uninterrupted engine pass exactly — same trace bytes, same
-        // metrics — at any shard count and any epoch length.
+        // one direct engine pass exactly — same trace bytes, same metrics
+        // — at any shard count and any progress cadence.
         for scenario in [
             Scenario::hospital_ward(8),
             Scenario::hospital_ward(8).closed_loop(),
@@ -193,15 +193,15 @@ mod tests {
         ] {
             assert_eq!(partition(&scenario).len(), 1, "{}", scenario.name);
             let legacy = one_pass(&scenario, 42);
-            for (shards, epoch_s) in [(1usize, 0.05), (4, 0.05), (4, 0.001)] {
-                let mut chunked = scenario.clone();
-                chunked.execution.shards = shards;
-                chunked.execution.epoch_s = epoch_s;
-                let run = crate::run(&chunked, 42).unwrap();
+            for (shards, progress) in [(1usize, None), (4, Some(0.05)), (8, Some(0.001))] {
+                let mut shaped = scenario.clone();
+                shaped.execution.shards = shards;
+                shaped.telemetry.progress_every_s = progress;
+                let run = crate::run(&shaped, 42).unwrap();
                 assert_eq!(
                     run.trace.to_bytes(),
                     legacy.trace.to_bytes(),
-                    "{} at {shards} shards, epoch {epoch_s} s",
+                    "{} at {shards} shards, progress {progress:?} s",
                     scenario.name
                 );
                 assert_eq!(
@@ -216,12 +216,12 @@ mod tests {
     fn multi_cell_digest_is_shard_count_invariant() {
         // Campus splits into several interference cells, yet the shard
         // count never reaches the simulation: digest, metrics and
-        // telemetry are identical at every count.
+        // telemetry equal one direct engine pass at every count.
         let quad = Scenario::campus(1_024);
         assert!(partition(&quad).len() > 1);
-        let reference = crate::run(&quad, 42).unwrap();
+        let reference = one_pass(&quad, 42);
         assert!(!reference.trace.to_bytes().is_empty());
-        for shards in [2usize, 4, 8] {
+        for shards in [1usize, 2, 4, 8] {
             let mut scenario = quad.clone();
             scenario.execution.shards = shards;
             let run = crate::run(&scenario, 42).unwrap();

@@ -489,8 +489,10 @@ impl TelemetryConfig {
                 .map_err(|e| format!("subscription {i} ({}): {e}", sub.name))?;
         }
         if let Some(every) = self.progress_every_s {
-            if every <= 0.0 {
-                return Err(format!("progress cadence {every} s must be positive"));
+            if !crate::scenario::positive_finite(every) {
+                return Err(format!(
+                    "progress cadence {every} s must be positive and finite"
+                ));
             }
         }
         Ok(())
@@ -1540,8 +1542,10 @@ mod tests {
             SinkSpec::WindowedPrr { window_s: 0.0 },
         ));
         assert!(bad_window.validate(4, 2).is_err());
-        let bad_progress = TelemetryConfig::new().with_progress(0.0);
-        assert!(bad_progress.validate(4, 2).is_err());
+        for every in [0.0, f64::NAN, f64::INFINITY] {
+            let bad_progress = TelemetryConfig::new().with_progress(every);
+            assert!(bad_progress.validate(4, 2).is_err(), "cadence {every}");
+        }
         TelemetryConfig::new()
             .streaming()
             .with_progress(1.0)

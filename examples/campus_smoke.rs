@@ -16,9 +16,10 @@
 //!
 //! Set `PROF_OUT=<path>` and/or `PROF_TRACE_OUT=<path>` to run the
 //! execution observatory alongside: the first writes the `PROF_net.json`
-//! summary (phase totals, per-epoch busy time), the second a
-//! Chrome/Perfetto trace. Both are side files — stdout stays byte-
-//! identical to an unprofiled run, per the `net::prof` contract.
+//! summary (wall-clock totals per phase: set-up, the event loop,
+//! finalisation), the second a Chrome/Perfetto trace. Both are side
+//! files — stdout stays byte-identical to an unprofiled run, per the
+//! `net::prof` contract.
 
 use interscatter::net::prelude::ExecutionSection;
 use interscatter::net::scenario::Scenario;

@@ -1,33 +1,38 @@
 #!/usr/bin/env bash
-# Diff two BENCH_net.json artifacts (JSON-lines from the criterion shim's
-# --json mode) and print a markdown trend table, flagging regressions.
+# Diff two bench summaries (JSON lines from the criterion shim's --json
+# mode, e.g. BENCH_net.json or BENCH_phy.json) and print a markdown trend
+# table, flagging regressions.
 #
 #   usage: scripts/bench_trend.sh BASE.json HEAD.json [threshold_pct]
 #
-# Output goes to stdout (CI appends it to $GITHUB_STEP_SUMMARY). Exit code
-# is always 0: the quick tier runs on shared runners, so the table informs
-# rather than gates. Benchmarks present on only one side are listed as
-# added/removed.
+# BASE is typically the copy committed on the base branch
+# (`git show origin/main:BENCH_net.json > base.json`), so the comparison
+# works offline. Output goes to stdout (CI appends it to
+# $GITHUB_STEP_SUMMARY). Exit code is always 0: the quick tier runs on
+# shared runners, so the table informs rather than gates. Benchmarks
+# present on only one side are listed as added/removed.
 set -euo pipefail
 
 base="${1:?usage: bench_trend.sh BASE.json HEAD.json [threshold_pct]}"
 head="${2:?usage: bench_trend.sh BASE.json HEAD.json [threshold_pct]}"
 threshold="${3:-25}"
 
-# Degrade gracefully when the base branch never produced an artifact (first
-# run of the workflow, expired retention, renamed artifact): note it and
+name="$(basename "$head")"
+
+# Degrade gracefully when there is nothing to compare against (the file
+# is not committed on the base branch yet, or was renamed): note it and
 # succeed, so the trend table never blocks a PR it cannot inform.
 if [ ! -s "$base" ]; then
-  echo "## Bench trend vs base"
+  echo "## Bench trend vs base: $name"
   echo
-  echo "No base BENCH_net.json to compare against (missing or empty:" \
+  echo "No base bench summary to compare against (missing or empty:" \
     "\`$base\`); skipping the trend table."
   exit 0
 fi
 if [ ! -s "$head" ]; then
-  echo "## Bench trend vs base"
+  echo "## Bench trend vs base: $name"
   echo
-  echo "No head BENCH_net.json was produced (missing or empty:" \
+  echo "No head bench summary was produced (missing or empty:" \
     "\`$head\`); skipping the trend table."
   exit 0
 fi
@@ -35,7 +40,8 @@ fi
 jq -n -r \
   --slurpfile base "$base" \
   --slurpfile head "$head" \
-  --argjson threshold "$threshold" '
+  --argjson threshold "$threshold" \
+  --arg name "$name" '
   def by_name(rows): rows | map({key: .bench, value: .}) | from_entries;
   (by_name($base)) as $b | (by_name($head)) as $h |
   ($b + $h | keys | sort) as $names |
@@ -60,7 +66,7 @@ jq -n -r \
   def fmt_delta: if . == null then "—"
     else (if . >= 0 then "+" else "" end) + (. * 10 | round / 10 | tostring) + "%" end;
   ([$rows[] | select(.flag == "🔺 regression")] | length) as $n_reg |
-  "## Bench trend vs base (threshold ±\($threshold)%)",
+  "## Bench trend vs base: \($name) (threshold ±\($threshold)%)",
   "",
   (if $n_reg > 0 then "**\($n_reg) regression(s) above threshold.**"
    else "No regressions above threshold." end),

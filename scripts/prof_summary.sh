@@ -31,20 +31,20 @@ jq -r '
   .phase_totals_ns as $p |
   # Setup: everything before the first event pops — scenario validation
   # and engine-core init (link_build nests inside engine_init, so it is
-  # shown but not re-added). Run: the epoch chunks of the event loop plus
-  # the finalisation.
+  # shown but not re-added). Run: the event loop (the `epoch` phase)
+  # plus the finalisation.
   (($p.scenario_build // 0) + ($p.engine_init // 0)) as $setup |
   (($p.epoch // 0) + ($p.finalize // 0)) as $run |
   ($setup + $run) as $total |
   def pct: if $total > 0 then (. / $total * 1000 | round / 10 | tostring) + "%" else "—" end;
   "## Execution observatory: \(.scenario)",
   "",
-  "Setup \($setup | fmt_ns) (\($setup | pct)) vs run \($run | fmt_ns) (\($run | pct));" +
-    " critical-path epoch \(.critical_path_epoch // "—").",
+  "Setup \($setup | fmt_ns) (\($setup | pct)) vs run \($run | fmt_ns) (\($run | pct)).",
   "",
   "| phase | total | share |",
   "|---|---:|---:|",
-  ($p | to_entries | sort_by(.key)[] | "| \(.key) | \(.value | fmt_ns) | \(.value | pct) |"),
+  ($p | to_entries | sort_by(.key)[] |
+    "| \(if .key == "epoch" then "epoch (event loop)" else .key end) | \(.value | fmt_ns) | \(.value | pct) |"),
   "",
   (if .dropped_spans > 0 then "⚠ \(.dropped_spans) spans dropped to ring wrap-around." else empty end)
 ' "$prof"

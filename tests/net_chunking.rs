@@ -1,8 +1,9 @@
-//! The one-engine chunking contract: `net::run` advances one engine core
-//! in `epoch_s` chunks (the progress and profiling chunk), and the chunk
-//! length never changes what the run computes. At any epoch length the
-//! event trace, the metrics report and the telemetry — progress lines
-//! included — are byte-identical to a one-chunk run.
+//! The one-pass progress contract: `net::run` advances one engine core
+//! from start to horizon without interruption, and progress lines are
+//! emitted from inside its event loop on a simulated-time cadence. The
+//! cadence never changes what the run computes: at any cadence, and with
+//! progress off, the event trace and the metrics report are
+//! byte-identical.
 
 use interscatter::net::prelude::ExecutionSection;
 use interscatter::net::scenario::Scenario;
@@ -22,15 +23,11 @@ fn closed_loop_presets() -> Vec<Scenario> {
     ]
 }
 
-fn chunked(scenario: &Scenario, epoch_s: f64) -> Scenario {
+fn with_progress(scenario: &Scenario, every_s: f64) -> Scenario {
     scenario
         .clone()
         .builder()
-        .execution(
-            ExecutionSection::new()
-                .epoch_s(epoch_s)
-                .progress(0.25, false),
-        )
+        .execution(ExecutionSection::new().progress(every_s, false))
         .build()
         .unwrap()
 }
@@ -39,18 +36,19 @@ fn chunked(scenario: &Scenario, epoch_s: f64) -> Scenario {
 fn random_epoch_lengths_match_one_chunk() {
     let mut rng = StdRng::seed_from_u64(0x5EED_541A);
     for scenario in closed_loop_presets() {
-        // One chunk: the first boundary already lies past the horizon.
-        let one = interscatter::net::run(&chunked(&scenario, 2.0 * scenario.duration_s), 7)
-            .unwrap_or_else(|e| panic!("{}: {e}", scenario.name));
-        assert!(!one.trace.to_bytes().is_empty(), "{}", scenario.name);
-        assert!(!one.telemetry.progress.is_empty(), "{}", scenario.name);
+        let mut quiet = scenario.clone();
+        quiet.telemetry.progress_every_s = None;
+        let off =
+            interscatter::net::run(&quiet, 7).unwrap_or_else(|e| panic!("{}: {e}", scenario.name));
+        assert!(!off.trace.to_bytes().is_empty(), "{}", scenario.name);
+        assert!(off.telemetry.progress.is_empty(), "{}", scenario.name);
         for case in 0..3 {
-            let epoch_s = 10f64.powf(rng.gen_range(-4.0..0.0));
-            let run = interscatter::net::run(&chunked(&scenario, epoch_s), 7).unwrap();
-            let what = format!("{} case {case}, epoch {epoch_s} s", scenario.name);
-            assert_eq!(run.trace.to_bytes(), one.trace.to_bytes(), "{what}: trace");
-            assert_eq!(run.metrics.report(), one.metrics.report(), "{what}: report");
-            assert_eq!(run.telemetry, one.telemetry, "{what}: telemetry");
+            let every_s = 10f64.powf(rng.gen_range(-4.0..0.0));
+            let run = interscatter::net::run(&with_progress(&scenario, every_s), 7).unwrap();
+            let what = format!("{} case {case}, progress every {every_s} s", scenario.name);
+            assert!(!run.telemetry.progress.is_empty(), "{what}: no lines");
+            assert_eq!(run.trace.to_bytes(), off.trace.to_bytes(), "{what}: trace");
+            assert_eq!(run.metrics.report(), off.metrics.report(), "{what}: report");
         }
     }
 }

@@ -1,9 +1,9 @@
 //! The execution observatory's determinism contract: profiling is
 //! **byte-neutral** — the event trace, the metrics report and the
 //! telemetry output are identical with profiling on or off — while the
-//! prof output itself carries the phase totals, per-epoch busy time and
-//! Chrome-trace export `PROF_net.json` is built from. See `net::prof` for
-//! the contract and detlint's `wall_clock` scoping.
+//! prof output itself carries the phase totals `PROF_net.json` is built
+//! from and the Chrome-trace export. See `net::prof` for the contract and
+//! detlint's `wall_clock` scoping.
 
 use interscatter::net::prelude::ExecutionSection;
 use interscatter::net::scenario::Scenario;
@@ -22,9 +22,14 @@ fn shaped(scenario: &Scenario, shards: usize, profile: bool) -> Scenario {
 
 #[test]
 fn profiling_is_byte_neutral_at_every_shard_count() {
-    // The acceptance matrix: a bedside preset and a campus, profile on vs
+    // The acceptance matrix: a bedside preset, a walking ward (whose
+    // mobility ticks add `link_flush` spans) and a campus, profile on vs
     // off, at every accepted `shards` value (validated, no effect).
-    for scenario in [Scenario::congested_ward(9), Scenario::campus(768)] {
+    for scenario in [
+        Scenario::congested_ward(9),
+        Scenario::walking_ward(8),
+        Scenario::campus(768),
+    ] {
         for shards in SHARD_COUNTS {
             let off = interscatter::net::run(&shaped(&scenario, shards, false), 42).unwrap();
             let on = interscatter::net::run(&shaped(&scenario, shards, true), 42).unwrap();
@@ -51,6 +56,13 @@ fn profiling_is_byte_neutral_at_every_shard_count() {
             let prof = on.prof.expect("profiled run carries a report");
             assert!(!prof.spans.is_empty());
             assert_eq!(prof.scenario, scenario.name);
+            let mobile = scenario.mobility.is_some();
+            let flushed = prof
+                .summary()
+                .phase_totals_ns
+                .iter()
+                .any(|(name, _)| name == "link_flush");
+            assert_eq!(flushed, mobile, "{}: link_flush phase", scenario.name);
         }
     }
 }
@@ -58,34 +70,20 @@ fn profiling_is_byte_neutral_at_every_shard_count() {
 #[test]
 fn profiled_runs_match_the_one_chunk_run() {
     let scenario = Scenario::hospital_ward(8).closed_loop();
-    let one_chunk = scenario
-        .clone()
-        .builder()
-        .execution(ExecutionSection::new().epoch_s(2.0 * scenario.duration_s))
-        .build()
-        .unwrap();
-    let reference = interscatter::net::run(&one_chunk, 42).unwrap();
-    let epoch_s = 0.5;
+    let reference = interscatter::net::run(&scenario, 42).unwrap();
     let profiled = scenario
         .clone()
         .builder()
-        .execution(ExecutionSection::new().epoch_s(epoch_s).profile(true))
+        .execution(ExecutionSection::new().profile(true))
         .build()
         .unwrap();
     let run = interscatter::net::run(&profiled, 42).unwrap();
     assert_eq!(run.trace.to_bytes(), reference.trace.to_bytes());
     assert_eq!(run.metrics.report(), reference.metrics.report());
-    // One "epoch" span per chunk, numbered from 0.
+    // The event loop runs once, start to horizon: one "epoch" span.
     let prof = run.prof.expect("profiled run carries a report");
-    let epochs: Vec<u64> = prof
-        .spans
-        .iter()
-        .filter(|s| s.name == "epoch")
-        .filter_map(|s| s.arg)
-        .collect();
-    let chunks = (scenario.duration_s / epoch_s).ceil() as usize;
-    assert!(epochs.len() >= chunks, "{} epoch spans", epochs.len());
-    assert_eq!(epochs, (0..epochs.len() as u64).collect::<Vec<_>>());
+    let epochs = prof.spans.iter().filter(|s| s.name == "epoch").count();
+    assert_eq!(epochs, 1);
 }
 
 #[test]
@@ -114,11 +112,7 @@ fn profiled_campus_summary_carries_phases_and_exports() {
             "scenario_build"
         ]
     );
-    assert!(phases["epoch"] > 0, "epoch busy time is empty");
-    // One engine: every epoch span on the one track.
-    assert_eq!(summary.cells.len(), 1);
-    assert!(!summary.cells[0].epochs.is_empty());
-    assert!(summary.critical_path_epoch.is_some());
+    assert!(phases["epoch"] > 0, "event-loop time is empty");
 
     // Chrome trace export: complete events on the one track.
     let chrome = prof.to_chrome_trace();
@@ -130,25 +124,26 @@ fn profiled_campus_summary_carries_phases_and_exports() {
 
     // The PROF_net.json document.
     let doc = summary.to_json();
-    assert!(doc.contains("\"phase_totals_ns\""));
-    assert!(doc.contains("\"cells\":[{\"cell\":0,"));
+    assert!(doc.starts_with("{\"scenario\":\"campus-768\",\"phase_totals_ns\":{"));
+    assert!(doc.ends_with(",\"dropped_spans\":0}"));
 }
 
 #[test]
 fn progress_lines_come_from_the_engine() {
-    // The engine's own simulated-time cadence, whatever the epoch chunk.
-    let shape = |epoch_s: f64| {
+    // The engine's own simulated-time cadence, emitted from inside the
+    // event loop — the same lines whether or not the run is profiled.
+    let shape = |profile: bool| {
         Scenario::campus(768)
             .builder()
             .execution(
                 ExecutionSection::new()
-                    .epoch_s(epoch_s)
-                    .progress(0.5, false),
+                    .progress(0.5, false)
+                    .profile(profile),
             )
             .build()
             .unwrap()
     };
-    let run = interscatter::net::run(&shape(0.01), 42).unwrap();
+    let run = interscatter::net::run(&shape(false), 42).unwrap();
     let lines = &run.telemetry.progress;
     assert!(!lines.is_empty(), "no progress lines collected");
     for line in lines {
@@ -156,8 +151,8 @@ fn progress_lines_come_from_the_engine() {
         assert!(line.contains(" events="), "{line}");
         assert!(line.contains(" prr="), "{line}");
     }
-    let coarse = interscatter::net::run(&shape(0.7), 42).unwrap();
-    assert_eq!(&coarse.telemetry.progress, lines);
+    let profiled = interscatter::net::run(&shape(true), 42).unwrap();
+    assert_eq!(&profiled.telemetry.progress, lines);
 }
 
 #[test]

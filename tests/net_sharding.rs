@@ -1,10 +1,11 @@
 //! The shard-count contract: `ExecutionConfig::shards` is validated but
 //! never reaches the simulation, so a scenario's trace digest, metrics
 //! report and telemetry are **byte-identical at any shard count**, and
-//! every run — chunked at any epoch length, at any shard count — equals
-//! one uninterrupted pass of the engine (a run whose first epoch boundary
-//! already lies past the horizon). See `net::run` for the one-engine
-//! execution model and `tests/net_chunking.rs` for the chunking property.
+//! every run — at any shard count, at any progress cadence — equals the
+//! plain run: one uninterrupted engine pass (`net::run` builds the engine
+//! core, runs it to the horizon and finishes it). See `net::run` for the
+//! one-engine execution model and `tests/net_chunking.rs` for the
+//! progress-cadence property.
 
 use interscatter::net::prelude::ExecutionSection;
 use interscatter::net::scenario::Scenario;
@@ -18,16 +19,6 @@ fn with_shards(scenario: &Scenario, shards: usize) -> Scenario {
         .clone()
         .builder()
         .execution(ExecutionSection::new().shards(shards))
-        .build()
-        .unwrap()
-}
-
-/// The scenario as one engine pass: one chunk spanning the horizon.
-fn one_pass(scenario: &Scenario) -> Scenario {
-    scenario
-        .clone()
-        .builder()
-        .execution(ExecutionSection::new().epoch_s(2.0 * scenario.duration_s))
         .build()
         .unwrap()
 }
@@ -48,7 +39,7 @@ fn closed_loop_presets() -> Vec<Scenario> {
 #[test]
 fn every_preset_digest_is_shard_count_invariant() {
     for scenario in closed_loop_presets() {
-        let reference = interscatter::net::run(&with_shards(&scenario, 1), 42)
+        let reference = interscatter::net::run(&scenario, 42)
             .unwrap_or_else(|e| panic!("{}: {e}", scenario.name));
         assert!(
             !reference.trace.to_bytes().is_empty(),
@@ -80,8 +71,8 @@ fn every_preset_digest_is_shard_count_invariant() {
 
 #[test]
 fn single_cell_presets_reproduce_the_legacy_engine() {
-    // One interference cell (shared receivers couple everything): the
-    // default chunked run must reproduce one uninterrupted engine pass
+    // One interference cell (shared receivers couple everything): a run
+    // shaped through the builder must reproduce the plain engine pass
     // byte for byte, whatever the shard count.
     for scenario in [
         Scenario::hospital_ward(8),
@@ -89,7 +80,7 @@ fn single_cell_presets_reproduce_the_legacy_engine() {
         Scenario::contact_lens_fleet(6).closed_loop(),
         Scenario::card_to_card_room(5).closed_loop(),
     ] {
-        let legacy = interscatter::net::run(&one_pass(&scenario), 42).unwrap();
+        let legacy = interscatter::net::run(&scenario, 42).unwrap();
         for shards in SHARD_COUNTS {
             let run = interscatter::net::run(&with_shards(&scenario, shards), 42).unwrap();
             assert_eq!(
@@ -105,22 +96,26 @@ fn single_cell_presets_reproduce_the_legacy_engine() {
 
 #[test]
 fn random_epoch_lengths_keep_sharded_equal_to_single_shard() {
-    // Property: for ANY epoch length, the run at 4 shards equals the run
-    // at 1 shard (same epoch), and both equal one engine pass — neither
-    // the chunk cadence nor the worker count reaches the simulation.
+    // Property: at ANY progress cadence, the run at 4 shards equals the
+    // run at 1 shard, and both equal the plain engine pass — neither the
+    // progress cadence nor the worker count reaches the simulation.
     let mut rng = StdRng::seed_from_u64(0x5EED_541A);
     let multi = Scenario::campus(512);
     let single = Scenario::hospital_ward(6).closed_loop();
-    let legacy_multi = interscatter::net::run(&one_pass(&multi), 7).unwrap();
-    let legacy_single = interscatter::net::run(&one_pass(&single), 7).unwrap();
+    let legacy_multi = interscatter::net::run(&multi, 7).unwrap();
+    let legacy_single = interscatter::net::run(&single, 7).unwrap();
     for case in 0..8 {
-        let epoch_s = 10f64.powf(rng.gen_range(-4.0..-0.3));
+        let every_s = 10f64.powf(rng.gen_range(-4.0..-0.3));
         for (scenario, legacy) in [(&multi, &legacy_multi), (&single, &legacy_single)] {
             let shape = |shards: usize| {
                 scenario
                     .clone()
                     .builder()
-                    .execution(ExecutionSection::new().shards(shards).epoch_s(epoch_s))
+                    .execution(
+                        ExecutionSection::new()
+                            .shards(shards)
+                            .progress(every_s, false),
+                    )
                     .build()
                     .unwrap()
             };
@@ -129,14 +124,15 @@ fn random_epoch_lengths_keep_sharded_equal_to_single_shard() {
             assert_eq!(
                 one.trace.digest(),
                 four.trace.digest(),
-                "case {case}: {} diverged at epoch {epoch_s} s",
+                "case {case}: {} diverged at progress every {every_s} s",
                 scenario.name
             );
             assert_eq!(one.metrics.report(), four.metrics.report());
+            assert_eq!(one.telemetry, four.telemetry);
             assert_eq!(
                 one.trace.to_bytes(),
                 legacy.trace.to_bytes(),
-                "case {case}: epoch {epoch_s} s perturbed {}",
+                "case {case}: progress every {every_s} s perturbed {}",
                 scenario.name
             );
         }

@@ -55,24 +55,27 @@ fn cases() -> Vec<(&'static str, Scenario)> {
     ]
 }
 
-/// Captured from the presets as first pinned, in [`cases`] order.
+/// Captured from the presets in [`cases`] order. Re-pinned once, when
+/// `ExecutionConfig` lost its epoch-length field (default 0.01 s): each
+/// old pin hashed the same `Debug` form with that one field entry
+/// present, and nothing else differed.
 const PINNED: [u64; 16] = [
-    0xD91F_1F66_341D_7BEF,
-    0x4AD9_3B42_A800_9BFA,
-    0x1020_B77D_FB5A_09AF,
-    0x6612_8538_2E48_4CDC,
-    0x9F29_3294_FDEF_4E8B,
-    0x129A_A8CE_BAFE_EF75,
-    0xA575_830F_E14A_B755,
-    0x6DD1_092B_C76D_F71E,
-    0x94D9_60D1_178F_6062,
-    0xC808_4C1C_9BA1_D627,
-    0x98DF_33D1_712A_6DAD,
-    0xAE77_9428_7F9B_127E,
-    0xEC74_37CB_99AC_3846,
-    0x1996_4903_B5B6_0010,
-    0xF19A_6261_F346_62DA,
-    0x3BE0_E116_02A4_1DD3,
+    0x1129_956B_49AC_D2F7,
+    0x1FD3_775C_8671_04BC,
+    0xA60B_210A_EF71_F8B7,
+    0x9576_09A1_7735_E6DA,
+    0x22F7_12C8_57F8_A923,
+    0x1734_5516_9EFC_82C1,
+    0x56C2_4110_204A_5CE1,
+    0x7FF4_01C7_D587_E220,
+    0x2246_D3A5_BC95_B614,
+    0xC1D4_C502_0411_903F,
+    0x53CA_BA76_85F5_0BE9,
+    0xB5F8_D1BD_DAD3_2640,
+    0x4FB5_F4AA_22E1_FC38,
+    0xA237_5812_DC0F_046E,
+    0xF5E1_5888_B747_65DC,
+    0x94BE_C48D_46AF_AEFB,
 ];
 
 #[test]
