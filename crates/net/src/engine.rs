@@ -24,14 +24,13 @@ use crate::event::{DownlinkKind, EventKind, EventQueue, EventTrace};
 use crate::links::{EntityId, LinkBudget, LinkMatrix, Listener};
 use crate::mac::{self, LoopPhase, MacLoop, MacMode};
 use crate::medium::{Band, Emitter, Medium, TxReport};
-use crate::metrics::{MobilitySample, NetworkMetrics, OccupancySample, ReStripeEvent, TagTable};
+use crate::metrics::{MobilitySample, NetworkMetrics, OccupancySample, ReStripeEvent};
 use crate::mobility::{MobilityConfig, MotionState};
 use crate::prof::{Clock, ProfReport, Profiler};
 use crate::scenario::Scenario;
 use crate::sched::{CarrierSched, SlotView};
 use crate::telemetry::{
-    LossKind, MetricsMode, ProgressRuntime, TelemetryEvent, TelemetryKind, TelemetryReport,
-    TelemetryRuntime,
+    LossKind, ProgressRuntime, TelemetryEvent, TelemetryKind, TelemetryReport, TelemetryRuntime,
 };
 use crate::time::Time;
 use crate::NetError;
@@ -97,8 +96,8 @@ struct MobilityRuntime {
     carrier_wearer: Vec<Option<usize>>,
     /// Per-tag delivery/attempt counters at the previous tick, for the
     /// PRR-vs-displacement series.
-    prev_delivered: Vec<u64>,
-    prev_attempts: Vec<u64>,
+    prev_delivered: Vec<usize>,
+    prev_attempts: Vec<usize>,
 }
 
 /// Runtime state of the coexistence subsystem (only present when the
@@ -132,8 +131,8 @@ struct CarrierSense {
     /// When the last [`OccupancySample`] was recorded.
     last_sample: Time,
     /// Member-tag counters at the last sample, for the PRR deltas.
-    prev_attempts: u64,
-    prev_delivered: u64,
+    prev_attempts: usize,
+    prev_delivered: usize,
     /// Slots seen so far (the re-striping check cadence counts these).
     slots: u32,
     /// When the carrier last re-striped (the dwell-time hysteresis).
@@ -206,7 +205,6 @@ pub(crate) struct EngineCore<'a> {
     medium: Medium,
     trace: EventTrace,
     metrics: NetworkMetrics,
-    tag_stats: TagTable,
     tele: TelemetryRuntime,
     progress: Option<ProgressRuntime>,
     mac_loop: Option<MacLoop>,
@@ -252,13 +250,6 @@ impl<'a> EngineCore<'a> {
             scenario.receivers.len(),
             scenario.duration_s,
         );
-        // The hot-path counter table: struct-of-arrays columns the event
-        // loop bumps, materialised into `metrics.tags` once at the end of
-        // the run.
-        let tag_stats = TagTable::new(scenario.tags.len());
-        if scenario.telemetry.mode == MetricsMode::Streaming {
-            metrics.enable_streaming();
-        }
         // The subscription layer: filters compiled to a per-kind dispatch
         // mask, so each emit site below pays one dead branch when nothing
         // is subscribed. Telemetry consumes no RNG and never touches the
@@ -433,7 +424,6 @@ impl<'a> EngineCore<'a> {
             medium,
             trace,
             metrics,
-            tag_stats,
             tele,
             progress,
             mac_loop,
@@ -462,7 +452,6 @@ impl<'a> EngineCore<'a> {
             ref mut medium,
             ref mut trace,
             ref mut metrics,
-            ref mut tag_stats,
             ref mut tele,
             ref mut progress,
             ref mut mac_loop,
@@ -483,13 +472,11 @@ impl<'a> EngineCore<'a> {
                 // simulated time so the output is deterministic (events
                 // per *simulated* second, no wall clock).
                 if p.due(event.at) {
-                    let attempts: u64 = tag_stats.attempts.iter().sum();
-                    let delivered: u64 = tag_stats.delivered.iter().sum();
                     p.emit(
                         event.at,
                         tele.events(),
-                        attempts as usize,
-                        delivered as usize,
+                        metrics.attempts(),
+                        metrics.delivered_packets(),
                         metrics.restripes(),
                     );
                 }
@@ -543,16 +530,14 @@ impl<'a> EngineCore<'a> {
                     // One PRR-vs-displacement sample per tag per tick.
                     let mut max_disp_mm = 0u64;
                     for t in 0..scenario.tags.len() {
-                        let (attempts, delivered) = (tag_stats.attempts[t], tag_stats.delivered[t]);
-                        metrics.record_mobility_sample(
-                            t,
-                            MobilitySample {
-                                at_s: now.as_secs(),
-                                displacement_m: mob.states[t].displacement_m(),
-                                attempts: (attempts - mob.prev_attempts[t]) as usize,
-                                delivered: (delivered - mob.prev_delivered[t]) as usize,
-                            },
-                        );
+                        let (attempts, delivered) =
+                            (metrics.tags[t].attempts, metrics.tags[t].delivered);
+                        metrics.mobility_series[t].push(MobilitySample {
+                            at_s: now.as_secs(),
+                            displacement_m: mob.states[t].displacement_m(),
+                            attempts: attempts - mob.prev_attempts[t],
+                            delivered: delivered - mob.prev_delivered[t],
+                        });
                         mob.prev_attempts[t] = attempts;
                         mob.prev_delivered[t] = delivered;
                         max_disp_mm =
@@ -627,7 +612,7 @@ impl<'a> EngineCore<'a> {
                     let now = event.at;
                     let rate = scenario.tags[tag].arrival_rate_pps;
                     let state = &mut tags[tag];
-                    tag_stats.offered[tag] += 1;
+                    metrics.tags[tag].offered += 1;
                     if tele.wants(TelemetryKind::Offered) {
                         tele.emit(now, &TelemetryEvent::Offered { tag });
                     }
@@ -639,7 +624,7 @@ impl<'a> EngineCore<'a> {
                         let depth = state.queue.len();
                         trace.record(now, || format!("tag {tag} arrival (queue {depth})"));
                     } else {
-                        tag_stats.dropped[tag] += 1;
+                        metrics.tags[tag].dropped += 1;
                         if tele.wants(TelemetryKind::Dropped) {
                             tele.emit(now, &TelemetryEvent::Dropped { tag });
                         }
@@ -674,7 +659,6 @@ impl<'a> EngineCore<'a> {
                             airborne,
                             mac_loop.as_ref(),
                             metrics,
-                            tag_stats,
                             tele,
                             trace,
                         ),
@@ -716,7 +700,7 @@ impl<'a> EngineCore<'a> {
                             let primary =
                                 Band::new(phy.center_freq_hz(carrier_freq), phy.bandwidth_hz());
                             if medium.busy(primary, now) {
-                                tag_stats.csma_defers[tag] += 1;
+                                metrics.tags[tag].csma_defers += 1;
                                 trace.record(now, || {
                                     format!("carrier {carrier} slot: tag {tag} defers (band busy)")
                                 });
@@ -727,7 +711,6 @@ impl<'a> EngineCore<'a> {
                                 carrier,
                                 tags,
                                 metrics,
-                                tag_stats,
                                 links,
                                 tele,
                                 progress.as_mut(),
@@ -777,7 +760,7 @@ impl<'a> EngineCore<'a> {
                             // poll on the tag's service band.
                             let band = downlink_band(scenario, tuned_rx[tag], carrier_freq);
                             if medium.busy(band, now) {
-                                tag_stats.csma_defers[tag] += 1;
+                                metrics.tags[tag].csma_defers += 1;
                                 trace.record(now, || {
                                     format!("carrier {carrier} poll: tag {tag} defers (band busy)")
                                 });
@@ -788,7 +771,6 @@ impl<'a> EngineCore<'a> {
                                 carrier,
                                 tags,
                                 metrics,
-                                tag_stats,
                                 links,
                                 tele,
                                 progress.as_mut(),
@@ -810,7 +792,7 @@ impl<'a> EngineCore<'a> {
                             let tx_id =
                                 medium.start(Emitter::Carrier(carrier), band, None, now, end);
                             mac_state.poll_started(tag, now);
-                            tag_stats.polls[tag] += 1;
+                            metrics.tags[tag].polls += 1;
                             queue.schedule(
                                 end,
                                 EventKind::DownlinkEmission {
@@ -896,11 +878,11 @@ impl<'a> EngineCore<'a> {
                             )
                         });
                     } else {
-                        tag_stats.poll_losses[tag] += 1;
+                        metrics.tags[tag].poll_losses += 1;
                         retry_packet(
                             &mut tags[tag],
                             tag_spec.max_retries,
-                            tag_stats,
+                            metrics,
                             tele,
                             tag,
                             now,
@@ -942,14 +924,14 @@ impl<'a> EngineCore<'a> {
                         if let Some(packet) = tags[tag].queue.pop_front() {
                             let bits = tag_spec.phy.payload_bits(tag_spec.payload_bytes);
                             carriers[carrier_idx].sched.delivered(tag, bits);
-                            tag_stats.delivered[tag] += 1;
-                            tag_stats.delivered_bits[tag] += bits as u64;
-                            tag_stats.transactions[tag] += 1;
+                            metrics.tags[tag].delivered += 1;
+                            metrics.tags[tag].delivered_bits += bits;
+                            metrics.tags[tag].transactions += 1;
                             let span = now.since(poll_started);
-                            tag_stats.transaction_ns[tag] += span.as_nanos();
+                            metrics.tags[tag].transaction_ns += span.as_nanos();
                             let latency = now.since(packet.arrived);
-                            metrics.record_latency_ms(latency.as_secs() * 1e3);
-                            metrics.record_transaction_ms(span.as_secs() * 1e3);
+                            metrics.latency_ms.push(latency.as_secs() * 1e3);
+                            metrics.transaction_latency_ms.push(span.as_secs() * 1e3);
                             if tele.wants(TelemetryKind::Delivery) {
                                 tele.emit(
                                     now,
@@ -977,11 +959,11 @@ impl<'a> EngineCore<'a> {
                             )
                         });
                     } else {
-                        tag_stats.ack_losses[tag] += 1;
+                        metrics.tags[tag].ack_losses += 1;
                         retry_packet(
                             &mut tags[tag],
                             tag_spec.max_retries,
-                            tag_stats,
+                            metrics,
                             tele,
                             tag,
                             now,
@@ -1006,7 +988,7 @@ impl<'a> EngineCore<'a> {
                     let tag_spec = &scenario.tags[tag];
                     let rx_idx = tuned_rx[tag];
                     let rx = &scenario.receivers[rx_idx];
-                    tag_stats.attempts[tag] += 1;
+                    metrics.tags[tag].attempts += 1;
                     if tele.wants(TelemetryKind::Attempt) {
                         tele.emit(now, &TelemetryEvent::Attempt { tag });
                     }
@@ -1024,9 +1006,9 @@ impl<'a> EngineCore<'a> {
                         &mut tags[tag].rng,
                     );
                     match outcome {
-                        RxOutcome::Collision => tag_stats.collided[tag] += 1,
-                        RxOutcome::External => tag_stats.external_collisions[tag] += 1,
-                        RxOutcome::LinkLoss => tag_stats.link_losses[tag] += 1,
+                        RxOutcome::Collision => metrics.tags[tag].collided += 1,
+                        RxOutcome::External => metrics.tags[tag].external_collisions += 1,
+                        RxOutcome::LinkLoss => metrics.tags[tag].link_losses += 1,
                         RxOutcome::Delivered => {}
                     }
                     if outcome != RxOutcome::Delivered && tele.wants(TelemetryKind::Loss) {
@@ -1067,11 +1049,11 @@ impl<'a> EngineCore<'a> {
                         } else {
                             // The response never made it: the sink times
                             // out and the carrier will re-poll.
-                            tag_stats.timeouts[tag] += 1;
+                            metrics.tags[tag].timeouts += 1;
                             retry_packet(
                                 &mut tags[tag],
                                 tag_spec.max_retries,
-                                tag_stats,
+                                metrics,
                                 tele,
                                 tag,
                                 now,
@@ -1093,10 +1075,10 @@ impl<'a> EngineCore<'a> {
                             if let Some(packet) = tags[tag].queue.pop_front() {
                                 let bits = tag_spec.phy.payload_bits(tag_spec.payload_bytes);
                                 carriers[tag_spec.carrier].sched.delivered(tag, bits);
-                                tag_stats.delivered[tag] += 1;
-                                tag_stats.delivered_bits[tag] += bits as u64;
+                                metrics.tags[tag].delivered += 1;
+                                metrics.tags[tag].delivered_bits += bits;
                                 let latency = now.since(packet.arrived);
-                                metrics.record_latency_ms(latency.as_secs() * 1e3);
+                                metrics.latency_ms.push(latency.as_secs() * 1e3);
                                 if tele.wants(TelemetryKind::Delivery) {
                                     tele.emit(
                                         now,
@@ -1112,7 +1094,7 @@ impl<'a> EngineCore<'a> {
                             retry_packet(
                                 &mut tags[tag],
                                 tag_spec.max_retries,
-                                tag_stats,
+                                metrics,
                                 tele,
                                 tag,
                                 now,
@@ -1135,13 +1117,12 @@ impl<'a> EngineCore<'a> {
         }
     }
 
-    /// Materialises the hot-path columns and the telemetry report into the
+    /// Materialises the telemetry report and hands the metrics out as the
     /// public run result.
     pub(crate) fn finish(self) -> NetRunResult {
         let EngineCore {
             scenario,
-            tag_stats,
-            mut metrics,
+            metrics,
             tele,
             progress,
             trace,
@@ -1149,9 +1130,6 @@ impl<'a> EngineCore<'a> {
             ..
         } = self;
         let fin_tok = prof.as_mut().map(|p| p.begin("finalize"));
-        // Materialise the hot-path columns into the public row-per-tag
-        // view before handing the metrics out.
-        tag_stats.materialize_into(&mut metrics.tags);
         let telemetry = tele.finish(
             progress
                 .map(ProgressRuntime::into_lines)
@@ -1247,7 +1225,6 @@ fn sense_and_restripe(
     airborne: &[bool],
     mac: Option<&MacLoop>,
     metrics: &mut NetworkMetrics,
-    tag_stats: &TagTable,
     tele: &mut TelemetryRuntime,
     trace: &mut EventTrace,
 ) -> f64 {
@@ -1292,22 +1269,19 @@ fn sense_and_restripe(
 
     if now.since(sense.last_sample).as_nanos() >= *sample_ns {
         sense.last_sample = now;
-        let (mut attempts, mut delivered) = (0u64, 0u64);
+        let (mut attempts, mut delivered) = (0, 0);
         for &t in carriers[carrier].sched.members() {
-            attempts += tag_stats.attempts[t];
-            delivered += tag_stats.delivered[t];
+            attempts += metrics.tags[t].attempts;
+            delivered += metrics.tags[t].delivered;
         }
         let subband = carriers[carrier].sched.subband();
-        metrics.record_occupancy_sample(
-            carrier,
-            OccupancySample {
-                at_s: now.as_secs(),
-                subband,
-                occupancy: occ,
-                attempts: (attempts - sense.prev_attempts) as usize,
-                delivered: (delivered - sense.prev_delivered) as usize,
-            },
-        );
+        metrics.occupancy_series[carrier].push(OccupancySample {
+            at_s: now.as_secs(),
+            subband,
+            occupancy: occ,
+            attempts: attempts - sense.prev_attempts,
+            delivered: delivered - sense.prev_delivered,
+        });
         if tele.wants(TelemetryKind::Occupancy) {
             tele.emit(
                 now,
@@ -1469,7 +1443,7 @@ fn receive_outcome<R: Rng>(
 fn retry_packet(
     state: &mut TagState,
     max_retries: u32,
-    tag_stats: &mut TagTable,
+    metrics: &mut NetworkMetrics,
     tele: &mut TelemetryRuntime,
     tag: usize,
     now: Time,
@@ -1478,7 +1452,7 @@ fn retry_packet(
         packet.retries += 1;
         if packet.retries > max_retries {
             state.queue.pop_front();
-            tag_stats.dropped[tag] += 1;
+            metrics.tags[tag].dropped += 1;
             if tele.wants(TelemetryKind::Dropped) {
                 tele.emit(now, &TelemetryEvent::Dropped { tag });
             }
@@ -1499,7 +1473,6 @@ fn grant_slot(
     carrier_idx: usize,
     tags: &[TagState],
     metrics: &mut NetworkMetrics,
-    tag_stats: &mut TagTable,
     links: &LinkMatrix,
     tele: &mut TelemetryRuntime,
     progress: Option<&mut ProgressRuntime>,
@@ -1517,12 +1490,12 @@ fn grant_slot(
             occupancy,
         },
     );
-    tag_stats.grants[tag] += 1;
+    metrics.tags[tag].grants += 1;
     if missed {
-        tag_stats.deadline_misses[tag] += 1;
+        metrics.tags[tag].deadline_misses += 1;
     }
     let waited = now.since(head_arrived);
-    metrics.record_poll_latency_ms(waited.as_secs() * 1e3);
+    metrics.poll_latency_ms.push(waited.as_secs() * 1e3);
     if tele.wants(TelemetryKind::Grant) {
         tele.emit(
             now,

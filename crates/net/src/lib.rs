@@ -88,10 +88,8 @@
 //! time window) compiled into a per-event-kind dispatch mask — one dead
 //! branch per emit site when nothing is subscribed — feeding online
 //! sketches ([`telemetry::LatencySketch`] streaming quantiles,
-//! [`telemetry::P2Quantile`], windowed PRR/occupancy rings, counters)
-//! instead of stored samples. [`telemetry::MetricsMode::Streaming`]
-//! rebuilds the [`metrics::NetworkMetrics`] report on the same sketches so
-//! soak runs hold memory O(subscriptions), not O(events), and
+//! [`telemetry::P2Quantile`], windowed PRR/occupancy rings, counters),
+//! alongside the exact stored samples of [`metrics::NetworkMetrics`], and
 //! [`telemetry::TelemetryConfig::with_progress`] emits a deterministic
 //! one-line status on a simulated-time cadence. Subscriptions never touch
 //! the RNG streams, so the event trace stays byte-identical with any
@@ -302,8 +300,8 @@ pub mod prelude {
     pub use crate::sched::{CarrierSched, SchedPolicy, Scheduler};
     pub use crate::shard::Cell;
     pub use crate::telemetry::{
-        Dataset, Filter, LatencySketch, MetricsMode, P2Quantile, SinkReport, SinkSpec,
-        Subscription, TelemetryConfig, TelemetryEvent, TelemetryKind, TelemetryReport,
+        Dataset, Filter, LatencySketch, P2Quantile, SinkReport, SinkSpec, Subscription,
+        TelemetryConfig, TelemetryEvent, TelemetryKind, TelemetryReport,
     };
     pub use crate::time::Time;
     pub use crate::NetError;

@@ -2,64 +2,11 @@
 //! latency distribution and Jain fairness, built on the statistics toolkit
 //! of `interscatter-sim`'s [`measurements`](interscatter_sim::measurements).
 //!
-//! Two storage modes ([`crate::telemetry::MetricsMode`]): the default
-//! **stored** mode keeps every latency sample and every per-tick
-//! mobility/occupancy sample (exact, O(events) memory, report paths
-//! byte-identical across PRs), while **streaming** mode routes the same
-//! samples into [`crate::telemetry::LatencySketch`]es and fixed-width
-//! [`crate::telemetry::RateBins`] — O(tags + carriers) memory however long
-//! the run, quantiles within the sketch's ±0.25 % bucket bound. The engine
-//! records through the `record_*` methods, which route by mode; the
-//! report and band accessors consult whichever side holds the data.
+//! Every latency sample and every per-tick mobility/occupancy sample is
+//! stored, so quantiles and band PRRs are exact; the engine pushes them
+//! straight into the series below and bumps one [`TagStats`] row per tag.
 
-use crate::telemetry::{LatencySketch, RateBins};
 use interscatter_sim::measurements::Cdf;
-
-/// Width of the streaming displacement bins, metres.
-pub const DISPLACEMENT_BIN_M: f64 = 0.25;
-
-/// Width of the streaming occupancy bins (occupancy is in [0, 1]).
-pub const OCCUPANCY_BIN: f64 = 0.05;
-
-/// The streaming-mode substitute for the stored sample series: sketches
-/// for the three latency distributions, fixed-width rate bins for the
-/// displacement/occupancy band queries, and scalar peaks. Memory is
-/// O(tags + carriers + log-buckets), independent of run length.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct StreamingSeries {
-    /// Delivery-latency sketch (streams what `latency_ms` would store).
-    pub latency_ms: LatencySketch,
-    /// Transaction-span sketch.
-    pub transaction_latency_ms: LatencySketch,
-    /// Poll-latency sketch.
-    pub poll_latency_ms: LatencySketch,
-    /// Attempts/deliveries binned by displacement ([`DISPLACEMENT_BIN_M`]).
-    pub displacement_bins: Option<RateBins>,
-    /// Attempts/deliveries binned by sensed occupancy ([`OCCUPANCY_BIN`]).
-    pub occupancy_bins: Option<RateBins>,
-    /// Largest displacement any tag reached, metres.
-    pub max_displacement_m: f64,
-    /// Per-carrier peak sensed occupancy (`None` before the first sample).
-    pub peak_occupancy: Vec<Option<f64>>,
-    /// Mobility samples streamed through (the stored mode's series length).
-    pub mobility_samples: usize,
-    /// Occupancy samples streamed through.
-    pub occupancy_samples: usize,
-}
-
-impl StreamingSeries {
-    /// Merges another run's streaming series in (Monte-Carlo pooling;
-    /// exact, so merge order cannot change any readout).
-    pub fn merge(&mut self, other: &StreamingSeries) {
-        self.latency_ms.merge(&other.latency_ms);
-        self.transaction_latency_ms
-            .merge(&other.transaction_latency_ms);
-        self.poll_latency_ms.merge(&other.poll_latency_ms);
-        self.max_displacement_m = self.max_displacement_m.max(other.max_displacement_m);
-        self.mobility_samples += other.mobility_samples;
-        self.occupancy_samples += other.occupancy_samples;
-    }
-}
 
 /// Counters for one tag.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -117,113 +64,6 @@ impl TagStats {
             return 0.0;
         }
         self.transaction_ns as f64 / self.transactions as f64 / 1e6
-    }
-}
-
-/// Struct-of-arrays twin of [`TagStats`]: one dense column per counter,
-/// indexed by tag id. The engine's hot path bumps these columns — one
-/// 8-byte cell in a contiguous per-counter array instead of a full
-/// [`TagStats`] row — and materialises the public
-/// [`NetworkMetrics::tags`] view once at the end of the run. Ids are
-/// dense `u32`s: the constructor rejects larger fleets.
-#[derive(Debug, Clone, Default)]
-pub struct TagTable {
-    /// Column of [`TagStats::offered`].
-    pub offered: Vec<u64>,
-    /// Column of [`TagStats::delivered`].
-    pub delivered: Vec<u64>,
-    /// Column of [`TagStats::dropped`].
-    pub dropped: Vec<u64>,
-    /// Column of [`TagStats::attempts`].
-    pub attempts: Vec<u64>,
-    /// Column of [`TagStats::collided`].
-    pub collided: Vec<u64>,
-    /// Column of [`TagStats::external_collisions`].
-    pub external_collisions: Vec<u64>,
-    /// Column of [`TagStats::link_losses`].
-    pub link_losses: Vec<u64>,
-    /// Column of [`TagStats::csma_defers`].
-    pub csma_defers: Vec<u64>,
-    /// Column of [`TagStats::grants`].
-    pub grants: Vec<u64>,
-    /// Column of [`TagStats::deadline_misses`].
-    pub deadline_misses: Vec<u64>,
-    /// Column of [`TagStats::delivered_bits`].
-    pub delivered_bits: Vec<u64>,
-    /// Column of [`TagStats::polls`].
-    pub polls: Vec<u64>,
-    /// Column of [`TagStats::poll_losses`].
-    pub poll_losses: Vec<u64>,
-    /// Column of [`TagStats::timeouts`].
-    pub timeouts: Vec<u64>,
-    /// Column of [`TagStats::ack_losses`].
-    pub ack_losses: Vec<u64>,
-    /// Column of [`TagStats::transactions`].
-    pub transactions: Vec<u64>,
-    /// Column of [`TagStats::transaction_ns`].
-    pub transaction_ns: Vec<u64>,
-}
-
-impl TagTable {
-    /// A zeroed table covering `n_tags` dense ids.
-    pub fn new(n_tags: usize) -> TagTable {
-        assert!(n_tags <= u32::MAX as usize, "tag ids are dense u32s");
-        TagTable {
-            offered: vec![0; n_tags],
-            delivered: vec![0; n_tags],
-            dropped: vec![0; n_tags],
-            attempts: vec![0; n_tags],
-            collided: vec![0; n_tags],
-            external_collisions: vec![0; n_tags],
-            link_losses: vec![0; n_tags],
-            csma_defers: vec![0; n_tags],
-            grants: vec![0; n_tags],
-            deadline_misses: vec![0; n_tags],
-            delivered_bits: vec![0; n_tags],
-            polls: vec![0; n_tags],
-            poll_losses: vec![0; n_tags],
-            timeouts: vec![0; n_tags],
-            ack_losses: vec![0; n_tags],
-            transactions: vec![0; n_tags],
-            transaction_ns: vec![0; n_tags],
-        }
-    }
-
-    /// Number of tags covered.
-    pub fn len(&self) -> usize {
-        self.offered.len()
-    }
-
-    /// True when the table covers no tags.
-    pub fn is_empty(&self) -> bool {
-        self.offered.is_empty()
-    }
-
-    /// Writes every column back into the row-per-tag view (`tags` must
-    /// have the table's length).
-    pub fn materialize_into(&self, tags: &mut [TagStats]) {
-        assert_eq!(tags.len(), self.len());
-        for (t, out) in tags.iter_mut().enumerate() {
-            *out = TagStats {
-                offered: self.offered[t] as usize,
-                delivered: self.delivered[t] as usize,
-                dropped: self.dropped[t] as usize,
-                attempts: self.attempts[t] as usize,
-                collided: self.collided[t] as usize,
-                external_collisions: self.external_collisions[t] as usize,
-                link_losses: self.link_losses[t] as usize,
-                csma_defers: self.csma_defers[t] as usize,
-                grants: self.grants[t] as usize,
-                deadline_misses: self.deadline_misses[t] as usize,
-                delivered_bits: self.delivered_bits[t] as usize,
-                polls: self.polls[t] as usize,
-                poll_losses: self.poll_losses[t] as usize,
-                timeouts: self.timeouts[t] as usize,
-                ack_losses: self.ack_losses[t] as usize,
-                transactions: self.transactions[t] as usize,
-                transaction_ns: self.transaction_ns[t],
-            };
-        }
     }
 }
 
@@ -322,11 +162,6 @@ pub struct NetworkMetrics {
     pub coex_airtime_s: Vec<f64>,
     /// Per external source: CSMA deferrals (busy band or NAV honoured).
     pub coex_defers: Vec<usize>,
-    /// Streaming-mode sketches and bins
-    /// ([`crate::telemetry::MetricsMode::Streaming`]); `None` in the
-    /// default stored mode. When set, the sample `Vec`s above stay empty
-    /// and every accessor below routes here.
-    pub streaming: Option<StreamingSeries>,
 }
 
 impl NetworkMetrics {
@@ -346,17 +181,7 @@ impl NetworkMetrics {
             coex_emissions: Vec::new(),
             coex_airtime_s: Vec::new(),
             coex_defers: Vec::new(),
-            streaming: None,
         }
-    }
-
-    /// Switches this run's metrics to streaming mode: samples recorded
-    /// through the `record_*` methods land in sketches and bins instead of
-    /// the sample `Vec`s. Call before the run starts (the engine does this
-    /// when the scenario's telemetry config asks for
-    /// [`crate::telemetry::MetricsMode::Streaming`]).
-    pub fn enable_streaming(&mut self) {
-        self.streaming = Some(StreamingSeries::default());
     }
 
     /// Sizes the coexistence series for `n_carriers` carriers and
@@ -367,93 +192,21 @@ impl NetworkMetrics {
         self.coex_emissions = vec![0; n_sources];
         self.coex_airtime_s = vec![0.0; n_sources];
         self.coex_defers = vec![0; n_sources];
-        if let Some(s) = &mut self.streaming {
-            s.occupancy_bins = Some(RateBins::new(OCCUPANCY_BIN));
-            s.peak_occupancy = vec![None; n_carriers];
-        }
     }
 
-    /// Records one arrival → delivery latency sample, milliseconds
-    /// (stored: pushed to the `latency_ms` CDF; streaming: sketched).
-    pub fn record_latency_ms(&mut self, ms: f64) {
-        match &mut self.streaming {
-            Some(s) => s.latency_ms.add(ms),
-            None => self.latency_ms.push(ms),
-        }
-    }
-
-    /// Records one completed-transaction span, milliseconds.
-    pub fn record_transaction_ms(&mut self, ms: f64) {
-        match &mut self.streaming {
-            Some(s) => s.transaction_latency_ms.add(ms),
-            None => self.transaction_latency_ms.push(ms),
-        }
-    }
-
-    /// Records one per-grant poll-latency sample, milliseconds.
-    pub fn record_poll_latency_ms(&mut self, ms: f64) {
-        match &mut self.streaming {
-            Some(s) => s.poll_latency_ms.add(ms),
-            None => self.poll_latency_ms.push(ms),
-        }
-    }
-
-    /// Records one mobility-tick sample for `tag` (stored: appended to the
-    /// tag's series; streaming: folded into the displacement bins).
-    pub fn record_mobility_sample(&mut self, tag: usize, sample: MobilitySample) {
-        match &mut self.streaming {
-            Some(s) => {
-                s.max_displacement_m = s.max_displacement_m.max(sample.displacement_m);
-                s.mobility_samples += 1;
-                s.displacement_bins
-                    .get_or_insert_with(|| RateBins::new(DISPLACEMENT_BIN_M))
-                    .add(sample.displacement_m, sample.attempts, sample.delivered);
-            }
-            None => self.mobility_series[tag].push(sample),
-        }
-    }
-
-    /// Records one sensed-occupancy sample for `carrier` (stored: appended
-    /// to the carrier's series; streaming: folded into the occupancy bins
-    /// and the carrier's peak).
-    pub fn record_occupancy_sample(&mut self, carrier: usize, sample: OccupancySample) {
-        match &mut self.streaming {
-            Some(s) => {
-                s.occupancy_samples += 1;
-                if let Some(peak) = s.peak_occupancy.get_mut(carrier) {
-                    *peak = Some(peak.map_or(sample.occupancy, |p| p.max(sample.occupancy)));
-                }
-                s.occupancy_bins
-                    .get_or_insert_with(|| RateBins::new(OCCUPANCY_BIN))
-                    .add(sample.occupancy, sample.attempts, sample.delivered);
-            }
-            None => self.occupancy_series[carrier].push(sample),
-        }
-    }
-
-    /// The `q`-quantile of the delivery-latency distribution, from
-    /// whichever mode holds the samples.
+    /// The `q`-quantile of the delivery-latency distribution.
     pub fn latency_quantile(&self, q: f64) -> Option<f64> {
-        match &self.streaming {
-            Some(s) => s.latency_ms.quantile(q),
-            None => self.latency_ms.quantile(q),
-        }
+        self.latency_ms.quantile(q)
     }
 
     /// The `q`-quantile of the poll-latency distribution.
     pub fn poll_latency_quantile(&self, q: f64) -> Option<f64> {
-        match &self.streaming {
-            Some(s) => s.poll_latency_ms.quantile(q),
-            None => self.poll_latency_ms.quantile(q),
-        }
+        self.poll_latency_ms.quantile(q)
     }
 
     /// The `q`-quantile of the transaction-span distribution.
     pub fn transaction_quantile(&self, q: f64) -> Option<f64> {
-        match &self.streaming {
-            Some(s) => s.transaction_latency_ms.quantile(q),
-            None => self.transaction_latency_ms.quantile(q),
-        }
+        self.transaction_latency_ms.quantile(q)
     }
 
     /// Pooled PRR of all mobility samples whose displacement falls in
@@ -461,9 +214,6 @@ impl NetworkMetrics {
     /// the paper-style "how far can the tag wander before the link dies"
     /// readout. `None` when no attempts landed in the band.
     pub fn prr_in_displacement_band(&self, min_m: f64, max_m: f64) -> Option<(f64, usize)> {
-        if let Some(s) = &self.streaming {
-            return s.displacement_bins.as_ref()?.band(min_m, max_m);
-        }
         let (mut attempts, mut delivered) = (0usize, 0usize);
         for series in &self.mobility_series {
             for s in series {
@@ -482,9 +232,6 @@ impl NetworkMetrics {
     /// fleet fares while its channels are externally loaded vs. quiet.
     /// `None` when no attempts landed in the band.
     pub fn prr_in_occupancy_band(&self, min_occ: f64, max_occ: f64) -> Option<(f64, usize)> {
-        if let Some(s) = &self.streaming {
-            return s.occupancy_bins.as_ref()?.band(min_occ, max_occ);
-        }
         let (mut attempts, mut delivered) = (0usize, 0usize);
         for series in &self.occupancy_series {
             for s in series {
@@ -500,9 +247,6 @@ impl NetworkMetrics {
     /// Highest occupancy carrier `c` ever sensed on its own stripe
     /// (`None` without a coex config or before the first sample).
     pub fn peak_occupancy(&self, c: usize) -> Option<f64> {
-        if let Some(s) = &self.streaming {
-            return s.peak_occupancy.get(c).copied().flatten();
-        }
         self.occupancy_series
             .get(c)?
             .iter()
@@ -529,9 +273,6 @@ impl NetworkMetrics {
 
     /// Largest displacement any tag reached, metres (0 for static runs).
     pub fn max_displacement_m(&self) -> f64 {
-        if let Some(s) = &self.streaming {
-            return s.max_displacement_m;
-        }
         self.mobility_series
             .iter()
             .flatten()
@@ -976,90 +717,6 @@ mod tests {
             report.contains("PRR under occupancy <0.3: 1.000"),
             "{report}"
         );
-    }
-
-    #[test]
-    fn streaming_mode_routes_samples_into_sketches() {
-        let mut m = NetworkMetrics::new(2, 1, 10.0);
-        m.enable_streaming();
-        m.init_coex(2, 1);
-        for i in 0..1000 {
-            m.record_latency_ms(1.0 + i as f64 * 0.01);
-            m.record_poll_latency_ms(2.0 + i as f64 * 0.01);
-            m.record_transaction_ms(3.0 + i as f64 * 0.01);
-        }
-        m.record_mobility_sample(
-            0,
-            MobilitySample {
-                at_s: 0.1,
-                displacement_m: 0.1,
-                attempts: 10,
-                delivered: 10,
-            },
-        );
-        m.record_mobility_sample(
-            1,
-            MobilitySample {
-                at_s: 0.1,
-                displacement_m: 3.0,
-                attempts: 10,
-                delivered: 2,
-            },
-        );
-        m.record_occupancy_sample(
-            0,
-            OccupancySample {
-                at_s: 1.0,
-                subband: 0,
-                occupancy: 0.6,
-                attempts: 10,
-                delivered: 3,
-            },
-        );
-        // The sample Vecs stayed empty: memory is O(entities), not O(events).
-        assert!(m.latency_ms.is_empty());
-        assert!(m.poll_latency_ms.is_empty());
-        assert!(m.transaction_latency_ms.is_empty());
-        assert!(m.mobility_series.iter().all(Vec::is_empty));
-        assert!(m.occupancy_series.iter().all(Vec::is_empty));
-        // …but the readouts still answer, within the sketch bound.
-        let p50 = m.latency_quantile(0.5).unwrap();
-        assert!((p50 - 6.0).abs() / 6.0 < 0.01, "p50 {p50}");
-        assert!((m.poll_latency_quantile(0.5).unwrap() - 7.0).abs() / 7.0 < 0.01);
-        assert!((m.transaction_quantile(0.5).unwrap() - 8.0).abs() / 8.0 < 0.01);
-        assert_eq!(m.max_displacement_m(), 3.0);
-        let (near, n) = m.prr_in_displacement_band(0.0, 1.5).unwrap();
-        assert!((near - 1.0).abs() < 1e-12 && n == 10);
-        assert_eq!(m.peak_occupancy(0), Some(0.6));
-        assert_eq!(m.peak_occupancy(1), None);
-        let (busy, bn) = m.prr_in_occupancy_band(0.3, f64::INFINITY).unwrap();
-        assert!((busy - 0.3).abs() < 1e-12 && bn == 10);
-        // The report still renders its latency lines from the sketches.
-        m.tags[0].attempts = 10;
-        m.tags[0].grants = 10;
-        let report = m.report();
-        assert!(report.contains("latency p50"), "{report}");
-        assert!(report.contains("poll latency p50"), "{report}");
-    }
-
-    #[test]
-    fn streaming_series_merge_pools_trials() {
-        let mut a = StreamingSeries::default();
-        let mut b = StreamingSeries::default();
-        for i in 0..100 {
-            a.latency_ms.add(1.0 + i as f64);
-            b.latency_ms.add(101.0 + i as f64);
-        }
-        a.max_displacement_m = 2.0;
-        b.max_displacement_m = 5.0;
-        b.mobility_samples = 7;
-        a.merge(&b);
-        assert_eq!(a.latency_ms.count(), 200);
-        assert_eq!(a.max_displacement_m, 5.0);
-        assert_eq!(a.mobility_samples, 7);
-        // Nearest-rank p50 over the pooled 1..=200 is the 101st sample.
-        let p50 = a.latency_ms.quantile(0.5).unwrap();
-        assert!((p50 - 101.0).abs() / 101.0 < 0.01, "pooled p50 {p50}");
     }
 
     #[test]

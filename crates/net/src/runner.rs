@@ -2,7 +2,7 @@
 //! by [`crate::run_trials`], one derived seed per trial, fanned out
 //! across worker threads) aggregated into a fleet-level summary.
 
-use crate::metrics::{NetworkMetrics, StreamingSeries};
+use crate::metrics::NetworkMetrics;
 use crate::prof::ProfSummary;
 use crate::scenario::Scenario;
 use interscatter_sim::measurements::{mean, Cdf};
@@ -28,12 +28,6 @@ pub struct MonteCarloReport {
     /// Per-trial deadline-miss-rate samples (all zero unless the scenario
     /// runs a deadline-aware scheduler).
     pub deadline_miss_rate: Cdf,
-    /// Pooled streaming sketches when the scenario ran in
-    /// [`crate::telemetry::MetricsMode::Streaming`]: the per-trial
-    /// [`StreamingSeries`] merged **in trial order** by exact bucket-count
-    /// addition, so the pooled quantiles are deterministic regardless of
-    /// which worker thread finished first. `None` in stored mode.
-    pub streaming: Option<StreamingSeries>,
     /// Per-trial self-profiling summaries, **in trial order**, when the
     /// scenario ran with [`crate::scenario::ExecutionConfig::profile`]
     /// set. Empty otherwise — and never consulted by the aggregates
@@ -53,7 +47,6 @@ impl MonteCarloReport {
         let mut latency = Cdf::new();
         let mut poll_latency = Cdf::new();
         let mut miss_rate = Cdf::new();
-        let mut streaming: Option<StreamingSeries> = None;
         for m in &trials {
             throughput.push(m.throughput_bps());
             per.push(m.per());
@@ -65,15 +58,6 @@ impl MonteCarloReport {
                 poll_latency.push(sample);
             }
             miss_rate.push(m.deadline_miss_rate());
-            // Trials arrive in index order (`rayon::det::map_indexed_ordered`
-            // is the deterministic merge), so this pooling is deterministic
-            // by construction — and exact, so order would not change the
-            // pooled values anyway.
-            if let Some(s) = &m.streaming {
-                streaming
-                    .get_or_insert_with(StreamingSeries::default)
-                    .merge(s);
-            }
         }
         MonteCarloReport {
             scenario_name: scenario.name.clone(),
@@ -84,26 +68,17 @@ impl MonteCarloReport {
             latency_ms: latency,
             poll_latency_ms: poll_latency,
             deadline_miss_rate: miss_rate,
-            streaming,
             prof,
         }
     }
 
-    /// Pooled delivery-latency quantile: the stored-sample Cdf when trials
-    /// ran in stored mode, the pooled [`StreamingSeries`] sketch otherwise.
+    /// Pooled delivery-latency quantile.
     pub fn latency_quantile(&self, q: f64) -> Option<f64> {
-        if let Some(s) = &self.streaming {
-            return s.latency_ms.quantile(q);
-        }
         self.latency_ms.quantile(q)
     }
 
-    /// Pooled poll-latency quantile, with the same stored/streaming routing
-    /// as [`MonteCarloReport::latency_quantile`].
+    /// Pooled poll-latency quantile.
     pub fn poll_latency_quantile(&self, q: f64) -> Option<f64> {
-        if let Some(s) = &self.streaming {
-            return s.poll_latency_ms.quantile(q);
-        }
         self.poll_latency_ms.quantile(q)
     }
 
@@ -174,7 +149,6 @@ impl MonteCarloReport {
 mod tests {
     use crate::entities::streams;
     use crate::scenario::{ExecutionSection, Scenario};
-    use crate::telemetry::MetricsMode;
 
     /// `scenario` set up for `trials` Monte-Carlo trials.
     fn with_trials(scenario: Scenario, trials: usize) -> Scenario {
@@ -225,35 +199,6 @@ mod tests {
         assert!(report.poll_latency_ms.median().is_some());
         assert_eq!(report.deadline_miss_rate.samples().len(), 3);
         assert!(report.report().contains("poll latency p50"));
-    }
-
-    #[test]
-    fn streaming_trials_pool_sketches_deterministically() {
-        let scenario = Scenario::hospital_ward(6)
-            .builder()
-            .execution(
-                ExecutionSection::new()
-                    .trials(4)
-                    .metrics(MetricsMode::Streaming),
-            )
-            .build()
-            .unwrap();
-        let a = crate::run_trials(&scenario, 1234).unwrap();
-        let b = crate::run_trials(&scenario, 1234).unwrap();
-        assert_eq!(a.streaming, b.streaming);
-        let pooled = a.streaming.as_ref().expect("streaming trials pool");
-        // Exact merge: the pooled sketch holds every trial's samples.
-        let total: u64 = a
-            .trials
-            .iter()
-            .map(|m| m.streaming.as_ref().unwrap().latency_ms.count())
-            .sum();
-        assert_eq!(pooled.latency_ms.count(), total);
-        assert!(total > 0);
-        // Stored Cdfs stay empty; report falls back to sketch quantiles.
-        assert!(a.latency_ms.is_empty());
-        assert!(a.latency_quantile(0.5).is_some());
-        assert!(a.report().contains("latency p50"));
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::entities::{
 use crate::mac::MacMode;
 use crate::mobility::{Bounds, MobilityConfig, MobilityModel, RandomWaypoint};
 use crate::sched::SchedPolicy;
-use crate::telemetry::{MetricsMode, TelemetryConfig};
+use crate::telemetry::TelemetryConfig;
 use crate::NetError;
 use interscatter_backscatter::tag::SidebandMode;
 use interscatter_wifi::dot11b::DsssRate;
@@ -56,11 +56,10 @@ pub struct Scenario {
     /// touches the medium.
     pub coex: Option<CoexConfig>,
     /// Streaming-telemetry configuration ([`crate::telemetry`]):
-    /// subscriptions over the event stream, the metrics storage mode and
-    /// the soak-run progress cadence. The default (no subscriptions,
-    /// stored metrics, no progress) reproduces the pre-telemetry engine
-    /// byte for byte — and so does any other value, since telemetry never
-    /// consumes RNG draws or touches the medium. Telemetry deliberately
+    /// subscriptions over the event stream and the soak-run progress
+    /// cadence. The default (no subscriptions, no progress) reproduces the
+    /// pre-telemetry engine byte for byte — and so does any other value,
+    /// since telemetry never consumes RNG draws or touches the medium. Telemetry deliberately
     /// does **not** rename the scenario: observing a run must not change
     /// what the run reports itself as.
     pub telemetry: TelemetryConfig,
@@ -753,7 +752,7 @@ impl Scenario {
 
     /// The city-scale stress preset: `n_tags` implants clustered around
     /// **shared** 20 dBm helper beacons on a campus quad, polled closed
-    /// loop with streaming metrics — the deployment regime the paper's
+    /// loop — the deployment regime the paper's
     /// "internet connectivity for implanted devices" vision implies, and
     /// the scale target of the engine-core work (4-ary event heap, band
     /// index, SoA link tables).
@@ -892,7 +891,7 @@ impl Scenario {
             mobility: None,
             scheduler: SchedPolicy::RoundRobin,
             coex: Some(coex),
-            telemetry: TelemetryConfig::default().streaming(),
+            telemetry: TelemetryConfig::default(),
             execution: ExecutionConfig::default(),
         }
     }
@@ -980,15 +979,14 @@ impl RadioSection {
 }
 
 /// The execution section of a [`ScenarioBuilder`]: every run-shape knob in
-/// one typed value — Monte-Carlo trial count, trace recording, profiling,
-/// the metrics storage mode and the progress cadence.
+/// one typed value — Monte-Carlo trial count, trace recording, profiling
+/// and the progress cadence.
 ///
-/// The run-shape knobs land in [`Scenario::execution`]; the metrics mode and
-/// progress cadence are *applied onto* the scenario's telemetry section
-/// (they live in [`TelemetryConfig`]). Leaving
-/// [`ExecutionSection::metrics`]/[`ExecutionSection::progress`] unset
-/// keeps whatever the telemetry section already configured. Setting them
-/// and then calling [`ScenarioBuilder::telemetry`] loses them, since that
+/// The run-shape knobs land in [`Scenario::execution`]; the progress
+/// cadence is *applied onto* the scenario's telemetry section (it lives in
+/// [`TelemetryConfig`]). Leaving [`ExecutionSection::progress`] unset
+/// keeps whatever the telemetry section already configured. Setting it
+/// and then calling [`ScenarioBuilder::telemetry`] loses it, since that
 /// replaces the whole section: call `.telemetry(..)` first.
 ///
 /// ```
@@ -1010,7 +1008,6 @@ impl RadioSection {
 #[derive(Debug, Clone, Default)]
 pub struct ExecutionSection {
     config: ExecutionConfig,
-    metrics: Option<MetricsMode>,
     progress: Option<(f64, bool)>,
 }
 
@@ -1050,13 +1047,6 @@ impl ExecutionSection {
         self
     }
 
-    /// Metrics storage mode, applied onto the telemetry section
-    /// ([`TelemetryConfig::mode`]): stored samples or streaming sketches.
-    pub fn metrics(mut self, mode: MetricsMode) -> ExecutionSection {
-        self.metrics = Some(mode);
-        self
-    }
-
     /// Progress cadence, applied onto the telemetry section: one status
     /// line every `every_s` simulated seconds, mirrored to stderr when
     /// `live` is set.
@@ -1088,7 +1078,7 @@ impl ExecutionSection {
 ///         donor.tags.clone(),
 ///         donor.receivers.clone(),
 ///     ))
-///     .telemetry(TelemetryConfig::new().streaming())
+///     .telemetry(TelemetryConfig::new().with_progress(1.0))
 ///     .build()
 ///     .unwrap();
 /// assert_eq!(built.name, "clinic");
@@ -1175,22 +1165,19 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets the telemetry section ([`crate::telemetry`]): subscriptions,
-    /// the metrics storage mode and the progress cadence.
+    /// Sets the telemetry section ([`crate::telemetry`]): subscriptions
+    /// and the progress cadence.
     pub fn telemetry(mut self, config: TelemetryConfig) -> ScenarioBuilder {
         self.scenario.telemetry = config;
         self
     }
 
     /// Sets the execution section ([`ExecutionSection`]): trial count,
-    /// trace recording, profiling — plus the metrics mode and progress
-    /// cadence, which it applies onto the telemetry section. Like every section it is validated eagerly at
-    /// [`ScenarioBuilder::build`].
+    /// trace recording, profiling — plus the progress cadence, which it
+    /// applies onto the telemetry section. Like every section it is
+    /// validated eagerly at [`ScenarioBuilder::build`].
     pub fn execution(mut self, section: ExecutionSection) -> ScenarioBuilder {
         self.scenario.execution = section.config;
-        if let Some(mode) = section.metrics {
-            self.scenario.telemetry.mode = mode;
-        }
         if let Some((every_s, live)) = section.progress {
             self.scenario.telemetry.progress_every_s = Some(every_s);
             self.scenario.telemetry.live_progress = live;
@@ -1571,7 +1558,6 @@ mod tests {
                 Filter::all(),
                 SinkSpec::Quantiles(Dataset::PollLatencyMs),
             ))
-            .streaming()
             .with_progress(1.0);
         for preset in [
             Scenario::hospital_ward(8),
@@ -1590,8 +1576,8 @@ mod tests {
             // Telemetry never renames: observation is invisible to reports.
             assert_eq!(scenario.name, name);
         }
-        // The execution section's metrics mode and progress cadence land
-        // on top of a telemetry section set first.
+        // The execution section's progress cadence lands on top of a
+        // telemetry section set first.
         let ward = Scenario::hospital_ward(4)
             .builder()
             .telemetry(TelemetryConfig::new().subscribe(Subscription::new(
@@ -1599,18 +1585,10 @@ mod tests {
                 Filter::all(),
                 SinkSpec::Counters,
             )))
-            .execution(
-                ExecutionSection::new()
-                    .metrics(crate::telemetry::MetricsMode::Streaming)
-                    .progress(0.5, false),
-            )
+            .execution(ExecutionSection::new().progress(0.5, false))
             .build()
             .unwrap();
         assert_eq!(ward.telemetry.subscriptions.len(), 1);
-        assert_eq!(
-            ward.telemetry.mode,
-            crate::telemetry::MetricsMode::Streaming
-        );
         assert_eq!(ward.telemetry.progress_every_s, Some(0.5));
     }
 
@@ -1732,6 +1710,25 @@ mod tests {
             .execution(ExecutionSection::new().progress(f64::NAN, false))
             .build()
             .is_err());
+        // A non-finite telemetry window would step its ring once per
+        // simulated nanosecond: refused at build time.
+        for window_s in [f64::NAN, f64::INFINITY] {
+            for sink in [
+                SinkSpec::WindowedPrr { window_s },
+                SinkSpec::WindowedOccupancy { window_s },
+            ] {
+                assert!(donor
+                    .clone()
+                    .builder()
+                    .telemetry(TelemetryConfig::new().subscribe(Subscription::new(
+                        "w",
+                        Filter::all(),
+                        sink
+                    )))
+                    .build()
+                    .is_err());
+            }
+        }
 
         // And an untouched preset round-trips through build().
         assert!(donor.builder().build().is_ok());
@@ -1743,11 +1740,6 @@ mod tests {
         quad.validate().unwrap();
         assert_eq!(quad.tags.len(), 100_000);
         assert_eq!(quad.mac, MacMode::ClosedLoop);
-        assert_eq!(
-            quad.telemetry.mode,
-            crate::telemetry::MetricsMode::Streaming,
-            "city scale requires streaming metrics"
-        );
         assert!(quad.coex.is_some(), "preset attaches coex load");
         // Shared helpers, O(n / 256): the carrier × carrier link table
         // stays tiny.
@@ -1781,9 +1773,15 @@ mod tests {
         let run = |seed| crate::run(&quad, seed).unwrap();
         let a = run(42);
         assert!(a.metrics.delivered_packets() > 0, "campus delivers nothing");
-        // Streaming contract: no per-event samples at this scale.
-        assert!(a.metrics.latency_ms.is_empty());
-        assert!(a.metrics.poll_latency_ms.is_empty());
+        // Exact samples at this scale too: one per delivery and per grant.
+        assert_eq!(
+            a.metrics.latency_ms.samples().len(),
+            a.metrics.delivered_packets()
+        );
+        assert_eq!(
+            a.metrics.poll_latency_ms.samples().len(),
+            a.metrics.grants()
+        );
         // Same seed, same report — the campus smoke example's CI contract.
         let b = run(42);
         assert_eq!(a.metrics.report(), b.metrics.report());

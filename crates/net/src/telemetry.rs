@@ -1,11 +1,7 @@
 //! Streaming telemetry: Iris-style subscriptions over the engine's event
-//! stream, feeding **online sketches** instead of stored samples.
-//!
-//! The legacy metrics pipeline accumulates one `Vec` entry per sample
-//! (latency CDFs, per-tag mobility series, per-carrier occupancy series),
-//! which caps run length and fleet size exactly when soak runs need hours
-//! of simulated time under bounded memory. This module replaces that with
-//! three pieces:
+//! stream, feeding **online sketches**. The run's exact, stored-sample
+//! record stays in [`crate::metrics::NetworkMetrics`]; telemetry is an
+//! optional second view of the same events, made of three pieces:
 //!
 //! * **[`Subscription`]** — a [`Filter`] predicate (per-tag set,
 //!   per-carrier set, per-event-kind, time window) paired with a
@@ -14,10 +10,10 @@
 //!   site when nothing is subscribed** (the mask test) and only walks
 //!   subscriptions whose mask bit matches.
 //! * **Online sketches** — [`LatencySketch`] (a log-bucketed histogram
-//!   with ≤ [`SKETCH_GAMMA`]·½ relative error per bucket, mergeable across
-//!   Monte-Carlo trials), [`P2Quantile`] (the classic P²
-//!   streaming quantile estimator, O(1) memory), [`RateRing`] (a windowed
-//!   PRR/occupancy ring) and plain monotonic counters.
+//!   with ≤ [`SKETCH_GAMMA`]·½ relative error per bucket), [`P2Quantile`]
+//!   (the classic P² streaming quantile estimator, O(1) memory),
+//!   [`RateRing`] (a windowed PRR/occupancy ring) and plain monotonic
+//!   counters.
 //! * **Progress** — a periodic one-line run status (sim-time, events
 //!   processed, events per simulated second, live PRR, re-stripe count,
 //!   live p99 poll latency from a P² estimator) for soak runs, collected
@@ -26,12 +22,6 @@
 //! Subscriptions never touch the RNG streams, the queue or the medium, so
 //! attaching any number of them leaves the event trace **byte-identical**
 //! (pinned by the `telemetry` integration tests).
-//!
-//! The same machinery backs [`MetricsMode::Streaming`]: the engine routes
-//! every sample that the legacy mode would store into a sketch or a fixed
-//! set of bins, so [`crate::metrics::NetworkMetrics`] stays O(tags +
-//! subscriptions) instead of O(events). The legacy stored-sample mode
-//! remains the default and reproduces its reports byte for byte.
 
 use crate::time::Time;
 use std::collections::BTreeMap;
@@ -348,7 +338,7 @@ impl Dataset {
 #[derive(Debug, Clone, PartialEq)]
 pub enum SinkSpec {
     /// Stream one [`Dataset`] into a [`LatencySketch`]: online quantiles
-    /// in O(log-buckets) memory, mergeable across trials.
+    /// in O(log-buckets) memory.
     Quantiles(Dataset),
     /// A windowed PRR ring over [`TelemetryEvent::Attempt`] /
     /// [`TelemetryEvent::Delivery`]: live packet-reception ratio over the
@@ -385,8 +375,8 @@ impl SinkSpec {
     fn validate(&self) -> Result<(), String> {
         match self {
             SinkSpec::WindowedPrr { window_s } | SinkSpec::WindowedOccupancy { window_s } => {
-                if *window_s <= 0.0 {
-                    return Err(format!("window {window_s} s must be positive"));
+                if !crate::scenario::positive_finite(*window_s) {
+                    return Err(format!("window {window_s} s must be positive and finite"));
                 }
             }
             SinkSpec::Quantiles(_) | SinkSpec::Counters => {}
@@ -417,22 +407,8 @@ impl Subscription {
     }
 }
 
-/// Whether [`crate::metrics::NetworkMetrics`] stores every sample (the
-/// legacy mode, exact but O(events) memory) or streams samples into
-/// sketches and fixed bins (O(tags + subscriptions) memory, quantiles
-/// within the [`SKETCH_GAMMA`] bound).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MetricsMode {
-    /// Store every sample (default; report paths byte-identical to the
-    /// pre-telemetry engine).
-    #[default]
-    Stored,
-    /// Stream samples into sketches/bins; sample `Vec`s stay empty.
-    Streaming,
-}
-
-/// The scenario-attached telemetry configuration: subscriptions, the
-/// metrics mode and the optional soak-run progress cadence.
+/// The scenario-attached telemetry configuration: subscriptions and the
+/// optional soak-run progress cadence.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TelemetryConfig {
     /// Registered subscriptions (empty = the dispatch mask is 0 and the
@@ -444,12 +420,10 @@ pub struct TelemetryConfig {
     /// Mirror progress lines to stderr as the run executes (the collected
     /// lines are always returned in the report either way).
     pub live_progress: bool,
-    /// Stored-sample vs streaming metrics.
-    pub mode: MetricsMode,
 }
 
 impl TelemetryConfig {
-    /// An empty config (no subscriptions, stored metrics, no progress).
+    /// An empty config (no subscriptions, no progress).
     pub fn new() -> TelemetryConfig {
         TelemetryConfig::default()
     }
@@ -457,12 +431,6 @@ impl TelemetryConfig {
     /// Adds a subscription.
     pub fn subscribe(mut self, sub: Subscription) -> TelemetryConfig {
         self.subscriptions.push(sub);
-        self
-    }
-
-    /// Switches the metrics pipeline to streaming sketches.
-    pub fn streaming(mut self) -> TelemetryConfig {
-        self.mode = MetricsMode::Streaming;
         self
     }
 
@@ -503,7 +471,7 @@ impl TelemetryConfig {
 // Online sketches
 // ---------------------------------------------------------------------------
 
-/// A mergeable streaming-quantile sketch: log-bucketed counts with
+/// A streaming-quantile sketch: log-bucketed counts with
 /// relative bucket width [`SKETCH_GAMMA`], so any quantile comes back
 /// within ±γ/2 of the exact stored-sample answer regardless of how many
 /// samples streamed through. Memory is O(distinct buckets) — about 1.9 k
@@ -595,33 +563,12 @@ impl LatencySketch {
     pub fn median(&self) -> Option<f64> {
         self.quantile(0.5)
     }
-
-    /// Merges another sketch in (the trial pooling path: merging is
-    /// exact — bucket counts add — so merge order cannot change any
-    /// quantile).
-    pub fn merge(&mut self, other: &LatencySketch) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            (self.min, self.max) = (other.min, other.max);
-        } else {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.zeros += other.zeros;
-        for (&bucket, &n) in &other.buckets {
-            *self.buckets.entry(bucket).or_insert(0) += n;
-        }
-    }
 }
 
 /// The classic P² streaming quantile estimator (Jain & Chlamtac 1985):
 /// five markers track one quantile in O(1) memory and O(1) time per
 /// sample. Used for *live* tail tracking (the progress line's p99 poll
-/// latency); the mergeable [`LatencySketch`] is the reporting path.
+/// latency); [`LatencySketch`] is the subscription reporting path.
 #[derive(Debug, Clone, PartialEq)]
 pub struct P2Quantile {
     q: f64,
@@ -945,8 +892,8 @@ impl SinkState {
             },
             SinkState::WindowedOccupancy { ring, peak } => {
                 if let TelemetryEvent::Occupancy { occupancy, .. } = event {
-                    // Per-mille resolution keeps the ring integral (and
-                    // hence exactly mergeable/deterministic).
+                    // Per-mille resolution keeps the ring integral, and
+                    // so deterministic.
                     ring.record(at, (occupancy * 1000.0).round() as u64, 1000);
                     *peak = peak.max(*occupancy);
                 }
@@ -980,11 +927,11 @@ impl SinkState {
 #[derive(Debug, Clone, PartialEq)]
 pub enum SinkReport {
     /// Quantile sketch results (the sketch itself is returned so callers
-    /// — and the Monte-Carlo runner — can merge across runs).
+    /// can query any quantile).
     Quantiles {
         /// The dataset tracked.
         data: Dataset,
-        /// The merged sketch.
+        /// The sketch.
         sketch: LatencySketch,
     },
     /// Windowed PRR results.
@@ -1249,55 +1196,6 @@ impl ProgressRuntime {
     }
 }
 
-/// Fixed-width rate bins: the streaming substitute for the stored
-/// per-sample mobility/occupancy series. Sample `x` lands in bin
-/// `floor(x / width)`; band queries sum the bins their range covers, so
-/// answers are exact at bin boundaries and within one bin width
-/// otherwise. Memory is O(range / width), independent of run length.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RateBins {
-    width: f64,
-    bins: Vec<(usize, usize)>,
-}
-
-impl RateBins {
-    /// Bins of `width` units each.
-    pub fn new(width: f64) -> RateBins {
-        RateBins {
-            width: width.max(f64::MIN_POSITIVE),
-            bins: Vec::new(),
-        }
-    }
-
-    /// Accumulates `attempts`/`delivered` at coordinate `x`.
-    pub fn add(&mut self, x: f64, attempts: usize, delivered: usize) {
-        let idx = (x / self.width).floor().max(0.0) as usize;
-        if idx >= self.bins.len() {
-            self.bins.resize(idx + 1, (0, 0));
-        }
-        self.bins[idx].0 += attempts;
-        self.bins[idx].1 += delivered;
-    }
-
-    /// Pooled rate over `[min, max)` (bins overlapping the range), with
-    /// the attempt count it is based on; `None` when no attempts landed
-    /// there.
-    pub fn band(&self, min: f64, max: f64) -> Option<(f64, usize)> {
-        let lo = (min / self.width).floor().max(0.0) as usize;
-        let hi = if max.is_finite() {
-            ((max / self.width).ceil().max(0.0) as usize).min(self.bins.len())
-        } else {
-            self.bins.len()
-        };
-        let (mut attempts, mut delivered) = (0usize, 0usize);
-        for &(a, d) in self.bins.iter().take(hi).skip(lo.min(hi)) {
-            attempts += a;
-            delivered += d;
-        }
-        (attempts > 0).then(|| (delivered as f64 / attempts as f64, attempts))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1328,40 +1226,6 @@ mod tests {
         assert!((sketch.mean().unwrap() - mean_exact).abs() < 1e-9);
         let (min, max) = sketch.range().unwrap();
         assert_eq!(Some((min, max)), cdf.range());
-    }
-
-    #[test]
-    fn sketch_merge_equals_single_stream() {
-        let mut whole = LatencySketch::new();
-        let mut a = LatencySketch::new();
-        let mut b = LatencySketch::new();
-        for i in 0..10_000 {
-            let v = 0.01 * (i as f64 + 1.0);
-            whole.add(v);
-            if i % 2 == 0 {
-                a.add(v);
-            } else {
-                b.add(v);
-            }
-        }
-        a.merge(&b);
-        // Bucket counts, totals and range merge exactly; the running sum
-        // is a float accumulation whose association differs between the
-        // split and single streams, so compare it by value instead.
-        assert_eq!(a.buckets, whole.buckets, "merged buckets must match");
-        assert_eq!(a.zeros, whole.zeros);
-        assert_eq!(a.count(), whole.count());
-        assert_eq!(a.range(), whole.range());
-        assert!((a.mean().unwrap() - whole.mean().unwrap()).abs() < 1e-9);
-        for q in [0.0, 0.01, 0.5, 0.9, 0.99, 1.0] {
-            assert_eq!(a.quantile(q), whole.quantile(q), "quantile {q}");
-        }
-        // Merging an empty sketch is a no-op; merging into empty copies.
-        let mut empty = LatencySketch::new();
-        empty.merge(&whole);
-        assert_eq!(empty, whole);
-        whole.merge(&LatencySketch::new());
-        assert_eq!(empty, whole);
     }
 
     #[test]
@@ -1432,19 +1296,6 @@ mod tests {
         let late = ring.rate().unwrap();
         assert!(late < 0.1, "late PRR {late}");
         assert!(ring.worst().unwrap() <= late);
-    }
-
-    #[test]
-    fn rate_bins_answer_band_queries() {
-        let mut bins = RateBins::new(0.5);
-        bins.add(0.2, 10, 10);
-        bins.add(1.7, 10, 2);
-        bins.add(3.0, 4, 0);
-        let (near, n) = bins.band(0.0, 1.0).unwrap();
-        assert!((near - 1.0).abs() < 1e-12 && n == 10);
-        let (far, n) = bins.band(1.5, f64::INFINITY).unwrap();
-        assert!((far - 2.0 / 14.0).abs() < 1e-12 && n == 14);
-        assert!(bins.band(10.0, 20.0).is_none());
     }
 
     #[test]
@@ -1536,18 +1387,21 @@ mod tests {
 
     #[test]
     fn config_validation_rejects_bad_parameters() {
-        let bad_window = TelemetryConfig::new().subscribe(Subscription::new(
-            "w",
-            Filter::all(),
-            SinkSpec::WindowedPrr { window_s: 0.0 },
-        ));
-        assert!(bad_window.validate(4, 2).is_err());
+        for window_s in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            for sink in [
+                SinkSpec::WindowedPrr { window_s },
+                SinkSpec::WindowedOccupancy { window_s },
+            ] {
+                let bad_window =
+                    TelemetryConfig::new().subscribe(Subscription::new("w", Filter::all(), sink));
+                assert!(bad_window.validate(4, 2).is_err(), "window {window_s}");
+            }
+        }
         for every in [0.0, f64::NAN, f64::INFINITY] {
             let bad_progress = TelemetryConfig::new().with_progress(every);
             assert!(bad_progress.validate(4, 2).is_err(), "cadence {every}");
         }
         TelemetryConfig::new()
-            .streaming()
             .with_progress(1.0)
             .validate(4, 2)
             .unwrap();

@@ -1,8 +1,7 @@
 //! A soak run: the 60-tag hospital ward simulated for **10× its usual
-//! duration** with the full observability stack attached — streaming
-//! metrics (sketches, not stored samples), live progress lines, and a set
-//! of telemetry subscriptions — while holding memory O(subscriptions +
-//! entities) instead of O(events).
+//! duration** with the full observability stack attached — live progress
+//! lines and a set of telemetry subscriptions — next to the exact
+//! stored-sample report.
 //!
 //! Run with an optional seed (default 42):
 //!
@@ -21,9 +20,7 @@
 
 use interscatter::net::prelude::ExecutionSection;
 use interscatter::net::scenario::Scenario;
-use interscatter::net::telemetry::{
-    Dataset, Filter, MetricsMode, SinkSpec, Subscription, TelemetryConfig,
-};
+use interscatter::net::telemetry::{Dataset, Filter, SinkSpec, Subscription, TelemetryConfig};
 use interscatter::net::trace_digest::fnv1a_str;
 
 /// Soak length, simulated seconds: 10× the hospital-ward preset's 10 s.
@@ -35,8 +32,8 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(42);
 
-    // The trace is the one O(events) artifact left — a soak run disables
-    // it; reproducibility is checked through the report digest instead.
+    // A soak run disables the trace; reproducibility is checked through
+    // the report digest instead.
     // Profiling rides along when PROF_OUT / PROF_TRACE_OUT ask for it;
     // stdout stays byte-identical either way.
     let prof_out = std::env::var_os("PROF_OUT");
@@ -68,7 +65,6 @@ fn main() {
         // After the telemetry section, which it writes into.
         .execution(
             ExecutionSection::new()
-                .metrics(MetricsMode::Streaming)
                 .progress(10.0, true)
                 .trace(false)
                 .profile(profile),
@@ -86,17 +82,7 @@ fn main() {
 
     let result = interscatter::net::run(&scenario, seed).expect("scenario runs");
 
-    // The streaming contract: nothing accumulated per event.
     let m = &result.metrics;
-    assert!(
-        m.latency_ms.is_empty()
-            && m.poll_latency_ms.is_empty()
-            && m.transaction_latency_ms.is_empty()
-            && m.mobility_series.iter().all(Vec::is_empty)
-            && m.occupancy_series.iter().all(Vec::is_empty),
-        "streaming mode must not store per-event samples"
-    );
-
     let mut out = String::new();
     out.push_str(&m.report());
     out.push('\n');

@@ -3,7 +3,7 @@
 #
 #   scripts/bench_quick.sh [out_dir]
 #
-# Runs the quick-tier benches (the same loops CI runs) into
+# Runs the quick-tier benches (CI runs this script too) into
 # BENCH_net.json (engine benches) and BENCH_phy.json (PHY pipelines) —
 # one JSON line per benchmark — and a profiled campus
 # smoke run into PROF_net.json + PROF_trace.json (the execution
@@ -30,7 +30,7 @@ prof_out="$out_dir/PROF_net.json"
 trace_out="$out_dir/PROF_trace.json"
 
 # The quick tier: every engine bench in --quick mode with --json
-# summaries, mirroring the CI loop so local and CI artifacts compare.
+# summaries. This list is the only copy; CI calls this script.
 : > "$bench_out"
 for bench in net_queue net_engine net_downlink net_mobility net_sched net_coex net_telemetry net_campus; do
   cargo bench -p interscatter-bench --bench "$bench" -- --quick --json \

@@ -55,27 +55,29 @@ fn cases() -> Vec<(&'static str, Scenario)> {
     ]
 }
 
-/// Captured from the presets in [`cases`] order. Re-pinned once, when
-/// `ExecutionConfig` lost its epoch-length field (default 0.01 s): each
-/// old pin hashed the same `Debug` form with that one field entry
-/// present, and nothing else differed.
+/// Captured from the presets in [`cases`] order. Re-pinned twice, each
+/// time for one removed field and nothing else: when `ExecutionConfig`
+/// lost its epoch length (each old pin hashed the same `Debug` form with
+/// `epoch_s: 0.01` present), and when `TelemetryConfig` lost its metrics
+/// mode (each old pin hashed the same form with `mode: Stored` — `mode:
+/// Streaming` for the two campus cases — after `live_progress`).
 const PINNED: [u64; 16] = [
-    0x1129_956B_49AC_D2F7,
-    0x1FD3_775C_8671_04BC,
-    0xA60B_210A_EF71_F8B7,
-    0x9576_09A1_7735_E6DA,
-    0x22F7_12C8_57F8_A923,
-    0x1734_5516_9EFC_82C1,
-    0x56C2_4110_204A_5CE1,
-    0x7FF4_01C7_D587_E220,
-    0x2246_D3A5_BC95_B614,
-    0xC1D4_C502_0411_903F,
-    0x53CA_BA76_85F5_0BE9,
-    0xB5F8_D1BD_DAD3_2640,
-    0x4FB5_F4AA_22E1_FC38,
-    0xA237_5812_DC0F_046E,
-    0xF5E1_5888_B747_65DC,
-    0x94BE_C48D_46AF_AEFB,
+    0x6FD9_E8D8_23A2_5C51,
+    0x1194_9B31_2014_1D0A,
+    0x25E9_1EC8_D66D_9111,
+    0xED03_4746_B68E_0D24,
+    0x77DC_DF1E_E1FA_0F25,
+    0x0941_1027_1944_3E3F,
+    0x739A_5E0E_DD52_701F,
+    0x24AA_76BB_4500_29AB,
+    0xF7B0_1B97_735F_0287,
+    0x9ED2_F259_4C9E_7DE9,
+    0xD67D_B5E3_FD78_DEF7,
+    0x942D_FA3E_3D99_6156,
+    0xEE2D_FEFD_F68B_FB1E,
+    0x68D8_7115_C7D5_4A80,
+    0x459D_261E_5248_AE6A,
+    0x1C77_6052_2E56_CE4D,
 ];
 
 #[test]
@@ -92,6 +94,45 @@ fn presets_and_variants_match_their_pinned_digests() {
         .map(|((label, _), d)| format!("{label}: {d:#018x}"))
         .collect();
     assert_eq!(got, want);
+}
+
+#[test]
+fn every_case_keeps_its_sample_and_counter_identities() {
+    for (label, scenario) in cases() {
+        for seed in [1, 42] {
+            let m = interscatter::net::run(&scenario, seed).unwrap().metrics;
+            let at = format!("{label} seed {seed}");
+            assert_eq!(m.latency_ms.samples().len(), m.delivered_packets(), "{at}");
+            assert_eq!(m.poll_latency_ms.samples().len(), m.grants(), "{at}");
+            assert_eq!(
+                m.transaction_latency_ms.samples().len(),
+                m.completed_transactions(),
+                "{at}"
+            );
+            let occupancy = m.occupancy_series.iter().flatten();
+            assert!(
+                occupancy
+                    .clone()
+                    .all(|s| (0.0..=1.0).contains(&s.occupancy)),
+                "{at}"
+            );
+            assert!(
+                occupancy.map(|s| s.attempts).sum::<usize>() <= m.attempts(),
+                "{at}"
+            );
+            for (t, tag) in m.tags.iter().enumerate() {
+                assert!(
+                    tag.offered >= tag.delivered + tag.dropped,
+                    "{at} tag {t}: {tag:?}"
+                );
+            }
+            let report = m.report();
+            assert!(
+                !report.contains("NaN") && !report.contains("inf"),
+                "{at}:\n{report}"
+            );
+        }
+    }
 }
 
 #[test]

@@ -1,11 +1,11 @@
 //! Observability contract: telemetry subscriptions observe the engine
 //! without perturbing it (byte-identical traces with any number attached),
-//! and streaming-mode sketches answer the same quantile questions as the
-//! stored-sample baseline to within the documented bound.
+//! and quantile sketches answer the same quantile questions as the run's
+//! stored samples to within the documented bound.
 
-use interscatter::net::scenario::{ExecutionSection, Scenario, ScenarioBuilder};
+use interscatter::net::scenario::{Scenario, ScenarioBuilder};
 use interscatter::net::telemetry::{
-    Dataset, Filter, MetricsMode, SinkSpec, Subscription, TelemetryConfig, TelemetryKind,
+    Dataset, Filter, SinkReport, SinkSpec, Subscription, TelemetryConfig, TelemetryKind,
 };
 use interscatter::net::trace_digest::fnv1a;
 
@@ -59,14 +59,6 @@ fn observe(base: Scenario) -> ScenarioBuilder {
     )
 }
 
-/// Streaming metrics on top of whatever telemetry `builder` carries.
-fn streaming(builder: ScenarioBuilder) -> Scenario {
-    builder
-        .execution(ExecutionSection::new().metrics(MetricsMode::Streaming))
-        .build()
-        .unwrap()
-}
-
 #[test]
 fn subscriptions_leave_traces_byte_identical() {
     for base in closed_loop_presets() {
@@ -107,66 +99,62 @@ fn subscriptions_leave_traces_byte_identical() {
 
 #[test]
 fn streaming_quantiles_match_stored_within_one_percent() {
-    let base = Scenario::congested_ward(12).closed_loop();
-    let stored = interscatter::net::run(&base, 0xC0FFEE).unwrap().metrics;
-    let streamed = interscatter::net::run(&streaming(base.clone().builder()), 0xC0FFEE)
-        .unwrap()
-        .metrics;
-    let sketches = streamed.streaming.as_ref().expect("streaming series");
+    let datasets = [
+        Dataset::DeliveryLatencyMs,
+        Dataset::PollLatencyMs,
+        Dataset::TransactionLatencyMs,
+    ];
+    let telemetry = datasets.iter().fold(TelemetryConfig::new(), |t, &data| {
+        t.subscribe(Subscription::new(
+            data.label(),
+            Filter::all(),
+            SinkSpec::Quantiles(data),
+        ))
+    });
+    let scenario = Scenario::congested_ward(12)
+        .closed_loop()
+        .builder()
+        .telemetry(telemetry)
+        .build()
+        .unwrap();
+    let run = interscatter::net::run(&scenario, 0xC0FFEE).unwrap();
+    let stored = &run.metrics;
     assert!(
         stored.latency_ms.samples().len() > 100,
         "need a busy run to compare quantiles"
     );
-    // Identical sample streams, different containers: the sketch answer
-    // must sit within 1% of the exact stored quantile (the log-bucket
-    // width bounds the relative error at SKETCH_GAMMA/2 ≈ 0.25%).
-    for q in [0.5, 0.9, 0.99] {
-        for (label, exact, sketch) in [
-            (
-                "delivery",
-                stored.latency_ms.quantile(q),
-                sketches.latency_ms.quantile(q),
-            ),
-            (
-                "poll",
-                stored.poll_latency_ms.quantile(q),
-                sketches.poll_latency_ms.quantile(q),
-            ),
-            (
-                "transaction",
-                stored.transaction_latency_ms.quantile(q),
-                sketches.transaction_latency_ms.quantile(q),
-            ),
-        ] {
-            let exact = exact.unwrap_or_else(|| panic!("{label} stored p{q} missing"));
-            let sketch = sketch.unwrap_or_else(|| panic!("{label} sketch p{q} missing"));
-            let rel = (sketch - exact).abs() / exact.max(1e-9);
+    for (data, sub) in datasets.iter().zip(&run.telemetry.subscriptions) {
+        let SinkReport::Quantiles { sketch, .. } = &sub.report else {
+            panic!("{}: quantile sink", sub.name);
+        };
+        let samples = match data {
+            Dataset::DeliveryLatencyMs => &stored.latency_ms,
+            Dataset::PollLatencyMs => &stored.poll_latency_ms,
+            Dataset::TransactionLatencyMs => &stored.transaction_latency_ms,
+        };
+        // The same sample stream, two containers: the sketch saw every
+        // stored sample, and its answer sits within 1% of the exact
+        // quantile (the log-bucket width bounds the relative error at
+        // SKETCH_GAMMA/2 ≈ 0.25%).
+        assert_eq!(
+            sketch.count(),
+            samples.samples().len() as u64,
+            "{}",
+            sub.name
+        );
+        for q in [0.5, 0.9, 0.99] {
+            let exact = samples
+                .quantile(q)
+                .unwrap_or_else(|| panic!("{} stored p{q} missing", sub.name));
+            let approx = sketch
+                .quantile(q)
+                .unwrap_or_else(|| panic!("{} sketch p{q} missing", sub.name));
+            let rel = (approx - exact).abs() / exact.max(1e-9);
             assert!(
                 rel < 0.01,
-                "{label} p{q}: sketch {sketch} vs stored {exact} (rel {rel})"
+                "{} p{q}: sketch {approx} vs stored {exact} (rel {rel})",
+                sub.name
             );
         }
     }
-    // Streaming mode holds no per-event storage: the memory is
-    // O(subscriptions + entities), not O(events).
-    assert!(streamed.latency_ms.is_empty());
-    assert!(streamed.poll_latency_ms.is_empty());
-    assert!(streamed.transaction_latency_ms.is_empty());
-    assert!(streamed.mobility_series.iter().all(Vec::is_empty));
-    assert!(streamed.occupancy_series.iter().all(Vec::is_empty));
-    // And the two modes still agree on every counter-based readout.
-    assert_eq!(stored.offered_packets(), streamed.offered_packets());
-    assert_eq!(stored.delivered_packets(), streamed.delivered_packets());
-    assert_eq!(stored.restripes(), streamed.restripes());
-}
-
-#[test]
-fn streaming_run_reproduces_the_stored_trace() {
-    // The metrics mode is observation too: switching containers must not
-    // change a single byte of the event trace.
-    let base = Scenario::congested_ward(10);
-    let stored = interscatter::net::run(&base, 0x5EED).unwrap();
-    let streamed = interscatter::net::run(&streaming(observe(base)), 0x5EED).unwrap();
-    assert_eq!(stored.trace.to_bytes(), streamed.trace.to_bytes());
-    assert_eq!(stored.trace.digest(), streamed.trace.digest());
 }
