@@ -75,11 +75,27 @@ impl NoiseModel {
 
     /// Adds AWGN of this model's level to an IQ stream.
     pub fn add_noise<R: Rng>(&self, samples: &[Cplx], rng: &mut R) -> Vec<Cplx> {
+        let mut noisy = samples.to_vec();
+        self.add_noise_in_place(&mut noisy, rng);
+        noisy
+    }
+
+    /// [`NoiseModel::add_noise`] without the copy: adds AWGN to `samples`
+    /// where they lie.
+    pub fn add_noise_in_place<R: Rng>(&self, samples: &mut [Cplx], rng: &mut R) {
         let sigma = self.noise_amplitude() / 2f64.sqrt();
-        samples
-            .iter()
-            .map(|&s| s + Cplx::new(gaussian(rng) * sigma, gaussian(rng) * sigma))
-            .collect()
+        for s in samples {
+            *s += Cplx::new(gaussian(rng) * sigma, gaussian(rng) * sigma);
+        }
+    }
+
+    /// Advances `rng` exactly as adding noise to `n` samples would, without
+    /// computing any noise: each complex sample takes two [`gaussian`]
+    /// draws of two uniform `next_u64` values each.
+    pub fn skip_noise<R: Rng>(n: usize, rng: &mut R) {
+        for _ in 0..4 * n {
+            rng.next_u64();
+        }
     }
 
     /// SNR in dB of a signal at `signal_dbm` seen by this receiver.
@@ -137,6 +153,47 @@ mod tests {
         assert!(
             (snr_measured - model.snr_db(-80.0)).abs() < 1.5,
             "measured SNR {snr_measured}"
+        );
+    }
+
+    #[test]
+    fn skip_noise_draws_what_add_noise_draws() {
+        let model = NoiseModel::wifi_dsss();
+        for n in [0, 1, 3652] {
+            let mut added = rand::rngs::StdRng::seed_from_u64(n as u64);
+            let mut skipped = added.clone();
+            let samples: Vec<Cplx> = (0..n).map(|i| Cplx::new(i as f64, -(i as f64))).collect();
+            model.add_noise(&samples, &mut added);
+            NoiseModel::skip_noise(n, &mut skipped);
+            assert_eq!(added, skipped, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn in_place_noise_matches_the_allocating_path() {
+        let model = NoiseModel::wifi_dsss();
+        let samples: Vec<Cplx> = (0..257)
+            .map(|i| Cplx::new((i as f64).sin(), (i as f64).cos()) * 1e-4)
+            .collect();
+        // The allocate-and-map body `add_noise` had before it delegated.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+        let sigma = model.noise_amplitude() / 2f64.sqrt();
+        let mapped: Vec<Cplx> = samples
+            .iter()
+            .map(|&s| s + Cplx::new(gaussian(&mut rng) * sigma, gaussian(&mut rng) * sigma))
+            .collect();
+        let mut in_place = samples.clone();
+        let mut rng_in_place = rand::rngs::StdRng::seed_from_u64(9);
+        model.add_noise_in_place(&mut in_place, &mut rng_in_place);
+        let bits = |v: &[Cplx]| -> Vec<(u64, u64)> {
+            v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+        };
+        assert_eq!(bits(&in_place), bits(&mapped));
+        assert_eq!(rng_in_place, rng);
+        let mut rng_alloc = rand::rngs::StdRng::seed_from_u64(9);
+        assert_eq!(
+            bits(&model.add_noise(&samples, &mut rng_alloc)),
+            bits(&mapped)
         );
     }
 

@@ -4,9 +4,9 @@
 //! the parallel-iterator subset the workspace uses: `into_par_iter()` /
 //! `par_iter()` on vectors, slices and integer ranges, followed by `map` and
 //! `collect::<Vec<_>>()`. Work is split into contiguous chunks across
-//! `std::thread::scope` workers (one per available core), so order is
-//! preserved and results are identical to the sequential equivalent — only
-//! wall-clock time changes.
+//! `std::thread::scope` workers (one per available core, the calling thread
+//! among them), so order is preserved and results are identical to the
+//! sequential equivalent — only wall-clock time changes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -97,18 +97,21 @@ where
         }
         chunks.push(c);
     }
-    let mut results: Vec<Vec<U>> = Vec::new();
+    // The calling thread maps the first chunk itself once the others are
+    // spawned, saving one thread (and its allocator arena) per call.
+    let mut chunks = chunks.into_iter();
+    let first = chunks.next().expect("n > 1 items make at least one chunk");
     std::thread::scope(|scope| {
         let handles: Vec<_> = chunks
-            .into_iter()
             .map(|c| scope.spawn(move || c.into_iter().map(f).collect::<Vec<U>>()))
             .collect();
-        results = handles
-            .into_iter()
-            .map(|h| h.join().expect("rayon-shim worker panicked"))
-            .collect();
-    });
-    results.into_iter().flatten().collect()
+        let mut results = Vec::with_capacity(n);
+        results.extend(first.into_iter().map(f));
+        for h in handles {
+            results.extend(h.join().expect("rayon-shim worker panicked"));
+        }
+        results
+    })
 }
 
 /// Conversion into a [`ParIter`], mirroring rayon's trait of the same name.
@@ -179,8 +182,8 @@ pub mod prelude {
 /// order**, regardless of which worker finished first, so a parallel run
 /// is byte-identical to the sequential equivalent. The `detlint` pass's
 /// `ordered_merge` rule steers all simulation-crate callers here
-/// (`net::run_trials` maps its Monte-Carlo trials through
-/// [`det::map_indexed_ordered`]).
+/// (`net::run_trials` maps its Monte-Carlo trials, and `sim`'s Fig. 11
+/// its waveform packet trials, through [`det::map_indexed_ordered`]).
 pub mod det {
     /// Maps `f` over `items` across worker threads and returns the
     /// results in input order (the deterministic merge).
@@ -241,5 +244,11 @@ mod tests {
         let expected: Vec<usize> = (1..=100).collect();
         assert_eq!(idx, expected);
         assert!(super::det::map_ordered(Vec::<u8>::new(), |x| x).is_empty());
+    }
+
+    #[test]
+    fn calling_thread_maps_the_first_chunk() {
+        let ids = super::det::map_indexed_ordered(64, |_| std::thread::current().id());
+        assert_eq!(ids[0], std::thread::current().id());
     }
 }

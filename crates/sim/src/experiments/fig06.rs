@@ -53,13 +53,21 @@ pub fn run(params: &Fig06Params) -> Result<[SidebandSpectrum; 2], SimError> {
     let carrier = tone(0.0, params.sample_rate, params.num_samples, 0.0);
     let welch = WelchConfig::default();
 
+    // Each backscattered waveform is dropped once its PSD is taken, so the
+    // two are never resident together.
     let ssb_cfg = ssb::SsbConfig::new(params.sample_rate, params.shift_hz);
-    let ssb_wave = ssb::shift_tone(&ssb_cfg, &carrier)?;
-    let ssb_psd = welch_psd(&ssb_wave, params.sample_rate, &welch)?;
+    let ssb_psd = welch_psd(
+        &ssb::shift_tone(&ssb_cfg, &carrier)?,
+        params.sample_rate,
+        &welch,
+    )?;
 
     let dsb_cfg = dsb::DsbConfig::new(params.sample_rate, params.shift_hz);
-    let dsb_wave = dsb::shift_tone(&dsb_cfg, &carrier)?;
-    let dsb_psd = welch_psd(&dsb_wave, params.sample_rate, &welch)?;
+    let dsb_psd = welch_psd(
+        &dsb::shift_tone(&dsb_cfg, &carrier)?,
+        params.sample_rate,
+        &welch,
+    )?;
 
     let band = 1e6;
     let measure = |design: &'static str, psd: Vec<SpectrumPoint>| {

@@ -53,8 +53,33 @@ impl Default for Fig11Params {
     }
 }
 
+impl Fig11Params {
+    /// Rejects parameters that would report a `NaN` PER or `NaN` RSSI: no
+    /// locations or packets, or a non-finite or empty RSSI range.
+    pub fn validate(&self) -> Result<(), SimError> {
+        if self.locations == 0 {
+            return Err(SimError::InvalidScenario(
+                "Fig. 11 needs at least one location",
+            ));
+        }
+        if self.packets_per_location == 0 {
+            return Err(SimError::InvalidScenario(
+                "Fig. 11 needs at least one packet per location",
+            ));
+        }
+        let (lo, hi) = self.rssi_range_dbm;
+        if !(lo.is_finite() && hi.is_finite() && lo < hi) {
+            return Err(SimError::InvalidScenario(
+                "Fig. 11 RSSI range must be finite with lo < hi",
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// Runs the experiment for both rates, returning the per-location points.
 pub fn run(params: &Fig11Params) -> Result<Vec<PerPoint>, SimError> {
+    params.validate()?;
     let mut rng = rand::rngs::StdRng::seed_from_u64(params.seed);
     let mut points = Vec::new();
     for (rate, payload_len) in [(DsssRate::Mbps2, 31usize), (DsssRate::Mbps11, 77usize)] {
@@ -67,16 +92,18 @@ pub fn run(params: &Fig11Params) -> Result<Vec<PerPoint>, SimError> {
                 + rng.gen_range(-1.0..1.0);
             let mut scenario = UplinkScenario::fig10_bench(4.0, 1.0, 10.0);
             scenario.target = TargetPhy::Wifi(rate);
-            let mut errors = 0usize;
-            for p in 0..params.packets_per_location {
-                let payload: Vec<u8> = (0..payload_len)
-                    .map(|i| ((i * 7 + p + loc) % 251) as u8)
-                    .collect();
-                let (ok, _, _) = scenario.simulate_wifi_packet(&payload, rssi, &mut rng)?;
-                if !ok {
-                    errors += 1;
-                }
-            }
+            let payloads: Vec<Vec<u8>> = (0..params.packets_per_location)
+                .map(|p| {
+                    (0..payload_len)
+                        .map(|i| ((i * 7 + p + loc) % 251) as u8)
+                        .collect()
+                })
+                .collect();
+            let errors = scenario
+                .simulate_wifi_packets(&payloads, rssi, &mut rng)?
+                .iter()
+                .filter(|&&(ok, _, _)| !ok)
+                .count();
             points.push(PerPoint {
                 rate,
                 rssi_dbm: rssi,
@@ -144,5 +171,55 @@ mod tests {
         assert!(two.first().unwrap().per >= two.last().unwrap().per);
         let text = report(&points);
         assert!(text.contains("Mbps2") && text.contains("Mbps11"));
+    }
+
+    fn rejected(params: Fig11Params) -> bool {
+        matches!(run(&params), Err(SimError::InvalidScenario(_)))
+    }
+
+    #[test]
+    fn no_locations_is_rejected() {
+        assert!(rejected(Fig11Params {
+            locations: 0,
+            ..Default::default()
+        }));
+    }
+
+    #[test]
+    fn no_packets_is_rejected() {
+        assert!(rejected(Fig11Params {
+            packets_per_location: 0,
+            ..Default::default()
+        }));
+    }
+
+    #[test]
+    fn nan_rssi_bound_is_rejected() {
+        for range in [(f64::NAN, -55.0), (-97.0, f64::NAN)] {
+            assert!(rejected(Fig11Params {
+                rssi_range_dbm: range,
+                ..Default::default()
+            }));
+        }
+    }
+
+    #[test]
+    fn infinite_rssi_bound_is_rejected() {
+        for range in [(f64::NEG_INFINITY, -55.0), (-97.0, f64::INFINITY)] {
+            assert!(rejected(Fig11Params {
+                rssi_range_dbm: range,
+                ..Default::default()
+            }));
+        }
+    }
+
+    #[test]
+    fn inverted_or_empty_rssi_range_is_rejected() {
+        for range in [(-55.0, -97.0), (-70.0, -70.0)] {
+            assert!(rejected(Fig11Params {
+                rssi_range_dbm: range,
+                ..Default::default()
+            }));
+        }
     }
 }

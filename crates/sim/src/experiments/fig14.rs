@@ -47,9 +47,34 @@ impl Default for Fig14Params {
     }
 }
 
+impl Fig14Params {
+    /// Rejects parameters that would report a `NaN` delivery ratio or a
+    /// meaningless location: no distances or packets, or a distance that is
+    /// not finite and positive.
+    pub fn validate(&self) -> Result<(), SimError> {
+        if self.distances_ft.is_empty() {
+            return Err(SimError::InvalidScenario(
+                "Fig. 14 needs at least one distance",
+            ));
+        }
+        if self.packets_per_location == 0 {
+            return Err(SimError::InvalidScenario(
+                "Fig. 14 needs at least one packet per location",
+            ));
+        }
+        if !self.distances_ft.iter().all(|d| d.is_finite() && *d > 0.0) {
+            return Err(SimError::InvalidScenario(
+                "Fig. 14 distances must be finite and positive",
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// Runs the experiment, returning the per-location rows and the pooled RSSI
 /// CDF.
 pub fn run(params: &Fig14Params) -> Result<(Vec<ZigbeeRssiPoint>, Cdf), SimError> {
+    params.validate()?;
     let mut rng = rand::rngs::StdRng::seed_from_u64(params.seed);
     let mut rows = Vec::new();
     let mut cdf = Cdf::new();
@@ -140,5 +165,45 @@ mod tests {
         assert!((-100.0..=-40.0).contains(&lo) && (-80.0..=-30.0).contains(&hi));
         let text = report(&rows, &cdf);
         assert!(text.contains("delivery"));
+    }
+
+    fn rejected(params: Fig14Params) -> bool {
+        matches!(run(&params), Err(SimError::InvalidScenario(_)))
+    }
+
+    #[test]
+    fn no_distances_is_rejected() {
+        assert!(rejected(Fig14Params {
+            distances_ft: vec![],
+            ..Default::default()
+        }));
+    }
+
+    #[test]
+    fn no_packets_is_rejected() {
+        assert!(rejected(Fig14Params {
+            packets_per_location: 0,
+            ..Default::default()
+        }));
+    }
+
+    #[test]
+    fn non_finite_distance_is_rejected() {
+        for d in [f64::NAN, f64::INFINITY] {
+            assert!(rejected(Fig14Params {
+                distances_ft: vec![3.0, d],
+                ..Default::default()
+            }));
+        }
+    }
+
+    #[test]
+    fn non_positive_distance_is_rejected() {
+        for d in [0.0, -3.0] {
+            assert!(rejected(Fig14Params {
+                distances_ft: vec![d, 6.0],
+                ..Default::default()
+            }));
+        }
     }
 }

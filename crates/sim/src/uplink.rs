@@ -11,11 +11,14 @@
 //! * **Waveform level** — [`UplinkScenario::simulate_wifi_packet`] runs the
 //!   actual 802.11b chip stream through AWGN at the link-budget SNR and the
 //!   full receiver, producing packet/bit errors. Figure 11's PER CDF is
-//!   built from these trials. (The tag's frequency-translation fidelity is
-//!   validated separately in the backscatter crate at the full carrier
-//!   sample rate; running every PER trial at 176 MS/s would add hours of
-//!   runtime without changing the decision statistics, which depend only on
-//!   the post-translation SNR.)
+//!   built from these trials, which [`UplinkScenario::simulate_wifi_packets`]
+//!   runs across cores: the generator is snapshotted at each packet and
+//!   advanced exactly past its noise draws, so the outcomes are
+//!   bit-identical to running one packet at a time. (The tag's
+//!   frequency-translation fidelity is validated separately in the
+//!   backscatter crate at the full carrier sample rate; running every PER
+//!   trial at 176 MS/s would add hours of runtime without changing the
+//!   decision statistics, which depend only on the post-translation SNR.)
 
 use crate::measurements::{BitErrorCounter, PacketErrorCounter};
 use crate::SimError;
@@ -144,19 +147,15 @@ impl UplinkScenario {
         rssi_dbm: f64,
         rng: &mut R,
     ) -> Result<(bool, usize, usize), SimError> {
-        let TargetPhy::Wifi(rate) = self.target else {
-            return Err(SimError::InvalidScenario(
-                "simulate_wifi_packet requires a Wi-Fi target",
-            ));
-        };
-        let tx = Dot11bTransmitter::new(rate);
-        let frame = tx.transmit(payload)?;
+        let tx = Dot11bTransmitter::new(self.wifi_rate()?);
+        let mut frame = tx.transmit(payload)?;
         let amplitude = db_to_amplitude(rssi_dbm);
-        let scaled: Vec<_> = frame.chips.iter().map(|&c| c * amplitude).collect();
-        let noise = self.noise_model();
-        let noisy = noise.add_noise(&scaled, rng);
+        for c in &mut frame.chips {
+            *c = *c * amplitude;
+        }
+        self.noise_model().add_noise_in_place(&mut frame.chips, rng);
         let rx = Dot11bReceiver::default();
-        match rx.receive(&noisy) {
+        match rx.receive(&frame.chips) {
             Ok(received) => {
                 let ok = received.fcs_ok && received.payload == payload;
                 let errors =
@@ -164,6 +163,53 @@ impl UplinkScenario {
                 Ok((ok, errors, payload.len() * 8))
             }
             Err(_) => Ok((false, payload.len() * 8, payload.len() * 8)),
+        }
+    }
+
+    /// [`UplinkScenario::simulate_wifi_packet`] over every payload in turn,
+    /// all at `rssi_dbm`, run across cores. Returns the same outcomes and
+    /// leaves `rng` in the same state as calling it in a loop.
+    ///
+    /// Each packet draws a known number of values (four per chip), so a
+    /// sequential pass snapshots the generator at the start of every packet
+    /// and skips that packet's draws; the packets then run in parallel, each
+    /// from its own snapshot. Every packet must end where the next one
+    /// starts, and the last where `rng` now stands; a mismatch panics.
+    pub fn simulate_wifi_packets<R>(
+        &self,
+        payloads: &[Vec<u8>],
+        rssi_dbm: f64,
+        rng: &mut R,
+    ) -> Result<Vec<(bool, usize, usize)>, SimError>
+    where
+        R: Rng + Clone + PartialEq + std::fmt::Debug + Send + Sync,
+    {
+        let tx = Dot11bTransmitter::new(self.wifi_rate()?);
+        let mut starts = Vec::with_capacity(payloads.len());
+        for payload in payloads {
+            starts.push(rng.clone());
+            NoiseModel::skip_noise(tx.chip_count(payload.len())?, rng);
+        }
+        let runs = rayon::det::map_indexed_ordered(payloads.len(), |i| {
+            let mut packet_rng = starts[i].clone();
+            let outcome = self.simulate_wifi_packet(&payloads[i], rssi_dbm, &mut packet_rng);
+            (outcome, packet_rng)
+        });
+        let mut outcomes = Vec::with_capacity(runs.len());
+        for (i, (outcome, end)) in runs.into_iter().enumerate() {
+            outcomes.push(outcome?);
+            let next = starts.get(i + 1).unwrap_or(rng);
+            assert_eq!(&end, next, "packet {i} drew a different number of values");
+        }
+        Ok(outcomes)
+    }
+
+    fn wifi_rate(&self) -> Result<DsssRate, SimError> {
+        match self.target {
+            TargetPhy::Wifi(rate) => Ok(rate),
+            TargetPhy::Zigbee => Err(SimError::InvalidScenario(
+                "simulate_wifi_packet requires a Wi-Fi target",
+            )),
         }
     }
 
@@ -296,6 +342,66 @@ mod tests {
         assert!(zigbee
             .simulate_wifi_packet(&[0u8; 4], -50.0, &mut rng)
             .is_err());
+    }
+
+    #[test]
+    fn packet_batch_matches_the_sequential_loop() {
+        // Two RSSIs on each rate's waterfall, then one too weak to find the
+        // preamble (the receiver's `Err` branch).
+        let cases = [
+            (DsssRate::Mbps2, 31usize, [-92.5, -91.5, -110.0]),
+            (DsssRate::Mbps11, 77, [-89.0, -88.5, -110.0]),
+        ];
+        for (rate, payload_len, rssis) in cases {
+            let mut scenario = UplinkScenario::fig10_bench(4.0, 1.0, 10.0);
+            scenario.target = TargetPhy::Wifi(rate);
+            let payloads: Vec<Vec<u8>> = (0..8)
+                .map(|p| {
+                    (0..payload_len)
+                        .map(|i| ((i * 7 + p) % 251) as u8)
+                        .collect()
+                })
+                .collect();
+            let mut outcomes = Vec::new();
+            for rssi in rssis {
+                let mut looped = rand::rngs::StdRng::seed_from_u64(0xB47C);
+                let mut batched = looped.clone();
+                let want: Vec<_> = payloads
+                    .iter()
+                    .map(|p| scenario.simulate_wifi_packet(p, rssi, &mut looped).unwrap())
+                    .collect();
+                let got = scenario
+                    .simulate_wifi_packets(&payloads, rssi, &mut batched)
+                    .unwrap();
+                assert_eq!(got, want, "{rate:?} at {rssi} dBm");
+                assert_eq!(batched, looped, "{rate:?} at {rssi} dBm");
+                outcomes.push(got);
+            }
+            let waterfall: Vec<bool> = outcomes[..2].concat().iter().map(|o| o.0).collect();
+            assert!(
+                waterfall.contains(&true) && waterfall.contains(&false),
+                "{rate:?}"
+            );
+            let bits = payload_len * 8;
+            assert!(
+                outcomes[2].iter().all(|&o| o == (false, bits, bits)),
+                "{rate:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn packet_batch_needs_a_wifi_target() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(6);
+        let zigbee = UplinkScenario::fig14_zigbee(5.0);
+        assert!(zigbee
+            .simulate_wifi_packets(&[vec![0u8; 4]], -50.0, &mut rng)
+            .is_err());
+        let wifi = UplinkScenario::fig10_bench(0.0, 1.0, 10.0);
+        assert_eq!(
+            wifi.simulate_wifi_packets(&[], -50.0, &mut rng).unwrap(),
+            vec![]
+        );
     }
 
     #[test]

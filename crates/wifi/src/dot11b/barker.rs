@@ -16,15 +16,19 @@ pub const BARKER_11: [i8; 11] = [1, -1, 1, 1, -1, 1, 1, 1, -1, -1, -1];
 /// Number of chips per DSSS symbol at the Barker rates.
 pub const CHIPS_PER_SYMBOL: usize = 11;
 
-/// Spreads one complex symbol into 11 chips by multiplying it with the
-/// Barker sequence.
-pub fn spread_symbol(symbol: Cplx) -> Vec<Cplx> {
-    BARKER_11.iter().map(|&c| symbol * f64::from(c)).collect()
+/// Spreads a stream of symbols, each into 11 chips by multiplying it with
+/// the Barker sequence.
+pub fn spread(symbols: &[Cplx]) -> Vec<Cplx> {
+    let mut chips = Vec::with_capacity(symbols.len() * CHIPS_PER_SYMBOL);
+    spread_into(symbols, &mut chips);
+    chips
 }
 
-/// Spreads a stream of symbols.
-pub fn spread(symbols: &[Cplx]) -> Vec<Cplx> {
-    symbols.iter().flat_map(|&s| spread_symbol(s)).collect()
+/// [`spread`], appending the chips to `chips` instead of allocating.
+pub fn spread_into(symbols: &[Cplx], chips: &mut Vec<Cplx>) {
+    for &s in symbols {
+        chips.extend(BARKER_11.iter().map(|&c| s * f64::from(c)));
+    }
 }
 
 /// Despreads a block of 11 received chips back into one symbol estimate by
@@ -106,7 +110,7 @@ mod tests {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let symbol = Cplx::new(1.0, 0.0);
-        let mut chips = spread_symbol(symbol);
+        let mut chips = spread(&[symbol]);
         let noise_amp = 0.5;
         for c in &mut chips {
             *c += Cplx::new(

@@ -10,7 +10,7 @@
 use super::barker;
 use super::cck::CckModulator;
 use super::dpsk::DifferentialEncoder;
-use super::plcp::{long_preamble_bits, PlcpHeader};
+use super::plcp::{long_preamble_bits, PlcpHeader, LONG_PREAMBLE_HEADER_BITS};
 use super::rates::DsssRate;
 use super::scrambler::DsssScrambler;
 use crate::WifiError;
@@ -71,19 +71,44 @@ impl Dot11bTransmitter {
         psdu
     }
 
+    /// The PLCP header for a payload of `payload_len` bytes, or the error
+    /// [`Dot11bTransmitter::transmit`] gives for that length.
+    fn header_for(&self, payload_len: usize) -> Result<PlcpHeader, WifiError> {
+        let psdu_len = self.psdu_len(payload_len);
+        if psdu_len > MAX_PSDU_BYTES {
+            return Err(WifiError::PayloadTooLong {
+                requested: psdu_len,
+                max: MAX_PSDU_BYTES,
+            });
+        }
+        PlcpHeader::for_payload(self.rate, psdu_len)
+    }
+
+    fn psdu_len(&self, payload_len: usize) -> usize {
+        payload_len + if self.append_fcs { 4 } else { 0 }
+    }
+
+    /// Number of chips [`Dot11bTransmitter::transmit`] produces for a
+    /// payload of `payload_len` bytes, without producing them: the 192
+    /// Barker-spread PLCP bits plus the PSDU (FCS included) at the
+    /// configured rate. Errors exactly where `transmit` does.
+    pub fn chip_count(&self, payload_len: usize) -> Result<usize, WifiError> {
+        self.header_for(payload_len)?;
+        Ok(self.chips_for_psdu(self.psdu_len(payload_len)))
+    }
+
+    fn chips_for_psdu(&self, psdu_len: usize) -> usize {
+        LONG_PREAMBLE_HEADER_BITS * barker::CHIPS_PER_SYMBOL
+            + psdu_len * 8 / self.rate.bits_per_symbol() * self.rate.chips_per_symbol()
+    }
+
     /// Generates the chip-rate baseband waveform for `payload`.
     ///
     /// The long PLCP preamble and header are always sent at 1 Mbps DBPSK with
     /// Barker spreading; the PSDU is sent at the configured rate.
     pub fn transmit(&self, payload: &[u8]) -> Result<Dot11bFrame, WifiError> {
+        let header = self.header_for(payload.len())?;
         let psdu = self.build_psdu(payload);
-        if psdu.len() > MAX_PSDU_BYTES {
-            return Err(WifiError::PayloadTooLong {
-                requested: psdu.len(),
-                max: MAX_PSDU_BYTES,
-            });
-        }
-        let header = PlcpHeader::for_payload(self.rate, psdu.len())?;
 
         // --- 1 Mbps portion: preamble + header, scrambled, DBPSK, Barker ---
         let mut scrambler = DsssScrambler::long_preamble();
@@ -92,7 +117,8 @@ impl Dot11bTransmitter {
         let plcp_scrambled = scrambler.scramble(&plcp_bits);
         let mut encoder = DifferentialEncoder::new(0.0);
         let plcp_symbols = encoder.encode_dbpsk_stream(&plcp_scrambled);
-        let mut chips = barker::spread(&plcp_symbols);
+        let mut chips = Vec::with_capacity(self.chips_for_psdu(psdu.len()));
+        barker::spread_into(&plcp_symbols, &mut chips);
         let psdu_start_chip = chips.len();
 
         // --- PSDU at the configured rate, continuing the same scrambler ---
@@ -101,11 +127,11 @@ impl Dot11bTransmitter {
         match self.rate {
             DsssRate::Mbps1 => {
                 let symbols = encoder.encode_dbpsk_stream(&psdu_scrambled);
-                chips.extend(barker::spread(&symbols));
+                barker::spread_into(&symbols, &mut chips);
             }
             DsssRate::Mbps2 => {
                 let symbols = encoder.encode_dqpsk_stream(&psdu_scrambled);
-                chips.extend(barker::spread(&symbols));
+                barker::spread_into(&symbols, &mut chips);
             }
             DsssRate::Mbps5_5 => {
                 let mut cck = CckModulator::new(encoder.phase());
@@ -186,6 +212,28 @@ mod tests {
         let tx = Dot11bTransmitter::new(DsssRate::Mbps11);
         let payload = vec![0u8; MAX_PSDU_BYTES + 1];
         assert!(tx.transmit(&payload).is_err());
+    }
+
+    #[test]
+    fn chip_count_matches_transmit() {
+        // Every short length, then every length around the PSDU limit, where
+        // the FCS pushes the PSDU over it (the whole 0..=max sweep costs
+        // ~40 s in a debug build).
+        let payload: Vec<u8> = (0..=MAX_PSDU_BYTES).map(|i| (i % 251) as u8).collect();
+        let lengths = (0..=256).chain(MAX_PSDU_BYTES - 64..=MAX_PSDU_BYTES);
+        for rate in DsssRate::ALL {
+            let tx = Dot11bTransmitter::new(rate);
+            for len in lengths.clone() {
+                match (tx.chip_count(len), tx.transmit(&payload[..len])) {
+                    (Ok(n), Ok(frame)) => assert_eq!(n, frame.chips.len(), "{rate:?} {len} B"),
+                    (Err(a), Err(b)) => assert_eq!(a, b, "{rate:?} {len} B"),
+                    (count, frame) => panic!(
+                        "{rate:?} {len} B: chip_count {count:?}, transmit ok {}",
+                        frame.is_ok()
+                    ),
+                }
+            }
+        }
     }
 
     #[test]

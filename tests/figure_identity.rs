@@ -5,18 +5,23 @@
 //! sensitivity waterfall of both rates, where PERs are fractional, so a
 //! receiver change that flips even one packet outcome moves a digest.
 //! Speed-only changes to the PHY chain must leave these digests untouched.
+//! One more case runs the default 40 packets per location, so the batch
+//! shape the full figure uses is pinned too.
 
 use interscatter::net::trace_digest::fnv1a_str;
 use interscatter::sim::experiments::fig11;
 
 fn fig11_digests(seed: u64) -> (u64, u64) {
-    let points = fig11::run(&fig11::Fig11Params {
+    digests(&fig11::Fig11Params {
         locations: 6,
         packets_per_location: 8,
         rssi_range_dbm: (-95.0, -86.0),
         seed,
     })
-    .unwrap();
+}
+
+fn digests(params: &fig11::Fig11Params) -> (u64, u64) {
+    let points = fig11::run(params).unwrap();
     (
         fnv1a_str(&fig11::report(&points)),
         fnv1a_str(&format!("{points:?}")),
@@ -45,4 +50,23 @@ fn fig11_reports_match_their_pinned_digests() {
         .map(|&(seed, report, points)| format!("seed {seed:#x}: {report:#018x} {points:#018x}"))
         .collect();
     assert_eq!(got, want);
+}
+
+/// `(report digest, points digest)` of the default 40 packets per location
+/// at two locations on the waterfall of both rates (each rate has one
+/// fractional PER), captured from the one-packet-at-a-time loop.
+const PINNED_DEFAULT_BATCH: (u64, u64) = (0x085E_37D0_8C0F_41AA, 0x8F41_4EA0_76B3_1E20);
+
+#[test]
+fn fig11_default_batch_matches_its_pinned_digests() {
+    let (report, points) = digests(&fig11::Fig11Params {
+        locations: 2,
+        rssi_range_dbm: (-92.0, -88.0),
+        ..Default::default()
+    });
+    assert_eq!(
+        (report, points),
+        PINNED_DEFAULT_BATCH,
+        "got ({report:#018x}, {points:#018x})"
+    );
 }
