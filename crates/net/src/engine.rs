@@ -29,9 +29,7 @@ use crate::mobility::{MobilityConfig, MotionState};
 use crate::prof::{Clock, ProfReport, Profiler};
 use crate::scenario::Scenario;
 use crate::sched::{CarrierSched, SlotView};
-use crate::telemetry::{
-    LossKind, ProgressRuntime, TelemetryEvent, TelemetryKind, TelemetryReport, TelemetryRuntime,
-};
+use crate::telemetry::{ProgressRuntime, TelemetryReport};
 use crate::time::Time;
 use crate::NetError;
 use interscatter_backscatter::tag::SidebandMode;
@@ -172,9 +170,9 @@ pub struct NetRunResult {
     pub metrics: NetworkMetrics,
     /// The event trace (empty if tracing was disabled).
     pub trace: EventTrace,
-    /// What the run's telemetry subscriptions reduced to, plus any
-    /// collected progress lines ([`crate::telemetry`]). Empty (but for the
-    /// event count) when the scenario registers no subscriptions.
+    /// The engine's event count plus any collected progress lines
+    /// ([`crate::telemetry`]). Empty (but for the event count) when
+    /// progress is off.
     pub telemetry: TelemetryReport,
     /// The run's self-profile ([`crate::prof`]): wall-clock span timeline
     /// plus phase summary. `Some` only when
@@ -205,7 +203,8 @@ pub(crate) struct EngineCore<'a> {
     medium: Medium,
     trace: EventTrace,
     metrics: NetworkMetrics,
-    tele: TelemetryRuntime,
+    /// Engine events processed so far (every queue pop).
+    events: u64,
     progress: Option<ProgressRuntime>,
     mac_loop: Option<MacLoop>,
     tags: Vec<TagState>,
@@ -250,19 +249,12 @@ impl<'a> EngineCore<'a> {
             scenario.receivers.len(),
             scenario.duration_s,
         );
-        // The subscription layer: filters compiled to a per-kind dispatch
-        // mask, so each emit site below pays one dead branch when nothing
-        // is subscribed. Telemetry consumes no RNG and never touches the
-        // queue or the medium — traces stay byte-identical regardless.
-        let tele = TelemetryRuntime::new(
-            &scenario.telemetry,
-            scenario.tags.len(),
-            scenario.carriers.len(),
-        );
+        // Progress lines consume no RNG and never touch the queue or the
+        // medium, so traces stay byte-identical at any cadence.
         let progress: Option<ProgressRuntime> = scenario
-            .telemetry
+            .execution
             .progress_every_s
-            .map(|every| ProgressRuntime::new(every, scenario.telemetry.live_progress));
+            .map(|every| ProgressRuntime::new(every, scenario.execution.live_progress));
         let mac_loop = match scenario.mac {
             MacMode::OpenLoop => None,
             MacMode::ClosedLoop => Some(MacLoop::new(scenario.tags.len())),
@@ -424,7 +416,7 @@ impl<'a> EngineCore<'a> {
             medium,
             trace,
             metrics,
-            tele,
+            events: 0,
             progress,
             mac_loop,
             tags,
@@ -452,7 +444,7 @@ impl<'a> EngineCore<'a> {
             ref mut medium,
             ref mut trace,
             ref mut metrics,
-            ref mut tele,
+            ref mut events,
             ref mut progress,
             ref mut mac_loop,
             ref mut tags,
@@ -466,7 +458,7 @@ impl<'a> EngineCore<'a> {
             ref mut prof,
         } = *self;
         while let Some(event) = queue.pop() {
-            tele.tick_event();
+            *events += 1;
             if let Some(p) = progress.as_mut() {
                 // One status line per elapsed cadence period, driven by
                 // simulated time so the output is deterministic (events
@@ -474,7 +466,7 @@ impl<'a> EngineCore<'a> {
                 if p.due(event.at) {
                     p.emit(
                         event.at,
-                        tele.events(),
+                        *events,
                         metrics.attempts(),
                         metrics.delivered_packets(),
                         metrics.restripes(),
@@ -613,9 +605,6 @@ impl<'a> EngineCore<'a> {
                     let rate = scenario.tags[tag].arrival_rate_pps;
                     let state = &mut tags[tag];
                     metrics.tags[tag].offered += 1;
-                    if tele.wants(TelemetryKind::Offered) {
-                        tele.emit(now, &TelemetryEvent::Offered { tag });
-                    }
                     if state.queue.len() < scenario.max_queue {
                         state.queue.push_back(QueuedPacket {
                             arrived: now,
@@ -625,9 +614,6 @@ impl<'a> EngineCore<'a> {
                         trace.record(now, || format!("tag {tag} arrival (queue {depth})"));
                     } else {
                         metrics.tags[tag].dropped += 1;
-                        if tele.wants(TelemetryKind::Dropped) {
-                            tele.emit(now, &TelemetryEvent::Dropped { tag });
-                        }
                         trace.record(now, || format!("tag {tag} arrival dropped (queue full)"));
                     }
                     let dt = exponential_s(&mut state.rng, rate);
@@ -659,7 +645,6 @@ impl<'a> EngineCore<'a> {
                             airborne,
                             mac_loop.as_ref(),
                             metrics,
-                            tele,
                             trace,
                         ),
                     };
@@ -708,12 +693,9 @@ impl<'a> EngineCore<'a> {
                             }
                             grant_slot(
                                 &mut carriers[carrier],
-                                carrier,
                                 tags,
                                 metrics,
                                 links,
-                                tele,
-                                progress.as_mut(),
                                 tag,
                                 now,
                                 occupancy,
@@ -768,12 +750,9 @@ impl<'a> EngineCore<'a> {
                             }
                             grant_slot(
                                 &mut carriers[carrier],
-                                carrier,
                                 tags,
                                 metrics,
                                 links,
-                                tele,
-                                progress.as_mut(),
                                 tag,
                                 now,
                                 occupancy,
@@ -879,14 +858,7 @@ impl<'a> EngineCore<'a> {
                         });
                     } else {
                         metrics.tags[tag].poll_losses += 1;
-                        retry_packet(
-                            &mut tags[tag],
-                            tag_spec.max_retries,
-                            metrics,
-                            tele,
-                            tag,
-                            now,
-                        );
+                        retry_packet(&mut tags[tag], tag_spec.max_retries, metrics, tag);
                         mac_loop.as_mut().expect("closed loop").finish(tag);
                         trace.record(now, || {
                             format!(
@@ -932,25 +904,6 @@ impl<'a> EngineCore<'a> {
                             let latency = now.since(packet.arrived);
                             metrics.latency_ms.push(latency.as_secs() * 1e3);
                             metrics.transaction_latency_ms.push(span.as_secs() * 1e3);
-                            if tele.wants(TelemetryKind::Delivery) {
-                                tele.emit(
-                                    now,
-                                    &TelemetryEvent::Delivery {
-                                        tag,
-                                        latency_ns: latency.as_nanos(),
-                                        bits,
-                                    },
-                                );
-                            }
-                            if tele.wants(TelemetryKind::Transaction) {
-                                tele.emit(
-                                    now,
-                                    &TelemetryEvent::Transaction {
-                                        tag,
-                                        span_ns: span.as_nanos(),
-                                    },
-                                );
-                            }
                         }
                         trace.record(now, || {
                             format!(
@@ -960,14 +913,7 @@ impl<'a> EngineCore<'a> {
                         });
                     } else {
                         metrics.tags[tag].ack_losses += 1;
-                        retry_packet(
-                            &mut tags[tag],
-                            tag_spec.max_retries,
-                            metrics,
-                            tele,
-                            tag,
-                            now,
-                        );
+                        retry_packet(&mut tags[tag], tag_spec.max_retries, metrics, tag);
                         trace.record(now, || {
                             format!(
                                 "tag {tag} ack lost ({}, {} interferer(s))",
@@ -989,9 +935,6 @@ impl<'a> EngineCore<'a> {
                     let rx_idx = tuned_rx[tag];
                     let rx = &scenario.receivers[rx_idx];
                     metrics.tags[tag].attempts += 1;
-                    if tele.wants(TelemetryKind::Attempt) {
-                        tele.emit(now, &TelemetryEvent::Attempt { tag });
-                    }
 
                     let own_carrier_freq = scenario.carriers[tag_spec.carrier].carrier_freq_hz();
                     let rx_band = Band::new(rx.center_freq_hz(own_carrier_freq), rx.bandwidth_hz());
@@ -1010,14 +953,6 @@ impl<'a> EngineCore<'a> {
                         RxOutcome::External => metrics.tags[tag].external_collisions += 1,
                         RxOutcome::LinkLoss => metrics.tags[tag].link_losses += 1,
                         RxOutcome::Delivered => {}
-                    }
-                    if outcome != RxOutcome::Delivered && tele.wants(TelemetryKind::Loss) {
-                        let loss = match outcome {
-                            RxOutcome::Collision => LossKind::Collision,
-                            RxOutcome::External => LossKind::External,
-                            _ => LossKind::LinkBudget,
-                        };
-                        tele.emit(now, &TelemetryEvent::Loss { tag, loss });
                     }
 
                     let closed_loop_response = mac_loop
@@ -1050,14 +985,7 @@ impl<'a> EngineCore<'a> {
                             // The response never made it: the sink times
                             // out and the carrier will re-poll.
                             metrics.tags[tag].timeouts += 1;
-                            retry_packet(
-                                &mut tags[tag],
-                                tag_spec.max_retries,
-                                metrics,
-                                tele,
-                                tag,
-                                now,
-                            );
+                            retry_packet(&mut tags[tag], tag_spec.max_retries, metrics, tag);
                             mac_loop.as_mut().expect("closed loop").finish(tag);
                             trace.record(now, || {
                                 format!(
@@ -1079,26 +1007,9 @@ impl<'a> EngineCore<'a> {
                                 metrics.tags[tag].delivered_bits += bits;
                                 let latency = now.since(packet.arrived);
                                 metrics.latency_ms.push(latency.as_secs() * 1e3);
-                                if tele.wants(TelemetryKind::Delivery) {
-                                    tele.emit(
-                                        now,
-                                        &TelemetryEvent::Delivery {
-                                            tag,
-                                            latency_ns: latency.as_nanos(),
-                                            bits,
-                                        },
-                                    );
-                                }
                             }
                         } else {
-                            retry_packet(
-                                &mut tags[tag],
-                                tag_spec.max_retries,
-                                metrics,
-                                tele,
-                                tag,
-                                now,
-                            );
+                            retry_packet(&mut tags[tag], tag_spec.max_retries, metrics, tag);
                         }
                         trace.record(now, || {
                             format!(
@@ -1117,24 +1028,30 @@ impl<'a> EngineCore<'a> {
         }
     }
 
-    /// Materialises the telemetry report and hands the metrics out as the
-    /// public run result.
+    /// Records what each tag still holds at the horizon, materialises the
+    /// telemetry report and hands the metrics out as the public run
+    /// result.
     pub(crate) fn finish(self) -> NetRunResult {
         let EngineCore {
             scenario,
-            metrics,
-            tele,
+            mut metrics,
+            events,
             progress,
+            tags,
             trace,
             mut prof,
             ..
         } = self;
         let fin_tok = prof.as_mut().map(|p| p.begin("finalize"));
-        let telemetry = tele.finish(
-            progress
+        for (stats, state) in metrics.tags.iter_mut().zip(&tags) {
+            stats.queued = state.queue.len();
+        }
+        let telemetry = TelemetryReport {
+            events,
+            progress: progress
                 .map(ProgressRuntime::into_lines)
                 .unwrap_or_default(),
-        );
+        };
         if let (Some(p), Some(tok)) = (prof.as_mut(), fin_tok) {
             p.end(tok);
         }
@@ -1225,7 +1142,6 @@ fn sense_and_restripe(
     airborne: &[bool],
     mac: Option<&MacLoop>,
     metrics: &mut NetworkMetrics,
-    tele: &mut TelemetryRuntime,
     trace: &mut EventTrace,
 ) -> f64 {
     let CoexRuntime {
@@ -1282,16 +1198,6 @@ fn sense_and_restripe(
             attempts: attempts - sense.prev_attempts,
             delivered: delivered - sense.prev_delivered,
         });
-        if tele.wants(TelemetryKind::Occupancy) {
-            tele.emit(
-                now,
-                &TelemetryEvent::Occupancy {
-                    carrier,
-                    subband,
-                    occupancy: occ,
-                },
-            );
-        }
         sense.prev_attempts = attempts;
         sense.prev_delivered = delivered;
     }
@@ -1359,16 +1265,6 @@ fn sense_and_restripe(
         from_subband: cur,
         to_subband: best,
     });
-    if tele.wants(TelemetryKind::Restripe) {
-        tele.emit(
-            now,
-            &TelemetryEvent::Restripe {
-                carrier,
-                from_subband: cur,
-                to_subband: best,
-            },
-        );
-    }
     let (from_pct, to_pct) = (
         (cur_occ * 100.0).round() as u64,
         (best_occ * 100.0).round() as u64,
@@ -1438,24 +1334,13 @@ fn receive_outcome<R: Rng>(
 }
 
 /// Burns one retry on the packet at the head of `tag`'s queue, dropping it
-/// once the retry budget is exhausted (the retry-exhaustion
-/// [`TelemetryKind::Dropped`] emit site).
-fn retry_packet(
-    state: &mut TagState,
-    max_retries: u32,
-    metrics: &mut NetworkMetrics,
-    tele: &mut TelemetryRuntime,
-    tag: usize,
-    now: Time,
-) {
+/// once the retry budget is exhausted.
+fn retry_packet(state: &mut TagState, max_retries: u32, metrics: &mut NetworkMetrics, tag: usize) {
     if let Some(packet) = state.queue.front_mut() {
         packet.retries += 1;
         if packet.retries > max_retries {
             state.queue.pop_front();
             metrics.tags[tag].dropped += 1;
-            if tele.wants(TelemetryKind::Dropped) {
-                tele.emit(now, &TelemetryEvent::Dropped { tag });
-            }
         }
     }
 }
@@ -1464,18 +1349,12 @@ fn retry_packet(
 /// scheduler (cursor/counter updates and the deadline check live there,
 /// not in the engine) and records the scheduler-facing metrics — the
 /// grant count, any deadline miss, and the head packet's poll latency
-/// (how long it waited in queue before winning this slot). The grant is
-/// also the [`TelemetryKind::Grant`] emit site and what feeds the
-/// progress line's live P² poll-latency estimator.
-#[allow(clippy::too_many_arguments)]
+/// (how long it waited in queue before winning this slot).
 fn grant_slot(
     carrier: &mut CarrierState,
-    carrier_idx: usize,
     tags: &[TagState],
     metrics: &mut NetworkMetrics,
     links: &LinkMatrix,
-    tele: &mut TelemetryRuntime,
-    progress: Option<&mut ProgressRuntime>,
     tag: usize,
     now: Time,
     occupancy: f64,
@@ -1496,19 +1375,6 @@ fn grant_slot(
     }
     let waited = now.since(head_arrived);
     metrics.poll_latency_ms.push(waited.as_secs() * 1e3);
-    if tele.wants(TelemetryKind::Grant) {
-        tele.emit(
-            now,
-            &TelemetryEvent::Grant {
-                tag,
-                carrier: carrier_idx,
-                waited_ns: waited.as_nanos(),
-            },
-        );
-    }
-    if let Some(p) = progress {
-        p.p2_poll_ms.add(waited.as_secs() * 1e3);
-    }
 }
 
 /// An exponential inter-arrival draw with mean `1/rate_pps` seconds.

@@ -83,17 +83,14 @@
 //!
 //! ## Observability
 //!
-//! The [`telemetry`] module layers zero-cost **subscriptions** over the
-//! event stream: a [`telemetry::Filter`] (tags, carriers, event kinds,
-//! time window) compiled into a per-event-kind dispatch mask — one dead
-//! branch per emit site when nothing is subscribed — feeding online
-//! sketches ([`telemetry::LatencySketch`] streaming quantiles,
-//! [`telemetry::P2Quantile`], windowed PRR/occupancy rings, counters),
-//! alongside the exact stored samples of [`metrics::NetworkMetrics`], and
-//! [`telemetry::TelemetryConfig::with_progress`] emits a deterministic
-//! one-line status on a simulated-time cadence. Subscriptions never touch
-//! the RNG streams, so the event trace stays byte-identical with any
-//! number attached.
+//! A run's one record is [`metrics::NetworkMetrics`]: exact counters per
+//! tag and every latency, poll and occupancy sample, stored. The
+//! [`telemetry`] module adds only the engine's event count and, when
+//! [`scenario::ExecutionSection::progress`] sets a cadence, a
+//! deterministic one-line status on simulated time. Progress lines never
+//! touch the RNG streams, so the event trace and metrics stay
+//! byte-identical at any cadence. [`prof`] observes the run's wall-clock
+//! phases the same digest-neutral way.
 //!
 //! ## Running a scenario
 //!
@@ -216,7 +213,7 @@ mod tests {
 /// metrics, event trace and telemetry report.
 ///
 /// This is the one entrypoint behind every run shape: the execution
-/// knobs — trace recording, profiling — come from the scenario's
+/// knobs — trace recording, profiling, progress — come from the scenario's
 /// [`scenario::ExecutionConfig`], set through
 /// [`scenario::ExecutionSection`] on the builder. Neither changes what
 /// the run computes: a profiled run reproduces the plain run's trace
@@ -299,10 +296,7 @@ pub mod prelude {
     };
     pub use crate::sched::{CarrierSched, SchedPolicy, Scheduler};
     pub use crate::shard::Cell;
-    pub use crate::telemetry::{
-        Dataset, Filter, LatencySketch, P2Quantile, SinkReport, SinkSpec, Subscription,
-        TelemetryConfig, TelemetryEvent, TelemetryKind, TelemetryReport,
-    };
+    pub use crate::telemetry::TelemetryReport;
     pub use crate::time::Time;
     pub use crate::NetError;
     pub use crate::{run, run_trials};

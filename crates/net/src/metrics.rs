@@ -17,6 +17,10 @@ pub struct TagStats {
     pub delivered: usize,
     /// Packets dropped (queue overflow or retry budget exhausted).
     pub dropped: usize,
+    /// Packets still in the tag's queue at the horizon. Every offered
+    /// packet ends the run exactly one way, so
+    /// `offered == delivered + dropped + queued`.
+    pub queued: usize,
     /// Transmission attempts (grants that went on the air).
     pub attempts: usize,
     /// Attempts lost to tag-to-tag (or mirror-copy) collisions.

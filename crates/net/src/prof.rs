@@ -1,7 +1,7 @@
 //! The execution observatory: span-based self-profiling for the run
 //! pipeline itself.
 //!
-//! Where [`crate::telemetry`] observes the *simulation* (PRR, latency,
+//! Where [`crate::metrics`] records the *simulation* (PRR, latency,
 //! occupancy — simulated-time quantities), this module observes the
 //! *executor*: how long scenario validation, link-matrix construction,
 //! engine-core init, the event loop, the mobility flushes and the
@@ -13,7 +13,7 @@
 //!
 //! Profiling is **digest-neutral**: enabling
 //! [`crate::scenario::ExecutionConfig::profile`] must not change the event
-//! trace, the metrics report or the telemetry output by a single byte.
+//! trace, the metrics report or the progress lines by a single byte.
 //! Three rules enforce that:
 //!
 //! * Wall-clock values live **only** in the prof output

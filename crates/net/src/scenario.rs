@@ -15,7 +15,6 @@ use crate::entities::{
 use crate::mac::MacMode;
 use crate::mobility::{Bounds, MobilityConfig, MobilityModel, RandomWaypoint};
 use crate::sched::SchedPolicy;
-use crate::telemetry::TelemetryConfig;
 use crate::NetError;
 use interscatter_backscatter::tag::SidebandMode;
 use interscatter_wifi::dot11b::DsssRate;
@@ -55,17 +54,10 @@ pub struct Scenario {
     /// folded into its delivery probability and nothing external ever
     /// touches the medium.
     pub coex: Option<CoexConfig>,
-    /// Streaming-telemetry configuration ([`crate::telemetry`]):
-    /// subscriptions over the event stream and the soak-run progress
-    /// cadence. The default (no subscriptions, no progress) reproduces the
-    /// pre-telemetry engine byte for byte — and so does any other value,
-    /// since telemetry never consumes RNG draws or touches the medium. Telemetry deliberately
-    /// does **not** rename the scenario: observing a run must not change
-    /// what the run reports itself as.
-    pub telemetry: TelemetryConfig,
     /// Run-shape knobs ([`ExecutionConfig`]): Monte-Carlo trial count,
-    /// trace recording and profiling. None of them changes what a run
-    /// computes — only how often it runs and what is recorded.
+    /// trace recording, profiling and the progress cadence. None of them
+    /// changes what a run computes — only how often it runs and what is
+    /// recorded.
     pub execution: ExecutionConfig,
 }
 
@@ -93,6 +85,13 @@ pub struct ExecutionConfig {
     /// traces, metrics reports and telemetry are byte-identical with
     /// profiling on or off; wall time lives only in the prof output.
     pub profile: bool,
+    /// Emit a one-line progress status every this many simulated seconds
+    /// ([`crate::telemetry`]; `None` = no progress output). Digest-neutral:
+    /// the trace and metrics are byte-identical at any cadence.
+    pub progress_every_s: Option<f64>,
+    /// Mirror progress lines to stderr as the run executes (the collected
+    /// lines are always returned in the report either way).
+    pub live_progress: bool,
     /// Wall time [`ScenarioBuilder::build`] took, nanoseconds, stashed here
     /// when `profile` is set so the executor can prepend a
     /// `scenario_build` span. Never affects simulation state, and is
@@ -110,6 +109,8 @@ impl PartialEq for ExecutionConfig {
             && self.trials == other.trials
             && self.trace == other.trace
             && self.profile == other.profile
+            && self.progress_every_s == other.progress_every_s
+            && self.live_progress == other.live_progress
     }
 }
 
@@ -120,6 +121,8 @@ impl Default for ExecutionConfig {
             trials: 1,
             trace: true,
             profile: false,
+            progress_every_s: None,
+            live_progress: false,
             build_ns: None,
         }
     }
@@ -133,6 +136,13 @@ impl ExecutionConfig {
         }
         if self.trials == 0 {
             return Err("trials must be at least 1".into());
+        }
+        if let Some(every) = self.progress_every_s {
+            if !positive_finite(every) {
+                return Err(format!(
+                    "progress cadence {every} s must be positive and finite"
+                ));
+            }
         }
         Ok(())
     }
@@ -256,9 +266,6 @@ impl Scenario {
                 )));
             }
         }
-        self.telemetry
-            .validate(self.tags.len(), self.carriers.len())
-            .map_err(|e| NetError::InvalidScenario(format!("telemetry: {e}")))?;
         self.execution
             .validate()
             .map_err(|e| NetError::InvalidScenario(format!("execution: {e}")))?;
@@ -357,7 +364,6 @@ impl Scenario {
             mobility: None,
             scheduler: SchedPolicy::RoundRobin,
             coex: None,
-            telemetry: TelemetryConfig::default(),
             execution: ExecutionConfig::default(),
         }
     }
@@ -408,7 +414,6 @@ impl Scenario {
             mobility: None,
             scheduler: SchedPolicy::RoundRobin,
             coex: None,
-            telemetry: TelemetryConfig::default(),
             execution: ExecutionConfig::default(),
         }
     }
@@ -470,7 +475,6 @@ impl Scenario {
             mobility: None,
             scheduler: SchedPolicy::RoundRobin,
             coex: None,
-            telemetry: TelemetryConfig::default(),
             execution: ExecutionConfig::default(),
         }
     }
@@ -524,7 +528,6 @@ impl Scenario {
             mobility: None,
             scheduler: SchedPolicy::RoundRobin,
             coex: None,
-            telemetry: TelemetryConfig::default(),
             execution: ExecutionConfig::default(),
         }
     }
@@ -721,7 +724,6 @@ impl Scenario {
             }),
             scheduler: SchedPolicy::RoundRobin,
             coex: None,
-            telemetry: TelemetryConfig::default(),
             execution: ExecutionConfig::default(),
         }
     }
@@ -891,7 +893,6 @@ impl Scenario {
             mobility: None,
             scheduler: SchedPolicy::RoundRobin,
             coex: Some(coex),
-            telemetry: TelemetryConfig::default(),
             execution: ExecutionConfig::default(),
         }
     }
@@ -899,7 +900,7 @@ impl Scenario {
     /// Opens the typed builder API on this scenario: section setters
     /// ([`ScenarioBuilder::radio`], [`ScenarioBuilder::mobility`],
     /// [`ScenarioBuilder::scheduling`], [`ScenarioBuilder::coex`],
-    /// [`ScenarioBuilder::telemetry`]) and **eager** validation on
+    /// [`ScenarioBuilder::execution`]) and **eager** validation on
     /// [`ScenarioBuilder::build`]. Start from a preset to reconfigure a
     /// deployment, or from [`ScenarioBuilder::new`] to assemble one from
     /// scratch:
@@ -980,14 +981,7 @@ impl RadioSection {
 
 /// The execution section of a [`ScenarioBuilder`]: every run-shape knob in
 /// one typed value — Monte-Carlo trial count, trace recording, profiling
-/// and the progress cadence.
-///
-/// The run-shape knobs land in [`Scenario::execution`]; the progress
-/// cadence is *applied onto* the scenario's telemetry section (it lives in
-/// [`TelemetryConfig`]). Leaving [`ExecutionSection::progress`] unset
-/// keeps whatever the telemetry section already configured. Setting it
-/// and then calling [`ScenarioBuilder::telemetry`] loses it, since that
-/// replaces the whole section: call `.telemetry(..)` first.
+/// and the progress cadence. It replaces [`Scenario::execution`] whole.
 ///
 /// ```
 /// use interscatter_net::prelude::*;
@@ -1008,12 +1002,11 @@ impl RadioSection {
 #[derive(Debug, Clone, Default)]
 pub struct ExecutionSection {
     config: ExecutionConfig,
-    progress: Option<(f64, bool)>,
 }
 
 impl ExecutionSection {
-    /// The default run shape: one trial, tracing on, profiling off,
-    /// telemetry section untouched.
+    /// The default run shape: one trial, tracing on, profiling off, no
+    /// progress lines.
     pub fn new() -> ExecutionSection {
         ExecutionSection::default()
     }
@@ -1047,17 +1040,19 @@ impl ExecutionSection {
         self
     }
 
-    /// Progress cadence, applied onto the telemetry section: one status
-    /// line every `every_s` simulated seconds, mirrored to stderr when
-    /// `live` is set.
+    /// Progress cadence: one status line every `every_s` simulated
+    /// seconds, mirrored to stderr when `live` is set
+    /// ([`ExecutionConfig::progress_every_s`],
+    /// [`ExecutionConfig::live_progress`]).
     pub fn progress(mut self, every_s: f64, live: bool) -> ExecutionSection {
-        self.progress = Some((every_s, live));
+        self.config.progress_every_s = Some(every_s);
+        self.config.live_progress = live;
         self
     }
 }
 
 /// Assembles a [`Scenario`] out of cohesive sections — radio, mobility,
-/// scheduling, coex, telemetry — with **eager** validation:
+/// scheduling, coex, execution — with **eager** validation:
 /// [`ScenarioBuilder::build`] runs [`Scenario::validate`] and refuses an
 /// ill-formed configuration at construction time, not at run time.
 ///
@@ -1078,7 +1073,7 @@ impl ExecutionSection {
 ///         donor.tags.clone(),
 ///         donor.receivers.clone(),
 ///     ))
-///     .telemetry(TelemetryConfig::new().with_progress(1.0))
+///     .execution(ExecutionSection::new().progress(1.0, false))
 ///     .build()
 ///     .unwrap();
 /// assert_eq!(built.name, "clinic");
@@ -1098,7 +1093,7 @@ impl ScenarioBuilder {
     /// A blank builder: no entities yet (so [`ScenarioBuilder::build`]
     /// fails until a [`ScenarioBuilder::radio`] section is supplied),
     /// 1 s duration, round-robin scheduling, no mobility, no coex, the
-    /// default telemetry.
+    /// default execution section.
     pub fn new() -> ScenarioBuilder {
         ScenarioBuilder {
             scenario: Scenario {
@@ -1113,7 +1108,6 @@ impl ScenarioBuilder {
                 mobility: None,
                 scheduler: SchedPolicy::RoundRobin,
                 coex: None,
-                telemetry: TelemetryConfig::default(),
                 execution: ExecutionConfig::default(),
             },
         }
@@ -1165,23 +1159,11 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets the telemetry section ([`crate::telemetry`]): subscriptions
-    /// and the progress cadence.
-    pub fn telemetry(mut self, config: TelemetryConfig) -> ScenarioBuilder {
-        self.scenario.telemetry = config;
-        self
-    }
-
     /// Sets the execution section ([`ExecutionSection`]): trial count,
-    /// trace recording, profiling — plus the progress cadence, which it
-    /// applies onto the telemetry section. Like every section it is
-    /// validated eagerly at [`ScenarioBuilder::build`].
+    /// trace recording, profiling and the progress cadence. Like every
+    /// section it is validated eagerly at [`ScenarioBuilder::build`].
     pub fn execution(mut self, section: ExecutionSection) -> ScenarioBuilder {
         self.scenario.execution = section.config;
-        if let Some((every_s, live)) = section.progress {
-            self.scenario.telemetry.progress_every_s = Some(every_s);
-            self.scenario.telemetry.live_progress = live;
-        }
         self
     }
 
@@ -1551,14 +1533,6 @@ mod tests {
 
     #[test]
     fn every_preset_takes_telemetry() {
-        use crate::telemetry::{Dataset, Filter, SinkSpec, Subscription, TelemetryConfig};
-        let config = TelemetryConfig::new()
-            .subscribe(Subscription::new(
-                "tail",
-                Filter::all(),
-                SinkSpec::Quantiles(Dataset::PollLatencyMs),
-            ))
-            .with_progress(1.0);
         for preset in [
             Scenario::hospital_ward(8),
             Scenario::contact_lens_fleet(6),
@@ -1569,27 +1543,17 @@ mod tests {
             let name = preset.name.clone();
             let scenario = preset
                 .builder()
-                .telemetry(config.clone())
+                .execution(ExecutionSection::new().progress(0.5, true).trace(false))
                 .build()
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
-            assert_eq!(scenario.telemetry, config);
-            // Telemetry never renames: observation is invisible to reports.
+            // The progress cadence lands in the execution config next to
+            // the other run-shape knobs the same section set.
+            assert_eq!(scenario.execution.progress_every_s, Some(0.5));
+            assert!(scenario.execution.live_progress);
+            assert!(!scenario.execution.trace);
+            // Progress never renames: observation is invisible to reports.
             assert_eq!(scenario.name, name);
         }
-        // The execution section's progress cadence lands on top of a
-        // telemetry section set first.
-        let ward = Scenario::hospital_ward(4)
-            .builder()
-            .telemetry(TelemetryConfig::new().subscribe(Subscription::new(
-                "c",
-                Filter::all(),
-                SinkSpec::Counters,
-            )))
-            .execution(ExecutionSection::new().progress(0.5, false))
-            .build()
-            .unwrap();
-        assert_eq!(ward.telemetry.subscriptions.len(), 1);
-        assert_eq!(ward.telemetry.progress_every_s, Some(0.5));
     }
 
     #[test]
@@ -1617,8 +1581,7 @@ mod tests {
                     .max_queue(preset.max_queue)
                     .mac(preset.mac),
                 )
-                .scheduling(preset.scheduler)
-                .telemetry(preset.telemetry.clone());
+                .scheduling(preset.scheduler);
             if let Some(mobility) = preset.mobility {
                 builder = builder.mobility(mobility);
             }
@@ -1643,7 +1606,6 @@ mod tests {
     fn builder_rejects_invalid_configs_at_build_time() {
         use crate::coex::{CoexConfig, CoexSource};
         use crate::sched::DeadlineAware;
-        use crate::telemetry::{Filter, SinkSpec, Subscription};
         let donor = Scenario::hospital_ward(4);
 
         // build() surfaces exactly the validate() error, eagerly.
@@ -1697,38 +1659,9 @@ mod tests {
         assert!(donor
             .clone()
             .builder()
-            .telemetry(TelemetryConfig::new().subscribe(Subscription::new(
-                "bad",
-                Filter::all().tags([99]),
-                SinkSpec::Counters,
-            )))
-            .build()
-            .is_err());
-        assert!(donor
-            .clone()
-            .builder()
             .execution(ExecutionSection::new().progress(f64::NAN, false))
             .build()
             .is_err());
-        // A non-finite telemetry window would step its ring once per
-        // simulated nanosecond: refused at build time.
-        for window_s in [f64::NAN, f64::INFINITY] {
-            for sink in [
-                SinkSpec::WindowedPrr { window_s },
-                SinkSpec::WindowedOccupancy { window_s },
-            ] {
-                assert!(donor
-                    .clone()
-                    .builder()
-                    .telemetry(TelemetryConfig::new().subscribe(Subscription::new(
-                        "w",
-                        Filter::all(),
-                        sink
-                    )))
-                    .build()
-                    .is_err());
-            }
-        }
 
         // And an untouched preset round-trips through build().
         assert!(donor.builder().build().is_ok());
@@ -1902,7 +1835,7 @@ mod tests {
                 s.receivers[2].external_occupancy = f64::NAN
             }),
             ("NaN progress cadence", |s| {
-                s.telemetry.progress_every_s = Some(f64::NAN)
+                s.execution.progress_every_s = Some(f64::NAN)
             }),
             ("NaN walk speed", |s| {
                 s.mobility = walk(MobilityModel::RandomWalk(RandomWalk {

@@ -196,7 +196,7 @@ mod tests {
             for (shards, progress) in [(1usize, None), (4, Some(0.05)), (8, Some(0.001))] {
                 let mut shaped = scenario.clone();
                 shaped.execution.shards = shards;
-                shaped.telemetry.progress_every_s = progress;
+                shaped.execution.progress_every_s = progress;
                 let run = crate::run(&shaped, 42).unwrap();
                 assert_eq!(
                     run.trace.to_bytes(),

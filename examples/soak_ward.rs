@@ -1,6 +1,5 @@
 //! A soak run: the 60-tag hospital ward simulated for **10× its usual
-//! duration** with the full observability stack attached — live progress
-//! lines and a set of telemetry subscriptions — next to the exact
+//! duration** with live progress lines attached, next to the exact
 //! stored-sample report.
 //!
 //! Run with an optional seed (default 42):
@@ -10,8 +9,9 @@
 //! ```
 //!
 //! Progress lines stream to stderr as the run advances; stdout carries the
-//! deterministic report plus an FNV-1a digest of the whole thing, so two
-//! same-seed runs are byte-comparable (the CI smoke loop diffs them).
+//! deterministic report and the collected progress lines, plus an FNV-1a
+//! digest of the whole thing, so two same-seed runs are byte-comparable
+//! (the CI smoke loop diffs them).
 //!
 //! Set `PROF_OUT=<path>` and/or `PROF_TRACE_OUT=<path>` to run the
 //! execution observatory alongside: a `PROF_net.json` phase summary and a
@@ -20,7 +20,6 @@
 
 use interscatter::net::prelude::ExecutionSection;
 use interscatter::net::scenario::Scenario;
-use interscatter::net::telemetry::{Dataset, Filter, SinkSpec, Subscription, TelemetryConfig};
 use interscatter::net::trace_digest::fnv1a_str;
 
 /// Soak length, simulated seconds: 10× the hospital-ward preset's 10 s.
@@ -44,25 +43,6 @@ fn main() {
     let scenario = base
         .builder()
         .duration_s(SOAK_DURATION_S)
-        .telemetry(
-            TelemetryConfig::new()
-                .subscribe(Subscription::new(
-                    "latency",
-                    Filter::all(),
-                    SinkSpec::Quantiles(Dataset::DeliveryLatencyMs),
-                ))
-                .subscribe(Subscription::new(
-                    "prr-1s",
-                    Filter::all(),
-                    SinkSpec::WindowedPrr { window_s: 1.0 },
-                ))
-                .subscribe(Subscription::new(
-                    "counters",
-                    Filter::all(),
-                    SinkSpec::Counters,
-                )),
-        )
-        // After the telemetry section, which it writes into.
         .execution(
             ExecutionSection::new()
                 .progress(10.0, true)

@@ -21,6 +21,13 @@ fn one_tag_ward_shorter_than_any_event_is_empty_and_finite() {
         assert_eq!(metrics.offered_packets(), 0, "{what}");
         assert_eq!(metrics.delivery_ratio(), 1.0, "{what}");
         assert_eq!(metrics.per(), 0.0, "{what}");
+        for tag in &metrics.tags {
+            assert_eq!(
+                tag.offered,
+                tag.delivered + tag.dropped + tag.queued,
+                "{what}"
+            );
+        }
         let report = metrics.report();
         for bad in ["NaN", "inf"] {
             assert!(!report.contains(bad), "{what}: {bad} in report:\n{report}");

@@ -4,7 +4,7 @@
 //! every run — at any shard count, at any progress cadence — equals the
 //! plain run: one uninterrupted engine pass (`net::run` builds the engine
 //! core, runs it to the horizon and finishes it). See `net::run` for the
-//! one-engine execution model and `tests/net_chunking.rs` for the
+//! one-engine execution model and `tests/telemetry.rs` for the
 //! progress-cadence property.
 
 use interscatter::net::prelude::ExecutionSection;
