@@ -2,8 +2,9 @@
 //! generators on the medium, and the cost of the adaptive re-striping
 //! machinery. Three points per fleet size:
 //!
-//! * `legacy` — the ward with no coex config (the scalar fold): the
-//!   baseline the coex refactor must not slow down;
+//! * `legacy` — the ward with no coex config (only the sinks' scalar
+//!   fold, no sources, no sensing): the baseline the coex machinery is
+//!   measured against;
 //! * `congested` — the hidden Wi-Fi hammer injecting ~600 bursts/s of
 //!   real emissions (collision arbitration against external traffic);
 //! * `adaptive` — the same plus per-slot occupancy sensing and the

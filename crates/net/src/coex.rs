@@ -1,12 +1,10 @@
 //! Coexistence: the rest of the 2.4 GHz band, modelled as *traffic*.
 //!
-//! Until this module existed, "other people's Wi-Fi" was a single static
-//! `external_occupancy` scalar per sink, folded into a delivery
-//! probability inside the engine's reception arbitration. That shortcut
-//! cannot congest, cannot spike mid-run and cannot be sensed — which made
-//! the ROADMAP's "dynamic sub-band re-striping when a channel's external
-//! occupancy spikes" unbuildable. This module replaces it with three
-//! layers:
+//! Each sink's [`crate::entities::SinkReceiver::external_occupancy`] scalar
+//! is the share of airtime Wi-Fi outside the model holds; the engine folds
+//! it into every reception's delivery probability, with or without a coex
+//! config. This module adds what a scalar cannot do — congest, spike
+//! mid-run, be sensed — in three layers:
 //!
 //! 1. **External traffic generators** — a [`CoexTraffic`] trait
 //!    enum-dispatched through [`CoexModel`], like
@@ -14,15 +12,13 @@
 //!    [`CoexSource`] runs a seeded arrival process on its own RNG stream
 //!    and injects *real timed emissions* into the [`crate::medium::Medium`]
 //!    ([`crate::medium::Emitter::External`]), so collisions, capture and
-//!    the §2.3.3 NAV interact with external traffic packet by packet. The
-//!    legacy scalar survives as the degenerate [`CoexModel::Constant`],
-//!    which emits nothing and keeps the old probability fold — byte-for-
-//!    byte, so pre-refactor trace digests still reproduce.
+//!    the §2.3.3 NAV interact with external traffic packet by packet.
 //! 2. **Occupancy sensing** — each carrier maintains an EWMA busy-airtime
 //!    estimate per channel from what the medium actually carries at its
-//!    slot instants ([`SenseConfig`]), exposed to schedulers through
-//!    [`crate::sched::SlotView::occupancy`] and to metrics as the
-//!    per-carrier [`crate::metrics::OccupancySample`] series.
+//!    slot instants (α = 0.05 per slot, sampled every 0.1 s), exposed to
+//!    schedulers through [`crate::sched::SlotView::occupancy`] and to
+//!    metrics as the per-carrier [`crate::metrics::OccupancySample`]
+//!    series.
 //! 3. **Adaptive re-striping** — a [`ReStripe`] policy: when a carrier's
 //!    sensed occupancy on its own stripe crosses `high_occupancy` and
 //!    another sub-band is at least `hysteresis` quieter, the carrier and
@@ -40,6 +36,7 @@
 
 use crate::entities::Position;
 use crate::medium::Band;
+use crate::scenario::{finite_position, positive_finite};
 use interscatter_ble::channels::{wifi_channel_freq_hz, zigbee_channel_freq_hz, BleChannel};
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -77,12 +74,11 @@ pub enum MediumAccess {
 pub trait CoexTraffic {
     /// Draws the next emission as `(gap_s, duration_s)`: an idle gap from
     /// the previous emission's end (or the activity window's start) to the
-    /// next start, then the on-air time. `None` for silent models
-    /// ([`CoexModel::Constant`]).
-    fn next_emission(&self, rng: &mut SmallRng) -> Option<(f64, f64)>;
+    /// next start, then the on-air time.
+    fn next_emission(&self, rng: &mut SmallRng) -> (f64, f64);
 
-    /// The band emissions occupy; `None` for silent models.
-    fn band(&self) -> Option<Band>;
+    /// The band emissions occupy.
+    fn band(&self) -> Band;
 
     /// How the source treats the shared medium.
     fn access(&self) -> MediumAccess {
@@ -91,30 +87,6 @@ pub trait CoexTraffic {
 
     /// A short name for traces and report tables.
     fn slug(&self) -> &'static str;
-}
-
-/// The legacy static scalar: fold `occupancy` into sink `sink`'s delivery
-/// probability, exactly as the pre-coex engine did. Emits nothing.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ConstantOccupancy {
-    /// Index of the sink whose channel the occupancy applies to.
-    pub sink: usize,
-    /// Fraction of airtime the channel is externally occupied, in [0, 1].
-    pub occupancy: f64,
-}
-
-impl CoexTraffic for ConstantOccupancy {
-    fn next_emission(&self, _rng: &mut SmallRng) -> Option<(f64, f64)> {
-        None
-    }
-
-    fn band(&self) -> Option<Band> {
-        None
-    }
-
-    fn slug(&self) -> &'static str {
-        "constant"
-    }
 }
 
 /// Bursty Wi-Fi OFDM traffic on one channel: geometrically sized A-MPDU
@@ -135,16 +107,16 @@ pub struct WifiBursty {
 }
 
 impl CoexTraffic for WifiBursty {
-    fn next_emission(&self, rng: &mut SmallRng) -> Option<(f64, f64)> {
+    fn next_emission(&self, rng: &mut SmallRng) -> (f64, f64) {
         let gap = exponential_s(rng, 1.0 / self.mean_gap_s);
         // Geometric burst length with the configured mean, ≥ 1 frame.
         let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
         let frames = (-u.ln() * self.mean_burst_frames).ceil().max(1.0);
-        Some((gap, frames * self.frame_airtime_s))
+        (gap, frames * self.frame_airtime_s)
     }
 
-    fn band(&self) -> Option<Band> {
-        Some(Band::new(wifi_channel_freq_hz(self.channel), 22e6))
+    fn band(&self) -> Band {
+        Band::new(wifi_channel_freq_hz(self.channel), 22e6)
     }
 
     fn access(&self) -> MediumAccess {
@@ -168,13 +140,13 @@ pub struct BleAdvertiser {
 }
 
 impl CoexTraffic for BleAdvertiser {
-    fn next_emission(&self, rng: &mut SmallRng) -> Option<(f64, f64)> {
+    fn next_emission(&self, rng: &mut SmallRng) -> (f64, f64) {
         let gap = self.interval_s + rng.gen_range(0.0..BLE_ADV_DELAY_MAX_S);
-        Some((gap, BLE_ADV_AIRTIME_S))
+        (gap, BLE_ADV_AIRTIME_S)
     }
 
-    fn band(&self) -> Option<Band> {
-        Some(Band::new(self.ble_channel.center_freq_hz(), 2e6))
+    fn band(&self) -> Band {
+        Band::new(self.ble_channel.center_freq_hz(), 2e6)
     }
 
     fn slug(&self) -> &'static str {
@@ -203,12 +175,12 @@ impl ZigbeeChatter {
 }
 
 impl CoexTraffic for ZigbeeChatter {
-    fn next_emission(&self, rng: &mut SmallRng) -> Option<(f64, f64)> {
-        Some((exponential_s(rng, self.rate_fps), self.frame_airtime_s()))
+    fn next_emission(&self, rng: &mut SmallRng) -> (f64, f64) {
+        (exponential_s(rng, self.rate_fps), self.frame_airtime_s())
     }
 
-    fn band(&self) -> Option<Band> {
-        Some(Band::new(zigbee_channel_freq_hz(self.channel), 2e6))
+    fn band(&self) -> Band {
+        Band::new(zigbee_channel_freq_hz(self.channel), 2e6)
     }
 
     fn access(&self) -> MediumAccess {
@@ -232,15 +204,15 @@ pub struct Microwave {
 }
 
 impl CoexTraffic for Microwave {
-    fn next_emission(&self, _rng: &mut SmallRng) -> Option<(f64, f64)> {
+    fn next_emission(&self, _rng: &mut SmallRng) -> (f64, f64) {
         // Deterministic: the oven does not consult its RNG stream at all.
-        Some(((1.0 - self.duty) * self.period_s, self.duty * self.period_s))
+        ((1.0 - self.duty) * self.period_s, self.duty * self.period_s)
     }
 
-    fn band(&self) -> Option<Band> {
+    fn band(&self) -> Band {
         // 40 MHz around 2.45 GHz: punctures Wi-Fi channels 6 and 11 but
         // spares channel 1 — the classic kitchen-adjacent deployment tale.
-        Some(Band::new(2.45e9, 40e6))
+        Band::new(2.45e9, 40e6)
     }
 
     fn slug(&self) -> &'static str {
@@ -253,8 +225,6 @@ impl CoexTraffic for Microwave {
 /// [`crate::sched::SchedPolicy`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CoexModel {
-    /// The legacy static per-sink scalar; emits nothing.
-    Constant(ConstantOccupancy),
     /// Bursty Wi-Fi OFDM on a channel.
     WifiBursty(WifiBursty),
     /// Periodic BLE advertising.
@@ -269,7 +239,6 @@ impl CoexModel {
     /// The model as its [`CoexTraffic`] behaviour.
     pub fn traffic(&self) -> &dyn CoexTraffic {
         match self {
-            CoexModel::Constant(m) => m,
             CoexModel::WifiBursty(m) => m,
             CoexModel::BleAdvertiser(m) => m,
             CoexModel::ZigbeeChatter(m) => m,
@@ -305,16 +274,6 @@ impl CoexSource {
             stop_s: f64::INFINITY,
             model,
         }
-    }
-
-    /// The legacy scalar for sink `sink` (position and power are unused —
-    /// the model emits nothing).
-    pub fn constant(sink: usize, occupancy: f64) -> Self {
-        CoexSource::always(
-            Position::default(),
-            -300.0,
-            CoexModel::Constant(ConstantOccupancy { sink, occupancy }),
-        )
     }
 
     /// A CSMA-abiding Wi-Fi neighbour AP on `channel` offering roughly
@@ -398,8 +357,14 @@ impl CoexSource {
         self
     }
 
-    /// Checks the source's parameters.
-    pub fn validate(&self, n_sinks: usize) -> Result<(), String> {
+    /// Checks the source's parameters: a finite position and power, a
+    /// non-empty activity window, and positive-finite rates and durations
+    /// (a NaN or infinite one would otherwise pass here and panic mid-run
+    /// in the time arithmetic).
+    pub fn validate(&self) -> Result<(), String> {
+        if !finite_position(&self.position) {
+            return Err("position must be finite".into());
+        }
         if !(self.start_s >= 0.0 && self.stop_s > self.start_s) {
             return Err(format!(
                 "activity window [{}, {}) is empty",
@@ -410,14 +375,6 @@ impl CoexSource {
             return Err("tx power must be finite".into());
         }
         match self.model {
-            CoexModel::Constant(ConstantOccupancy { sink, occupancy }) => {
-                if sink >= n_sinks {
-                    return Err(format!("constant source: sink {sink} out of range"));
-                }
-                if !(0.0..=1.0).contains(&occupancy) {
-                    return Err(format!("constant occupancy {occupancy} outside [0, 1]"));
-                }
-            }
             CoexModel::WifiBursty(WifiBursty {
                 channel,
                 mean_burst_frames,
@@ -428,13 +385,16 @@ impl CoexSource {
                 if !(1..=13).contains(&channel) {
                     return Err(format!("wifi channel {channel} outside 1..=13"));
                 }
-                if mean_burst_frames <= 0.0 || frame_airtime_s <= 0.0 || mean_gap_s <= 0.0 {
-                    return Err("wifi burst parameters must be positive".into());
+                if ![mean_burst_frames, frame_airtime_s, mean_gap_s]
+                    .into_iter()
+                    .all(positive_finite)
+                {
+                    return Err("wifi burst parameters must be positive and finite".into());
                 }
             }
             CoexModel::BleAdvertiser(BleAdvertiser { interval_s, .. }) => {
-                if interval_s <= 0.0 {
-                    return Err("BLE advertising interval must be positive".into());
+                if !positive_finite(interval_s) {
+                    return Err("BLE advertising interval must be positive and finite".into());
                 }
             }
             CoexModel::ZigbeeChatter(ZigbeeChatter {
@@ -445,14 +405,14 @@ impl CoexSource {
                 if !(11..=26).contains(&channel) {
                     return Err(format!("zigbee channel {channel} outside 11..=26"));
                 }
-                if rate_fps <= 0.0 || payload_bytes == 0 {
-                    return Err("zigbee chatter needs a positive rate and payload".into());
+                if !positive_finite(rate_fps) || payload_bytes == 0 {
+                    return Err("zigbee chatter needs a positive finite rate and payload".into());
                 }
             }
             CoexModel::Microwave(Microwave { period_s, duty }) => {
-                if period_s <= 0.0 || !(duty > 0.0 && duty < 1.0) {
+                if !(positive_finite(period_s) && duty > 0.0 && duty < 1.0) {
                     return Err(format!(
-                        "microwave needs a positive period and duty in (0, 1), got {period_s}/{duty}"
+                        "microwave needs a positive finite period and duty in (0, 1), got {period_s}/{duty}"
                     ));
                 }
             }
@@ -468,45 +428,14 @@ fn burst_gap_for_load(burst_airtime_s: f64, load: f64) -> f64 {
     burst_airtime_s * (1.0 - load) / load
 }
 
-/// Occupancy-sensing parameters: how each carrier's per-channel EWMA busy
-/// estimate is maintained and how often it is sampled into the metrics
-/// series.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SenseConfig {
-    /// EWMA smoothing factor per carrier slot, in (0, 1]: the weight of
-    /// the newest busy/idle observation.
-    pub ewma_alpha: f64,
-    /// Cadence of [`crate::metrics::OccupancySample`] records, seconds.
-    pub sample_interval_s: f64,
-}
+/// EWMA smoothing factor of occupancy sensing, per carrier slot: the
+/// weight of the newest busy/idle observation. At the presets' 5 ms slot
+/// cadence, α = 0.05 gives a ~100 ms time constant: fast enough to catch a
+/// mid-run load spike, slow enough not to chase single bursts.
+pub(crate) const SENSE_EWMA_ALPHA: f64 = 0.05;
 
-impl Default for SenseConfig {
-    fn default() -> Self {
-        SenseConfig {
-            // At the presets' 5 ms slot cadence, α = 0.05 gives a ~100 ms
-            // time constant: fast enough to catch a mid-run load spike,
-            // slow enough not to chase single bursts.
-            ewma_alpha: 0.05,
-            sample_interval_s: 0.1,
-        }
-    }
-}
-
-impl SenseConfig {
-    /// Checks the sensing parameters.
-    pub fn validate(&self) -> Result<(), String> {
-        if !(self.ewma_alpha > 0.0 && self.ewma_alpha <= 1.0) {
-            return Err(format!(
-                "sense ewma_alpha must be in (0, 1], got {}",
-                self.ewma_alpha
-            ));
-        }
-        if self.sample_interval_s <= 0.0 {
-            return Err("sense sample interval must be positive".into());
-        }
-        Ok(())
-    }
-}
+/// Cadence of [`crate::metrics::OccupancySample`] records, seconds.
+pub(crate) const SENSE_SAMPLE_INTERVAL_S: f64 = 0.1;
 
 /// The adaptive re-striping policy: when a carrier's sensed occupancy on
 /// its own stripe crosses `high_occupancy` and the least-occupied
@@ -560,22 +489,20 @@ impl ReStripe {
 }
 
 /// The full coexistence configuration a scenario attaches: the external
-/// sources, the sensing parameters, and (optionally) the adaptive
-/// re-striping policy. The default is sourceless: sensing runs on the
-/// fleet's own traffic and nothing external touches the medium.
+/// traffic sources and (optionally) the adaptive re-striping policy. The
+/// default is sourceless: sensing runs on the fleet's own traffic and
+/// nothing external touches the medium. A config never changes the sinks'
+/// `external_occupancy` scalars the engine folds.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CoexConfig {
     /// The external emitters sharing the band with the fleet.
     pub sources: Vec<CoexSource>,
-    /// Occupancy-sensing parameters.
-    pub sense: SenseConfig,
     /// Adaptive sub-band re-striping, off by default.
     pub restripe: Option<ReStripe>,
 }
 
 impl CoexConfig {
-    /// A config carrying only the given sources, default sensing and no
-    /// re-striping.
+    /// A config carrying only the given sources and no re-striping.
     pub fn with_sources(sources: Vec<CoexSource>) -> Self {
         CoexConfig {
             sources,
@@ -589,31 +516,11 @@ impl CoexConfig {
         self
     }
 
-    /// The engine's per-sink *scalar* occupancy under this config: the sum
-    /// of the [`CoexModel::Constant`] sources targeting the sink, clamped
-    /// to [0, 1]. Real generators contribute through the medium instead,
-    /// so any sink without a constant source reads 0 here.
-    pub fn constant_occupancy(&self, sink: usize) -> f64 {
-        self.sources
-            .iter()
-            .filter_map(|s| match s.model {
-                CoexModel::Constant(ConstantOccupancy { sink: k, occupancy }) if k == sink => {
-                    Some(occupancy)
-                }
-                _ => None,
-            })
-            .sum::<f64>()
-            .clamp(0.0, 1.0)
-    }
-
     /// Checks every source and parameter block.
-    pub fn validate(&self, n_sinks: usize) -> Result<(), String> {
+    pub fn validate(&self) -> Result<(), String> {
         for (k, source) in self.sources.iter().enumerate() {
-            source
-                .validate(n_sinks)
-                .map_err(|e| format!("source {k}: {e}"))?;
+            source.validate().map_err(|e| format!("source {k}: {e}"))?;
         }
-        self.sense.validate()?;
         if let Some(restripe) = &self.restripe {
             restripe.validate()?;
         }
@@ -639,23 +546,6 @@ mod tests {
     }
 
     #[test]
-    fn constant_is_silent_and_folds_per_sink() {
-        let c = CoexSource::constant(1, 0.2);
-        assert!(c.model.traffic().next_emission(&mut rng()).is_none());
-        assert!(c.model.traffic().band().is_none());
-        let cfg = CoexConfig::with_sources(vec![
-            CoexSource::constant(0, 0.05),
-            CoexSource::constant(1, 0.2),
-            CoexSource::constant(1, 0.9),
-        ]);
-        assert_eq!(cfg.constant_occupancy(0), 0.05);
-        // Multiple constants on one sink sum, clamped into [0, 1].
-        assert_eq!(cfg.constant_occupancy(1), 1.0);
-        assert_eq!(cfg.constant_occupancy(2), 0.0);
-        cfg.validate(3).unwrap();
-    }
-
-    #[test]
     fn wifi_bursty_approximates_its_offered_load() {
         for load in [0.2, 0.6] {
             let src = CoexSource::hidden_wifi(Position::default(), 6, load);
@@ -663,7 +553,7 @@ mod tests {
             let mut rng = rng();
             let (mut on, mut total) = (0.0, 0.0);
             for _ in 0..4000 {
-                let (gap, dur) = traffic.next_emission(&mut rng).unwrap();
+                let (gap, dur) = traffic.next_emission(&mut rng);
                 on += dur;
                 total += gap + dur;
             }
@@ -692,12 +582,12 @@ mod tests {
     #[test]
     fn generators_draw_sane_schedules() {
         let ble = CoexSource::ble_beacon(Position::default(), 0.1);
-        let (gap, dur) = ble.model.traffic().next_emission(&mut rng()).unwrap();
+        let (gap, dur) = ble.model.traffic().next_emission(&mut rng());
         assert!((0.1..0.1 + BLE_ADV_DELAY_MAX_S).contains(&gap));
         assert_eq!(dur, BLE_ADV_AIRTIME_S);
 
         let zb = CoexSource::zigbee_neighbor(Position::default(), 14, 50.0);
-        let (gap, dur) = zb.model.traffic().next_emission(&mut rng()).unwrap();
+        let (gap, dur) = zb.model.traffic().next_emission(&mut rng());
         assert!(gap > 0.0);
         // 6 header bytes + 20 payload bytes at 250 kbps = 832 µs.
         assert!((dur - 832e-6).abs() < 1e-9);
@@ -705,8 +595,8 @@ mod tests {
 
         // The microwave never consults its RNG: a strict duty cycle.
         let mw = CoexSource::microwave_oven(Position::default());
-        let a = mw.model.traffic().next_emission(&mut rng()).unwrap();
-        let b = mw.model.traffic().next_emission(&mut rng()).unwrap();
+        let a = mw.model.traffic().next_emission(&mut rng());
+        let b = mw.model.traffic().next_emission(&mut rng());
         assert_eq!(a, b);
         assert!((a.0 - 5e-3).abs() < 1e-12 && (a.1 - 5e-3).abs() < 1e-12);
         assert_eq!(mw.model.traffic().access(), MediumAccess::Ignore);
@@ -717,8 +607,7 @@ mod tests {
         let band = CoexSource::microwave_oven(Position::default())
             .model
             .traffic()
-            .band()
-            .unwrap();
+            .band();
         let ch = |c| Band::new(wifi_channel_freq_hz(c), 22e6);
         assert!(!band.overlaps(&ch(1)), "channel 1 must escape the oven");
         assert!(band.overlaps(&ch(6)));
@@ -727,38 +616,93 @@ mod tests {
 
     #[test]
     fn activity_windows_and_validation() {
-        let src = CoexSource::hidden_wifi(Position::default(), 6, 0.5).active(3.0, 8.0);
+        let here = Position::default();
+        let src = CoexSource::hidden_wifi(here, 6, 0.5).active(3.0, 8.0);
         assert_eq!((src.start_s, src.stop_s), (3.0, 8.0));
-        src.validate(1).unwrap();
-        assert!(CoexSource::hidden_wifi(Position::default(), 6, 0.5)
+        src.validate().unwrap();
+        assert!(CoexSource::hidden_wifi(here, 6, 0.5)
             .active(5.0, 5.0)
-            .validate(1)
+            .validate()
             .is_err());
-        assert!(CoexSource::constant(4, 0.1).validate(3).is_err());
-        assert!(CoexSource::constant(0, 1.5).validate(3).is_err());
         // Channel ranges are validated, not deferred to a mid-run panic
         // inside the channel-frequency asserts.
-        assert!(CoexSource::wifi_neighbor(Position::default(), 14, 0.3)
-            .validate(1)
+        assert!(CoexSource::wifi_neighbor(here, 14, 0.3).validate().is_err());
+        assert!(CoexSource::zigbee_neighbor(here, 9, 10.0)
+            .validate()
             .is_err());
-        assert!(CoexSource::zigbee_neighbor(Position::default(), 9, 10.0)
-            .validate(1)
-            .is_err());
+        let mut far = CoexSource::microwave_oven(here);
+        far.position.y = f64::NAN;
+        assert!(far.validate().is_err());
 
-        let mut bad = CoexSource::microwave_oven(Position::default());
-        bad.model = CoexModel::Microwave(Microwave {
+        // Each model with one parameter made non-positive or non-finite:
+        // all rejected here rather than panicking in the time arithmetic
+        // mid-run.
+        let with = |model| CoexSource {
+            model,
+            ..CoexSource::microwave_oven(here)
+        };
+        let wifi = WifiBursty {
+            channel: 6,
+            mean_burst_frames: 4.0,
+            frame_airtime_s: 1e-3,
+            mean_gap_s: 1e-2,
+            access: MediumAccess::Csma,
+        };
+        let ble = BleAdvertiser {
+            ble_channel: BleChannel::ADV_38,
+            interval_s: 0.1,
+        };
+        let zigbee = ZigbeeChatter {
+            channel: 14,
+            rate_fps: 50.0,
+            payload_bytes: 20,
+        };
+        let oven = Microwave {
             period_s: 10e-3,
-            duty: 1.0,
-        });
-        assert!(bad.validate(1).is_err());
-
-        assert!(SenseConfig::default().validate().is_ok());
-        assert!(SenseConfig {
-            ewma_alpha: 0.0,
-            sample_interval_s: 0.1
+            duty: 0.5,
+        };
+        for model in [
+            CoexModel::WifiBursty(wifi),
+            CoexModel::BleAdvertiser(ble),
+            CoexModel::ZigbeeChatter(zigbee),
+            CoexModel::Microwave(oven),
+        ] {
+            with(model).validate().unwrap();
         }
-        .validate()
-        .is_err());
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            for model in [
+                CoexModel::WifiBursty(WifiBursty {
+                    frame_airtime_s: bad,
+                    ..wifi
+                }),
+                CoexModel::WifiBursty(WifiBursty {
+                    mean_burst_frames: bad,
+                    ..wifi
+                }),
+                CoexModel::WifiBursty(WifiBursty {
+                    mean_gap_s: bad,
+                    ..wifi
+                }),
+                CoexModel::BleAdvertiser(BleAdvertiser {
+                    interval_s: bad,
+                    ..ble
+                }),
+                CoexModel::ZigbeeChatter(ZigbeeChatter {
+                    rate_fps: bad,
+                    ..zigbee
+                }),
+                CoexModel::Microwave(Microwave {
+                    period_s: bad,
+                    ..oven
+                }),
+            ] {
+                assert!(with(model).validate().is_err(), "{bad}: {model:?}");
+            }
+        }
+        assert!(with(CoexModel::Microwave(Microwave { duty: 1.0, ..oven }))
+            .validate()
+            .is_err());
+
         assert!(ReStripe::default().validate().is_ok());
         assert!(ReStripe {
             check_every_slots: 0,
@@ -773,8 +717,8 @@ mod tests {
         .validate()
         .is_err());
 
-        let cfg = CoexConfig::with_sources(vec![CoexSource::constant(9, 0.1)]);
-        assert!(cfg.validate(2).is_err());
-        CoexConfig::default().validate(0).unwrap();
+        let cfg = CoexConfig::with_sources(vec![CoexSource::ble_beacon(here, f64::NAN)]);
+        assert!(cfg.validate().is_err());
+        CoexConfig::default().validate().unwrap();
     }
 }

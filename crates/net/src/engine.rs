@@ -18,7 +18,7 @@
 //! an AM-OFDM poll from the carrier and an AM-OFDM ack from the sink
 //! (see [`crate::mac`] for the transaction structure and its physics).
 
-use crate::coex::{CoexConfig, MediumAccess};
+use crate::coex::{CoexConfig, MediumAccess, SENSE_EWMA_ALPHA, SENSE_SAMPLE_INTERVAL_S};
 use crate::entities::{streams, NetPhy, Position, SinkKind};
 use crate::event::{DownlinkKind, EventKind, EventQueue, EventTrace};
 use crate::links::{EntityId, LinkBudget, LinkMatrix, Listener};
@@ -145,8 +145,8 @@ enum RxOutcome {
     /// Lost to in-model interference (capture failed).
     Collision,
     /// Lost to external traffic: a collision where every in-band
-    /// interferer was a coex source's emission, or the legacy
-    /// occupancy-scalar fold.
+    /// interferer was a coex source's emission, or the fold of the sink's
+    /// `external_occupancy` scalar.
     External,
     /// Lost to the link budget (shadowed RSSI under sensitivity).
     LinkLoss,
@@ -213,7 +213,6 @@ pub(crate) struct EngineCore<'a> {
     tuned_phy: Vec<NetPhy>,
     tuned_rx: Vec<usize>,
     airborne: Vec<bool>,
-    ext_occ: Vec<f64>,
     coex: Option<CoexRuntime<'a>>,
     /// Self-profiling recorder, `Some` only when the scenario enables
     /// profiling. Wall-clock state stays out of the event loop's inputs —
@@ -316,21 +315,6 @@ impl<'a> EngineCore<'a> {
         // quiescence so a tag is never re-tuned mid-flight).
         let airborne = vec![false; scenario.tags.len()];
 
-        // The per-sink *scalar* external occupancy folded into delivery
-        // probabilities: the legacy `external_occupancy` field without a
-        // coex config, the `CoexModel::Constant` sources with one (real
-        // generators contribute through the medium instead).
-        let ext_occ: Vec<f64> = match &scenario.coex {
-            None => scenario
-                .receivers
-                .iter()
-                .map(|r| r.external_occupancy)
-                .collect(),
-            Some(cfg) => (0..scenario.receivers.len())
-                .map(|s| cfg.constant_occupancy(s))
-                .collect(),
-        };
-
         let mut coex: Option<CoexRuntime> = scenario.coex.as_ref().map(|config| {
             metrics.init_coex(scenario.carriers.len(), config.sources.len());
             let carrier0_freq = scenario.carriers[0].carrier_freq_hz();
@@ -362,9 +346,7 @@ impl<'a> EngineCore<'a> {
                         last_restripe: Time::ZERO,
                     })
                     .collect(),
-                sample_ns: Time::from_secs(config.sense.sample_interval_s)
-                    .as_nanos()
-                    .max(1),
+                sample_ns: Time::from_secs(SENSE_SAMPLE_INTERVAL_S).as_nanos().max(1),
             }
         });
 
@@ -391,12 +373,9 @@ impl<'a> EngineCore<'a> {
             queue.schedule(Time::ZERO.after_nanos(mob.tick_ns), EventKind::MobilityTick);
         }
         if let Some(cx) = coex.as_mut() {
-            // First arrival per external source (silent models draw
-            // nothing and schedule nothing).
+            // First arrival per external source.
             for (k, source) in cx.config.sources.iter().enumerate() {
-                let Some((gap, dur)) = source.model.traffic().next_emission(&mut cx.rngs[k]) else {
-                    continue;
-                };
+                let (gap, dur) = source.model.traffic().next_emission(&mut cx.rngs[k]);
                 let start = Time::from_secs(source.start_s).after_secs(gap);
                 if start.as_secs() < source.stop_s {
                     cx.pending_dur_s[k] = dur;
@@ -425,7 +404,6 @@ impl<'a> EngineCore<'a> {
             tuned_phy,
             tuned_rx,
             airborne,
-            ext_occ,
             coex,
             prof,
         })
@@ -453,7 +431,6 @@ impl<'a> EngineCore<'a> {
             ref mut tuned_phy,
             ref mut tuned_rx,
             ref mut airborne,
-            ref ext_occ,
             ref mut coex,
             ref mut prof,
         } = *self;
@@ -547,7 +524,7 @@ impl<'a> EngineCore<'a> {
                     let cx = coex.as_mut().expect("coex event without config");
                     let spec = &cx.config.sources[source];
                     let traffic = spec.model.traffic();
-                    let band = traffic.band().expect("silent sources never schedule");
+                    let band = traffic.band();
                     if traffic.access() == MediumAccess::Csma && medium.busy(band, now) {
                         // A well-behaved neighbour defers to the busy band
                         // (including the §2.3.3 NAV — this is exactly the
@@ -590,14 +567,11 @@ impl<'a> EngineCore<'a> {
                     let _ = medium.finish(tx_id);
                     let cx = coex.as_mut().expect("coex event without config");
                     let spec = &cx.config.sources[source];
-                    if let Some((gap, dur)) =
-                        spec.model.traffic().next_emission(&mut cx.rngs[source])
-                    {
-                        let start = now.after_secs(gap);
-                        if start.as_secs() < spec.stop_s {
-                            cx.pending_dur_s[source] = dur;
-                            queue.schedule(start, EventKind::CoexStart { source });
-                        }
+                    let (gap, dur) = spec.model.traffic().next_emission(&mut cx.rngs[source]);
+                    let start = now.after_secs(gap);
+                    if start.as_secs() < spec.stop_s {
+                        cx.pending_dur_s[source] = dur;
+                        queue.schedule(start, EventKind::CoexStart { source });
                     }
                 }
                 EventKind::PacketArrival { tag } => {
@@ -807,7 +781,7 @@ impl<'a> EngineCore<'a> {
                         &report,
                         band,
                         Listener::Tag(tag),
-                        ext_occ[tuned_rx[tag]],
+                        scenario.receivers[tuned_rx[tag]].external_occupancy,
                         scenario.cts_to_self,
                         &mut tags[tag].rng,
                     );
@@ -887,7 +861,7 @@ impl<'a> EngineCore<'a> {
                         &report,
                         band,
                         Listener::Carrier(carrier_idx),
-                        ext_occ[tuned_rx[tag]],
+                        scenario.receivers[tuned_rx[tag]].external_occupancy,
                         scenario.cts_to_self,
                         &mut carriers[carrier_idx].rng,
                     );
@@ -944,7 +918,7 @@ impl<'a> EngineCore<'a> {
                         &report,
                         rx_band,
                         Listener::Receiver(rx_idx),
-                        ext_occ[rx_idx],
+                        rx.external_occupancy,
                         scenario.cts_to_self,
                         &mut tags[tag].rng,
                     );
@@ -1154,14 +1128,13 @@ fn sense_and_restripe(
     } = cx;
     let sense = &mut sense[carrier];
     sense.slots = sense.slots.wrapping_add(1);
-    let alpha = config.sense.ewma_alpha;
     for (r, band) in rx_bands.iter().enumerate() {
         let busy = if medium.occupied(*band, now) {
             1.0
         } else {
             0.0
         };
-        sense.ewma[r] += alpha * (busy - sense.ewma[r]);
+        sense.ewma[r] += SENSE_EWMA_ALPHA * (busy - sense.ewma[r]);
     }
     // The carrier's own channel: where its members actually deliver (in a
     // striped scenario that *is* the stripe's sink, before and after any
@@ -1678,7 +1651,16 @@ mod tests {
         // extraction changed behaviour. (The constants assume the usual
         // glibc libm; a platform with a different `ln`/`log10` rounding
         // would shift them while same-binary determinism still holds.)
-        let cases: [(&str, Scenario, u64, u64); 6] = [
+        // The two `coex` cases attach an empty coex config: the sinks'
+        // `external_occupancy` scalars must still fold, so they reproduce
+        // the plain wards' digests.
+        let with_empty_coex = |s: Scenario| {
+            s.builder()
+                .coex(CoexConfig::default())
+                .build()
+                .expect("empty coex config builds")
+        };
+        let cases: [(&str, Scenario, u64, u64); 8] = [
             (
                 "open ward",
                 Scenario::hospital_ward(12),
@@ -1688,6 +1670,18 @@ mod tests {
             (
                 "closed ward",
                 Scenario::hospital_ward(10).closed_loop(),
+                13,
+                0xA9EF_B8C8_FD03_1709,
+            ),
+            (
+                "open ward + empty coex",
+                with_empty_coex(Scenario::hospital_ward(12)),
+                7,
+                0x7FFE_41A8_87B8_D4D2,
+            ),
+            (
+                "closed ward + empty coex",
+                with_empty_coex(Scenario::hospital_ward(10).closed_loop()),
                 13,
                 0xA9EF_B8C8_FD03_1709,
             ),
@@ -1832,11 +1826,6 @@ mod tests {
                 0xDAC0_2872_E363_DFB1,
             ),
             (
-                "hospital_12_constant_coex",
-                Scenario::hospital_ward(12).with_constant_coex(),
-                0x90B0_EB83_F4F6_9E17,
-            ),
-            (
                 "hospital_12_deadline_closed",
                 Scenario::hospital_ward(12)
                     .closed_loop()
@@ -1973,43 +1962,6 @@ mod tests {
         let b = run(&striped, 9);
         assert!(b.metrics.delivered_packets() > 0);
         assert_ne!(a.trace.to_bytes(), b.trace.to_bytes());
-    }
-
-    #[test]
-    fn constant_coex_reproduces_legacy_digests() {
-        // The backward-compatibility contract of the coex refactor (same
-        // style as the PR 4 scheduler extraction): a coex config whose
-        // only sources are `CoexSource::Constant` scalars mirroring the
-        // sinks' legacy `external_occupancy` must take the *same* RNG
-        // draws through the same delivery-probability fold — and hence
-        // reproduce the pre-coex trace digests byte for byte. The pinned
-        // constants are the same ones `round_robin_reproduces_pre_extraction_traces`
-        // carries from commit e60cecf.
-        let cases: [(&str, Scenario, u64, u64); 2] = [
-            (
-                "open ward",
-                Scenario::hospital_ward(12).with_constant_coex(),
-                7,
-                0x7FFE_41A8_87B8_D4D2,
-            ),
-            (
-                "closed ward",
-                Scenario::hospital_ward(10)
-                    .closed_loop()
-                    .with_constant_coex(),
-                13,
-                0xA9EF_B8C8_FD03_1709,
-            ),
-        ];
-        for (what, scenario, seed, expect) in cases {
-            assert!(scenario.coex.is_some());
-            let result = run(&scenario, seed);
-            let digest = result.trace.digest();
-            assert_eq!(
-                digest, expect,
-                "{what}: constant-coex digest {digest:#018X} != legacy {expect:#018X}"
-            );
-        }
     }
 
     #[test]
@@ -2218,7 +2170,6 @@ mod tests {
             CoexSource::ble_beacon(Position::new(0.5, 0.5, 1.0), 0.05),
             CoexSource::zigbee_neighbor(Position::new(11.0, 1.0, 1.0), 17, 30.0),
             CoexSource::microwave_oven(Position::new(11.5, 8.5, 1.0)),
-            CoexSource::constant(2, 0.1),
         ]);
         for scenario in [
             Scenario::hospital_ward(10)
@@ -2243,16 +2194,11 @@ mod tests {
             );
             let c = run(&scenario, 32);
             assert_ne!(a.trace.to_bytes(), c.trace.to_bytes());
-            // All four emitting kinds actually emitted (the constant is
-            // silent by design).
-            for k in 0..5 {
-                assert!(
-                    a.metrics.coex_emissions[k] > 0,
-                    "{}: source {k} never emitted",
-                    scenario.name
-                );
+            // Every source of every kind actually emitted.
+            assert_eq!(a.metrics.coex_emissions.len(), 5);
+            for (k, &emissions) in a.metrics.coex_emissions.iter().enumerate() {
+                assert!(emissions > 0, "{}: source {k} never emitted", scenario.name);
             }
-            assert_eq!(a.metrics.coex_emissions[5], 0, "constants are silent");
             assert!(a.metrics.delivered_packets() > 0);
         }
     }

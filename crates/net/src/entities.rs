@@ -297,6 +297,10 @@ pub struct SinkReceiver {
     pub sensitivity_dbm: f64,
     /// Fraction of airtime its channel is occupied by *other* (external)
     /// Wi-Fi traffic the engine does not model packet-by-packet, in [0, 1].
+    /// Folded into every reception's delivery probability on every run,
+    /// whether or not the scenario attaches a coex config
+    /// ([`crate::coex`] sources add traffic on top; they never replace
+    /// this scalar).
     pub external_occupancy: f64,
     /// Transmit power of the sink's AM-OFDM downlink (closed-loop acks),
     /// dBm. APs transmit at the §4.4 bench's 15 dBm; hubs and card hosts

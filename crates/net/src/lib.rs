@@ -282,7 +282,7 @@ pub fn run_trials(
 
 /// The commonly used types in one import.
 pub mod prelude {
-    pub use crate::coex::{CoexConfig, CoexModel, CoexSource, CoexTraffic, ReStripe, SenseConfig};
+    pub use crate::coex::{CoexConfig, CoexModel, CoexSource, CoexTraffic, ReStripe};
     pub use crate::engine::NetRunResult;
     pub use crate::entities::{CarrierSource, NetPhy, Position, SinkReceiver, TagNode, TagProfile};
     pub use crate::links::{EntityId, LinkMatrix};

@@ -252,8 +252,8 @@ struct PkgGains {
     carrier_freq: Vec<u32>,
     /// Per sink: its downlink frequency (closed loop only).
     sink_freq: Vec<u32>,
-    /// Per external source: its band centre (`None` for silent models).
-    ext_freq: Vec<Option<u32>>,
+    /// Per external source: its band centre.
+    ext_freq: Vec<u32>,
 }
 
 impl PkgGains {
@@ -309,23 +309,19 @@ struct ClosedLoopTables {
     sink_sigma_db: Vec<f64>,
 }
 
-/// Power a silent external source contributes: effectively nothing.
-const SILENT_DBM: f64 = -300.0;
-
 /// Median power of every external coexistence source at every listener
 /// kind but tags (only built when the scenario attaches
-/// [`crate::coex::CoexSource`]s with real emission bands; the power at a
-/// tag's detector is evaluated per query). Sources never move, so these
-/// rows are only refreshed when the *listener* moves.
+/// [`crate::coex::CoexSource`]s; the power at a tag's detector is
+/// evaluated per query). Sources never move, so these rows are only
+/// refreshed when the *listener* moves.
 #[derive(Debug, Clone)]
 struct ExtTables {
     /// `at_rx[k][r]`: source `k`'s emission at receiver `r`, dBm.
     at_rx: Table2d,
     /// `at_carrier[k][c]`: source `k`'s emission at carrier `c`, dBm.
     at_carrier: Table2d,
-    /// Per source: path-loss evaluator at its emission frequency (`None`
-    /// for silent models).
-    pl: Vec<Option<FastPathLoss>>,
+    /// Per source: path-loss evaluator at its emission frequency.
+    pl: Vec<FastPathLoss>,
     /// Per source: transmit power + antenna gain, dBm.
     eirp_dbm: Vec<f64>,
     /// Per source: where it sits (static for the whole run).
@@ -614,18 +610,17 @@ impl LinkMatrix {
                 pkg.ext_freq = cfg
                     .sources
                     .iter()
-                    .map(|s| s.model.traffic().band().map(|b| pkg.register(b.center_hz)))
+                    .map(|s| pkg.register(s.model.traffic().band().center_hz))
                     .collect();
                 ExtTables {
-                    at_rx: Table2d::new(n_src, n_rx, SILENT_DBM),
-                    at_carrier: Table2d::new(n_src, n_carriers, SILENT_DBM),
+                    at_rx: Table2d::new(n_src, n_rx, 0.0),
+                    at_carrier: Table2d::new(n_src, n_carriers, 0.0),
                     pl: cfg
                         .sources
                         .iter()
                         .map(|s| {
-                            s.model.traffic().band().map(|b| {
-                                FastPathLoss::new(&LogDistanceModel::indoor_los(b.center_hz))
-                            })
+                            let centre_hz = s.model.traffic().band().center_hz;
+                            FastPathLoss::new(&LogDistanceModel::indoor_los(centre_hz))
                         })
                         .collect(),
                     eirp_dbm: cfg.sources.iter().map(|s| s.tx_power_dbm + 2.0).collect(),
@@ -793,10 +788,9 @@ impl LinkMatrix {
         // External sources at this carrier's radio.
         if let Some(ext) = self.ext.as_mut() {
             for k in 0..ext.pos.len() {
-                let Some(pl) = ext.pl[k] else { continue };
                 let (l, near) = log_distance(&pos, &ext.pos[k]);
                 ext.at_carrier
-                    .set(k, c, ext.eirp_dbm[k] + 2.0 - pl.db_at(l, near));
+                    .set(k, c, ext.eirp_dbm[k] + 2.0 - ext.pl[k].db_at(l, near));
             }
         }
         let Self {
@@ -859,10 +853,9 @@ impl LinkMatrix {
         // External sources at this receiver.
         if let Some(ext) = self.ext.as_mut() {
             for k in 0..ext.pos.len() {
-                let Some(pl) = ext.pl[k] else { continue };
                 let (l, near) = log_distance(&pos, &ext.pos[k]);
                 ext.at_rx
-                    .set(k, s, ext.eirp_dbm[k] + 2.0 - pl.db_at(l, near));
+                    .set(k, s, ext.eirp_dbm[k] + 2.0 - ext.pl[k].db_at(l, near));
             }
         }
         let Self {
@@ -1036,15 +1029,11 @@ impl LinkMatrix {
             - cl.pl_sink[s].db_at(l, near)
     }
 
-    /// External source `k`'s emission at tag `t`'s detector, dBm
-    /// ([`SILENT_DBM`] for a silent source).
+    /// External source `k`'s emission at tag `t`'s detector, dBm.
     fn ext_at_tag_dbm(&self, k: usize, t: usize) -> f64 {
         let ext = self.ext();
-        let (Some(pl), Some(f)) = (ext.pl[k], self.pkg.ext_freq[k]) else {
-            return SILENT_DBM;
-        };
         let (l, near) = log_distance(&self.tag_pos[t], &ext.pos[k]);
-        ext.eirp_dbm[k] + self.pkg.at(t, f) - pl.db_at(l, near)
+        ext.eirp_dbm[k] + self.pkg.at(t, self.pkg.ext_freq[k]) - ext.pl[k].db_at(l, near)
     }
 
     /// Carrier `p`'s poll at tag `t`'s detector, dBm.
@@ -1156,8 +1145,8 @@ mod tests {
         }
         if let Some(cfg) = scenario.coex.as_ref() {
             for (k, src) in cfg.sources.iter().enumerate() {
-                let band = src.model.traffic().band().map(|b| b.center_hz.to_bits());
-                assert_eq!(pkg.ext_freq[k].map(freq_of), band, "{when}: source {k}");
+                let band = src.model.traffic().band().center_hz.to_bits();
+                assert_eq!(freq_of(pkg.ext_freq[k]), band, "{when}: source {k}");
             }
         }
     }
@@ -1596,11 +1585,6 @@ mod tests {
             let p = matrix.power_dbm(Emitter::External(0), at);
             assert!(p.is_finite() && p < 25.0, "{at:?}: {p} dBm");
         }
-        // A silent (constant) source contributes effectively nothing.
-        let silent = Scenario::hospital_ward(4).with_constant_coex();
-        let m2 = LinkMatrix::build(&silent).unwrap();
-        let p = m2.power_dbm(Emitter::External(1), Listener::Receiver(1));
-        assert!(p < -250.0, "silent source at {p} dBm");
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub struct TagStats {
     pub collided: usize,
     /// Attempts lost to external traffic: collisions whose in-band
     /// interferers were all coex-source emissions ([`crate::coex`]), or
-    /// the legacy occupancy-scalar fold.
+    /// the fold of the sink's `external_occupancy` scalar.
     pub external_collisions: usize,
     /// Attempts lost to the link budget (shadowed RSSI under sensitivity).
     pub link_losses: usize,
@@ -94,8 +94,8 @@ impl MobilitySample {
     }
 }
 
-/// One point of a carrier's sensed-occupancy series, recorded on the
-/// [`crate::coex::SenseConfig`] cadence: what the carrier's EWMA busy
+/// One point of a carrier's sensed-occupancy series, recorded every
+/// 0.1 s of simulated time: what the carrier's EWMA busy
 /// estimator reads on its own stripe, and how its member tags' attempts
 /// fared since the previous sample — the raw material of the
 /// PRR-under-congestion readout.

@@ -49,10 +49,10 @@ pub struct Scenario {
     /// engine byte for byte.
     pub scheduler: SchedPolicy,
     /// External coexistence traffic, occupancy sensing and (optionally)
-    /// adaptive sub-band re-striping ([`crate::coex`]). `None` keeps the
-    /// legacy behaviour: each sink's static `external_occupancy` scalar is
-    /// folded into its delivery probability and nothing external ever
-    /// touches the medium.
+    /// adaptive sub-band re-striping ([`crate::coex`]). `None` means
+    /// nothing external ever touches the medium and nothing is sensed.
+    /// Either way each sink's `external_occupancy` scalar is folded into
+    /// its delivery probability.
     pub coex: Option<CoexConfig>,
     /// Run-shape knobs ([`ExecutionConfig`]): Monte-Carlo trial count,
     /// trace recording, profiling and the progress cadence. None of them
@@ -151,7 +151,7 @@ impl ExecutionConfig {
 /// True when every coordinate is finite. Link powers are evaluated from
 /// live positions on every query, so one NaN coordinate would poison every
 /// capture decision that touches the entity.
-fn finite_position(p: &Position) -> bool {
+pub(crate) fn finite_position(p: &Position) -> bool {
     p.x.is_finite() && p.y.is_finite() && p.z.is_finite()
 }
 
@@ -254,17 +254,8 @@ impl Scenario {
             .validate()
             .map_err(|e| NetError::InvalidScenario(format!("scheduler: {e}")))?;
         if let Some(coex) = &self.coex {
-            coex.validate(self.receivers.len())
+            coex.validate()
                 .map_err(|e| NetError::InvalidScenario(format!("coex: {e}")))?;
-            if let Some(k) = coex
-                .sources
-                .iter()
-                .position(|s| !finite_position(&s.position))
-            {
-                return Err(NetError::InvalidScenario(format!(
-                    "coex: source {k}: position must be finite"
-                )));
-            }
         }
         self.execution
             .validate()
@@ -588,42 +579,14 @@ impl Scenario {
         self
     }
 
-    /// The backward-compatibility bridge: replaces any coex config with one
-    /// whose only sources are [`crate::coex::CoexModel::Constant`] scalars
-    /// mirroring each sink's legacy `external_occupancy`. The engine then
-    /// takes the *same* per-sink delivery-probability fold with the same
-    /// RNG draws, so trace digests reproduce the pre-coex engine byte for
-    /// byte (pinned by `constant_coex_reproduces_legacy_digests`).
-    pub fn with_constant_coex(mut self) -> Scenario {
-        self.coex = Some(self.constant_coex());
-        self.name = format!("{}-coex", self.name);
-        self
-    }
-
-    /// Attaches (or swaps) the adaptive re-striping policy on a scenario
-    /// that already carries a coex config. A scenario without one gets the
-    /// [`Scenario::with_constant_coex`] bridge config first (each sink's
-    /// legacy scalar mirrored as a `Constant` source), so attaching the
-    /// policy alone never changes the external-loss baseline — any
-    /// adaptive-vs-static difference is the re-striping, not a silently
-    /// zeroed occupancy fold.
+    /// Attaches (or swaps) the adaptive re-striping policy, on the
+    /// scenario's coex config or on an empty one. The sinks'
+    /// `external_occupancy` scalars fold either way, so attaching the
+    /// policy never changes the external-loss baseline.
     pub fn with_restripe(mut self, policy: ReStripe) -> Scenario {
-        let config = self.coex.take().unwrap_or_else(|| self.constant_coex());
-        self.coex = Some(config.with_restripe(policy));
+        self.coex = Some(self.coex.take().unwrap_or_default().with_restripe(policy));
         self.name = format!("{}-adaptive", self.name);
         self
-    }
-
-    /// One [`CoexSource::constant`] per sink, mirroring its legacy
-    /// `external_occupancy` scalar.
-    fn constant_coex(&self) -> CoexConfig {
-        CoexConfig::with_sources(
-            self.receivers
-                .iter()
-                .enumerate()
-                .map(|(s, rx)| CoexSource::constant(s, rx.external_occupancy))
-                .collect(),
-        )
     }
 
     /// The congestion-stress ward: the striped hospital ward (carriers and
@@ -635,10 +598,15 @@ impl Scenario {
     /// [`Scenario::with_restripe`] and the stripe-1 carriers sense the
     /// spike and re-tune themselves (and their tags) to the quietest
     /// sub-band. This is the geometry the `coex_shootout` example and the
-    /// re-striping regression tests compare policies on.
+    /// re-striping regression tests compare policies on. The hidden
+    /// transmitter is the only external load: the APs' `external_occupancy`
+    /// scalars are zero.
     pub fn congested_ward(n_tags: usize) -> Scenario {
         let n = n_tags.max(1);
         let mut ward = Scenario::hospital_ward(n).with_subband_striping();
+        for ap in &mut ward.receivers {
+            ap.external_occupancy = 0.0;
+        }
         ward.coex = Some(CoexConfig::with_sources(vec![CoexSource::hidden_wifi(
             // Beside the channel-6 AP on the far wall: loud at the APs,
             // unheard at the bedside helpers.
@@ -820,9 +788,7 @@ impl Scenario {
                     depth * ((a / 4) as f64 + 0.5) / 4.0,
                     3.0,
                 );
-                let mut ap = SinkReceiver::wifi_ap(position, ch);
-                ap.external_occupancy = if ch == 6 { 0.2 } else { 0.05 };
-                ap
+                SinkReceiver::wifi_ap(position, ch)
             })
             .collect();
 
@@ -1244,6 +1210,7 @@ fn nearest_index(receivers: &[SinkReceiver], position: &Position) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coex::CoexModel;
     use crate::mobility::RandomWalk;
 
     #[test]
@@ -1472,30 +1439,21 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
             assert_eq!(scenario.coex, Some(config.clone()));
         }
-        // The constant bridge mirrors each sink's legacy scalar.
-        let bridged = Scenario::hospital_ward(8).with_constant_coex();
-        assert!(bridged.name.ends_with("coex"));
-        let cfg = bridged.coex.as_ref().unwrap();
-        assert_eq!(cfg.sources.len(), bridged.receivers.len());
-        for (s, rx) in bridged.receivers.iter().enumerate() {
-            assert_eq!(cfg.constant_occupancy(s), rx.external_occupancy);
-        }
-        bridged.validate().unwrap();
-        // with_restripe composes (and bootstraps a config when absent).
+        // with_restripe composes (and bootstraps an empty config when
+        // absent) without touching the sinks' scalars.
         let adaptive = Scenario::hospital_ward(8)
             .with_subband_striping()
             .with_restripe(ReStripe::default());
         assert!(adaptive.name.ends_with("adaptive"));
-        assert_eq!(
-            adaptive.coex.as_ref().and_then(|c| c.restripe),
-            Some(ReStripe::default())
-        );
-        // The bootstrap mirrors the legacy scalars (it must not silently
-        // zero the external-loss baseline the policy is compared against).
         let cfg = adaptive.coex.as_ref().unwrap();
-        for (s, rx) in adaptive.receivers.iter().enumerate() {
-            assert_eq!(cfg.constant_occupancy(s), rx.external_occupancy);
-        }
+        assert_eq!(cfg.restripe, Some(ReStripe::default()));
+        assert!(cfg.sources.is_empty());
+        let scalars: Vec<f64> = adaptive
+            .receivers
+            .iter()
+            .map(|r| r.external_occupancy)
+            .collect();
+        assert_eq!(scalars, [0.05, 0.2, 0.05]);
         adaptive.validate().unwrap();
     }
 
@@ -1515,9 +1473,9 @@ mod tests {
             crate::coex::CoexModel::WifiBursty(w) if w.channel == 6
                 && w.access == crate::coex::MediumAccess::Hidden
         ));
-        // Scalars are out of the picture: no constant sources.
-        for s in 0..ward.receivers.len() {
-            assert_eq!(cfg.constant_occupancy(s), 0.0);
+        // The hidden transmitter is the only external load.
+        for rx in &ward.receivers {
+            assert_eq!(rx.external_occupancy, 0.0);
         }
         assert!(cfg.restripe.is_none(), "static striping by default");
         // Composes with the closed loop and the adaptive policy.
@@ -1639,7 +1597,11 @@ mod tests {
         assert!(donor
             .clone()
             .builder()
-            .coex(CoexConfig::with_sources(vec![CoexSource::constant(9, 0.1)]))
+            .coex(CoexConfig::with_sources(vec![CoexSource::zigbee_neighbor(
+                Position::default(),
+                9,
+                10.0
+            )]))
             .build()
             .is_err());
         assert!(donor
@@ -1794,7 +1756,7 @@ mod tests {
             speed_max_mps: 1.5,
             pause_s: 0.5,
         };
-        let cases: [(&str, Edit); 18] = [
+        let cases: [(&str, Edit); 19] = [
             ("NaN duration", |s| s.duration_s = f64::NAN),
             ("NaN slot interval", |s| {
                 s.carriers[0].slot_interval_s = f64::NAN
@@ -1824,6 +1786,13 @@ mod tests {
                     6,
                     0.6,
                 )]))
+            }),
+            ("infinite coex frame airtime", |s| {
+                let mut source = CoexSource::wifi_neighbor(Position::new(6.0, 8.0, 2.0), 6, 0.6);
+                if let CoexModel::WifiBursty(w) = &mut source.model {
+                    w.frame_airtime_s = f64::INFINITY;
+                }
+                s.coex = Some(CoexConfig::with_sources(vec![source]))
             }),
             ("occupancy above 1", |s| {
                 s.receivers[0].external_occupancy = 1.7

@@ -2,11 +2,10 @@
 //! traces ([`crate::event::EventTrace::digest`]), the digest-checked
 //! examples, the determinism tests, and the soak-run report digest.
 //!
-//! One implementation, one set of constants — the digests pinned across
-//! PRs (`round_robin_reproduces_pre_extraction_traces`,
-//! `constant_coex_reproduces_legacy_digests`) all hash through here, so a
-//! typo'd constant in a copy would show up as a digest mismatch instead of
-//! silently forking the fingerprint space.
+//! One implementation, one set of constants — the pinned digests
+//! (`round_robin_reproduces_pre_extraction_traces` and the examples) all
+//! hash through here, so a typo'd constant in a copy would show up as a
+//! digest mismatch instead of silently forking the fingerprint space.
 
 /// FNV-1a offset basis (64-bit).
 pub const FNV_OFFSET_BASIS: u64 = 0xCBF2_9CE4_8422_2325;

@@ -4,9 +4,10 @@
 //! close enough to the wall APs to collide with everything the stripe-1
 //! tags send there:
 //!
-//! * **quiet striped** — the same striped ward with an empty coex config:
-//!   no external traffic *and* no legacy occupancy scalars, so it is the
-//!   like-for-like ceiling the other two rows chase;
+//! * **quiet striped** — the same striped ward with an empty coex config
+//!   and its sinks' `external_occupancy` scalars zeroed, as the congested
+//!   ward zeroes them: no external load at all, so it is the like-for-like
+//!   ceiling the other two rows chase;
 //! * **static striping** — carriers keep the sub-band the scenario
 //!   assigned them and ride the collapse out;
 //! * **adaptive re-striping** — each carrier's EWMA occupancy sensor
@@ -35,14 +36,17 @@ fn main() {
         .unwrap_or(42);
 
     let n_tags = 12;
+    // An empty config (sensing runs, no sources emit) over zeroed sink
+    // scalars: the same footing the congested rows stand on, minus the
+    // hammer.
+    let mut quiet = Scenario::hospital_ward(n_tags).with_subband_striping();
+    for ap in &mut quiet.receivers {
+        ap.external_occupancy = 0.0;
+    }
     let rows: [(&str, Scenario); 3] = [
         (
             "quiet striped",
-            // An empty config: sensing runs, no sources emit, and the
-            // legacy per-sink scalars are out of the fold — the same
-            // footing the congested rows stand on, minus the hammer.
-            Scenario::hospital_ward(n_tags)
-                .with_subband_striping()
+            quiet
                 .builder()
                 .coex(CoexConfig::default())
                 .build()

@@ -4,9 +4,9 @@
 #   scripts/bench_quick.sh [out_dir]
 #
 # Runs the quick-tier benches (CI runs this script too) into
-# BENCH_net.json (engine benches) and BENCH_phy.json (PHY pipelines and
-# figure runners) — one JSON line per benchmark — and a profiled campus
-# smoke run into PROF_net.json + PROF_trace.json (the execution
+# BENCH_net.json (engine benches) and BENCH_phy.json (PHY pipelines,
+# figure runners and ablations) — one JSON line per benchmark — and a
+# profiled campus smoke run into PROF_net.json + PROF_trace.json (the execution
 # observatory's phase summary and Chrome/Perfetto trace; see
 # `net::prof`). Artifacts land in out_dir (default: the repo root), so
 # the trajectory that is otherwise only charted between CI runs can be
@@ -40,11 +40,13 @@ jq -s 'length' "$bench_out" >/dev/null # sanity: valid JSON lines
 
 # The PHY layer: tx/rx chain per standard, FFT, SSB reflection; then
 # every figure runner at its reduced bench setting (e.g. fig11_per/per_cdf,
-# the waveform 802.11b packet trials).
-cargo bench -p interscatter-bench --bench phy_pipelines -- --quick --json \
-  | tee /dev/stderr | grep '^{' > "$phy_out"
-cargo bench -p interscatter-bench --bench figures -- --quick --json \
-  | tee /dev/stderr | grep '^{' >> "$phy_out"
+# the waveform 802.11b packet trials); then the design-choice ablations
+# (e.g. ablation_squarewave).
+: > "$phy_out"
+for bench in phy_pipelines figures ablations; do
+  cargo bench -p interscatter-bench --bench "$bench" -- --quick --json \
+    | tee /dev/stderr | grep '^{' >> "$phy_out"
+done
 jq -s 'length' "$phy_out" >/dev/null
 
 # The observatory run: the campus smoke example with profiling on. PROF

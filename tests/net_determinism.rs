@@ -67,14 +67,9 @@ fn scenarios() -> Vec<Scenario> {
                 CoexSource::ble_beacon(Position::new(0.5, 0.5, 1.0), 0.05),
                 CoexSource::zigbee_neighbor(Position::new(11.0, 1.0, 1.0), 17, 40.0),
                 CoexSource::microwave_oven(Position::new(11.5, 8.5, 1.0)),
-                CoexSource::constant(2, 0.1),
             ]))
             .build()
             .unwrap(),
-        // The legacy bridge: constant sources mirroring the sink scalars.
-        Scenario::hospital_ward(12)
-            .closed_loop()
-            .with_constant_coex(),
         // The congestion preset, static and with a mid-run adaptive
         // re-stripe (the re-tuned tags' new channels, budgets and the
         // trace line of the decision itself must all replay byte for
