@@ -6,19 +6,17 @@
 //! config. This module adds what a scalar cannot do — congest, spike
 //! mid-run, be sensed — in three layers:
 //!
-//! 1. **External traffic generators** — a [`CoexTraffic`] trait
-//!    enum-dispatched through [`CoexModel`], like
-//!    [`crate::mobility::Mobility`] and [`crate::sched::Scheduler`]. Each
-//!    [`CoexSource`] runs a seeded arrival process on its own RNG stream
-//!    and injects *real timed emissions* into the [`crate::medium::Medium`]
+//! 1. **External traffic generators** — a closed [`CoexModel`] catalogue
+//!    whose methods `match` on the variant. Each [`CoexSource`] runs a
+//!    seeded arrival process on its own RNG stream and injects *real timed
+//!    emissions* into the [`crate::medium::Medium`]
 //!    ([`crate::medium::Emitter::External`]), so collisions, capture and
 //!    the §2.3.3 NAV interact with external traffic packet by packet.
 //! 2. **Occupancy sensing** — each carrier maintains an EWMA busy-airtime
 //!    estimate per channel from what the medium actually carries at its
-//!    slot instants (α = 0.05 per slot, sampled every 0.1 s), exposed to
-//!    schedulers through [`crate::sched::SlotView::occupancy`] and to
-//!    metrics as the per-carrier [`crate::metrics::OccupancySample`]
-//!    series.
+//!    slot instants (α = 0.05 per slot, sampled every 0.1 s). It feeds the
+//!    re-striping decision below and the per-carrier
+//!    [`crate::metrics::OccupancySample`] series.
 //! 3. **Adaptive re-striping** — a [`ReStripe`] policy: when a carrier's
 //!    sensed occupancy on its own stripe crosses `high_occupancy` and
 //!    another sub-band is at least `hysteresis` quieter, the carrier and
@@ -68,27 +66,6 @@ pub enum MediumAccess {
     Hidden,
 }
 
-/// An external traffic process: when (and for how long) the source is on
-/// the air. Enum-dispatched through [`CoexModel`], like
-/// [`crate::mobility::Mobility`].
-pub trait CoexTraffic {
-    /// Draws the next emission as `(gap_s, duration_s)`: an idle gap from
-    /// the previous emission's end (or the activity window's start) to the
-    /// next start, then the on-air time.
-    fn next_emission(&self, rng: &mut SmallRng) -> (f64, f64);
-
-    /// The band emissions occupy.
-    fn band(&self) -> Band;
-
-    /// How the source treats the shared medium.
-    fn access(&self) -> MediumAccess {
-        MediumAccess::Ignore
-    }
-
-    /// A short name for traces and report tables.
-    fn slug(&self) -> &'static str;
-}
-
 /// Bursty Wi-Fi OFDM traffic on one channel: geometrically sized A-MPDU
 /// bursts separated by exponential idle gaps — the on/off shape real
 /// WLAN load shows at millisecond scale.
@@ -106,25 +83,14 @@ pub struct WifiBursty {
     pub access: MediumAccess,
 }
 
-impl CoexTraffic for WifiBursty {
-    fn next_emission(&self, rng: &mut SmallRng) -> (f64, f64) {
+impl WifiBursty {
+    /// An exponential idle gap, then a geometric burst of at least one
+    /// frame with the configured mean.
+    fn next_burst(&self, rng: &mut SmallRng) -> (f64, f64) {
         let gap = exponential_s(rng, 1.0 / self.mean_gap_s);
-        // Geometric burst length with the configured mean, ≥ 1 frame.
         let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
         let frames = (-u.ln() * self.mean_burst_frames).ceil().max(1.0);
         (gap, frames * self.frame_airtime_s)
-    }
-
-    fn band(&self) -> Band {
-        Band::new(wifi_channel_freq_hz(self.channel), 22e6)
-    }
-
-    fn access(&self) -> MediumAccess {
-        self.access
-    }
-
-    fn slug(&self) -> &'static str {
-        "wifi-bursty"
     }
 }
 
@@ -137,21 +103,6 @@ pub struct BleAdvertiser {
     pub ble_channel: BleChannel,
     /// Nominal advertising interval, seconds.
     pub interval_s: f64,
-}
-
-impl CoexTraffic for BleAdvertiser {
-    fn next_emission(&self, rng: &mut SmallRng) -> (f64, f64) {
-        let gap = self.interval_s + rng.gen_range(0.0..BLE_ADV_DELAY_MAX_S);
-        (gap, BLE_ADV_AIRTIME_S)
-    }
-
-    fn band(&self) -> Band {
-        Band::new(self.ble_channel.center_freq_hz(), 2e6)
-    }
-
-    fn slug(&self) -> &'static str {
-        "ble-adv"
-    }
 }
 
 /// Poisson ZigBee chatter on one 802.15.4 channel: fixed-size frames at a
@@ -174,24 +125,6 @@ impl ZigbeeChatter {
     }
 }
 
-impl CoexTraffic for ZigbeeChatter {
-    fn next_emission(&self, rng: &mut SmallRng) -> (f64, f64) {
-        (exponential_s(rng, self.rate_fps), self.frame_airtime_s())
-    }
-
-    fn band(&self) -> Band {
-        Band::new(zigbee_channel_freq_hz(self.channel), 2e6)
-    }
-
-    fn access(&self) -> MediumAccess {
-        MediumAccess::Csma
-    }
-
-    fn slug(&self) -> &'static str {
-        "zigbee"
-    }
-}
-
 /// A microwave oven: a strict magnetron duty cycle (on for `duty` of every
 /// `period_s`, off for the rest), wideband around 2.45 GHz, deaf to
 /// carrier-sense but loud enough that everyone else defers to it.
@@ -201,23 +134,6 @@ pub struct Microwave {
     pub period_s: f64,
     /// Fraction of each period the magnetron radiates, in (0, 1).
     pub duty: f64,
-}
-
-impl CoexTraffic for Microwave {
-    fn next_emission(&self, _rng: &mut SmallRng) -> (f64, f64) {
-        // Deterministic: the oven does not consult its RNG stream at all.
-        ((1.0 - self.duty) * self.period_s, self.duty * self.period_s)
-    }
-
-    fn band(&self) -> Band {
-        // 40 MHz around 2.45 GHz: punctures Wi-Fi channels 6 and 11 but
-        // spares channel 1 — the classic kitchen-adjacent deployment tale.
-        Band::new(2.45e9, 40e6)
-    }
-
-    fn slug(&self) -> &'static str {
-        "microwave"
-    }
 }
 
 /// The generator catalogue a [`CoexSource`] can run (plain data, `Copy`,
@@ -236,13 +152,50 @@ pub enum CoexModel {
 }
 
 impl CoexModel {
-    /// The model as its [`CoexTraffic`] behaviour.
-    pub fn traffic(&self) -> &dyn CoexTraffic {
+    /// Draws the next emission as `(gap_s, duration_s)`: an idle gap from
+    /// the previous emission's end (or the activity window's start) to the
+    /// next start, then the on-air time.
+    pub fn next_emission(&self, rng: &mut SmallRng) -> (f64, f64) {
         match self {
-            CoexModel::WifiBursty(m) => m,
-            CoexModel::BleAdvertiser(m) => m,
-            CoexModel::ZigbeeChatter(m) => m,
-            CoexModel::Microwave(m) => m,
+            CoexModel::WifiBursty(m) => m.next_burst(rng),
+            CoexModel::BleAdvertiser(m) => (
+                m.interval_s + rng.gen_range(0.0..BLE_ADV_DELAY_MAX_S),
+                BLE_ADV_AIRTIME_S,
+            ),
+            CoexModel::ZigbeeChatter(m) => (exponential_s(rng, m.rate_fps), m.frame_airtime_s()),
+            // Deterministic: the oven does not consult its RNG stream at all.
+            CoexModel::Microwave(m) => ((1.0 - m.duty) * m.period_s, m.duty * m.period_s),
+        }
+    }
+
+    /// The band emissions occupy.
+    pub fn band(&self) -> Band {
+        match self {
+            CoexModel::WifiBursty(m) => Band::new(wifi_channel_freq_hz(m.channel), 22e6),
+            CoexModel::BleAdvertiser(m) => Band::new(m.ble_channel.center_freq_hz(), 2e6),
+            CoexModel::ZigbeeChatter(m) => Band::new(zigbee_channel_freq_hz(m.channel), 2e6),
+            // 40 MHz around 2.45 GHz: punctures Wi-Fi channels 6 and 11 but
+            // spares channel 1 — the classic kitchen-adjacent deployment tale.
+            CoexModel::Microwave(_) => Band::new(2.45e9, 40e6),
+        }
+    }
+
+    /// How the source treats the shared medium.
+    pub fn access(&self) -> MediumAccess {
+        match self {
+            CoexModel::WifiBursty(m) => m.access,
+            CoexModel::ZigbeeChatter(_) => MediumAccess::Csma,
+            CoexModel::BleAdvertiser(_) | CoexModel::Microwave(_) => MediumAccess::Ignore,
+        }
+    }
+
+    /// A short name for traces and report tables.
+    pub fn slug(&self) -> &'static str {
+        match self {
+            CoexModel::WifiBursty(_) => "wifi-bursty",
+            CoexModel::BleAdvertiser(_) => "ble-adv",
+            CoexModel::ZigbeeChatter(_) => "zigbee",
+            CoexModel::Microwave(_) => "microwave",
         }
     }
 }
@@ -478,8 +431,11 @@ impl ReStripe {
         if !(self.hysteresis >= 0.0 && self.hysteresis.is_finite()) {
             return Err("hysteresis must be finite and non-negative".into());
         }
-        if self.min_dwell_s < 0.0 {
-            return Err("min_dwell_s must be non-negative".into());
+        if !(self.min_dwell_s >= 0.0 && self.min_dwell_s.is_finite()) {
+            return Err(format!(
+                "min_dwell_s must be finite and non-negative, got {}",
+                self.min_dwell_s
+            ));
         }
         if self.check_every_slots == 0 {
             return Err("check_every_slots must be at least 1".into());
@@ -549,11 +505,10 @@ mod tests {
     fn wifi_bursty_approximates_its_offered_load() {
         for load in [0.2, 0.6] {
             let src = CoexSource::hidden_wifi(Position::default(), 6, load);
-            let traffic = src.model.traffic();
             let mut rng = rng();
             let (mut on, mut total) = (0.0, 0.0);
             for _ in 0..4000 {
-                let (gap, dur) = traffic.next_emission(&mut rng);
+                let (gap, dur) = src.model.next_emission(&mut rng);
                 on += dur;
                 total += gap + dur;
             }
@@ -566,14 +521,12 @@ mod tests {
         assert_eq!(
             CoexSource::hidden_wifi(Position::default(), 6, 0.5)
                 .model
-                .traffic()
                 .access(),
             MediumAccess::Hidden
         );
         assert_eq!(
             CoexSource::wifi_neighbor(Position::default(), 6, 0.5)
                 .model
-                .traffic()
                 .access(),
             MediumAccess::Csma
         );
@@ -582,32 +535,29 @@ mod tests {
     #[test]
     fn generators_draw_sane_schedules() {
         let ble = CoexSource::ble_beacon(Position::default(), 0.1);
-        let (gap, dur) = ble.model.traffic().next_emission(&mut rng());
+        let (gap, dur) = ble.model.next_emission(&mut rng());
         assert!((0.1..0.1 + BLE_ADV_DELAY_MAX_S).contains(&gap));
         assert_eq!(dur, BLE_ADV_AIRTIME_S);
 
         let zb = CoexSource::zigbee_neighbor(Position::default(), 14, 50.0);
-        let (gap, dur) = zb.model.traffic().next_emission(&mut rng());
+        let (gap, dur) = zb.model.next_emission(&mut rng());
         assert!(gap > 0.0);
         // 6 header bytes + 20 payload bytes at 250 kbps = 832 µs.
         assert!((dur - 832e-6).abs() < 1e-9);
-        assert_eq!(zb.model.traffic().access(), MediumAccess::Csma);
+        assert_eq!(zb.model.access(), MediumAccess::Csma);
 
         // The microwave never consults its RNG: a strict duty cycle.
         let mw = CoexSource::microwave_oven(Position::default());
-        let a = mw.model.traffic().next_emission(&mut rng());
-        let b = mw.model.traffic().next_emission(&mut rng());
+        let a = mw.model.next_emission(&mut rng());
+        let b = mw.model.next_emission(&mut rng());
         assert_eq!(a, b);
         assert!((a.0 - 5e-3).abs() < 1e-12 && (a.1 - 5e-3).abs() < 1e-12);
-        assert_eq!(mw.model.traffic().access(), MediumAccess::Ignore);
+        assert_eq!(mw.model.access(), MediumAccess::Ignore);
     }
 
     #[test]
     fn microwave_band_spares_channel_1() {
-        let band = CoexSource::microwave_oven(Position::default())
-            .model
-            .traffic()
-            .band();
+        let band = CoexSource::microwave_oven(Position::default()).model.band();
         let ch = |c| Band::new(wifi_channel_freq_hz(c), 22e6);
         assert!(!band.overlaps(&ch(1)), "channel 1 must escape the oven");
         assert!(band.overlaps(&ch(6)));
@@ -716,6 +666,15 @@ mod tests {
         }
         .validate()
         .is_err());
+        // A NaN dwell would panic in the time arithmetic mid-run; an
+        // infinite one would silently never re-stripe.
+        for min_dwell_s in [-1.0, f64::NAN, f64::INFINITY] {
+            let policy = ReStripe {
+                min_dwell_s,
+                ..ReStripe::default()
+            };
+            assert!(policy.validate().is_err(), "dwell {min_dwell_s}");
+        }
 
         let cfg = CoexConfig::with_sources(vec![CoexSource::ble_beacon(here, f64::NAN)]);
         assert!(cfg.validate().is_err());

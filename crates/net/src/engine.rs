@@ -279,31 +279,28 @@ impl<'a> EngineCore<'a> {
                 rng: streams::carrier_rng(seed, c),
             })
             .collect();
-        let mobility: Option<MobilityRuntime> = scenario
-            .mobility
-            .filter(|config| !config.model.is_static())
-            .map(|config| MobilityRuntime {
-                config,
-                tick_ns: Time::from_secs(config.tick_interval_s).as_nanos().max(1),
-                states: scenario
-                    .tags
-                    .iter()
-                    .map(|t| MotionState::at(t.position()))
-                    .collect(),
-                rngs: (0..scenario.tags.len())
-                    .map(|t| streams::mobility_rng(seed, t))
-                    .collect(),
-                carrier_origin: scenario.carriers.iter().map(|c| c.position()).collect(),
-                carrier_wearer: carriers
-                    .iter()
-                    .map(|state| match state.sched.members() {
-                        [only] => Some(*only),
-                        _ => None,
-                    })
-                    .collect(),
-                prev_delivered: vec![0; scenario.tags.len()],
-                prev_attempts: vec![0; scenario.tags.len()],
-            });
+        let mobility: Option<MobilityRuntime> = scenario.mobility.map(|config| MobilityRuntime {
+            config,
+            tick_ns: Time::from_secs(config.tick_interval_s).as_nanos().max(1),
+            states: scenario
+                .tags
+                .iter()
+                .map(|t| MotionState::at(t.position()))
+                .collect(),
+            rngs: (0..scenario.tags.len())
+                .map(|t| streams::mobility_rng(seed, t))
+                .collect(),
+            carrier_origin: scenario.carriers.iter().map(|c| c.position()).collect(),
+            carrier_wearer: carriers
+                .iter()
+                .map(|state| match state.sched.members() {
+                    [only] => Some(*only),
+                    _ => None,
+                })
+                .collect(),
+            prev_delivered: vec![0; scenario.tags.len()],
+            prev_attempts: vec![0; scenario.tags.len()],
+        });
 
         // The tags' *live* tuning: the scenario's PHY/receiver assignment
         // until an adaptive re-stripe re-tunes a carrier's members. When
@@ -375,7 +372,7 @@ impl<'a> EngineCore<'a> {
         if let Some(cx) = coex.as_mut() {
             // First arrival per external source.
             for (k, source) in cx.config.sources.iter().enumerate() {
-                let (gap, dur) = source.model.traffic().next_emission(&mut cx.rngs[k]);
+                let (gap, dur) = source.model.next_emission(&mut cx.rngs[k]);
                 let start = Time::from_secs(source.start_s).after_secs(gap);
                 if start.as_secs() < source.stop_s {
                     cx.pending_dur_s[k] = dur;
@@ -523,9 +520,8 @@ impl<'a> EngineCore<'a> {
                     let now = event.at;
                     let cx = coex.as_mut().expect("coex event without config");
                     let spec = &cx.config.sources[source];
-                    let traffic = spec.model.traffic();
-                    let band = traffic.band();
-                    if traffic.access() == MediumAccess::Csma && medium.busy(band, now) {
+                    let band = spec.model.band();
+                    if spec.model.access() == MediumAccess::Csma && medium.busy(band, now) {
                         // A well-behaved neighbour defers to the busy band
                         // (including the §2.3.3 NAV — this is exactly the
                         // protection a CTS-to-Self buys against external
@@ -543,7 +539,7 @@ impl<'a> EngineCore<'a> {
                     // silent from that instant on, even mid-burst.
                     let dur = cx.pending_dur_s[source].min(spec.stop_s - now.as_secs());
                     let end = now.after_secs(dur);
-                    let tx_id = if traffic.access() == MediumAccess::Hidden {
+                    let tx_id = if spec.model.access() == MediumAccess::Hidden {
                         medium.start_hidden(Emitter::External(source), band, None, now, end)
                     } else {
                         medium.start(Emitter::External(source), band, None, now, end)
@@ -554,7 +550,7 @@ impl<'a> EngineCore<'a> {
                     trace.record(now, || {
                         format!(
                             "coex {} {source}: {} ns on air",
-                            traffic.slug(),
+                            spec.model.slug(),
                             Time::from_secs(dur).as_nanos()
                         )
                     });
@@ -567,7 +563,7 @@ impl<'a> EngineCore<'a> {
                     let _ = medium.finish(tx_id);
                     let cx = coex.as_mut().expect("coex event without config");
                     let spec = &cx.config.sources[source];
-                    let (gap, dur) = spec.model.traffic().next_emission(&mut cx.rngs[source]);
+                    let (gap, dur) = spec.model.next_emission(&mut cx.rngs[source]);
                     let start = now.after_secs(gap);
                     if start.as_secs() < spec.stop_s {
                         cx.pending_dur_s[source] = dur;
@@ -604,9 +600,8 @@ impl<'a> EngineCore<'a> {
                     // into the carrier's EWMAs and — on the policy cadence
                     // — maybe re-tune the carrier and its tags to the
                     // least-occupied sub-band. Slot-aligned, RNG-free.
-                    let occupancy = match coex.as_mut() {
-                        None => 0.0,
-                        Some(cx) => sense_and_restripe(
+                    if let Some(cx) = coex.as_mut() {
+                        sense_and_restripe(
                             cx,
                             scenario,
                             carrier,
@@ -620,8 +615,8 @@ impl<'a> EngineCore<'a> {
                             mac_loop.as_ref(),
                             metrics,
                             trace,
-                        ),
-                    };
+                        );
+                    }
                     // Consult the scenario's scheduler: the backlog oracle
                     // reports each member's head-of-queue arrival when the
                     // tag can be granted (queued traffic and — closed loop —
@@ -634,14 +629,9 @@ impl<'a> EngineCore<'a> {
                             (!state.queue.is_empty() && mac.is_none_or(|m| m.is_idle(t)))
                                 .then(|| state.queue.front().expect("backlogged").arrived)
                         };
-                        carriers[carrier].sched.pick(
-                            &backlog,
-                            &SlotView {
-                                now,
-                                links,
-                                occupancy,
-                            },
-                        )
+                        carriers[carrier]
+                            .sched
+                            .pick(&backlog, &SlotView { now, links })
                     };
                     let Some(tag) = picked else {
                         continue;
@@ -665,15 +655,7 @@ impl<'a> EngineCore<'a> {
                                 });
                                 continue;
                             }
-                            grant_slot(
-                                &mut carriers[carrier],
-                                tags,
-                                metrics,
-                                links,
-                                tag,
-                                now,
-                                occupancy,
-                            );
+                            grant_slot(&mut carriers[carrier], tags, metrics, links, tag, now);
                             let end = now.after_secs(airtime);
                             if scenario.cts_to_self {
                                 // The §2.3.3 NAV covers the inter-channel
@@ -722,15 +704,7 @@ impl<'a> EngineCore<'a> {
                                 });
                                 continue;
                             }
-                            grant_slot(
-                                &mut carriers[carrier],
-                                tags,
-                                metrics,
-                                links,
-                                tag,
-                                now,
-                                occupancy,
-                            );
+                            grant_slot(&mut carriers[carrier], tags, metrics, links, tag, now);
                             let poll_air = mac::poll_airtime_s();
                             let end = now.after_secs(poll_air);
                             if scenario.cts_to_self {
@@ -1094,9 +1068,7 @@ fn charge_mirror_airtime(
 /// EWMA busy estimates from the medium's receive-side load, record an
 /// [`OccupancySample`] on the configured cadence, and — when a
 /// [`crate::coex::ReStripe`] policy is attached — maybe re-tune the
-/// carrier and its Wi-Fi tags to the least-occupied sub-band. Returns the
-/// carrier's sensed occupancy on its own stripe (what
-/// [`SlotView::occupancy`] exposes to the scheduler).
+/// carrier and its Wi-Fi tags to the least-occupied sub-band.
 ///
 /// Re-striping is deterministic (no RNG), slot-aligned, hysteretic (an
 /// occupancy threshold *and* a dwell time) and quiescent: a carrier with a
@@ -1117,7 +1089,7 @@ fn sense_and_restripe(
     mac: Option<&MacLoop>,
     metrics: &mut NetworkMetrics,
     trace: &mut EventTrace,
-) -> f64 {
+) {
     let CoexRuntime {
         config,
         rx_bands,
@@ -1154,8 +1126,6 @@ fn sense_and_restripe(
                 wifi_rx[carriers[carrier].sched.subband().min(wifi_rx.len() - 1)]
             }
         });
-    let occ = sense.ewma[own_rx];
-
     if now.since(sense.last_sample).as_nanos() >= *sample_ns {
         sense.last_sample = now;
         let (mut attempts, mut delivered) = (0, 0);
@@ -1167,7 +1137,7 @@ fn sense_and_restripe(
         metrics.occupancy_series[carrier].push(OccupancySample {
             at_s: now.as_secs(),
             subband,
-            occupancy: occ,
+            occupancy: sense.ewma[own_rx],
             attempts: attempts - sense.prev_attempts,
             delivered: delivered - sense.prev_delivered,
         });
@@ -1176,24 +1146,24 @@ fn sense_and_restripe(
     }
 
     let Some(policy) = config.restripe else {
-        return occ;
+        return;
     };
     if wifi_rx.len() < 2 || sense.slots % policy.check_every_slots != 0 {
-        return occ;
+        return;
     }
     if now.since(sense.last_restripe).as_nanos() < Time::from_secs(policy.min_dwell_s).as_nanos() {
-        return occ;
+        return;
     }
     // The carrier's current stripe, derived from where its members
     // deliver (so an unstriped ward's channel-6 carriers are judged on
     // channel 6, not on the never-assigned subband 0). A carrier whose
     // own channel is not a Wi-Fi sink has nothing to re-stripe.
     let Some(cur) = wifi_rx.iter().position(|&r| r == own_rx) else {
-        return occ;
+        return;
     };
     let cur_occ = sense.ewma[own_rx];
     if cur_occ <= policy.high_occupancy {
-        return occ;
+        return;
     }
     // The least-occupied candidate stripe; ties break toward the lower
     // stripe index (strict `<` with an ascending scan).
@@ -1204,7 +1174,7 @@ fn sense_and_restripe(
         }
     }
     if best == cur || best_occ + policy.hysteresis >= cur_occ {
-        return occ;
+        return;
     }
     let members = carriers[carrier].sched.members();
     let quiescent = members
@@ -1214,7 +1184,7 @@ fn sense_and_restripe(
         .iter()
         .any(|&t| matches!(tuned_phy[t], NetPhy::Wifi { .. }));
     if !quiescent || !any_wifi {
-        return occ;
+        return;
     }
     let to_rx = wifi_rx[best];
     let SinkKind::Wifi { channel } = scenario.receivers[to_rx].kind else {
@@ -1248,7 +1218,6 @@ fn sense_and_restripe(
              (occupancy {from_pct}% -> {to_pct}%)"
         )
     });
-    sense.ewma[to_rx]
 }
 
 /// Arbitrates one reception in three stages, in order:
@@ -1330,18 +1299,11 @@ fn grant_slot(
     links: &LinkMatrix,
     tag: usize,
     now: Time,
-    occupancy: f64,
 ) {
     let head_arrived = tags[tag].queue.front().map(|p| p.arrived).unwrap_or(now);
-    let missed = carrier.sched.granted(
-        tag,
-        head_arrived,
-        &SlotView {
-            now,
-            links,
-            occupancy,
-        },
-    );
+    let missed = carrier
+        .sched
+        .granted(tag, head_arrived, &SlotView { now, links });
     metrics.tags[tag].grants += 1;
     if missed {
         metrics.tags[tag].deadline_misses += 1;
@@ -1623,24 +1585,6 @@ mod tests {
         // interleaved.
         let replay = run(&scenario, 13);
         assert_eq!(result.trace.to_bytes(), replay.trace.to_bytes());
-    }
-
-    #[test]
-    fn static_mobility_config_schedules_no_ticks() {
-        let scenario = Scenario::hospital_ward(4)
-            .builder()
-            .mobility(MobilityConfig {
-                model: MobilityModel::Static,
-                tick_interval_s: 0.1,
-                bounds: Bounds::room(12.0, 9.0, 1.0),
-                carriers_follow: false,
-            })
-            .build()
-            .unwrap();
-        let result = run(&scenario, 3);
-        let text = String::from_utf8(result.trace.to_bytes()).unwrap();
-        assert!(!text.contains("mobility tick"));
-        assert!(result.metrics.mobility_series.iter().all(|s| s.is_empty()));
     }
 
     #[test]

@@ -92,7 +92,7 @@ pub enum EventKind {
         tx_id: u64,
     },
     /// A mobility tick: every mobile entity advances one
-    /// [`crate::mobility::Mobility::step`] and the engine refreshes the
+    /// [`crate::mobility::MobilityModel::step`] and the engine refreshes the
     /// dirty [`crate::links::LinkMatrix`] rows. Scheduled on the
     /// integer-nanosecond grid (tick `k` fires at exactly `k · period`),
     /// so the cadence never drifts against the carrier slots.

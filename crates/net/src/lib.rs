@@ -282,19 +282,19 @@ pub fn run_trials(
 
 /// The commonly used types in one import.
 pub mod prelude {
-    pub use crate::coex::{CoexConfig, CoexModel, CoexSource, CoexTraffic, ReStripe};
+    pub use crate::coex::{CoexConfig, CoexModel, CoexSource, ReStripe};
     pub use crate::engine::NetRunResult;
     pub use crate::entities::{CarrierSource, NetPhy, Position, SinkReceiver, TagNode, TagProfile};
     pub use crate::links::{EntityId, LinkMatrix};
     pub use crate::mac::{MacLoop, MacMode};
     pub use crate::metrics::NetworkMetrics;
-    pub use crate::mobility::{Bounds, Mobility, MobilityConfig, MobilityModel};
+    pub use crate::mobility::{Bounds, MobilityConfig, MobilityModel};
     pub use crate::prof::{ProfReport, ProfSummary, Profiler};
     pub use crate::runner::MonteCarloReport;
     pub use crate::scenario::{
         ExecutionConfig, ExecutionSection, RadioSection, Scenario, ScenarioBuilder,
     };
-    pub use crate::sched::{CarrierSched, SchedPolicy, Scheduler};
+    pub use crate::sched::{CarrierSched, SchedPolicy};
     pub use crate::shard::Cell;
     pub use crate::telemetry::TelemetryReport;
     pub use crate::time::Time;

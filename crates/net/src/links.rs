@@ -610,7 +610,7 @@ impl LinkMatrix {
                 pkg.ext_freq = cfg
                     .sources
                     .iter()
-                    .map(|s| pkg.register(s.model.traffic().band().center_hz))
+                    .map(|s| pkg.register(s.model.band().center_hz))
                     .collect();
                 ExtTables {
                     at_rx: Table2d::new(n_src, n_rx, 0.0),
@@ -619,7 +619,7 @@ impl LinkMatrix {
                         .sources
                         .iter()
                         .map(|s| {
-                            let centre_hz = s.model.traffic().band().center_hz;
+                            let centre_hz = s.model.band().center_hz;
                             FastPathLoss::new(&LogDistanceModel::indoor_los(centre_hz))
                         })
                         .collect(),
@@ -995,11 +995,6 @@ impl LinkMatrix {
         &self.closed().ack_budgets[tag]
     }
 
-    /// Median power of `tag`'s emission at receiver `rx`, dBm.
-    pub fn interference_dbm(&self, tag: usize, rx: usize) -> f64 {
-        self.tag_at_rx_dbm(tag, rx)
-    }
-
     /// Tag `u`'s emission at receiver `r`, dBm, from the live geometry and
     /// `u`'s cached base.
     fn tag_at_rx_dbm(&self, u: usize, r: usize) -> f64 {
@@ -1145,7 +1140,7 @@ mod tests {
         }
         if let Some(cfg) = scenario.coex.as_ref() {
             for (k, src) in cfg.sources.iter().enumerate() {
-                let band = src.model.traffic().band().center_hz.to_bits();
+                let band = src.model.band().center_hz.to_bits();
                 assert_eq!(freq_of(pkg.ext_freq[k]), band, "{when}: source {k}");
             }
         }
@@ -1255,7 +1250,10 @@ mod tests {
         let scenario = Scenario::hospital_ward(4);
         let matrix = LinkMatrix::build(&scenario).unwrap();
         for t in 0..4 {
-            let own = matrix.interference_dbm(t, scenario.tags[t].receiver);
+            let own = matrix.power_dbm(
+                Emitter::Tag(t),
+                Listener::Receiver(scenario.tags[t].receiver),
+            );
             assert!((own - matrix.budget(t).median_rssi_dbm).abs() < 1e-9);
         }
     }

@@ -5,7 +5,7 @@
 //! heads, implants on walking patients, cards carried across a room — so a
 //! scenario may attach a [`MobilityConfig`] that drives a periodic
 //! `MobilityTick` event. Each tick advances every tag's [`MotionState`] by
-//! one [`Mobility::step`] and pushes the new geometry into the
+//! one [`MobilityModel::step`] and pushes the new geometry into the
 //! [`crate::links::LinkMatrix`] through its row-level invalidation API, so
 //! link budgets always reflect where the entities *currently* are.
 //!
@@ -16,7 +16,7 @@
 //! draw in the engine honours.
 
 use crate::entities::Position;
-use crate::scenario::positive_finite;
+use crate::scenario::{finite_position, positive_finite};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use std::f64::consts::TAU;
@@ -62,14 +62,18 @@ impl Bounds {
         )
     }
 
-    /// Checks the box is non-empty on every axis.
+    /// Checks both corners are finite and the box is non-empty on every
+    /// axis.
     pub fn validate(&self) -> Result<(), String> {
+        if !(finite_position(&self.min) && finite_position(&self.max)) {
+            return Err("bounds corners must be finite".into());
+        }
         for (lo, hi, axis) in [
             (self.min.x, self.max.x, "x"),
             (self.min.y, self.max.y, "y"),
             (self.min.z, self.max.z, "z"),
         ] {
-            if lo.is_nan() || hi.is_nan() || lo > hi {
+            if lo > hi {
                 return Err(format!("bounds empty on {axis}: {lo} > {hi}"));
             }
         }
@@ -131,31 +135,6 @@ impl MotionState {
     }
 }
 
-/// A mobility model: advances one entity's motion state by one tick.
-pub trait Mobility {
-    /// Moves `state` forward `dt_s` seconds inside `bounds`, drawing any
-    /// randomness from the entity's own stream.
-    fn step(&self, state: &mut MotionState, bounds: &Bounds, dt_s: f64, rng: &mut SmallRng);
-
-    /// True when the model never moves anything (lets the engine skip
-    /// scheduling ticks entirely).
-    fn is_static(&self) -> bool {
-        false
-    }
-}
-
-/// The null model: entities stay where the scenario placed them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Static;
-
-impl Mobility for Static {
-    fn step(&self, _state: &mut MotionState, _bounds: &Bounds, _dt_s: f64, _rng: &mut SmallRng) {}
-
-    fn is_static(&self) -> bool {
-        true
-    }
-}
-
 /// Random waypoint: pick a uniform point in the bounds, walk toward it at a
 /// uniformly drawn speed, pause on arrival, repeat — the classic ad-hoc
 /// networking mobility model, here standing in for patients and lens
@@ -170,7 +149,7 @@ pub struct RandomWaypoint {
     pub pause_s: f64,
 }
 
-impl Mobility for RandomWaypoint {
+impl RandomWaypoint {
     fn step(&self, state: &mut MotionState, bounds: &Bounds, dt_s: f64, rng: &mut SmallRng) {
         if state.pause_left_s > 0.0 {
             state.pause_left_s = (state.pause_left_s - dt_s).max(0.0);
@@ -218,7 +197,7 @@ pub struct RandomWalk {
     pub turn_rad: f64,
 }
 
-impl Mobility for RandomWalk {
+impl RandomWalk {
     fn step(&self, state: &mut MotionState, bounds: &Bounds, dt_s: f64, rng: &mut SmallRng) {
         if !state.started {
             state.heading_rad = rng.gen_range(0.0..=TAU);
@@ -242,15 +221,11 @@ impl Mobility for RandomWalk {
     }
 }
 
-/// The model catalogue a scenario can attach: each variant *holds* the
-/// corresponding [`Mobility`] implementation (no duplicated field sets),
-/// and [`MobilityModel::step`] borrows it for dispatch. The enum exists so
-/// a `Scenario` stays `Clone + Copy`-configurable; the trait is the
-/// implementation seam the three models share.
+/// The model catalogue a scenario can attach (plain data, `Copy`): each
+/// variant holds its model's parameters, and [`MobilityModel::step`]
+/// matches on it. A scenario without motion sets `mobility: None`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MobilityModel {
-    /// Entities never move.
-    Static,
     /// Walk → pause → walk between uniform waypoints.
     RandomWaypoint(RandomWaypoint),
     /// Bounded-turn constant-speed drift.
@@ -258,29 +233,18 @@ pub enum MobilityModel {
 }
 
 impl MobilityModel {
-    /// The [`Mobility`] implementation this variant holds.
-    fn as_mobility(&self) -> &dyn Mobility {
-        match self {
-            MobilityModel::Static => &Static,
-            MobilityModel::RandomWaypoint(model) => model,
-            MobilityModel::RandomWalk(model) => model,
-        }
-    }
-
-    /// Advances `state` by one tick under this model.
+    /// Moves `state` forward `dt_s` seconds inside `bounds`, drawing any
+    /// randomness from the entity's own stream.
     pub fn step(&self, state: &mut MotionState, bounds: &Bounds, dt_s: f64, rng: &mut SmallRng) {
-        self.as_mobility().step(state, bounds, dt_s, rng)
-    }
-
-    /// True when the model never moves anything.
-    pub fn is_static(&self) -> bool {
-        self.as_mobility().is_static()
+        match self {
+            MobilityModel::RandomWaypoint(model) => model.step(state, bounds, dt_s, rng),
+            MobilityModel::RandomWalk(model) => model.step(state, bounds, dt_s, rng),
+        }
     }
 
     /// Checks speeds and turn limits are sane.
     pub fn validate(&self) -> Result<(), String> {
         match *self {
-            MobilityModel::Static => Ok(()),
             MobilityModel::RandomWaypoint(RandomWaypoint {
                 speed_min_mps,
                 speed_max_mps,
@@ -369,19 +333,15 @@ mod tests {
                 .validate()
                 .is_err()
         );
-    }
-
-    #[test]
-    fn static_model_never_moves() {
-        let b = Bounds::room(10.0, 10.0, 0.0);
-        let mut state = MotionState::at(Position::new(5.0, 5.0, 0.0));
-        let mut r = rng(7);
-        for _ in 0..100 {
-            MobilityModel::Static.step(&mut state, &b, 0.1, &mut r);
+        // A non-finite corner would sample NaN waypoints mid-run.
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut wide = b;
+            wide.min.x = bad;
+            assert!(wide.validate().is_err(), "min.x {bad}");
+            let mut wide = b;
+            wide.max.y = bad;
+            assert!(wide.validate().is_err(), "max.y {bad}");
         }
-        assert_eq!(state.position, Position::new(5.0, 5.0, 0.0));
-        assert_eq!(state.displacement_m(), 0.0);
-        assert!(MobilityModel::Static.is_static());
     }
 
     #[test]
@@ -531,6 +491,5 @@ mod tests {
             };
             assert!(config.validate().is_err(), "tick {tick_interval_s}");
         }
-        assert!(MobilityModel::Static.validate().is_ok());
     }
 }

@@ -1310,7 +1310,6 @@ mod tests {
         assert!(ward.name.starts_with("ambulatory-ward-12"));
         let mobility = ward.mobility.expect("preset attaches mobility");
         assert!(mobility.carriers_follow);
-        assert!(!mobility.model.is_static());
         // One body-worn helper per patient, 0.3 m from the implant.
         assert_eq!(ward.carriers.len(), ward.tags.len());
         for (t, tag) in ward.tags.iter().enumerate() {
@@ -1756,7 +1755,7 @@ mod tests {
             speed_max_mps: 1.5,
             pause_s: 0.5,
         };
-        let cases: [(&str, Edit); 19] = [
+        let cases: [(&str, Edit); 21] = [
             ("NaN duration", |s| s.duration_s = f64::NAN),
             ("NaN slot interval", |s| {
                 s.carriers[0].slot_interval_s = f64::NAN
@@ -1827,6 +1826,17 @@ mod tests {
             ("infinite mobility tick", |s| {
                 s.mobility = Scenario::walking_ward(4).mobility;
                 s.mobility.as_mut().unwrap().tick_interval_s = f64::INFINITY;
+            }),
+            ("infinite mobility bounds", |s| {
+                s.mobility = Scenario::walking_ward(4).mobility;
+                let bounds = &mut s.mobility.as_mut().unwrap().bounds;
+                (bounds.min.x, bounds.max.x) = (f64::NEG_INFINITY, f64::INFINITY);
+            }),
+            ("NaN re-stripe dwell", |s| {
+                s.coex = Some(CoexConfig::default().with_restripe(ReStripe {
+                    min_dwell_s: f64::NAN,
+                    ..ReStripe::default()
+                }))
             }),
         ];
         for (what, edit) in cases {

@@ -1,9 +1,10 @@
 //! Carrier arbitration: which backlogged tag a carrier slot illuminates.
 //!
 //! Until this module existed the round-robin cursor was hard-coded in
-//! [`crate::engine`]; it is now one of four pluggable policies behind the
-//! [`Scheduler`] trait, enum-dispatched like [`crate::mobility::Mobility`]
-//! so a [`crate::scenario::Scenario`] stays plain-data configurable:
+//! [`crate::engine`]; it is now one of four policies in the closed
+//! [`SchedPolicy`] catalogue, so a [`crate::scenario::Scenario`] stays
+//! plain-data configurable. Each carrier's [`CarrierSched`] matches on its
+//! policy's state directly:
 //!
 //! * [`SchedPolicy::RoundRobin`] — the PR 1 baseline, bit-for-bit: a cursor
 //!   into the carrier's member list advances past each granted tag, and the
@@ -37,9 +38,8 @@
 use crate::links::LinkMatrix;
 use crate::time::Time;
 
-/// What a policy may inspect while picking: the simulated instant, the
-/// live link matrix (fresh margins every mobility tick) and the carrier's
-/// sensed channel occupancy.
+/// What a policy may inspect while picking: the simulated instant and the
+/// live link matrix (fresh margins every mobility tick).
 #[derive(Debug, Clone, Copy)]
 pub struct SlotView<'a> {
     /// When the carrier slot fires.
@@ -47,11 +47,6 @@ pub struct SlotView<'a> {
     /// Live link budgets; [`LinkMatrix::uplink_margin_db`] is the signal
     /// the margin-aware policy keys on.
     pub links: &'a LinkMatrix,
-    /// The carrier's live EWMA busy-airtime estimate of its own stripe
-    /// ([`crate::coex`]), in [0, 1] — 0.0 when the scenario attaches no
-    /// coex config. None of the built-in policies key on it yet; it is
-    /// here so occupancy-aware arbitration needs no new plumbing.
-    pub occupancy: f64,
 }
 
 /// Eligibility oracle the engine hands to a pick: `Some(arrived)` with the
@@ -59,37 +54,6 @@ pub struct SlotView<'a> {
 /// slot (backlogged, and — closed loop — no transaction in flight),
 /// `None` otherwise.
 pub type Backlog<'a> = dyn Fn(usize) -> Option<Time> + 'a;
-
-/// A carrier arbitration policy: picks the member tag a slot illuminates
-/// and accounts each grant. Implementations are enum-dispatched behind
-/// [`CarrierSched`]; they must be deterministic (no RNG) and break ties
-/// toward the lower member position.
-pub trait Scheduler {
-    /// Picks the member to grant this slot, or `None` when no member is
-    /// eligible. May update per-slot state (EWMA decay, skip counters) —
-    /// the engine calls this exactly once per carrier slot.
-    fn pick(&mut self, members: &[usize], backlog: &Backlog, view: &SlotView) -> Option<usize>;
-
-    /// Records that `tag` was granted a slot at `view.now` whose
-    /// head-of-queue packet arrived at `head_arrived`. Returns `true` when
-    /// the grant missed the policy's deadline (deadline-aware only).
-    ///
-    /// Grants happen strictly *after* a successful pick and carrier-sense:
-    /// a slot whose band was busy picks but never grants, and must leave
-    /// the cursor/counters where they were — the invariant the baseline's
-    /// pre-extraction engine enforced and this seam preserves.
-    fn granted(
-        &mut self,
-        members: &[usize],
-        tag: usize,
-        head_arrived: Time,
-        view: &SlotView,
-    ) -> bool;
-
-    /// Credits `bits` of delivered payload to `tag` (proportional-fair
-    /// bookkeeping; a no-op elsewhere).
-    fn delivered(&mut self, _members: &[usize], _tag: usize, _bits: usize) {}
-}
 
 /// Proportional-fair parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -221,244 +185,64 @@ impl SchedPolicy {
             }
         }
     }
-
-    /// Instantiates the per-carrier scheduler state for a member list of
-    /// `n_members` tags.
-    fn new_state(&self, n_members: usize) -> SchedState {
-        match *self {
-            SchedPolicy::RoundRobin => SchedState::RoundRobin(RoundRobinState::default()),
-            SchedPolicy::ProportionalFair(params) => SchedState::ProportionalFair(PfState {
-                params,
-                ewma_bits: vec![0.0; n_members],
-                pending_bits: vec![0.0; n_members],
-            }),
-            SchedPolicy::DeadlineAware(params) => SchedState::DeadlineAware(EdfState {
-                deadline_ns: Time::from_secs(params.deadline_s).as_nanos().max(1),
-            }),
-            SchedPolicy::MarginAware(params) => SchedState::MarginAware(MarginState {
-                params,
-                cursor: RoundRobinState::default(),
-                slots_since_grant: vec![0; n_members],
-            }),
-        }
-    }
 }
 
 /// The baseline cursor, extracted verbatim from the pre-refactor engine so
 /// the invariant lives in exactly one place: `cursor` indexes the member
 /// *after* the last granted tag; a pick scans `members[cursor..]` wrapping
-/// around; a deferred slot (carrier-sense busy) leaves it untouched.
-#[derive(Debug, Clone, Default)]
-struct RoundRobinState {
+/// around; a deferred slot (carrier-sense busy) leaves it untouched. This
+/// returns the first member from the cursor on for which
+/// `eligible(position, tag)` holds.
+fn pick_from_cursor(
     cursor: usize,
+    members: &[usize],
+    mut eligible: impl FnMut(usize, usize) -> bool,
+) -> Option<usize> {
+    let n = members.len();
+    (0..n)
+        .map(|k| (cursor + k) % n.max(1))
+        .find(|&i| eligible(i, members[i]))
+        .map(|i| members[i])
 }
 
-impl RoundRobinState {
-    /// First member from the cursor on for which `eligible(position, tag)`
-    /// holds.
-    fn pick_from_cursor(
-        &self,
-        members: &[usize],
-        mut eligible: impl FnMut(usize, usize) -> bool,
-    ) -> Option<usize> {
-        let n = members.len();
-        (0..n)
-            .map(|k| (self.cursor + k) % n.max(1))
-            .find(|&i| eligible(i, members[i]))
-            .map(|i| members[i])
-    }
-
-    /// Moves the cursor to the member after `granted`.
-    fn advance(&mut self, members: &[usize], granted: usize) {
-        if let Some(pos) = members.iter().position(|&t| t == granted) {
-            self.cursor = (pos + 1) % members.len();
-        }
+/// Moves the cursor to the member after `granted`.
+fn advance(cursor: &mut usize, members: &[usize], granted: usize) {
+    if let Some(pos) = members.iter().position(|&t| t == granted) {
+        *cursor = (pos + 1) % members.len();
     }
 }
 
-impl Scheduler for RoundRobinState {
-    fn pick(&mut self, members: &[usize], backlog: &Backlog, _view: &SlotView) -> Option<usize> {
-        self.pick_from_cursor(members, |_, t| backlog(t).is_some())
-    }
-
-    fn granted(
-        &mut self,
-        members: &[usize],
-        tag: usize,
-        _head_arrived: Time,
-        _view: &SlotView,
-    ) -> bool {
-        self.advance(members, tag);
-        false
-    }
-}
-
-/// Proportional-fair state: per-member EWMA of delivered bits per slot,
-/// decayed once per pick, credited by the engine's delivery hook.
-#[derive(Debug, Clone)]
-struct PfState {
-    params: ProportionalFair,
-    /// EWMA of delivered bits per carrier slot, indexed like the member
-    /// list.
-    ewma_bits: Vec<f64>,
-    /// Bits delivered since the last pick, folded into the EWMA then.
-    pending_bits: Vec<f64>,
-}
-
-impl PfState {
-    /// The PF score of member `i` holding tag `t`: instantaneous link
-    /// quality over average throughput. Quality is the uplink margin in dB
-    /// floored at 0 (a faded link rates ≈ equal-quality), +1 so a zero
-    /// margin still scores; the +1 bit floor on the average keeps fresh
-    /// tags finite yet maximal.
-    fn score(&self, i: usize, t: usize, view: &SlotView) -> f64 {
-        let quality = 1.0 + view.links.uplink_margin_db(t).max(0.0);
-        quality / (self.ewma_bits[i] + 1.0)
-    }
-}
-
-impl Scheduler for PfState {
-    fn pick(&mut self, members: &[usize], backlog: &Backlog, view: &SlotView) -> Option<usize> {
-        // One EWMA step per slot: fold in whatever was delivered since the
-        // previous slot (zero for idle members — their average decays, so
-        // their score recovers).
-        let a = self.params.ewma_alpha;
-        for (ewma, pending) in self.ewma_bits.iter_mut().zip(self.pending_bits.iter_mut()) {
-            *ewma = (1.0 - a) * *ewma + a * *pending;
-            *pending = 0.0;
-        }
-        let mut best: Option<(usize, f64)> = None;
-        for (i, &t) in members.iter().enumerate() {
-            if backlog(t).is_none() {
-                continue;
-            }
-            let score = self.score(i, t, view);
-            // Strictly-greater keeps ties at the lower member position.
-            if best.is_none_or(|(_, s)| score > s) {
-                best = Some((t, score));
-            }
-        }
-        best.map(|(t, _)| t)
-    }
-
-    fn granted(
-        &mut self,
-        _members: &[usize],
-        _tag: usize,
-        _head_arrived: Time,
-        _view: &SlotView,
-    ) -> bool {
-        false
-    }
-
-    fn delivered(&mut self, members: &[usize], tag: usize, bits: usize) {
-        if let Some(i) = members.iter().position(|&t| t == tag) {
-            self.pending_bits[i] += bits as f64;
-        }
-    }
-}
-
-/// Deadline-aware state: stateless beyond the quantized deadline — the
-/// ordering key is the head-of-queue arrival the backlog oracle reports.
-#[derive(Debug, Clone)]
-struct EdfState {
-    /// The packet deadline on the integer-ns grid (quantized once).
-    deadline_ns: u64,
-}
-
-impl Scheduler for EdfState {
-    fn pick(&mut self, members: &[usize], backlog: &Backlog, _view: &SlotView) -> Option<usize> {
-        let mut best: Option<(usize, Time)> = None;
-        for &t in members {
-            let Some(arrived) = backlog(t) else { continue };
-            // Earliest deadline = earliest head-of-queue arrival (the
-            // deadline offset is constant per carrier). Strictly-less
-            // keeps ties at the lower member position.
-            if best.is_none_or(|(_, d)| arrived < d) {
-                best = Some((t, arrived));
-            }
-        }
-        best.map(|(t, _)| t)
-    }
-
-    fn granted(
-        &mut self,
-        _members: &[usize],
-        _tag: usize,
-        head_arrived: Time,
-        view: &SlotView,
-    ) -> bool {
-        view.now > head_arrived.after_nanos(self.deadline_ns)
-    }
-}
-
-/// Margin-aware state: the baseline cursor over the members whose live
-/// margin clears the threshold, with per-member skip counters enforcing
-/// the starvation bound.
-#[derive(Debug, Clone)]
-struct MarginState {
-    params: MarginAware,
-    cursor: RoundRobinState,
-    /// Slots of this carrier since each member was last granted, indexed
-    /// like the member list. Saturating — a never-granted member stays
-    /// starved rather than wrapping back to fresh.
-    slots_since_grant: Vec<u32>,
-}
-
-impl Scheduler for MarginState {
-    fn pick(&mut self, members: &[usize], backlog: &Backlog, view: &SlotView) -> Option<usize> {
-        for slots in &mut self.slots_since_grant {
-            *slots = slots.saturating_add(1);
-        }
-        let Self {
-            params,
-            cursor,
-            slots_since_grant,
-        } = self;
-        cursor.pick_from_cursor(members, |i, t| {
-            backlog(t).is_some()
-                && (slots_since_grant[i] >= params.max_skip_slots
-                    || view.links.uplink_margin_db(t) >= params.min_margin_db)
-        })
-    }
-
-    fn granted(
-        &mut self,
-        members: &[usize],
-        tag: usize,
-        _head_arrived: Time,
-        _view: &SlotView,
-    ) -> bool {
-        self.cursor.advance(members, tag);
-        if let Some(i) = members.iter().position(|&t| t == tag) {
-            self.slots_since_grant[i] = 0;
-        }
-        false
-    }
-}
-
-/// Per-policy runtime state, enum-dispatched to the [`Scheduler`] impls.
+/// Per-policy runtime state: what each [`SchedPolicy`] keeps between
+/// slots.
 #[derive(Debug, Clone)]
 enum SchedState {
-    /// Baseline cursor state.
-    RoundRobin(RoundRobinState),
-    /// PF EWMA state.
-    ProportionalFair(PfState),
-    /// EDF state.
-    DeadlineAware(EdfState),
-    /// Margin filter + cursor + skip counters.
-    MarginAware(MarginState),
-}
-
-impl SchedState {
-    fn as_scheduler(&mut self) -> &mut dyn Scheduler {
-        match self {
-            SchedState::RoundRobin(s) => s,
-            SchedState::ProportionalFair(s) => s,
-            SchedState::DeadlineAware(s) => s,
-            SchedState::MarginAware(s) => s,
-        }
-    }
+    /// Baseline cursor state (see [`pick_from_cursor`]).
+    RoundRobin { cursor: usize },
+    /// Proportional fair: per-member EWMA of delivered bits per slot,
+    /// decayed once per pick, credited by the engine's delivery hook.
+    ProportionalFair {
+        ewma_alpha: f64,
+        /// EWMA of delivered bits per carrier slot, indexed like the
+        /// member list.
+        ewma_bits: Vec<f64>,
+        /// Bits delivered since the last pick, folded into the EWMA then.
+        pending_bits: Vec<f64>,
+    },
+    /// Deadline-aware: stateless beyond the packet deadline on the
+    /// integer-ns grid (quantized once) — the ordering key is the
+    /// head-of-queue arrival the backlog oracle reports.
+    DeadlineAware { deadline_ns: u64 },
+    /// Margin-aware: the baseline cursor over the members whose live
+    /// margin clears the threshold, with per-member skip counters
+    /// enforcing the starvation bound.
+    MarginAware {
+        params: MarginAware,
+        cursor: usize,
+        /// Slots of this carrier since each member was last granted,
+        /// indexed like the member list. Saturating — a never-granted
+        /// member stays starved rather than wrapping back to fresh.
+        slots_since_grant: Vec<u32>,
+    },
 }
 
 /// One carrier's arbitration runtime: the member tags it illuminates (in
@@ -477,7 +261,25 @@ impl CarrierSched {
     /// assigned to it, `subband` its scenario-assigned stripe (see
     /// [`crate::scenario::Scenario::with_subband_striping`]).
     pub fn new(policy: SchedPolicy, members: Vec<usize>, subband: usize) -> Self {
-        let state = policy.new_state(members.len());
+        let n = members.len();
+        let state = match policy {
+            SchedPolicy::RoundRobin => SchedState::RoundRobin { cursor: 0 },
+            SchedPolicy::ProportionalFair(ProportionalFair { ewma_alpha }) => {
+                SchedState::ProportionalFair {
+                    ewma_alpha,
+                    ewma_bits: vec![0.0; n],
+                    pending_bits: vec![0.0; n],
+                }
+            }
+            SchedPolicy::DeadlineAware(DeadlineAware { deadline_s }) => SchedState::DeadlineAware {
+                deadline_ns: Time::from_secs(deadline_s).as_nanos().max(1),
+            },
+            SchedPolicy::MarginAware(params) => SchedState::MarginAware {
+                params,
+                cursor: 0,
+                slots_since_grant: vec![0; n],
+            },
+        };
         CarrierSched {
             members,
             subband,
@@ -503,25 +305,116 @@ impl CarrierSched {
         self.subband = subband;
     }
 
-    /// Picks the member to grant this slot (see [`Scheduler::pick`]).
+    /// Picks the member to grant this slot, or `None` when no member is
+    /// eligible. Deterministic (no RNG); ties go to the lower member
+    /// position. May update per-slot state (EWMA decay, skip counters) —
+    /// the engine calls this exactly once per carrier slot.
     pub fn pick(&mut self, backlog: &Backlog, view: &SlotView) -> Option<usize> {
-        let Self { members, state, .. } = self;
-        state.as_scheduler().pick(members, backlog, view)
+        let members = &self.members;
+        match &mut self.state {
+            SchedState::RoundRobin { cursor } => {
+                pick_from_cursor(*cursor, members, |_, t| backlog(t).is_some())
+            }
+            SchedState::ProportionalFair {
+                ewma_alpha,
+                ewma_bits,
+                pending_bits,
+            } => {
+                // One EWMA step per slot: fold in whatever was delivered
+                // since the previous slot (zero for idle members — their
+                // average decays, so their score recovers).
+                let a = *ewma_alpha;
+                for (ewma, pending) in ewma_bits.iter_mut().zip(pending_bits.iter_mut()) {
+                    *ewma = (1.0 - a) * *ewma + a * *pending;
+                    *pending = 0.0;
+                }
+                let mut best: Option<(usize, f64)> = None;
+                for (i, &t) in members.iter().enumerate() {
+                    if backlog(t).is_none() {
+                        continue;
+                    }
+                    // Instantaneous link quality over average throughput.
+                    // Quality is the uplink margin in dB floored at 0 (a
+                    // faded link rates ≈ equal-quality), +1 so a zero
+                    // margin still scores; the +1 bit floor on the average
+                    // keeps fresh tags finite yet maximal.
+                    let quality = 1.0 + view.links.uplink_margin_db(t).max(0.0);
+                    let score = quality / (ewma_bits[i] + 1.0);
+                    // Strictly-greater keeps ties at the lower member position.
+                    if best.is_none_or(|(_, s)| score > s) {
+                        best = Some((t, score));
+                    }
+                }
+                best.map(|(t, _)| t)
+            }
+            SchedState::DeadlineAware { .. } => {
+                let mut best: Option<(usize, Time)> = None;
+                for &t in members {
+                    let Some(arrived) = backlog(t) else { continue };
+                    // Earliest deadline = earliest head-of-queue arrival
+                    // (the deadline offset is constant per carrier).
+                    // Strictly-less keeps ties at the lower member position.
+                    if best.is_none_or(|(_, d)| arrived < d) {
+                        best = Some((t, arrived));
+                    }
+                }
+                best.map(|(t, _)| t)
+            }
+            SchedState::MarginAware {
+                params,
+                cursor,
+                slots_since_grant,
+            } => {
+                for slots in slots_since_grant.iter_mut() {
+                    *slots = slots.saturating_add(1);
+                }
+                pick_from_cursor(*cursor, members, |i, t| {
+                    backlog(t).is_some()
+                        && (slots_since_grant[i] >= params.max_skip_slots
+                            || view.links.uplink_margin_db(t) >= params.min_margin_db)
+                })
+            }
+        }
     }
 
-    /// Accounts a grant; `true` when it missed the policy's deadline (see
-    /// [`Scheduler::granted`]).
+    /// Records that `tag` was granted a slot at `view.now` whose
+    /// head-of-queue packet arrived at `head_arrived`. Returns `true` when
+    /// the grant missed the policy's deadline (deadline-aware only).
+    ///
+    /// Grants happen strictly *after* a successful pick and carrier-sense:
+    /// a slot whose band was busy picks but never grants, and must leave
+    /// the cursor/counters where they were — the invariant the baseline's
+    /// pre-extraction engine enforced.
     pub fn granted(&mut self, tag: usize, head_arrived: Time, view: &SlotView) -> bool {
-        let Self { members, state, .. } = self;
-        state
-            .as_scheduler()
-            .granted(members, tag, head_arrived, view)
+        let members = &self.members;
+        match &mut self.state {
+            SchedState::RoundRobin { cursor } => advance(cursor, members, tag),
+            SchedState::ProportionalFair { .. } => {}
+            SchedState::DeadlineAware { deadline_ns } => {
+                return view.now > head_arrived.after_nanos(*deadline_ns);
+            }
+            SchedState::MarginAware {
+                cursor,
+                slots_since_grant,
+                ..
+            } => {
+                advance(cursor, members, tag);
+                if let Some(i) = members.iter().position(|&t| t == tag) {
+                    slots_since_grant[i] = 0;
+                }
+            }
+        }
+        false
     }
 
-    /// Credits delivered payload bits (see [`Scheduler::delivered`]).
+    /// Credits `bits` of delivered payload to `tag` (proportional-fair
+    /// bookkeeping; a no-op elsewhere).
     pub fn delivered(&mut self, tag: usize, bits: usize) {
-        let Self { members, state, .. } = self;
-        state.as_scheduler().delivered(members, tag, bits);
+        if let SchedState::ProportionalFair { pending_bits, .. } = &mut self.state {
+            if let Some(i) = self.members.iter().position(|&t| t == tag) {
+                pending_bits[i] += bits as f64;
+            }
+        }
     }
 }
 
@@ -586,7 +479,6 @@ mod tests {
         let view = SlotView {
             now: Time(0),
             links: &links,
-            occupancy: 0.0,
         };
         let mut sched = CarrierSched::new(SchedPolicy::RoundRobin, vec![0, 1, 2, 3], 0);
         let all = backlog_at(&[0, 1, 2, 3], 0);
@@ -614,7 +506,6 @@ mod tests {
         let view = SlotView {
             now: Time(0),
             links: &links,
-            occupancy: 0.0,
         };
         let mut sched = CarrierSched::new(SchedPolicy::proportional_fair(), vec![0, 1], 0);
         let all = backlog_at(&[0, 1], 0);
@@ -640,7 +531,6 @@ mod tests {
         let view = SlotView {
             now: Time(1_000_000_000),
             links: &links,
-            occupancy: 0.0,
         };
         let mut sched = CarrierSched::new(
             SchedPolicy::DeadlineAware(DeadlineAware { deadline_s: 0.1 }),
@@ -669,7 +559,6 @@ mod tests {
         let view = SlotView {
             now: Time(0),
             links: &links,
-            occupancy: 0.0,
         };
         // The ward's real margins are all comfortably positive, so a
         // threshold above them blanks every member…
