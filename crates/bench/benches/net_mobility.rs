@@ -1,12 +1,12 @@
 //! Cost of keeping link budgets current under motion: a 100-tag mobility
-//! tick through the `LinkMatrix`'s row-level invalidation path versus a
-//! full rebuild of every table, plus the end-to-end event rate of the
-//! ambulatory ward. The acceptance bar for the mobility subsystem is the
-//! first pair: moving all 100 tags and flushing only the affected rows
-//! must be at least an order of magnitude cheaper than `LinkMatrix::build`
+//! tick through the `LinkMatrix`'s dirty-entity flush versus a full
+//! `LinkMatrix::build`, plus the end-to-end event rate of the ambulatory
+//! ward. The first pair anchors the mobility subsystem: moving all 100
+//! tags and flushing only their budgets must stay cheaper than a rebuild
 //! — the cached position-independent terms (antenna gains, tissue
 //! attenuations, conversion losses, per-frequency path-loss models) are
-//! what buys that gap.
+//! what buys that gap. Pair powers are evaluated per query, so neither
+//! side fills any emitter × listener table.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use interscatter_net::entities::Position;
@@ -14,8 +14,7 @@ use interscatter_net::links::{EntityId, LinkMatrix};
 use interscatter_net::scenario::{ExecutionSection, Scenario};
 
 /// The 100-patient closed-loop ambulatory ward: the heaviest matrix the
-/// engine builds (uplink rows plus every poll/ack and emitter × listener
-/// table).
+/// engine builds (every tag's uplink, poll and ack budgets).
 fn ward_100() -> Scenario {
     Scenario::ambulatory_ward(100).closed_loop()
 }
@@ -31,7 +30,7 @@ fn bench_tick_vs_rebuild(c: &mut Criterion) {
 
     // One mobility tick: every tag moves a few centimetres (oscillating so
     // the geometry stays representative across iterations) and the matrix
-    // flushes only the dirty rows.
+    // refreshes only the moved tags' budgets.
     group.bench_function("tick_100_tags_row_invalidation", |b| {
         let mut live = matrix.clone();
         let mut flip = 1.0f64;
@@ -56,7 +55,7 @@ fn bench_tick_vs_rebuild(c: &mut Criterion) {
 }
 
 fn bench_mobile_run(c: &mut Criterion) {
-    // End to end: the walking ward with ticks, row refreshes and the
+    // End to end: the walking ward with ticks, budget flushes and the
     // poll/ack loop interleaved, 1 simulated second.
     let scenario = Scenario::ambulatory_ward(20)
         .closed_loop()

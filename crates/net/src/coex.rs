@@ -204,7 +204,7 @@ impl CoexModel {
 /// and which traffic process it runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoexSource {
-    /// Where the source sits (feeds the capture tables in
+    /// Where the source sits (feeds its pair powers in
     /// [`crate::links::LinkMatrix`]).
     pub position: Position,
     /// Transmit power, dBm.

@@ -210,8 +210,6 @@ pub(crate) struct EngineCore<'a> {
     tags: Vec<TagState>,
     carriers: Vec<CarrierState>,
     mobility: Option<MobilityRuntime>,
-    tuned_phy: Vec<NetPhy>,
-    tuned_rx: Vec<usize>,
     airborne: Vec<bool>,
     coex: Option<CoexRuntime<'a>>,
     /// Self-profiling recorder, `Some` only when the scenario enables
@@ -302,12 +300,6 @@ impl<'a> EngineCore<'a> {
             prev_attempts: vec![0; scenario.tags.len()],
         });
 
-        // The tags' *live* tuning: the scenario's PHY/receiver assignment
-        // until an adaptive re-stripe re-tunes a carrier's members. When
-        // nothing re-stripes these mirror the scenario exactly, so legacy
-        // runs reproduce byte for byte.
-        let tuned_phy: Vec<NetPhy> = scenario.tags.iter().map(|t| t.phy).collect();
-        let tuned_rx: Vec<usize> = scenario.tags.iter().map(|t| t.receiver).collect();
         // Per tag: an uplink emission is on the air (re-striping waits for
         // quiescence so a tag is never re-tuned mid-flight).
         let airborne = vec![false; scenario.tags.len()];
@@ -398,8 +390,6 @@ impl<'a> EngineCore<'a> {
             tags,
             carriers,
             mobility,
-            tuned_phy,
-            tuned_rx,
             airborne,
             coex,
             prof,
@@ -425,8 +415,6 @@ impl<'a> EngineCore<'a> {
             ref mut tags,
             ref mut carriers,
             ref mut mobility,
-            ref mut tuned_phy,
-            ref mut tuned_rx,
             ref mut airborne,
             ref mut coex,
             ref mut prof,
@@ -455,7 +443,7 @@ impl<'a> EngineCore<'a> {
                     queue.schedule(now.after_nanos(mob.tick_ns), EventKind::MobilityTick);
                     // Advance every tag's walk from its own RNG stream (in
                     // index order — the determinism contract), pushing new
-                    // positions into the matrix as dirty rows.
+                    // positions into the matrix as dirty entities.
                     let dt_s = mob.tick_ns as f64 / 1e9;
                     let mut moved = 0usize;
                     for t in 0..scenario.tags.len() {
@@ -609,8 +597,6 @@ impl<'a> EngineCore<'a> {
                             carriers,
                             links,
                             medium,
-                            tuned_phy,
-                            tuned_rx,
                             airborne,
                             mac_loop.as_ref(),
                             metrics,
@@ -644,7 +630,7 @@ impl<'a> EngineCore<'a> {
                             // packet straight on the air (on the tag's
                             // *live* tuning — a re-striped tag synthesizes
                             // onto its carrier's new sub-band).
-                            let phy = &tuned_phy[tag];
+                            let phy = links.tag_phy(tag);
                             let airtime = phy.airtime_s(tag_spec.payload_bytes);
                             let primary =
                                 Band::new(phy.center_freq_hz(carrier_freq), phy.bandwidth_hz());
@@ -666,11 +652,12 @@ impl<'a> EngineCore<'a> {
                                 let nav = interscatter_ble::timing::reservation_window_s(airtime);
                                 medium.reserve(primary, now.after_secs(nav));
                             }
-                            let mirror = mirror_band(tag_spec.sideband, phy, carrier_freq, primary);
+                            let mirror =
+                                mirror_band(tag_spec.sideband, &phy, carrier_freq, primary);
                             charge_mirror_airtime(
                                 scenario,
                                 metrics,
-                                tuned_rx[tag],
+                                links.tag_receiver(tag),
                                 tag_spec.carrier,
                                 mirror,
                                 airtime,
@@ -696,7 +683,8 @@ impl<'a> EngineCore<'a> {
                         Some(mac_state) => {
                             // Closed loop: the slot opens with an AM-OFDM
                             // poll on the tag's service band.
-                            let band = downlink_band(scenario, tuned_rx[tag], carrier_freq);
+                            let band =
+                                downlink_band(scenario, links.tag_receiver(tag), carrier_freq);
                             if medium.busy(band, now) {
                                 metrics.tags[tag].csma_defers += 1;
                                 trace.record(now, || {
@@ -710,7 +698,7 @@ impl<'a> EngineCore<'a> {
                             if scenario.cts_to_self {
                                 // The NAV must hold the band for the whole
                                 // poll → response → ack exchange.
-                                let data_air = tuned_phy[tag].airtime_s(tag_spec.payload_bytes);
+                                let data_air = links.tag_phy(tag).airtime_s(tag_spec.payload_bytes);
                                 let nav = interscatter_ble::timing::reservation_window_s(
                                     mac::transaction_airtime_s(data_air),
                                 );
@@ -748,14 +736,14 @@ impl<'a> EngineCore<'a> {
                     let report = medium.finish(tx_id);
                     let tag_spec = &scenario.tags[tag];
                     let carrier_freq = scenario.carriers[tag_spec.carrier].carrier_freq_hz();
-                    let band = downlink_band(scenario, tuned_rx[tag], carrier_freq);
+                    let band = downlink_band(scenario, links.tag_receiver(tag), carrier_freq);
                     let outcome = receive_outcome(
                         links,
                         links.poll_budget(tag),
                         &report,
                         band,
                         Listener::Tag(tag),
-                        scenario.receivers[tuned_rx[tag]].external_occupancy,
+                        scenario.receivers[links.tag_receiver(tag)].external_occupancy,
                         scenario.cts_to_self,
                         &mut tags[tag].rng,
                     );
@@ -764,15 +752,15 @@ impl<'a> EngineCore<'a> {
                         // packet one SIFS later while the carrier holds the
                         // tone. No carrier-sense — SIFS-spaced frames of one
                         // transaction own the reservation.
-                        let phy = &tuned_phy[tag];
+                        let phy = links.tag_phy(tag);
                         let airtime = phy.airtime_s(tag_spec.payload_bytes);
                         let primary =
                             Band::new(phy.center_freq_hz(carrier_freq), phy.bandwidth_hz());
-                        let mirror = mirror_band(tag_spec.sideband, phy, carrier_freq, primary);
+                        let mirror = mirror_band(tag_spec.sideband, &phy, carrier_freq, primary);
                         charge_mirror_airtime(
                             scenario,
                             metrics,
-                            tuned_rx[tag],
+                            links.tag_receiver(tag),
                             tag_spec.carrier,
                             mirror,
                             airtime,
@@ -828,14 +816,14 @@ impl<'a> EngineCore<'a> {
                     let tag_spec = &scenario.tags[tag];
                     let carrier_idx = tag_spec.carrier;
                     let carrier_freq = scenario.carriers[carrier_idx].carrier_freq_hz();
-                    let band = downlink_band(scenario, tuned_rx[tag], carrier_freq);
+                    let band = downlink_band(scenario, links.tag_receiver(tag), carrier_freq);
                     let outcome = receive_outcome(
                         links,
                         links.ack_budget(tag),
                         &report,
                         band,
                         Listener::Carrier(carrier_idx),
-                        scenario.receivers[tuned_rx[tag]].external_occupancy,
+                        scenario.receivers[links.tag_receiver(tag)].external_occupancy,
                         scenario.cts_to_self,
                         &mut carriers[carrier_idx].rng,
                     );
@@ -880,7 +868,7 @@ impl<'a> EngineCore<'a> {
                     let report = medium.finish(tx_id);
                     airborne[tag] = false;
                     let tag_spec = &scenario.tags[tag];
-                    let rx_idx = tuned_rx[tag];
+                    let rx_idx = links.tag_receiver(tag);
                     let rx = &scenario.receivers[rx_idx];
                     metrics.tags[tag].attempts += 1;
 
@@ -1083,8 +1071,6 @@ fn sense_and_restripe(
     carriers: &mut [CarrierState],
     links: &mut LinkMatrix,
     medium: &Medium,
-    tuned_phy: &mut [NetPhy],
-    tuned_rx: &mut [usize],
     airborne: &[bool],
     mac: Option<&MacLoop>,
     metrics: &mut NetworkMetrics,
@@ -1118,7 +1104,7 @@ fn sense_and_restripe(
         .sched
         .members()
         .first()
-        .map(|&t| tuned_rx[t])
+        .map(|&t| links.tag_receiver(t))
         .unwrap_or_else(|| {
             if wifi_rx.is_empty() {
                 0
@@ -1182,7 +1168,7 @@ fn sense_and_restripe(
         .all(|&t| !airborne[t] && mac.is_none_or(|m| m.is_idle(t)));
     let any_wifi = members
         .iter()
-        .any(|&t| matches!(tuned_phy[t], NetPhy::Wifi { .. }));
+        .any(|&t| matches!(links.tag_phy(t), NetPhy::Wifi { .. }));
     if !quiescent || !any_wifi {
         return;
     }
@@ -1192,12 +1178,10 @@ fn sense_and_restripe(
     };
     let members: Vec<usize> = members.to_vec();
     for &t in &members {
-        let NetPhy::Wifi { rate, .. } = tuned_phy[t] else {
+        let NetPhy::Wifi { rate, .. } = links.tag_phy(t) else {
             continue;
         };
-        tuned_phy[t] = NetPhy::Wifi { rate, channel };
-        tuned_rx[t] = to_rx;
-        links.retune_tag(scenario, t, to_rx, tuned_phy[t]);
+        links.retune_tag(scenario, t, to_rx, NetPhy::Wifi { rate, channel });
     }
     links.flush(scenario);
     carriers[carrier].sched.set_subband(best);

@@ -161,9 +161,9 @@ pub struct CarrierSource {
     /// Where the Bluetooth device sits. Private: a scenario's positions
     /// are build-time inputs; the *live* geometry belongs to
     /// [`crate::links::LinkMatrix`], whose `set_position` marks the
-    /// affected budget rows dirty. Mutating a position here after the
-    /// matrix was built would silently leave every budget stale — the
-    /// bug this field's privacy removes. Read with
+    /// carrier dirty for the next budget flush. Mutating a position here
+    /// after the matrix was built would silently leave every budget
+    /// stale — the bug this field's privacy removes. Read with
     /// [`CarrierSource::position`]; reposition before the run with
     /// [`crate::scenario::Scenario::place_carrier`].
     pub(crate) position: Position,

@@ -93,7 +93,7 @@ pub enum EventKind {
     },
     /// A mobility tick: every mobile entity advances one
     /// [`crate::mobility::MobilityModel::step`] and the engine refreshes the
-    /// dirty [`crate::links::LinkMatrix`] rows. Scheduled on the
+    /// [`crate::links::LinkMatrix`] budgets the moves touch. Scheduled on the
     /// integer-nanosecond grid (tick `k` fires at exactly `k · period`),
     /// so the cadence never drifts against the carrier slots.
     MobilityTick,

@@ -63,11 +63,12 @@
 //! * `MobilityTick` — when the scenario attaches a
 //!   [`mobility::MobilityConfig`], every tag advances one step of its
 //!   mobility model (random waypoint or random walk, each tag walking its
-//!   own seeded stream) and the [`links::LinkMatrix`] recomputes **only the
-//!   budget rows touching the moved entities** from cached
-//!   position-independent terms — link quality tracks geometry tick by
-//!   tick without rebuilding the matrix (the `net_mobility` bench anchors
-//!   the row-level path against a full rebuild).
+//!   own seeded stream) and the [`links::LinkMatrix`] refreshes **only the
+//!   budgets of the tags the moved entities touch** from cached
+//!   position-independent terms (pair powers read the live geometry on
+//!   every query) — link quality tracks geometry tick by tick without
+//!   rebuilding the matrix (the `net_mobility` bench anchors the flush
+//!   against a full rebuild).
 //! * `CoexStart` / `CoexEnd` — when the scenario attaches a
 //!   [`coex::CoexConfig`], external traffic sources (bursty Wi-Fi, BLE
 //!   advertising, ZigBee chatter, a microwave duty cycle) put *real timed

@@ -1,4 +1,5 @@
-//! Position-dependent link budgets with **row-level incremental update**.
+//! Position-dependent link budgets and pair powers, evaluated per query
+//! from the live geometry.
 //!
 //! Every tag's uplink is the two-hop backscatter budget of
 //! [`interscatter_channel::link::BackscatterLink`]: carrier → tag (at the
@@ -24,20 +25,22 @@
 //!   the carrier's conventional radio (the §2.3.3 helper device, which
 //!   relays the outcome to its tag over the short illumination-range hop),
 //!
-//! plus the median power of **every** emitter kind (tag, carrier, sink) at
-//! every listener kind (receiver, tag, carrier), so downlink collisions are
-//! arbitrated with the same capture rule as the uplink.
+//! plus the median power of **every** emitter kind (tag, carrier, sink,
+//! external source) at every listener kind (receiver, tag, carrier), so
+//! downlink collisions are arbitrated with the same capture rule as the
+//! uplink.
 //!
 //! ## One layout at every fleet size
 //!
-//! Tables are kept only for pairings whose both sides are small
-//! (receivers, carriers, external sources). Every pairing with a tag on
-//! one side — tag ↔ tag, tag ↔ carrier, tag ↔ receiver, sink → tag and
-//! external source → tag — is evaluated per query instead, one `log10`
-//! over the live geometry plus cached per-tag terms; only each tag's own
-//! uplink, poll and ack budgets are stored. A capture arbitration reads a
-//! handful of such pairs, so a 100k-tag campus and a ten-bed ward share
-//! one code path and one memory profile.
+//! No pair power is tabled: a capture arbitration reads a handful of
+//! pairs, so each is evaluated when it is asked for — one `log10` over the
+//! live geometry plus cached per-emitter terms. A tag emitter reuses its
+//! cached carrier → tag base. Every other emitter (a carrier's poll, a
+//! sink's ack, an external source) is one record — EIRP, path-loss
+//! evaluator, frequency — and follows one rule: EIRP plus the listener's
+//! package minus the path loss. Only each tag's own uplink, poll and ack
+//! budgets are stored, so a 100k-tag campus and a ten-bed ward share one
+//! code path and one memory profile.
 //!
 //! Build cost is linear in the fleet because the position-independent
 //! terms are memoised on their real inputs: a tag's receive package
@@ -50,14 +53,15 @@
 //!
 //! Since mobility landed ([`crate::mobility`]), the matrix owns the *live*
 //! geometry: a position per entity, initialised from the scenario and
-//! updated through [`LinkMatrix::set_position`]. Moving an entity marks its
-//! rows dirty; [`LinkMatrix::flush`] then recomputes **only the budgets
-//! and the small emitter × listener tables touching the moved
-//! entities**, from position-independent terms (antenna gains, tissue
-//! attenuations, conversion losses, per-frequency path-loss models) cached
-//! once at build time. A mobility tick over a hundred tags therefore costs
-//! a few `log10`s per affected row instead of rebuilding every table —
-//! anchored by the `net_mobility` bench against a full
+//! updated through [`LinkMatrix::set_position`]. Pair powers read it
+//! directly and are never stale; the stored budgets are. Moving an entity
+//! marks it dirty, and [`LinkMatrix::flush`] refreshes **only the budgets
+//! of the tags it touches** — the tag itself, a carrier's illuminated
+//! tags, a sink's current members — from position-independent terms
+//! (antenna gains, tissue attenuations, conversion losses, per-frequency
+//! path-loss models) cached once at build time. A mobility tick over a
+//! hundred tags therefore costs a few `log10`s per tag instead of a
+//! rebuild — anchored by the `net_mobility` bench against a full
 //! [`LinkMatrix::build`].
 //!
 //! The scenario's own entity positions are private (build-time inputs, see
@@ -138,8 +142,9 @@ pub enum EntityId {
 /// A log-distance path-loss evaluator with the reference loss folded in:
 /// one comparison and one `log10` per call. `LogDistanceModel::path_loss_db`
 /// recomputes its reference Friis loss (a second `log10`, a `powi` and a
-/// wavelength division) on every call — too slow for the mobility tick's
-/// row refreshes, which evaluate tens of thousands of pairs.
+/// wavelength division) on every call — too slow for the per-query pair
+/// powers capture arbitration and the mobility tick's budget refreshes
+/// evaluate.
 #[derive(Debug, Clone, Copy)]
 struct FastPathLoss {
     /// Friis loss at the 1 m reference distance, dB.
@@ -160,10 +165,10 @@ impl FastPathLoss {
         }
     }
 
-    /// Median path loss from a precomputed [`log_distance`] — the hottest
-    /// pairs in a mobility tick evaluate two models (one per direction)
-    /// over the same distance, and this shares the single `log10` between
-    /// them.
+    /// Median path loss from a precomputed [`log_distance`] — a tag's
+    /// budget refresh evaluates two models (illumination and poll) over
+    /// the same carrier → tag distance, and this shares the single `log10`
+    /// between them.
     #[inline]
     fn db_at(&self, log10_q: f64, within_ref: bool) -> f64 {
         if within_ref {
@@ -178,8 +183,10 @@ impl FastPathLoss {
 /// `(log10(d²), d ≤ reference)` between two positions, with the 1 cm floor
 /// every path-loss model applies — the shared prefix of
 /// [`FastPathLoss::db_at`]. Works on the *squared* distance
-/// (`log10(d) = log10(d²) / 2`, folded into the slope), so the hot row
-/// refreshes take neither a square root nor a division.
+/// (`log10(d) = log10(d²) / 2`, folded into the slope), so a pair query
+/// takes neither a square root nor a division. Bit-symmetric in its
+/// arguments: `a − b` is exactly `−(b − a)`, so a pair's power does not
+/// depend on which end is named first.
 #[inline]
 fn log_distance(a: &Position, b: &Position) -> (f64, bool) {
     let dx = a.x - b.x;
@@ -187,40 +194,6 @@ fn log_distance(a: &Position, b: &Position) -> (f64, bool) {
     let dz = a.z - b.z;
     let q = (dx * dx + dy * dy + dz * dz).max(1e-4);
     (q.log10(), q <= 1.0)
-}
-
-/// A dense 2-D power table in one flat row-major allocation — the
-/// struct-of-arrays replacement for the old jagged `Vec<Vec<f64>>` layout:
-/// one contiguous block instead of `rows + 1` allocations, `u32`
-/// dimensions (dense-id tables never need more), and row access without
-/// per-row pointer chasing in the refresh loops.
-#[derive(Debug, Clone)]
-struct Table2d {
-    cols: u32,
-    data: Vec<f64>,
-}
-
-impl Table2d {
-    fn new(rows: usize, cols: usize, fill: f64) -> Self {
-        assert!(
-            rows <= u32::MAX as usize && cols <= u32::MAX as usize,
-            "table ids are dense u32s"
-        );
-        Table2d {
-            cols: cols as u32,
-            data: vec![fill; rows * cols],
-        }
-    }
-
-    #[inline]
-    fn at(&self, r: usize, c: usize) -> f64 {
-        self.data[r * self.cols as usize + c]
-    }
-
-    #[inline]
-    fn set(&mut self, r: usize, c: usize, v: f64) {
-        self.data[r * self.cols as usize + c] = v;
-    }
 }
 
 /// The four tag packages, in `TagProfile as usize` order — the column
@@ -248,12 +221,6 @@ struct PkgGains {
     tag_profile: Vec<TagProfile>,
     /// Per tag: its emission frequency (follows re-tunes).
     tag_freq: Vec<u32>,
-    /// Per carrier: its tone frequency (closed loop only).
-    carrier_freq: Vec<u32>,
-    /// Per sink: its downlink frequency (closed loop only).
-    sink_freq: Vec<u32>,
-    /// Per external source: its band centre.
-    ext_freq: Vec<u32>,
 }
 
 impl PkgGains {
@@ -276,66 +243,59 @@ impl PkgGains {
     }
 }
 
-/// The closed-loop extension: downlink budgets plus the carrier/sink
-/// emitter × listener power tables (only built for `MacMode::ClosedLoop`
-/// scenarios — open-loop runs never arbitrate at tags or carriers). Every
-/// pairing with a tag on one side is evaluated per query, not tabled (see
-/// the module docs).
+/// One emitter that is not a tag — a carrier's poll, a sink's ack or an
+/// external source: every position-independent term of its power at a
+/// listener, `eirp_dbm + package − pl(d)` ([`LinkMatrix::power_dbm`]).
+#[derive(Debug, Clone, Copy)]
+struct Radiator {
+    /// Transmit power plus the 2 dBi monopole, dBm.
+    eirp_dbm: f64,
+    /// Path-loss evaluator at its emission frequency.
+    pl: FastPathLoss,
+    /// Its emission frequency, registered in [`PkgGains`].
+    freq: u32,
+}
+
+impl Radiator {
+    /// An emitter of `tx_power_dbm` through `model`, registering the
+    /// tags' packages at its frequency.
+    fn new(tx_power_dbm: f64, model: &LogDistanceModel, pkg: &mut PkgGains) -> Self {
+        Radiator {
+            eirp_dbm: tx_power_dbm + 2.0,
+            pl: FastPathLoss::new(model),
+            freq: pkg.register(model.freq_hz),
+        }
+    }
+}
+
+/// The closed-loop extension: the downlink budgets and the carrier and
+/// sink emitters (only built for `MacMode::ClosedLoop` scenarios —
+/// open-loop runs never arbitrate at tags or carriers).
 #[derive(Debug, Clone)]
-struct ClosedLoopTables {
+struct ClosedLoop {
     /// Per tag: carrier poll → the tag's envelope detector.
     poll_budgets: Vec<LinkBudget>,
     /// Per tag: sink ack → the tag's carrier radio.
     ack_budgets: Vec<LinkBudget>,
-    /// Per carrier: transmit power, dBm.
-    carrier_tx_dbm: Vec<f64>,
-    /// Per sink: downlink transmit power, dBm.
-    sink_tx_dbm: Vec<f64>,
-    /// `[c][r]`: carrier `c`'s poll at receiver `r`, dBm.
-    carrier_at_rx: Table2d,
-    /// `[c][c2]`: carrier `c`'s poll at carrier `c2`, dBm.
-    carrier_at_carrier: Table2d,
-    /// `[s][r]`: sink `s`'s ack at receiver `r`, dBm.
-    sink_at_rx: Table2d,
-    /// `[s][c]`: sink `s`'s ack at carrier `c`, dBm.
-    sink_at_carrier: Table2d,
-    // --- position-independent terms cached for row recomputes ---
-    /// Per carrier: path-loss evaluator at its tone frequency.
-    pl_carrier: Vec<FastPathLoss>,
-    /// Per sink: path-loss evaluator at its downlink frequency.
-    pl_sink: Vec<FastPathLoss>,
+    /// Per carrier: its poll, at its tone frequency.
+    carriers: Vec<Radiator>,
+    /// Per sink: its ack, at its downlink frequency.
+    sinks: Vec<Radiator>,
     /// Per sink: the shadowing sigma of its downlink path-loss model — the
     /// value a re-tuned tag's poll/ack budgets pick up.
     sink_sigma_db: Vec<f64>,
 }
 
-/// Median power of every external coexistence source at every listener
-/// kind but tags (only built when the scenario attaches
-/// [`crate::coex::CoexSource`]s; the power at a tag's detector is
-/// evaluated per query). Sources never move, so these rows are only
-/// refreshed when the *listener* moves.
-#[derive(Debug, Clone)]
-struct ExtTables {
-    /// `at_rx[k][r]`: source `k`'s emission at receiver `r`, dBm.
-    at_rx: Table2d,
-    /// `at_carrier[k][c]`: source `k`'s emission at carrier `c`, dBm.
-    at_carrier: Table2d,
-    /// Per source: path-loss evaluator at its emission frequency.
-    pl: Vec<FastPathLoss>,
-    /// Per source: transmit power + antenna gain, dBm.
-    eirp_dbm: Vec<f64>,
-    /// Per source: where it sits (static for the whole run).
-    pos: Vec<Position>,
-}
-
-/// Precomputed budgets for every tag, the small emitter × listener power
-/// tables, the live geometry they were computed from, and the cached terms
-/// that make row-level recomputation and per-query powers cheap.
+/// Precomputed budgets for every tag, the live geometry they were
+/// computed from, and the cached terms that make budget refreshes and
+/// per-query pair powers cheap.
 #[derive(Debug, Clone)]
 pub struct LinkMatrix {
     budgets: Vec<LinkBudget>,
-    closed_loop: Option<ClosedLoopTables>,
-    ext: Option<ExtTables>,
+    closed_loop: Option<ClosedLoop>,
+    /// Per external coexistence source: its emitter and where it sits
+    /// (static for the whole run). Empty without coex sources.
+    ext: Vec<(Radiator, Position)>,
     /// Package gains of every tag at every emitter frequency.
     pkg: PkgGains,
     // --- live geometry ---
@@ -347,10 +307,12 @@ pub struct LinkMatrix {
     /// the scenario; adaptive re-striping re-tunes it through
     /// [`LinkMatrix::retune_tag`].
     tag_rx: Vec<usize>,
+    /// Per tag: the PHY it currently synthesizes (the scenario's until a
+    /// re-stripe re-tunes it).
+    tag_phy: Vec<NetPhy>,
     /// Per carrier: the tags it illuminates, hoisted once at build so a
-    /// moved or re-tuned carrier refreshes exactly its own members instead
-    /// of scanning O(carriers × sinks × tags) — the membership never
-    /// changes during a run.
+    /// moved carrier refreshes exactly its own members instead of
+    /// scanning the fleet — the membership never changes during a run.
     carrier_tags: Vec<Vec<usize>>,
     /// Per sink: the tags currently delivering to it (in ascending tag
     /// order; follows `tag_rx` across re-stripes).
@@ -364,10 +326,10 @@ pub struct LinkMatrix {
     /// Per tag: path-loss evaluator of the tag → listener hop.
     up_pl_emit: Vec<FastPathLoss>,
     /// Per tag: `up_fixed_db − pl_src(d(carrier, tag))` at the current
-    /// geometry — the emitter base every row sharing this tag reuses.
-    /// Maintained by `refresh_uplink_row`.
+    /// geometry — the base every emission of this tag reuses. Maintained
+    /// by `refresh_tag`.
     up_base_db: Vec<f64>,
-    /// Entities whose rows are stale, pending a [`LinkMatrix::flush`].
+    /// Entities whose budgets are stale, pending a [`LinkMatrix::flush`].
     dirty: Vec<EntityId>,
 }
 
@@ -481,9 +443,9 @@ fn uplink_key(scenario: &Scenario, t: usize) -> UplinkKey {
 
 impl LinkMatrix {
     /// Builds the matrix for a validated scenario, caching the
-    /// position-independent terms and filling every table through the same
-    /// row functions [`LinkMatrix::flush`] uses — so an incremental update
-    /// lands on exactly the values a fresh build would produce.
+    /// position-independent terms and filling every budget through the
+    /// same per-tag refresh [`LinkMatrix::flush`] uses — so an incremental
+    /// update lands on exactly the values a fresh build would produce.
     pub fn build(scenario: &Scenario) -> Result<LinkMatrix, NetError> {
         let n_tags = scenario.tags.len();
         let n_rx = scenario.receivers.len();
@@ -498,9 +460,6 @@ impl LinkMatrix {
             db: Vec::new(),
             tag_profile: scenario.tags.iter().map(|t| t.profile).collect(),
             tag_freq: Vec::with_capacity(n_tags),
-            carrier_freq: Vec::new(),
-            sink_freq: Vec::new(),
-            ext_freq: Vec::new(),
         };
         // The per-tag uplink terms, memoised on their inputs (sorted by
         // key): each distinct key is evaluated once, in tag order, so the
@@ -534,31 +493,32 @@ impl LinkMatrix {
                 let detector_sensitivity = EnvelopeDetector::new(OFDM_SAMPLE_RATE).sensitivity_dbm;
                 let envelope_noise = NoiseModel::envelope_detector().noise_floor_dbm();
                 let radio_noise = NoiseModel::wifi_dsss().noise_floor_dbm();
-                let carrier_models: Vec<LogDistanceModel> = scenario
+                let carriers = scenario
                     .carriers
                     .iter()
-                    .map(|c| LogDistanceModel::indoor_los(c.carrier_freq_hz()))
+                    .map(|c| {
+                        let model = LogDistanceModel::indoor_los(c.carrier_freq_hz());
+                        Radiator::new(c.tx_power_dbm, &model, &mut pkg)
+                    })
                     .collect();
                 let sink_models: Vec<LogDistanceModel> = (0..n_rx)
                     .map(|s| LogDistanceModel::indoor_los(sink_freq_hz(scenario, s)))
                     .collect();
-                pkg.carrier_freq = carrier_models
+                let sinks = scenario
+                    .receivers
                     .iter()
-                    .map(|m| pkg.register(m.freq_hz))
-                    .collect();
-                pkg.sink_freq = sink_models
-                    .iter()
-                    .map(|m| pkg.register(m.freq_hz))
+                    .zip(&sink_models)
+                    .map(|(r, model)| Radiator::new(r.downlink_tx_power_dbm, model, &mut pkg))
                     .collect();
                 let sink_sigma_db: Vec<f64> =
                     sink_models.iter().map(|m| m.shadowing_sigma_db).collect();
                 let budget = |sensitivity_dbm: f64, noise_floor_dbm: f64, sigma: f64| LinkBudget {
-                    median_rssi_dbm: 0.0, // filled by the row functions below
+                    median_rssi_dbm: 0.0, // filled by refresh_tag below
                     shadow_sigma_db: sigma,
                     sensitivity_dbm,
                     noise_floor_dbm,
                 };
-                Some(ClosedLoopTables {
+                Some(ClosedLoop {
                     poll_budgets: scenario
                         .tags
                         .iter()
@@ -581,18 +541,8 @@ impl LinkMatrix {
                             )
                         })
                         .collect(),
-                    carrier_tx_dbm: scenario.carriers.iter().map(|c| c.tx_power_dbm).collect(),
-                    sink_tx_dbm: scenario
-                        .receivers
-                        .iter()
-                        .map(|r| r.downlink_tx_power_dbm)
-                        .collect(),
-                    carrier_at_rx: Table2d::new(n_carriers, n_rx, 0.0),
-                    carrier_at_carrier: Table2d::new(n_carriers, n_carriers, 0.0),
-                    sink_at_rx: Table2d::new(n_rx, n_rx, 0.0),
-                    sink_at_carrier: Table2d::new(n_rx, n_carriers, 0.0),
-                    pl_carrier: carrier_models.iter().map(FastPathLoss::new).collect(),
-                    pl_sink: sink_models.iter().map(FastPathLoss::new).collect(),
+                    carriers,
+                    sinks,
                     sink_sigma_db,
                 })
             }
@@ -603,30 +553,13 @@ impl LinkMatrix {
         // traffic.
         let ext = scenario
             .coex
-            .as_ref()
-            .filter(|cfg| !cfg.sources.is_empty())
-            .map(|cfg| {
-                let n_src = cfg.sources.len();
-                pkg.ext_freq = cfg
-                    .sources
-                    .iter()
-                    .map(|s| pkg.register(s.model.band().center_hz))
-                    .collect();
-                ExtTables {
-                    at_rx: Table2d::new(n_src, n_rx, 0.0),
-                    at_carrier: Table2d::new(n_src, n_carriers, 0.0),
-                    pl: cfg
-                        .sources
-                        .iter()
-                        .map(|s| {
-                            let centre_hz = s.model.band().center_hz;
-                            FastPathLoss::new(&LogDistanceModel::indoor_los(centre_hz))
-                        })
-                        .collect(),
-                    eirp_dbm: cfg.sources.iter().map(|s| s.tx_power_dbm + 2.0).collect(),
-                    pos: cfg.sources.iter().map(|s| s.position).collect(),
-                }
-            });
+            .iter()
+            .flat_map(|cfg| &cfg.sources)
+            .map(|s| {
+                let model = LogDistanceModel::indoor_los(s.model.band().center_hz);
+                (Radiator::new(s.tx_power_dbm, &model, &mut pkg), s.position)
+            })
+            .collect();
 
         let mut carrier_tags: Vec<Vec<usize>> = vec![Vec::new(); n_carriers];
         for (t, tag) in scenario.tags.iter().enumerate() {
@@ -646,6 +579,7 @@ impl LinkMatrix {
             carrier_pos,
             sink_pos,
             tag_rx: scenario.tags.iter().map(|t| t.receiver).collect(),
+            tag_phy: scenario.tags.iter().map(|t| t.phy).collect(),
             carrier_tags,
             sink_tags,
             up_fixed_db,
@@ -656,14 +590,6 @@ impl LinkMatrix {
         };
         for t in 0..n_tags {
             matrix.refresh_tag(scenario, t);
-        }
-        for c in 0..n_carriers {
-            matrix.refresh_carrier_rows(scenario, c);
-        }
-        // The tag passes already wrote every tag's budgets; only the
-        // sinks' own rows remain.
-        for s in 0..n_rx {
-            matrix.refresh_sink_rows(scenario, s);
         }
         Ok(matrix)
     }
@@ -677,8 +603,9 @@ impl LinkMatrix {
         }
     }
 
-    /// Moves `id` to `position` and marks every row touching it dirty. The
-    /// tables keep their old values until [`LinkMatrix::flush`] runs.
+    /// Moves `id` to `position` and marks it dirty. Pair powers follow at
+    /// once; the budgets it touches keep their old values until
+    /// [`LinkMatrix::flush`] runs.
     pub fn set_position(&mut self, id: EntityId, position: Position) {
         match id {
             EntityId::Tag(t) => self.tag_pos[t] = position,
@@ -688,21 +615,23 @@ impl LinkMatrix {
         self.invalidate_entity(id);
     }
 
-    /// Marks every row touching `id` dirty without moving it (for callers
-    /// that batch position writes themselves).
+    /// Marks `id` dirty without moving it (for callers that batch position
+    /// writes themselves).
     pub fn invalidate_entity(&mut self, id: EntityId) {
         self.dirty.push(id);
     }
 
-    /// Number of entities with stale rows.
+    /// Number of dirty entities.
     pub fn dirty_len(&self) -> usize {
         self.dirty.len()
     }
 
-    /// Recomputes the rows of every dirty entity from the cached
-    /// position-independent terms and the live geometry, returning how many
-    /// entities were refreshed. Each affected row costs a handful of
-    /// `log10`s; nothing else of the build is repeated.
+    /// Refreshes the budgets of every tag a dirty entity touches — the tag
+    /// itself, every tag a carrier illuminates (both uplink hops, the poll
+    /// and the ack), every tag a sink currently serves (uplink and ack) —
+    /// from the cached position-independent terms and the live geometry,
+    /// returning how many distinct entities were dirty. Each tag costs a
+    /// few `log10`s; nothing else of the build is repeated.
     pub fn flush(&mut self, scenario: &Scenario) -> usize {
         let mut dirty = std::mem::take(&mut self.dirty);
         dirty.sort_unstable();
@@ -711,208 +640,53 @@ impl LinkMatrix {
         if refreshed == 0 {
             return 0;
         }
-        // Expand the dirty set: a moved carrier changes both hops of every
-        // tag it illuminates (uplink base, poll and ack geometry).
-        let mut tag_dirty = vec![false; scenario.tags.len()];
-        let mut carriers = Vec::new();
-        let mut sinks = Vec::new();
-        for id in dirty {
-            match id {
-                EntityId::Tag(t) => tag_dirty[t] = true,
-                EntityId::Carrier(c) => {
-                    // The hoisted member index: a moved carrier dirties
-                    // exactly the tags it illuminates, no fleet scan.
-                    for &t in &self.carrier_tags[c] {
-                        tag_dirty[t] = true;
-                    }
-                    carriers.push(c);
-                }
-                EntityId::Sink(s) => sinks.push(s),
+        let mut tag_dirty = vec![false; self.tag_pos.len()];
+        for id in &dirty {
+            let touched = match id {
+                EntityId::Tag(t) => std::slice::from_ref(t),
+                EntityId::Carrier(c) => &self.carrier_tags[*c],
+                EntityId::Sink(s) => &self.sink_tags[*s],
+            };
+            for &t in touched {
+                tag_dirty[t] = true;
             }
         }
-        // Dirty tags first: their passes refresh the cached bases the sink
-        // rows reuse.
         for (t, &dirty) in tag_dirty.iter().enumerate() {
             if dirty {
                 self.refresh_tag(scenario, t);
             }
-        }
-        for c in carriers {
-            self.refresh_carrier_rows(scenario, c);
-        }
-        for s in sinks {
-            self.refresh_sink_rows(scenario, s);
-            self.refresh_sink_tag_cells(scenario, s);
         }
         refreshed
     }
 
     /// Tag `t`'s own budgets: its uplink to its live receiver (and the
     /// cached carrier → tag base every per-query power of `t` as an
-    /// emitter reuses) and — closed loop — its poll and ack budgets. Its
-    /// pairs with every other entity are evaluated on demand.
+    /// emitter reuses) and — closed loop — its poll and ack budgets.
     fn refresh_tag(&mut self, scenario: &Scenario, t: usize) {
-        let tag = &scenario.tags[t];
-        let pos = self.tag_pos[t];
+        let c = scenario.tags[t].carrier;
         // The tag's *live* destination: the scenario's assignment, unless a
         // re-stripe re-tuned it ([`LinkMatrix::retune_tag`]).
         let s = self.tag_rx[t];
         // The carrier → tag hop: the base of every emission of this tag,
         // and (closed loop) the poll distance.
-        let hop1 = log_distance(&self.carrier_pos[tag.carrier], &pos);
+        let hop1 = log_distance(&self.carrier_pos[c], &self.tag_pos[t]);
         self.up_base_db[t] = self.up_fixed_db[t] - self.up_pl_src[t].db_at(hop1.0, hop1.1);
-        self.budgets[t].median_rssi_dbm = self.tag_at_rx_dbm(t, s);
+        self.budgets[t].median_rssi_dbm = self.tag_power_dbm(t, Listener::Receiver(s));
 
-        let Some(cl) = self.closed_loop.as_mut() else {
+        let Some(cl) = &self.closed_loop else {
             return;
         };
-        let pkg = &self.pkg;
-        // Poll: the carrier's AM frame on the tag's service band, one
-        // conventional hop into the envelope detector (same distance as
-        // the illumination hop above).
-        cl.poll_budgets[t].median_rssi_dbm =
-            scenario.carriers[tag.carrier].tx_power_dbm + 2.0 + pkg.at(t, pkg.sink_freq[s])
-                - cl.pl_sink[s].db_at(hop1.0, hop1.1);
-        // Ack: the sink's AM frame into the carrier's radio. Independent
-        // of the tag's own position but cheap, and it keeps every budget
-        // of tag `t` fresh through one entry point.
-        let ack_hop = log_distance(&self.sink_pos[s], &self.carrier_pos[tag.carrier]);
-        cl.ack_budgets[t].median_rssi_dbm = scenario.receivers[s].downlink_tx_power_dbm + 2.0 + 2.0
-            - cl.pl_sink[s].db_at(ack_hop.0, ack_hop.1);
-    }
-
-    /// Carrier `c` as an **emitter and listener** (closed loop): its poll
-    /// power at every listener, and every emitter's power at its radio.
-    fn refresh_carrier_rows(&mut self, scenario: &Scenario, c: usize) {
-        let pos = self.carrier_pos[c];
-        // External sources at this carrier's radio.
-        if let Some(ext) = self.ext.as_mut() {
-            for k in 0..ext.pos.len() {
-                let (l, near) = log_distance(&pos, &ext.pos[k]);
-                ext.at_carrier
-                    .set(k, c, ext.eirp_dbm[k] + 2.0 - ext.pl[k].db_at(l, near));
-            }
-        }
-        let Self {
-            ref carrier_pos,
-            ref sink_pos,
-            ref tag_rx,
-            ref carrier_tags,
-            ref mut closed_loop,
-            ..
-        } = *self;
-        let Some(cl) = closed_loop.as_mut() else {
-            return;
-        };
-        let spec = &scenario.carriers[c];
-        // Carrier c's poll at every receiver.
-        for (r, r_pos) in sink_pos.iter().enumerate() {
-            let (l, near) = log_distance(&pos, r_pos);
-            cl.carrier_at_rx.set(
-                c,
-                r,
-                spec.tx_power_dbm + 2.0 + 2.0 - cl.pl_carrier[c].db_at(l, near),
-            );
-        }
-        for (c2, c2_pos) in carrier_pos.iter().enumerate() {
-            let (l, near) = log_distance(&pos, c2_pos);
-            cl.carrier_at_carrier.set(
-                c,
-                c2,
-                spec.tx_power_dbm + 2.0 + 2.0 - cl.pl_carrier[c].db_at(l, near),
-            );
-            // The reverse direction: c2's poll at the moved carrier c.
-            cl.carrier_at_carrier.set(
-                c2,
-                c,
-                scenario.carriers[c2].tx_power_dbm + 2.0 + 2.0 - cl.pl_carrier[c2].db_at(l, near),
-            );
-        }
-        for (s, s_spec) in scenario.receivers.iter().enumerate() {
-            let (l, near) = log_distance(&sink_pos[s], &pos);
-            cl.sink_at_carrier.set(
-                s,
-                c,
-                s_spec.downlink_tx_power_dbm + 2.0 + 2.0 - cl.pl_sink[s].db_at(l, near),
-            );
-        }
-        // Ack budgets of the tags this carrier serves — the hoisted
-        // member index replaces the old O(sinks × tags) fleet scan, which
-        // re-striping turned into a hot path.
-        for &t in &carrier_tags[c] {
-            cl.ack_budgets[t].median_rssi_dbm = cl.sink_at_carrier.at(tag_rx[t], c);
-        }
-    }
-
-    /// Sink `s` as an **emitter and listener** towards every entity but
-    /// the tags: external sources at it and — closed loop — its ack power
-    /// at every receiver and carrier, and every carrier's poll at it. The
-    /// tag × sink cells are [`LinkMatrix::refresh_sink_tag_cells`]'s.
-    fn refresh_sink_rows(&mut self, scenario: &Scenario, s: usize) {
-        let pos = self.sink_pos[s];
-        // External sources at this receiver.
-        if let Some(ext) = self.ext.as_mut() {
-            for k in 0..ext.pos.len() {
-                let (l, near) = log_distance(&pos, &ext.pos[k]);
-                ext.at_rx
-                    .set(k, s, ext.eirp_dbm[k] + 2.0 - ext.pl[k].db_at(l, near));
-            }
-        }
-        let Self {
-            ref carrier_pos,
-            ref sink_pos,
-            ref mut closed_loop,
-            ..
-        } = *self;
-        let Some(cl) = closed_loop.as_mut() else {
-            return;
-        };
-        let spec = &scenario.receivers[s];
-        for (r, r_pos) in sink_pos.iter().enumerate() {
-            let (l, near) = log_distance(&pos, r_pos);
-            cl.sink_at_rx.set(
-                s,
-                r,
-                spec.downlink_tx_power_dbm + 2.0 + 2.0 - cl.pl_sink[s].db_at(l, near),
-            );
-            // The reverse direction: r's ack at the moved sink s.
-            cl.sink_at_rx.set(
-                r,
-                s,
-                scenario.receivers[r].downlink_tx_power_dbm + 2.0 + 2.0
-                    - cl.pl_sink[r].db_at(l, near),
-            );
-        }
-        for (c, c_pos) in carrier_pos.iter().enumerate() {
-            let (l, near) = log_distance(&pos, c_pos);
-            cl.sink_at_carrier.set(
-                s,
-                c,
-                spec.downlink_tx_power_dbm + 2.0 + 2.0 - cl.pl_sink[s].db_at(l, near),
-            );
-            cl.carrier_at_rx.set(
-                c,
-                s,
-                scenario.carriers[c].tx_power_dbm + 2.0 + 2.0 - cl.pl_carrier[c].db_at(l, near),
-            );
-        }
-    }
-
-    /// Sink `s` against the tags it currently serves (the live assignment
-    /// index, maintained across re-stripes): their uplink and ack budgets.
-    /// Only a moved sink needs this: at build time
-    /// [`LinkMatrix::refresh_tag`] has already written every budget.
-    fn refresh_sink_tag_cells(&mut self, scenario: &Scenario, s: usize) {
-        for i in 0..self.sink_tags[s].len() {
-            let u = self.sink_tags[s][i];
-            self.budgets[u].median_rssi_dbm = self.tag_at_rx_dbm(u, s);
-        }
-        let Some(cl) = self.closed_loop.as_mut() else {
-            return;
-        };
-        for &t in &self.sink_tags[s] {
-            cl.ack_budgets[t].median_rssi_dbm = cl.sink_at_carrier.at(s, scenario.tags[t].carrier);
-        }
+        // Poll: the carrier's AM frame on the tag's service band (its sink's
+        // downlink frequency), one conventional hop into the envelope
+        // detector (same distance as the illumination hop above).
+        let service = &cl.sinks[s];
+        let poll = cl.carriers[c].eirp_dbm + self.pkg.at(t, service.freq)
+            - service.pl.db_at(hop1.0, hop1.1);
+        // Ack: the sink's AM frame into the carrier's radio.
+        let ack = self.power_dbm(Emitter::Sink(s), Listener::Carrier(c));
+        let cl = self.closed_loop.as_mut().expect("closed loop");
+        cl.poll_budgets[t].median_rssi_dbm = poll;
+        cl.ack_budgets[t].median_rssi_dbm = ack;
     }
 
     /// Re-tunes tag `t` to deliver to `new_rx` synthesizing `new_phy` —
@@ -936,6 +710,7 @@ impl LinkMatrix {
             row.insert(at, t);
             self.tag_rx[t] = new_rx;
         }
+        self.tag_phy[t] = new_phy;
         let link = uplink_model(scenario, t, &new_phy);
         let (fixed, sigma) = uplink_fixed_terms(&link);
         self.up_fixed_db[t] = fixed;
@@ -960,22 +735,22 @@ impl LinkMatrix {
         self.tag_rx[t]
     }
 
+    /// The PHY tag `t` currently synthesizes (the scenario's until a
+    /// re-stripe re-tunes it).
+    pub fn tag_phy(&self, t: usize) -> NetPhy {
+        self.tag_phy[t]
+    }
+
     /// The tags carrier `c` illuminates, in ascending index order — the
     /// hoisted membership index (fixed for the run).
     pub fn carrier_tags(&self, c: usize) -> &[usize] {
         &self.carrier_tags[c]
     }
 
-    fn closed(&self) -> &ClosedLoopTables {
+    fn closed(&self) -> &ClosedLoop {
         self.closed_loop
             .as_ref()
             .expect("closed-loop tables are only built for MacMode::ClosedLoop scenarios")
-    }
-
-    fn ext(&self) -> &ExtTables {
-        self.ext
-            .as_ref()
-            .expect("external power tables are only built for scenarios with coex sources")
     }
 
     /// The budget of `tag`'s uplink.
@@ -995,50 +770,6 @@ impl LinkMatrix {
         &self.closed().ack_budgets[tag]
     }
 
-    /// Tag `u`'s emission at receiver `r`, dBm, from the live geometry and
-    /// `u`'s cached base.
-    fn tag_at_rx_dbm(&self, u: usize, r: usize) -> f64 {
-        let (l, near) = log_distance(&self.tag_pos[u], &self.sink_pos[r]);
-        self.up_base_db[u] - self.up_pl_emit[u].db_at(l, near)
-    }
-
-    /// Tag `u`'s emission at tag `t`'s detector, dBm, from the live
-    /// geometry, `u`'s cached base and `t`'s package at `u`'s frequency.
-    fn tag_at_tag_dbm(&self, u: usize, t: usize) -> f64 {
-        let (l, near) = log_distance(&self.tag_pos[u], &self.tag_pos[t]);
-        self.up_base_db[u] - self.up_pl_emit[u].db_at(l, near) - 2.0
-            + self.pkg.at(t, self.pkg.tag_freq[u])
-    }
-
-    /// Tag `u`'s emission at carrier `c`'s radio, dBm.
-    fn tag_at_carrier_dbm(&self, u: usize, c: usize) -> f64 {
-        let (l, near) = log_distance(&self.tag_pos[u], &self.carrier_pos[c]);
-        self.up_base_db[u] - self.up_pl_emit[u].db_at(l, near)
-    }
-
-    /// Sink `s`'s ack at tag `t`'s detector, dBm.
-    fn sink_at_tag_dbm(&self, s: usize, t: usize) -> f64 {
-        let cl = self.closed();
-        let (l, near) = log_distance(&self.tag_pos[t], &self.sink_pos[s]);
-        cl.sink_tx_dbm[s] + 2.0 + self.pkg.at(t, self.pkg.sink_freq[s])
-            - cl.pl_sink[s].db_at(l, near)
-    }
-
-    /// External source `k`'s emission at tag `t`'s detector, dBm.
-    fn ext_at_tag_dbm(&self, k: usize, t: usize) -> f64 {
-        let ext = self.ext();
-        let (l, near) = log_distance(&self.tag_pos[t], &ext.pos[k]);
-        ext.eirp_dbm[k] + self.pkg.at(t, self.pkg.ext_freq[k]) - ext.pl[k].db_at(l, near)
-    }
-
-    /// Carrier `p`'s poll at tag `t`'s detector, dBm.
-    fn carrier_at_tag_dbm(&self, p: usize, t: usize) -> f64 {
-        let cl = self.closed();
-        let (l, near) = log_distance(&self.tag_pos[t], &self.carrier_pos[p]);
-        cl.carrier_tx_dbm[p] + 2.0 + self.pkg.at(t, self.pkg.carrier_freq[p])
-            - cl.pl_carrier[p].db_at(l, near)
-    }
-
     /// Live margin of `tag`'s uplink above its receiver's sensitivity
     /// cliff, dB — the signal [`crate::sched::SchedPolicy::MarginAware`]
     /// polls every carrier slot. Fresh after every mobility-tick
@@ -1048,25 +779,49 @@ impl LinkMatrix {
         self.budgets[tag].margin_db()
     }
 
-    /// Median power of emitter `from`'s signal at listener `at`, dBm. Used
-    /// for capture arbitration; carrier and sink emitters need the
-    /// closed-loop tables, external ones the scenario's coex sources.
+    /// Median power of emitter `from`'s signal at listener `at`, dBm, from
+    /// the live geometry. Used for capture arbitration; carrier and sink
+    /// emitters need a closed-loop scenario, external ones the scenario's
+    /// coex sources. Every emitter but a tag follows one rule: EIRP plus
+    /// the listener's package at the emitter's frequency (2 dBi at a
+    /// receiver or carrier) minus the path loss.
     pub fn power_dbm(&self, from: Emitter, at: Listener) -> f64 {
-        match (from, at) {
-            (Emitter::Tag(u), Listener::Receiver(r)) => self.tag_at_rx_dbm(u, r),
-            (Emitter::Tag(u), Listener::Tag(t)) => self.tag_at_tag_dbm(u, t),
-            (Emitter::Tag(u), Listener::Carrier(c)) => self.tag_at_carrier_dbm(u, c),
-            (Emitter::Carrier(p), Listener::Receiver(r)) => self.closed().carrier_at_rx.at(p, r),
-            (Emitter::Carrier(p), Listener::Tag(t)) => self.carrier_at_tag_dbm(p, t),
-            (Emitter::Carrier(p), Listener::Carrier(c)) => {
-                self.closed().carrier_at_carrier.at(p, c)
+        let (radiator, pos) = match from {
+            Emitter::Tag(u) => return self.tag_power_dbm(u, at),
+            Emitter::Carrier(c) => (&self.closed().carriers[c], &self.carrier_pos[c]),
+            Emitter::Sink(s) => (&self.closed().sinks[s], &self.sink_pos[s]),
+            Emitter::External(k) => {
+                let (radiator, pos) = &self.ext[k];
+                (radiator, pos)
             }
-            (Emitter::Sink(s), Listener::Receiver(r)) => self.closed().sink_at_rx.at(s, r),
-            (Emitter::Sink(s), Listener::Tag(t)) => self.sink_at_tag_dbm(s, t),
-            (Emitter::Sink(s), Listener::Carrier(c)) => self.closed().sink_at_carrier.at(s, c),
-            (Emitter::External(k), Listener::Receiver(r)) => self.ext().at_rx.at(k, r),
-            (Emitter::External(k), Listener::Tag(t)) => self.ext_at_tag_dbm(k, t),
-            (Emitter::External(k), Listener::Carrier(c)) => self.ext().at_carrier.at(k, c),
+        };
+        let gain = match at {
+            Listener::Tag(t) => self.pkg.at(t, radiator.freq),
+            Listener::Receiver(_) | Listener::Carrier(_) => 2.0,
+        };
+        let (l, near) = log_distance(self.listener_pos(at), pos);
+        radiator.eirp_dbm + gain - radiator.pl.db_at(l, near)
+    }
+
+    /// Tag `u`'s emission at listener `at`, dBm, from the live geometry and
+    /// `u`'s cached base. The uplink terms carry the standard 2 dBi
+    /// listener package; a tag listener swaps in its own package at `u`'s
+    /// frequency.
+    fn tag_power_dbm(&self, u: usize, at: Listener) -> f64 {
+        let (l, near) = log_distance(&self.tag_pos[u], self.listener_pos(at));
+        let power = self.up_base_db[u] - self.up_pl_emit[u].db_at(l, near);
+        match at {
+            Listener::Tag(t) => power - 2.0 + self.pkg.at(t, self.pkg.tag_freq[u]),
+            Listener::Receiver(_) | Listener::Carrier(_) => power,
+        }
+    }
+
+    /// The live position of listener `at`.
+    fn listener_pos(&self, at: Listener) -> &Position {
+        match at {
+            Listener::Receiver(r) => &self.sink_pos[r],
+            Listener::Tag(t) => &self.tag_pos[t],
+            Listener::Carrier(c) => &self.carrier_pos[c],
         }
     }
 
@@ -1124,16 +879,16 @@ mod tests {
             let emit = uplink_model(scenario, t, &tag.phy).tag_to_rx.freq_hz;
             assert_eq!(freq_of(pkg.tag_freq[t]), emit.to_bits(), "{when}: tag {t}");
         }
-        if m.closed_loop.is_some() {
+        if let Some(cl) = m.closed_loop.as_ref() {
             for (c, spec) in scenario.carriers.iter().enumerate() {
                 assert_eq!(
-                    freq_of(pkg.carrier_freq[c]),
+                    freq_of(cl.carriers[c].freq),
                     spec.carrier_freq_hz().to_bits()
                 );
             }
             for s in 0..scenario.receivers.len() {
                 assert_eq!(
-                    freq_of(pkg.sink_freq[s]),
+                    freq_of(cl.sinks[s].freq),
                     sink_freq_hz(scenario, s).to_bits()
                 );
             }
@@ -1141,7 +896,7 @@ mod tests {
         if let Some(cfg) = scenario.coex.as_ref() {
             for (k, src) in cfg.sources.iter().enumerate() {
                 let band = src.model.band().center_hz.to_bits();
-                assert_eq!(freq_of(pkg.ext_freq[k]), band, "{when}: source {k}");
+                assert_eq!(freq_of(m.ext[k].0.freq), band, "{when}: source {k}");
             }
         }
     }
@@ -1206,7 +961,7 @@ mod tests {
     #[test]
     fn one_and_zero_tag_fleets_are_well_defined() {
         // One tag (with an external source in the room) and no tags at
-        // all: every emitter × listener power the matrix holds is finite.
+        // all: every emitter × listener power the matrix answers is finite.
         let one = Scenario::congested_ward(1).closed_loop();
         let mut empty = Scenario::hospital_ward(1).closed_loop();
         empty.tags.clear();
@@ -1335,6 +1090,63 @@ mod tests {
     }
 
     #[test]
+    fn pair_powers_match_direct_evaluation() {
+        // Every carrier, sink and external-source power at every listener
+        // against the channel model itself: transmit power, the 2 dBi
+        // monopole, the listener's package (a tag's antenna gain − tissue
+        // at the emitter's frequency, 2 dBi otherwise) and the full
+        // `LogDistanceModel` path loss. The second round moves one entity
+        // of each kind without a flush: pair powers read the live geometry.
+        for base in presets() {
+            let mut matrix = LinkMatrix::build(&base).unwrap();
+            let mut moved = base.clone();
+            for round in 0..2 {
+                let mut checked = 0;
+                for (from, at) in pairs(&matrix) {
+                    let (tx_dbm, freq_hz, from_pos) = match from {
+                        Emitter::Tag(_) => continue,
+                        Emitter::Carrier(c) => {
+                            let spec = &moved.carriers[c];
+                            (spec.tx_power_dbm, spec.carrier_freq_hz(), spec.position())
+                        }
+                        Emitter::Sink(s) => {
+                            let spec = &moved.receivers[s];
+                            let freq_hz = sink_freq_hz(&moved, s);
+                            (spec.downlink_tx_power_dbm, freq_hz, spec.position())
+                        }
+                        Emitter::External(k) => {
+                            let src = &moved.coex.as_ref().unwrap().sources[k];
+                            (src.tx_power_dbm, src.model.band().center_hz, src.position)
+                        }
+                    };
+                    let (gain, at_pos) = match at {
+                        Listener::Tag(t) => {
+                            let tag = &moved.tags[t];
+                            (rx_pkg_db(tag.profile, freq_hz), tag.position())
+                        }
+                        Listener::Receiver(r) => (2.0, moved.receivers[r].position()),
+                        Listener::Carrier(c) => (2.0, moved.carriers[c].position()),
+                    };
+                    let pl = LogDistanceModel::indoor_los(freq_hz)
+                        .path_loss_db(from_pos.distance_m(&at_pos));
+                    let direct = tx_dbm + 2.0 + gain - pl;
+                    let p = matrix.power_dbm(from, at);
+                    assert!(
+                        (p - direct).abs() < 1e-9,
+                        "{} round {round}: {from:?} at {at:?}: {p} vs {direct} dBm",
+                        base.name
+                    );
+                    checked += 1;
+                }
+                assert!(checked > 0, "{}: no non-tag emitter", base.name);
+                nudge(&mut matrix, &mut moved, EntityId::Tag(0), 0.7, -0.4);
+                nudge(&mut matrix, &mut moved, EntityId::Carrier(0), -0.3, 0.5);
+                nudge(&mut matrix, &mut moved, EntityId::Sink(0), 0.9, 0.2);
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "closed-loop tables")]
     fn open_loop_matrices_have_no_downlink_tables() {
         let scenario = Scenario::hospital_ward(4);
@@ -1355,9 +1167,7 @@ mod tests {
             listeners.extend((0..m.len()).map(Listener::Tag));
             listeners.extend((0..m.carrier_pos.len()).map(Listener::Carrier));
         }
-        if let Some(ext) = m.ext.as_ref() {
-            emitters.extend((0..ext.pos.len()).map(Emitter::External));
-        }
+        emitters.extend((0..m.ext.len()).map(Emitter::External));
         let mut out = Vec::new();
         for &from in &emitters {
             for &at in &listeners {

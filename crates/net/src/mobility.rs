@@ -6,8 +6,8 @@
 //! scenario may attach a [`MobilityConfig`] that drives a periodic
 //! `MobilityTick` event. Each tick advances every tag's [`MotionState`] by
 //! one [`MobilityModel::step`] and pushes the new geometry into the
-//! [`crate::links::LinkMatrix`] through its row-level invalidation API, so
-//! link budgets always reflect where the entities *currently* are.
+//! [`crate::links::LinkMatrix`] through its dirty-entity invalidation API,
+//! so link budgets always reflect where the entities *currently* are.
 //!
 //! Determinism: a model draws randomness only from the RNG handed to
 //! `step`, which the engine seeds per entity from `(scenario seed, mobility

@@ -181,9 +181,9 @@ impl Scenario {
                     "carrier {c}: slot interval and window must be positive and finite"
                 )));
             }
-            if !carrier.tx_power_dbm.is_finite() {
+            if !(carrier.tx_power_dbm.is_finite() && carrier.ack_sensitivity_dbm.is_finite()) {
                 return Err(NetError::InvalidScenario(format!(
-                    "carrier {c}: tx power must be finite"
+                    "carrier {c}: tx power and ack sensitivity must be finite"
                 )));
             }
             if !finite_position(&carrier.position()) {
@@ -196,6 +196,12 @@ impl Scenario {
             if !finite_position(&receiver.position()) {
                 return Err(NetError::InvalidScenario(format!(
                     "receiver {r}: position must be finite"
+                )));
+            }
+            if !(receiver.sensitivity_dbm.is_finite() && receiver.downlink_tx_power_dbm.is_finite())
+            {
+                return Err(NetError::InvalidScenario(format!(
+                    "receiver {r}: sensitivity and downlink tx power must be finite"
                 )));
             }
             if !(0.0..=1.0).contains(&receiver.external_occupancy) {
@@ -725,7 +731,7 @@ impl Scenario {
     /// loop — the deployment regime the paper's
     /// "internet connectivity for implanted devices" vision implies, and
     /// the scale target of the engine-core work (4-ary event heap, band
-    /// index, SoA link tables).
+    /// index, SoA link budgets).
     ///
     /// Layout: clusters of up to 256 implants ring one helper each (every
     /// tag inside the ~1 m illumination range), cluster centres on an
@@ -737,9 +743,9 @@ impl Scenario {
     /// Three neighbour Wi-Fi networks (one per channel) load the band
     /// through [`crate::coex`].
     ///
-    /// Carrier count stays O(`n_tags` / 256), so the carrier × carrier
-    /// link table stays tiny; tag pairs are never tabled
-    /// ([`crate::links`] evaluates them on demand).
+    /// Carrier count stays O(`n_tags` / 256), one helper per cluster; no
+    /// pair power is tabled ([`crate::links`] evaluates every pair on
+    /// demand).
     ///
     /// ```
     /// use interscatter_net::scenario::Scenario;
@@ -1635,8 +1641,8 @@ mod tests {
         assert_eq!(quad.tags.len(), 100_000);
         assert_eq!(quad.mac, MacMode::ClosedLoop);
         assert!(quad.coex.is_some(), "preset attaches coex load");
-        // Shared helpers, O(n / 256): the carrier × carrier link table
-        // stays tiny.
+        // Shared helpers, O(n / 256): one per cluster of up to 256
+        // implants.
         assert_eq!(quad.carriers.len(), 100_000usize.div_ceil(256));
         // Striped: the helpers spread across several sub-bands, and each
         // implant is tuned to its helper's stripe.
@@ -1658,7 +1664,7 @@ mod tests {
     #[test]
     fn campus_closed_loop_runs_above_the_dense_pair_limit() {
         // 4200 tags in one engine: the largest single-engine closed-loop
-        // run in the suite, end to end through the link tables.
+        // run in the suite, end to end through the link matrix.
         let quad = Scenario::campus(4_200)
             .builder()
             .execution(ExecutionSection::new().trace(false))
@@ -1755,7 +1761,7 @@ mod tests {
             speed_max_mps: 1.5,
             pause_s: 0.5,
         };
-        let cases: [(&str, Edit); 21] = [
+        let cases: [(&str, Edit); 25] = [
             ("NaN duration", |s| s.duration_s = f64::NAN),
             ("NaN slot interval", |s| {
                 s.carriers[0].slot_interval_s = f64::NAN
@@ -1764,6 +1770,18 @@ mod tests {
                 s.carriers[0].slot_window_s = f64::NAN
             }),
             ("NaN tx power", |s| s.carriers[0].tx_power_dbm = f64::NAN),
+            ("NaN ack sensitivity", |s| {
+                s.carriers[0].ack_sensitivity_dbm = f64::NAN
+            }),
+            ("NaN receiver sensitivity", |s| {
+                s.receivers[0].sensitivity_dbm = f64::NAN
+            }),
+            ("NaN downlink tx power", |s| {
+                s.receivers[0].downlink_tx_power_dbm = f64::NAN
+            }),
+            ("infinite receiver sensitivity", |s| {
+                s.receivers[1].sensitivity_dbm = f64::NEG_INFINITY
+            }),
             ("NaN arrival rate", |s| {
                 s.tags[0].arrival_rate_pps = f64::NAN
             }),

@@ -24,7 +24,7 @@ fn scenarios() -> Vec<Scenario> {
         Scenario::card_to_card_room(6).closed_loop(),
         Scenario::zigbee_wing(12).closed_loop(),
         // Mobile variants interleave mobility ticks (per-tag walks plus
-        // row-level LinkMatrix refreshes) with everything above; the walk
+        // LinkMatrix budget refreshes) with everything above; the walk
         // itself must replay exactly from the seed.
         Scenario::ambulatory_ward(12),
         Scenario::ambulatory_ward(12).closed_loop(),
