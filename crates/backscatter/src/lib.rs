@@ -30,9 +30,6 @@
 //! * [`clocks`] — the frequency-synthesizer plan (143 MHz PLL divided to
 //!   11 MHz baseband and four phases of 35.75 MHz).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod clocks;
 pub mod dsb;
 pub mod envelope;

@@ -23,7 +23,6 @@ fn bench_hold(c: &mut Criterion) {
     group.sample_size(20);
     group.throughput(Throughput::Elements(HOLDS));
     for depth in [128usize, 100_000] {
-        // detlint: allow(stray_rng): bench workload stream, not an engine entity
         let mut rng = SmallRng::seed_from_u64(depth as u64);
         let mut queue = EventQueue::new();
         for tag in 0..depth {

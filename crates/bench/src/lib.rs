@@ -10,9 +10,6 @@
 //! `interscatter-sim`) and then times the runner so regressions in the
 //! simulation pipelines show up as benchmark regressions.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 /// Prints an experiment report exactly once per bench invocation.
 ///
 /// Criterion calls the measured closure many times; the textual table that
@@ -23,7 +20,10 @@ pub struct ReportOnce {
 
 impl ReportOnce {
     /// Creates a new one-shot printer.
-    #[allow(clippy::new_without_default)]
+    #[expect(
+        clippy::new_without_default,
+        reason = "a one-shot printer is built once per bench; a Default would only invite a second"
+    )]
     pub fn new() -> Self {
         ReportOnce {
             printed: std::sync::Once::new(),

@@ -24,9 +24,6 @@
 //!   (56 µs of preamble+address+header, up to 248 µs of payload, the 4 µs
 //!   guard interval).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod channels;
 pub mod device;
 pub mod gfsk;

@@ -21,9 +21,6 @@
 //!   combining both hops, the tag's conversion loss, and the resulting RSSI
 //!   and SNR at the receiver.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod antenna;
 pub mod link;
 pub mod noise;

@@ -46,9 +46,6 @@
 //! assert!(rssi > -92.0, "the packet should be decodable at 20 ft");
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub use interscatter_backscatter as backscatter;
 pub use interscatter_ble as ble;
 pub use interscatter_channel as channel;

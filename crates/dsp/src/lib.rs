@@ -28,9 +28,6 @@
 //! Everything is deterministic: functions that need randomness take an
 //! explicit [`rand::Rng`](https://docs.rs/rand).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod bits;
 pub mod complex;
 pub mod constellation;

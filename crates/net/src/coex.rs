@@ -496,8 +496,11 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test-local stream driving generators directly, not an engine entity"
+    )]
     fn rng() -> SmallRng {
-        // detlint: allow(stray_rng): test-local stream driving generators directly, not an engine entity
         SmallRng::seed_from_u64(7)
     }
 

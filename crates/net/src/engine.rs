@@ -214,7 +214,7 @@ pub(crate) struct EngineCore<'a> {
     coex: Option<CoexRuntime<'a>>,
     /// Self-profiling recorder, `Some` only when the scenario enables
     /// profiling. Wall-clock state stays out of the event loop's inputs —
-    /// detlint's `wall_clock` rule keeps `Instant` itself in `prof.rs`.
+    /// the clippy config bans `Instant` everywhere but `prof.rs`.
     prof: Option<Profiler>,
 }
 
@@ -1062,7 +1062,10 @@ fn charge_mirror_airtime(
 /// occupancy threshold *and* a dwell time) and quiescent: a carrier with a
 /// member mid-transmission or mid-transaction defers the move to a later
 /// check, so no tag is ever re-tuned with an emission in flight.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "each argument is a disjoint borrow of engine-core state the re-stripe reads or moves"
+)]
 fn sense_and_restripe(
     cx: &mut CoexRuntime,
     scenario: &Scenario,
@@ -1212,7 +1215,10 @@ fn sense_and_restripe(
 /// 2. collision with external (unmodelled) Wi-Fi traffic on the band,
 ///    tamed by the §2.3.3 reservation;
 /// 3. the link budget itself (lognormal shadowing around the median).
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one argument per input of the three-cause loss model, plus the stream it draws from"
+)]
 fn receive_outcome<R: Rng>(
     links: &LinkMatrix,
     budget: &LinkBudget,

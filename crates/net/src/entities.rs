@@ -397,8 +397,9 @@ impl SinkReceiver {
 ///
 /// The derivation itself lives in [`rand::derive_stream_seed`]; this
 /// module names the streams so a call site reads as *which* entity's
-/// randomness it draws. detlint's `stray_rng` rule fails any
-/// `seed_from_u64` in the engine crate outside this module — a stray
+/// randomness it draws. `crates/net/clippy.toml` bans `seed_from_u64`
+/// anywhere in the engine crate (these constructors go through
+/// [`rand::stream::small_rng`]), because a stray
 /// generator is a determinism hazard, not a style nit: it either aliases
 /// an existing stream (correlating what must be independent) or invents
 /// an unnamed one (breaking the seed-reproducibility audit trail).

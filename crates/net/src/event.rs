@@ -377,7 +377,10 @@ mod tests {
         // more.
         const FAR_NS: u64 = 1 << 36;
         for trial in 0..20u64 {
-            // detlint: allow(stray_rng): property-test stream fuzzing the event queue, not an engine entity
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "property-test stream fuzzing the event queue, not an engine entity"
+            )]
             let mut rng = SmallRng::seed_from_u64(0x57EE1 ^ trial);
             let mut twin = Twin::default();
             let mut now = 0u64;
@@ -417,7 +420,10 @@ mod tests {
         // schedule a random delay ahead (the classic hold model), so every
         // pop sifts a hole down through ≈9 levels of a full heap.
         const DEPTH: usize = 100_000;
-        // detlint: allow(stray_rng): property-test stream fuzzing the event queue, not an engine entity
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "property-test stream fuzzing the event queue, not an engine entity"
+        )]
         let mut rng = SmallRng::seed_from_u64(0xDEE9);
         let mut twin = Twin::default();
         for tag in 0..DEPTH {

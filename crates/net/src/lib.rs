@@ -119,9 +119,6 @@
 //! assert_eq!(report.trials.len(), 4);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod coex;
 pub mod engine;
 pub mod entities;

@@ -128,8 +128,10 @@ pub enum Listener {
     Carrier(usize),
 }
 
-/// One entity of the scenario, for geometry updates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// One entity of the scenario, for geometry updates. Ordered by variant
+/// (tags, carriers, sinks), then by index: the derive's order, written out
+/// by hand for the reason [`crate::time::Time`] gives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EntityId {
     /// A backscatter tag.
     Tag(usize),
@@ -137,6 +139,25 @@ pub enum EntityId {
     Carrier(usize),
     /// A sink receiver.
     Sink(usize),
+}
+
+impl Ord for EntityId {
+    #[inline]
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        let key = |e: &EntityId| match *e {
+            EntityId::Tag(i) => (0u8, i),
+            EntityId::Carrier(i) => (1, i),
+            EntityId::Sink(i) => (2, i),
+        };
+        key(self).cmp(&key(other))
+    }
+}
+
+impl PartialOrd for EntityId {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 /// A log-distance path-loss evaluator with the reference loss folded in:
@@ -750,7 +771,7 @@ impl LinkMatrix {
     fn closed(&self) -> &ClosedLoop {
         self.closed_loop
             .as_ref()
-            .expect("closed-loop tables are only built for MacMode::ClosedLoop scenarios")
+            .expect("poll and ack budgets are only built for MacMode::ClosedLoop scenarios")
     }
 
     /// The budget of `tag`'s uplink.
@@ -1027,7 +1048,10 @@ mod tests {
         };
         assert!(strong.margin_db() > 20.0);
         assert!(strong.median_snr_db() > strong.margin_db());
-        // detlint: allow(stray_rng): test-local stream sampling packet outcomes, not an engine entity
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test-local stream sampling packet outcomes, not an engine entity"
+        )]
         let mut rng = SmallRng::seed_from_u64(1);
         let strong_ok = (0..200)
             .filter(|_| strong.packet_outcome(&mut rng).0)
@@ -1147,7 +1171,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "closed-loop tables")]
+    #[should_panic(expected = "poll and ack budgets")]
     fn open_loop_matrices_have_no_downlink_tables() {
         let scenario = Scenario::hospital_ward(4);
         let matrix = LinkMatrix::build(&scenario).unwrap();
@@ -1309,7 +1333,10 @@ mod tests {
         // The decode probability itself moves: the strong bedside link
         // delivers essentially always, the walked-away link does not.
         let decode_rate = |budget: &LinkBudget| {
-            // detlint: allow(stray_rng): test-local stream sampling packet outcomes, not an engine entity
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "test-local stream sampling packet outcomes, not an engine entity"
+            )]
             let mut rng = SmallRng::seed_from_u64(9);
             (0..500)
                 .filter(|_| budget.packet_outcome(&mut rng).0)

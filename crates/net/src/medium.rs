@@ -186,8 +186,8 @@ pub struct Medium {
     /// swap-removes of [`Medium::finish`]). A `Vec` sorted by tx id, not a
     /// hash table: ids are allocated monotonically so insertion is a push,
     /// lookups binary-search, and — the reason it matters — there is no
-    /// seeded iteration order anywhere near the hot path (detlint's
-    /// `hash_iter` rule keeps it that way).
+    /// seeded iteration order anywhere near the hot path (the clippy
+    /// config's `HashMap`/`HashSet` ban keeps it that way).
     index: Vec<(u64, usize)>,
 }
 
@@ -662,7 +662,10 @@ mod tests {
             wifi(2.440e9),
         ];
         for trial in 0..10u64 {
-            // detlint: allow(stray_rng): property-test stream fuzzing the band index, not an engine entity
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "property-test stream fuzzing the band index, not an engine entity"
+            )]
             let mut rng = SmallRng::seed_from_u64(0xBA2D ^ trial);
             let mut indexed = Medium::new();
             let mut linear = LinearMedium::default();

@@ -314,8 +314,11 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test-local stream stepping models directly, not an engine entity"
+    )]
     fn rng(seed: u64) -> SmallRng {
-        // detlint: allow(stray_rng): test-local stream stepping models directly, not an engine entity
         SmallRng::seed_from_u64(seed)
     }
 

@@ -20,11 +20,12 @@
 //!   ([`crate::engine::NetRunResult::prof`], `PROF_net.json`, the Chrome
 //!   trace) — never in simulation state, never on digest-checked stdout.
 //! * This file is the one sanctioned home for [`std::time::Instant`] in
-//!   `crates/net`; detlint's `wall_clock` rule scopes its allowance to
-//!   exactly this path and still fails the build anywhere else.
+//!   `crates/net`: the `#![expect]` below waives the clippy config's
+//!   `Instant` ban for this module only, and it still fails the build
+//!   anywhere else.
 //! * No shared recorders: the engine core owns its [`Profiler`] and
-//!   records into its ring buffer — no locks, no atomics, per detlint's
-//!   `shard_exchange` rule.
+//!   records into its ring buffer — no locks, no atomics, both of which
+//!   `crates/net/clippy.toml` bans.
 //!
 //! Tests swap the monotonic wall clock for the deterministic
 //! [`Clock::fake`] counter, pinning span nesting and the Chrome-trace
@@ -39,6 +40,11 @@
 //!   `chrome://tracing`.
 //! * [`ProfReport::summary`] — a machine-readable [`ProfSummary`] (phase
 //!   totals) whose [`ProfSummary::to_json`] is what `PROF_net.json` holds.
+
+#![expect(
+    clippy::disallowed_types,
+    reason = "the one sanctioned engine stopwatch: wall-clock values stay in the prof output"
+)]
 
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -322,8 +328,8 @@ impl ProfSummary {
 
 /// Times a closure on the wall clock: `(result, elapsed_ns)`. The one
 /// sanctioned stopwatch for call sites outside this module (the scenario
-/// builder times its validation pass through this, keeping the `Instant`
-/// token inside prof.rs where detlint's allowance is scoped).
+/// builder times its validation pass through this, keeping `Instant`
+/// inside prof.rs, the one module that waives its ban).
 pub fn measure_ns<R>(f: impl FnOnce() -> R) -> (R, u64) {
     let mut clock = Clock::wall();
     let result = f();

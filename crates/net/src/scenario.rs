@@ -1204,7 +1204,7 @@ fn nearest_index(receivers: &[SinkReceiver], position: &Position) -> usize {
         .min_by(|(_, a), (_, b)| {
             // total_cmp, not partial_cmp: distances are finite here, so the
             // order is identical — but the comparator stays consistent (and
-            // detlint-clean) even if a NaN ever leaks in.
+            // free of the banned `partial_cmp`) even if a NaN ever leaks in.
             a.position
                 .distance_m(position)
                 .total_cmp(&b.position.distance_m(position))

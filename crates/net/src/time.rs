@@ -5,9 +5,29 @@
 //! ties across otherwise identical runs, which would break the
 //! byte-identical-trace guarantee.
 
+use std::cmp::Ordering;
+
 /// A point in simulated time, nanoseconds since the start of the run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+///
+/// `Ord` and `PartialOrd` are written out rather than derived: the derive
+/// expands to `partial_cmp` on the field, which crates/net's clippy config
+/// bans as a float ordering key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Time(pub u64);
+
+impl Ord for Time {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.cmp(&other.0)
+    }
+}
+
+impl PartialOrd for Time {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
 
 impl Time {
     /// The start of the simulation.

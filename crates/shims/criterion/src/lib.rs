@@ -23,8 +23,10 @@
 //! Unknown flags (cargo's own `--bench`, test filters) are ignored, like
 //! real criterion does.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "the benchmark stopwatch: timing the host clock is this crate's job"
+)]
 
 use std::hint;
 use std::time::{Duration, Instant};
@@ -268,6 +270,7 @@ fn format_ns(ns: f64) -> String {
 #[macro_export]
 macro_rules! criterion_group {
     (name = $name:ident; config = $config:expr; targets = $($target:path),+ $(,)?) => {
+        /// Runs every target of this benchmark group.
         pub fn $name() {
             let mut criterion = $config;
             $( $target(&mut criterion); )+

@@ -9,9 +9,6 @@
 //! upstream `rand 0.8` streams; seeds only reproduce results within this
 //! workspace.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use std::ops::{Range, RangeInclusive};
 
 /// The low-level generator interface: a source of uniform `u64`s.
@@ -184,8 +181,8 @@ pub trait SeedableRng: Sized {
 /// workspace routes through: same `(base, stream, index)` → same seed on
 /// every platform, different streams/indices → decorrelated generators.
 /// The simulation crates are not allowed to seed generators ad hoc — the
-/// `detlint` pass's `stray_rng` rule points offenders here (via the named
-/// constructors in `net::entities::streams`).
+/// engine crate's clippy config bans `seed_from_u64` and points offenders
+/// here (via the named constructors in `net::entities::streams`).
 pub fn derive_stream_seed(base: u64, stream: u64, index: u64) -> u64 {
     let mut z = base
         .wrapping_add(stream.wrapping_mul(0xD6E8_FEB8_6659_FD93))

@@ -8,9 +8,6 @@
 //! among them), so order is preserved and results are identical to the
 //! sequential equivalent — only wall-clock time changes.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use std::num::NonZeroUsize;
 
 /// A collection of items about to be processed in parallel.
@@ -180,8 +177,8 @@ pub mod prelude {
 /// Raw parallel-iterator chains leave the merge discipline at every call
 /// site; these helpers bake it in — results always come back **in input
 /// order**, regardless of which worker finished first, so a parallel run
-/// is byte-identical to the sequential equivalent. The `detlint` pass's
-/// `ordered_merge` rule steers all simulation-crate callers here
+/// is byte-identical to the sequential equivalent. The workspace clippy
+/// config bans the raw iterators and steers all callers here
 /// (`net::run_trials` maps its Monte-Carlo trials, and `sim`'s Fig. 11
 /// its waveform packet trials, through [`det::map_indexed_ordered`]).
 pub mod det {
@@ -208,6 +205,10 @@ pub mod det {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "these tests exercise the raw parallel iterators the shim defines"
+)]
 mod tests {
     use super::prelude::*;
 

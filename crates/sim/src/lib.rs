@@ -24,9 +24,6 @@
 //!   function returning structured rows and a plain-text report; the bench
 //!   harness and the `run_experiments` example call these.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod applications;
 pub mod downlink;
 pub mod experiments;

@@ -26,9 +26,6 @@
 //! timing rules the coexistence evaluation needs (CTS-to-Self, RTS/CTS,
 //! DIFS/SIFS timing for the iperf-style throughput model of Figure 12).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod dot11b;
 pub mod mac;
 pub mod ofdm;

@@ -14,7 +14,10 @@
 pub fn permutation(n_cbps: usize, n_bpsc: usize) -> Vec<usize> {
     let s = (n_bpsc / 2).max(1);
     let mut perm = vec![0usize; n_cbps];
-    #[allow(clippy::needless_range_loop)] // k is the spec's symbol index; indexing mirrors 17.3.5.7
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "k is the spec's symbol index; indexing mirrors 17.3.5.7"
+    )]
     for k in 0..n_cbps {
         // First permutation.
         let i = (n_cbps / 16) * (k % 16) + (k / 16);

@@ -21,9 +21,6 @@
 //! * [`phy`] — the complete transmitter and receiver plus rate/timing
 //!   constants (250 kbps, 5 MHz channels).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod chips;
 pub mod frame;
 pub mod oqpsk;

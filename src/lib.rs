@@ -6,7 +6,5 @@
 //! re-exports the facade crate so examples and tests have a single import
 //! path.
 
-#![forbid(unsafe_code)]
-
 pub use interscatter;
 pub use interscatter::prelude;

@@ -3,7 +3,7 @@
 //! telemetry output are identical with profiling on or off — while the
 //! prof output itself carries the phase totals `PROF_net.json` is built
 //! from and the Chrome-trace export. See `net::prof` for the contract and
-//! detlint's `wall_clock` scoping.
+//! why it is the one engine module allowed `std::time::Instant`.
 
 use interscatter::net::prelude::ExecutionSection;
 use interscatter::net::scenario::Scenario;
