@@ -32,6 +32,7 @@
 //! (`tests/net_determinism.rs` runs every generator kind, including a
 //! mid-run re-stripe).
 
+use crate::entities::streams::exponential_s;
 use crate::entities::Position;
 use crate::medium::Band;
 use crate::scenario::{finite_position, positive_finite};
@@ -482,13 +483,6 @@ impl CoexConfig {
         }
         Ok(())
     }
-}
-
-/// An exponential draw with mean `1/rate` seconds (the same shape as the
-/// engine's arrival draws, duplicated so coex streams stay self-contained).
-fn exponential_s<R: Rng>(rng: &mut R, rate_per_s: f64) -> f64 {
-    let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    -u.ln() / rate_per_s
 }
 
 #[cfg(test)]

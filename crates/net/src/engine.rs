@@ -13,15 +13,18 @@
 //! 3. entity iteration is always by index.
 //!
 //! Two MAC disciplines share the loop ([`crate::mac::MacMode`]): the
-//! open-loop schedule of PR 1 (carriers grant slots blindly) and the
-//! closed poll/ack loop, where every uplink transmission is bracketed by
-//! an AM-OFDM poll from the carrier and an AM-OFDM ack from the sink
-//! (see [`crate::mac`] for the transaction structure and its physics).
+//! open loop, where carriers grant slots blindly and delivery is decided
+//! when the packet ends, and the closed poll/ack loop, where every uplink
+//! transmission is bracketed by an AM-OFDM poll from the carrier and an
+//! AM-OFDM ack from the sink (see [`crate::mac`] for the transaction
+//! structure and its physics). `EngineCore::run` hands each event to the
+//! one handler of its kind; the handlers share the uplink start, the
+//! delivery and the reception arbitration.
 
 use crate::coex::{CoexConfig, MediumAccess, SENSE_EWMA_ALPHA, SENSE_SAMPLE_INTERVAL_S};
 use crate::entities::{streams, NetPhy, Position, SinkKind};
-use crate::event::{DownlinkKind, EventKind, EventQueue, EventTrace};
-use crate::links::{EntityId, LinkBudget, LinkMatrix, Listener};
+use crate::event::{EventKind, EventQueue, EventTrace};
+use crate::links::{EntityId, LinkMatrix, Listener};
 use crate::mac::{self, LoopPhase, MacLoop, MacMode};
 use crate::medium::{Band, Emitter, Medium, TxReport};
 use crate::metrics::{MobilitySample, NetworkMetrics, OccupancySample, ReStripeEvent};
@@ -76,7 +79,7 @@ struct CarrierState {
 }
 
 /// Runtime state of the mobility subsystem (only present when the scenario
-/// attaches a non-static [`MobilityConfig`]).
+/// attaches a [`MobilityConfig`]).
 #[derive(Debug)]
 struct MobilityRuntime {
     config: MobilityConfig,
@@ -96,6 +99,40 @@ struct MobilityRuntime {
     /// PRR-vs-displacement series.
     prev_delivered: Vec<usize>,
     prev_attempts: Vec<usize>,
+}
+
+impl MobilityRuntime {
+    /// Every tag at rest at its scenario position, each walking its own
+    /// mobility stream.
+    fn new(
+        config: MobilityConfig,
+        scenario: &Scenario,
+        seed: u64,
+        carriers: &[CarrierState],
+    ) -> Self {
+        MobilityRuntime {
+            config,
+            tick_ns: Time::from_secs(config.tick_interval_s).as_nanos().max(1),
+            states: scenario
+                .tags
+                .iter()
+                .map(|t| MotionState::at(t.position()))
+                .collect(),
+            rngs: (0..scenario.tags.len())
+                .map(|t| streams::mobility_rng(seed, t))
+                .collect(),
+            carrier_origin: scenario.carriers.iter().map(|c| c.position()).collect(),
+            carrier_wearer: carriers
+                .iter()
+                .map(|state| match state.sched.members() {
+                    [only] => Some(*only),
+                    _ => None,
+                })
+                .collect(),
+            prev_delivered: vec![0; scenario.tags.len()],
+            prev_attempts: vec![0; scenario.tags.len()],
+        }
+    }
 }
 
 /// Runtime state of the coexistence subsystem (only present when the
@@ -135,6 +172,44 @@ struct CarrierSense {
     slots: u32,
     /// When the carrier last re-striped (the dwell-time hysteresis).
     last_restripe: Time,
+}
+
+impl<'a> CoexRuntime<'a> {
+    /// One stream per source, no emission pending yet, and every
+    /// carrier's sensing estimators at zero.
+    fn new(config: &'a CoexConfig, scenario: &Scenario, seed: u64) -> Self {
+        let carrier0_freq = scenario.carriers[0].carrier_freq_hz();
+        CoexRuntime {
+            config,
+            rngs: (0..config.sources.len())
+                .map(|k| streams::coex_rng(seed, k))
+                .collect(),
+            pending_dur_s: vec![0.0; config.sources.len()],
+            rx_bands: scenario
+                .receivers
+                .iter()
+                .map(|r| Band::new(r.center_freq_hz(carrier0_freq), r.bandwidth_hz()))
+                .collect(),
+            wifi_rx: scenario
+                .receivers
+                .iter()
+                .enumerate()
+                .filter(|(_, r)| matches!(r.kind, SinkKind::Wifi { .. }))
+                .map(|(i, _)| i)
+                .collect(),
+            sense: (0..scenario.carriers.len())
+                .map(|_| CarrierSense {
+                    ewma: vec![0.0; scenario.receivers.len()],
+                    last_sample: Time::ZERO,
+                    prev_attempts: 0,
+                    prev_delivered: 0,
+                    slots: 0,
+                    last_restripe: Time::ZERO,
+                })
+                .collect(),
+            sample_ns: Time::from_secs(SENSE_SAMPLE_INTERVAL_S).as_nanos().max(1),
+        }
+    }
 }
 
 /// How one reception attempt resolved, in arbitration order.
@@ -277,73 +352,24 @@ impl<'a> EngineCore<'a> {
                 rng: streams::carrier_rng(seed, c),
             })
             .collect();
-        let mobility: Option<MobilityRuntime> = scenario.mobility.map(|config| MobilityRuntime {
-            config,
-            tick_ns: Time::from_secs(config.tick_interval_s).as_nanos().max(1),
-            states: scenario
-                .tags
-                .iter()
-                .map(|t| MotionState::at(t.position()))
-                .collect(),
-            rngs: (0..scenario.tags.len())
-                .map(|t| streams::mobility_rng(seed, t))
-                .collect(),
-            carrier_origin: scenario.carriers.iter().map(|c| c.position()).collect(),
-            carrier_wearer: carriers
-                .iter()
-                .map(|state| match state.sched.members() {
-                    [only] => Some(*only),
-                    _ => None,
-                })
-                .collect(),
-            prev_delivered: vec![0; scenario.tags.len()],
-            prev_attempts: vec![0; scenario.tags.len()],
-        });
+        let mobility = scenario
+            .mobility
+            .map(|config| MobilityRuntime::new(config, scenario, seed, &carriers));
 
         // Per tag: an uplink emission is on the air (re-striping waits for
         // quiescence so a tag is never re-tuned mid-flight).
         let airborne = vec![false; scenario.tags.len()];
 
-        let mut coex: Option<CoexRuntime> = scenario.coex.as_ref().map(|config| {
+        let mut coex = scenario.coex.as_ref().map(|config| {
             metrics.init_coex(scenario.carriers.len(), config.sources.len());
-            let carrier0_freq = scenario.carriers[0].carrier_freq_hz();
-            CoexRuntime {
-                config,
-                rngs: (0..config.sources.len())
-                    .map(|k| streams::coex_rng(seed, k))
-                    .collect(),
-                pending_dur_s: vec![0.0; config.sources.len()],
-                rx_bands: scenario
-                    .receivers
-                    .iter()
-                    .map(|r| Band::new(r.center_freq_hz(carrier0_freq), r.bandwidth_hz()))
-                    .collect(),
-                wifi_rx: scenario
-                    .receivers
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, r)| matches!(r.kind, SinkKind::Wifi { .. }))
-                    .map(|(i, _)| i)
-                    .collect(),
-                sense: (0..scenario.carriers.len())
-                    .map(|_| CarrierSense {
-                        ewma: vec![0.0; scenario.receivers.len()],
-                        last_sample: Time::ZERO,
-                        prev_attempts: 0,
-                        prev_delivered: 0,
-                        slots: 0,
-                        last_restripe: Time::ZERO,
-                    })
-                    .collect(),
-                sample_ns: Time::from_secs(SENSE_SAMPLE_INTERVAL_S).as_nanos().max(1),
-            }
+            CoexRuntime::new(config, scenario, seed)
         });
 
         // Prime the queue: first packet arrival per tag, first slot per
         // carrier (staggered within one interval so co-located carriers do
         // not fire in lockstep), and the horizon.
         for (t, state) in tags.iter_mut().enumerate() {
-            let dt = exponential_s(&mut state.rng, scenario.tags[t].arrival_rate_pps);
+            let dt = streams::exponential_s(&mut state.rng, scenario.tags[t].arrival_rate_pps);
             queue.schedule(
                 Time::ZERO.after_secs(dt),
                 EventKind::PacketArrival { tag: t },
@@ -396,570 +422,47 @@ impl<'a> EngineCore<'a> {
         })
     }
 
-    /// Pops and handles every event in `(at, seq)` order up to and
-    /// including the horizon. A profiled run records the whole loop as
-    /// one `"epoch"` span, the phase name the benchmark's event-loop
-    /// metrics read.
+    /// The event loop: pops every event in `(at, seq)` order up to and
+    /// including the horizon, emits any progress line that falls due, and
+    /// hands the event to the one handler of its kind. A profiled run
+    /// records the whole loop as one `"epoch"` span, the phase name the
+    /// benchmark's event-loop metrics read.
     pub(crate) fn run(&mut self) {
         let epoch_tok = self.prof.as_mut().map(|p| p.begin("epoch"));
-        let EngineCore {
-            scenario,
-            ref mut links,
-            ref mut queue,
-            ref mut medium,
-            ref mut trace,
-            ref mut metrics,
-            ref mut events,
-            ref mut progress,
-            ref mut mac_loop,
-            ref mut tags,
-            ref mut carriers,
-            ref mut mobility,
-            ref mut airborne,
-            ref mut coex,
-            ref mut prof,
-        } = *self;
-        while let Some(event) = queue.pop() {
-            *events += 1;
-            if let Some(p) = progress.as_mut() {
+        while let Some(event) = self.queue.pop() {
+            self.events += 1;
+            if let Some(p) = self.progress.as_mut() {
                 // One status line per elapsed cadence period, driven by
                 // simulated time so the output is deterministic (events
                 // per *simulated* second, no wall clock).
                 if p.due(event.at) {
                     p.emit(
                         event.at,
-                        *events,
-                        metrics.attempts(),
-                        metrics.delivered_packets(),
-                        metrics.restripes(),
+                        self.events,
+                        self.metrics.attempts(),
+                        self.metrics.delivered_packets(),
+                        self.metrics.restripes(),
                     );
                 }
             }
+            let now = event.at;
             match event.kind {
                 EventKind::Horizon => break,
-                EventKind::MobilityTick => {
-                    let now = event.at;
-                    let mob = mobility.as_mut().expect("tick without mobility");
-                    queue.schedule(now.after_nanos(mob.tick_ns), EventKind::MobilityTick);
-                    // Advance every tag's walk from its own RNG stream (in
-                    // index order — the determinism contract), pushing new
-                    // positions into the matrix as dirty entities.
-                    let dt_s = mob.tick_ns as f64 / 1e9;
-                    let mut moved = 0usize;
-                    for t in 0..scenario.tags.len() {
-                        let before = mob.states[t].position;
-                        mob.config.model.step(
-                            &mut mob.states[t],
-                            &mob.config.bounds,
-                            dt_s,
-                            &mut mob.rngs[t],
-                        );
-                        if mob.states[t].position != before {
-                            links.set_position(EntityId::Tag(t), mob.states[t].position);
-                            moved += 1;
-                        }
-                    }
-                    if mob.config.carriers_follow {
-                        // Body-worn carriers ride rigidly with their single
-                        // wearer tag, preserving the scenario offset.
-                        for (c, wearer) in mob.carrier_wearer.iter().enumerate() {
-                            let Some(t) = *wearer else { continue };
-                            let state = &mob.states[t];
-                            let origin = mob.carrier_origin[c];
-                            let p = Position::new(
-                                origin.x + (state.position.x - state.origin.x),
-                                origin.y + (state.position.y - state.origin.y),
-                                origin.z + (state.position.z - state.origin.z),
-                            );
-                            if p != links.position(EntityId::Carrier(c)) {
-                                links.set_position(EntityId::Carrier(c), p);
-                            }
-                        }
-                    }
-                    let flush_tok = prof.as_mut().map(|p| p.begin("link_flush"));
-                    let refreshed = links.flush(scenario);
-                    if let (Some(p), Some(tok)) = (prof.as_mut(), flush_tok) {
-                        p.end(tok);
-                    }
-                    // One PRR-vs-displacement sample per tag per tick.
-                    let mut max_disp_mm = 0u64;
-                    for t in 0..scenario.tags.len() {
-                        let (attempts, delivered) =
-                            (metrics.tags[t].attempts, metrics.tags[t].delivered);
-                        metrics.mobility_series[t].push(MobilitySample {
-                            at_s: now.as_secs(),
-                            displacement_m: mob.states[t].displacement_m(),
-                            attempts: attempts - mob.prev_attempts[t],
-                            delivered: delivered - mob.prev_delivered[t],
-                        });
-                        mob.prev_attempts[t] = attempts;
-                        mob.prev_delivered[t] = delivered;
-                        max_disp_mm =
-                            max_disp_mm.max((mob.states[t].displacement_m() * 1e3).round() as u64);
-                    }
-                    trace.record(now, || {
-                        format!(
-                            "mobility tick: {moved} moved, {refreshed} entities refreshed, \
-                             max displacement {max_disp_mm} mm"
-                        )
-                    });
-                }
-                EventKind::CoexStart { source } => {
-                    let now = event.at;
-                    let cx = coex.as_mut().expect("coex event without config");
-                    let spec = &cx.config.sources[source];
-                    let band = spec.model.band();
-                    if spec.model.access() == MediumAccess::Csma && medium.busy(band, now) {
-                        // A well-behaved neighbour defers to the busy band
-                        // (including the §2.3.3 NAV — this is exactly the
-                        // protection a CTS-to-Self buys against external
-                        // traffic) and retries after a contention-window
-                        // backoff from its own stream.
-                        metrics.coex_defers[source] += 1;
-                        let backoff = cx.rngs[source].gen_range(50e-6..500e-6);
-                        let retry = now.after_secs(backoff);
-                        if retry.as_secs() < spec.stop_s {
-                            queue.schedule(retry, EventKind::CoexStart { source });
-                        }
-                        continue;
-                    }
-                    // Clip at the activity window's edge: `stop_s` means
-                    // silent from that instant on, even mid-burst.
-                    let dur = cx.pending_dur_s[source].min(spec.stop_s - now.as_secs());
-                    let end = now.after_secs(dur);
-                    let tx_id = if spec.model.access() == MediumAccess::Hidden {
-                        medium.start_hidden(Emitter::External(source), band, None, now, end)
-                    } else {
-                        medium.start(Emitter::External(source), band, None, now, end)
-                    };
-                    metrics.coex_emissions[source] += 1;
-                    metrics.coex_airtime_s[source] += dur;
-                    queue.schedule(end, EventKind::CoexEnd { source, tx_id });
-                    trace.record(now, || {
-                        format!(
-                            "coex {} {source}: {} ns on air",
-                            spec.model.slug(),
-                            Time::from_secs(dur).as_nanos()
-                        )
-                    });
-                }
-                EventKind::CoexEnd { source, tx_id } => {
-                    let now = event.at;
-                    // External receptions are nobody's business: the
-                    // report only mattered to the in-model victims, whose
-                    // own finishes collect it.
-                    let _ = medium.finish(tx_id);
-                    let cx = coex.as_mut().expect("coex event without config");
-                    let spec = &cx.config.sources[source];
-                    let (gap, dur) = spec.model.next_emission(&mut cx.rngs[source]);
-                    let start = now.after_secs(gap);
-                    if start.as_secs() < spec.stop_s {
-                        cx.pending_dur_s[source] = dur;
-                        queue.schedule(start, EventKind::CoexStart { source });
-                    }
-                }
-                EventKind::PacketArrival { tag } => {
-                    let now = event.at;
-                    let rate = scenario.tags[tag].arrival_rate_pps;
-                    let state = &mut tags[tag];
-                    metrics.tags[tag].offered += 1;
-                    if state.queue.len() < scenario.max_queue {
-                        state.queue.push_back(QueuedPacket {
-                            arrived: now,
-                            retries: 0,
-                        });
-                        let depth = state.queue.len();
-                        trace.record(now, || format!("tag {tag} arrival (queue {depth})"));
-                    } else {
-                        metrics.tags[tag].dropped += 1;
-                        trace.record(now, || format!("tag {tag} arrival dropped (queue full)"));
-                    }
-                    let dt = exponential_s(&mut state.rng, rate);
-                    queue.schedule(now.after_secs(dt), EventKind::PacketArrival { tag });
-                }
-                EventKind::CarrierSlot { carrier } => {
-                    let now = event.at;
-                    let spec = &scenario.carriers[carrier];
-                    queue.schedule(
-                        now.after_nanos(carriers[carrier].slot_interval_ns),
-                        EventKind::CarrierSlot { carrier },
-                    );
-                    // Coex scenarios: sample the receive-side channel load
-                    // into the carrier's EWMAs and — on the policy cadence
-                    // — maybe re-tune the carrier and its tags to the
-                    // least-occupied sub-band. Slot-aligned, RNG-free.
-                    if let Some(cx) = coex.as_mut() {
-                        sense_and_restripe(
-                            cx,
-                            scenario,
-                            carrier,
-                            now,
-                            carriers,
-                            links,
-                            medium,
-                            airborne,
-                            mac_loop.as_ref(),
-                            metrics,
-                            trace,
-                        );
-                    }
-                    // Consult the scenario's scheduler: the backlog oracle
-                    // reports each member's head-of-queue arrival when the
-                    // tag can be granted (queued traffic and — closed loop —
-                    // no transaction in flight).
-                    let picked = {
-                        let tags_ref = &tags;
-                        let mac = mac_loop.as_ref();
-                        let backlog = move |t: usize| -> Option<Time> {
-                            let state = &tags_ref[t];
-                            (!state.queue.is_empty() && mac.is_none_or(|m| m.is_idle(t)))
-                                .then(|| state.queue.front().expect("backlogged").arrived)
-                        };
-                        carriers[carrier]
-                            .sched
-                            .pick(&backlog, &SlotView { now, links })
-                    };
-                    let Some(tag) = picked else {
-                        continue;
-                    };
-                    let tag_spec = &scenario.tags[tag];
-                    let carrier_freq = spec.carrier_freq_hz();
-                    match mac_loop.as_mut() {
-                        None => {
-                            // Open loop: grant the slot and put the uplink
-                            // packet straight on the air (on the tag's
-                            // *live* tuning — a re-striped tag synthesizes
-                            // onto its carrier's new sub-band).
-                            let phy = links.tag_phy(tag);
-                            let airtime = phy.airtime_s(tag_spec.payload_bytes);
-                            let primary =
-                                Band::new(phy.center_freq_hz(carrier_freq), phy.bandwidth_hz());
-                            if medium.busy(primary, now) {
-                                metrics.tags[tag].csma_defers += 1;
-                                trace.record(now, || {
-                                    format!("carrier {carrier} slot: tag {tag} defers (band busy)")
-                                });
-                                continue;
-                            }
-                            grant_slot(&mut carriers[carrier], tags, metrics, links, tag, now);
-                            let end = now.after_secs(airtime);
-                            if scenario.cts_to_self {
-                                // The §2.3.3 NAV covers the inter-channel
-                                // gaps around the packet, so it outlives the
-                                // emission itself and keeps other tags off
-                                // the band while the next trigger is being
-                                // set up.
-                                let nav = interscatter_ble::timing::reservation_window_s(airtime);
-                                medium.reserve(primary, now.after_secs(nav));
-                            }
-                            let mirror =
-                                mirror_band(tag_spec.sideband, &phy, carrier_freq, primary);
-                            charge_mirror_airtime(
-                                scenario,
-                                metrics,
-                                links.tag_receiver(tag),
-                                tag_spec.carrier,
-                                mirror,
-                                airtime,
-                            );
-                            let tx_id = medium.start(Emitter::Tag(tag), primary, mirror, now, end);
-                            airborne[tag] = true;
-                            queue.schedule(
-                                end,
-                                EventKind::TxEnd {
-                                    tag,
-                                    tx_id,
-                                    started: now,
-                                },
-                            );
-                            trace.record(now, || {
-                                format!(
-                                    "carrier {carrier} slot: tag {tag} tx start ({} ns airtime{})",
-                                    Time::from_secs(airtime).as_nanos(),
-                                    if mirror.is_some() { ", dsb mirror" } else { "" }
-                                )
-                            });
-                        }
-                        Some(mac_state) => {
-                            // Closed loop: the slot opens with an AM-OFDM
-                            // poll on the tag's service band.
-                            let band =
-                                downlink_band(scenario, links.tag_receiver(tag), carrier_freq);
-                            if medium.busy(band, now) {
-                                metrics.tags[tag].csma_defers += 1;
-                                trace.record(now, || {
-                                    format!("carrier {carrier} poll: tag {tag} defers (band busy)")
-                                });
-                                continue;
-                            }
-                            grant_slot(&mut carriers[carrier], tags, metrics, links, tag, now);
-                            let poll_air = mac::poll_airtime_s();
-                            let end = now.after_secs(poll_air);
-                            if scenario.cts_to_self {
-                                // The NAV must hold the band for the whole
-                                // poll → response → ack exchange.
-                                let data_air = links.tag_phy(tag).airtime_s(tag_spec.payload_bytes);
-                                let nav = interscatter_ble::timing::reservation_window_s(
-                                    mac::transaction_airtime_s(data_air),
-                                );
-                                medium.reserve(band, now.after_secs(nav));
-                            }
-                            let tx_id =
-                                medium.start(Emitter::Carrier(carrier), band, None, now, end);
-                            mac_state.poll_started(tag, now);
-                            metrics.tags[tag].polls += 1;
-                            queue.schedule(
-                                end,
-                                EventKind::DownlinkEmission {
-                                    kind: DownlinkKind::Poll,
-                                    tag,
-                                    tx_id,
-                                    started: now,
-                                },
-                            );
-                            trace.record(now, || {
-                                format!(
-                                    "carrier {carrier} poll: tag {tag} ({} ns airtime)",
-                                    Time::from_secs(poll_air).as_nanos()
-                                )
-                            });
-                        }
-                    }
-                }
-                EventKind::DownlinkEmission {
-                    kind: DownlinkKind::Poll,
-                    tag,
-                    tx_id,
-                    started: _,
-                } => {
-                    let now = event.at;
-                    let report = medium.finish(tx_id);
-                    let tag_spec = &scenario.tags[tag];
-                    let carrier_freq = scenario.carriers[tag_spec.carrier].carrier_freq_hz();
-                    let band = downlink_band(scenario, links.tag_receiver(tag), carrier_freq);
-                    let outcome = receive_outcome(
-                        links,
-                        links.poll_budget(tag),
-                        &report,
-                        band,
-                        Listener::Tag(tag),
-                        scenario.receivers[links.tag_receiver(tag)].external_occupancy,
-                        scenario.cts_to_self,
-                        &mut tags[tag].rng,
-                    );
-                    if outcome == RxOutcome::Delivered {
-                        // The tag decoded its poll: backscatter the queued
-                        // packet one SIFS later while the carrier holds the
-                        // tone. No carrier-sense — SIFS-spaced frames of one
-                        // transaction own the reservation.
-                        let phy = links.tag_phy(tag);
-                        let airtime = phy.airtime_s(tag_spec.payload_bytes);
-                        let primary =
-                            Band::new(phy.center_freq_hz(carrier_freq), phy.bandwidth_hz());
-                        let mirror = mirror_band(tag_spec.sideband, &phy, carrier_freq, primary);
-                        charge_mirror_airtime(
-                            scenario,
-                            metrics,
-                            links.tag_receiver(tag),
-                            tag_spec.carrier,
-                            mirror,
-                            airtime,
-                        );
-                        let response_start = now.after_secs(mac::SIFS_S);
-                        let response_end = response_start.after_secs(airtime);
-                        // The medium treats the SIFS gap as part of the
-                        // emission window: the band is held anyway.
-                        let tx_id =
-                            medium.start(Emitter::Tag(tag), primary, mirror, now, response_end);
-                        airborne[tag] = true;
-                        mac_loop
-                            .as_mut()
-                            .expect("closed loop")
-                            .response_started(tag);
-                        queue.schedule(
-                            response_end,
-                            EventKind::TxEnd {
-                                tag,
-                                tx_id,
-                                started: response_start,
-                            },
-                        );
-                        trace.record(now, || {
-                            format!(
-                                "tag {tag} poll decoded; backscatter response start \
-                                 ({} ns airtime{})",
-                                Time::from_secs(airtime).as_nanos(),
-                                if mirror.is_some() { ", dsb mirror" } else { "" }
-                            )
-                        });
-                    } else {
-                        metrics.tags[tag].poll_losses += 1;
-                        retry_packet(&mut tags[tag], tag_spec.max_retries, metrics, tag);
-                        mac_loop.as_mut().expect("closed loop").finish(tag);
-                        trace.record(now, || {
-                            format!(
-                                "tag {tag} poll lost ({}, {} interferer(s))",
-                                outcome.label(),
-                                report.interferers.len()
-                            )
-                        });
-                    }
-                }
-                EventKind::DownlinkEmission {
-                    kind: DownlinkKind::Ack,
-                    tag,
-                    tx_id,
-                    started: _,
-                } => {
-                    let now = event.at;
-                    let report = medium.finish(tx_id);
-                    let tag_spec = &scenario.tags[tag];
-                    let carrier_idx = tag_spec.carrier;
-                    let carrier_freq = scenario.carriers[carrier_idx].carrier_freq_hz();
-                    let band = downlink_band(scenario, links.tag_receiver(tag), carrier_freq);
-                    let outcome = receive_outcome(
-                        links,
-                        links.ack_budget(tag),
-                        &report,
-                        band,
-                        Listener::Carrier(carrier_idx),
-                        scenario.receivers[links.tag_receiver(tag)].external_occupancy,
-                        scenario.cts_to_self,
-                        &mut carriers[carrier_idx].rng,
-                    );
-                    let poll_started = mac_loop.as_mut().expect("closed loop").finish(tag);
-                    if outcome == RxOutcome::Delivered {
-                        if let Some(packet) = tags[tag].queue.pop_front() {
-                            let bits = tag_spec.phy.payload_bits(tag_spec.payload_bytes);
-                            carriers[carrier_idx].sched.delivered(tag, bits);
-                            metrics.tags[tag].delivered += 1;
-                            metrics.tags[tag].delivered_bits += bits;
-                            metrics.tags[tag].transactions += 1;
-                            let span = now.since(poll_started);
-                            metrics.tags[tag].transaction_ns += span.as_nanos();
-                            let latency = now.since(packet.arrived);
-                            metrics.latency_ms.push(latency.as_secs() * 1e3);
-                            metrics.transaction_latency_ms.push(span.as_secs() * 1e3);
-                        }
-                        trace.record(now, || {
-                            format!(
-                                "tag {tag} ack decoded (transaction complete in {} ns)",
-                                now.since(poll_started).as_nanos()
-                            )
-                        });
-                    } else {
-                        metrics.tags[tag].ack_losses += 1;
-                        retry_packet(&mut tags[tag], tag_spec.max_retries, metrics, tag);
-                        trace.record(now, || {
-                            format!(
-                                "tag {tag} ack lost ({}, {} interferer(s))",
-                                outcome.label(),
-                                report.interferers.len()
-                            )
-                        });
-                    }
-                }
+                EventKind::PacketArrival { tag } => self.on_arrival(tag, now),
+                EventKind::CarrierSlot { carrier } => self.on_slot(carrier, now),
                 EventKind::TxEnd {
                     tag,
                     tx_id,
                     started,
-                } => {
-                    let now = event.at;
-                    let report = medium.finish(tx_id);
-                    airborne[tag] = false;
-                    let tag_spec = &scenario.tags[tag];
-                    let rx_idx = links.tag_receiver(tag);
-                    let rx = &scenario.receivers[rx_idx];
-                    metrics.tags[tag].attempts += 1;
-
-                    let own_carrier_freq = scenario.carriers[tag_spec.carrier].carrier_freq_hz();
-                    let rx_band = Band::new(rx.center_freq_hz(own_carrier_freq), rx.bandwidth_hz());
-                    let outcome = receive_outcome(
-                        links,
-                        links.budget(tag),
-                        &report,
-                        rx_band,
-                        Listener::Receiver(rx_idx),
-                        rx.external_occupancy,
-                        scenario.cts_to_self,
-                        &mut tags[tag].rng,
-                    );
-                    match outcome {
-                        RxOutcome::Collision => metrics.tags[tag].collided += 1,
-                        RxOutcome::External => metrics.tags[tag].external_collisions += 1,
-                        RxOutcome::LinkLoss => metrics.tags[tag].link_losses += 1,
-                        RxOutcome::Delivered => {}
-                    }
-
-                    let closed_loop_response = mac_loop
-                        .as_ref()
-                        .is_some_and(|m| m.phase(tag) == LoopPhase::Responding);
-                    if closed_loop_response {
-                        if outcome == RxOutcome::Delivered {
-                            // The sink decoded the response: transmit the
-                            // AM-OFDM ack one SIFS later. Acks ride SIFS
-                            // priority, no carrier-sense.
-                            let band = downlink_band(scenario, rx_idx, own_carrier_freq);
-                            let ack_start = now.after_secs(mac::SIFS_S);
-                            let ack_end = ack_start.after_secs(mac::ack_airtime_s());
-                            let ack_tx =
-                                medium.start(Emitter::Sink(rx_idx), band, None, now, ack_end);
-                            mac_loop.as_mut().expect("closed loop").ack_started(tag);
-                            queue.schedule(
-                                ack_end,
-                                EventKind::DownlinkEmission {
-                                    kind: DownlinkKind::Ack,
-                                    tag,
-                                    tx_id: ack_tx,
-                                    started: ack_start,
-                                },
-                            );
-                            trace.record(now, || {
-                                format!("tag {tag} response delivered; sink {rx_idx} ack start")
-                            });
-                        } else {
-                            // The response never made it: the sink times
-                            // out and the carrier will re-poll.
-                            metrics.tags[tag].timeouts += 1;
-                            retry_packet(&mut tags[tag], tag_spec.max_retries, metrics, tag);
-                            mac_loop.as_mut().expect("closed loop").finish(tag);
-                            trace.record(now, || {
-                                format!(
-                                    "tag {tag} response lost ({}, started {} ns, \
-                                     {} interferer(s)); sink timeout",
-                                    outcome.label(),
-                                    started.as_nanos(),
-                                    report.interferers.len()
-                                )
-                            });
-                        }
-                    } else {
-                        // Open loop: delivery is decided here.
-                        if outcome == RxOutcome::Delivered {
-                            if let Some(packet) = tags[tag].queue.pop_front() {
-                                let bits = tag_spec.phy.payload_bits(tag_spec.payload_bytes);
-                                carriers[tag_spec.carrier].sched.delivered(tag, bits);
-                                metrics.tags[tag].delivered += 1;
-                                metrics.tags[tag].delivered_bits += bits;
-                                let latency = now.since(packet.arrived);
-                                metrics.latency_ms.push(latency.as_secs() * 1e3);
-                            }
-                        } else {
-                            retry_packet(&mut tags[tag], tag_spec.max_retries, metrics, tag);
-                        }
-                        trace.record(now, || {
-                            format!(
-                                "tag {tag} tx end ({}, started {} ns, {} interferer(s))",
-                                outcome.label(),
-                                started.as_nanos(),
-                                report.interferers.len()
-                            )
-                        });
-                    }
-                }
+                } => self.on_tx_end(tag, tx_id, started, now),
+                EventKind::PollEnd { tag, tx_id } => self.on_poll_end(tag, tx_id, now),
+                EventKind::AckEnd { tag, tx_id } => self.on_ack_end(tag, tx_id, now),
+                EventKind::CoexStart { source } => self.on_coex_start(source, now),
+                EventKind::CoexEnd { source, tx_id } => self.on_coex_end(source, tx_id, now),
+                EventKind::MobilityTick => self.on_mobility_tick(now),
             }
         }
-        if let (Some(p), Some(tok)) = (prof.as_mut(), epoch_tok) {
+        if let (Some(p), Some(tok)) = (self.prof.as_mut(), epoch_tok) {
             p.end(tok);
         }
     }
@@ -998,237 +501,721 @@ impl<'a> EngineCore<'a> {
             prof: prof.map(|p| p.finish(&scenario.name)),
         }
     }
-}
 
-/// The mirror-copy band a double-sideband tag also occupies: the carrier's
-/// reflection places the same modulation at `2·f_carrier − f_primary`
-/// (§2.3.1). Single-sideband tags and card OOK (whose "primary" already
-/// straddles the carrier) have none.
-fn mirror_band(
-    sideband: SidebandMode,
-    phy: &NetPhy,
-    carrier_freq_hz: f64,
-    primary: Band,
-) -> Option<Band> {
-    match (sideband, phy) {
-        (SidebandMode::Double, NetPhy::Wifi { .. } | NetPhy::Zigbee { .. }) => Some(Band::new(
-            2.0 * carrier_freq_hz - primary.center_hz,
-            primary.bandwidth_hz,
-        )),
-        _ => None,
-    }
-}
-
-/// The band an AM-OFDM downlink frame addressed through sink `rx` occupies:
-/// a full 802.11g transmission centred on that sink's band. `rx` is the
-/// tag's *live* receiver assignment (re-striping can re-tune it).
-fn downlink_band(scenario: &Scenario, rx: usize, carrier_freq_hz: f64) -> Band {
-    let sink = &scenario.receivers[rx];
-    Band::new(
-        sink.center_freq_hz(carrier_freq_hz),
-        AM_DOWNLINK_BANDWIDTH_HZ,
-    )
-}
-
-/// Charges a double-sideband mirror copy's airtime to every receiver whose
-/// channel it punctures (Fig. 12's coexistence cost). `own_rx` is the
-/// emitting tag's live destination (exempt — the copy rides its own
-/// packet), `carrier` its illuminator.
-fn charge_mirror_airtime(
-    scenario: &Scenario,
-    metrics: &mut NetworkMetrics,
-    own_rx: usize,
-    carrier: usize,
-    mirror: Option<Band>,
-    airtime: f64,
-) {
-    let Some(m) = mirror else { return };
-    let carrier_freq = scenario.carriers[carrier].carrier_freq_hz();
-    for (r, rx) in scenario.receivers.iter().enumerate() {
-        let rx_band = Band::new(rx.center_freq_hz(carrier_freq), rx.bandwidth_hz());
-        if r != own_rx && m.overlaps(&rx_band) {
-            metrics.mirror_airtime_s[r] += airtime;
-        }
-    }
-}
-
-/// One carrier slot's coexistence step: update the carrier's per-channel
-/// EWMA busy estimates from the medium's receive-side load, record an
-/// [`OccupancySample`] on the configured cadence, and — when a
-/// [`crate::coex::ReStripe`] policy is attached — maybe re-tune the
-/// carrier and its Wi-Fi tags to the least-occupied sub-band.
-///
-/// Re-striping is deterministic (no RNG), slot-aligned, hysteretic (an
-/// occupancy threshold *and* a dwell time) and quiescent: a carrier with a
-/// member mid-transmission or mid-transaction defers the move to a later
-/// check, so no tag is ever re-tuned with an emission in flight.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "each argument is a disjoint borrow of engine-core state the re-stripe reads or moves"
-)]
-fn sense_and_restripe(
-    cx: &mut CoexRuntime,
-    scenario: &Scenario,
-    carrier: usize,
-    now: Time,
-    carriers: &mut [CarrierState],
-    links: &mut LinkMatrix,
-    medium: &Medium,
-    airborne: &[bool],
-    mac: Option<&MacLoop>,
-    metrics: &mut NetworkMetrics,
-    trace: &mut EventTrace,
-) {
-    let CoexRuntime {
-        config,
-        rx_bands,
-        wifi_rx,
-        sense,
-        sample_ns,
-        ..
-    } = cx;
-    let sense = &mut sense[carrier];
-    sense.slots = sense.slots.wrapping_add(1);
-    for (r, band) in rx_bands.iter().enumerate() {
-        let busy = if medium.occupied(*band, now) {
-            1.0
+    /// A tag's application produced a packet: queue it (or drop it on a
+    /// full queue) and draw the next arrival from the tag's own stream.
+    fn on_arrival(&mut self, tag: usize, now: Time) {
+        let rate = self.scenario.tags[tag].arrival_rate_pps;
+        let state = &mut self.tags[tag];
+        self.metrics.tags[tag].offered += 1;
+        if state.queue.len() < self.scenario.max_queue {
+            state.queue.push_back(QueuedPacket {
+                arrived: now,
+                retries: 0,
+            });
+            let depth = state.queue.len();
+            self.trace
+                .record(now, || format!("tag {tag} arrival (queue {depth})"));
         } else {
-            0.0
-        };
-        sense.ewma[r] += SENSE_EWMA_ALPHA * (busy - sense.ewma[r]);
-    }
-    // The carrier's own channel: where its members actually deliver (in a
-    // striped scenario that *is* the stripe's sink, before and after any
-    // re-stripe; in an unstriped multi-AP ward — whose tags cycle the APs
-    // while every `subband` sits at 0 — the first member's live sink is
-    // the one whose load matters). Memberless carriers fall back to their
-    // stripe's sink.
-    let own_rx = carriers[carrier]
-        .sched
-        .members()
-        .first()
-        .map(|&t| links.tag_receiver(t))
-        .unwrap_or_else(|| {
-            if wifi_rx.is_empty() {
-                0
-            } else {
-                wifi_rx[carriers[carrier].sched.subband().min(wifi_rx.len() - 1)]
-            }
-        });
-    if now.since(sense.last_sample).as_nanos() >= *sample_ns {
-        sense.last_sample = now;
-        let (mut attempts, mut delivered) = (0, 0);
-        for &t in carriers[carrier].sched.members() {
-            attempts += metrics.tags[t].attempts;
-            delivered += metrics.tags[t].delivered;
+            self.metrics.tags[tag].dropped += 1;
+            self.trace
+                .record(now, || format!("tag {tag} arrival dropped (queue full)"));
         }
-        let subband = carriers[carrier].sched.subband();
-        metrics.occupancy_series[carrier].push(OccupancySample {
-            at_s: now.as_secs(),
-            subband,
-            occupancy: sense.ewma[own_rx],
-            attempts: attempts - sense.prev_attempts,
-            delivered: delivered - sense.prev_delivered,
-        });
-        sense.prev_attempts = attempts;
-        sense.prev_delivered = delivered;
+        let dt = streams::exponential_s(&mut state.rng, rate);
+        self.queue
+            .schedule(now.after_secs(dt), EventKind::PacketArrival { tag });
     }
 
-    let Some(policy) = config.restripe else {
-        return;
-    };
-    if wifi_rx.len() < 2 || sense.slots % policy.check_every_slots != 0 {
-        return;
-    }
-    if now.since(sense.last_restripe).as_nanos() < Time::from_secs(policy.min_dwell_s).as_nanos() {
-        return;
-    }
-    // The carrier's current stripe, derived from where its members
-    // deliver (so an unstriped ward's channel-6 carriers are judged on
-    // channel 6, not on the never-assigned subband 0). A carrier whose
-    // own channel is not a Wi-Fi sink has nothing to re-stripe.
-    let Some(cur) = wifi_rx.iter().position(|&r| r == own_rx) else {
-        return;
-    };
-    let cur_occ = sense.ewma[own_rx];
-    if cur_occ <= policy.high_occupancy {
-        return;
-    }
-    // The least-occupied candidate stripe; ties break toward the lower
-    // stripe index (strict `<` with an ascending scan).
-    let (mut best, mut best_occ) = (cur, cur_occ);
-    for (b, &r) in wifi_rx.iter().enumerate() {
-        if sense.ewma[r] < best_occ {
-            (best, best_occ) = (b, sense.ewma[r]);
+    /// A carrier slot: the scheduler picks a backlogged member and, if the
+    /// band of the slot's first frame is free, the slot is granted and that
+    /// frame goes on the air — the uplink packet itself in open loop, the
+    /// AM-OFDM poll in closed loop.
+    fn on_slot(&mut self, carrier: usize, now: Time) {
+        let scenario = self.scenario;
+        self.queue.schedule(
+            now.after_nanos(self.carriers[carrier].slot_interval_ns),
+            EventKind::CarrierSlot { carrier },
+        );
+        // Coex scenarios: sample the receive-side channel load into the
+        // carrier's EWMAs and — on the policy cadence — maybe re-tune the
+        // carrier and its tags to the least-occupied sub-band.
+        // Slot-aligned, RNG-free.
+        self.sense_and_restripe(carrier, now);
+        // Consult the scenario's scheduler: the backlog oracle reports each
+        // member's head-of-queue arrival when the tag can be granted (queued
+        // traffic and — closed loop — no transaction in flight).
+        let (tags, mac) = (&self.tags, self.mac_loop.as_ref());
+        let backlog = |t: usize| -> Option<Time> {
+            let state = &tags[t];
+            (!state.queue.is_empty() && mac.is_none_or(|m| m.is_idle(t)))
+                .then(|| state.queue.front().expect("backlogged").arrived)
+        };
+        let picked = self.carriers[carrier].sched.pick(
+            &backlog,
+            &SlotView {
+                now,
+                links: &self.links,
+            },
+        );
+        let Some(tag) = picked else {
+            return;
+        };
+        // The slot's first frame — the uplink packet on the tag's live
+        // tuning, or the poll on the tag's service band — and the airtime
+        // its §2.3.3 NAV must protect: the packet with the inter-channel
+        // gaps around it, or the whole poll → response → ack exchange.
+        let (primary, _, airtime) = self.uplink(tag);
+        let (band, leg, protected_s) = match self.mac_loop {
+            None => (primary, "slot", airtime),
+            Some(_) => {
+                let band = downlink_band(scenario, &self.links, tag);
+                (band, "poll", mac::transaction_airtime_s(airtime))
+            }
+        };
+        if self.medium.busy(band, now) {
+            self.metrics.tags[tag].csma_defers += 1;
+            self.trace.record(now, || {
+                format!("carrier {carrier} {leg}: tag {tag} defers (band busy)")
+            });
+            return;
+        }
+        self.grant_slot(carrier, tag, now);
+        if scenario.cts_to_self {
+            // The NAV outlives the frame itself and keeps other tags off
+            // the band while the next trigger is being set up.
+            let nav = interscatter_ble::timing::reservation_window_s(protected_s);
+            self.medium.reserve(band, now.after_secs(nav));
+        }
+        match self.mac_loop.as_mut() {
+            None => self.start_uplink(tag, now, now, || {
+                format!("carrier {carrier} slot: tag {tag} tx start")
+            }),
+            Some(mac_state) => {
+                let poll_air = mac::poll_airtime_s();
+                let end = now.after_secs(poll_air);
+                let tx_id = self
+                    .medium
+                    .start(Emitter::Carrier(carrier), band, None, now, end);
+                mac_state.poll_started(tag, now);
+                self.metrics.tags[tag].polls += 1;
+                self.queue.schedule(end, EventKind::PollEnd { tag, tx_id });
+                self.trace.record(now, || {
+                    format!(
+                        "carrier {carrier} poll: tag {tag} ({} ns airtime)",
+                        Time::from_secs(poll_air).as_nanos()
+                    )
+                });
+            }
         }
     }
-    if best == cur || best_occ + policy.hysteresis >= cur_occ {
-        return;
-    }
-    let members = carriers[carrier].sched.members();
-    let quiescent = members
-        .iter()
-        .all(|&t| !airborne[t] && mac.is_none_or(|m| m.is_idle(t)));
-    let any_wifi = members
-        .iter()
-        .any(|&t| matches!(links.tag_phy(t), NetPhy::Wifi { .. }));
-    if !quiescent || !any_wifi {
-        return;
-    }
-    let to_rx = wifi_rx[best];
-    let SinkKind::Wifi { channel } = scenario.receivers[to_rx].kind else {
-        unreachable!("wifi_rx only holds Wi-Fi sinks");
-    };
-    let members: Vec<usize> = members.to_vec();
-    for &t in &members {
-        let NetPhy::Wifi { rate, .. } = links.tag_phy(t) else {
-            continue;
+
+    /// Accounts one granted carrier slot: hands the grant to the carrier's
+    /// scheduler (cursor/counter updates and the deadline check live there,
+    /// not in the engine) and records the scheduler-facing metrics — the
+    /// grant count, any deadline miss, and the head packet's poll latency
+    /// (how long it waited in queue before winning this slot).
+    fn grant_slot(&mut self, carrier: usize, tag: usize, now: Time) {
+        let head_arrived = self.tags[tag]
+            .queue
+            .front()
+            .map(|p| p.arrived)
+            .unwrap_or(now);
+        let view = SlotView {
+            now,
+            links: &self.links,
         };
-        links.retune_tag(scenario, t, to_rx, NetPhy::Wifi { rate, channel });
+        let missed = self.carriers[carrier]
+            .sched
+            .granted(tag, head_arrived, &view);
+        self.metrics.tags[tag].grants += 1;
+        if missed {
+            self.metrics.tags[tag].deadline_misses += 1;
+        }
+        let waited = now.since(head_arrived);
+        self.metrics.poll_latency_ms.push(waited.as_secs() * 1e3);
     }
-    links.flush(scenario);
-    carriers[carrier].sched.set_subband(best);
-    sense.last_restripe = now;
-    metrics.restripe_events.push(ReStripeEvent {
-        at_s: now.as_secs(),
-        carrier,
-        from_subband: cur,
-        to_subband: best,
-    });
-    let (from_pct, to_pct) = (
-        (cur_occ * 100.0).round() as u64,
-        (best_occ * 100.0).round() as u64,
-    );
-    trace.record(now, || {
-        format!(
-            "carrier {carrier} re-stripe: subband {cur} -> {best} \
-             (occupancy {from_pct}% -> {to_pct}%)"
-        )
-    });
+
+    /// Tag `tag`'s uplink packet on its *live* tuning (a re-striped tag
+    /// synthesizes onto its carrier's new sub-band): the primary band, the
+    /// mirror band and the airtime in seconds. A double-sideband tag's
+    /// carrier reflection places a mirror copy at `2·f_carrier − f_primary`
+    /// (§2.3.1); single-sideband tags and card OOK (whose "primary"
+    /// already straddles the carrier) have none.
+    fn uplink(&self, tag: usize) -> (Band, Option<Band>, f64) {
+        let spec = &self.scenario.tags[tag];
+        let carrier_freq = self.scenario.carriers[spec.carrier].carrier_freq_hz();
+        let phy = self.links.tag_phy(tag);
+        let primary = Band::new(phy.center_freq_hz(carrier_freq), phy.bandwidth_hz());
+        let mirror = match (spec.sideband, phy) {
+            (SidebandMode::Double, NetPhy::Wifi { .. } | NetPhy::Zigbee { .. }) => Some(Band::new(
+                2.0 * carrier_freq - primary.center_hz,
+                primary.bandwidth_hz,
+            )),
+            _ => None,
+        };
+        (primary, mirror, phy.airtime_s(spec.payload_bytes))
+    }
+
+    /// Puts tag `tag`'s uplink packet on the air from `started` — `now` in
+    /// open loop, one SIFS after a decoded poll in closed loop — and
+    /// schedules its `TxEnd`. The medium holds the band from `now`, so a
+    /// SIFS gap counts as part of the emission window. `what` opens the
+    /// trace line.
+    fn start_uplink(
+        &mut self,
+        tag: usize,
+        now: Time,
+        started: Time,
+        what: impl FnOnce() -> String,
+    ) {
+        let (primary, mirror, airtime) = self.uplink(tag);
+        let end = started.after_secs(airtime);
+        if let Some(m) = mirror {
+            // The mirror copy's airtime is charged to every receiver whose
+            // channel it punctures (Fig. 12's coexistence cost) but the
+            // tag's own sink: the copy rides its own packet.
+            let scenario = self.scenario;
+            let carrier_freq = scenario.carriers[scenario.tags[tag].carrier].carrier_freq_hz();
+            let own_rx = self.links.tag_receiver(tag);
+            for (r, rx) in scenario.receivers.iter().enumerate() {
+                let rx_band = Band::new(rx.center_freq_hz(carrier_freq), rx.bandwidth_hz());
+                if r != own_rx && m.overlaps(&rx_band) {
+                    self.metrics.mirror_airtime_s[r] += airtime;
+                }
+            }
+        }
+        let tx_id = self
+            .medium
+            .start(Emitter::Tag(tag), primary, mirror, now, end);
+        self.airborne[tag] = true;
+        self.queue.schedule(
+            end,
+            EventKind::TxEnd {
+                tag,
+                tx_id,
+                started,
+            },
+        );
+        self.trace.record(now, || {
+            format!(
+                "{} ({} ns airtime{})",
+                what(),
+                Time::from_secs(airtime).as_nanos(),
+                if mirror.is_some() { ", dsb mirror" } else { "" }
+            )
+        });
+    }
+
+    /// A tag's uplink packet ends at its sink. In open loop the reception
+    /// decides the attempt; a closed-loop response instead starts the
+    /// sink's ack one SIFS later, or times the transaction out.
+    fn on_tx_end(&mut self, tag: usize, tx_id: u64, started: Time, now: Time) {
+        let report = self.medium.finish(tx_id);
+        self.airborne[tag] = false;
+        let rx_idx = self.links.tag_receiver(tag);
+        self.metrics.tags[tag].attempts += 1;
+        let outcome = receive_outcome(
+            self.scenario,
+            &self.links,
+            tag,
+            Listener::Receiver(rx_idx),
+            &report,
+            &mut self.tags[tag].rng,
+        );
+        match outcome {
+            RxOutcome::Collision => self.metrics.tags[tag].collided += 1,
+            RxOutcome::External => self.metrics.tags[tag].external_collisions += 1,
+            RxOutcome::LinkLoss => self.metrics.tags[tag].link_losses += 1,
+            RxOutcome::Delivered => {}
+        }
+
+        let responding = self
+            .mac_loop
+            .as_ref()
+            .is_some_and(|m| m.phase(tag) == LoopPhase::Responding);
+        if !responding {
+            // Open loop: delivery is decided here.
+            if outcome == RxOutcome::Delivered {
+                self.deliver(tag, now);
+            } else {
+                self.retry_packet(tag);
+            }
+            self.trace.record(now, || {
+                format!(
+                    "tag {tag} tx end ({}, started {} ns, {} interferer(s))",
+                    outcome.label(),
+                    started.as_nanos(),
+                    report.interferers.len()
+                )
+            });
+        } else if outcome == RxOutcome::Delivered {
+            // The sink decoded the response: transmit the AM-OFDM ack one
+            // SIFS later. Acks ride SIFS priority, no carrier-sense.
+            let band = downlink_band(self.scenario, &self.links, tag);
+            let ack_start = now.after_secs(mac::SIFS_S);
+            let ack_end = ack_start.after_secs(mac::ack_airtime_s());
+            let ack_tx = self
+                .medium
+                .start(Emitter::Sink(rx_idx), band, None, now, ack_end);
+            self.mac_loop
+                .as_mut()
+                .expect("closed loop")
+                .ack_started(tag);
+            self.queue
+                .schedule(ack_end, EventKind::AckEnd { tag, tx_id: ack_tx });
+            self.trace.record(now, || {
+                format!("tag {tag} response delivered; sink {rx_idx} ack start")
+            });
+        } else {
+            // The response never made it: the sink times out and the
+            // carrier will re-poll.
+            self.metrics.tags[tag].timeouts += 1;
+            self.retry_packet(tag);
+            self.mac_loop.as_mut().expect("closed loop").finish(tag);
+            self.trace.record(now, || {
+                format!(
+                    "tag {tag} response lost ({}, started {} ns, \
+                     {} interferer(s)); sink timeout",
+                    outcome.label(),
+                    started.as_nanos(),
+                    report.interferers.len()
+                )
+            });
+        }
+    }
+
+    /// A poll ends at the tag's envelope detector. A decoded poll starts
+    /// the backscatter response one SIFS later, while the carrier holds
+    /// the tone; no carrier-sense — SIFS-spaced frames of one transaction
+    /// own the reservation. A lost poll ends the transaction.
+    fn on_poll_end(&mut self, tag: usize, tx_id: u64, now: Time) {
+        let report = self.medium.finish(tx_id);
+        let outcome = receive_outcome(
+            self.scenario,
+            &self.links,
+            tag,
+            Listener::Tag(tag),
+            &report,
+            &mut self.tags[tag].rng,
+        );
+        if outcome == RxOutcome::Delivered {
+            self.start_uplink(tag, now, now.after_secs(mac::SIFS_S), || {
+                format!("tag {tag} poll decoded; backscatter response start")
+            });
+            self.mac_loop
+                .as_mut()
+                .expect("closed loop")
+                .response_started(tag);
+        } else {
+            self.metrics.tags[tag].poll_losses += 1;
+            self.retry_packet(tag);
+            self.mac_loop.as_mut().expect("closed loop").finish(tag);
+            self.trace.record(now, || {
+                format!(
+                    "tag {tag} poll lost ({}, {} interferer(s))",
+                    outcome.label(),
+                    report.interferers.len()
+                )
+            });
+        }
+    }
+
+    /// An ack ends at the carrier's radio, closing the transaction: a
+    /// decoded ack delivers the packet, a lost one burns a retry.
+    fn on_ack_end(&mut self, tag: usize, tx_id: u64, now: Time) {
+        let report = self.medium.finish(tx_id);
+        let carrier = self.scenario.tags[tag].carrier;
+        let outcome = receive_outcome(
+            self.scenario,
+            &self.links,
+            tag,
+            Listener::Carrier(carrier),
+            &report,
+            &mut self.carriers[carrier].rng,
+        );
+        let poll_started = self.mac_loop.as_mut().expect("closed loop").finish(tag);
+        if outcome == RxOutcome::Delivered {
+            if self.deliver(tag, now) {
+                let span = now.since(poll_started);
+                self.metrics.tags[tag].transactions += 1;
+                self.metrics.tags[tag].transaction_ns += span.as_nanos();
+                self.metrics
+                    .transaction_latency_ms
+                    .push(span.as_secs() * 1e3);
+            }
+            self.trace.record(now, || {
+                format!(
+                    "tag {tag} ack decoded (transaction complete in {} ns)",
+                    now.since(poll_started).as_nanos()
+                )
+            });
+        } else {
+            self.metrics.tags[tag].ack_losses += 1;
+            self.retry_packet(tag);
+            self.trace.record(now, || {
+                format!(
+                    "tag {tag} ack lost ({}, {} interferer(s))",
+                    outcome.label(),
+                    report.interferers.len()
+                )
+            });
+        }
+    }
+
+    /// Delivers the packet at the head of `tag`'s queue at `now`: credits
+    /// the carrier's scheduler and the tag's counters and records the
+    /// packet's latency. `false` when the queue was empty.
+    fn deliver(&mut self, tag: usize, now: Time) -> bool {
+        let Some(packet) = self.tags[tag].queue.pop_front() else {
+            return false;
+        };
+        let spec = &self.scenario.tags[tag];
+        let bits = spec.phy.payload_bits(spec.payload_bytes);
+        self.carriers[spec.carrier].sched.delivered(tag, bits);
+        self.metrics.tags[tag].delivered += 1;
+        self.metrics.tags[tag].delivered_bits += bits;
+        let latency = now.since(packet.arrived);
+        self.metrics.latency_ms.push(latency.as_secs() * 1e3);
+        true
+    }
+
+    /// Burns one retry on the packet at the head of `tag`'s queue, dropping
+    /// it once the retry budget is exhausted.
+    fn retry_packet(&mut self, tag: usize) {
+        let state = &mut self.tags[tag];
+        if let Some(packet) = state.queue.front_mut() {
+            packet.retries += 1;
+            if packet.retries > self.scenario.tags[tag].max_retries {
+                state.queue.pop_front();
+                self.metrics.tags[tag].dropped += 1;
+            }
+        }
+    }
+
+    /// An external source wants the air: a CSMA source defers to a busy
+    /// band with a backoff from its own stream; otherwise the emission
+    /// starts, clipped at the source's activity window.
+    fn on_coex_start(&mut self, source: usize, now: Time) {
+        let cx = self.coex.as_mut().expect("coex event without config");
+        let spec = &cx.config.sources[source];
+        let band = spec.model.band();
+        if spec.model.access() == MediumAccess::Csma && self.medium.busy(band, now) {
+            // A well-behaved neighbour defers to the busy band (including
+            // the §2.3.3 NAV — this is exactly the protection a
+            // CTS-to-Self buys against external traffic) and retries after
+            // a contention-window backoff from its own stream.
+            self.metrics.coex_defers[source] += 1;
+            let backoff = cx.rngs[source].gen_range(50e-6..500e-6);
+            let retry = now.after_secs(backoff);
+            if retry.as_secs() < spec.stop_s {
+                self.queue.schedule(retry, EventKind::CoexStart { source });
+            }
+            return;
+        }
+        // Clip at the activity window's edge: `stop_s` means silent from
+        // that instant on, even mid-burst.
+        let dur = cx.pending_dur_s[source].min(spec.stop_s - now.as_secs());
+        let end = now.after_secs(dur);
+        let tx_id = if spec.model.access() == MediumAccess::Hidden {
+            self.medium
+                .start_hidden(Emitter::External(source), band, None, now, end)
+        } else {
+            self.medium
+                .start(Emitter::External(source), band, None, now, end)
+        };
+        self.metrics.coex_emissions[source] += 1;
+        self.metrics.coex_airtime_s[source] += dur;
+        self.queue
+            .schedule(end, EventKind::CoexEnd { source, tx_id });
+        self.trace.record(now, || {
+            format!(
+                "coex {} {source}: {} ns on air",
+                spec.model.slug(),
+                Time::from_secs(dur).as_nanos()
+            )
+        });
+    }
+
+    /// An external emission ends: the medium is released and the source
+    /// draws its next arrival from its own stream.
+    fn on_coex_end(&mut self, source: usize, tx_id: u64, now: Time) {
+        // External receptions are nobody's business: the report only
+        // mattered to the in-model victims, whose own finishes collect it.
+        let _ = self.medium.finish(tx_id);
+        let cx = self.coex.as_mut().expect("coex event without config");
+        let spec = &cx.config.sources[source];
+        let (gap, dur) = spec.model.next_emission(&mut cx.rngs[source]);
+        let start = now.after_secs(gap);
+        if start.as_secs() < spec.stop_s {
+            cx.pending_dur_s[source] = dur;
+            self.queue.schedule(start, EventKind::CoexStart { source });
+        }
+    }
+
+    /// A mobility tick: every tag advances one step of its walk, worn
+    /// carriers follow their wearer, the link matrix refreshes the budgets
+    /// the moves touch, and each tag records a PRR-vs-displacement sample.
+    fn on_mobility_tick(&mut self, now: Time) {
+        let scenario = self.scenario;
+        let mob = self.mobility.as_mut().expect("tick without mobility");
+        self.queue
+            .schedule(now.after_nanos(mob.tick_ns), EventKind::MobilityTick);
+        // Advance every tag's walk from its own RNG stream (in index order
+        // — the determinism contract), pushing new positions into the
+        // matrix as dirty entities.
+        let dt_s = mob.tick_ns as f64 / 1e9;
+        let mut moved = 0usize;
+        for t in 0..scenario.tags.len() {
+            let before = mob.states[t].position;
+            mob.config.model.step(
+                &mut mob.states[t],
+                &mob.config.bounds,
+                dt_s,
+                &mut mob.rngs[t],
+            );
+            if mob.states[t].position != before {
+                self.links
+                    .set_position(EntityId::Tag(t), mob.states[t].position);
+                moved += 1;
+            }
+        }
+        if mob.config.carriers_follow {
+            // Body-worn carriers ride rigidly with their single wearer
+            // tag, preserving the scenario offset.
+            for (c, wearer) in mob.carrier_wearer.iter().enumerate() {
+                let Some(t) = *wearer else { continue };
+                let state = &mob.states[t];
+                let origin = mob.carrier_origin[c];
+                let p = Position::new(
+                    origin.x + (state.position.x - state.origin.x),
+                    origin.y + (state.position.y - state.origin.y),
+                    origin.z + (state.position.z - state.origin.z),
+                );
+                if p != self.links.position(EntityId::Carrier(c)) {
+                    self.links.set_position(EntityId::Carrier(c), p);
+                }
+            }
+        }
+        let flush_tok = self.prof.as_mut().map(|p| p.begin("link_flush"));
+        let refreshed = self.links.flush(scenario);
+        if let (Some(p), Some(tok)) = (self.prof.as_mut(), flush_tok) {
+            p.end(tok);
+        }
+        // One PRR-vs-displacement sample per tag per tick.
+        let mut max_disp_mm = 0u64;
+        for t in 0..scenario.tags.len() {
+            let (attempts, delivered) = (
+                self.metrics.tags[t].attempts,
+                self.metrics.tags[t].delivered,
+            );
+            self.metrics.mobility_series[t].push(MobilitySample {
+                at_s: now.as_secs(),
+                displacement_m: mob.states[t].displacement_m(),
+                attempts: attempts - mob.prev_attempts[t],
+                delivered: delivered - mob.prev_delivered[t],
+            });
+            mob.prev_attempts[t] = attempts;
+            mob.prev_delivered[t] = delivered;
+            max_disp_mm = max_disp_mm.max((mob.states[t].displacement_m() * 1e3).round() as u64);
+        }
+        self.trace.record(now, || {
+            format!(
+                "mobility tick: {moved} moved, {refreshed} entities refreshed, \
+                 max displacement {max_disp_mm} mm"
+            )
+        });
+    }
+
+    /// One carrier slot's coexistence step (a no-op without a coex
+    /// config): update the carrier's per-channel EWMA busy estimates from
+    /// the medium's receive-side load, record an [`OccupancySample`] on the
+    /// configured cadence, and — when a [`crate::coex::ReStripe`] policy is
+    /// attached — maybe re-tune the carrier and its Wi-Fi tags to the
+    /// least-occupied sub-band.
+    ///
+    /// Re-striping is deterministic (no RNG), slot-aligned, hysteretic (an
+    /// occupancy threshold *and* a dwell time) and quiescent: a carrier
+    /// with a member mid-transmission or mid-transaction defers the move to
+    /// a later check, so no tag is ever re-tuned with an emission in
+    /// flight.
+    fn sense_and_restripe(&mut self, carrier: usize, now: Time) {
+        let Some(CoexRuntime {
+            config,
+            rx_bands,
+            wifi_rx,
+            sense,
+            sample_ns,
+            ..
+        }) = self.coex.as_mut()
+        else {
+            return;
+        };
+        let scenario = self.scenario;
+        let sense = &mut sense[carrier];
+        sense.slots = sense.slots.wrapping_add(1);
+        for (r, band) in rx_bands.iter().enumerate() {
+            let busy = if self.medium.occupied(*band, now) {
+                1.0
+            } else {
+                0.0
+            };
+            sense.ewma[r] += SENSE_EWMA_ALPHA * (busy - sense.ewma[r]);
+        }
+        // The carrier's own channel: where its members actually deliver (in
+        // a striped scenario that *is* the stripe's sink, before and after
+        // any re-stripe; in an unstriped multi-AP ward — whose tags cycle
+        // the APs while every `subband` sits at 0 — the first member's live
+        // sink is the one whose load matters). Memberless carriers fall
+        // back to their stripe's sink.
+        let sched = &mut self.carriers[carrier].sched;
+        let own_rx = sched
+            .members()
+            .first()
+            .map(|&t| self.links.tag_receiver(t))
+            .unwrap_or_else(|| {
+                if wifi_rx.is_empty() {
+                    0
+                } else {
+                    wifi_rx[sched.subband().min(wifi_rx.len() - 1)]
+                }
+            });
+        if now.since(sense.last_sample).as_nanos() >= *sample_ns {
+            sense.last_sample = now;
+            let (mut attempts, mut delivered) = (0, 0);
+            for &t in sched.members() {
+                attempts += self.metrics.tags[t].attempts;
+                delivered += self.metrics.tags[t].delivered;
+            }
+            self.metrics.occupancy_series[carrier].push(OccupancySample {
+                at_s: now.as_secs(),
+                subband: sched.subband(),
+                occupancy: sense.ewma[own_rx],
+                attempts: attempts - sense.prev_attempts,
+                delivered: delivered - sense.prev_delivered,
+            });
+            sense.prev_attempts = attempts;
+            sense.prev_delivered = delivered;
+        }
+
+        let Some(policy) = config.restripe else {
+            return;
+        };
+        if wifi_rx.len() < 2 || sense.slots % policy.check_every_slots != 0 {
+            return;
+        }
+        if now.since(sense.last_restripe).as_nanos()
+            < Time::from_secs(policy.min_dwell_s).as_nanos()
+        {
+            return;
+        }
+        // The carrier's current stripe, derived from where its members
+        // deliver (so an unstriped ward's channel-6 carriers are judged on
+        // channel 6, not on the never-assigned subband 0). A carrier whose
+        // own channel is not a Wi-Fi sink has nothing to re-stripe.
+        let Some(cur) = wifi_rx.iter().position(|&r| r == own_rx) else {
+            return;
+        };
+        let cur_occ = sense.ewma[own_rx];
+        if cur_occ <= policy.high_occupancy {
+            return;
+        }
+        // The least-occupied candidate stripe; ties break toward the lower
+        // stripe index (strict `<` with an ascending scan).
+        let (mut best, mut best_occ) = (cur, cur_occ);
+        for (b, &r) in wifi_rx.iter().enumerate() {
+            if sense.ewma[r] < best_occ {
+                (best, best_occ) = (b, sense.ewma[r]);
+            }
+        }
+        if best == cur || best_occ + policy.hysteresis >= cur_occ {
+            return;
+        }
+        let members = sched.members();
+        let mac = self.mac_loop.as_ref();
+        let quiescent = members
+            .iter()
+            .all(|&t| !self.airborne[t] && mac.is_none_or(|m| m.is_idle(t)));
+        let any_wifi = members
+            .iter()
+            .any(|&t| matches!(self.links.tag_phy(t), NetPhy::Wifi { .. }));
+        if !quiescent || !any_wifi {
+            return;
+        }
+        let to_rx = wifi_rx[best];
+        let SinkKind::Wifi { channel } = scenario.receivers[to_rx].kind else {
+            unreachable!("wifi_rx only holds Wi-Fi sinks");
+        };
+        for &t in members {
+            let NetPhy::Wifi { rate, .. } = self.links.tag_phy(t) else {
+                continue;
+            };
+            self.links
+                .retune_tag(scenario, t, to_rx, NetPhy::Wifi { rate, channel });
+        }
+        self.links.flush(scenario);
+        sched.set_subband(best);
+        sense.last_restripe = now;
+        self.metrics.restripe_events.push(ReStripeEvent {
+            at_s: now.as_secs(),
+            carrier,
+            from_subband: cur,
+            to_subband: best,
+        });
+        let (from_pct, to_pct) = (
+            (cur_occ * 100.0).round() as u64,
+            (best_occ * 100.0).round() as u64,
+        );
+        self.trace.record(now, || {
+            format!(
+                "carrier {carrier} re-stripe: subband {cur} -> {best} \
+                 (occupancy {from_pct}% -> {to_pct}%)"
+            )
+        });
+    }
 }
 
-/// Arbitrates one reception in three stages, in order:
+/// The band an AM-OFDM downlink frame of `tag`'s transaction occupies: a
+/// full 802.11g transmission centred on the band of the tag's *live* sink
+/// (re-striping can re-tune it).
+fn downlink_band(scenario: &Scenario, links: &LinkMatrix, tag: usize) -> Band {
+    let sink = &scenario.receivers[links.tag_receiver(tag)];
+    let carrier_freq = scenario.carriers[scenario.tags[tag].carrier].carrier_freq_hz();
+    Band::new(sink.center_freq_hz(carrier_freq), AM_DOWNLINK_BANDWIDTH_HZ)
+}
+
+/// Arbitrates one reception of `tag`'s transaction at `at`, which names
+/// the leg: the uplink packet at its sink ([`Listener::Receiver`]), the
+/// poll at the tag ([`Listener::Tag`]) or the ack at the tag's carrier
+/// ([`Listener::Carrier`]). The leg fixes the link budget and the victim
+/// band; the loss model then runs three stages, in order:
 ///
 /// 1. in-model collision with capture — the signal survives if it
 ///    outpowers the summed interferers that actually land in the victim's
 ///    band by [`CAPTURE_MARGIN_DB`];
-/// 2. collision with external (unmodelled) Wi-Fi traffic on the band,
-///    tamed by the §2.3.3 reservation;
+/// 2. collision with external (unmodelled) Wi-Fi traffic on the band — the
+///    tag's sink's `external_occupancy` — tamed by the §2.3.3 reservation;
 /// 3. the link budget itself (lognormal shadowing around the median).
-#[expect(
-    clippy::too_many_arguments,
-    reason = "one argument per input of the three-cause loss model, plus the stream it draws from"
-)]
+///
+/// `rng` is the stream the leg draws from: the tag's for the uplink and
+/// the poll, the carrier's for the ack.
 fn receive_outcome<R: Rng>(
+    scenario: &Scenario,
     links: &LinkMatrix,
-    budget: &LinkBudget,
-    report: &TxReport,
-    victim_band: Band,
+    tag: usize,
     at: Listener,
-    external_occupancy: f64,
-    cts_to_self: bool,
+    report: &TxReport,
     rng: &mut R,
 ) -> RxOutcome {
+    let sink = &scenario.receivers[links.tag_receiver(tag)];
+    let carrier_freq = scenario.carriers[scenario.tags[tag].carrier].carrier_freq_hz();
+    let (budget, victim_band) = match at {
+        Listener::Receiver(_) => (
+            links.budget(tag),
+            Band::new(sink.center_freq_hz(carrier_freq), sink.bandwidth_hz()),
+        ),
+        Listener::Tag(_) => (links.poll_budget(tag), downlink_band(scenario, links, tag)),
+        Listener::Carrier(_) => (links.ack_budget(tag), downlink_band(scenario, links, tag)),
+    };
     let total_interference_mw: f64 = report
         .interferers
         .iter()
@@ -1253,7 +1240,7 @@ fn receive_outcome<R: Rng>(
             RxOutcome::Collision
         };
     }
-    let p_deliver = backscatter_delivery_probability(external_occupancy, cts_to_self);
+    let p_deliver = backscatter_delivery_probability(sink.external_occupancy, scenario.cts_to_self);
     if rng.gen_range(0.0..1.0) >= p_deliver {
         return RxOutcome::External;
     }
@@ -1263,49 +1250,6 @@ fn receive_outcome<R: Rng>(
     } else {
         RxOutcome::LinkLoss
     }
-}
-
-/// Burns one retry on the packet at the head of `tag`'s queue, dropping it
-/// once the retry budget is exhausted.
-fn retry_packet(state: &mut TagState, max_retries: u32, metrics: &mut NetworkMetrics, tag: usize) {
-    if let Some(packet) = state.queue.front_mut() {
-        packet.retries += 1;
-        if packet.retries > max_retries {
-            state.queue.pop_front();
-            metrics.tags[tag].dropped += 1;
-        }
-    }
-}
-
-/// Accounts one granted carrier slot: hands the grant to the carrier's
-/// scheduler (cursor/counter updates and the deadline check live there,
-/// not in the engine) and records the scheduler-facing metrics — the
-/// grant count, any deadline miss, and the head packet's poll latency
-/// (how long it waited in queue before winning this slot).
-fn grant_slot(
-    carrier: &mut CarrierState,
-    tags: &[TagState],
-    metrics: &mut NetworkMetrics,
-    links: &LinkMatrix,
-    tag: usize,
-    now: Time,
-) {
-    let head_arrived = tags[tag].queue.front().map(|p| p.arrived).unwrap_or(now);
-    let missed = carrier
-        .sched
-        .granted(tag, head_arrived, &SlotView { now, links });
-    metrics.tags[tag].grants += 1;
-    if missed {
-        metrics.tags[tag].deadline_misses += 1;
-    }
-    let waited = now.since(head_arrived);
-    metrics.poll_latency_ms.push(waited.as_secs() * 1e3);
-}
-
-/// An exponential inter-arrival draw with mean `1/rate_pps` seconds.
-fn exponential_s<R: Rng>(rng: &mut R, rate_pps: f64) -> f64 {
-    let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    -u.ln() / rate_pps
 }
 
 #[cfg(test)]

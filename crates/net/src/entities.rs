@@ -405,6 +405,7 @@ impl SinkReceiver {
 /// an unnamed one (breaking the seed-reproducibility audit trail).
 pub mod streams {
     use rand::rngs::SmallRng;
+    use rand::Rng;
 
     /// Stream id of the Monte-Carlo trial stream.
     pub const TRIALS: u64 = 0;
@@ -441,6 +442,13 @@ pub mod streams {
     /// Coex source `source`'s emission-process generator (stream 4).
     pub fn coex_rng(seed: u64, source: usize) -> SmallRng {
         rand::stream::small_rng(seed, COEX, source as u64)
+    }
+
+    /// An exponential draw with mean `1/rate_per_s` seconds: tag
+    /// inter-arrivals and coex-source gaps, each from its own stream.
+    pub(crate) fn exponential_s<R: Rng>(rng: &mut R, rate_per_s: f64) -> f64 {
+        let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+        -u.ln() / rate_per_s
     }
 }
 

@@ -30,15 +30,6 @@
 
 use crate::time::Time;
 
-/// Which leg of a closed-loop transaction an AM downlink frame carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DownlinkKind {
-    /// The carrier's poll, decoded by the tag's envelope detector.
-    Poll,
-    /// The sink's ack, decoded by the carrier's radio.
-    Ack,
-}
-
 /// What happens when an event fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
@@ -61,19 +52,22 @@ pub enum EventKind {
         /// When the transmission went on the air.
         started: Time,
     },
-    /// An AM-OFDM downlink frame of a closed-loop transaction completes:
-    /// a carrier's poll or a sink's ack (see
-    /// [`crate::mac`] for the transaction structure). Fires at the frame's
-    /// end, when the addressed listener decides whether it decoded.
-    DownlinkEmission {
-        /// Poll or ack.
-        kind: DownlinkKind,
-        /// The tag whose transaction the frame belongs to.
+    /// A carrier's AM-OFDM poll of a closed-loop transaction completes
+    /// (see [`crate::mac`] for the transaction structure): the tag's
+    /// envelope detector decides whether it decoded.
+    PollEnd {
+        /// The tag the poll addresses.
         tag: usize,
         /// Identifier of the in-flight frame in the medium.
         tx_id: u64,
-        /// When the frame went on the air.
-        started: Time,
+    },
+    /// A sink's AM-OFDM ack of a closed-loop transaction completes: the
+    /// carrier's radio decides whether it decoded.
+    AckEnd {
+        /// The tag whose response the ack confirms.
+        tag: usize,
+        /// Identifier of the in-flight frame in the medium.
+        tx_id: u64,
     },
     /// An external coexistence source ([`crate::coex::CoexSource`]) wants
     /// to start its next emission. CSMA-abiding sources re-schedule
@@ -327,6 +321,13 @@ mod tests {
             let e = q.pop().unwrap();
             assert_eq!(e.kind, EventKind::PacketArrival { tag: expected });
         }
+    }
+
+    #[test]
+    fn events_are_48_bytes() {
+        // The module's queue measurements and `ARITY`'s cache-line note
+        // assume 48 B events; a wider variant would silently void them.
+        assert_eq!(std::mem::size_of::<Event>(), 48);
     }
 
     /// The queue under test beside a reference — `std`'s binary heap over

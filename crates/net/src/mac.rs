@@ -32,8 +32,8 @@ use interscatter_wifi::ofdm::am::am_frame_airtime_s;
 /// Whether the engine runs the uplink-only schedule or the closed loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MacMode {
-    /// PR 1 behaviour: carriers grant slots blindly, delivery is decided at
-    /// the receiver, tags learn nothing.
+    /// Carriers grant slots blindly, delivery is decided at the receiver,
+    /// tags learn nothing.
     #[default]
     OpenLoop,
     /// Poll → backscatter response → ack transactions.

@@ -6,8 +6,8 @@
 //! plain-data configurable. Each carrier's [`CarrierSched`] matches on its
 //! policy's state directly:
 //!
-//! * [`SchedPolicy::RoundRobin`] — the PR 1 baseline, bit-for-bit: a cursor
-//!   into the carrier's member list advances past each granted tag, and the
+//! * [`SchedPolicy::RoundRobin`] — the default: a cursor into the
+//!   carrier's member list advances past each granted tag, and the
 //!   pick scans from the cursor for the first backlogged member. A
 //!   regression test pins its traces byte-identically against the
 //!   pre-extraction engine.

@@ -6,6 +6,7 @@
 //! deployment, which every downstream digest would silently inherit.
 
 use interscatter::net::coex::ReStripe;
+use interscatter::net::mac::MacMode;
 use interscatter::net::scenario::{ExecutionSection, Scenario};
 use interscatter::net::trace_digest::fnv1a_str;
 
@@ -142,14 +143,37 @@ fn every_case_keeps_its_sample_and_counter_identities() {
                 occupancy.map(|s| s.attempts).sum::<usize>() <= m.attempts(),
                 "{at}"
             );
-            // Packet conservation: every offered packet was delivered,
-            // dropped, or is still queued at the horizon.
+            let open_loop = scenario.mac == MacMode::OpenLoop;
             for (t, tag) in m.tags.iter().enumerate() {
+                // Packet conservation: every offered packet was delivered,
+                // dropped, or is still queued at the horizon.
                 assert_eq!(
                     tag.offered,
                     tag.delivered + tag.dropped + tag.queued,
                     "{at} tag {t}: {tag:?}"
                 );
+                // Attempt and grant slack: every attempt ends in exactly
+                // one outcome and every grant in an attempt or a lost poll,
+                // except a transaction still in flight at the horizon —
+                // at most one per tag, and never an undecided open-loop
+                // attempt (its outcome is decided when it is counted).
+                let decided = tag.delivered
+                    + tag.collided
+                    + tag.external_collisions
+                    + tag.link_losses
+                    + tag.ack_losses;
+                let a = tag.attempts as i64 - decided as i64;
+                let g = tag.grants as i64 - tag.attempts as i64 - tag.poll_losses as i64;
+                assert!(
+                    (0..=1).contains(&a),
+                    "{at} tag {t}: attempt slack {a}: {tag:?}"
+                );
+                assert!(!open_loop || a == 0, "{at} tag {t}: open-loop slack {a}");
+                assert!(
+                    (0..=1).contains(&g),
+                    "{at} tag {t}: grant slack {g}: {tag:?}"
+                );
+                assert!(a + g <= 1, "{at} tag {t}: {a} + {g} in flight: {tag:?}");
             }
             let report = m.report();
             assert!(
