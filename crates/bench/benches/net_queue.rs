@@ -3,10 +3,12 @@
 //! constant depth, in hold operations (one pop plus one schedule) per
 //! second. Depth 128 is ward-like (a 100-tag preset keeps a few hundred
 //! events pending); depth 100 000 is campus-like (one pending event per
-//! tag, more 48 B events than fit in L2). This is the queue's own layer
-//! row beneath the engine benches.
+//! tag, more 48 B events than fit in L2). `hold_ward_mix` is the ward's
+//! event mix: 50 carriers whose slots re-schedule one 5 ms interval
+//! later, beside 100 tags whose arrivals are ≈6% of the pops. This is the
+//! queue's own layer row beneath the engine benches.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BenchmarkGroup, Criterion, Throughput};
 use interscatter_net::event::{EventKind, EventQueue};
 use interscatter_net::time::Time;
 use rand::rngs::SmallRng;
@@ -38,7 +40,39 @@ fn bench_hold(c: &mut Criterion) {
             })
         });
     }
+    bench_ward_mix(&mut group);
     group.finish();
+}
+
+/// The ward mix: carrier slots on a fixed 5 ms cadence (≈94% of pops)
+/// and tag arrivals a uniform 0–312 ms apart (mean 6.4 packets/s).
+fn bench_ward_mix(group: &mut BenchmarkGroup<'_>) {
+    const CARRIERS: usize = 50;
+    const TAGS: usize = 100;
+    const SLOT_NS: u64 = 5_000_000;
+    const ARRIVAL_SPAN_NS: u64 = 312_500_000;
+    let mut rng = SmallRng::seed_from_u64(94);
+    let mut queue = EventQueue::new();
+    for carrier in 0..CARRIERS {
+        let at = Time(rng.gen_range(0..SLOT_NS));
+        queue.schedule(at, EventKind::CarrierSlot { carrier });
+    }
+    for tag in 0..TAGS {
+        let at = Time(rng.gen_range(0..ARRIVAL_SPAN_NS));
+        queue.schedule(at, EventKind::PacketArrival { tag });
+    }
+    group.bench_function("hold_ward_mix", |b| {
+        b.iter(|| {
+            for _ in 0..HOLDS {
+                let e = queue.pop().expect("the hold model keeps the depth");
+                let delay = match e.kind {
+                    EventKind::CarrierSlot { .. } => SLOT_NS,
+                    _ => rng.gen_range(1..ARRIVAL_SPAN_NS),
+                };
+                queue.schedule(Time(e.at.0 + delay), e.kind);
+            }
+        })
+    });
 }
 
 criterion_group! {

@@ -313,7 +313,7 @@ impl<'a> EngineCore<'a> {
         }
         let horizon = Time::from_secs(scenario.duration_s);
 
-        let mut queue = EventQueue::new();
+        let mut queue = EventQueue::until(horizon);
         let medium = Medium::new();
         let trace = EventTrace::new(record_trace);
         let mut metrics = NetworkMetrics::new(
@@ -426,11 +426,15 @@ impl<'a> EngineCore<'a> {
     /// including the horizon, emits any progress line that falls due, and
     /// hands the event to the one handler of its kind. A profiled run
     /// records the whole loop as one `"epoch"` span, the phase name the
-    /// benchmark's event-loop metrics read.
+    /// benchmark's event-loop metrics read, and marks every dispatch for
+    /// the per-kind totals ([`Profiler::dispatch`]).
     pub(crate) fn run(&mut self) {
         let epoch_tok = self.prof.as_mut().map(|p| p.begin("epoch"));
         while let Some(event) = self.queue.pop() {
             self.events += 1;
+            if let Some(p) = self.prof.as_mut() {
+                p.dispatch(&event.kind);
+            }
             if let Some(p) = self.progress.as_mut() {
                 // One status line per elapsed cadence period, driven by
                 // simulated time so the output is deterministic (events
@@ -1418,6 +1422,35 @@ mod tests {
         // The loop costs airtime: some polls are lost to the downlink
         // margin or contention, so completion is below 1.
         assert!(m.transaction_completion_rate() <= 1.0);
+    }
+
+    #[test]
+    fn closed_loop_counts_every_lost_poll() {
+        // One carrier's downlink sits far below its tags' envelope-detector
+        // sensitivity, so its polls are lost again and again. A granted
+        // slot either starts a backscatter response (an attempt) or loses
+        // its poll; only the one transaction in flight at the horizon may
+        // be neither.
+        let mut scenario = Scenario::hospital_ward(8).closed_loop();
+        let starved = scenario.tags[0].carrier;
+        scenario.carriers[starved].tx_power_dbm = -90.0;
+        let m = run_untraced(&scenario, 5).metrics;
+        let members: Vec<usize> = (0..scenario.tags.len())
+            .filter(|&t| scenario.tags[t].carrier == starved)
+            .collect();
+        assert!(!members.is_empty());
+        for t in members {
+            let stats = &m.tags[t];
+            assert!(stats.poll_losses >= 2, "tag {t}: {stats:?}");
+            let resolved = stats.attempts + stats.poll_losses;
+            assert!(
+                (resolved..=resolved + 1).contains(&stats.grants),
+                "tag {t}: grants {} vs attempts {} + poll losses {}",
+                stats.grants,
+                stats.attempts,
+                stats.poll_losses
+            );
+        }
     }
 
     #[test]

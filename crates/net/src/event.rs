@@ -2,17 +2,40 @@
 //!
 //! Events are ordered by `(time, sequence)`: the sequence number is the
 //! order of scheduling, so ties at the same nanosecond resolve identically
-//! on every run. The queue is an implicit **4-ary min-heap** over a
-//! `Vec<Event>`: `schedule` sifts up and `pop` sifts a hole down from the
-//! root. Both are O(log₄ n), with no per-slot storage, cursor or side
-//! buffers. The pop order is the exact `(at, seq)` total order — the
-//! byte-identical-trace contract pins it, and the
-//! `queue_matches_reference_heap` property test drives random streams
-//! through this queue and a `std` binary heap side by side.
+//! on every run. The queue keeps two lanes under one sequence counter:
+//!
+//! * **The slot lane.** [`EventKind::CarrierSlot`] events sit in a
+//!   `VecDeque` kept sorted by `(at, seq)`. A carrier offers one slot per
+//!   slot interval (§2.3), and a slot re-schedules itself one interval
+//!   after it fires. Every preset gives all its carriers one interval, so
+//!   a new slot is never earlier than the lane's tail: it is a
+//!   `push_back`, and its pop a `pop_front`. A slot that is earlier (the
+//!   staggered first slots, or a scenario that mixes intervals) goes in
+//!   by binary search.
+//! * **The heap.** Every other event sits in an implicit **4-ary
+//!   min-heap** over a `Vec<Event>`: `schedule` sifts up and `pop` sifts
+//!   a hole down from the root, both O(log₄ n).
+//!
+//! `pop` returns the earlier of the lane's front and the heap's root by
+//! the same `(at, seq)` key, so the pop order is the exact `(at, seq)`
+//! total order — the byte-identical-trace contract pins it. The
+//! `queue_matches_reference_heap` and `slot_lane_matches_reference_heap`
+//! property tests drive random streams through this queue and a `std`
+//! binary heap side by side, the latter with periodic slot streams at two
+//! intervals and exact-nanosecond ties between the lanes.
+//!
+//! A queue built for a run (`EventQueue::until`) also never stores an
+//! event later than the run's horizon, since it could only pop after the
+//! `Horizon` event that ends the loop. Campus primes one first arrival
+//! per tag, and ≈67k of its 100k fall past its 2 s horizon.
 //!
 //! The design was chosen by measurement. Perfbench at seed 1, `--seconds
 //! 8`, 3 alternating runs per candidate on a 2-core x86-64 host; every
-//! workload digest identical and 0 failed operations (ranges in seconds):
+//! workload digest identical and 0 failed operations (ranges in seconds).
+//! The last row is 10 alternating pairs at `--seconds 25` against the row
+//! above it, on the same kind of host; in those pairs the row above read
+//! ward 0.27–0.33 / 0.30–0.37 s and campus 0.111–0.125 / 0.128–0.169 s
+//! and 74.7 MiB (`wall_s` / `setup_s`, then RSS):
 //!
 //! | queue | ward `wall_s` | ward `setup_s` | campus `wall_s` | campus `setup_s` | campus RSS |
 //! |---|---|---|---|---|---|
@@ -20,15 +43,21 @@
 //! | same wheel, slot capacity kept across drains | 0.36–0.42 | 0.43–0.48 | — | — | — |
 //! | `std` `BinaryHeap<Reverse<Event>>` | 0.28–0.31 | 0.29–0.31 | 0.130–0.154 | 0.159–0.185 | 88.5 MiB |
 //! | binary heap of 24 B keys + event-kind slab | — | — | 0.126–0.148 | 0.17–0.23 | 91.4 MiB |
-//! | **4-ary heap of `Event`** (this) | **0.30–0.32** | **0.28–0.35** | **0.105–0.121** | **0.119–0.149** | **88.5 MiB** |
+//! | 4-ary heap of `Event` | 0.30–0.32 | 0.28–0.35 | 0.105–0.121 | 0.119–0.149 | 88.5 MiB |
+//! | **4-ary heap + slot lane, horizon cut** (this) | **0.12–0.15** | **0.17–0.20** | **0.104–0.110** | **0.112–0.143** | **70.3 MiB** |
 //!
 //! Ward's queue is only hundreds of events deep, so any heap beats the
-//! wheel's cascades and per-slot reallocation. Campus holds ≈100k pending
-//! 48 B events, more than a 2 MiB L2: there a binary heap's 17-level pops
+//! wheel's cascades and per-slot reallocation. Campus held ≈100k pending
+//! 48 B events before the horizon cut (≈33k after), more than a 2 MiB
+//! L2: there a binary heap's 17-level pops
 //! cost +15–22% in the event loop (not in set-up), and the 4-ary layout's
 //! halved depth, with siblings on adjacent cache lines, wins it back.
+//! Slots are 2.78M of ward's 2.94M events at seed 1, and nearly all of
+//! them find no backlogged tag and return at once, so a heap push and pop
+//! per slot was most of the loop; the lane makes it a copy at each end.
 
 use crate::time::Time;
+use std::collections::VecDeque;
 
 /// What happens when an event fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,6 +124,37 @@ pub enum EventKind {
     Horizon,
 }
 
+impl EventKind {
+    /// Every kind's name, indexed by [`EventKind::index`]: the vocabulary
+    /// of a profiled run's per-kind totals ([`crate::prof`]).
+    pub(crate) const NAMES: [&'static str; 9] = [
+        "PacketArrival",
+        "CarrierSlot",
+        "TxEnd",
+        "PollEnd",
+        "AckEnd",
+        "CoexStart",
+        "CoexEnd",
+        "MobilityTick",
+        "Horizon",
+    ];
+
+    /// This kind's position in [`EventKind::NAMES`].
+    pub(crate) fn index(&self) -> usize {
+        match self {
+            EventKind::PacketArrival { .. } => 0,
+            EventKind::CarrierSlot { .. } => 1,
+            EventKind::TxEnd { .. } => 2,
+            EventKind::PollEnd { .. } => 3,
+            EventKind::AckEnd { .. } => 4,
+            EventKind::CoexStart { .. } => 5,
+            EventKind::CoexEnd { .. } => 6,
+            EventKind::MobilityTick => 7,
+            EventKind::Horizon => 8,
+        }
+    }
+}
+
 /// An event scheduled at a point in simulated time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Event {
@@ -131,25 +191,51 @@ fn key(e: &Event) -> u128 {
     (u128::from(e.at.0) << 64) | u128::from(e.seq)
 }
 
-/// A deterministic event queue: an implicit 4-ary min-heap over `(at,
-/// seq)`.
+/// A deterministic event queue over `(at, seq)`: carrier slots in a
+/// sorted FIFO lane, every other event in an implicit 4-ary min-heap.
 ///
-/// `heap[0]` is the earliest pending event; the children of `heap[i]` are
-/// `heap[4i + 1 ..= 4i + 4]`, each no earlier than their parent. Sequence
-/// numbers are unique and globally monotone, so `(at, seq)` is a total
+/// `heap[0]` is the earliest pending non-slot event; the children of
+/// `heap[i]` are `heap[4i + 1 ..= 4i + 4]`, each no earlier than their
+/// parent. `slots` holds the pending [`EventKind::CarrierSlot`]s sorted by
+/// `(at, seq)`, so its front is the earliest slot. Sequence numbers are
+/// unique and globally monotone across both, so `(at, seq)` is a total
 /// order and the pop order is fully determined by the schedule stream —
 /// same-instant events resolve in scheduling order, and an event
 /// scheduled behind the last pop simply pops next.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct EventQueue {
     heap: Vec<Event>,
+    slots: VecDeque<Event>,
     next_seq: u64,
+    /// Events later than this are never stored: the run stops at its
+    /// `Horizon`, which is scheduled at this instant.
+    horizon: Time,
+}
+
+impl Default for EventQueue {
+    fn default() -> Self {
+        EventQueue::until(Time(u64::MAX))
+    }
 }
 
 impl EventQueue {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue::default()
+    }
+
+    /// Creates an empty queue for a run that ends at `horizon`: a
+    /// schedule strictly later than it is dropped, since it could only
+    /// pop after the `Horizon` event that ends the loop. Such a schedule
+    /// still takes its sequence number, so every stored event keeps the
+    /// `seq` it would have had.
+    pub(crate) fn until(horizon: Time) -> Self {
+        EventQueue {
+            heap: Vec::new(),
+            slots: VecDeque::new(),
+            next_seq: 0,
+            horizon,
+        }
     }
 
     /// Schedules `kind` at time `at`.
@@ -160,6 +246,21 @@ impl EventQueue {
             kind,
         };
         self.next_seq += 1;
+        if at > self.horizon {
+            return;
+        }
+        if let EventKind::CarrierSlot { .. } = kind {
+            // `e` has the largest seq yet, so it goes after every slot at
+            // or before `at`: the tail when all carriers share one slot
+            // interval, a binary-searched insert otherwise.
+            if self.slots.back().is_none_or(|last| last.at <= at) {
+                self.slots.push_back(e);
+            } else {
+                let i = self.slots.partition_point(|s| s.at <= at);
+                self.slots.insert(i, e);
+            }
+            return;
+        }
         // Sift up: move later parents down into the hole until `e` fits.
         let e_key = key(&e);
         let mut hole = self.heap.len();
@@ -177,6 +278,16 @@ impl EventQueue {
 
     /// Pops the earliest event; ties resolve in scheduling order.
     pub fn pop(&mut self) -> Option<Event> {
+        if let Some(slot) = self.slots.front() {
+            if self.heap.first().is_none_or(|root| key(slot) < key(root)) {
+                return self.slots.pop_front();
+            }
+        }
+        self.pop_heap()
+    }
+
+    /// Pops the heap's root.
+    fn pop_heap(&mut self) -> Option<Event> {
         let last = self.heap.pop()?;
         let Some(&top) = self.heap.first() else {
             return Some(last);
@@ -213,12 +324,12 @@ impl EventQueue {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.slots.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.heap.is_empty() && self.slots.is_empty()
     }
 }
 
@@ -342,7 +453,11 @@ mod tests {
 
     impl Twin {
         fn schedule(&mut self, at: u64, tag: usize) {
-            let (at, kind) = (Time(at), EventKind::PacketArrival { tag });
+            self.schedule_kind(at, EventKind::PacketArrival { tag });
+        }
+
+        fn schedule_kind(&mut self, at: u64, kind: EventKind) {
+            let at = Time(at);
             self.queue.schedule(at, kind);
             let seq = self.next_seq;
             self.next_seq += 1;
@@ -439,6 +554,142 @@ mod tests {
         }
         assert_eq!(twin.queue.len(), DEPTH);
         twin.drain(format_args!("deep drain"));
+    }
+
+    #[test]
+    fn slot_lane_matches_reference_heap() {
+        // The ward regime: periodic carrier-slot streams (each popped slot
+        // re-schedules itself one interval later) interleaved with Poisson
+        // arrivals. Two intervals are mixed, so a re-scheduled slot can
+        // land before the lane's tail, and carriers share priming offsets,
+        // so slots tie each other. Arrivals often land on the exact
+        // nanosecond of a pending slot or of the instant just popped, so
+        // lane and heap events tie and only `seq` orders them.
+        const INTERVALS: [u64; 2] = [1_000_000, 1_500_000];
+        for trial in 0..10u64 {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "property-test stream fuzzing the event queue, not an engine entity"
+            )]
+            let mut rng = SmallRng::seed_from_u64(0x5107 ^ trial);
+            let mut twin = Twin::default();
+            let carriers = 12usize;
+            let interval = |carrier: usize| INTERVALS[carrier % 2];
+            for carrier in 0..carriers {
+                // Pairs of carriers share an offset: exact slot-slot ties.
+                let offset = 1_000 * rng.gen_range(0u64..1_000) * (carrier as u64 / 2 + 1);
+                twin.schedule_kind(offset, EventKind::CarrierSlot { carrier });
+            }
+            for tag in 0..40 {
+                twin.schedule(rng.gen_range(0u64..2_000_000), tag);
+            }
+            let mut pending_slot_times = Vec::new();
+            for step in 0..20_000usize {
+                let e = twin
+                    .pop(format_args!("trial {trial} step {step}"))
+                    .expect("slots re-schedule forever");
+                match e.kind {
+                    EventKind::CarrierSlot { carrier } => {
+                        let next = e.at.0 + interval(carrier);
+                        twin.schedule_kind(next, e.kind);
+                        pending_slot_times.push(next);
+                        if pending_slot_times.len() > 32 {
+                            pending_slot_times.remove(0);
+                        }
+                    }
+                    EventKind::PacketArrival { tag } => {
+                        let at = match rng.gen_range(0u32..4) {
+                            0 if !pending_slot_times.is_empty() => {
+                                pending_slot_times[rng.gen_range(0..pending_slot_times.len())]
+                            }
+                            1 => e.at.0,
+                            _ => e.at.0 + rng.gen_range(1u64..3_000_000),
+                        };
+                        twin.schedule(at.max(e.at.0), tag);
+                    }
+                    other => panic!("unexpected {other:?}"),
+                }
+            }
+            assert_eq!(twin.queue.slots.len(), carriers);
+            twin.drain(format_args!("trial {trial} drain"));
+        }
+    }
+
+    #[test]
+    fn slot_lane_inserts_behind_equal_slots() {
+        // A slot earlier than the lane's tail goes in after every slot at
+        // or before its instant; a heap event at the same instant pops
+        // between them by seq.
+        let mut q = EventQueue::new();
+        q.schedule(Time(100), EventKind::CarrierSlot { carrier: 0 });
+        q.schedule(Time(300), EventKind::CarrierSlot { carrier: 1 });
+        q.schedule(Time(200), EventKind::CarrierSlot { carrier: 2 });
+        q.schedule(Time(200), EventKind::PacketArrival { tag: 0 });
+        q.schedule(Time(200), EventKind::CarrierSlot { carrier: 3 });
+        q.schedule(Time(100), EventKind::CarrierSlot { carrier: 4 });
+        assert_eq!(q.len(), 6);
+        let order: Vec<EventKind> = std::iter::from_fn(|| q.pop()).map(|e| e.kind).collect();
+        assert_eq!(
+            order,
+            [
+                EventKind::CarrierSlot { carrier: 0 },
+                EventKind::CarrierSlot { carrier: 4 },
+                EventKind::CarrierSlot { carrier: 2 },
+                EventKind::PacketArrival { tag: 0 },
+                EventKind::CarrierSlot { carrier: 3 },
+                EventKind::CarrierSlot { carrier: 1 },
+            ]
+        );
+    }
+
+    #[test]
+    fn events_past_the_horizon_are_dropped() {
+        let mut q = EventQueue::until(Time(100));
+        q.schedule(Time(101), EventKind::PacketArrival { tag: 0 });
+        q.schedule(Time(101), EventKind::CarrierSlot { carrier: 0 });
+        q.schedule(Time(100), EventKind::Horizon);
+        q.schedule(Time(100), EventKind::CarrierSlot { carrier: 1 });
+        q.schedule(Time(u64::MAX), EventKind::MobilityTick);
+        assert_eq!(q.len(), 2, "only events at or before the horizon stay");
+        // Dropped schedules still take their sequence numbers, so the
+        // stored events keep the seqs an unbounded queue gives them.
+        let horizon = q.pop().unwrap();
+        assert_eq!((horizon.kind, horizon.seq), (EventKind::Horizon, 2));
+        let slot = q.pop().unwrap();
+        assert_eq!(
+            (slot.kind, slot.seq),
+            (EventKind::CarrierSlot { carrier: 1 }, 3)
+        );
+        assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn kind_names_match_the_variants() {
+        let kinds = [
+            EventKind::PacketArrival { tag: 0 },
+            EventKind::CarrierSlot { carrier: 0 },
+            EventKind::TxEnd {
+                tag: 0,
+                tx_id: 0,
+                started: Time::ZERO,
+            },
+            EventKind::PollEnd { tag: 0, tx_id: 0 },
+            EventKind::AckEnd { tag: 0, tx_id: 0 },
+            EventKind::CoexStart { source: 0 },
+            EventKind::CoexEnd {
+                source: 0,
+                tx_id: 0,
+            },
+            EventKind::MobilityTick,
+            EventKind::Horizon,
+        ];
+        assert_eq!(kinds.len(), EventKind::NAMES.len());
+        for (i, kind) in kinds.iter().enumerate() {
+            assert_eq!(kind.index(), i);
+            let debug = format!("{kind:?}");
+            let variant = debug.split([' ', '{']).next().unwrap();
+            assert_eq!(EventKind::NAMES[i], variant);
+        }
     }
 
     #[test]

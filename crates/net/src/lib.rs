@@ -33,11 +33,13 @@
 //! ## Event model
 //!
 //! The engine ([`engine`], run through [`run`]) is a classic discrete-event
-//! simulation: a 4-ary min-heap [`event::EventQueue`] orders
-//! [`event::EventKind`]s by integer-nanosecond timestamps
-//! ([`time::Time`]), with a monotone sequence number breaking ties so the
-//! execution order is total and reproducible (and byte-identical to the
-//! binary heap and the timing wheel that preceded it). Eight event kinds
+//! simulation: an [`event::EventQueue`] orders [`event::EventKind`]s by
+//! integer-nanosecond timestamps ([`time::Time`]), with a monotone
+//! sequence number breaking ties so the execution order is total and
+//! reproducible (and byte-identical to the single heap, binary heap and
+//! timing wheel that preceded it). Carrier slots, periodic and nearly
+//! every event of a run, go in a sorted FIFO lane; every other kind goes
+//! in a 4-ary min-heap, and a pop takes the earlier head. Eight event kinds
 //! drive everything, each handled by one engine method (a ninth,
 //! `Horizon`, ends the run):
 //!

@@ -39,13 +39,26 @@
 //!   (`ph: "X"` complete events), loadable at `ui.perfetto.dev` or
 //!   `chrome://tracing`.
 //! * [`ProfReport::summary`] — a machine-readable [`ProfSummary`] (phase
-//!   totals) whose [`ProfSummary::to_json`] is what `PROF_net.json` holds.
+//!   totals and per-event-kind totals) whose [`ProfSummary::to_json`] is
+//!   what `PROF_net.json` holds.
+//!
+//! ## Per event kind
+//!
+//! Inside the `"epoch"` span the engine calls `Profiler::dispatch` once
+//! per popped event, and the host time from one dispatch to the next is
+//! charged to the earlier event's kind. A kind's time is thus its
+//! handlers plus the pop and progress check that follow each of them;
+//! the closing `Horizon` is charged nothing. The clock is read only where
+//! the kind changes: a run of back-to-back events of one kind is charged
+//! as a whole, which gives the same totals as one read per event. Only
+//! profiled runs read the clock.
 
 #![expect(
     clippy::disallowed_types,
     reason = "the one sanctioned engine stopwatch: wall-clock values stay in the prof output"
 )]
 
+use crate::event::EventKind;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -158,6 +171,22 @@ pub struct Profiler {
     /// [`crate::scenario::ScenarioBuilder::build`]'s measured duration,
     /// replayed as a `"scenario_build"` span at the head of the timeline.
     build_ns: Option<u64>,
+    /// Dispatches and host time per event kind, indexed like
+    /// [`EventKind::NAMES`].
+    kinds: [KindTotal; EventKind::NAMES.len()],
+    /// The last dispatched kind's index and the clock when its current
+    /// run of back-to-back dispatches began.
+    dispatched: Option<(usize, u64)>,
+}
+
+/// How often one event kind was dispatched in a profiled run, and the
+/// host time charged to it (see the module doc's "Per event kind").
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct KindTotal {
+    /// Events of this kind popped.
+    pub count: u64,
+    /// Host nanoseconds charged to them.
+    pub ns: u64,
 }
 
 /// An opaque token returned by [`Profiler::begin`]: the open-stack depth
@@ -182,7 +211,28 @@ impl Profiler {
             ring: SpanRing::new(cap),
             open: Vec::new(),
             build_ns,
+            kinds: [KindTotal::default(); EventKind::NAMES.len()],
+            dispatched: None,
         }
+    }
+
+    /// Marks the dispatch of an event of `kind`: counts it and, when the
+    /// kind differs from the previous event's, charges the host time since
+    /// the run of that kind began to it. Charging per run rather than per
+    /// event gives the same totals (the per-event deltas of a run add up
+    /// to the run's) from far fewer clock reads: a ward run is mostly
+    /// back-to-back carrier slots.
+    pub(crate) fn dispatch(&mut self, kind: &EventKind) {
+        let i = kind.index();
+        self.kinds[i].count += 1;
+        if self.dispatched.is_some_and(|(last, _)| last == i) {
+            return;
+        }
+        let now = self.clock.now_ns();
+        if let Some((last, at)) = self.dispatched {
+            self.kinds[last].ns += now.saturating_sub(at);
+        }
+        self.dispatched = Some((i, now));
     }
 
     /// Opens a span; close it with [`Profiler::end`] and the returned
@@ -232,9 +282,16 @@ impl Profiler {
                 ..span
             }))
             .collect();
+        let mut event_kinds: Vec<(&'static str, KindTotal)> = EventKind::NAMES
+            .into_iter()
+            .zip(self.kinds)
+            .filter(|(_, total)| total.count > 0)
+            .collect();
+        event_kinds.sort_unstable_by_key(|&(name, _)| name);
         ProfReport {
             scenario: scenario.to_string(),
             spans,
+            event_kinds,
             dropped,
         }
     }
@@ -249,6 +306,9 @@ pub struct ProfReport {
     pub scenario: String,
     /// Closed spans, in close order after the leading `"scenario_build"`.
     pub spans: Vec<Span>,
+    /// Per event kind dispatched at least once, ascending by name: the
+    /// dispatch count and the host time charged to it.
+    pub event_kinds: Vec<(&'static str, KindTotal)>,
     /// Spans lost to ring wrap-around.
     pub dropped: u64,
 }
@@ -279,7 +339,7 @@ impl ProfReport {
     }
 
     /// Reduces the span sequence to the machine-readable [`ProfSummary`]:
-    /// total nanoseconds per phase.
+    /// total nanoseconds per phase, and the per-kind totals.
     pub fn summary(&self) -> ProfSummary {
         let mut phase_totals: BTreeMap<&'static str, u64> = BTreeMap::new();
         for span in &self.spans {
@@ -290,6 +350,11 @@ impl ProfReport {
             phase_totals_ns: phase_totals
                 .into_iter()
                 .map(|(name, ns)| (name.to_string(), ns))
+                .collect(),
+            event_kinds: self
+                .event_kinds
+                .iter()
+                .map(|&(name, total)| (name.to_string(), total))
                 .collect(),
             dropped: self.dropped,
         }
@@ -304,6 +369,9 @@ pub struct ProfSummary {
     pub scenario: String,
     /// Total nanoseconds per phase name, ascending by name.
     pub phase_totals_ns: Vec<(String, u64)>,
+    /// Dispatch count and host time per event kind dispatched, ascending
+    /// by name.
+    pub event_kinds: Vec<(String, KindTotal)>,
     /// Spans lost to ring wrap-around.
     pub dropped: u64,
 }
@@ -317,10 +385,23 @@ impl ProfSummary {
             .iter()
             .map(|(name, ns)| format!("\"{}\":{}", json_escape(name), ns))
             .collect();
+        let kinds: Vec<String> = self
+            .event_kinds
+            .iter()
+            .map(|(name, k)| {
+                format!(
+                    "\"{}\":{{\"count\":{},\"ns\":{}}}",
+                    json_escape(name),
+                    k.count,
+                    k.ns
+                )
+            })
+            .collect();
         format!(
-            "{{\"scenario\":\"{}\",\"phase_totals_ns\":{{{}}},\"dropped_spans\":{}}}",
+            "{{\"scenario\":\"{}\",\"phase_totals_ns\":{{{}}},\"event_kinds\":{{{}}},\"dropped_spans\":{}}}",
             json_escape(&self.scenario),
             phases.join(","),
+            kinds.join(","),
             self.dropped
         )
     }
@@ -527,8 +608,43 @@ mod tests {
             json,
             "{\"scenario\":\"ward \\\"q\\\"\",\
              \"phase_totals_ns\":{\"epoch\":1,\"scenario_build\":7},\
+             \"event_kinds\":{},\
              \"dropped_spans\":0}"
         );
+    }
+
+    #[test]
+    fn dispatch_charges_the_previous_kind() {
+        // Fake clock, one tick per read: epoch begins at 0, then the
+        // dispatches read 1 (first slot), 2 (arrival), 3 (slot), 4
+        // (horizon). The second slot continues a run and reads nothing.
+        let mut p = fake(None);
+        let epoch = p.begin("epoch");
+        for kind in [
+            EventKind::CarrierSlot { carrier: 0 },
+            EventKind::CarrierSlot { carrier: 1 },
+            EventKind::PacketArrival { tag: 3 },
+            EventKind::CarrierSlot { carrier: 0 },
+            EventKind::Horizon,
+        ] {
+            p.dispatch(&kind);
+        }
+        p.end(epoch);
+        let summary = p.finish("ward").summary();
+        let total = |count, ns| KindTotal { count, ns };
+        assert_eq!(
+            summary.event_kinds,
+            vec![
+                ("CarrierSlot".to_string(), total(3, 2)),
+                ("Horizon".to_string(), total(1, 0)),
+                ("PacketArrival".to_string(), total(1, 1)),
+            ]
+        );
+        assert!(summary.to_json().contains(
+            "\"event_kinds\":{\"CarrierSlot\":{\"count\":3,\"ns\":2},\
+             \"Horizon\":{\"count\":1,\"ns\":0},\
+             \"PacketArrival\":{\"count\":1,\"ns\":1}}"
+        ));
     }
 
     #[test]

@@ -187,11 +187,11 @@ impl SchedPolicy {
     }
 }
 
-/// The baseline cursor, extracted verbatim from the pre-refactor engine so
-/// the invariant lives in exactly one place: `cursor` indexes the member
-/// *after* the last granted tag; a pick scans `members[cursor..]` wrapping
-/// around; a deferred slot (carrier-sense busy) leaves it untouched. This
-/// returns the first member from the cursor on for which
+/// The baseline cursor, kept in exactly one place: `cursor` indexes the
+/// member *after* the last granted tag; a pick scans `members[cursor..]`
+/// then `members[..cursor]` (no modulo per member: this runs on every
+/// idle slot); a deferred slot (carrier-sense busy) leaves it untouched.
+/// This returns the first member from the cursor on for which
 /// `eligible(position, tag)` holds.
 fn pick_from_cursor(
     cursor: usize,
@@ -199,8 +199,8 @@ fn pick_from_cursor(
     mut eligible: impl FnMut(usize, usize) -> bool,
 ) -> Option<usize> {
     let n = members.len();
-    (0..n)
-        .map(|k| (cursor + k) % n.max(1))
+    (cursor..n)
+        .chain(0..cursor)
         .find(|&i| eligible(i, members[i]))
         .map(|i| members[i])
 }

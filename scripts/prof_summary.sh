@@ -6,8 +6,10 @@
 #   usage: scripts/prof_summary.sh PROF_net.json
 #
 # Output goes to stdout (CI appends it to $GITHUB_STEP_SUMMARY): the
-# setup-vs-run wall-clock split, then the per-phase totals. Exit code is
-# always 0 — wall-clock numbers on shared runners inform, they never gate.
+# setup-vs-run wall-clock split, the per-phase totals, then the event
+# loop's time per event kind (dispatches, total, ns per event and share
+# of the `epoch` phase), costliest kind first. Exit code is always 0 —
+# wall-clock numbers on shared runners inform, they never gate.
 set -euo pipefail
 
 prof="${1:?usage: prof_summary.sh PROF_net.json}"
@@ -46,5 +48,12 @@ jq -r '
   ($p | to_entries | sort_by(.key)[] |
     "| \(if .key == "epoch" then "epoch (event loop)" else .key end) | \(.value | fmt_ns) | \(.value | pct) |"),
   "",
+  (($p.epoch // 0) as $epoch |
+   (.event_kinds // {}) | to_entries | select(length > 0) |
+   "| event kind | events | total | ns/event | share of epoch |",
+   "|---|---:|---:|---:|---:|",
+   (sort_by(-.value.ns)[] |
+     "| \(.key) | \(.value.count) | \(.value.ns | fmt_ns) | \(.value.ns / .value.count | round) | \(if $epoch > 0 then (.value.ns / $epoch * 1000 | round / 10 | tostring) + "%" else "—" end) |"),
+   ""),
   (if .dropped_spans > 0 then "⚠ \(.dropped_spans) spans dropped to ring wrap-around." else empty end)
 ' "$prof"

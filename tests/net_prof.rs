@@ -6,6 +6,7 @@
 //! why it is the one engine module allowed `std::time::Instant`.
 
 use interscatter::net::prelude::ExecutionSection;
+use interscatter::net::prof::KindTotal;
 use interscatter::net::scenario::Scenario;
 use std::collections::BTreeMap;
 
@@ -114,6 +115,34 @@ fn profiled_campus_summary_carries_phases_and_exports() {
     );
     assert!(phases["epoch"] > 0, "event-loop time is empty");
 
+    // Per event kind: every popped event is counted once, under its
+    // kind, and the time charged to the kinds fits inside the loop.
+    let kinds: BTreeMap<&str, KindTotal> = summary
+        .event_kinds
+        .iter()
+        .map(|(name, total)| (name.as_str(), *total))
+        .collect();
+    let names: Vec<&str> = kinds.keys().copied().collect();
+    assert_eq!(
+        names,
+        [
+            "AckEnd",
+            "CarrierSlot",
+            "CoexEnd",
+            "CoexStart",
+            "Horizon",
+            "PacketArrival",
+            "PollEnd",
+            "TxEnd"
+        ]
+    );
+    let dispatched: u64 = kinds.values().map(|k| k.count).sum();
+    assert_eq!(dispatched, run.telemetry.events);
+    assert_eq!(kinds["Horizon"], KindTotal { count: 1, ns: 0 });
+    let charged: u64 = kinds.values().map(|k| k.ns).sum();
+    assert!(charged <= phases["epoch"], "{charged} ns charged");
+    assert!(kinds["CarrierSlot"].ns > 0);
+
     // Chrome trace export: complete events on the one track.
     let chrome = prof.to_chrome_trace();
     assert!(chrome.starts_with("{\"traceEvents\":["));
@@ -125,7 +154,12 @@ fn profiled_campus_summary_carries_phases_and_exports() {
     // The PROF_net.json document.
     let doc = summary.to_json();
     assert!(doc.starts_with("{\"scenario\":\"campus-768\",\"phase_totals_ns\":{"));
-    assert!(doc.ends_with(",\"dropped_spans\":0}"));
+    assert!(doc.contains("},\"event_kinds\":{\"AckEnd\":{\"count\":"));
+    assert!(doc.contains(&format!(
+        "\"CarrierSlot\":{{\"count\":{},\"ns\":",
+        kinds["CarrierSlot"].count
+    )));
+    assert!(doc.ends_with("}},\"dropped_spans\":0}"));
 }
 
 #[test]
