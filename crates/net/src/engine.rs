@@ -26,7 +26,7 @@ use crate::entities::{streams, NetPhy, Position, SinkKind};
 use crate::event::{EventKind, EventQueue, EventTrace};
 use crate::links::{EntityId, LinkMatrix, Listener};
 use crate::mac::{self, LoopPhase, MacLoop, MacMode};
-use crate::medium::{Band, Emitter, Medium, TxReport};
+use crate::medium::{Band, Emitter, Interferer, Medium};
 use crate::metrics::{MobilitySample, NetworkMetrics, OccupancySample, ReStripeEvent};
 use crate::mobility::{MobilityConfig, MotionState};
 use crate::prof::{Clock, ProfReport, Profiler};
@@ -285,7 +285,6 @@ pub(crate) struct EngineCore<'a> {
     tags: Vec<TagState>,
     carriers: Vec<CarrierState>,
     mobility: Option<MobilityRuntime>,
-    airborne: Vec<bool>,
     coex: Option<CoexRuntime<'a>>,
     /// Self-profiling recorder, `Some` only when the scenario enables
     /// profiling. Wall-clock state stays out of the event loop's inputs —
@@ -356,10 +355,6 @@ impl<'a> EngineCore<'a> {
             .mobility
             .map(|config| MobilityRuntime::new(config, scenario, seed, &carriers));
 
-        // Per tag: an uplink emission is on the air (re-striping waits for
-        // quiescence so a tag is never re-tuned mid-flight).
-        let airborne = vec![false; scenario.tags.len()];
-
         let mut coex = scenario.coex.as_ref().map(|config| {
             metrics.init_coex(scenario.carriers.len(), config.sources.len());
             CoexRuntime::new(config, scenario, seed)
@@ -416,7 +411,6 @@ impl<'a> EngineCore<'a> {
             tags,
             carriers,
             mobility,
-            airborne,
             coex,
             prof,
         })
@@ -691,7 +685,6 @@ impl<'a> EngineCore<'a> {
         let tx_id = self
             .medium
             .start(Emitter::Tag(tag), primary, mirror, now, end);
-        self.airborne[tag] = true;
         self.queue.schedule(
             end,
             EventKind::TxEnd {
@@ -714,8 +707,7 @@ impl<'a> EngineCore<'a> {
     /// decides the attempt; a closed-loop response instead starts the
     /// sink's ack one SIFS later, or times the transaction out.
     fn on_tx_end(&mut self, tag: usize, tx_id: u64, started: Time, now: Time) {
-        let report = self.medium.finish(tx_id);
-        self.airborne[tag] = false;
+        let interferers = self.medium.finish(tx_id);
         let rx_idx = self.links.tag_receiver(tag);
         self.metrics.tags[tag].attempts += 1;
         let outcome = receive_outcome(
@@ -723,7 +715,7 @@ impl<'a> EngineCore<'a> {
             &self.links,
             tag,
             Listener::Receiver(rx_idx),
-            &report,
+            &interferers,
             &mut self.tags[tag].rng,
         );
         match outcome {
@@ -749,7 +741,7 @@ impl<'a> EngineCore<'a> {
                     "tag {tag} tx end ({}, started {} ns, {} interferer(s))",
                     outcome.label(),
                     started.as_nanos(),
-                    report.interferers.len()
+                    interferers.len()
                 )
             });
         } else if outcome == RxOutcome::Delivered {
@@ -782,7 +774,7 @@ impl<'a> EngineCore<'a> {
                      {} interferer(s)); sink timeout",
                     outcome.label(),
                     started.as_nanos(),
-                    report.interferers.len()
+                    interferers.len()
                 )
             });
         }
@@ -793,13 +785,13 @@ impl<'a> EngineCore<'a> {
     /// the tone; no carrier-sense — SIFS-spaced frames of one transaction
     /// own the reservation. A lost poll ends the transaction.
     fn on_poll_end(&mut self, tag: usize, tx_id: u64, now: Time) {
-        let report = self.medium.finish(tx_id);
+        let interferers = self.medium.finish(tx_id);
         let outcome = receive_outcome(
             self.scenario,
             &self.links,
             tag,
             Listener::Tag(tag),
-            &report,
+            &interferers,
             &mut self.tags[tag].rng,
         );
         if outcome == RxOutcome::Delivered {
@@ -818,7 +810,7 @@ impl<'a> EngineCore<'a> {
                 format!(
                     "tag {tag} poll lost ({}, {} interferer(s))",
                     outcome.label(),
-                    report.interferers.len()
+                    interferers.len()
                 )
             });
         }
@@ -827,14 +819,14 @@ impl<'a> EngineCore<'a> {
     /// An ack ends at the carrier's radio, closing the transaction: a
     /// decoded ack delivers the packet, a lost one burns a retry.
     fn on_ack_end(&mut self, tag: usize, tx_id: u64, now: Time) {
-        let report = self.medium.finish(tx_id);
+        let interferers = self.medium.finish(tx_id);
         let carrier = self.scenario.tags[tag].carrier;
         let outcome = receive_outcome(
             self.scenario,
             &self.links,
             tag,
             Listener::Carrier(carrier),
-            &report,
+            &interferers,
             &mut self.carriers[carrier].rng,
         );
         let poll_started = self.mac_loop.as_mut().expect("closed loop").finish(tag);
@@ -860,7 +852,7 @@ impl<'a> EngineCore<'a> {
                 format!(
                     "tag {tag} ack lost ({}, {} interferer(s))",
                     outcome.label(),
-                    report.interferers.len()
+                    interferers.len()
                 )
             });
         }
@@ -943,8 +935,8 @@ impl<'a> EngineCore<'a> {
     /// An external emission ends: the medium is released and the source
     /// draws its next arrival from its own stream.
     fn on_coex_end(&mut self, source: usize, tx_id: u64, now: Time) {
-        // External receptions are nobody's business: the report only
-        // mattered to the in-model victims, whose own finishes collect it.
+        // External receptions are nobody's business: its interferers only
+        // mattered to the in-model victims, whose own finishes collect them.
         let _ = self.medium.finish(tx_id);
         let cx = self.coex.as_mut().expect("coex event without config");
         let spec = &cx.config.sources[source];
@@ -1138,7 +1130,7 @@ impl<'a> EngineCore<'a> {
         let mac = self.mac_loop.as_ref();
         let quiescent = members
             .iter()
-            .all(|&t| !self.airborne[t] && mac.is_none_or(|m| m.is_idle(t)));
+            .all(|&t| !self.medium.emitting(Emitter::Tag(t)) && mac.is_none_or(|m| m.is_idle(t)));
         let any_wifi = members
             .iter()
             .any(|&t| matches!(self.links.tag_phy(t), NetPhy::Wifi { .. }));
@@ -1207,7 +1199,7 @@ fn receive_outcome<R: Rng>(
     links: &LinkMatrix,
     tag: usize,
     at: Listener,
-    report: &TxReport,
+    interferers: &[Interferer],
     rng: &mut R,
 ) -> RxOutcome {
     let sink = &scenario.receivers[links.tag_receiver(tag)];
@@ -1220,21 +1212,19 @@ fn receive_outcome<R: Rng>(
         Listener::Tag(_) => (links.poll_budget(tag), downlink_band(scenario, links, tag)),
         Listener::Carrier(_) => (links.ack_budget(tag), downlink_band(scenario, links, tag)),
     };
-    let total_interference_mw: f64 = report
-        .interferers
+    let total_interference_mw: f64 = interferers
         .iter()
         .filter(|i| i.lands_in(&victim_band))
         .map(|i| 10f64.powf(links.power_dbm(i.who, at) / 10.0))
         .sum();
     let captured =
         budget.median_rssi_dbm >= 10.0 * total_interference_mw.log10() + CAPTURE_MARGIN_DB;
-    if !report.interferers.is_empty() && !captured {
+    if !interferers.is_empty() && !captured {
         // A failed capture with *only* coex emissions in the victim's band
         // is a loss to external traffic, not to the fleet's own contention
         // (an uncaptured reception always has at least one in-band
         // interferer, so `all` cannot be vacuous here).
-        let all_external = report
-            .interferers
+        let all_external = interferers
             .iter()
             .filter(|i| i.lands_in(&victim_band))
             .all(|i| matches!(i.who, Emitter::External(_)));

@@ -19,6 +19,9 @@
 //! and may place a [`Medium::reserve`] entry that keeps *other* in-model
 //! tags off the band for the packet's duration.
 //!
+//! The medium is the one record of what is on the air: the engine asks
+//! it whether a tag is mid-flight instead of keeping flags of its own.
+//!
 //! ## Boundary semantics
 //!
 //! Time intervals at the medium follow two pinned conventions (see the
@@ -85,10 +88,6 @@ struct Emission {
     who: Emitter,
     primary: Band,
     mirror: Option<Band>,
-    /// Index of `primary` in the medium's distinct-band registry.
-    primary_bid: u32,
-    /// Index of `mirror` in the registry (`None` for single-sideband).
-    mirror_bid: Option<u32>,
     end: Time,
     /// A hidden-terminal emission: invisible to [`Medium::busy`]
     /// (carrier-sense at the transmitting side cannot hear it) but still
@@ -105,6 +104,12 @@ impl Emission {
 
     fn overlaps(&self, other: &Emission) -> bool {
         self.bands().any(|a| other.bands().any(|b| a.overlaps(b)))
+    }
+
+    /// True while the emission's energy is on a band overlapping `band`
+    /// at `now` (the half-open `[start, end)` window).
+    fn on(&self, band: &Band, now: Time) -> bool {
+        self.end > now && self.bands().any(|b| b.overlaps(band))
     }
 
     fn as_interferer(&self) -> Interferer {
@@ -144,85 +149,26 @@ impl Interferer {
     }
 }
 
-/// What the medium observed about a finished transmission.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TxReport {
-    /// Emissions that overlapped this one (dedup'd by owner, in
-    /// first-overlap order).
-    pub interferers: Vec<Interferer>,
-}
-
-/// The shared-medium arbiter.
+/// The shared-medium arbiter: one list of the emissions on the air, plus
+/// the CTS-to-Self reservations.
 ///
-/// The active-emission set is **indexed by band**: every distinct band
-/// value ever emitted on gets a registry id, and each id keeps the list of
-/// on-air transmissions occupying it. Carrier-sense ([`Medium::busy`]),
-/// occupancy sensing ([`Medium::occupied`]) and capture resolution
-/// (interferer recording in [`Medium::start`]) walk only the lists of
-/// bands that overlap the query band, instead of scanning every on-air
-/// source — with coex sources raising the on-air population and carriers
-/// sensing every channel every slot, the same-band walk is what keeps a
-/// 100k-tag run's medium cost proportional to actual contention. The set
-/// of distinct bands is small (Wi-Fi/ZigBee/BLE channels plus the mirror
-/// images DSB tags add), so the per-query registry sweep is a handful of
-/// float compares.
-///
-/// Interferer lists record in the *storage order* of the active set
-/// (positions, sorted), which is exactly the scan order of the pre-index
-/// linear implementation — the engine sums interferer powers in list
-/// order, so this is what keeps trace digests byte-identical across the
-/// index swap.
+/// Every query scans the whole list in storage order. The list is short:
+/// no preset or benchmark workload puts more than 3 emissions on the air
+/// at once, so a scan is a few float compares. Interferers are recorded
+/// in storage order and the engine sums their powers in list order, so a
+/// different order can round a capture decision the other way and move a
+/// trace digest; [`Medium::finish`] therefore keeps its `swap_remove`.
 #[derive(Debug, Default)]
 pub struct Medium {
     active: Vec<Emission>,
     reservations: Vec<Reservation>,
     next_tx_id: u64,
-    /// Distinct band values seen so far, identified bit-exactly. Never
-    /// shrinks; bounded by the scenario's channel plan.
-    bands: Vec<Band>,
-    /// Per distinct band: tx ids of the active emissions occupying it.
-    members: Vec<Vec<u64>>,
-    /// Active tx id → position in `active` (maintained across the
-    /// swap-removes of [`Medium::finish`]). A `Vec` sorted by tx id, not a
-    /// hash table: ids are allocated monotonically so insertion is a push,
-    /// lookups binary-search, and — the reason it matters — there is no
-    /// seeded iteration order anywhere near the hot path (the clippy
-    /// config's `HashMap`/`HashSet` ban keeps it that way).
-    index: Vec<(u64, usize)>,
-}
-
-impl Medium {
-    /// Position in `active` of the emission with `tx_id`. Panics when the
-    /// id is not on the air (same contract as the indexing it replaced).
-    fn slot(&self, tx_id: u64) -> usize {
-        let i = self
-            .index
-            .binary_search_by_key(&tx_id, |&(tx, _)| tx)
-            .expect("tx id not on the air");
-        self.index[i].1
-    }
 }
 
 impl Medium {
     /// An idle medium.
     pub fn new() -> Self {
         Medium::default()
-    }
-
-    /// The registry id of `band`, inserting it on first sight. Identity is
-    /// bit-exact: band values come from the same deterministic frequency
-    /// arithmetic on every run, so equal bands compare equal.
-    fn band_id(&mut self, band: Band) -> u32 {
-        if let Some(i) = self
-            .bands
-            .iter()
-            .position(|b| b.center_hz == band.center_hz && b.bandwidth_hz == band.bandwidth_hz)
-        {
-            return i as u32;
-        }
-        self.bands.push(band);
-        self.members.push(Vec::new());
-        (self.bands.len() - 1) as u32
     }
 
     /// Drops reservations whose protected window `[.., end]` has passed.
@@ -243,18 +189,8 @@ impl Medium {
     /// truth).
     pub fn busy(&mut self, band: Band, now: Time) -> bool {
         self.prune(now);
-        for (bid, b) in self.bands.iter().enumerate() {
-            if !b.overlaps(&band) {
-                continue;
-            }
-            for tx in &self.members[bid] {
-                let e = &self.active[self.slot(*tx)];
-                if !e.hidden && e.end > now {
-                    return true;
-                }
-            }
-        }
-        self.reservations.iter().any(|r| r.band.overlaps(&band))
+        self.active.iter().any(|e| !e.hidden && e.on(&band, now))
+            || self.reservations.iter().any(|r| r.band.overlaps(&band))
     }
 
     /// Occupancy sensing: is any emission — hidden or not — on a band
@@ -264,17 +200,13 @@ impl Medium {
     /// unlike [`Medium::busy`] it hears hidden terminals, and it ignores
     /// NAV reservations (a reservation is protocol state, not energy).
     pub fn occupied(&self, band: Band, now: Time) -> bool {
-        for (bid, b) in self.bands.iter().enumerate() {
-            if !b.overlaps(&band) {
-                continue;
-            }
-            for tx in &self.members[bid] {
-                if self.active[self.slot(*tx)].end > now {
-                    return true;
-                }
-            }
-        }
-        false
+        self.active.iter().any(|e| e.on(&band, now))
+    }
+
+    /// True while `who` has an emission started and not yet
+    /// [finished](Medium::finish).
+    pub(crate) fn emitting(&self, who: Emitter) -> bool {
+        self.active.iter().any(|e| e.who == who)
     }
 
     /// Places a CTS-to-Self reservation on `band` protecting every instant
@@ -323,32 +255,16 @@ impl Medium {
         self.prune(now);
         let tx_id = self.next_tx_id;
         self.next_tx_id += 1;
-        let primary_bid = self.band_id(primary);
-        let mirror_bid = mirror.map(|m| self.band_id(m));
         let mut emission = Emission {
             tx_id,
             who,
             primary,
             mirror,
-            primary_bid,
-            mirror_bid,
             end,
             hidden,
             interferers: Vec::new(),
         };
-        // Gather candidates from every band list overlapping ours, then
-        // visit them in storage order (sorted positions) so the recorded
-        // interferer order matches the old full linear scan exactly.
-        let mut candidates: Vec<usize> = Vec::new();
-        for (bid, b) in self.bands.iter().enumerate() {
-            if emission.bands().any(|eb| eb.overlaps(b)) {
-                candidates.extend(self.members[bid].iter().map(|tx| self.slot(*tx)));
-            }
-        }
-        candidates.sort_unstable();
-        candidates.dedup();
-        for idx in candidates {
-            let other = &mut self.active[idx];
+        for other in &mut self.active {
             if other.end > now && other.overlaps(&emission) {
                 if !emission.interferers.iter().any(|i| i.who == other.who) {
                     emission.interferers.push(other.as_interferer());
@@ -358,49 +274,17 @@ impl Medium {
                 }
             }
         }
-        // tx ids are monotonic, so appending keeps the index sorted.
-        debug_assert!(self.index.last().is_none_or(|&(tx, _)| tx < tx_id));
-        self.index.push((tx_id, self.active.len()));
-        self.members[primary_bid as usize].push(tx_id);
-        if let Some(mb) = mirror_bid {
-            if mb != primary_bid {
-                self.members[mb as usize].push(tx_id);
-            }
-        }
         self.active.push(emission);
         tx_id
     }
 
-    /// Takes a finished transmission off the air, returning what the
-    /// medium observed about it.
-    pub fn finish(&mut self, tx_id: u64) -> TxReport {
-        let Ok(at) = self.index.binary_search_by_key(&tx_id, |&(tx, _)| tx) else {
-            return TxReport::default();
-        };
-        let (_, idx) = self.index.remove(at);
-        let emission = self.active.swap_remove(idx);
-        if idx < self.active.len() {
-            let moved = self.active[idx].tx_id;
-            let slot = self
-                .index
-                .binary_search_by_key(&moved, |&(tx, _)| tx)
-                .expect("moved tx id stays indexed");
-            self.index[slot].1 = idx;
-        }
-        let mut drop_member = |bid: u32| {
-            let list = &mut self.members[bid as usize];
-            if let Some(pos) = list.iter().position(|&tx| tx == tx_id) {
-                list.swap_remove(pos);
-            }
-        };
-        drop_member(emission.primary_bid);
-        if let Some(mb) = emission.mirror_bid {
-            if mb != emission.primary_bid {
-                drop_member(mb);
-            }
-        }
-        TxReport {
-            interferers: emission.interferers,
+    /// Takes a finished transmission off the air and returns the emissions
+    /// that overlapped it, dedup'd by owner, in first-overlap order. An id
+    /// that is not on the air returns an empty list.
+    pub fn finish(&mut self, tx_id: u64) -> Vec<Interferer> {
+        match self.active.iter().position(|e| e.tx_id == tx_id) {
+            Some(idx) => self.active.swap_remove(idx).interferers,
+            None => Vec::new(),
         }
     }
 
@@ -421,8 +305,8 @@ mod tests {
         Band::new(center, 22e6)
     }
 
-    fn who(report: &TxReport) -> Vec<Emitter> {
-        report.interferers.iter().map(|i| i.who).collect()
+    fn who(interferers: &[Interferer]) -> Vec<Emitter> {
+        interferers.iter().map(|i| i.who).collect()
     }
 
     #[test]
@@ -457,8 +341,8 @@ mod tests {
         let mut medium = Medium::new();
         let a = medium.start(Emitter::Tag(0), wifi(CH11), None, Time(0), Time(200_000));
         let b = medium.start(Emitter::Tag(1), wifi(CH6), None, Time(0), Time(200_000));
-        assert!(medium.finish(a).interferers.is_empty());
-        assert!(medium.finish(b).interferers.is_empty());
+        assert!(medium.finish(a).is_empty());
+        assert!(medium.finish(b).is_empty());
     }
 
     #[test]
@@ -478,7 +362,7 @@ mod tests {
         assert_eq!(who(&victim_report), vec![Emitter::Tag(0)]);
         // The victim can tell the hit came from the mirror copy, not the
         // interferer's primary band.
-        let hit = &victim_report.interferers[0];
+        let hit = &victim_report[0];
         assert!(!hit.primary.overlaps(&wifi(CH6)));
         assert!(hit.lands_in(&wifi(CH6)));
         assert_eq!(who(&medium.finish(dsb)), vec![Emitter::Tag(1)]);
@@ -573,148 +457,24 @@ mod tests {
         assert!(!medium.occupied(wifi(CH11), Time(350_000)));
     }
 
-    /// The pre-index linear implementation, kept as a reference oracle:
-    /// every query scans the whole active set in storage order.
-    #[derive(Default)]
-    struct LinearMedium {
-        active: Vec<Emission>,
-        reservations: Vec<Reservation>,
-        next_tx_id: u64,
-    }
-
-    impl LinearMedium {
-        fn busy(&mut self, band: Band, now: Time) -> bool {
-            self.reservations.retain(|r| r.end >= now);
-            self.active
-                .iter()
-                .filter(|e| !e.hidden && e.end > now)
-                .any(|e| e.bands().any(|b| b.overlaps(&band)))
-                || self.reservations.iter().any(|r| r.band.overlaps(&band))
-        }
-
-        fn occupied(&self, band: Band, now: Time) -> bool {
-            self.active
-                .iter()
-                .filter(|e| e.end > now)
-                .any(|e| e.bands().any(|b| b.overlaps(&band)))
-        }
-
-        fn start(
-            &mut self,
-            who: Emitter,
-            primary: Band,
-            mirror: Option<Band>,
-            now: Time,
-            end: Time,
-            hidden: bool,
-        ) -> u64 {
-            self.reservations.retain(|r| r.end >= now);
-            let tx_id = self.next_tx_id;
-            self.next_tx_id += 1;
-            let mut emission = Emission {
-                tx_id,
-                who,
-                primary,
-                mirror,
-                primary_bid: 0,
-                mirror_bid: None,
-                end,
-                hidden,
-                interferers: Vec::new(),
-            };
-            for other in self.active.iter_mut().filter(|e| e.end > now) {
-                if other.overlaps(&emission) {
-                    if !emission.interferers.iter().any(|i| i.who == other.who) {
-                        emission.interferers.push(other.as_interferer());
-                    }
-                    if !other.interferers.iter().any(|i| i.who == who) {
-                        other.interferers.push(emission.as_interferer());
-                    }
-                }
-            }
-            self.active.push(emission);
-            tx_id
-        }
-
-        fn finish(&mut self, tx_id: u64) -> TxReport {
-            let Some(idx) = self.active.iter().position(|e| e.tx_id == tx_id) else {
-                return TxReport::default();
-            };
-            let emission = self.active.swap_remove(idx);
-            TxReport {
-                interferers: emission.interferers,
-            }
-        }
-    }
-
     #[test]
-    fn band_index_matches_linear_reference() {
-        use rand::{rngs::SmallRng, Rng, SeedableRng};
-
-        // The scenario channel plan: a handful of Wi-Fi channels, two
-        // ZigBee slivers, and a DSB mirror landing spot.
-        let plan = [
-            wifi(2.412e9),
-            wifi(CH6),
-            wifi(CH11),
-            Band::new(2.430e9, 2e6),
-            Band::new(2.480e9, 2e6),
-            wifi(2.440e9),
-        ];
-        for trial in 0..10u64 {
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "property-test stream fuzzing the band index, not an engine entity"
-            )]
-            let mut rng = SmallRng::seed_from_u64(0xBA2D ^ trial);
-            let mut indexed = Medium::new();
-            let mut linear = LinearMedium::default();
-            let mut live: Vec<u64> = Vec::new();
-            let mut now = 0u64;
-            for _ in 0..2_000 {
-                now += rng.gen_range(0u64..50_000);
-                let t = Time(now);
-                let band = plan[rng.gen_range(0usize..plan.len())];
-                match rng.gen_range(0u32..10) {
-                    0..=3 => {
-                        let mirror = if rng.gen_bool(0.3) {
-                            Some(plan[rng.gen_range(0usize..plan.len())])
-                        } else {
-                            None
-                        };
-                        let who = Emitter::Tag(rng.gen_range(0usize..32));
-                        let hidden = rng.gen_bool(0.2);
-                        let end = Time(now + rng.gen_range(1u64..200_000));
-                        let a = indexed.start_with(who, band, mirror, t, end, hidden);
-                        let b = linear.start(who, band, mirror, t, end, hidden);
-                        assert_eq!(a, b, "tx id allocation must match");
-                        live.push(a);
-                    }
-                    4..=6 => {
-                        if !live.is_empty() {
-                            let tx = live.swap_remove(rng.gen_range(0usize..live.len()));
-                            assert_eq!(
-                                indexed.finish(tx),
-                                linear.finish(tx),
-                                "interferer reports must match in content and order"
-                            );
-                        }
-                    }
-                    7 => {
-                        let end = Time(now + rng.gen_range(1u64..100_000));
-                        indexed.reserve(band, end);
-                        linear.reservations.push(Reservation { band, end });
-                    }
-                    8 => assert_eq!(indexed.busy(band, t), linear.busy(band, t)),
-                    _ => assert_eq!(indexed.occupied(band, t), linear.occupied(band, t)),
-                }
-            }
-            // Drain everything still on the air; reports must agree.
-            for tx in live {
-                assert_eq!(indexed.finish(tx), linear.finish(tx));
-            }
-            assert_eq!(indexed.on_air(), 0);
-        }
+    fn interferers_keep_storage_order_across_finish() {
+        // Finishing A swap-removes it, moving C into its place, so D scans
+        // C before B. The engine sums interferer powers in this order, so
+        // changing it can move a trace digest.
+        let mut medium = Medium::new();
+        let on = |medium: &mut Medium, tag| {
+            medium.start(Emitter::Tag(tag), wifi(CH6), None, Time(0), Time(100_000))
+        };
+        let a = on(&mut medium, 0);
+        on(&mut medium, 1);
+        on(&mut medium, 2);
+        medium.finish(a);
+        let d = on(&mut medium, 3);
+        assert_eq!(
+            who(&medium.finish(d)),
+            vec![Emitter::Tag(2), Emitter::Tag(1)]
+        );
     }
 
     #[test]
@@ -734,8 +494,8 @@ mod tests {
             Time(100_000),
             Time(200_000),
         );
-        assert!(medium.finish(first).interferers.is_empty());
-        assert!(medium.finish(second).interferers.is_empty());
+        assert!(medium.finish(first).is_empty());
+        assert!(medium.finish(second).is_empty());
 
         // Reservations protect [start, end] inclusive: an emission
         // starting exactly when the NAV ends must still see the channel

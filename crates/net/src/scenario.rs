@@ -244,6 +244,11 @@ impl Scenario {
                 return Err(NetError::InvalidScenario(format!("tag {t}: empty payload")));
             }
             let airtime = tag.phy.airtime_s(tag.payload_bytes);
+            if !positive_finite(airtime) {
+                return Err(NetError::InvalidScenario(format!(
+                    "tag {t}: airtime {airtime:.1e}s must be positive and finite"
+                )));
+            }
             if airtime > carrier.slot_window_s {
                 return Err(NetError::InvalidScenario(format!(
                     "tag {t}: airtime {airtime:.1e}s exceeds carrier {}'s window {:.1e}s",
@@ -1761,7 +1766,7 @@ mod tests {
             speed_max_mps: 1.5,
             pause_s: 0.5,
         };
-        let cases: [(&str, Edit); 25] = [
+        let cases: [(&str, Edit); 28] = [
             ("NaN duration", |s| s.duration_s = f64::NAN),
             ("NaN slot interval", |s| {
                 s.carriers[0].slot_interval_s = f64::NAN
@@ -1787,6 +1792,22 @@ mod tests {
             }),
             ("infinite arrival rate", |s| {
                 s.tags[0].arrival_rate_pps = f64::INFINITY
+            }),
+            ("NaN card bit rate", |s| {
+                *s = Scenario::card_to_card_room(4);
+                s.tags[0].phy = NetPhy::CardOok {
+                    bit_rate_bps: f64::NAN,
+                };
+            }),
+            ("negative card bit rate", |s| {
+                *s = Scenario::card_to_card_room(4);
+                s.tags[0].phy = NetPhy::CardOok { bit_rate_bps: -1e6 };
+            }),
+            ("infinite card bit rate", |s| {
+                *s = Scenario::card_to_card_room(4);
+                s.tags[0].phy = NetPhy::CardOok {
+                    bit_rate_bps: f64::INFINITY,
+                };
             }),
             ("NaN tag position", |s| {
                 s.place_tag(0, Position::new(f64::NAN, 0.0, 0.0))
