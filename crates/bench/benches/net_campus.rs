@@ -1,8 +1,9 @@
 //! Event throughput of the engine at city scale: the `campus` closed-loop
 //! preset (shared striped helpers, coex load) at 10k and 100k tags, one
 //! `net::run` row per size. This is the scale target of the engine-core
-//! work — the 4-ary heap event queue, the band-indexed medium and the
-//! per-query link powers — and the quick tier tracks its events/sec in
+//! work — the 4-ary heap event queue and its carrier-slot lane, the
+//! medium's one list of what is on the air and the per-query link
+//! powers — and the quick tier tracks its events/sec in
 //! `BENCH_net.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};

@@ -13,6 +13,7 @@
 //! 14 (2420 MHz).
 
 use crate::BleError;
+use std::ops::RangeInclusive;
 
 /// A BLE RF channel index (0–39), newtype-wrapped so channel numbers cannot
 /// be confused with Wi-Fi channel numbers in the simulation code.
@@ -88,9 +89,19 @@ pub const BLE_FREQ_DEVIATION_HZ: f64 = 250e3;
 /// BLE LE 1M PHY symbol (bit) rate in bits per second.
 pub const BLE_BIT_RATE: f64 = 1e6;
 
+/// The IEEE 802.11b/g channels [`wifi_channel_freq_hz`] accepts.
+pub const WIFI_CHANNELS: RangeInclusive<u8> = 1..=13;
+
+/// The IEEE 802.15.4 (ZigBee) 2.4 GHz channels [`zigbee_channel_freq_hz`]
+/// accepts.
+pub const ZIGBEE_CHANNELS: RangeInclusive<u8> = 11..=26;
+
 /// Centre frequency in Hz of an IEEE 802.11b/g channel (1–13).
 pub fn wifi_channel_freq_hz(channel: u8) -> f64 {
-    assert!((1..=13).contains(&channel), "Wi-Fi channel must be 1..=13");
+    assert!(
+        WIFI_CHANNELS.contains(&channel),
+        "Wi-Fi channel must be 1..=13"
+    );
     (2407.0 + 5.0 * f64::from(channel)) * 1e6
 }
 
@@ -98,7 +109,7 @@ pub fn wifi_channel_freq_hz(channel: u8) -> f64 {
 /// (11–26).
 pub fn zigbee_channel_freq_hz(channel: u8) -> f64 {
     assert!(
-        (11..=26).contains(&channel),
+        ZIGBEE_CHANNELS.contains(&channel),
         "ZigBee channel must be 11..=26"
     );
     (2405.0 + 5.0 * f64::from(channel - 11)) * 1e6

@@ -35,8 +35,10 @@
 use crate::entities::streams::exponential_s;
 use crate::entities::Position;
 use crate::medium::Band;
-use crate::scenario::{finite_position, positive_finite};
-use interscatter_ble::channels::{wifi_channel_freq_hz, zigbee_channel_freq_hz, BleChannel};
+use crate::scenario::{check_channel, finite_position, positive_finite};
+use interscatter_ble::channels::{
+    wifi_channel_freq_hz, zigbee_channel_freq_hz, BleChannel, WIFI_CHANNELS, ZIGBEE_CHANNELS,
+};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -336,9 +338,7 @@ impl CoexSource {
                 mean_gap_s,
                 ..
             }) => {
-                if !(1..=13).contains(&channel) {
-                    return Err(format!("wifi channel {channel} outside 1..=13"));
-                }
+                check_channel("wifi", channel, WIFI_CHANNELS)?;
                 if ![mean_burst_frames, frame_airtime_s, mean_gap_s]
                     .into_iter()
                     .all(positive_finite)
@@ -356,9 +356,7 @@ impl CoexSource {
                 rate_fps,
                 payload_bytes,
             }) => {
-                if !(11..=26).contains(&channel) {
-                    return Err(format!("zigbee channel {channel} outside 11..=26"));
-                }
+                check_channel("zigbee", channel, ZIGBEE_CHANNELS)?;
                 if !positive_finite(rate_fps) || payload_bytes == 0 {
                     return Err("zigbee chatter needs a positive finite rate and payload".into());
                 }

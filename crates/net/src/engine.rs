@@ -1345,12 +1345,8 @@ mod tests {
 
     #[test]
     fn closed_loop_completes_transactions() {
-        for scenario in [
-            Scenario::hospital_ward(10).closed_loop(),
-            Scenario::contact_lens_fleet(8).closed_loop(),
-            Scenario::card_to_card_room(4).closed_loop(),
-            Scenario::zigbee_wing(8).closed_loop(),
-        ] {
+        for (_, preset) in crate::scenario::catalogue() {
+            let scenario = preset.closed_loop();
             let result = run(&scenario, 13);
             let m = &result.metrics;
             assert!(m.polls() > 0, "{}: no polls", scenario.name);

@@ -860,23 +860,17 @@ impl LinkMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::Scenario;
+    use crate::scenario::{catalogue, Scenario};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
-    /// Every preset the memo tests sweep: each closed-loop bedside preset
-    /// (with coex sources, mobility and card OOK among them) and a small
-    /// campus.
+    /// Every preset the memo tests sweep: each catalogue row closed loop,
+    /// so the downlink tables are built too.
     fn presets() -> Vec<Scenario> {
-        vec![
-            Scenario::hospital_ward(24).closed_loop(),
-            Scenario::contact_lens_fleet(6).closed_loop(),
-            Scenario::card_to_card_room(5).closed_loop(),
-            Scenario::zigbee_wing(12).closed_loop(),
-            Scenario::congested_ward(16).closed_loop(),
-            Scenario::ambulatory_ward(8).closed_loop(),
-            Scenario::campus(600),
-        ]
+        catalogue()
+            .into_iter()
+            .map(|(_, s)| s.closed_loop())
+            .collect()
     }
 
     /// Every registered package gain is the f64 `rx_pkg_db` gives, and

@@ -17,7 +17,9 @@ use crate::mobility::{Bounds, MobilityConfig, MobilityModel, RandomWaypoint};
 use crate::sched::SchedPolicy;
 use crate::NetError;
 use interscatter_backscatter::tag::SidebandMode;
+use interscatter_ble::channels::{WIFI_CHANNELS, ZIGBEE_CHANNELS};
 use interscatter_wifi::dot11b::DsssRate;
+use std::ops::RangeInclusive;
 
 /// A complete network scenario.
 #[derive(Debug, Clone)]
@@ -148,6 +150,22 @@ impl ExecutionConfig {
     }
 }
 
+/// Checks a Wi-Fi or ZigBee channel number against its band plan, so a
+/// sink or coex source on a channel the frequency helpers reject is
+/// refused at build time instead of panicking mid-run. Tags need no check
+/// of their own: a tag's receiver only accepts its own channel.
+pub(crate) fn check_channel(
+    radio: &str,
+    channel: u8,
+    band: RangeInclusive<u8>,
+) -> Result<(), String> {
+    if band.contains(&channel) {
+        Ok(())
+    } else {
+        Err(format!("{radio} channel {channel} outside {band:?}"))
+    }
+}
+
 /// True when every coordinate is finite. Link powers are evaluated from
 /// live positions on every query, so one NaN coordinate would poison every
 /// capture decision that touches the entity.
@@ -204,6 +222,12 @@ impl Scenario {
                     "receiver {r}: sensitivity and downlink tx power must be finite"
                 )));
             }
+            let channel = match receiver.kind {
+                SinkKind::Wifi { channel } => check_channel("wifi", channel, WIFI_CHANNELS),
+                SinkKind::Zigbee { channel } => check_channel("zigbee", channel, ZIGBEE_CHANNELS),
+                SinkKind::Envelope => Ok(()),
+            };
+            channel.map_err(|e| NetError::InvalidScenario(format!("receiver {r}: {e}")))?;
             if !(0.0..=1.0).contains(&receiver.external_occupancy) {
                 return Err(NetError::InvalidScenario(format!(
                     "receiver {r}: external occupancy {} outside [0, 1]",
@@ -735,8 +759,9 @@ impl Scenario {
     /// **shared** 20 dBm helper beacons on a campus quad, polled closed
     /// loop — the deployment regime the paper's
     /// "internet connectivity for implanted devices" vision implies, and
-    /// the scale target of the engine-core work (4-ary event heap, band
-    /// index, SoA link budgets).
+    /// the scale target of the engine-core work (the 4-ary event heap and
+    /// its carrier-slot lane, one list of what is on the air, SoA link
+    /// budgets).
     ///
     /// Layout: clusters of up to 256 implants ring one helper each (every
     /// tag inside the ~1 m illumination range), cluster centres on an
@@ -904,6 +929,60 @@ impl Scenario {
     }
 }
 
+/// The preset catalogue: every preset constructor, and every variant that
+/// derives entities or a coex config from a preset, as one labelled row
+/// each. The test suite's preset sweeps iterate this list and filter it
+/// by what they need (`mac`, `mobility`, `coex`, …), so a new preset
+/// joins every sweep by joining this list. The labels, sizes and order are the ones
+/// `tests/preset_identity.rs` pins each row's `Debug` digest under.
+///
+/// ```
+/// use interscatter_net::mac::MacMode;
+/// use interscatter_net::scenario::catalogue;
+/// let closed = catalogue()
+///     .into_iter()
+///     .filter(|(_, s)| s.mac == MacMode::ClosedLoop)
+///     .count();
+/// assert_eq!(closed, 4);
+/// ```
+pub fn catalogue() -> Vec<(&'static str, Scenario)> {
+    vec![
+        ("hospital_ward(8)", Scenario::hospital_ward(8)),
+        ("contact_lens_fleet(8)", Scenario::contact_lens_fleet(8)),
+        ("card_to_card_room(5)", Scenario::card_to_card_room(5)),
+        ("zigbee_wing(8)", Scenario::zigbee_wing(8)),
+        ("congested_ward(8)", Scenario::congested_ward(8)),
+        ("ambulatory_ward(8)", Scenario::ambulatory_ward(8)),
+        ("walking_ward(8)", Scenario::walking_ward(8)),
+        ("campus(300)", Scenario::campus(300)),
+        ("campus(600)", Scenario::campus(600)),
+        (
+            "hospital_ward(8).closed_loop()",
+            Scenario::hospital_ward(8).closed_loop(),
+        ),
+        (
+            "ambulatory_ward(8).closed_loop()",
+            Scenario::ambulatory_ward(8).closed_loop(),
+        ),
+        (
+            "hospital_ward(8).with_subband_striping()",
+            Scenario::hospital_ward(8).with_subband_striping(),
+        ),
+        (
+            "zigbee_wing(8).with_subband_striping()",
+            Scenario::zigbee_wing(8).with_subband_striping(),
+        ),
+        (
+            "hospital_ward(8).with_restripe(default)",
+            Scenario::hospital_ward(8).with_restripe(ReStripe::default()),
+        ),
+        (
+            "congested_ward(8).with_restripe(default)",
+            Scenario::congested_ward(8).with_restripe(ReStripe::default()),
+        ),
+    ]
+}
+
 /// The deployment section of a [`ScenarioBuilder`]: who is on the air —
 /// carriers, tags, sinks — plus the MAC parameters governing how they
 /// share it (CTS-to-Self, queue depth, open vs closed loop).
@@ -965,10 +1044,18 @@ impl RadioSection {
 /// use interscatter_net::scenario::ExecutionSection;
 /// let quad = Scenario::campus(1_000)
 ///     .builder()
-///     .execution(ExecutionSection::new().trials(8).trace(false))
+///     .execution(
+///         ExecutionSection::new()
+///             .trials(8)
+///             .trace(false)
+///             .progress(0.5, true),
+///     )
 ///     .build()
 ///     .unwrap();
 /// assert_eq!(quad.execution.trials, 8);
+/// assert!(!quad.execution.trace);
+/// assert_eq!(quad.execution.progress_every_s, Some(0.5));
+/// assert!(quad.execution.live_progress);
 /// // Ill-formed run shapes are refused eagerly, at build() time:
 /// assert!(Scenario::campus(1_000)
 ///     .builder()
@@ -1226,45 +1313,54 @@ mod tests {
 
     #[test]
     fn builders_produce_valid_scenarios() {
-        for scenario in [
-            Scenario::hospital_ward(1),
-            Scenario::hospital_ward(50),
-            Scenario::contact_lens_fleet(12),
-            Scenario::card_to_card_room(9),
-            Scenario::zigbee_wing(30),
-            Scenario::walking_ward(12),
-        ] {
+        for (label, scenario) in catalogue() {
             scenario
                 .validate()
-                .unwrap_or_else(|e| panic!("{}: {e}", scenario.name));
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
+        }
+    }
+
+    #[test]
+    fn every_preset_constructor_has_a_catalogue_row() {
+        // Every `pub fn NAME(n: usize) -> Scenario` in this file must have
+        // a catalogue row labelled `NAME(…)`, or the sweeps miss it.
+        let labels: Vec<&str> = catalogue().iter().map(|(label, _)| *label).collect();
+        let constructors: Vec<&str> = include_str!("scenario.rs")
+            .split("pub fn ")
+            .skip(1)
+            .filter_map(|rest| {
+                let (signature, _) = rest.split_once('{')?;
+                let (name, args) = signature.split_once('(')?;
+                let (_, arg_type) = args.split_once(": ")?;
+                (arg_type.trim() == "usize) -> Scenario").then_some(name)
+            })
+            .collect();
+        assert_eq!(constructors.len(), 8, "{constructors:?}");
+        for name in constructors {
+            assert!(
+                labels.iter().any(|l| l.starts_with(&format!("{name}("))),
+                "preset {name} has no catalogue row"
+            );
         }
     }
 
     #[test]
     fn every_preset_has_a_closed_loop_variant() {
-        for scenario in [
-            Scenario::hospital_ward(10).closed_loop(),
-            Scenario::contact_lens_fleet(8).closed_loop(),
-            Scenario::card_to_card_room(5).closed_loop(),
-            Scenario::zigbee_wing(12).closed_loop(),
-        ] {
-            assert_eq!(scenario.mac, MacMode::ClosedLoop);
-            assert!(
-                scenario.name.ends_with("closed-loop"),
-                "name {}",
-                scenario.name
-            );
-            scenario
-                .validate()
-                .unwrap_or_else(|e| panic!("{}: {e}", scenario.name));
+        for (label, preset) in catalogue() {
+            let closed = preset.clone().closed_loop();
+            assert_eq!(closed.mac, MacMode::ClosedLoop, "{label}");
+            assert!(closed.name.ends_with("closed-loop"), "{label}");
+            closed.validate().unwrap_or_else(|e| panic!("{label}: {e}"));
+            // The combinator changes the MAC mode (and the name) and
+            // nothing else about the deployment.
+            let reverted = Scenario {
+                name: preset.name.clone(),
+                mac: preset.mac,
+                ..closed
+            };
+            assert_eq!(format!("{reverted:?}"), format!("{preset:?}"), "{label}");
         }
-        // The combinator changes the MAC mode and nothing else about the
-        // deployment.
-        let open = Scenario::hospital_ward(10);
-        let closed = Scenario::hospital_ward(10).closed_loop();
-        assert_eq!(open.tags.len(), closed.tags.len());
-        assert_eq!(open.carriers.len(), closed.carriers.len());
-        assert_eq!(open.mac, MacMode::OpenLoop);
+        assert_eq!(Scenario::hospital_ward(10).mac, MacMode::OpenLoop);
     }
 
     #[test]
@@ -1275,6 +1371,7 @@ mod tests {
         assert_eq!(large.tags.len(), 64);
         assert!(large.carriers.len() > small.carriers.len());
         assert_eq!(large.receivers.len(), 3);
+        large.validate().unwrap();
         // The legacy fraction exists and is the minority.
         let dsb = large
             .tags
@@ -1286,32 +1383,19 @@ mod tests {
 
     #[test]
     fn tags_sit_close_to_their_carriers() {
-        for scenario in [
-            Scenario::hospital_ward(50),
-            Scenario::contact_lens_fleet(16),
-            Scenario::zigbee_wing(24),
-        ] {
+        for (label, scenario) in catalogue() {
             for (t, tag) in scenario.tags.iter().enumerate() {
                 let d = scenario.carriers[tag.carrier]
                     .position
                     .distance_m(&tag.position);
-                assert!(
-                    d < 1.6,
-                    "{}: tag {t} is {d:.2} m from its carrier",
-                    scenario.name
-                );
+                assert!(d < 1.6, "{label}: tag {t} is {d:.2} m from its carrier");
             }
         }
     }
 
     #[test]
     fn builders_are_deterministic() {
-        let a = Scenario::hospital_ward(20);
-        let b = Scenario::hospital_ward(20);
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        let c = Scenario::ambulatory_ward(20);
-        let d = Scenario::ambulatory_ward(20);
-        assert_eq!(format!("{c:?}"), format!("{d:?}"));
+        assert_eq!(format!("{:?}", catalogue()), format!("{:?}", catalogue()));
     }
 
     #[test]
@@ -1346,19 +1430,14 @@ mod tests {
             bounds: Bounds::room(12.0, 9.0, 1.0),
             carriers_follow: false,
         };
-        for preset in [
-            Scenario::hospital_ward(8),
-            Scenario::contact_lens_fleet(6),
-            Scenario::card_to_card_room(4),
-            Scenario::zigbee_wing(8),
-        ] {
+        for (label, preset) in catalogue() {
             let name = preset.name.clone();
             let scenario = preset
                 .builder()
                 .mobility(config)
                 .build()
-                .unwrap_or_else(|e| panic!("{name}: {e}"));
-            assert_eq!(scenario.mobility, Some(config));
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
+            assert_eq!(scenario.mobility, Some(config), "{label}");
             assert_eq!(scenario.name, name, "the builder never renames");
         }
     }
@@ -1366,64 +1445,63 @@ mod tests {
     #[test]
     fn every_preset_takes_a_scheduler() {
         use crate::sched::SchedPolicy;
-        for (preset, policy) in [
-            (Scenario::hospital_ward(8), SchedPolicy::proportional_fair()),
-            (
-                Scenario::contact_lens_fleet(6),
+        for (label, preset) in catalogue() {
+            // Presets default to the baseline.
+            assert_eq!(preset.scheduler, SchedPolicy::RoundRobin, "{label}");
+            for policy in [
+                SchedPolicy::RoundRobin,
+                SchedPolicy::proportional_fair(),
                 SchedPolicy::deadline_aware(),
-            ),
-            (Scenario::card_to_card_room(4), SchedPolicy::margin_aware()),
-            (Scenario::zigbee_wing(8), SchedPolicy::RoundRobin),
-            (
-                Scenario::ambulatory_ward(4).closed_loop(),
                 SchedPolicy::margin_aware(),
-            ),
-        ] {
-            let name = preset.name.clone();
-            let scenario = preset
-                .builder()
-                .scheduling(policy)
-                .build()
-                .unwrap_or_else(|e| panic!("{name}: {e}"));
-            assert_eq!(scenario.scheduler, policy);
+            ] {
+                let scenario = preset
+                    .clone()
+                    .builder()
+                    .scheduling(policy)
+                    .build()
+                    .unwrap_or_else(|e| panic!("{label}: {e}"));
+                assert_eq!(scenario.scheduler, policy, "{label}");
+            }
         }
-        // Presets default to the baseline.
-        assert_eq!(
-            Scenario::hospital_ward(4).scheduler,
-            SchedPolicy::RoundRobin
-        );
     }
 
     #[test]
     fn subband_striping_retunes_wifi_tags_only() {
-        let striped = Scenario::hospital_ward(20).with_subband_striping();
-        striped.validate().unwrap();
-        for tag in &striped.tags {
-            let subband = striped.carriers[tag.carrier].subband;
-            assert_eq!(tag.receiver, subband);
-            let NetPhy::Wifi { channel, .. } = tag.phy else {
-                panic!("ward tags are Wi-Fi")
-            };
-            let SinkKind::Wifi { channel: rx_ch } = striped.receivers[tag.receiver].kind else {
-                panic!("ward sinks are Wi-Fi")
-            };
-            assert_eq!(channel, rx_ch);
-        }
-        // Adjacent carriers land on different stripes.
-        assert_ne!(striped.carriers[0].subband, striped.carriers[1].subband);
-
-        // Single-AP and non-Wi-Fi scenarios pass through unchanged (but
-        // for the name).
-        for scenario in [
-            Scenario::contact_lens_fleet(6).with_subband_striping(),
-            Scenario::card_to_card_room(4).with_subband_striping(),
-            Scenario::zigbee_wing(8).with_subband_striping(),
-        ] {
-            assert!(scenario.name.ends_with("striped"));
-            assert!(scenario.carriers.iter().all(|c| c.subband == 0));
-            scenario
+        for (label, preset) in catalogue() {
+            let striped = preset.clone().with_subband_striping();
+            assert!(striped.name.ends_with("striped"), "{label}");
+            striped
                 .validate()
-                .unwrap_or_else(|e| panic!("{}: {e}", scenario.name));
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
+            let wifi_rx: Vec<usize> = (0..striped.receivers.len())
+                .filter(|&r| matches!(striped.receivers[r].kind, SinkKind::Wifi { .. }))
+                .collect();
+            if wifi_rx.len() < 2 {
+                // Single-AP and non-Wi-Fi scenarios pass through unchanged
+                // (but for the name).
+                let renamed = Scenario {
+                    name: preset.name.clone(),
+                    ..striped
+                };
+                assert_eq!(format!("{renamed:?}"), format!("{preset:?}"), "{label}");
+                continue;
+            }
+            for (t, tag) in striped.tags.iter().enumerate() {
+                let NetPhy::Wifi { channel, .. } = tag.phy else {
+                    continue;
+                };
+                let subband = striped.carriers[tag.carrier].subband;
+                assert_eq!(tag.receiver, wifi_rx[subband], "{label}: tag {t}");
+                let SinkKind::Wifi { channel: rx_ch } = striped.receivers[tag.receiver].kind else {
+                    unreachable!("wifi_rx only holds Wi-Fi sinks")
+                };
+                assert_eq!(channel, rx_ch, "{label}: tag {t}");
+            }
+            // Adjacent carriers land on different stripes.
+            assert_ne!(
+                striped.carriers[0].subband, striped.carriers[1].subband,
+                "{label}"
+            );
         }
     }
 
@@ -1434,20 +1512,13 @@ mod tests {
             CoexSource::microwave_oven(Position::new(5.0, 5.0, 1.0)),
             CoexSource::ble_beacon(Position::new(1.0, 1.0, 1.0), 0.1),
         ]);
-        for preset in [
-            Scenario::hospital_ward(8),
-            Scenario::contact_lens_fleet(6),
-            Scenario::card_to_card_room(4),
-            Scenario::zigbee_wing(8),
-            Scenario::ambulatory_ward(4).closed_loop(),
-        ] {
-            let name = preset.name.clone();
+        for (label, preset) in catalogue() {
             let scenario = preset
                 .builder()
                 .coex(config.clone())
                 .build()
-                .unwrap_or_else(|e| panic!("{name}: {e}"));
-            assert_eq!(scenario.coex, Some(config.clone()));
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
+            assert_eq!(scenario.coex, Some(config.clone()), "{label}");
         }
         // with_restripe composes (and bootstraps an empty config when
         // absent) without touching the sinks' scalars.
@@ -1500,41 +1571,8 @@ mod tests {
     }
 
     #[test]
-    fn every_preset_takes_telemetry() {
-        for preset in [
-            Scenario::hospital_ward(8),
-            Scenario::contact_lens_fleet(6),
-            Scenario::card_to_card_room(4),
-            Scenario::zigbee_wing(8),
-            Scenario::congested_ward(8).closed_loop(),
-        ] {
-            let name = preset.name.clone();
-            let scenario = preset
-                .builder()
-                .execution(ExecutionSection::new().progress(0.5, true).trace(false))
-                .build()
-                .unwrap_or_else(|e| panic!("{name}: {e}"));
-            // The progress cadence lands in the execution config next to
-            // the other run-shape knobs the same section set.
-            assert_eq!(scenario.execution.progress_every_s, Some(0.5));
-            assert!(scenario.execution.live_progress);
-            assert!(!scenario.execution.trace);
-            // Progress never renames: observation is invisible to reports.
-            assert_eq!(scenario.name, name);
-        }
-    }
-
-    #[test]
     fn builder_reconstructs_presets_digest_identically() {
-        let presets = [
-            Scenario::hospital_ward(10),
-            Scenario::contact_lens_fleet(8).closed_loop(),
-            Scenario::card_to_card_room(5),
-            Scenario::zigbee_wing(12),
-            Scenario::walking_ward(8),
-            Scenario::congested_ward(12).with_restripe(ReStripe::default()),
-        ];
-        for mut preset in presets {
+        for (label, mut preset) in catalogue() {
             preset.duration_s = 2.0;
             let mut builder = ScenarioBuilder::new()
                 .name(preset.name.clone())
@@ -1556,16 +1594,13 @@ mod tests {
             if let Some(coex) = preset.coex.clone() {
                 builder = builder.coex(coex);
             }
-            let rebuilt = builder
-                .build()
-                .unwrap_or_else(|e| panic!("{}: {e}", preset.name));
+            let rebuilt = builder.build().unwrap_or_else(|e| panic!("{label}: {e}"));
             let original = crate::run(&preset, 42).unwrap();
             let replayed = crate::run(&rebuilt, 42).unwrap();
             assert_eq!(
                 original.trace.to_bytes(),
                 replayed.trace.to_bytes(),
-                "{}: builder reconstruction diverges",
-                preset.name
+                "{label}: builder reconstruction diverges"
             );
         }
     }
@@ -1766,7 +1801,7 @@ mod tests {
             speed_max_mps: 1.5,
             pause_s: 0.5,
         };
-        let cases: [(&str, Edit); 28] = [
+        let cases: [(&str, Edit); 30] = [
             ("NaN duration", |s| s.duration_s = f64::NAN),
             ("NaN slot interval", |s| {
                 s.carriers[0].slot_interval_s = f64::NAN
@@ -1870,6 +1905,22 @@ mod tests {
                 s.mobility = Scenario::walking_ward(4).mobility;
                 let bounds = &mut s.mobility.as_mut().unwrap().bounds;
                 (bounds.min.x, bounds.max.x) = (f64::NEG_INFINITY, f64::INFINITY);
+            }),
+            ("Wi-Fi sink and tags on channel 14", |s| {
+                s.receivers[0].kind = SinkKind::Wifi { channel: 14 };
+                for tag in s.tags.iter_mut().filter(|t| t.receiver == 0) {
+                    tag.phy = NetPhy::Wifi {
+                        rate: DsssRate::Mbps2,
+                        channel: 14,
+                    };
+                }
+            }),
+            ("ZigBee sink and tags on channel 30", |s| {
+                *s = Scenario::zigbee_wing(4);
+                s.receivers[0].kind = SinkKind::Zigbee { channel: 30 };
+                for tag in &mut s.tags {
+                    tag.phy = NetPhy::Zigbee { channel: 30 };
+                }
             }),
             ("NaN re-stripe dwell", |s| {
                 s.coex = Some(CoexConfig::default().with_restripe(ReStripe {

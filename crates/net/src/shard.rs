@@ -116,20 +116,22 @@ pub fn partition(scenario: &Scenario) -> Vec<Cell> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::catalogue;
 
     #[test]
     fn bedside_presets_are_single_cell() {
-        for scenario in [
-            Scenario::hospital_ward(12),
-            Scenario::hospital_ward(12).closed_loop(),
-            Scenario::contact_lens_fleet(8),
-            Scenario::card_to_card_room(6),
-        ] {
-            assert_eq!(partition(&scenario).len(), 1, "{}", scenario.name);
+        for (label, scenario) in catalogue() {
+            // Unstriped presets share their receivers, which couples
+            // every carrier into one cell. Sub-band striping gives each AP
+            // its own carrier–tag component, so a striped preset (the
+            // congested ward, campus) genuinely splits — unless mobility
+            // or re-striping folds it back to one.
+            let striped = scenario.carriers.iter().any(|c| c.subband != 0);
+            let folded = scenario.mobility.is_some()
+                || scenario.coex.as_ref().is_some_and(|c| c.restripe.is_some());
+            let cells = partition(&scenario).len();
+            assert_eq!(cells == 1, !striped || folded, "{label}: {cells} cells");
         }
-        // Sub-band striping gives each AP its own carrier–tag component,
-        // so the congested ward genuinely splits.
-        assert!(partition(&Scenario::congested_ward(12)).len() > 1);
     }
 
     #[test]
@@ -186,12 +188,10 @@ mod tests {
         // A single-cell scenario run through `crate::run` must reproduce
         // one direct engine pass exactly — same trace bytes, same metrics
         // — at any shard count and any progress cadence.
-        for scenario in [
-            Scenario::hospital_ward(8),
-            Scenario::hospital_ward(8).closed_loop(),
-            Scenario::card_to_card_room(6),
-        ] {
-            assert_eq!(partition(&scenario).len(), 1, "{}", scenario.name);
+        for (label, scenario) in catalogue() {
+            if partition(&scenario).len() > 1 {
+                continue;
+            }
             let legacy = one_pass(&scenario, 42);
             for (shards, progress) in [(1usize, None), (4, Some(0.05)), (8, Some(0.001))] {
                 let mut shaped = scenario.clone();
@@ -201,8 +201,7 @@ mod tests {
                 assert_eq!(
                     run.trace.to_bytes(),
                     legacy.trace.to_bytes(),
-                    "{} at {shards} shards, progress {progress:?} s",
-                    scenario.name
+                    "{label} at {shards} shards, progress {progress:?} s"
                 );
                 assert_eq!(
                     format!("{:?}", run.metrics),

@@ -1,8 +1,8 @@
 //! The city-scale smoke run: the `campus` preset at 100 000 closed-loop
 //! tags — shared striped helpers, coex load, exact stored-sample metrics —
 //! on one engine core. This is the scale target of the engine core (4-ary
-//! heap event queue, band-indexed medium, per-query link powers); the run
-//! finishes in seconds.
+//! heap event queue with a carrier-slot lane, one list of what is on the
+//! air, per-query link powers); the run finishes in seconds.
 //!
 //! Run with an optional seed (default 42):
 //!

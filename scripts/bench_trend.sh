@@ -3,6 +3,12 @@
 # mode, e.g. BENCH_net.json or BENCH_phy.json) and print a markdown trend
 # table, flagging regressions.
 #
+# A row whose mean moved past the threshold is flagged only when the two
+# sides' sample ranges `[min_ns, max_ns]` do not overlap; otherwise it
+# reads "within spread", since the quick tier's few samples on a shared
+# runner can move a mean that far by chance. A row without `min_ns` and
+# `max_ns` on both sides is judged on its mean alone.
+#
 #   usage: scripts/bench_trend.sh BASE.json HEAD.json [threshold_pct]
 #
 # BASE is typically the copy committed on the base branch
@@ -43,6 +49,9 @@ jq -n -r \
   --argjson threshold "$threshold" \
   --arg name "$name" '
   def by_name(rows): rows | map({key: .bench, value: .}) | from_entries;
+  def apart($b; $h):
+    if [$b.min_ns, $b.max_ns, $h.min_ns, $h.max_ns] | any(. == null) then true
+    else $h.min_ns > $b.max_ns or $h.max_ns < $b.min_ns end;
   (by_name($base)) as $b | (by_name($head)) as $h |
   ($b + $h | keys | sort) as $names |
   ($names | map(
@@ -50,9 +59,10 @@ jq -n -r \
     if ($b[$n] and $h[$n]) then
       (($h[$n].mean_ns / $b[$n].mean_ns - 1) * 100) as $delta |
       { name: $n, base: $b[$n].mean_ns, head: $h[$n].mean_ns, delta: $delta,
-        flag: (if $delta >= $threshold then "🔺 regression"
-               elif $delta <= -$threshold then "🟢 improvement"
-               else "" end) }
+        flag: (if ($delta | fabs) < $threshold then ""
+               elif apart($b[$n]; $h[$n]) | not then "within spread"
+               elif $delta > 0 then "🔺 regression"
+               else "🟢 improvement" end) }
     elif $h[$n] then
       { name: $n, base: null, head: $h[$n].mean_ns, delta: null, flag: "new" }
     else
@@ -68,7 +78,7 @@ jq -n -r \
   ([$rows[] | select(.flag == "🔺 regression")] | length) as $n_reg |
   "## Bench trend vs base: \($name) (threshold ±\($threshold)%)",
   "",
-  (if $n_reg > 0 then "**\($n_reg) regression(s) above threshold.**"
+  (if $n_reg > 0 then "**\($n_reg) regression(s) above threshold, outside the sample spread.**"
    else "No regressions above threshold." end),
   "",
   "| benchmark | base mean | head mean | Δ | |",

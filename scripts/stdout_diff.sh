@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Compare the stdout of the digest-checked examples at BASE_REF against
-# the working tree.
+# Compare the stdout of the digest-checked examples (listed in
+# scripts/digest_examples.txt) at BASE_REF against the working tree.
 #
 # Usage: scripts/stdout_diff.sh BASE_REF [WORK_DIR]
 #
@@ -22,8 +22,7 @@ work=${2:-$(mktemp -d)}
 mkdir -p "$work"
 work=$(cd "$work" && pwd)
 
-examples=(hospital_ward closed_loop_ward mobile_ward scheduler_shootout
-          coex_shootout soak_ward campus_smoke run_experiments)
+mapfile -t examples < <(grep -v '^#' "$root/scripts/digest_examples.txt")
 seed=42
 
 rev=$(git -C "$root" rev-parse --verify --quiet "$base_ref^{commit}") \

@@ -3,129 +3,120 @@
 //! different seed must produce a different trace. This is what makes a
 //! reported fleet result reproducible from `(scenario, seed)` alone.
 
+mod common;
+
+use common::check_invariants;
 use interscatter::net::coex::{CoexConfig, CoexSource, ReStripe};
+use interscatter::net::mac::MacMode;
 use interscatter::net::prelude::Position;
 use interscatter::net::run_trials;
-use interscatter::net::scenario::{ExecutionSection, Scenario};
+use interscatter::net::scenario::{catalogue, ExecutionSection, Scenario};
 use interscatter::net::sched::SchedPolicy;
 use interscatter::net::trace_digest::fnv1a;
 
-fn scenarios() -> Vec<Scenario> {
-    vec![
-        Scenario::hospital_ward(24),
-        Scenario::contact_lens_fleet(10),
-        Scenario::card_to_card_room(6),
-        Scenario::zigbee_wing(12),
-        // The closed-loop variants run the poll/ack MAC: their traces
-        // interleave downlink frames with the uplink and must reproduce
-        // just as exactly.
-        Scenario::hospital_ward(24).closed_loop(),
-        Scenario::contact_lens_fleet(10).closed_loop(),
-        Scenario::card_to_card_room(6).closed_loop(),
-        Scenario::zigbee_wing(12).closed_loop(),
-        // Mobile variants interleave mobility ticks (per-tag walks plus
-        // LinkMatrix budget refreshes) with everything above; the walk
-        // itself must replay exactly from the seed.
-        Scenario::ambulatory_ward(12),
-        Scenario::ambulatory_ward(12).closed_loop(),
-        // One case per arbitration policy: every scheduler is RNG-free, so
-        // its picks — and hence the whole trace — replay exactly from the
-        // seed (round-robin is the default everywhere above; the
-        // margin-aware case also exercises the sub-band striping axis).
-        Scenario::hospital_ward(16)
-            .builder()
-            .scheduling(SchedPolicy::proportional_fair())
-            .build()
-            .unwrap(),
-        Scenario::hospital_ward(16)
-            .closed_loop()
-            .builder()
-            .scheduling(SchedPolicy::deadline_aware())
-            .build()
-            .unwrap(),
-        Scenario::ambulatory_ward(10)
-            .closed_loop()
-            .builder()
-            .scheduling(SchedPolicy::margin_aware())
-            .build()
-            .unwrap(),
-        Scenario::hospital_ward(16)
-            .with_subband_striping()
-            .builder()
-            .scheduling(SchedPolicy::margin_aware())
-            .build()
-            .unwrap(),
-        // Coexistence cases: every external generator kind injects real
-        // seeded emissions into the medium, and each source's arrival
-        // process rides its own RNG stream — so the trace (including every
-        // collision with external traffic) replays exactly from the seed.
-        Scenario::hospital_ward(12)
-            .builder()
-            .coex(CoexConfig::with_sources(vec![
-                CoexSource::wifi_neighbor(Position::new(6.0, 8.0, 2.0), 6, 0.3),
-                CoexSource::hidden_wifi(Position::new(2.0, 8.0, 2.0), 1, 0.15),
-                CoexSource::ble_beacon(Position::new(0.5, 0.5, 1.0), 0.05),
-                CoexSource::zigbee_neighbor(Position::new(11.0, 1.0, 1.0), 17, 40.0),
-                CoexSource::microwave_oven(Position::new(11.5, 8.5, 1.0)),
-            ]))
-            .build()
-            .unwrap(),
-        // The congestion preset, static and with a mid-run adaptive
-        // re-stripe (the re-tuned tags' new channels, budgets and the
-        // trace line of the decision itself must all replay byte for
-        // byte), open and closed loop.
-        Scenario::congested_ward(12),
-        Scenario::congested_ward(12).with_restripe(ReStripe::default()),
-        Scenario::congested_ward(10)
-            .closed_loop()
-            .with_restripe(ReStripe::default()),
-    ]
+/// The catalogue row labelled `label`.
+fn row(label: &str) -> Scenario {
+    catalogue()
+        .into_iter()
+        .find(|(l, _)| *l == label)
+        .map(|(_, s)| s)
+        .unwrap_or_else(|| panic!("no catalogue row {label}"))
+}
+
+fn scenarios() -> Vec<(String, Scenario)> {
+    let mut cases = Vec::new();
+    // Every catalogue row, and the closed-loop variant of each open-loop
+    // row: closed-loop traces interleave downlink frames with the uplink
+    // and must reproduce just as exactly. Mobile rows interleave mobility
+    // ticks (per-tag walks plus LinkMatrix budget refreshes), and the
+    // walk itself must replay exactly from the seed.
+    for (label, scenario) in catalogue() {
+        if scenario.mac == MacMode::OpenLoop {
+            let closed = scenario.clone().closed_loop();
+            cases.push((format!("{label}.closed_loop()"), closed));
+        }
+        cases.push((label.to_string(), scenario));
+    }
+    // One case per arbitration policy: every scheduler is RNG-free, so its
+    // picks — and hence the whole trace — replay exactly from the seed
+    // (round-robin is the default everywhere above; the margin-aware case
+    // also exercises the sub-band striping axis).
+    for (label, policy) in [
+        ("hospital_ward(8)", SchedPolicy::proportional_fair()),
+        (
+            "hospital_ward(8).closed_loop()",
+            SchedPolicy::deadline_aware(),
+        ),
+        (
+            "ambulatory_ward(8).closed_loop()",
+            SchedPolicy::margin_aware(),
+        ),
+        (
+            "hospital_ward(8).with_subband_striping()",
+            SchedPolicy::margin_aware(),
+        ),
+    ] {
+        let scheduled = row(label).builder().scheduling(policy).build().unwrap();
+        cases.push((format!("{label} with {policy:?}"), scheduled));
+    }
+    // Every external generator kind injects real seeded emissions into the
+    // medium, and each source's arrival process rides its own RNG stream —
+    // so the trace (including every collision with external traffic)
+    // replays exactly from the seed.
+    let coex = CoexConfig::with_sources(vec![
+        CoexSource::wifi_neighbor(Position::new(6.0, 8.0, 2.0), 6, 0.3),
+        CoexSource::hidden_wifi(Position::new(2.0, 8.0, 2.0), 1, 0.15),
+        CoexSource::ble_beacon(Position::new(0.5, 0.5, 1.0), 0.05),
+        CoexSource::zigbee_neighbor(Position::new(11.0, 1.0, 1.0), 17, 40.0),
+        CoexSource::microwave_oven(Position::new(11.5, 8.5, 1.0)),
+    ]);
+    let label = "hospital_ward(8) with every coex source";
+    let loaded = row("hospital_ward(8)")
+        .builder()
+        .coex(coex)
+        .build()
+        .unwrap();
+    cases.push((label.to_string(), loaded));
+    cases
 }
 
 #[test]
 fn same_seed_same_bytes() {
-    for scenario in scenarios() {
+    for (label, scenario) in scenarios() {
         let a = interscatter::net::run(&scenario, 0xDEC0DE).unwrap();
         let b = interscatter::net::run(&scenario, 0xDEC0DE).unwrap();
+        check_invariants(&label, &scenario, &a);
         let bytes_a = a.trace.to_bytes();
-        assert!(
-            !bytes_a.is_empty(),
-            "{}: trace must be recorded",
-            scenario.name
-        );
+        assert!(!bytes_a.is_empty(), "{label}: trace must be recorded");
         assert_eq!(
             bytes_a,
             b.trace.to_bytes(),
-            "{}: same-seed traces must be byte-identical",
-            scenario.name
+            "{label}: same-seed traces must be byte-identical"
         );
         // The shared FNV-1a helper and the trace's own digest agree — the
         // same 64-bit fingerprint identifies the run everywhere.
         assert_eq!(
             fnv1a(&bytes_a),
             b.trace.digest(),
-            "{}: shared digest helper must match EventTrace::digest",
-            scenario.name
+            "{label}: shared digest helper must match EventTrace::digest"
         );
         assert_eq!(
             format!("{:?}", a.metrics),
             format!("{:?}", b.metrics),
-            "{}: same-seed metrics must be identical",
-            scenario.name
+            "{label}: same-seed metrics must be identical"
         );
     }
 }
 
 #[test]
 fn different_seed_different_bytes() {
-    for scenario in scenarios() {
+    for (label, scenario) in scenarios() {
         let a = interscatter::net::run(&scenario, 1).unwrap();
         let b = interscatter::net::run(&scenario, 2).unwrap();
         assert_ne!(
             a.trace.to_bytes(),
             b.trace.to_bytes(),
-            "{}: different seeds must decorrelate the trace",
-            scenario.name
+            "{label}: different seeds must decorrelate the trace"
         );
     }
 }

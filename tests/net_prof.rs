@@ -1,72 +1,16 @@
-//! The execution observatory's determinism contract: profiling is
-//! **byte-neutral** — the event trace, the metrics report and the
-//! telemetry output are identical with profiling on or off — while the
-//! prof output itself carries the phase totals `PROF_net.json` is built
-//! from and the Chrome-trace export. See `net::prof` for the contract and
-//! why it is the one engine module allowed `std::time::Instant`.
+//! The execution observatory: the prof output of a profiled run carries
+//! the phase totals `PROF_net.json` is built from, the per-kind event
+//! counts and the Chrome-trace export. That profiling is **byte-neutral**
+//! — the event trace, the metrics report and the telemetry are identical
+//! with profiling on or off — is checked on every catalogue preset with
+//! the other execution knobs (`tests/preset_identity.rs`). See `net::prof`
+//! for the contract and why it is the one engine module allowed
+//! `std::time::Instant`.
 
 use interscatter::net::prelude::ExecutionSection;
 use interscatter::net::prof::KindTotal;
 use interscatter::net::scenario::Scenario;
 use std::collections::BTreeMap;
-
-const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-fn shaped(scenario: &Scenario, shards: usize, profile: bool) -> Scenario {
-    scenario
-        .clone()
-        .builder()
-        .execution(ExecutionSection::new().shards(shards).profile(profile))
-        .build()
-        .unwrap()
-}
-
-#[test]
-fn profiling_is_byte_neutral_at_every_shard_count() {
-    // The acceptance matrix: a bedside preset, a walking ward (whose
-    // mobility ticks add `link_flush` spans) and a campus, profile on vs
-    // off, at every accepted `shards` value (validated, no effect).
-    for scenario in [
-        Scenario::congested_ward(9),
-        Scenario::walking_ward(8),
-        Scenario::campus(768),
-    ] {
-        for shards in SHARD_COUNTS {
-            let off = interscatter::net::run(&shaped(&scenario, shards, false), 42).unwrap();
-            let on = interscatter::net::run(&shaped(&scenario, shards, true), 42).unwrap();
-            assert_eq!(
-                on.trace.digest(),
-                off.trace.digest(),
-                "{}: profiling changed the digest at {shards} shards",
-                scenario.name
-            );
-            assert_eq!(
-                on.metrics.report(),
-                off.metrics.report(),
-                "{}: profiling changed the report at {shards} shards",
-                scenario.name
-            );
-            assert_eq!(
-                on.telemetry, off.telemetry,
-                "{}: profiling changed the telemetry at {shards} shards",
-                scenario.name
-            );
-            // The prof report exists exactly when asked for — and only
-            // there do wall-clock quantities live.
-            assert!(off.prof.is_none());
-            let prof = on.prof.expect("profiled run carries a report");
-            assert!(!prof.spans.is_empty());
-            assert_eq!(prof.scenario, scenario.name);
-            let mobile = scenario.mobility.is_some();
-            let flushed = prof
-                .summary()
-                .phase_totals_ns
-                .iter()
-                .any(|(name, _)| name == "link_flush");
-            assert_eq!(flushed, mobile, "{}: link_flush phase", scenario.name);
-        }
-    }
-}
 
 #[test]
 fn profiled_runs_match_the_one_chunk_run() {
@@ -89,7 +33,11 @@ fn profiled_runs_match_the_one_chunk_run() {
 
 #[test]
 fn profiled_campus_summary_carries_phases_and_exports() {
-    let scenario = shaped(&Scenario::campus(768), 1, true);
+    let scenario = Scenario::campus(768)
+        .builder()
+        .execution(ExecutionSection::new().profile(true))
+        .build()
+        .unwrap();
     // The builder timed its validation pass for the scenario_build span.
     assert!(scenario.execution.build_ns.is_some());
 

@@ -1,58 +1,33 @@
-//! Preset identity: every scenario preset and every variant that derives
-//! entities or a coex config from a scenario is pinned by an FNV-1a digest
-//! of its full `Debug` form — name, entities, positions and every
-//! section. Rewriting how a preset assigns its fields must leave these
-//! digests untouched; a change here means a preset now builds a different
-//! deployment, which every downstream digest would silently inherit.
+//! Every sweep over the preset catalogue (`net::scenario::catalogue`):
+//!
+//! * **Identity.** Every preset and every variant that derives entities
+//!   or a coex config from a preset is pinned by an FNV-1a digest of its
+//!   full `Debug` form — name, entities, positions and every section.
+//!   Rewriting how a preset assigns its fields must leave these digests
+//!   untouched; a change here means a preset now builds a different
+//!   deployment, which every downstream digest would silently inherit.
+//! * **Invariants.** Every catalogue row and every edge row (one tag, a
+//!   run shorter than any event, one carrier for a whole fleet), at seeds
+//!   1 and 42, keeps every accounting identity of the invariant table in
+//!   `tests/common/mod.rs`.
+//! * **Knob neutrality.** No execution knob — trace, profile, progress
+//!   cadence, shard count — changes what a run computes: each knobbed run
+//!   keeps the plain run's trace digest, metrics and telemetry, and
+//!   differs only in what the knob records.
 
-use interscatter::net::coex::ReStripe;
-use interscatter::net::mac::MacMode;
-use interscatter::net::scenario::{ExecutionSection, Scenario};
+mod common;
+
+use common::{check_invariants, EVENTLESS_S};
+use interscatter::net::scenario::{catalogue, ExecutionSection, Scenario};
 use interscatter::net::trace_digest::fnv1a_str;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn digest(s: &Scenario) -> u64 {
     fnv1a_str(&format!("{s:?}"))
 }
 
-fn cases() -> Vec<(&'static str, Scenario)> {
-    vec![
-        ("hospital_ward(8)", Scenario::hospital_ward(8)),
-        ("contact_lens_fleet(8)", Scenario::contact_lens_fleet(8)),
-        ("card_to_card_room(5)", Scenario::card_to_card_room(5)),
-        ("zigbee_wing(8)", Scenario::zigbee_wing(8)),
-        ("congested_ward(8)", Scenario::congested_ward(8)),
-        ("ambulatory_ward(8)", Scenario::ambulatory_ward(8)),
-        ("walking_ward(8)", Scenario::walking_ward(8)),
-        ("campus(300)", Scenario::campus(300)),
-        ("campus(600)", Scenario::campus(600)),
-        (
-            "hospital_ward(8).closed_loop()",
-            Scenario::hospital_ward(8).closed_loop(),
-        ),
-        (
-            "ambulatory_ward(8).closed_loop()",
-            Scenario::ambulatory_ward(8).closed_loop(),
-        ),
-        (
-            "hospital_ward(8).with_subband_striping()",
-            Scenario::hospital_ward(8).with_subband_striping(),
-        ),
-        (
-            "zigbee_wing(8).with_subband_striping()",
-            Scenario::zigbee_wing(8).with_subband_striping(),
-        ),
-        (
-            "hospital_ward(8).with_restripe(default)",
-            Scenario::hospital_ward(8).with_restripe(ReStripe::default()),
-        ),
-        (
-            "congested_ward(8).with_restripe(default)",
-            Scenario::congested_ward(8).with_restripe(ReStripe::default()),
-        ),
-    ]
-}
-
-/// Captured from the presets in [`cases`] order. Re-pinned four times,
+/// Captured from the presets in [`catalogue`] order. Re-pinned four times,
 /// each time for one moved or removed field and nothing else:
 /// * when `ExecutionConfig` lost its epoch length (each old pin hashed
 ///   the same `Debug` form with `epoch_s: 0.01` present);
@@ -105,7 +80,7 @@ const PINNED: [u64; 15] = [
 
 #[test]
 fn presets_and_variants_match_their_pinned_digests() {
-    let cases = cases();
+    let cases = catalogue();
     assert_eq!(cases.len(), PINNED.len());
     let got: Vec<String> = cases
         .iter()
@@ -119,83 +94,120 @@ fn presets_and_variants_match_their_pinned_digests() {
     assert_eq!(got, want);
 }
 
+/// Edge rows the catalogue's pinned sizes never reach: one tag, open and
+/// closed loop, at full length and cut shorter than any event, and one
+/// carrier for a whole campus fleet.
+fn edge_cases() -> Vec<(&'static str, Scenario)> {
+    let open = Scenario::hospital_ward(1);
+    let closed = open.clone().closed_loop();
+    let cut = |s: &Scenario, duration_s: f64| {
+        assert!(duration_s <= EVENTLESS_S);
+        s.clone().builder().duration_s(duration_s).build().unwrap()
+    };
+    let campus = Scenario::campus(256);
+    assert_eq!(campus.carriers.len(), 1);
+    vec![
+        ("hospital_ward(1)", open.clone()),
+        ("hospital_ward(1).closed_loop()", closed.clone()),
+        ("hospital_ward(1) for 1 ns", cut(&open, 1e-9)),
+        (
+            "hospital_ward(1).closed_loop() for 1 us",
+            cut(&closed, 1e-6),
+        ),
+        ("campus(256)", campus),
+    ]
+}
+
 #[test]
 fn every_case_keeps_its_sample_and_counter_identities() {
-    for (label, scenario) in cases() {
+    for (label, scenario) in catalogue().into_iter().chain(edge_cases()) {
         for seed in [1, 42] {
-            let m = interscatter::net::run(&scenario, seed).unwrap().metrics;
-            let at = format!("{label} seed {seed}");
-            assert_eq!(m.latency_ms.samples().len(), m.delivered_packets(), "{at}");
-            assert_eq!(m.poll_latency_ms.samples().len(), m.grants(), "{at}");
-            assert_eq!(
-                m.transaction_latency_ms.samples().len(),
-                m.completed_transactions(),
-                "{at}"
-            );
-            let occupancy = m.occupancy_series.iter().flatten();
-            assert!(
-                occupancy
-                    .clone()
-                    .all(|s| (0.0..=1.0).contains(&s.occupancy)),
-                "{at}"
-            );
-            assert!(
-                occupancy.map(|s| s.attempts).sum::<usize>() <= m.attempts(),
-                "{at}"
-            );
-            let open_loop = scenario.mac == MacMode::OpenLoop;
-            for (t, tag) in m.tags.iter().enumerate() {
-                // Packet conservation: every offered packet was delivered,
-                // dropped, or is still queued at the horizon.
-                assert_eq!(
-                    tag.offered,
-                    tag.delivered + tag.dropped + tag.queued,
-                    "{at} tag {t}: {tag:?}"
-                );
-                // Attempt and grant slack: every attempt ends in exactly
-                // one outcome and every grant in an attempt or a lost poll,
-                // except a transaction still in flight at the horizon —
-                // at most one per tag, and never an undecided open-loop
-                // attempt (its outcome is decided when it is counted).
-                let decided = tag.delivered
-                    + tag.collided
-                    + tag.external_collisions
-                    + tag.link_losses
-                    + tag.ack_losses;
-                let a = tag.attempts as i64 - decided as i64;
-                let g = tag.grants as i64 - tag.attempts as i64 - tag.poll_losses as i64;
-                assert!(
-                    (0..=1).contains(&a),
-                    "{at} tag {t}: attempt slack {a}: {tag:?}"
-                );
-                assert!(!open_loop || a == 0, "{at} tag {t}: open-loop slack {a}");
-                assert!(
-                    (0..=1).contains(&g),
-                    "{at} tag {t}: grant slack {g}: {tag:?}"
-                );
-                assert!(a + g <= 1, "{at} tag {t}: {a} + {g} in flight: {tag:?}");
-            }
-            let report = m.report();
-            assert!(
-                !report.contains("NaN") && !report.contains("inf"),
-                "{at}:\n{report}"
-            );
+            let run = interscatter::net::run(&scenario, seed).unwrap();
+            check_invariants(&format!("{label} seed {seed}"), &scenario, &run);
         }
     }
 }
 
+/// The execution knobs that must leave a run unchanged, each as the
+/// section a preset is re-built with: trace off, profile on, a progress
+/// cadence drawn from `rng`, each accepted shard count (validated, no
+/// effect), and several at once.
+fn knobs(rng: &mut StdRng) -> Vec<(String, ExecutionSection)> {
+    let every_s = 10f64.powf(rng.gen_range(-4.0..0.0));
+    let section = ExecutionSection::new;
+    let mut knobs = vec![
+        ("trace off".to_string(), section().trace(false)),
+        ("profile on".to_string(), section().profile(true)),
+        (
+            format!("progress every {every_s} s"),
+            section().progress(every_s, false),
+        ),
+        (
+            format!("4 shards, profile on, progress every {every_s} s"),
+            section().shards(4).profile(true).progress(every_s, false),
+        ),
+    ];
+    for shards in [2, 4, 8] {
+        knobs.push((format!("{shards} shards"), section().shards(shards)));
+    }
+    knobs
+}
+
 #[test]
-fn exact_engine_honours_the_scenario_trace_switch() {
-    let traced = Scenario::hospital_ward(8).closed_loop();
-    let untraced = traced
-        .clone()
-        .builder()
-        .execution(ExecutionSection::new().trace(false))
-        .build()
-        .unwrap();
-    let on = interscatter::net::run(&traced, 42).unwrap();
-    let off = interscatter::net::run(&untraced, 42).unwrap();
-    assert!(!on.trace.records().is_empty());
-    assert!(off.trace.records().is_empty());
-    assert_eq!(on.metrics.report(), off.metrics.report());
+fn every_execution_knob_leaves_every_preset_run_identical() {
+    let mut rng = StdRng::seed_from_u64(0x5EED_541A);
+    for (label, scenario) in catalogue() {
+        let plain = interscatter::net::run(&scenario, 42).unwrap();
+        assert!(!plain.trace.records().is_empty(), "{label}: empty trace");
+        assert!(
+            plain.telemetry.render().is_empty(),
+            "{label}: progress lines"
+        );
+        assert!(plain.prof.is_none(), "{label}: unasked-for profile");
+        for (knob, section) in knobs(&mut rng) {
+            let at = format!("{label} with {knob}");
+            let knobbed = scenario
+                .clone()
+                .builder()
+                .execution(section)
+                .build()
+                .unwrap();
+            assert_eq!(knobbed.name, scenario.name, "{at}: the builder renamed");
+            let run = interscatter::net::run(&knobbed, 42).unwrap();
+            let shape = &knobbed.execution;
+            if shape.trace {
+                assert_eq!(run.trace.digest(), plain.trace.digest(), "{at}: trace");
+            } else {
+                assert!(run.trace.records().is_empty(), "{at}: trace recorded");
+            }
+            assert_eq!(run.metrics.report(), plain.metrics.report(), "{at}: report");
+            assert_eq!(
+                format!("{:?}", run.metrics),
+                format!("{:?}", plain.metrics),
+                "{at}: metrics"
+            );
+            // Progress adds lines; the event count is a plain loop counter,
+            // the same either way.
+            if shape.progress_every_s.is_some() {
+                assert!(!run.telemetry.progress.is_empty(), "{at}: no lines");
+                assert_eq!(run.telemetry.events, plain.telemetry.events, "{at}");
+            } else {
+                assert_eq!(run.telemetry, plain.telemetry, "{at}: telemetry");
+            }
+            // The prof report exists exactly when asked for — and only
+            // there do wall-clock quantities live.
+            assert_eq!(run.prof.is_some(), shape.profile, "{at}: prof report");
+            if let Some(prof) = run.prof {
+                assert!(!prof.spans.is_empty(), "{at}: no spans");
+                assert_eq!(prof.scenario, scenario.name, "{at}");
+                let flushed = prof
+                    .summary()
+                    .phase_totals_ns
+                    .iter()
+                    .any(|(name, _)| name == "link_flush");
+                let mobile = scenario.mobility.is_some();
+                assert_eq!(flushed, mobile, "{at}: link_flush phase");
+            }
+        }
+    }
 }
