@@ -64,6 +64,13 @@ struct TagState {
     rng: SmallRng,
 }
 
+/// Attempts and deliveries since a sampler last took (read and zeroed) it.
+#[derive(Debug, Clone, Copy, Default)]
+struct Window {
+    attempts: usize,
+    delivered: usize,
+}
+
 /// Runtime state of one carrier.
 #[derive(Debug)]
 struct CarrierState {
@@ -95,10 +102,8 @@ struct MobilityRuntime {
     /// For each carrier with exactly one assigned tag: that tag (the
     /// wearer). Shared carriers stay put.
     carrier_wearer: Vec<Option<usize>>,
-    /// Per-tag delivery/attempt counters at the previous tick, for the
-    /// PRR-vs-displacement series.
-    prev_delivered: Vec<usize>,
-    prev_attempts: Vec<usize>,
+    /// Per-tag windows, taken by each tick's PRR-vs-displacement samples.
+    windows: Vec<Window>,
 }
 
 impl MobilityRuntime {
@@ -129,8 +134,7 @@ impl MobilityRuntime {
                     _ => None,
                 })
                 .collect(),
-            prev_delivered: vec![0; scenario.tags.len()],
-            prev_attempts: vec![0; scenario.tags.len()],
+            windows: vec![Window::default(); scenario.tags.len()],
         }
     }
 }
@@ -165,9 +169,8 @@ struct CarrierSense {
     ewma: Vec<f64>,
     /// When the last [`OccupancySample`] was recorded.
     last_sample: Time,
-    /// Member-tag counters at the last sample, for the PRR deltas.
-    prev_attempts: usize,
-    prev_delivered: usize,
+    /// Member-tag attempts and deliveries since then.
+    window: Window,
     /// Slots seen so far (the re-striping check cadence counts these).
     slots: u32,
     /// When the carrier last re-striped (the dwell-time hysteresis).
@@ -201,8 +204,7 @@ impl<'a> CoexRuntime<'a> {
                 .map(|_| CarrierSense {
                     ewma: vec![0.0; scenario.receivers.len()],
                     last_sample: Time::ZERO,
-                    prev_attempts: 0,
-                    prev_delivered: 0,
+                    window: Window::default(),
                     slots: 0,
                     last_restripe: Time::ZERO,
                 })
@@ -710,6 +712,7 @@ impl<'a> EngineCore<'a> {
         let interferers = self.medium.finish(tx_id);
         let rx_idx = self.links.tag_receiver(tag);
         self.metrics.tags[tag].attempts += 1;
+        self.tally(tag, |w| w.attempts += 1);
         let outcome = receive_outcome(
             self.scenario,
             &self.links,
@@ -870,9 +873,19 @@ impl<'a> EngineCore<'a> {
         self.carriers[spec.carrier].sched.delivered(tag, bits);
         self.metrics.tags[tag].delivered += 1;
         self.metrics.tags[tag].delivered_bits += bits;
+        self.tally(tag, |w| w.delivered += 1);
         let latency = now.since(packet.arrived);
         self.metrics.latency_ms.push(latency.as_secs() * 1e3);
         true
+    }
+
+    /// Bumps the windows that count `tag`: its carrier's under coex, its own
+    /// under mobility. Runs without a sampler carry none of its windows.
+    fn tally(&mut self, tag: usize, bump: fn(&mut Window)) {
+        let carrier = self.scenario.tags[tag].carrier;
+        let occupancy = self.coex.as_mut().map(|cx| &mut cx.sense[carrier].window);
+        let mobility = self.mobility.as_mut().map(|mob| &mut mob.windows[tag]);
+        occupancy.into_iter().chain(mobility).for_each(bump);
     }
 
     /// Burns one retry on the packet at the head of `tag`'s queue, dropping
@@ -1000,18 +1013,13 @@ impl<'a> EngineCore<'a> {
         // One PRR-vs-displacement sample per tag per tick.
         let mut max_disp_mm = 0u64;
         for t in 0..scenario.tags.len() {
-            let (attempts, delivered) = (
-                self.metrics.tags[t].attempts,
-                self.metrics.tags[t].delivered,
-            );
+            let window = std::mem::take(&mut mob.windows[t]);
             self.metrics.mobility_series[t].push(MobilitySample {
                 at_s: now.as_secs(),
                 displacement_m: mob.states[t].displacement_m(),
-                attempts: attempts - mob.prev_attempts[t],
-                delivered: delivered - mob.prev_delivered[t],
+                attempts: window.attempts,
+                delivered: window.delivered,
             });
-            mob.prev_attempts[t] = attempts;
-            mob.prev_delivered[t] = delivered;
             max_disp_mm = max_disp_mm.max((mob.states[t].displacement_m() * 1e3).round() as u64);
         }
         self.trace.record(now, || {
@@ -1024,10 +1032,10 @@ impl<'a> EngineCore<'a> {
 
     /// One carrier slot's coexistence step (a no-op without a coex
     /// config): update the carrier's per-channel EWMA busy estimates from
-    /// the medium's receive-side load, record an [`OccupancySample`] on the
-    /// configured cadence, and — when a [`crate::coex::ReStripe`] policy is
-    /// attached — maybe re-tune the carrier and its Wi-Fi tags to the
-    /// least-occupied sub-band.
+    /// the medium's receive-side load, take the carrier's window into an
+    /// [`OccupancySample`] on the configured cadence, and — when a
+    /// [`crate::coex::ReStripe`] policy is attached — maybe re-tune the
+    /// carrier and its Wi-Fi tags to the least-occupied sub-band.
     ///
     /// Re-striping is deterministic (no RNG), slot-aligned, hysteretic (an
     /// occupancy threshold *and* a dwell time) and quiescent: a carrier
@@ -1077,20 +1085,14 @@ impl<'a> EngineCore<'a> {
             });
         if now.since(sense.last_sample).as_nanos() >= *sample_ns {
             sense.last_sample = now;
-            let (mut attempts, mut delivered) = (0, 0);
-            for &t in sched.members() {
-                attempts += self.metrics.tags[t].attempts;
-                delivered += self.metrics.tags[t].delivered;
-            }
+            let window = std::mem::take(&mut sense.window);
             self.metrics.occupancy_series[carrier].push(OccupancySample {
                 at_s: now.as_secs(),
                 subband: sched.subband(),
                 occupancy: sense.ewma[own_rx],
-                attempts: attempts - sense.prev_attempts,
-                delivered: delivered - sense.prev_delivered,
+                attempts: window.attempts,
+                delivered: window.delivered,
             });
-            sense.prev_attempts = attempts;
-            sense.prev_delivered = delivered;
         }
 
         let Some(policy) = config.restripe else {

@@ -7,6 +7,7 @@
 //! straight into the series below and bumps one [`TagStats`] row per tag.
 
 use interscatter_sim::measurements::Cdf;
+use std::ops::Range;
 
 /// Counters for one tag.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -218,16 +219,9 @@ impl NetworkMetrics {
     /// the paper-style "how far can the tag wander before the link dies"
     /// readout. `None` when no attempts landed in the band.
     pub fn prr_in_displacement_band(&self, min_m: f64, max_m: f64) -> Option<(f64, usize)> {
-        let (mut attempts, mut delivered) = (0usize, 0usize);
-        for series in &self.mobility_series {
-            for s in series {
-                if s.displacement_m >= min_m && s.displacement_m < max_m {
-                    attempts += s.attempts;
-                    delivered += s.delivered;
-                }
-            }
-        }
-        (attempts > 0).then(|| (delivered as f64 / attempts as f64, attempts))
+        let samples = self.mobility_series.iter().flatten();
+        let keyed = samples.map(|s| (s.displacement_m, s.attempts, s.delivered));
+        pooled_prr(keyed, min_m..max_m)
     }
 
     /// Pooled member-tag PRR of all occupancy samples whose sensed
@@ -236,16 +230,9 @@ impl NetworkMetrics {
     /// fleet fares while its channels are externally loaded vs. quiet.
     /// `None` when no attempts landed in the band.
     pub fn prr_in_occupancy_band(&self, min_occ: f64, max_occ: f64) -> Option<(f64, usize)> {
-        let (mut attempts, mut delivered) = (0usize, 0usize);
-        for series in &self.occupancy_series {
-            for s in series {
-                if s.occupancy >= min_occ && s.occupancy < max_occ {
-                    attempts += s.attempts;
-                    delivered += s.delivered;
-                }
-            }
-        }
-        (attempts > 0).then(|| (delivered as f64 / attempts as f64, attempts))
+        let samples = self.occupancy_series.iter().flatten();
+        let keyed = samples.map(|s| (s.occupancy, s.attempts, s.delivered));
+        pooled_prr(keyed, min_occ..max_occ)
     }
 
     /// Highest occupancy carrier `c` ever sensed on its own stripe
@@ -512,6 +499,17 @@ impl NetworkMetrics {
         }
         out
     }
+}
+
+/// Pooled PRR of the `(key, attempts, delivered)` samples whose key falls
+/// in `band`, with the attempts it is based on; `None` when none did.
+fn pooled_prr(
+    samples: impl Iterator<Item = (f64, usize, usize)>,
+    band: Range<f64>,
+) -> Option<(f64, usize)> {
+    let in_band = samples.filter(|(key, ..)| band.contains(key));
+    let (attempts, delivered) = in_band.fold((0, 0), |(a, d), (_, sa, sd)| (a + sa, d + sd));
+    (attempts > 0).then(|| (delivered as f64 / attempts as f64, attempts))
 }
 
 /// Jain's fairness index of a sample set; 1.0 for empty or all-zero input.

@@ -10,7 +10,7 @@
 //! deterministically and optionally mirrored to stderr as the run goes.
 //! Emitting them never touches the RNG streams, the queue or the medium,
 //! so a run's trace and metrics are byte-identical at any cadence
-//! (pinned by the `telemetry` integration test).
+//! (pinned by `every_execution_knob_leaves_every_preset_run_identical`).
 
 use crate::time::Time;
 

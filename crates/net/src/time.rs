@@ -62,14 +62,14 @@ impl Time {
         self.0
     }
 
-    /// This instant advanced by `seconds`.
+    /// This instant advanced by `seconds`, saturating like [`Time::after_nanos`].
     pub fn after_secs(self, seconds: f64) -> Time {
-        Time(self.0 + Time::from_secs(seconds).0)
+        self.after_nanos(Time::from_secs(seconds).0)
     }
 
-    /// This instant advanced by `nanos` nanoseconds.
+    /// This instant advanced by `nanos` ns, saturating: a wrapped sum would pop before `self`.
     pub fn after_nanos(self, nanos: u64) -> Time {
-        Time(self.0 + nanos)
+        Time(self.0.saturating_add(nanos))
     }
 
     /// The elapsed time since `earlier`, saturating at zero.
@@ -102,6 +102,15 @@ mod tests {
         assert_eq!(t.as_nanos(), 1_250_000_010);
         assert_eq!(t.since(Time::from_secs(1.0)).as_nanos(), 250_000_010);
         assert_eq!(Time::ZERO.since(t), Time::ZERO);
+    }
+
+    #[test]
+    fn advancing_saturates_at_the_last_instant() {
+        let late = Time::from_nanos(u64::MAX - 5);
+        assert_eq!(late.after_nanos(10), Time(u64::MAX));
+        assert_eq!(late.after_secs(9.3e9), Time(u64::MAX));
+        assert_eq!(Time(u64::MAX).after_nanos(u64::MAX), Time(u64::MAX));
+        assert!(late.after_nanos(10) > late);
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //! `cargo bench … --`) serve the CI perf trajectory:
 //!
 //! * `--json` — after each human-readable line, also emit one JSON object
-//!   per benchmark (`{"bench":…,"mean_ns":…,"min_ns":…,"max_ns":…,…}`) so
-//!   a workflow can `grep '^{'` the summaries into an artifact like
-//!   `BENCH_net.json` and diff trajectories across commits.
+//!   per benchmark (`{"bench":…,"mean_ns":…,"median_ns":…,"min_ns":…,
+//!   "max_ns":…,…}`) so a workflow can `grep '^{'` the summaries into an
+//!   artifact like `BENCH_net.json` and diff trajectories across commits.
 //! * `--quick` — cap samples at 10 and shrink the warm-up budget, the
 //!   low-noise-enough tier CI can afford on every push.
 //!
@@ -222,6 +222,11 @@ fn run_benchmark<F>(
     let min = per_iter_ns.first().copied().unwrap_or(0.0);
     let max = per_iter_ns.last().copied().unwrap_or(0.0);
     let mean = per_iter_ns.iter().sum::<f64>() / per_iter_ns.len().max(1) as f64;
+    let median = match per_iter_ns.len() {
+        0 => 0.0,
+        n if n % 2 == 1 => per_iter_ns[n / 2],
+        n => (per_iter_ns[n / 2 - 1] + per_iter_ns[n / 2]) / 2.0,
+    };
     let rate = match throughput {
         Some(Throughput::Elements(n)) if mean > 0.0 => {
             format!("  ({:.3} Melem/s)", n as f64 / mean * 1e3)
@@ -246,9 +251,9 @@ fn run_benchmark<F>(
             None => String::new(),
         };
         println!(
-            "{{\"bench\":\"{name}\",\"mean_ns\":{mean:.1},\"min_ns\":{min:.1},\
-             \"max_ns\":{max:.1},\"samples\":{samples},\"iters_per_sample\":{iters_per_sample}\
-             {throughput_field}}}"
+            "{{\"bench\":\"{name}\",\"mean_ns\":{mean:.1},\"median_ns\":{median:.1},\
+             \"min_ns\":{min:.1},\"max_ns\":{max:.1},\"samples\":{samples},\
+             \"iters_per_sample\":{iters_per_sample}{throughput_field}}}"
         );
     }
 }

@@ -3,11 +3,14 @@
 # mode, e.g. BENCH_net.json or BENCH_phy.json) and print a markdown trend
 # table, flagging regressions.
 #
-# A row whose mean moved past the threshold is flagged only when the two
-# sides' sample ranges `[min_ns, max_ns]` do not overlap; otherwise it
-# reads "within spread", since the quick tier's few samples on a shared
-# runner can move a mean that far by chance. A row without `min_ns` and
-# `max_ns` on both sides is judged on its mean alone.
+# A row's delta is taken on `median_ns` when both sides record it, else
+# on `mean_ns` (summaries written before the shim recorded a median); the
+# table names which. A row that moved past the threshold is flagged only
+# when the two sides' sample ranges `[min_ns, max_ns]` do not overlap;
+# otherwise it reads "within spread", since the quick tier's few samples
+# on a shared runner can move a median or mean that far by chance. A row
+# without `min_ns` and `max_ns` on both sides is judged on its delta
+# alone.
 #
 #   usage: scripts/bench_trend.sh BASE.json HEAD.json [threshold_pct]
 #
@@ -49,6 +52,7 @@ jq -n -r \
   --argjson threshold "$threshold" \
   --arg name "$name" '
   def by_name(rows): rows | map({key: .bench, value: .}) | from_entries;
+  def centre: .median_ns // .mean_ns;
   def apart($b; $h):
     if [$b.min_ns, $b.max_ns, $h.min_ns, $h.max_ns] | any(. == null) then true
     else $h.min_ns > $b.max_ns or $h.max_ns < $b.min_ns end;
@@ -57,16 +61,18 @@ jq -n -r \
   ($names | map(
     . as $n |
     if ($b[$n] and $h[$n]) then
-      (($h[$n].mean_ns / $b[$n].mean_ns - 1) * 100) as $delta |
-      { name: $n, base: $b[$n].mean_ns, head: $h[$n].mean_ns, delta: $delta,
+      (if $b[$n].median_ns and $h[$n].median_ns then "median" else "mean" end) as $stat |
+      $b[$n][$stat + "_ns"] as $base | $h[$n][$stat + "_ns"] as $head |
+      (($head / $base - 1) * 100) as $delta |
+      { name: $n, stat: $stat, base: $base, head: $head, delta: $delta,
         flag: (if ($delta | fabs) < $threshold then ""
                elif apart($b[$n]; $h[$n]) | not then "within spread"
                elif $delta > 0 then "🔺 regression"
                else "🟢 improvement" end) }
     elif $h[$n] then
-      { name: $n, base: null, head: $h[$n].mean_ns, delta: null, flag: "new" }
+      { name: $n, stat: "—", base: null, head: ($h[$n] | centre), delta: null, flag: "new" }
     else
-      { name: $n, base: $b[$n].mean_ns, head: null, delta: null, flag: "removed" }
+      { name: $n, stat: "—", base: ($b[$n] | centre), head: null, delta: null, flag: "removed" }
     end
   )) as $rows |
   def fmt_ns: if . == null then "—"
@@ -81,7 +87,7 @@ jq -n -r \
   (if $n_reg > 0 then "**\($n_reg) regression(s) above threshold, outside the sample spread.**"
    else "No regressions above threshold." end),
   "",
-  "| benchmark | base mean | head mean | Δ | |",
-  "|---|---:|---:|---:|---|",
-  ($rows[] | "| \(.name) | \(.base | fmt_ns) | \(.head | fmt_ns) | \(.delta | fmt_delta) | \(.flag) |")
+  "| benchmark | statistic | base | head | Δ | |",
+  "|---|---|---:|---:|---:|---|",
+  ($rows[] | "| \(.name) | \(.stat) | \(.base | fmt_ns) | \(.head | fmt_ns) | \(.delta | fmt_delta) | \(.flag) |")
 '

@@ -36,6 +36,32 @@ fn every_tag(run: &NetRunResult, holds: impl Fn(&TagStats) -> bool) -> Result<()
     }
 }
 
+/// `Ok` when one scope's sampled `(attempts, delivered)` windows sum to
+/// no more than its `counted` totals and no prefix of them delivers more
+/// than it attempted. In open loop an attempt and its delivery share one
+/// event, so no single window may either; in closed loop the delivery
+/// waits for the ack, and a sample can fall between the two.
+fn windows_within(
+    (scope, index): (&str, usize),
+    windows: impl Iterator<Item = (usize, usize)>,
+    counted: (usize, usize),
+    open_loop: bool,
+) -> Result<(), String> {
+    let mut sum = (0, 0);
+    for (k, (attempts, delivered)) in windows.enumerate() {
+        sum = (sum.0 + attempts, sum.1 + delivered);
+        ensure(
+            sum.1 <= sum.0 && !(open_loop && delivered > attempts),
+            || {
+                format!("{scope} {index}: window {k} delivers {delivered} of {attempts}, {sum:?} so far")
+            },
+        )?;
+    }
+    ensure(sum.0 <= counted.0 && sum.1 <= counted.1, || {
+        format!("{scope} {index}: windows sum to {sum:?} of its counters' {counted:?}")
+    })
+}
+
 /// Every identity a run must keep.
 pub const INVARIANTS: [Invariant; 7] = [
     // Every offered packet was delivered, dropped, or is still queued at
@@ -89,18 +115,37 @@ pub const INVARIANTS: [Invariant; 7] = [
             })
         })
     }),
-    ("occupancy within [0, 1]", |_, run| {
-        let m = &run.metrics;
-        let samples = m.occupancy_series.iter().flatten();
-        let out_of_range = samples
-            .clone()
-            .find(|s| !(0.0..=1.0).contains(&s.occupancy));
-        ensure(out_of_range.is_none(), || format!("{out_of_range:?}"))?;
-        let sampled: usize = samples.map(|s| s.attempts).sum();
-        ensure(sampled <= m.attempts(), || {
-            format!("{sampled} sampled attempts of {}", m.attempts())
-        })
-    }),
+    // Occupancy is a fraction, and every carrier's occupancy windows and
+    // every tag's mobility windows keep to their scope ([`windows_within`]).
+    (
+        "occupancy in [0, 1] and sample windows within their scope",
+        |scenario, run| {
+            let m = &run.metrics;
+            let open_loop = scenario.mac == MacMode::OpenLoop;
+            let out_of_range = m
+                .occupancy_series
+                .iter()
+                .flatten()
+                .find(|s| !(0.0..=1.0).contains(&s.occupancy));
+            ensure(out_of_range.is_none(), || format!("{out_of_range:?}"))?;
+            for (c, series) in m.occupancy_series.iter().enumerate() {
+                let members = scenario.tags.iter().zip(&m.tags);
+                let counted = members
+                    .filter(|(spec, _)| spec.carrier == c)
+                    .fold((0, 0), |(a, d), (_, tag)| {
+                        (a + tag.attempts, d + tag.delivered)
+                    });
+                let windows = series.iter().map(|s| (s.attempts, s.delivered));
+                windows_within(("carrier", c), windows, counted, open_loop)?;
+            }
+            for (t, (series, tag)) in m.mobility_series.iter().zip(&m.tags).enumerate() {
+                let windows = series.iter().map(|s| (s.attempts, s.delivered));
+                let counted = (tag.attempts, tag.delivered);
+                windows_within(("tag", t), windows, counted, open_loop)?;
+            }
+            Ok(())
+        },
+    ),
     ("finite report", |_, run| {
         let report = run.metrics.report();
         ensure(!report.contains("NaN") && !report.contains("inf"), || {

@@ -7,8 +7,9 @@
 //!   untouched; a change here means a preset now builds a different
 //!   deployment, which every downstream digest would silently inherit.
 //! * **Invariants.** Every catalogue row and every edge row (one tag, a
-//!   run shorter than any event, one carrier for a whole fleet), at seeds
-//!   1 and 42, keeps every accounting identity of the invariant table in
+//!   run shorter than any event, one carrier for a whole fleet, a tick
+//!   past the last representable instant), at seeds 1 and 42, keeps
+//!   every accounting identity of the invariant table in
 //!   `tests/common/mod.rs`.
 //! * **Knob neutrality.** No execution knob — trace, profile, progress
 //!   cadence, shard count — changes what a run computes: each knobbed run
@@ -95,8 +96,9 @@ fn presets_and_variants_match_their_pinned_digests() {
 }
 
 /// Edge rows the catalogue's pinned sizes never reach: one tag, open and
-/// closed loop, at full length and cut shorter than any event, and one
-/// carrier for a whole campus fleet.
+/// closed loop, at full length and cut shorter than any event, one
+/// carrier for a whole campus fleet, and a valid scenario whose second
+/// mobility tick lies past the last representable nanosecond.
 fn edge_cases() -> Vec<(&'static str, Scenario)> {
     let open = Scenario::hospital_ward(1);
     let closed = open.clone().closed_loop();
@@ -106,6 +108,15 @@ fn edge_cases() -> Vec<(&'static str, Scenario)> {
     };
     let campus = Scenario::campus(256);
     assert_eq!(campus.carriers.len(), 1);
+    let mut overflow = Scenario::walking_ward(2);
+    overflow.duration_s = 1e10;
+    for carrier in &mut overflow.carriers {
+        carrier.slot_interval_s = 1e9;
+    }
+    for tag in &mut overflow.tags {
+        tag.arrival_rate_pps = 1e-12;
+    }
+    overflow.mobility.as_mut().unwrap().tick_interval_s = 9.3e9;
     vec![
         ("hospital_ward(1)", open.clone()),
         ("hospital_ward(1).closed_loop()", closed.clone()),
@@ -115,6 +126,7 @@ fn edge_cases() -> Vec<(&'static str, Scenario)> {
             cut(&closed, 1e-6),
         ),
         ("campus(256)", campus),
+        ("walking_ward(2) ticking past u64::MAX ns", overflow),
     ]
 }
 
