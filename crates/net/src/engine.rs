@@ -286,6 +286,12 @@ pub(crate) struct EngineCore<'a> {
     mac_loop: Option<MacLoop>,
     tags: Vec<TagState>,
     carriers: Vec<CarrierState>,
+    /// Per carrier, the instant of the slot that put it to sleep, while
+    /// it sleeps: no member holds a queued packet and no next slot is
+    /// scheduled until an arrival wakes it ([`EngineCore::on_arrival`]).
+    /// Empty in coex runs, whose carriers sample the medium every slot
+    /// and never sleep.
+    asleep: Vec<Option<Time>>,
     mobility: Option<MobilityRuntime>,
     coex: Option<CoexRuntime<'a>>,
     /// Self-profiling recorder, `Some` only when the scenario enables
@@ -397,6 +403,10 @@ impl<'a> EngineCore<'a> {
         }
         queue.schedule(horizon, EventKind::Horizon);
 
+        let asleep = match coex {
+            Some(_) => Vec::new(),
+            None => vec![None; carriers.len()],
+        };
         if let (Some(p), Some(tok)) = (prof.as_mut(), init_tok) {
             p.end(tok);
         }
@@ -412,6 +422,7 @@ impl<'a> EngineCore<'a> {
             mac_loop,
             tags,
             carriers,
+            asleep,
             mobility,
             coex,
             prof,
@@ -503,9 +514,10 @@ impl<'a> EngineCore<'a> {
     }
 
     /// A tag's application produced a packet: queue it (or drop it on a
-    /// full queue) and draw the next arrival from the tag's own stream.
+    /// full queue), wake its carrier if it sleeps, and draw the next
+    /// arrival from the tag's own stream.
     fn on_arrival(&mut self, tag: usize, now: Time) {
-        let rate = self.scenario.tags[tag].arrival_rate_pps;
+        let spec = &self.scenario.tags[tag];
         let state = &mut self.tags[tag];
         self.metrics.tags[tag].offered += 1;
         if state.queue.len() < self.scenario.max_queue {
@@ -516,26 +528,44 @@ impl<'a> EngineCore<'a> {
             let depth = state.queue.len();
             self.trace
                 .record(now, || format!("tag {tag} arrival (queue {depth})"));
+            if let Some(slept) = self.asleep.get_mut(spec.carrier).and_then(Option::take) {
+                self.wake(spec.carrier, slept, now);
+            }
         } else {
             self.metrics.tags[tag].dropped += 1;
             self.trace
                 .record(now, || format!("tag {tag} arrival dropped (queue full)"));
         }
-        let dt = streams::exponential_s(&mut state.rng, rate);
+        let dt = streams::exponential_s(&mut self.tags[tag].rng, spec.arrival_rate_pps);
         self.queue
             .schedule(now.after_secs(dt), EventKind::PacketArrival { tag });
+    }
+
+    /// Wakes `carrier`, asleep since its slot at `slept`, for a packet
+    /// queued at `now`: schedules the first slot of its grid at or after
+    /// `now` (a slot on `now`'s own nanosecond pops after the arrival and
+    /// serves it) and replays the scheduler steps of the slots skipped in
+    /// between, which would have found nothing queued.
+    fn wake(&mut self, carrier: usize, slept: Time, now: Time) {
+        let state = &mut self.carriers[carrier];
+        let interval = state.slot_interval_ns;
+        let k = now.since(slept).as_nanos().div_ceil(interval).max(1);
+        state.sched.idle_slots(k - 1);
+        self.queue.schedule(
+            slept.after_nanos(k.saturating_mul(interval)),
+            EventKind::CarrierSlot { carrier },
+        );
     }
 
     /// A carrier slot: the scheduler picks a backlogged member and, if the
     /// band of the slot's first frame is free, the slot is granted and that
     /// frame goes on the air — the uplink packet itself in open loop, the
-    /// AM-OFDM poll in closed loop.
+    /// AM-OFDM poll in closed loop. The carrier then schedules its next
+    /// slot, one interval on, unless it falls asleep: outside coex runs, a
+    /// slot that finds no member holding a queued packet (a closed-loop
+    /// packet stays queued until its ack) schedules none.
     fn on_slot(&mut self, carrier: usize, now: Time) {
         let scenario = self.scenario;
-        self.queue.schedule(
-            now.after_nanos(self.carriers[carrier].slot_interval_ns),
-            EventKind::CarrierSlot { carrier },
-        );
         // Coex scenarios: sample the receive-side channel load into the
         // carrier's EWMAs and — on the policy cadence — maybe re-tune the
         // carrier and its tags to the least-occupied sub-band.
@@ -550,13 +580,28 @@ impl<'a> EngineCore<'a> {
             (!state.queue.is_empty() && mac.is_none_or(|m| m.is_idle(t)))
                 .then(|| state.queue.front().expect("backlogged").arrived)
         };
-        let picked = self.carriers[carrier].sched.pick(
+        let state = &mut self.carriers[carrier];
+        let picked = state.sched.pick(
             &backlog,
             &SlotView {
                 now,
                 links: &self.links,
             },
         );
+        let idle = || {
+            state
+                .sched
+                .members()
+                .iter()
+                .all(|&t| tags[t].queue.is_empty())
+        };
+        match self.asleep.get_mut(carrier) {
+            Some(asleep) if picked.is_none() && idle() => *asleep = Some(now),
+            _ => self.queue.schedule(
+                now.after_nanos(state.slot_interval_ns),
+                EventKind::CarrierSlot { carrier },
+            ),
+        }
         let Some(tag) = picked else {
             return;
         };
@@ -1609,14 +1654,22 @@ mod tests {
                 0x2E0F_8E80_91EC_18D0,
             ),
         ];
-        for (what, scenario, seed, expect) in cases {
-            let result = run(&scenario, seed);
-            let digest = result.trace.digest();
-            assert_eq!(
-                digest, expect,
-                "{what}: trace digest {digest:#018X} != pre-extraction {expect:#018X}"
-            );
-        }
+        // Every case runs before one comparison, so a change that moves
+        // several digests names them all.
+        let got: Vec<String> = cases
+            .iter()
+            .map(|(what, scenario, seed, _)| {
+                format!("{what}: {:#018X}", run(scenario, *seed).trace.digest())
+            })
+            .collect();
+        let want: Vec<String> = cases
+            .iter()
+            .map(|(what, _, _, expect)| format!("{what}: {expect:#018X}"))
+            .collect();
+        assert_eq!(
+            got, want,
+            "trace digests moved from the pre-extraction pins"
+        );
     }
 
     #[test]
@@ -1735,14 +1788,19 @@ mod tests {
                 0x6217_9E49_3798_3BEF,
             ),
         ];
-        for (what, scenario, expect) in cases {
-            let result = run(&scenario, 42);
-            let digest = result.trace.digest();
-            assert_eq!(
-                digest, expect,
-                "{what}: trace digest {digest:#018X} != pre-refactor {expect:#018X}"
-            );
-        }
+        // Every case runs before one comparison, so a change that moves
+        // several digests names them all.
+        let got: Vec<String> = cases
+            .iter()
+            .map(|(what, scenario, _)| {
+                format!("{what}: {:#018X}", run(scenario, 42).trace.digest())
+            })
+            .collect();
+        let want: Vec<String> = cases
+            .iter()
+            .map(|(what, _, expect)| format!("{what}: {expect:#018X}"))
+            .collect();
+        assert_eq!(got, want, "trace digests moved from the pre-refactor pins");
     }
 
     #[test]

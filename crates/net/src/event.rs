@@ -1,28 +1,34 @@
 //! The event queue and the trace it leaves behind.
 //!
-//! Events are ordered by `(time, sequence)`: the sequence number is the
-//! order of scheduling, so ties at the same nanosecond resolve identically
-//! on every run. The queue keeps two lanes under one sequence counter:
+//! Events are ordered by time. At a shared nanosecond, every event but a
+//! carrier slot pops in scheduling order (its sequence number), and the
+//! [`EventKind::CarrierSlot`]s pop after them, in carrier order. A slot's
+//! place therefore does not depend on when it was scheduled: a ticking
+//! carrier schedules its next slot one interval ahead, from the slot
+//! before, while a sleeping carrier (no member holds a queued packet, see
+//! [`crate::engine`]) has it scheduled by the arrival that wakes it. Both
+//! pop at the same place, and an arrival on a grid nanosecond is served
+//! by that slot. The queue keeps two lanes under one sequence counter:
 //!
-//! * **The slot lane.** [`EventKind::CarrierSlot`] events sit in a
-//!   `VecDeque` kept sorted by `(at, seq)`. A carrier offers one slot per
-//!   slot interval (§2.3), and a slot re-schedules itself one interval
-//!   after it fires. Every preset gives all its carriers one interval, so
-//!   a new slot is never earlier than the lane's tail: it is a
-//!   `push_back`, and its pop a `pop_front`. A slot that is earlier (the
-//!   staggered first slots, or a scenario that mixes intervals) goes in
-//!   by binary search.
+//! * **The slot lane.** Carrier slots sit in a `VecDeque` kept sorted by
+//!   `(at, carrier)`. A carrier offers one slot per slot interval (§2.3)
+//!   while it ticks. Every preset gives all its carriers one interval, so
+//!   a re-scheduled slot is almost never earlier than the lane's tail: it
+//!   is a `push_back`, and its pop a `pop_front`. A slot that is earlier
+//!   (the staggered first slots, a woken carrier's slot, or a scenario
+//!   that mixes intervals) goes in by binary search.
 //! * **The heap.** Every other event sits in an implicit **4-ary
-//!   min-heap** over a `Vec<Event>`: `schedule` sifts up and `pop` sifts
-//!   a hole down from the root, both O(log₄ n).
+//!   min-heap** over a `Vec<Event>`, ordered by `(at, seq)`: `schedule`
+//!   sifts up and `pop` sifts a hole down from the root, both O(log₄ n).
 //!
-//! `pop` returns the earlier of the lane's front and the heap's root by
-//! the same `(at, seq)` key, so the pop order is the exact `(at, seq)`
-//! total order — the byte-identical-trace contract pins it. The
+//! `pop` returns the lane's front only when it is strictly earlier than
+//! the heap's root, so the pop order is exactly `Ord for Event` — the
+//! byte-identical-trace contract pins it. The
 //! `queue_matches_reference_heap` and `slot_lane_matches_reference_heap`
 //! property tests drive random streams through this queue and a `std`
-//! binary heap side by side, the latter with periodic slot streams at two
-//! intervals and exact-nanosecond ties between the lanes.
+//! binary heap keyed by the rule spelled out separately, side by side,
+//! the latter with periodic slot streams at two intervals and
+//! exact-nanosecond ties between the lanes.
 //!
 //! A queue built for a run (`EventQueue::until`) also never stores an
 //! event later than the run's horizon, since it could only pop after the
@@ -52,9 +58,13 @@
 //! L2: there a binary heap's 17-level pops
 //! cost +15–22% in the event loop (not in set-up), and the 4-ary layout's
 //! halved depth, with siblings on adjacent cache lines, wins it back.
-//! Slots are 2.78M of ward's 2.94M events at seed 1, and nearly all of
-//! them find no backlogged tag and return at once, so a heap push and pop
-//! per slot was most of the loop; the lane makes it a copy at each end.
+//! When the lane was measured, slots were 2.78M of ward's 2.94M events at
+//! seed 1, and 97% of them found no backlogged tag and returned at once,
+//! so a heap push and pop per slot was most of the loop; the lane made it
+//! a copy at each end. Idle carriers now sleep: at seed 1 ward runs 0.83M
+//! events and 0.67M slots, 0.60M of them from the coex ward's carriers,
+//! which sense the medium every slot and never sleep. Whether the lane
+//! still pays for its lines has not been measured since.
 
 use crate::time::Time;
 use std::collections::VecDeque;
@@ -160,15 +170,32 @@ impl EventKind {
 pub struct Event {
     /// When the event fires.
     pub at: Time,
-    /// Scheduling order, used as a deterministic tie-break.
+    /// Scheduling order, the tie-break between events that are not
+    /// carrier slots.
     pub seq: u64,
     /// What fires.
     pub kind: EventKind,
 }
 
 impl Ord for Event {
+    /// Earlier first. At one nanosecond, every event but a carrier slot
+    /// pops in scheduling order (`seq`), then the slots pop in carrier
+    /// order: a slot's place never depends on when it was scheduled, so
+    /// an arrival on a slot's nanosecond is always served by that slot.
+    /// (Two slots of one carrier at one instant, which the engine never
+    /// schedules, fall back to `seq`.)
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
+        use std::cmp::Ordering;
+        self.at
+            .cmp(&other.at)
+            .then_with(|| match (self.kind, other.kind) {
+                (EventKind::CarrierSlot { carrier: a }, EventKind::CarrierSlot { carrier: b }) => {
+                    a.cmp(&b).then(self.seq.cmp(&other.seq))
+                }
+                (EventKind::CarrierSlot { .. }, _) => Ordering::Greater,
+                (_, EventKind::CarrierSlot { .. }) => Ordering::Less,
+                _ => self.seq.cmp(&other.seq),
+            })
     }
 }
 
@@ -184,24 +211,27 @@ impl PartialOrd for Event {
 /// path.
 const ARITY: usize = 4;
 
-/// The `(at, seq)` order of `Ord for Event` as one integer, so a sibling
-/// comparison is a single compare the sift-down can select on.
+/// The heap's `(at, seq)` order as one integer, so a sibling comparison
+/// is a single compare the sift-down can select on. The heap holds no
+/// carrier slot, and among the other events this is `Ord for Event`.
 #[inline]
 fn key(e: &Event) -> u128 {
     (u128::from(e.at.0) << 64) | u128::from(e.seq)
 }
 
-/// A deterministic event queue over `(at, seq)`: carrier slots in a
-/// sorted FIFO lane, every other event in an implicit 4-ary min-heap.
+/// A deterministic event queue in the order of `Ord for Event`: carrier
+/// slots in a sorted FIFO lane, every other event in an implicit 4-ary
+/// min-heap.
 ///
 /// `heap[0]` is the earliest pending non-slot event; the children of
 /// `heap[i]` are `heap[4i + 1 ..= 4i + 4]`, each no earlier than their
 /// parent. `slots` holds the pending [`EventKind::CarrierSlot`]s sorted by
-/// `(at, seq)`, so its front is the earliest slot. Sequence numbers are
-/// unique and globally monotone across both, so `(at, seq)` is a total
-/// order and the pop order is fully determined by the schedule stream —
-/// same-instant events resolve in scheduling order, and an event
-/// scheduled behind the last pop simply pops next.
+/// `(at, carrier)`, so its front is the first slot to pop. Sequence
+/// numbers are unique and globally monotone across both, so the order is
+/// total and the pop order is fully determined by the schedule stream —
+/// same-instant non-slot events resolve in scheduling order, slots after
+/// them in carrier order, and an event scheduled behind the last pop
+/// simply pops next.
 #[derive(Debug)]
 pub struct EventQueue {
     heap: Vec<Event>,
@@ -250,13 +280,13 @@ impl EventQueue {
             return;
         }
         if let EventKind::CarrierSlot { .. } = kind {
-            // `e` has the largest seq yet, so it goes after every slot at
-            // or before `at`: the tail when all carriers share one slot
-            // interval, a binary-searched insert otherwise.
-            if self.slots.back().is_none_or(|last| last.at <= at) {
+            // `e` goes after every slot that pops before it: the tail when
+            // all carriers share one slot interval, a binary-searched
+            // insert otherwise.
+            if self.slots.back().is_none_or(|last| *last <= e) {
                 self.slots.push_back(e);
             } else {
-                let i = self.slots.partition_point(|s| s.at <= at);
+                let i = self.slots.partition_point(|s| *s <= e);
                 self.slots.insert(i, e);
             }
             return;
@@ -276,10 +306,11 @@ impl EventQueue {
         self.heap[hole] = e;
     }
 
-    /// Pops the earliest event; ties resolve in scheduling order.
+    /// Pops the first event by `Ord for Event`: the earliest, and at a
+    /// shared nanosecond every other event before the carrier slots.
     pub fn pop(&mut self) -> Option<Event> {
         if let Some(slot) = self.slots.front() {
-            if self.heap.first().is_none_or(|root| key(slot) < key(root)) {
+            if self.heap.first().is_none_or(|root| slot.at < root.at) {
                 return self.slots.pop_front();
             }
         }
@@ -441,14 +472,26 @@ mod tests {
         assert_eq!(std::mem::size_of::<Event>(), 48);
     }
 
+    /// The tie rule spelled out as a sort key, apart from `Ord for
+    /// Event`: time, then every non-slot event (rank 0) before the slots
+    /// (rank 1 + carrier), then scheduling order.
+    fn reference_key(e: &Event) -> (Time, usize, u64) {
+        let rank = match e.kind {
+            EventKind::CarrierSlot { carrier } => 1 + carrier,
+            _ => 0,
+        };
+        (e.at, rank, e.seq)
+    }
+
     /// The queue under test beside a reference — `std`'s binary heap over
-    /// the same `(at, seq)` order, with its own sequence counter. Every
-    /// schedule goes to both; every pop must agree.
+    /// [`reference_key`], with its own sequence counter. Every schedule
+    /// goes to both; every pop must agree.
     #[derive(Default)]
     struct Twin {
         queue: EventQueue,
-        reference: BinaryHeap<Reverse<Event>>,
-        next_seq: u64,
+        reference: BinaryHeap<Reverse<(Time, usize, u64)>>,
+        /// Every scheduled event, indexed by its sequence number.
+        scheduled: Vec<Event>,
     }
 
     impl Twin {
@@ -459,15 +502,20 @@ mod tests {
         fn schedule_kind(&mut self, at: u64, kind: EventKind) {
             let at = Time(at);
             self.queue.schedule(at, kind);
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.reference.push(Reverse(Event { at, seq, kind }));
+            let e = Event {
+                at,
+                seq: self.scheduled.len() as u64,
+                kind,
+            };
+            self.scheduled.push(e);
+            self.reference.push(Reverse(reference_key(&e)));
             assert_eq!(self.queue.len(), self.reference.len());
         }
 
         /// The reference's next event.
         fn expected(&mut self) -> Option<Event> {
-            self.reference.pop().map(|Reverse(e)| e)
+            let Reverse((_, _, seq)) = self.reference.pop()?;
+            Some(self.scheduled[seq as usize])
         }
 
         /// Pops both; they must agree.
@@ -562,9 +610,10 @@ mod tests {
         // re-schedules itself one interval later) interleaved with Poisson
         // arrivals. Two intervals are mixed, so a re-scheduled slot can
         // land before the lane's tail, and carriers share priming offsets,
-        // so slots tie each other. Arrivals often land on the exact
-        // nanosecond of a pending slot or of the instant just popped, so
-        // lane and heap events tie and only `seq` orders them.
+        // so slots tie each other and pop in carrier order. Arrivals often
+        // land on the exact nanosecond of a pending slot, scheduled after
+        // it, or of the instant just popped, so lane and heap events tie
+        // and the arrival must pop first.
         const INTERVALS: [u64; 2] = [1_000_000, 1_500_000];
         for trial in 0..10u64 {
             #[expect(
@@ -617,27 +666,52 @@ mod tests {
 
     #[test]
     fn slot_lane_inserts_behind_equal_slots() {
-        // A slot earlier than the lane's tail goes in after every slot at
-        // or before its instant; a heap event at the same instant pops
-        // between them by seq.
+        // A slot earlier than the lane's tail goes in behind every slot at
+        // an earlier instant, or at its own instant with a lower carrier,
+        // whenever either was scheduled; a heap event at the same instant
+        // pops before all of them.
         let mut q = EventQueue::new();
         q.schedule(Time(100), EventKind::CarrierSlot { carrier: 0 });
         q.schedule(Time(300), EventKind::CarrierSlot { carrier: 1 });
-        q.schedule(Time(200), EventKind::CarrierSlot { carrier: 2 });
-        q.schedule(Time(200), EventKind::PacketArrival { tag: 0 });
         q.schedule(Time(200), EventKind::CarrierSlot { carrier: 3 });
+        q.schedule(Time(200), EventKind::PacketArrival { tag: 0 });
+        q.schedule(Time(200), EventKind::CarrierSlot { carrier: 2 });
         q.schedule(Time(100), EventKind::CarrierSlot { carrier: 4 });
-        assert_eq!(q.len(), 6);
+        q.schedule(Time(200), EventKind::CarrierSlot { carrier: 5 });
+        assert_eq!(q.len(), 7);
         let order: Vec<EventKind> = std::iter::from_fn(|| q.pop()).map(|e| e.kind).collect();
         assert_eq!(
             order,
             [
                 EventKind::CarrierSlot { carrier: 0 },
                 EventKind::CarrierSlot { carrier: 4 },
-                EventKind::CarrierSlot { carrier: 2 },
                 EventKind::PacketArrival { tag: 0 },
+                EventKind::CarrierSlot { carrier: 2 },
                 EventKind::CarrierSlot { carrier: 3 },
+                EventKind::CarrierSlot { carrier: 5 },
                 EventKind::CarrierSlot { carrier: 1 },
+            ]
+        );
+    }
+
+    #[test]
+    fn an_arrival_on_a_slot_nanosecond_pops_first() {
+        // The slot was scheduled first and the arrival long after it, and
+        // still the arrival pops first: the slot that falls on an
+        // arrival's nanosecond serves it, however the slot was scheduled.
+        let mut q = EventQueue::new();
+        q.schedule(Time(5_000_000), EventKind::CarrierSlot { carrier: 0 });
+        q.schedule(Time(1_000), EventKind::MobilityTick);
+        assert_eq!(q.pop().unwrap().kind, EventKind::MobilityTick);
+        q.schedule(Time(5_000_000), EventKind::PacketArrival { tag: 7 });
+        q.schedule(Time(5_000_000), EventKind::Horizon);
+        let order: Vec<EventKind> = std::iter::from_fn(|| q.pop()).map(|e| e.kind).collect();
+        assert_eq!(
+            order,
+            [
+                EventKind::PacketArrival { tag: 7 },
+                EventKind::Horizon,
+                EventKind::CarrierSlot { carrier: 0 },
             ]
         );
     }

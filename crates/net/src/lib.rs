@@ -34,22 +34,27 @@
 //!
 //! The engine ([`engine`], run through [`run`]) is a classic discrete-event
 //! simulation: an [`event::EventQueue`] orders [`event::EventKind`]s by
-//! integer-nanosecond timestamps ([`time::Time`]), with a monotone
-//! sequence number breaking ties so the execution order is total and
-//! reproducible (and byte-identical to the single heap, binary heap and
-//! timing wheel that preceded it). Carrier slots, periodic and nearly
-//! every event of a run, go in a sorted FIFO lane; every other kind goes
-//! in a 4-ary min-heap, and a pop takes the earlier head. Eight event kinds
-//! drive everything, each handled by one engine method (a ninth,
-//! `Horizon`, ends the run):
+//! integer-nanosecond timestamps ([`time::Time`]). At a shared
+//! nanosecond, a monotone sequence number orders every event but the
+//! carrier slots, which pop after those in carrier order, so the
+//! execution order is total and reproducible. Carrier slots go in a
+//! sorted FIFO lane; every other kind goes in a 4-ary min-heap, and a pop
+//! takes the earlier head. Eight event kinds drive everything, each
+//! handled by one engine method (a ninth, `Horizon`, ends the run):
 //!
 //! * `PacketArrival` — a tag's application emits a packet and schedules the
-//!   next arrival from its *own* seeded RNG stream.
+//!   next arrival from its *own* seeded RNG stream. An accepted packet
+//!   wakes its carrier if it sleeps.
 //! * `CarrierSlot` — a carrier activates: the scenario's arbitration
 //!   policy ([`sched::SchedPolicy`] — round-robin, proportional-fair,
 //!   deadline-aware or margin-aware) picks a tag, the engine checks the
 //!   medium (CSMA, optionally a CTS-to-Self reservation), and starts a
-//!   transmission.
+//!   transmission. A carrier offers its tags a slot every slot interval,
+//!   but only while one of them holds a queued packet: a slot that finds
+//!   none puts the carrier to sleep (coex runs excepted, whose carriers
+//!   sense the medium every slot), and the arrival that wakes it
+//!   schedules its next slot on the same grid. The helper provides a
+//!   carrier only for a tag with data to send (§2.3.3).
 //! * `TxEnd` — a transmission completes: the [`medium::Medium`] reports
 //!   tag-to-tag collisions (including the *mirror copies* double-sideband
 //!   tags place on the opposite side of the carrier), the link budget

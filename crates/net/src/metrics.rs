@@ -75,6 +75,14 @@ impl TagStats {
 /// One point of a tag's PRR-vs-displacement series, recorded at a mobility
 /// tick: where the tag was relative to its starting position, and how its
 /// attempts fared since the previous tick.
+///
+/// In open loop an attempt and its delivery are counted at one event, so
+/// they always share a sample. In closed loop the attempt is counted when
+/// the response ends and the delivery when the ack ends, so a tick between
+/// the two puts the delivery in the next sample: a sample can read
+/// `delivered > attempts`, even attempts 0 and delivered 1
+/// (`ambulatory_ward(8).closed_loop()` at seed `0xDEC0DE`, at 1.1 s).
+/// Sums over consecutive samples never deliver more than they attempted.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MobilitySample {
     /// Simulated time of the tick, seconds.
@@ -88,8 +96,11 @@ pub struct MobilitySample {
 }
 
 impl MobilitySample {
-    /// Packet reception ratio over the tick's attempts (`None` when the
-    /// tag did not transmit in this tick).
+    /// Packet reception ratio over the tick's attempts: `None` when no
+    /// attempt was counted in this tick. In closed loop that includes a
+    /// tick that only counted the delivery of an attempt made in the tick
+    /// before, and a ratio can exceed 1 (see [`MobilitySample`]); pool
+    /// several samples for a closed-loop PRR.
     pub fn prr(&self) -> Option<f64> {
         (self.attempts > 0).then(|| self.delivered as f64 / self.attempts as f64)
     }
@@ -100,6 +111,10 @@ impl MobilitySample {
 /// estimator reads on its own stripe, and how its member tags' attempts
 /// fared since the previous sample — the raw material of the
 /// PRR-under-congestion readout.
+///
+/// The counts are windowed like [`MobilitySample`]'s: in closed loop a
+/// delivery is counted at its ack, so it can fall in the sample after its
+/// attempt, and one sample can read more deliveries than attempts.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OccupancySample {
     /// Simulated time of the sample, seconds.

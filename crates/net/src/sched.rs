@@ -212,6 +212,16 @@ fn advance(cursor: &mut usize, members: &[usize], granted: usize) {
     }
 }
 
+/// One proportional-fair EWMA step: fold in whatever was delivered since
+/// the previous slot (zero for idle members — their average decays, so
+/// their score recovers).
+fn pf_step(a: f64, ewma_bits: &mut [f64], pending_bits: &mut [f64]) {
+    for (ewma, pending) in ewma_bits.iter_mut().zip(pending_bits.iter_mut()) {
+        *ewma = (1.0 - a) * *ewma + a * *pending;
+        *pending = 0.0;
+    }
+}
+
 /// Per-policy runtime state: what each [`SchedPolicy`] keeps between
 /// slots.
 #[derive(Debug, Clone)]
@@ -308,7 +318,9 @@ impl CarrierSched {
     /// Picks the member to grant this slot, or `None` when no member is
     /// eligible. Deterministic (no RNG); ties go to the lower member
     /// position. May update per-slot state (EWMA decay, skip counters) —
-    /// the engine calls this exactly once per carrier slot.
+    /// the engine calls this exactly once per carrier slot that fires, and
+    /// [`CarrierSched::idle_slots`] once for the slots a sleeping carrier
+    /// skipped.
     pub fn pick(&mut self, backlog: &Backlog, view: &SlotView) -> Option<usize> {
         let members = &self.members;
         match &mut self.state {
@@ -320,14 +332,7 @@ impl CarrierSched {
                 ewma_bits,
                 pending_bits,
             } => {
-                // One EWMA step per slot: fold in whatever was delivered
-                // since the previous slot (zero for idle members — their
-                // average decays, so their score recovers).
-                let a = *ewma_alpha;
-                for (ewma, pending) in ewma_bits.iter_mut().zip(pending_bits.iter_mut()) {
-                    *ewma = (1.0 - a) * *ewma + a * *pending;
-                    *pending = 0.0;
-                }
+                pf_step(*ewma_alpha, ewma_bits, pending_bits);
                 let mut best: Option<(usize, f64)> = None;
                 for (i, &t) in members.iter().enumerate() {
                     if backlog(t).is_none() {
@@ -373,6 +378,35 @@ impl CarrierSched {
                         && (slots_since_grant[i] >= params.max_skip_slots
                             || view.links.uplink_margin_db(t) >= params.min_margin_db)
                 })
+            }
+        }
+    }
+
+    /// Replays `n` slots in which no member was backlogged — the slots a
+    /// sleeping carrier skipped ([`crate::engine`]) — leaving the policy
+    /// state exactly as `n` calls of [`CarrierSched::pick`] with an empty
+    /// backlog would: round robin and EDF keep no per-slot state,
+    /// margin-aware counts every slot toward each member's starvation
+    /// bound, and proportional fair takes `n` EWMA steps.
+    pub fn idle_slots(&mut self, n: u64) {
+        match &mut self.state {
+            SchedState::RoundRobin { .. } | SchedState::DeadlineAware { .. } => {}
+            SchedState::ProportionalFair {
+                ewma_alpha,
+                ewma_bits,
+                pending_bits,
+            } => {
+                for _ in 0..n {
+                    pf_step(*ewma_alpha, ewma_bits, pending_bits);
+                }
+            }
+            SchedState::MarginAware {
+                slots_since_grant, ..
+            } => {
+                let n = u32::try_from(n).unwrap_or(u32::MAX);
+                for slots in slots_since_grant.iter_mut() {
+                    *slots = slots.saturating_add(n);
+                }
             }
         }
     }
@@ -597,6 +631,54 @@ mod tests {
             assert_eq!(t, expect);
             open.granted(t, Time(0), &view);
         }
+    }
+
+    #[test]
+    fn idle_slots_replay_empty_picks() {
+        let (_, links) = fixture();
+        let view = SlotView {
+            now: Time(0),
+            links: &links,
+        };
+        let all = backlog_at(&[0, 1], 0);
+        let none = backlog_at(&[], 0);
+        for policy in [
+            SchedPolicy::RoundRobin,
+            SchedPolicy::proportional_fair(),
+            SchedPolicy::deadline_aware(),
+            SchedPolicy::margin_aware(),
+        ] {
+            // Some history first, so the replay starts from live state:
+            // a grant, a delivery credit, and a pick that folds it in.
+            let mut picked = CarrierSched::new(policy, vec![0, 1], 0);
+            let t = picked.pick(&all, &view).unwrap();
+            picked.granted(t, Time(0), &view);
+            picked.delivered(t, 248);
+            let mut replayed = picked.clone();
+            for n in [0u64, 1, 7, 100] {
+                for _ in 0..n {
+                    assert_eq!(picked.pick(&none, &view), None);
+                }
+                replayed.idle_slots(n);
+                assert_eq!(
+                    format!("{:?}", replayed.state),
+                    format!("{:?}", picked.state),
+                    "{}: {n} idle slots",
+                    policy.slug()
+                );
+            }
+        }
+        // The starvation counters saturate instead of wrapping.
+        let mut starved = CarrierSched::new(SchedPolicy::margin_aware(), vec![0], 0);
+        starved.idle_slots(u64::MAX);
+        starved.idle_slots(1);
+        let SchedState::MarginAware {
+            slots_since_grant, ..
+        } = &starved.state
+        else {
+            unreachable!("margin-aware state");
+        };
+        assert_eq!(slots_since_grant, &[u32::MAX]);
     }
 
     #[test]

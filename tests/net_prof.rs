@@ -163,3 +163,61 @@ fn monte_carlo_pools_per_trial_profiles_in_trial_order() {
         format!("{:?}", plain.trials)
     );
 }
+
+#[test]
+fn idle_carriers_sleep_and_coex_carriers_tick() {
+    // A ticking carrier fires `duration / interval` slots. Outside coex
+    // runs a carrier sleeps from a slot that finds no member holding a
+    // queued packet until an arrival wakes it, so every slot that fires
+    // grants, defers, or puts its carrier to sleep: once at the start and
+    // once per wake, at most, and each wake takes an arrival. (A slot
+    // could also find a closed-loop transaction still in flight, but
+    // every catalogue transaction ends within one slot interval.) This
+    // bound, not a fixed share of the ticking slots, is what every row
+    // meets: `walking_ward(8)`'s fading tags retry so often that 17% of
+    // its slots fire. Coex carriers sample the medium every slot and fire
+    // them all: the catalogue's durations are whole numbers of slot
+    // intervals, and a slot on the horizon's nanosecond pops after it.
+    for (label, scenario) in interscatter::net::scenario::catalogue() {
+        let horizon_ns = (scenario.duration_s * 1e9).round() as u64;
+        let ticking: usize = scenario
+            .carriers
+            .iter()
+            .map(|c| {
+                let interval_ns = (c.slot_interval_s * 1e9).round() as u64;
+                assert_eq!(horizon_ns % interval_ns, 0, "{label}");
+                (horizon_ns / interval_ns) as usize
+            })
+            .sum();
+        let profiled = scenario
+            .clone()
+            .builder()
+            .execution(ExecutionSection::new().trace(false).profile(true))
+            .build()
+            .unwrap();
+        for seed in [1, 42] {
+            let run = interscatter::net::run(&profiled, seed).unwrap();
+            let prof = run.prof.as_ref().expect("profiled run carries a report");
+            let slots = prof
+                .event_kinds
+                .iter()
+                .find(|(name, _)| *name == "CarrierSlot")
+                .map_or(0, |(_, total)| total.count as usize);
+            if scenario.coex.is_some() {
+                assert_eq!(slots, ticking, "{label} seed {seed}: a coex carrier slept");
+                continue;
+            }
+            let m = &run.metrics;
+            let defers: usize = m.tags.iter().map(|t| t.csma_defers).sum();
+            let accounted = m.grants() + defers + scenario.carriers.len() + m.offered_packets();
+            assert!(
+                slots <= accounted,
+                "{label} seed {seed}: {slots} of {ticking} slots fired, more than {} grants, \
+                 {defers} defers, {} carriers and {} arrivals",
+                m.grants(),
+                scenario.carriers.len(),
+                m.offered_packets()
+            );
+        }
+    }
+}
