@@ -1,20 +1,15 @@
-//! Ablation benchmarks for the design choices DESIGN.md calls out:
+//! Ablation benchmarks for the paper's design choices:
 //! square-wave SSB vs ideal quadrature, the guard interval, the shift
-//! frequency, and the two-symbol downlink encoding.
+//! frequency, and the two-symbol downlink encoding. The first three print
+//! their table in the `figures` bench (the catalogue's `ablations` row).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use interscatter_bench::ReportOnce;
 use interscatter_sim::experiments::ablations;
 use interscatter_wifi::ofdm::am::{build_am_frame, decode_downlink_bits, SymbolClass};
 use interscatter_wifi::ofdm::ppdu::{OfdmRate, OfdmTransmitter};
 use rand::SeedableRng;
 
 fn ablation_squarewave(c: &mut Criterion) {
-    let report = ReportOnce::new();
-    let square = ablations::square_wave_ablation().unwrap();
-    let guards = ablations::guard_interval_ablation(&[0.0, 4e-6, 20e-6, 100e-6, 200e-6]);
-    let shifts = ablations::shift_ablation(&[22e6, 35.75e6, 36e6, 60e6]);
-    report.print(&ablations::report(&square, &guards, &shifts));
     c.bench_function("ablation_squarewave", |b| {
         b.iter(|| ablations::square_wave_ablation().unwrap())
     });
@@ -41,7 +36,6 @@ fn ablation_downlink_encoding(c: &mut Criterion) {
     // decode accuracy of each under clean conditions. The two-symbol pairing
     // gives every bit a reference symbol; the one-symbol variant has to use a
     // global threshold and mis-decodes runs of identical bits.
-    let report = ReportOnce::new();
     let tx = OfdmTransmitter::new(OfdmRate::Mbps36, 0x2D);
     let bits: Vec<u8> = (0..48).map(|i| ((i / 5) % 2) as u8).collect();
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xAB);
@@ -72,9 +66,9 @@ fn ablation_downlink_encoding(c: &mut Criterion) {
         .zip(&schedule)
         .filter(|(a, b)| a != b)
         .count();
-    report.print(&format!(
-        "Ablation: downlink bit encoding (48 bits)\n  two-symbol pairing errors: {two_symbol_errors}\n  one-symbol-per-bit class errors: {one_symbol_errors}\n"
-    ));
+    println!(
+        "\nAblation: downlink bit encoding (48 bits)\n  two-symbol pairing errors: {two_symbol_errors}\n  one-symbol-per-bit class errors: {one_symbol_errors}\n"
+    );
 
     c.bench_function("ablation_downlink_encoding", |b| {
         b.iter(|| {

@@ -429,32 +429,31 @@ impl<'a> EngineCore<'a> {
         })
     }
 
-    /// The event loop: pops every event in `(at, seq)` order up to and
-    /// including the horizon, emits any progress line that falls due, and
-    /// hands the event to the one handler of its kind. A profiled run
-    /// records the whole loop as one `"epoch"` span, the phase name the
-    /// benchmark's event-loop metrics read, and marks every dispatch for
-    /// the per-kind totals ([`Profiler::dispatch`]).
+    /// The event loop: pops every event in queue order up to and including
+    /// the horizon, emits the progress lines of the cadence boundaries it
+    /// reaches, and hands the event to the one handler of its kind. A
+    /// profiled run records the whole loop as one `"epoch"` span, the
+    /// phase name the benchmark's event-loop metrics read, and marks every
+    /// dispatch for the per-kind totals ([`Profiler::dispatch`]).
     pub(crate) fn run(&mut self) {
         let epoch_tok = self.prof.as_mut().map(|p| p.begin("epoch"));
         while let Some(event) = self.queue.pop() {
-            self.events += 1;
-            if let Some(p) = self.prof.as_mut() {
-                p.dispatch(&event.kind);
-            }
             if let Some(p) = self.progress.as_mut() {
-                // One status line per elapsed cadence period, driven by
-                // simulated time so the output is deterministic (events
-                // per *simulated* second, no wall clock).
-                if p.due(event.at) {
+                // One status line per cadence boundary this event reaches,
+                // with the counts held before it: simulated time only, so
+                // the output is deterministic.
+                while p.due(event.at) {
                     p.emit(
-                        event.at,
                         self.events,
                         self.metrics.attempts(),
                         self.metrics.delivered_packets(),
                         self.metrics.restripes(),
                     );
                 }
+            }
+            self.events += 1;
+            if let Some(p) = self.prof.as_mut() {
+                p.dispatch(&event.kind);
             }
             let now = event.at;
             match event.kind {

@@ -150,6 +150,9 @@ impl ExecutionConfig {
     }
 }
 
+/// The most progress lines a run may print (duration ÷ cadence).
+const MAX_PROGRESS_LINES: f64 = 1e6;
+
 /// Checks a Wi-Fi or ZigBee channel number against its band plan, so a
 /// sink or coex source on a channel the frequency helpers reject is
 /// refused at build time instead of panicking mid-run. Tags need no check
@@ -295,6 +298,16 @@ impl Scenario {
         self.execution
             .validate()
             .map_err(|e| NetError::InvalidScenario(format!("execution: {e}")))?;
+        if let Some(every) = self.execution.progress_every_s {
+            // One progress line per cadence boundary in the run.
+            if self.duration_s / every > MAX_PROGRESS_LINES {
+                return Err(NetError::InvalidScenario(format!(
+                    "execution: progress cadence {every} s over {} s would print more than \
+                     {MAX_PROGRESS_LINES} lines",
+                    self.duration_s
+                )));
+            }
+        }
         Ok(())
     }
 
@@ -1801,7 +1814,7 @@ mod tests {
             speed_max_mps: 1.5,
             pause_s: 0.5,
         };
-        let cases: [(&str, Edit); 30] = [
+        let cases: [(&str, Edit); 31] = [
             ("NaN duration", |s| s.duration_s = f64::NAN),
             ("NaN slot interval", |s| {
                 s.carriers[0].slot_interval_s = f64::NAN
@@ -1878,6 +1891,9 @@ mod tests {
             }),
             ("NaN progress cadence", |s| {
                 s.execution.progress_every_s = Some(f64::NAN)
+            }),
+            ("more than a million progress lines", |s| {
+                s.execution.progress_every_s = Some(1e-9)
             }),
             ("NaN walk speed", |s| {
                 s.mobility = walk(MobilityModel::RandomWalk(RandomWalk {

@@ -5,8 +5,11 @@
 //!
 //! A progress line is a periodic one-line run status (sim-time, events
 //! processed, events per simulated second, live PRR, re-stripe count),
-//! emitted on the simulated-time cadence set by
-//! [`crate::scenario::ExecutionSection::progress`]. Lines are collected
+//! one per boundary of the simulated-time cadence set by
+//! [`crate::scenario::ExecutionSection::progress`]. The first event at or
+//! past a boundary emits its line, stamped at the boundary with the counts
+//! held before that event, so a run prints duration ÷ cadence lines however
+//! sparse its events are (`Scenario::validate` caps that at a million). Lines are collected
 //! deterministically and optionally mirrored to stderr as the run goes.
 //! Emitting them never touches the RNG streams, the queue or the medium,
 //! so a run's trace and metrics are byte-identical at any cadence
@@ -36,11 +39,12 @@ impl TelemetryReport {
     }
 }
 
-/// The soak-run progress emitter: one deterministic status line every
-/// `every_s` simulated seconds — sim-time, events processed, events per
-/// simulated second, live PRR and re-stripe count. Lines are collected
-/// into the report; with `live` they are also mirrored to stderr as the
-/// run executes (stderr so digest-checked stdout stays clean).
+/// The soak-run progress emitter: one deterministic status line per
+/// `every_s` simulated seconds, stamped at the cadence boundary —
+/// sim-time, events processed, events per simulated second, live PRR and
+/// re-stripe count. Lines are collected into the report; with `live`
+/// they are also mirrored to stderr as the run executes (stderr so
+/// digest-checked stdout stays clean).
 pub struct ProgressRuntime {
     period: u64,
     next: Time,
@@ -60,27 +64,19 @@ impl ProgressRuntime {
         }
     }
 
-    /// Whether a status line is due at `at`.
+    /// Whether an event at `at` reaches the next cadence boundary.
     #[inline]
     pub fn due(&self, at: Time) -> bool {
         at >= self.next
     }
 
-    /// Emits the status line for the period(s) covering `at`.
-    pub fn emit(
-        &mut self,
-        at: Time,
-        events: u64,
-        attempts: usize,
-        delivered: usize,
-        restripes: usize,
-    ) {
-        // Catch up over idle gaps without emitting duplicate lines.
-        while self.next <= at {
-            self.next = Time(self.next.as_nanos() + self.period);
-        }
-        let t_s = at.as_secs();
-        let rate = if t_s > 0.0 { events as f64 / t_s } else { 0.0 };
+    /// Emits the line for the next cadence boundary, stamped at that
+    /// boundary with the counts held there, and moves on to the one
+    /// after it.
+    pub fn emit(&mut self, events: u64, attempts: usize, delivered: usize, restripes: usize) {
+        let t_s = self.next.as_secs();
+        self.next = Time(self.next.as_nanos() + self.period);
+        let rate = events as f64 / t_s;
         let prr = if attempts > 0 {
             format!("{:.3}", delivered as f64 / attempts as f64)
         } else {
@@ -125,15 +121,22 @@ mod tests {
         let mut p = ProgressRuntime::new(1.0, false);
         assert!(!p.due(Time::from_secs(0.5)));
         assert!(p.due(Time::from_secs(1.0)));
-        p.emit(Time::from_secs(1.0), 1000, 80, 72, 0);
+        p.emit(1000, 80, 72, 0);
         assert!(!p.due(Time::from_secs(1.5)));
-        p.emit(Time::from_secs(2.0), 2000, 160, 150, 1);
+        // An event at 3.2 s crosses two boundaries: one line for each,
+        // stamped at the boundary.
+        assert!(p.due(Time::from_secs(3.2)));
+        p.emit(2000, 160, 150, 1);
+        assert!(p.due(Time::from_secs(3.2)));
+        p.emit(2000, 160, 150, 1);
+        assert!(!p.due(Time::from_secs(3.2)));
         let lines = p.into_lines();
         assert_eq!(
             lines,
             [
                 "[progress] t=1.0s events=1000 ev/sim-s=1000 prr=0.900 restripes=0",
                 "[progress] t=2.0s events=2000 ev/sim-s=1000 prr=0.938 restripes=1",
+                "[progress] t=3.0s events=2000 ev/sim-s=667 prr=0.938 restripes=1",
             ]
         );
     }

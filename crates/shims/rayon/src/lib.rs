@@ -1,69 +1,14 @@
 //! Offline stand-in for the [`rayon`](https://crates.io/crates/rayon) crate.
 //!
 //! The build environment has no cargo-registry access, so this crate vendors
-//! the parallel-iterator subset the workspace uses: `into_par_iter()` /
-//! `par_iter()` on vectors, slices and integer ranges, followed by `map` and
-//! `collect::<Vec<_>>()`. Work is split into contiguous chunks across
-//! `std::thread::scope` workers (one per available core, the calling thread
-//! among them), so order is preserved and results are identical to the
-//! sequential equivalent — only wall-clock time changes.
+//! only what the workspace calls: the ordered-merge helpers in [`det`]. Work
+//! is split into contiguous chunks across `std::thread::scope` workers (one
+//! per available core, the calling thread among them), so order is
+//! preserved and results are identical to the sequential equivalent — only
+//! wall-clock time changes. rayon's raw parallel iterators are not
+//! provided; the workspace clippy config bans them by path.
 
 use std::num::NonZeroUsize;
-
-/// A collection of items about to be processed in parallel.
-pub struct ParIter<T> {
-    items: Vec<T>,
-}
-
-/// A [`ParIter`] with a pending map operation.
-pub struct MapParIter<T, F> {
-    items: Vec<T>,
-    f: F,
-}
-
-impl<T: Send> ParIter<T> {
-    /// Applies `f` to every item in parallel (lazily, at `collect`).
-    pub fn map<U, F>(self, f: F) -> MapParIter<T, F>
-    where
-        U: Send,
-        F: Fn(T) -> U + Sync,
-    {
-        MapParIter {
-            items: self.items,
-            f,
-        }
-    }
-
-    /// Collects the items unchanged.
-    pub fn collect<C: FromParIter<T>>(self) -> C {
-        C::from_vec(self.items)
-    }
-}
-
-impl<T, U, F> MapParIter<T, F>
-where
-    T: Send,
-    U: Send,
-    F: Fn(T) -> U + Sync,
-{
-    /// Runs the pending map across worker threads and gathers the results
-    /// in input order.
-    pub fn collect<C: FromParIter<U>>(self) -> C {
-        C::from_vec(parallel_map(self.items, &self.f))
-    }
-}
-
-/// Collection types a parallel iterator can finish into.
-pub trait FromParIter<T> {
-    /// Builds the collection from items already in order.
-    fn from_vec(items: Vec<T>) -> Self;
-}
-
-impl<T> FromParIter<T> for Vec<T> {
-    fn from_vec(items: Vec<T>) -> Self {
-        items
-    }
-}
 
 fn available_threads() -> usize {
     std::thread::available_parallelism()
@@ -111,71 +56,11 @@ where
     })
 }
 
-/// Conversion into a [`ParIter`], mirroring rayon's trait of the same name.
-pub trait IntoParallelIterator {
-    /// The item type produced.
-    type Item: Send;
-    /// Converts `self` into a parallel iterator.
-    fn into_par_iter(self) -> ParIter<Self::Item>;
-}
-
-impl<T: Send> IntoParallelIterator for Vec<T> {
-    type Item = T;
-    fn into_par_iter(self) -> ParIter<T> {
-        ParIter { items: self }
-    }
-}
-
-macro_rules! impl_range {
-    ($($ty:ty),*) => {$(
-        impl IntoParallelIterator for std::ops::Range<$ty> {
-            type Item = $ty;
-            fn into_par_iter(self) -> ParIter<$ty> {
-                ParIter { items: self.collect() }
-            }
-        }
-    )*};
-}
-
-impl_range!(u32, u64, usize, i32, i64);
-
-/// Reference-iteration over slices, mirroring rayon's trait of the same
-/// name.
-pub trait IntoParallelRefIterator<'a> {
-    /// The reference item type produced.
-    type Item: Send;
-    /// Iterates the collection's elements by reference, in parallel.
-    fn par_iter(&'a self) -> ParIter<Self::Item>;
-}
-
-impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for [T] {
-    type Item = &'a T;
-    fn par_iter(&'a self) -> ParIter<&'a T> {
-        ParIter {
-            items: self.iter().collect(),
-        }
-    }
-}
-
-impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for Vec<T> {
-    type Item = &'a T;
-    fn par_iter(&'a self) -> ParIter<&'a T> {
-        ParIter {
-            items: self.iter().collect(),
-        }
-    }
-}
-
-/// The glob-importable prelude, mirroring `rayon::prelude`.
-pub mod prelude {
-    pub use super::{IntoParallelIterator, IntoParallelRefIterator};
-}
-
 /// Deterministic-merge helpers: the sanctioned entry points for parallel
 /// work in the simulation crates.
 ///
-/// Raw parallel-iterator chains leave the merge discipline at every call
-/// site; these helpers bake it in — results always come back **in input
+/// Raw parallel-iterator chains would leave the merge discipline at every
+/// call site; these helpers bake it in — results always come back **in input
 /// order**, regardless of which worker finished first, so a parallel run
 /// is byte-identical to the sequential equivalent. The workspace clippy
 /// config bans the raw iterators and steers all callers here
@@ -205,51 +90,39 @@ pub mod det {
 }
 
 #[cfg(test)]
-#[expect(
-    clippy::disallowed_methods,
-    reason = "these tests exercise the raw parallel iterators the shim defines"
-)]
 mod tests {
-    use super::prelude::*;
+    use super::det::{map_indexed_ordered, map_ordered};
 
     #[test]
     fn map_collect_preserves_order() {
-        let out: Vec<u64> = (0u64..1000).into_par_iter().map(|i| i * 2).collect();
-        let expected: Vec<u64> = (0u64..1000).map(|i| i * 2).collect();
+        let out = map_indexed_ordered(1000, |i| i * 2);
+        let expected: Vec<usize> = (0..1000).map(|i| i * 2).collect();
         assert_eq!(out, expected);
-    }
-
-    #[test]
-    fn vec_and_slice_sources() {
-        let v = vec![3, 1, 4, 1, 5];
-        let doubled: Vec<i32> = v.clone().into_par_iter().map(|x| x * 2).collect();
-        assert_eq!(doubled, vec![6, 2, 8, 2, 10]);
-        let referenced: Vec<i32> = v.par_iter().map(|&x| x + 1).collect();
-        assert_eq!(referenced, vec![4, 2, 5, 2, 6]);
-    }
-
-    #[test]
-    fn empty_and_single() {
-        let out: Vec<u32> = (0u32..0).into_par_iter().map(|i| i).collect();
-        assert!(out.is_empty());
-        let one: Vec<u32> = (5u32..6).into_par_iter().map(|i| i * i).collect();
-        assert_eq!(one, vec![25]);
     }
 
     #[test]
     fn det_merge_preserves_input_order() {
-        let out = super::det::map_ordered((0u64..500).collect(), |i| i * 3);
+        let out = map_ordered((0u64..500).collect(), |i| i * 3);
         let expected: Vec<u64> = (0u64..500).map(|i| i * 3).collect();
         assert_eq!(out, expected);
-        let idx = super::det::map_indexed_ordered(100, |i| i + 1);
+        let idx = map_indexed_ordered(100, |i| i + 1);
         let expected: Vec<usize> = (1..=100).collect();
         assert_eq!(idx, expected);
-        assert!(super::det::map_ordered(Vec::<u8>::new(), |x| x).is_empty());
+        let doubled = map_ordered(vec![3, 1, 4, 1, 5], |x| x * 2);
+        assert_eq!(doubled, vec![6, 2, 8, 2, 10]);
+    }
+
+    #[test]
+    fn empty_and_single() {
+        assert!(map_ordered(Vec::<u8>::new(), |x| x).is_empty());
+        assert!(map_indexed_ordered(0, |i| i).is_empty());
+        assert_eq!(map_ordered(vec![5u32], |i| i * i), vec![25]);
+        assert_eq!(map_indexed_ordered(1, |i| i + 7), vec![7]);
     }
 
     #[test]
     fn calling_thread_maps_the_first_chunk() {
-        let ids = super::det::map_indexed_ordered(64, |_| std::thread::current().id());
+        let ids = map_indexed_ordered(64, |_| std::thread::current().id());
         assert_eq!(ids[0], std::thread::current().id());
     }
 }

@@ -39,7 +39,7 @@ done
 jq -s 'length' "$bench_out" >/dev/null # sanity: valid JSON lines
 
 # The PHY layer: tx/rx chain per standard, FFT, SSB reflection; then
-# every figure runner at its reduced bench setting (e.g. fig11_per/per_cdf,
+# every experiments::catalogue() row at its Quick size (e.g. fig11,
 # the waveform 802.11b packet trials); then the design-choice ablations
 # (e.g. ablation_squarewave).
 : > "$phy_out"

@@ -1,5 +1,5 @@
 //! Integration tests for the downlink pipeline and smoke tests over every
-//! experiment runner (the same entry points the bench harness uses).
+//! row of the experiment catalogue (the rows the bench harness times).
 
 use interscatter::backscatter::envelope::EnvelopeDetector;
 use interscatter::dsp::iq::scale;
@@ -74,87 +74,43 @@ fn coexistence_and_reservations() {
     assert!(protected > unprotected);
 }
 
-/// Every experiment runner completes with reduced parameters and produces a
-/// non-empty report — the contract the bench harness and the
+/// Every catalogue row completes at its quick size and renders a
+/// non-empty report free of `NaN`: the contract the `figures` bench and the
 /// `run_experiments` example rely on.
 #[test]
 fn all_experiment_runners_smoke() {
-    let fig06 = exp::fig06::run(&exp::fig06::Fig06Params {
-        num_samples: 1 << 13,
-        ..Default::default()
-    })
-    .unwrap();
-    assert!(!exp::fig06::report(&fig06).is_empty());
+    for experiment in exp::catalogue() {
+        let report = (experiment.run)(exp::Size::Quick)
+            .unwrap_or_else(|e| panic!("{}: {e}", experiment.name));
+        assert!(!report.is_empty(), "{}", experiment.name);
+        assert!(!report.contains("NaN"), "{}:\n{report}", experiment.name);
+    }
+}
 
-    let fig09 = exp::fig09::run(1).unwrap();
-    assert!(!exp::fig09::report(&fig09).is_empty());
-
-    let fit = exp::packet_fit::run();
-    assert!(!exp::packet_fit::report(&fit).is_empty());
-
-    let fig10 = exp::fig10::run(&exp::fig10::Fig10Params {
-        rx_distances_ft: vec![10.0, 50.0],
-        ..Default::default()
-    })
-    .unwrap();
-    assert!(!exp::fig10::report(&fig10).is_empty());
-
-    let fig11 = exp::fig11::run(&exp::fig11::Fig11Params {
-        locations: 3,
-        packets_per_location: 3,
-        ..Default::default()
-    })
-    .unwrap();
-    assert!(!exp::fig11::report(&fig11).is_empty());
-
-    let fig12 = exp::fig12::run(&exp::fig12::Fig12Params {
-        duration_s: 0.2,
-        ..Default::default()
-    })
-    .unwrap();
-    assert!(!exp::fig12::report(&fig12).is_empty());
-
-    let fig13 = exp::fig13::run(&exp::fig13::Fig13Params {
-        distances_ft: vec![5.0, 30.0],
-        frames: 1,
-        bits_per_frame: 8,
-        ..Default::default()
-    })
-    .unwrap();
-    assert!(!exp::fig13::report(&fig13).is_empty());
-
-    let (fig14_rows, fig14_cdf) = exp::fig14::run(&exp::fig14::Fig14Params {
-        packets_per_location: 1,
-        rssi_samples: 3,
-        ..Default::default()
-    })
-    .unwrap();
-    assert!(!exp::fig14::report(&fig14_rows, &fig14_cdf).is_empty());
-
-    let fig15 = exp::fig15::run(&exp::fig15::Fig15Params::default()).unwrap();
-    assert!(!exp::fig15::report(&fig15).is_empty());
-
-    let fig16 = exp::fig16::run(&exp::fig16::Fig16Params::default()).unwrap();
-    assert!(!exp::fig16::report(&fig16).is_empty());
-
-    let fig17 = exp::fig17::run(&exp::fig17::Fig17Params {
-        distances_in: vec![10.0, 60.0],
-        payloads_per_distance: 2,
-        ..Default::default()
-    })
-    .unwrap();
-    assert!(!exp::fig17::report(&fig17).is_empty());
-
-    let (power_rows, power_points) = exp::power::run();
-    assert!(!exp::power::report(&power_rows, &power_points).is_empty());
-
-    let seeds = exp::scrambler_seed::run(100);
-    assert!(!exp::scrambler_seed::report(&seeds).is_empty());
-
-    let square = exp::ablations::square_wave_ablation().unwrap();
-    let guards = exp::ablations::guard_interval_ablation(&[4e-6]);
-    let shifts = exp::ablations::shift_ablation(&[35.75e6]);
-    assert!(!exp::ablations::report(&square, &guards, &shifts).is_empty());
+/// The catalogue runs in the order `run_experiments` printed its tables
+/// when it called each runner by hand, so its stdout did not move.
+#[test]
+fn catalogue_keeps_the_paper_order() {
+    let names: Vec<&str> = exp::catalogue().iter().map(|e| e.name).collect();
+    assert_eq!(
+        names,
+        [
+            "fig06",
+            "fig09",
+            "packet_fit",
+            "fig10",
+            "fig11",
+            "fig12",
+            "fig13",
+            "fig14",
+            "fig15",
+            "fig16",
+            "fig17",
+            "power",
+            "scrambler_seed",
+            "ablations",
+        ]
+    );
 }
 
 /// The headline numbers `run_experiments` prints stay true: packet-fit

@@ -137,6 +137,27 @@ fn progress_lines_come_from_the_engine() {
     assert_eq!(&profiled.telemetry.progress, lines);
 }
 
+/// One progress line per cadence boundary, stamped at the boundary. The
+/// one-tag ward's carriers sleep between packets, so whole seconds pass
+/// without an event: the next event prints every line it has passed.
+#[test]
+fn progress_lines_land_on_every_cadence_boundary() {
+    let scenario = Scenario::hospital_ward(1)
+        .builder()
+        .execution(ExecutionSection::new().progress(1.0, false))
+        .build()
+        .unwrap();
+    let run = interscatter::net::run(&scenario, 42).unwrap();
+    let stamps: Vec<&str> = run
+        .telemetry
+        .progress
+        .iter()
+        .map(|line| line.split(' ').nth(1).unwrap())
+        .collect();
+    let expected: Vec<String> = (1..=10).map(|s| format!("t={s}.0s")).collect();
+    assert_eq!(stamps, expected);
+}
+
 #[test]
 fn monte_carlo_pools_per_trial_profiles_in_trial_order() {
     let shape = |profile: bool| {
