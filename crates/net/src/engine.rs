@@ -310,9 +310,13 @@ impl<'a> EngineCore<'a> {
         let mut prof = scenario
             .execution
             .profile
-            .then(|| Profiler::new(Clock::wall(), scenario.execution.build_ns));
+            .then(|| Profiler::new(Clock::wall()));
         let init_tok = prof.as_mut().map(|p| p.begin("engine_init"));
+        let validate_tok = prof.as_mut().map(|p| p.begin("validate"));
         scenario.validate()?;
+        if let (Some(p), Some(tok)) = (prof.as_mut(), validate_tok) {
+            p.end(tok);
+        }
         let link_tok = prof.as_mut().map(|p| p.begin("link_build"));
         let links = LinkMatrix::build(scenario)?;
         if let (Some(p), Some(tok)) = (prof.as_mut(), link_tok) {

@@ -3,11 +3,23 @@
 //!
 //! Where [`crate::metrics`] records the *simulation* (PRR, latency,
 //! occupancy — simulated-time quantities), this module observes the
-//! *executor*: how long scenario validation, link-matrix construction,
-//! engine-core init, the event loop, the mobility flushes and the
-//! finalisation actually take on the host. The claim that setup dominates
-//! the 100k-tag wall clock becomes a measured, attributable time budget
-//! instead of folklore.
+//! *executor*: how long engine-core init, with the scenario validation
+//! and link-matrix construction nested in it, the event loop, the
+//! mobility flushes and the finalisation actually take on the host. The
+//! claim that setup dominates the 100k-tag wall clock becomes a measured,
+//! attributable time budget instead of folklore.
+//!
+//! ## The timeline
+//!
+//! One run's profile is one timeline, recorded by the engine core from
+//! the start of its set-up to the end of finalisation; the scenario
+//! builder reads no clock. Three spans sit at the top level, in order
+//! and without overlap: `engine_init` (set-up), `epoch` (the event loop,
+//! one span per run) and `finalize`. Everything else nests inside one of
+//! them: `validate` and `link_build` in `engine_init`, one `link_flush`
+//! per mobility tick in `epoch`. A run thus closes five phase spans plus
+//! one per tick: about 600 for a 60 s ward at 0.1 s ticks, about 24 kB,
+//! kept in a plain `Vec`.
 //!
 //! ## Determinism contract
 //!
@@ -24,7 +36,7 @@
 //!   `Instant` ban for this module only, and it still fails the build
 //!   anywhere else.
 //! * No shared recorders: the engine core owns its [`Profiler`] and
-//!   records into its ring buffer — no locks, no atomics, both of which
+//!   records into it — no locks, no atomics, both of which
 //!   `crates/net/clippy.toml` bans.
 //!
 //! Tests swap the monotonic wall clock for the deterministic
@@ -61,11 +73,6 @@
 use crate::event::EventKind;
 use std::collections::BTreeMap;
 use std::time::Instant;
-
-/// Spans a [`Profiler`] ring buffer holds before wrapping: generous enough
-/// for a soak run's mobility flushes (one per tick) with headroom, small
-/// enough that a profiled campus run stays O(MB).
-pub const SPAN_RING_CAPACITY: usize = 1 << 16;
 
 /// The span time source: the monotonic host clock in real runs, a
 /// deterministic counter in tests so span geometry is a pure function of
@@ -108,8 +115,8 @@ impl Clock {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Span {
     /// Phase name, from the fixed vocabulary the instrumentation sites
-    /// use (`"scenario_build"`, `"engine_init"`, `"link_build"`,
-    /// `"epoch"` — the event loop —, `"link_flush"`, `"finalize"`).
+    /// use (`"engine_init"`, `"validate"`, `"link_build"`, `"epoch"` — the
+    /// event loop —, `"link_flush"`, `"finalize"`).
     pub name: &'static str,
     /// Start, nanoseconds on the run timeline.
     pub start_ns: u64,
@@ -119,58 +126,16 @@ pub struct Span {
     pub depth: u32,
 }
 
-/// A bounded span ring: fixed capacity, oldest spans overwritten once
-/// full, with a drop counter so the summary can say what it lost.
-#[derive(Debug, Clone)]
-struct SpanRing {
-    spans: Vec<Span>,
-    cap: usize,
-    /// Next overwrite position once `spans.len() == cap`.
-    head: usize,
-    dropped: u64,
-}
-
-impl SpanRing {
-    fn new(cap: usize) -> SpanRing {
-        SpanRing {
-            spans: Vec::new(),
-            cap: cap.max(1),
-            head: 0,
-            dropped: 0,
-        }
-    }
-
-    fn push(&mut self, span: Span) {
-        if self.spans.len() < self.cap {
-            self.spans.push(span);
-        } else {
-            self.spans[self.head] = span;
-            self.head = (self.head + 1) % self.cap;
-            self.dropped += 1;
-        }
-    }
-
-    /// The retained spans, oldest first.
-    fn into_ordered(mut self) -> (Vec<Span>, u64) {
-        if self.dropped > 0 {
-            self.spans.rotate_left(self.head);
-        }
-        (self.spans, self.dropped)
-    }
-}
-
-/// A run's recorder: a clock, an open-span stack and a bounded ring of
-/// closed spans. The engine core owns one when profiling is on, so the
-/// event loop needs no shared state.
+/// A run's recorder: a clock, an open-span stack and the closed spans.
+/// The engine core owns one when profiling is on, so the event loop needs
+/// no shared state.
 #[derive(Debug, Clone)]
 pub struct Profiler {
     clock: Clock,
-    ring: SpanRing,
+    /// Closed spans, in close order.
+    spans: Vec<Span>,
     /// Open spans, innermost last: `(name, start_ns)`.
     open: Vec<(&'static str, u64)>,
-    /// [`crate::scenario::ScenarioBuilder::build`]'s measured duration,
-    /// replayed as a `"scenario_build"` span at the head of the timeline.
-    build_ns: Option<u64>,
     /// Dispatches and host time per event kind, indexed like
     /// [`EventKind::NAMES`].
     kinds: [KindTotal; EventKind::NAMES.len()],
@@ -195,22 +160,12 @@ pub struct KindTotal {
 pub struct SpanToken(usize);
 
 impl Profiler {
-    /// A recorder over `clock` with the default ring capacity; `build_ns`
-    /// is the scenario-build duration measured at
-    /// [`crate::scenario::ScenarioBuilder::build`] time, if the builder
-    /// ran with profiling enabled.
-    pub fn new(clock: Clock, build_ns: Option<u64>) -> Profiler {
-        Profiler::with_capacity(clock, build_ns, SPAN_RING_CAPACITY)
-    }
-
-    /// A recorder with an explicit ring capacity (tests pin the wrap
-    /// behaviour with tiny rings).
-    pub fn with_capacity(clock: Clock, build_ns: Option<u64>, cap: usize) -> Profiler {
+    /// A recorder over `clock`.
+    pub fn new(clock: Clock) -> Profiler {
         Profiler {
             clock,
-            ring: SpanRing::new(cap),
+            spans: Vec::new(),
             open: Vec::new(),
-            build_ns,
             kinds: [KindTotal::default(); EventKind::NAMES.len()],
             dispatched: None,
         }
@@ -253,7 +208,7 @@ impl Profiler {
         while self.open.len() > token.0 {
             let (name, start_ns) = self.open.pop().expect("open stack is non-empty");
             let depth = self.open.len() as u32;
-            self.ring.push(Span {
+            self.spans.push(Span {
                 name,
                 start_ns,
                 dur_ns: now.saturating_sub(start_ns),
@@ -262,26 +217,10 @@ impl Profiler {
         }
     }
 
-    /// Closes any still-open spans, shifts the recorded spans past the
-    /// scenario build, prepends the `"scenario_build"` span and returns
-    /// the report. Spans keep the order they closed in.
+    /// Closes any still-open spans and returns the report. Spans keep the
+    /// order they closed in.
     pub fn finish(mut self, scenario: &str) -> ProfReport {
         self.end(SpanToken(0));
-        let (recorded, dropped) = self.ring.into_ordered();
-        let base = self.build_ns.unwrap_or(0);
-        let build = self.build_ns.map(|ns| Span {
-            name: "scenario_build",
-            start_ns: 0,
-            dur_ns: ns,
-            depth: 0,
-        });
-        let spans = build
-            .into_iter()
-            .chain(recorded.into_iter().map(|span| Span {
-                start_ns: span.start_ns.saturating_add(base),
-                ..span
-            }))
-            .collect();
         let mut event_kinds: Vec<(&'static str, KindTotal)> = EventKind::NAMES
             .into_iter()
             .zip(self.kinds)
@@ -290,9 +229,8 @@ impl Profiler {
         event_kinds.sort_unstable_by_key(|&(name, _)| name);
         ProfReport {
             scenario: scenario.to_string(),
-            spans,
+            spans: self.spans,
             event_kinds,
-            dropped,
         }
     }
 }
@@ -304,13 +242,11 @@ impl Profiler {
 pub struct ProfReport {
     /// Scenario name.
     pub scenario: String,
-    /// Closed spans, in close order after the leading `"scenario_build"`.
+    /// Closed spans, in close order.
     pub spans: Vec<Span>,
     /// Per event kind dispatched at least once, ascending by name: the
     /// dispatch count and the host time charged to it.
     pub event_kinds: Vec<(&'static str, KindTotal)>,
-    /// Spans lost to ring wrap-around.
-    pub dropped: u64,
 }
 
 impl ProfReport {
@@ -331,9 +267,8 @@ impl ProfReport {
             ));
         }
         out.push_str(&format!(
-            "],\"displayTimeUnit\":\"ms\",\"otherData\":{{\"scenario\":\"{}\",\"droppedSpans\":{}}}}}",
+            "],\"displayTimeUnit\":\"ms\",\"otherData\":{{\"scenario\":\"{}\"}}}}",
             json_escape(&self.scenario),
-            self.dropped,
         ));
         out
     }
@@ -356,7 +291,6 @@ impl ProfReport {
                 .iter()
                 .map(|&(name, total)| (name.to_string(), total))
                 .collect(),
-            dropped: self.dropped,
         }
     }
 }
@@ -372,8 +306,6 @@ pub struct ProfSummary {
     /// Dispatch count and host time per event kind dispatched, ascending
     /// by name.
     pub event_kinds: Vec<(String, KindTotal)>,
-    /// Spans lost to ring wrap-around.
-    pub dropped: u64,
 }
 
 impl ProfSummary {
@@ -398,23 +330,12 @@ impl ProfSummary {
             })
             .collect();
         format!(
-            "{{\"scenario\":\"{}\",\"phase_totals_ns\":{{{}}},\"event_kinds\":{{{}}},\"dropped_spans\":{}}}",
+            "{{\"scenario\":\"{}\",\"phase_totals_ns\":{{{}}},\"event_kinds\":{{{}}}}}",
             json_escape(&self.scenario),
             phases.join(","),
-            kinds.join(","),
-            self.dropped
+            kinds.join(",")
         )
     }
-}
-
-/// Times a closure on the wall clock: `(result, elapsed_ns)`. The one
-/// sanctioned stopwatch for call sites outside this module (the scenario
-/// builder times its validation pass through this, keeping `Instant`
-/// inside prof.rs, the one module that waives its ban).
-pub fn measure_ns<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    let mut clock = Clock::wall();
-    let result = f();
-    (result, clock.now_ns())
 }
 
 /// Minimal JSON string escaping (quotes, backslashes, control bytes) for
@@ -436,15 +357,15 @@ fn json_escape(s: &str) -> String {
 mod tests {
     use super::*;
 
-    fn fake(build_ns: Option<u64>) -> Profiler {
-        Profiler::new(Clock::fake(), build_ns)
+    fn fake() -> Profiler {
+        Profiler::new(Clock::fake())
     }
 
     #[test]
     fn spans_nest_and_close_in_stack_order() {
         // Fake clock: one tick per read. begin a (t=0), begin b (t=1),
         // end b (t=2), end a (t=3).
-        let mut p = fake(None);
+        let mut p = fake();
         let a = p.begin("engine_init");
         let b = p.begin("link_build");
         p.end(b);
@@ -471,7 +392,7 @@ mod tests {
 
     #[test]
     fn end_unwinds_everything_above_its_token() {
-        let mut p = fake(None);
+        let mut p = fake();
         let outer = p.begin("epoch");
         p.begin("link_flush");
         p.begin("link_build");
@@ -491,9 +412,9 @@ mod tests {
     }
 
     #[test]
-    fn scoped_guard_closes_on_drop() {
+    fn finish_closes_spans_left_open() {
         // A span still open when the profiler finishes is closed there.
-        let mut p = fake(None);
+        let mut p = fake();
         p.begin("finalize");
         let report = p.finish("ward");
         assert_eq!(report.spans.len(), 1);
@@ -502,10 +423,10 @@ mod tests {
     }
 
     #[test]
-    fn epoch_spans_auto_number() {
+    fn repeated_spans_are_kept_in_order_and_summed() {
         // Repeated spans of one phase are kept one per begin/end, in
         // order, and the summary adds them up.
-        let mut p = fake(None);
+        let mut p = fake();
         for _ in 0..3 {
             let t = p.begin("link_flush");
             p.end(t);
@@ -520,41 +441,8 @@ mod tests {
     }
 
     #[test]
-    fn ring_wraps_and_counts_drops() {
-        let mut p = Profiler::with_capacity(Clock::fake(), None, 2);
-        for _ in 0..3 {
-            let t = p.begin("link_flush");
-            p.end(t);
-        }
-        let report = p.finish("ward");
-        assert_eq!(report.spans.len(), 2);
-        assert_eq!(report.dropped, 1);
-        // Oldest-first after the wrap: the survivors are spans 2 and 3.
-        assert!(report.spans[0].start_ns < report.spans[1].start_ns);
-        assert_eq!(report.spans[0].start_ns, 2);
-    }
-
-    #[test]
-    fn profiler_merges_cell_reports_in_cell_order() {
-        // finish() puts the scenario build at the head of the timeline
-        // and shifts every recorded span past it.
-        let mut p = fake(Some(100));
-        let t = p.begin("engine_init");
-        p.end(t);
-        let t = p.begin("epoch");
-        p.end(t);
-        let report = p.finish("ward");
-        assert_eq!(report.scenario, "ward");
-        let names: Vec<&str> = report.spans.iter().map(|s| s.name).collect();
-        assert_eq!(names, vec!["scenario_build", "engine_init", "epoch"]);
-        assert_eq!((report.spans[0].start_ns, report.spans[0].dur_ns), (0, 100));
-        assert_eq!(report.spans[1].start_ns, 100);
-        assert_eq!(report.spans[2].start_ns, 102);
-    }
-
-    #[test]
     fn chrome_trace_has_the_trace_event_shape() {
-        let mut p = fake(None);
+        let mut p = fake();
         let t = p.begin("engine_init");
         p.end(t);
         let t = p.begin("epoch");
@@ -574,8 +462,8 @@ mod tests {
     }
 
     #[test]
-    fn summary_reduces_phases_cells_and_critical_path() {
-        let mut p = fake(Some(10));
+    fn summary_totals_each_phase_by_name() {
+        let mut p = fake();
         let t = p.begin("epoch");
         let inner = p.begin("link_flush");
         p.end(inner);
@@ -592,24 +480,21 @@ mod tests {
                 ("epoch".to_string(), 3),
                 ("finalize".to_string(), 1),
                 ("link_flush".to_string(), 1),
-                ("scenario_build".to_string(), 10),
             ]
         );
-        assert_eq!(summary.dropped, 0);
     }
 
     #[test]
     fn summary_json_carries_phases_and_load() {
-        let mut p = fake(Some(7));
+        let mut p = fake();
         let t = p.begin("epoch");
         p.end(t);
         let json = p.finish("ward \"q\"").summary().to_json();
         assert_eq!(
             json,
             "{\"scenario\":\"ward \\\"q\\\"\",\
-             \"phase_totals_ns\":{\"epoch\":1,\"scenario_build\":7},\
-             \"event_kinds\":{},\
-             \"dropped_spans\":0}"
+             \"phase_totals_ns\":{\"epoch\":1},\
+             \"event_kinds\":{}}"
         );
     }
 
@@ -618,7 +503,7 @@ mod tests {
         // Fake clock, one tick per read: epoch begins at 0, then the
         // dispatches read 1 (first slot), 2 (arrival), 3 (slot), 4
         // (horizon). The second slot continues a run and reads nothing.
-        let mut p = fake(None);
+        let mut p = fake();
         let epoch = p.begin("epoch");
         for kind in [
             EventKind::CarrierSlot { carrier: 0 },
@@ -653,8 +538,5 @@ mod tests {
         let a = clock.now_ns();
         let b = clock.now_ns();
         assert!(b >= a);
-        let (value, ns) = measure_ns(|| 41 + 1);
-        assert_eq!(value, 42);
-        assert!(ns < 60_000_000_000, "a closure took a minute?");
     }
 }

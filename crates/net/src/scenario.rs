@@ -70,7 +70,7 @@ pub struct Scenario {
 /// [`crate::run`] simulates the whole scenario in one pass of one engine
 /// core; every digest and metric is byte-identical at any value of these
 /// knobs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExecutionConfig {
     /// Validated (≥ 1) but has no effect: every run uses one engine core.
     /// Kept only so existing callers of [`ExecutionSection::shards`] keep
@@ -94,26 +94,6 @@ pub struct ExecutionConfig {
     /// Mirror progress lines to stderr as the run executes (the collected
     /// lines are always returned in the report either way).
     pub live_progress: bool,
-    /// Wall time [`ScenarioBuilder::build`] took, nanoseconds, stashed here
-    /// when `profile` is set so the executor can prepend a
-    /// `scenario_build` span. Never affects simulation state, and is
-    /// ignored by `PartialEq` so wall-clock jitter cannot leak into
-    /// scenario comparisons.
-    pub build_ns: Option<u64>,
-}
-
-impl PartialEq for ExecutionConfig {
-    fn eq(&self, other: &Self) -> bool {
-        // build_ns is a wall-clock measurement, not configuration: two
-        // scenarios with the same run shape must compare equal even when
-        // one was timed and the other was not.
-        self.shards == other.shards
-            && self.trials == other.trials
-            && self.trace == other.trace
-            && self.profile == other.profile
-            && self.progress_every_s == other.progress_every_s
-            && self.live_progress == other.live_progress
-    }
 }
 
 impl Default for ExecutionConfig {
@@ -125,7 +105,6 @@ impl Default for ExecutionConfig {
             profile: false,
             progress_every_s: None,
             live_progress: false,
-            build_ns: None,
         }
     }
 }
@@ -1245,18 +1224,9 @@ impl ScenarioBuilder {
     }
 
     /// Validates eagerly and returns the finished scenario — every check
-    /// [`Scenario::validate`] performs, but at construction time. When the
-    /// execution section enables profiling, the validation wall time is
-    /// stashed in [`ExecutionConfig::build_ns`] so the run's profile can
-    /// open with a `scenario_build` span.
-    pub fn build(mut self) -> Result<Scenario, NetError> {
-        if self.scenario.execution.profile {
-            let (res, ns) = crate::prof::measure_ns(|| self.scenario.validate());
-            res?;
-            self.scenario.execution.build_ns = Some(ns);
-        } else {
-            self.scenario.validate()?;
-        }
+    /// [`Scenario::validate`] performs, but at construction time.
+    pub fn build(self) -> Result<Scenario, NetError> {
+        self.scenario.validate()?;
         Ok(self.scenario)
     }
 }

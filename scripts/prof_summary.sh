@@ -6,7 +6,9 @@
 #   usage: scripts/prof_summary.sh PROF_net.json
 #
 # Output goes to stdout (CI appends it to $GITHUB_STEP_SUMMARY): the
-# setup-vs-run wall-clock split, the per-phase totals, then the event
+# setup-vs-run wall-clock split (`engine_init` against `epoch` plus
+# `finalize`, the profile's three top-level spans), the per-phase totals
+# (nested phases share their parent's time), then the event
 # loop's time per event kind (dispatches, total, ns per event and share
 # of the `epoch` phase), costliest kind first. Exit code is always 0 —
 # wall-clock numbers on shared runners inform, they never gate.
@@ -31,11 +33,11 @@ jq -r '
     elif . >= 1e3 then (. / 1e3 * 100 | round / 100 | tostring) + " µs"
     else (. | round | tostring) + " ns" end;
   .phase_totals_ns as $p |
-  # Setup: everything before the first event pops — scenario validation
-  # and engine-core init (link_build nests inside engine_init, so it is
-  # shown but not re-added). Run: the event loop (the `epoch` phase)
-  # plus the finalisation.
-  (($p.scenario_build // 0) + ($p.engine_init // 0)) as $setup |
+  # Setup: everything before the first event pops, the `engine_init`
+  # phase (validate and link_build nest inside it, so they are shown but
+  # not re-added). Run: the event loop (the `epoch` phase) plus the
+  # finalisation. The three are the only top-level spans of a profile.
+  ($p.engine_init // 0) as $setup |
   (($p.epoch // 0) + ($p.finalize // 0)) as $run |
   ($setup + $run) as $total |
   def pct: if $total > 0 then (. / $total * 1000 | round / 10 | tostring) + "%" else "—" end;
@@ -54,6 +56,5 @@ jq -r '
    "|---|---:|---:|---:|---:|",
    (sort_by(-.value.ns)[] |
      "| \(.key) | \(.value.count) | \(.value.ns | fmt_ns) | \(.value.ns / .value.count | round) | \(if $epoch > 0 then (.value.ns / $epoch * 1000 | round / 10 | tostring) + "%" else "—" end) |"),
-   ""),
-  (if .dropped_spans > 0 then "⚠ \(.dropped_spans) spans dropped to ring wrap-around." else empty end)
+   "")
 ' "$prof"
