@@ -921,12 +921,84 @@ impl Scenario {
     }
 }
 
+/// Builds the scenario a catalogue label names: a preset constructor, a
+/// tag count from 1 to 10⁶, then any number of variant suffixes
+/// (`.closed_loop()`, `.with_subband_striping()`,
+/// `.with_restripe(default)`), applied left to right. A label that does
+/// not parse is refused, never clamped or panicked on.
+///
+/// ```
+/// use interscatter_net::scenario::{preset, Scenario};
+/// let ward = preset("zigbee_wing(3).with_subband_striping().closed_loop()").unwrap();
+/// let by_hand = Scenario::zigbee_wing(3).with_subband_striping().closed_loop();
+/// assert_eq!(ward.name, by_hand.name);
+/// assert!(preset("zigbee_wing(0)").is_err());
+/// ```
+pub fn preset(label: &str) -> Result<Scenario, NetError> {
+    let bad = |why: &str| NetError::InvalidScenario(format!("preset label `{label}`: {why}"));
+    let (name, rest) = label
+        .split_once('(')
+        .ok_or_else(|| bad("expected NAME(N)"))?;
+    let (count, suffixes) = rest.split_once(')').ok_or_else(|| bad("missing `)`"))?;
+    let build: fn(usize) -> Scenario = match name {
+        "hospital_ward" => Scenario::hospital_ward,
+        "contact_lens_fleet" => Scenario::contact_lens_fleet,
+        "card_to_card_room" => Scenario::card_to_card_room,
+        "zigbee_wing" => Scenario::zigbee_wing,
+        "congested_ward" => Scenario::congested_ward,
+        "ambulatory_ward" => Scenario::ambulatory_ward,
+        "walking_ward" => Scenario::walking_ward,
+        "campus" => Scenario::campus,
+        _ => return Err(bad("unknown preset")),
+    };
+    // Ten times the campus scale target: a larger count is a typo, and
+    // the preset would try to allocate it before any validation runs.
+    const MAX_TAGS: usize = 1_000_000;
+    let n = count
+        .parse::<usize>()
+        .ok()
+        .filter(|n| (1..=MAX_TAGS).contains(n))
+        .ok_or_else(|| bad("the tag count must be an integer from 1 to 1000000"))?;
+    let mut scenario = build(n);
+    for suffix in suffixes.split_inclusive(')') {
+        scenario = match suffix {
+            ".closed_loop()" => scenario.closed_loop(),
+            ".with_subband_striping()" => scenario.with_subband_striping(),
+            ".with_restripe(default)" => scenario.with_restripe(ReStripe::default()),
+            _ => return Err(bad("unknown variant suffix")),
+        };
+    }
+    Ok(scenario)
+}
+
+/// The catalogue's labels, in the order `tests/preset_identity.rs` pins
+/// their `Debug` digests in.
+const CATALOGUE: [&str; 15] = [
+    "hospital_ward(8)",
+    "contact_lens_fleet(8)",
+    "card_to_card_room(5)",
+    "zigbee_wing(8)",
+    "congested_ward(8)",
+    "ambulatory_ward(8)",
+    "walking_ward(8)",
+    "campus(300)",
+    "campus(600)",
+    "hospital_ward(8).closed_loop()",
+    "ambulatory_ward(8).closed_loop()",
+    "hospital_ward(8).with_subband_striping()",
+    "zigbee_wing(8).with_subband_striping()",
+    "hospital_ward(8).with_restripe(default)",
+    "congested_ward(8).with_restripe(default)",
+];
+
 /// The preset catalogue: every preset constructor, and every variant that
 /// derives entities or a coex config from a preset, as one labelled row
-/// each. The test suite's preset sweeps iterate this list and filter it
-/// by what they need (`mac`, `mobility`, `coex`, …), so a new preset
-/// joins every sweep by joining this list. The labels, sizes and order are the ones
-/// `tests/preset_identity.rs` pins each row's `Debug` digest under.
+/// each. Each row is its label parsed by [`preset`], so a label always
+/// names what it builds. The test suite's preset sweeps iterate this list
+/// and filter it by what they need (`mac`, `mobility`, `coex`, …), so a
+/// new preset joins every sweep by joining this list. The labels, sizes
+/// and order are the ones `tests/preset_identity.rs` pins each row's
+/// `Debug` digest under.
 ///
 /// ```
 /// use interscatter_net::mac::MacMode;
@@ -938,41 +1010,10 @@ impl Scenario {
 /// assert_eq!(closed, 4);
 /// ```
 pub fn catalogue() -> Vec<(&'static str, Scenario)> {
-    vec![
-        ("hospital_ward(8)", Scenario::hospital_ward(8)),
-        ("contact_lens_fleet(8)", Scenario::contact_lens_fleet(8)),
-        ("card_to_card_room(5)", Scenario::card_to_card_room(5)),
-        ("zigbee_wing(8)", Scenario::zigbee_wing(8)),
-        ("congested_ward(8)", Scenario::congested_ward(8)),
-        ("ambulatory_ward(8)", Scenario::ambulatory_ward(8)),
-        ("walking_ward(8)", Scenario::walking_ward(8)),
-        ("campus(300)", Scenario::campus(300)),
-        ("campus(600)", Scenario::campus(600)),
-        (
-            "hospital_ward(8).closed_loop()",
-            Scenario::hospital_ward(8).closed_loop(),
-        ),
-        (
-            "ambulatory_ward(8).closed_loop()",
-            Scenario::ambulatory_ward(8).closed_loop(),
-        ),
-        (
-            "hospital_ward(8).with_subband_striping()",
-            Scenario::hospital_ward(8).with_subband_striping(),
-        ),
-        (
-            "zigbee_wing(8).with_subband_striping()",
-            Scenario::zigbee_wing(8).with_subband_striping(),
-        ),
-        (
-            "hospital_ward(8).with_restripe(default)",
-            Scenario::hospital_ward(8).with_restripe(ReStripe::default()),
-        ),
-        (
-            "congested_ward(8).with_restripe(default)",
-            Scenario::congested_ward(8).with_restripe(ReStripe::default()),
-        ),
-    ]
+    CATALOGUE
+        .iter()
+        .map(|&label| (label, preset(label).expect("every catalogue label parses")))
+        .collect()
 }
 
 /// The deployment section of a [`ScenarioBuilder`]: who is on the air —
@@ -1307,7 +1348,6 @@ mod tests {
     fn every_preset_constructor_has_a_catalogue_row() {
         // Every `pub fn NAME(n: usize) -> Scenario` in this file must have
         // a catalogue row labelled `NAME(…)`, or the sweeps miss it.
-        let labels: Vec<&str> = catalogue().iter().map(|(label, _)| *label).collect();
         let constructors: Vec<&str> = include_str!("scenario.rs")
             .split("pub fn ")
             .skip(1)
@@ -1321,9 +1361,34 @@ mod tests {
         assert_eq!(constructors.len(), 8, "{constructors:?}");
         for name in constructors {
             assert!(
-                labels.iter().any(|l| l.starts_with(&format!("{name}("))),
+                CATALOGUE.iter().any(|l| l.starts_with(&format!("{name}("))),
                 "preset {name} has no catalogue row"
             );
+        }
+    }
+
+    #[test]
+    fn preset_refuses_malformed_labels() {
+        for label in [
+            "hospital_wart(8)",
+            // Presets clamp a zero count to one tag; the label must not.
+            "hospital_ward(0)",
+            "hospital_ward(eight)",
+            "hospital_ward(-1)",
+            "campus(1000001)",
+            "hospital_ward()",
+            "hospital_ward(8).open_loop()",
+            "hospital_ward(8).closed_loop()x",
+            "hospital_ward(8)closed_loop()",
+            "hospital_ward",
+            "hospital_ward(8",
+            "",
+        ] {
+            match preset(label) {
+                Err(NetError::InvalidScenario(why)) => assert!(why.contains(label), "{why}"),
+                Err(e) => panic!("{label:?}: wrong error kind: {e}"),
+                Ok(s) => panic!("{label:?} built {}", s.name),
+            }
         }
     }
 
@@ -1705,7 +1770,7 @@ mod tests {
             a.metrics.poll_latency_ms.samples().len(),
             a.metrics.grants()
         );
-        // Same seed, same report — the campus smoke example's CI contract.
+        // Same seed, same report — the campus `net_run` CI contract.
         let b = run(42);
         assert_eq!(a.metrics.report(), b.metrics.report());
         assert_eq!(

@@ -25,7 +25,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// [`fnv1a`] over a string's UTF-8 bytes, for digesting report text (the
-/// soak example fingerprints its whole deterministic output this way).
+/// `net_run` example fingerprints its report and progress lines this way).
 pub fn fnv1a_str(text: &str) -> u64 {
     fnv1a(text.as_bytes())
 }

@@ -6,7 +6,7 @@
 # Runs the quick-tier benches (CI runs this script too) into
 # BENCH_net.json (engine benches) and BENCH_phy.json (PHY pipelines,
 # figure runners and ablations) — one JSON line per benchmark — and a
-# profiled campus smoke run into PROF_net.json + PROF_trace.json (the execution
+# profiled 100k-tag campus run into PROF_net.json + PROF_trace.json (the execution
 # observatory's phase summary and Chrome/Perfetto trace; see
 # `net::prof`). Artifacts land in out_dir (default: the repo root), so
 # the trajectory that is otherwise only charted between CI runs can be
@@ -49,10 +49,10 @@ for bench in phy_pipelines figures ablations; do
 done
 jq -s 'length' "$phy_out" >/dev/null
 
-# The observatory run: the campus smoke example with profiling on. PROF
+# The observatory run: the 100k-tag campus with profiling on. PROF
 # output goes to side files; stdout stays identical to an unprofiled run
 # (the digest-neutrality contract).
 PROF_OUT="$prof_out" PROF_TRACE_OUT="$trace_out" \
-  cargo run --release --example campus_smoke 42 >/dev/null
+  cargo run --release --example net_run -- 'campus(100000)' 42 --no-trace >/dev/null
 
 echo "wrote $bench_out, $phy_out, $prof_out, $trace_out" >&2

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Render a PROF_net.json (the execution observatory's summary document,
-# written by `PROF_OUT=... cargo run --example campus_smoke` or
-# scripts/bench_quick.sh) as a markdown phase report:
+# written by `PROF_OUT=... cargo run --release --example net_run -- LABEL`
+# or scripts/bench_quick.sh) as a markdown phase report:
 #
 #   usage: scripts/prof_summary.sh PROF_net.json
 #

@@ -1,19 +1,20 @@
 #!/usr/bin/env bash
-# Compare the stdout of the digest-checked examples (listed in
-# scripts/digest_examples.txt) at BASE_REF against the working tree.
+# Compare the stdout of the digest-checked runs (the `NAME ARGS...` lines
+# of scripts/digest_examples.txt) at BASE_REF against the working tree.
 #
 # Usage: scripts/stdout_diff.sh BASE_REF [WORK_DIR]
 #
 # Exports BASE_REF with `git archive` into WORK_DIR/base (default: a fresh
 # temporary directory) and builds its examples into WORK_DIR/target-base,
 # so the two builds never share a target directory; the working tree
-# builds into its usual target directory. Each example then runs at seed
-# 42 on both sides; stdout and stderr land in WORK_DIR/out, and a
-# non-zero exit status is appended to the stdout file so a crash counts
-# as a difference. Prints a markdown SAME/DIFF table of the stdout (one
-# row per example) and exits 1 when any output differs, 2 on a usage or
-# build error. Re-running with the same WORK_DIR and BASE_REF reuses the
-# base build.
+# builds into its usual target directory. Each line then runs its example
+# with its ARGS on both sides; stdout and stderr land in WORK_DIR/out, and
+# a non-zero exit status is appended to the stdout file so a crash counts
+# as a difference. An example the base does not have is not built there
+# and its lines read `DIFF (missing at base)`. Prints a markdown SAME/DIFF
+# table of the stdout (one row per line) and exits 1 when any output
+# differs, 2 on a usage or build error. Re-running with the same WORK_DIR
+# and BASE_REF reuses the base build.
 set -euo pipefail
 
 base_ref=${1:?usage: scripts/stdout_diff.sh BASE_REF [WORK_DIR]}
@@ -22,8 +23,7 @@ work=${2:-$(mktemp -d)}
 mkdir -p "$work"
 work=$(cd "$work" && pwd)
 
-mapfile -t examples < <(grep -v '^#' "$root/scripts/digest_examples.txt")
-seed=42
+mapfile -t runs < <(grep -Ev '^(#|$)' "$root/scripts/digest_examples.txt")
 
 rev=$(git -C "$root" rev-parse --verify --quiet "$base_ref^{commit}") \
     || { echo "stdout_diff: unknown ref '$base_ref'" >&2; exit 2; }
@@ -37,33 +37,51 @@ if [ "$(cat "$work/base.rev" 2>/dev/null)" != "$rev" ]; then
     echo "$rev" > "$work/base.rev"
 fi
 
-example_flags=()
-for ex in "${examples[@]}"; do
-    example_flags+=(--example "$ex")
+head_flags=()
+base_flags=()
+for name in $(printf '%s\n' "${runs[@]}" | cut -d' ' -f1 | sort -u); do
+    head_flags+=(--example "$name")
+    if [ -f "$work/base/examples/$name.rs" ]; then
+        base_flags+=(--example "$name")
+    fi
 done
 
 head_target=${CARGO_TARGET_DIR:-$root/target}
-(cd "$work/base" && cargo build --release --quiet "${example_flags[@]}" \
-    --target-dir "$work/target-base") || exit 2
-(cd "$root" && cargo build --release --quiet "${example_flags[@]}" \
+if [ "${#base_flags[@]}" -gt 0 ]; then
+    (cd "$work/base" && cargo build --release --quiet "${base_flags[@]}" \
+        --target-dir "$work/target-base") || exit 2
+fi
+(cd "$root" && cargo build --release --quiet "${head_flags[@]}" \
     --target-dir "$head_target") || exit 2
 
 mkdir -p "$work/out"
 status=0
-echo "| example | base ${rev:0:12} vs working tree |"
+echo "| run | base ${rev:0:12} vs working tree |"
 echo "|---|---|"
-# run_example BINARY OUT_PREFIX: one seed-42 run, exit status kept in
-# the stdout file.
+# run_example BINARY OUT_PREFIX ARGS...: one run, exit status kept in the
+# stdout file.
 run_example() {
-    "$1" "$seed" > "$2.txt" 2> "$2.err" || echo "[exit status $?]" >> "$2.txt"
+    local bin=$1 out=$2
+    shift 2
+    "$bin" "$@" > "$out.txt" 2> "$out.err" || echo "[exit status $?]" >> "$out.txt"
 }
-for ex in "${examples[@]}"; do
-    run_example "$work/target-base/release/examples/$ex" "$work/out/$ex.base"
-    run_example "$head_target/release/examples/$ex" "$work/out/$ex.head"
-    if cmp -s "$work/out/$ex.base.txt" "$work/out/$ex.head.txt"; then
-        echo "| $ex | SAME |"
+i=0
+for line in "${runs[@]}"; do
+    read -r -a words <<< "$line"
+    name=${words[0]}
+    out="$work/out/$i-$name"
+    i=$((i + 1))
+    if [ ! -f "$work/base/examples/$name.rs" ]; then
+        echo "| \`$line\` | DIFF (missing at base) |"
+        status=1
+        continue
+    fi
+    run_example "$work/target-base/release/examples/$name" "$out.base" "${words[@]:1}"
+    run_example "$head_target/release/examples/$name" "$out.head" "${words[@]:1}"
+    if cmp -s "$out.base.txt" "$out.head.txt"; then
+        echo "| \`$line\` | SAME |"
     else
-        echo "| $ex | DIFF |"
+        echo "| \`$line\` | DIFF |"
         status=1
     fi
 done
