@@ -6,9 +6,10 @@
 //!   fold, no sources, no sensing): the baseline the coex machinery is
 //!   measured against;
 //! * `congested` — the hidden Wi-Fi hammer injecting ~600 bursts/s of
-//!   real emissions (collision arbitration against external traffic);
-//! * `adaptive` — the same plus per-slot occupancy sensing and the
-//!   `ReStripe` decision cadence (including the mid-run re-tune itself).
+//!   real emissions (collision arbitration against external traffic)
+//!   and the once-per-window occupancy sensing every coex run does;
+//! * `adaptive` — the same plus the `ReStripe` check at every sensing
+//!   tick (including the mid-run re-tune itself).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use interscatter_net::coex::ReStripe;

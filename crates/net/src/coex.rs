@@ -12,16 +12,22 @@
 //!    emissions* into the [`crate::medium::Medium`]
 //!    ([`crate::medium::Emitter::External`]), so collisions, capture and
 //!    the §2.3.3 NAV interact with external traffic packet by packet.
-//! 2. **Occupancy sensing** — each carrier maintains an EWMA busy-airtime
-//!    estimate per channel from what the medium actually carries at its
-//!    slot instants (α = 0.05 per slot, sampled every 0.1 s). It feeds the
-//!    re-striping decision below and the per-carrier
-//!    [`crate::metrics::OccupancySample`] series.
-//! 3. **Adaptive re-striping** — a [`ReStripe`] policy: when a carrier's
-//!    sensed occupancy on its own stripe crosses `high_occupancy` and
+//! 2. **Occupancy sensing** — the medium integrates each receiver
+//!    channel's busy time (the union of the emissions overlapping it,
+//!    hidden ones included), and one sensing tick per
+//!    [`SENSE_WINDOW_S`] window turns each channel's busy share of the
+//!    window into one EWMA per channel (α ≈ 0.40 per window), shared by
+//!    every carrier since they all observe the same medium. Every second
+//!    tick records each carrier's [`crate::metrics::OccupancySample`]; every
+//!    tick feeds the re-striping decision below. Sensing fires no carrier
+//!    slot, so coex carriers sleep like any other: the closed-loop,
+//!    re-striped `congested_ward(100)` fires 38,294 slots over 60 s at
+//!    seed 1, where sampling the medium at every slot fired all 600,000.
+//! 3. **Adaptive re-striping** — a [`ReStripe`] policy: when the sensed
+//!    occupancy of a carrier's own stripe crosses `high_occupancy` and
 //!    another sub-band is at least `hysteresis` quieter, the carrier and
-//!    its tags re-tune to the least-occupied sub-band. Decisions are
-//!    slot-aligned, deterministic (no RNG) and trace-visible as a
+//!    its tags re-tune to the least-occupied sub-band. Decisions run on
+//!    the sensing tick, are deterministic (no RNG) and trace-visible as a
 //!    [`crate::metrics::ReStripeEvent`].
 //!
 //! Determinism: every generator draws only from its own
@@ -64,8 +70,8 @@ pub enum MediumAccess {
     /// hidden terminal: too far from the transmitting side to trip its
     /// CCA, close enough to the receiving side to collide. Hidden
     /// emissions still register as interference and still count toward
-    /// the AP-side occupancy that sensing reads
-    /// ([`crate::medium::Medium::occupied`]).
+    /// the AP-side busy time that sensing reads
+    /// ([`crate::medium::Medium::busy_ns`]).
     Hidden,
 }
 
@@ -380,21 +386,30 @@ fn burst_gap_for_load(burst_airtime_s: f64, load: f64) -> f64 {
     burst_airtime_s * (1.0 - load) / load
 }
 
-/// EWMA smoothing factor of occupancy sensing, per carrier slot: the
-/// weight of the newest busy/idle observation. At the presets' 5 ms slot
-/// cadence, α = 0.05 gives a ~100 ms time constant: fast enough to catch a
-/// mid-run load spike, slow enough not to chase single bursts.
-pub(crate) const SENSE_EWMA_ALPHA: f64 = 0.05;
+/// Length of one occupancy-sensing window, seconds: the engine's sensing
+/// tick fires once per window, reads each receiver channel's busy share
+/// of it and runs the re-striping check. 50 ms is the cadence the check
+/// had as every tenth slot of the presets' 5 ms slots.
+pub(crate) const SENSE_WINDOW_S: f64 = 0.05;
 
-/// Cadence of [`crate::metrics::OccupancySample`] records, seconds.
+/// EWMA smoothing factor of occupancy sensing, per [`SENSE_WINDOW_S`]
+/// window: the weight of the newest window's busy share. 1 − 0.95¹⁰, the
+/// weight ten 5 ms slots at α = 0.05 gave, so the time constant stays
+/// ≈100 ms: fast enough to catch a mid-run load spike, slow enough not to
+/// chase single bursts.
+pub(crate) const SENSE_EWMA_ALPHA: f64 = 0.401_263_060_761_621_3;
+
+/// Cadence of [`crate::metrics::OccupancySample`] records, seconds (every
+/// second sensing tick).
 pub(crate) const SENSE_SAMPLE_INTERVAL_S: f64 = 0.1;
 
-/// The adaptive re-striping policy: when a carrier's sensed occupancy on
-/// its own stripe crosses `high_occupancy` and the least-occupied
+/// The adaptive re-striping policy: when the sensed occupancy of a
+/// carrier's own stripe crosses `high_occupancy` and the least-occupied
 /// alternative sub-band is at least `hysteresis` quieter, the carrier and
 /// its Wi-Fi tags re-tune there. All thresholds compare EWMA occupancies;
-/// the dwell time and the check cadence are the hysteresis in *time* that
-/// keeps carriers from flapping between stripes.
+/// the check runs once per sensing window ([`SENSE_WINDOW_S`]), and the
+/// dwell time is the hysteresis in *time* that keeps carriers from
+/// flapping between stripes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReStripe {
     /// Re-striping is considered only above this sensed occupancy.
@@ -403,8 +418,6 @@ pub struct ReStripe {
     pub hysteresis: f64,
     /// Minimum time between re-stripes of one carrier, seconds.
     pub min_dwell_s: f64,
-    /// Decision cadence: check every this many of the carrier's slots.
-    pub check_every_slots: u32,
 }
 
 impl Default for ReStripe {
@@ -413,7 +426,6 @@ impl Default for ReStripe {
             high_occupancy: 0.35,
             hysteresis: 0.15,
             min_dwell_s: 1.0,
-            check_every_slots: 10,
         }
     }
 }
@@ -435,9 +447,6 @@ impl ReStripe {
                 "min_dwell_s must be finite and non-negative, got {}",
                 self.min_dwell_s
             ));
-        }
-        if self.check_every_slots == 0 {
-            return Err("check_every_slots must be at least 1".into());
         }
         Ok(())
     }
@@ -649,12 +658,6 @@ mod tests {
             .is_err());
 
         assert!(ReStripe::default().validate().is_ok());
-        assert!(ReStripe {
-            check_every_slots: 0,
-            ..ReStripe::default()
-        }
-        .validate()
-        .is_err());
         assert!(ReStripe {
             high_occupancy: 1.5,
             ..ReStripe::default()

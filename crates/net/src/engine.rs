@@ -21,7 +21,9 @@
 //! one handler of its kind; the handlers share the uplink start, the
 //! delivery and the reception arbitration.
 
-use crate::coex::{CoexConfig, MediumAccess, SENSE_EWMA_ALPHA, SENSE_SAMPLE_INTERVAL_S};
+use crate::coex::{
+    CoexConfig, MediumAccess, SENSE_EWMA_ALPHA, SENSE_SAMPLE_INTERVAL_S, SENSE_WINDOW_S,
+};
 use crate::entities::{streams, NetPhy, Position, SinkKind};
 use crate::event::{EventKind, EventQueue, EventTrace};
 use crate::links::{EntityId, LinkMatrix, Listener};
@@ -151,48 +153,55 @@ struct CoexRuntime<'a> {
     /// Per source: the emission duration drawn for its pending
     /// `CoexStart`.
     pending_dur_s: Vec<f64>,
-    /// Per receiver: the band its channel occupies — the sensing axis.
-    rx_bands: Vec<Band>,
+    /// Per receiver: the medium's busy-time integral of its channel —
+    /// the sensing axis. Receivers on one channel share one.
+    rx_sensed: Vec<usize>,
+    /// Per sensed band: its busy time at the previous tick, ns.
+    busy_read_ns: Vec<u64>,
+    /// Per sensed band: EWMA of its busy share per window, in [0, 1].
+    ewma: Vec<f64>,
     /// Wi-Fi receiver indices: the candidate sub-bands of re-striping
     /// (the same axis [`Scenario::with_subband_striping`] stripes over).
     wifi_rx: Vec<usize>,
-    /// Per carrier: sensing estimators and re-striping decision state.
-    sense: Vec<CarrierSense>,
-    /// Metrics sampling cadence on the integer-ns grid (quantized once).
+    /// Per carrier: sampling window and re-striping decision state.
+    carriers: Vec<CarrierSense>,
+    /// Sensing window and sampling cadence on the integer-ns grid
+    /// (quantized once).
+    window_ns: u64,
     sample_ns: u64,
+    /// When the last [`OccupancySample`]s were recorded.
+    last_sample: Time,
 }
 
-/// One carrier's occupancy sensing and re-striping state.
-#[derive(Debug)]
+/// One carrier's sampling window and re-striping state.
+#[derive(Debug, Default)]
 struct CarrierSense {
-    /// EWMA busy-airtime estimate per receiver channel, in [0, 1].
-    ewma: Vec<f64>,
-    /// When the last [`OccupancySample`] was recorded.
-    last_sample: Time,
-    /// Member-tag attempts and deliveries since then.
+    /// Member-tag attempts and deliveries since the last sample.
     window: Window,
-    /// Slots seen so far (the re-striping check cadence counts these).
-    slots: u32,
     /// When the carrier last re-striped (the dwell-time hysteresis).
     last_restripe: Time,
 }
 
 impl<'a> CoexRuntime<'a> {
-    /// One stream per source, no emission pending yet, and every
-    /// carrier's sensing estimators at zero.
-    fn new(config: &'a CoexConfig, scenario: &Scenario, seed: u64) -> Self {
+    /// One stream per source, no emission pending yet, every receiver
+    /// channel sensed on `medium` and every estimate at zero.
+    fn new(config: &'a CoexConfig, scenario: &Scenario, seed: u64, medium: &mut Medium) -> Self {
         let carrier0_freq = scenario.carriers[0].carrier_freq_hz();
+        let rx_sensed: Vec<usize> = scenario
+            .receivers
+            .iter()
+            .map(|r| medium.sense(Band::new(r.center_freq_hz(carrier0_freq), r.bandwidth_hz())))
+            .collect();
+        let bands = rx_sensed.iter().max().map_or(0, |&b| b + 1);
         CoexRuntime {
             config,
             rngs: (0..config.sources.len())
                 .map(|k| streams::coex_rng(seed, k))
                 .collect(),
             pending_dur_s: vec![0.0; config.sources.len()],
-            rx_bands: scenario
-                .receivers
-                .iter()
-                .map(|r| Band::new(r.center_freq_hz(carrier0_freq), r.bandwidth_hz()))
-                .collect(),
+            rx_sensed,
+            busy_read_ns: vec![0; bands],
+            ewma: vec![0.0; bands],
             wifi_rx: scenario
                 .receivers
                 .iter()
@@ -200,17 +209,18 @@ impl<'a> CoexRuntime<'a> {
                 .filter(|(_, r)| matches!(r.kind, SinkKind::Wifi { .. }))
                 .map(|(i, _)| i)
                 .collect(),
-            sense: (0..scenario.carriers.len())
-                .map(|_| CarrierSense {
-                    ewma: vec![0.0; scenario.receivers.len()],
-                    last_sample: Time::ZERO,
-                    window: Window::default(),
-                    slots: 0,
-                    last_restripe: Time::ZERO,
-                })
+            carriers: (0..scenario.carriers.len())
+                .map(|_| CarrierSense::default())
                 .collect(),
-            sample_ns: Time::from_secs(SENSE_SAMPLE_INTERVAL_S).as_nanos().max(1),
+            window_ns: Time::from_secs(SENSE_WINDOW_S).as_nanos(),
+            sample_ns: Time::from_secs(SENSE_SAMPLE_INTERVAL_S).as_nanos(),
+            last_sample: Time::ZERO,
         }
+    }
+
+    /// The sensed occupancy of receiver `rx`'s channel.
+    fn occupancy(&self, rx: usize) -> f64 {
+        self.ewma[self.rx_sensed[rx]]
     }
 }
 
@@ -289,8 +299,6 @@ pub(crate) struct EngineCore<'a> {
     /// Per carrier, the instant of the slot that put it to sleep, while
     /// it sleeps: no member holds a queued packet and no next slot is
     /// scheduled until an arrival wakes it ([`EngineCore::on_arrival`]).
-    /// Empty in coex runs, whose carriers sample the medium every slot
-    /// and never sleep.
     asleep: Vec<Option<Time>>,
     mobility: Option<MobilityRuntime>,
     coex: Option<CoexRuntime<'a>>,
@@ -325,7 +333,7 @@ impl<'a> EngineCore<'a> {
         let horizon = Time::from_secs(scenario.duration_s);
 
         let mut queue = EventQueue::until(horizon);
-        let medium = Medium::new();
+        let mut medium = Medium::new();
         let trace = EventTrace::new(record_trace);
         let mut metrics = NetworkMetrics::new(
             scenario.tags.len(),
@@ -369,7 +377,7 @@ impl<'a> EngineCore<'a> {
 
         let mut coex = scenario.coex.as_ref().map(|config| {
             metrics.init_coex(scenario.carriers.len(), config.sources.len());
-            CoexRuntime::new(config, scenario, seed)
+            CoexRuntime::new(config, scenario, seed, &mut medium)
         });
 
         // Prime the queue: first packet arrival per tag, first slot per
@@ -395,6 +403,7 @@ impl<'a> EngineCore<'a> {
             queue.schedule(Time::ZERO.after_nanos(mob.tick_ns), EventKind::MobilityTick);
         }
         if let Some(cx) = coex.as_mut() {
+            queue.schedule(Time::ZERO.after_nanos(cx.window_ns), EventKind::SenseTick);
             // First arrival per external source.
             for (k, source) in cx.config.sources.iter().enumerate() {
                 let (gap, dur) = source.model.next_emission(&mut cx.rngs[k]);
@@ -407,10 +416,7 @@ impl<'a> EngineCore<'a> {
         }
         queue.schedule(horizon, EventKind::Horizon);
 
-        let asleep = match coex {
-            Some(_) => Vec::new(),
-            None => vec![None; carriers.len()],
-        };
+        let asleep = vec![None; carriers.len()];
         if let (Some(p), Some(tok)) = (prof.as_mut(), init_tok) {
             p.end(tok);
         }
@@ -474,6 +480,7 @@ impl<'a> EngineCore<'a> {
                 EventKind::CoexStart { source } => self.on_coex_start(source, now),
                 EventKind::CoexEnd { source, tx_id } => self.on_coex_end(source, tx_id, now),
                 EventKind::MobilityTick => self.on_mobility_tick(now),
+                EventKind::SenseTick => self.on_sense_tick(now),
             }
         }
         if let (Some(p), Some(tok)) = (self.prof.as_mut(), epoch_tok) {
@@ -487,17 +494,26 @@ impl<'a> EngineCore<'a> {
     pub(crate) fn finish(self) -> NetRunResult {
         let EngineCore {
             scenario,
+            medium,
             mut metrics,
             events,
             progress,
             tags,
             trace,
+            coex,
             mut prof,
             ..
         } = self;
         let fin_tok = prof.as_mut().map(|p| p.begin("finalize"));
         for (stats, state) in metrics.tags.iter_mut().zip(&tags) {
             stats.queued = state.queue.len();
+        }
+        if let Some(cx) = coex {
+            metrics.busy_airtime_s = cx
+                .rx_sensed
+                .iter()
+                .map(|&b| medium.busy_ns_drained(b) as f64 / 1e9)
+                .collect();
         }
         let telemetry = TelemetryReport {
             events,
@@ -531,7 +547,7 @@ impl<'a> EngineCore<'a> {
             let depth = state.queue.len();
             self.trace
                 .record(now, || format!("tag {tag} arrival (queue {depth})"));
-            if let Some(slept) = self.asleep.get_mut(spec.carrier).and_then(Option::take) {
+            if let Some(slept) = self.asleep[spec.carrier].take() {
                 self.wake(spec.carrier, slept, now);
             }
         } else {
@@ -564,16 +580,11 @@ impl<'a> EngineCore<'a> {
     /// band of the slot's first frame is free, the slot is granted and that
     /// frame goes on the air — the uplink packet itself in open loop, the
     /// AM-OFDM poll in closed loop. The carrier then schedules its next
-    /// slot, one interval on, unless it falls asleep: outside coex runs, a
-    /// slot that finds no member holding a queued packet (a closed-loop
-    /// packet stays queued until its ack) schedules none.
+    /// slot, one interval on, unless it falls asleep: a slot that finds no
+    /// member holding a queued packet (a closed-loop packet stays queued
+    /// until its ack) schedules none.
     fn on_slot(&mut self, carrier: usize, now: Time) {
         let scenario = self.scenario;
-        // Coex scenarios: sample the receive-side channel load into the
-        // carrier's EWMAs and — on the policy cadence — maybe re-tune the
-        // carrier and its tags to the least-occupied sub-band.
-        // Slot-aligned, RNG-free.
-        self.sense_and_restripe(carrier, now);
         // Consult the scenario's scheduler: the backlog oracle reports each
         // member's head-of-queue arrival when the tag can be granted (queued
         // traffic and — closed loop — no transaction in flight).
@@ -598,12 +609,13 @@ impl<'a> EngineCore<'a> {
                 .iter()
                 .all(|&t| tags[t].queue.is_empty())
         };
-        match self.asleep.get_mut(carrier) {
-            Some(asleep) if picked.is_none() && idle() => *asleep = Some(now),
-            _ => self.queue.schedule(
+        if picked.is_none() && idle() {
+            self.asleep[carrier] = Some(now);
+        } else {
+            self.queue.schedule(
                 now.after_nanos(state.slot_interval_ns),
                 EventKind::CarrierSlot { carrier },
-            ),
+            );
         }
         let Some(tag) = picked else {
             return;
@@ -931,7 +943,10 @@ impl<'a> EngineCore<'a> {
     /// under mobility. Runs without a sampler carry none of its windows.
     fn tally(&mut self, tag: usize, bump: fn(&mut Window)) {
         let carrier = self.scenario.tags[tag].carrier;
-        let occupancy = self.coex.as_mut().map(|cx| &mut cx.sense[carrier].window);
+        let occupancy = self
+            .coex
+            .as_mut()
+            .map(|cx| &mut cx.carriers[carrier].window);
         let mobility = self.mobility.as_mut().map(|mob| &mut mob.windows[tag]);
         occupancy.into_iter().chain(mobility).for_each(bump);
     }
@@ -1078,79 +1093,81 @@ impl<'a> EngineCore<'a> {
         });
     }
 
-    /// One carrier slot's coexistence step (a no-op without a coex
-    /// config): update the carrier's per-channel EWMA busy estimates from
-    /// the medium's receive-side load, take the carrier's window into an
-    /// [`OccupancySample`] on the configured cadence, and — when a
-    /// [`crate::coex::ReStripe`] policy is attached — maybe re-tune the
-    /// carrier and its Wi-Fi tags to the least-occupied sub-band.
+    /// A sensing tick, once per [`SENSE_WINDOW_S`] window of a coex run:
+    /// each sensed channel's busy share of the window that just closed
+    /// feeds its EWMA; on the sampling cadence every carrier records an
+    /// [`OccupancySample`] of its own channel; and under a
+    /// [`crate::coex::ReStripe`] policy every carrier runs the re-striping
+    /// check ([`EngineCore::restripe`]), in carrier order.
+    fn on_sense_tick(&mut self, now: Time) {
+        let cx = self.coex.as_mut().expect("sense tick without coex");
+        self.queue
+            .schedule(now.after_nanos(cx.window_ns), EventKind::SenseTick);
+        let window_ns = cx.window_ns as f64;
+        for (b, (read, ewma)) in cx.busy_read_ns.iter_mut().zip(&mut cx.ewma).enumerate() {
+            let busy = self.medium.busy_ns(b, now);
+            let share = (busy - *read) as f64 / window_ns;
+            *read = busy;
+            *ewma += SENSE_EWMA_ALPHA * (share - *ewma);
+        }
+        let sample = now.since(cx.last_sample).as_nanos() >= cx.sample_ns;
+        if sample {
+            cx.last_sample = now;
+        }
+        for carrier in 0..self.carriers.len() {
+            let own_rx = self.own_rx(carrier);
+            let cx = self.coex.as_mut().expect("coex");
+            if sample {
+                let window = std::mem::take(&mut cx.carriers[carrier].window);
+                self.metrics.occupancy_series[carrier].push(OccupancySample {
+                    at_s: now.as_secs(),
+                    subband: self.carriers[carrier].sched.subband(),
+                    occupancy: cx.occupancy(own_rx),
+                    attempts: window.attempts,
+                    delivered: window.delivered,
+                });
+            }
+            self.restripe(carrier, own_rx, now);
+        }
+    }
+
+    /// The receiver whose channel is `carrier`'s own: where its members
+    /// actually deliver (in a striped scenario that *is* the stripe's
+    /// sink, before and after any re-stripe; in an unstriped multi-AP ward
+    /// — whose tags cycle the APs while every `subband` sits at 0 — the
+    /// first member's live sink is the one whose load matters). Memberless
+    /// carriers fall back to their stripe's sink.
+    fn own_rx(&self, carrier: usize) -> usize {
+        let sched = &self.carriers[carrier].sched;
+        let wifi_rx = &self.coex.as_ref().expect("coex").wifi_rx;
+        match sched.members().first() {
+            Some(&t) => self.links.tag_receiver(t),
+            None if wifi_rx.is_empty() => 0,
+            None => wifi_rx[sched.subband().min(wifi_rx.len() - 1)],
+        }
+    }
+
+    /// The re-striping check of one carrier at a sensing tick (a no-op
+    /// without a [`crate::coex::ReStripe`] policy): when the sensed
+    /// occupancy of its own channel `own_rx` is high and another Wi-Fi
+    /// sub-band is quieter by the hysteresis, re-tune the carrier and its
+    /// Wi-Fi tags there.
     ///
-    /// Re-striping is deterministic (no RNG), slot-aligned, hysteretic (an
+    /// Re-striping is deterministic (no RNG), tick-aligned, hysteretic (an
     /// occupancy threshold *and* a dwell time) and quiescent: a carrier
     /// with a member mid-transmission or mid-transaction defers the move to
-    /// a later check, so no tag is ever re-tuned with an emission in
+    /// a later tick, so no tag is ever re-tuned with an emission in
     /// flight.
-    fn sense_and_restripe(&mut self, carrier: usize, now: Time) {
-        let Some(CoexRuntime {
-            config,
-            rx_bands,
-            wifi_rx,
-            sense,
-            sample_ns,
-            ..
-        }) = self.coex.as_mut()
-        else {
-            return;
-        };
+    fn restripe(&mut self, carrier: usize, own_rx: usize, now: Time) {
         let scenario = self.scenario;
-        let sense = &mut sense[carrier];
-        sense.slots = sense.slots.wrapping_add(1);
-        for (r, band) in rx_bands.iter().enumerate() {
-            let busy = if self.medium.occupied(*band, now) {
-                1.0
-            } else {
-                0.0
-            };
-            sense.ewma[r] += SENSE_EWMA_ALPHA * (busy - sense.ewma[r]);
-        }
-        // The carrier's own channel: where its members actually deliver (in
-        // a striped scenario that *is* the stripe's sink, before and after
-        // any re-stripe; in an unstriped multi-AP ward — whose tags cycle
-        // the APs while every `subband` sits at 0 — the first member's live
-        // sink is the one whose load matters). Memberless carriers fall
-        // back to their stripe's sink.
-        let sched = &mut self.carriers[carrier].sched;
-        let own_rx = sched
-            .members()
-            .first()
-            .map(|&t| self.links.tag_receiver(t))
-            .unwrap_or_else(|| {
-                if wifi_rx.is_empty() {
-                    0
-                } else {
-                    wifi_rx[sched.subband().min(wifi_rx.len() - 1)]
-                }
-            });
-        if now.since(sense.last_sample).as_nanos() >= *sample_ns {
-            sense.last_sample = now;
-            let window = std::mem::take(&mut sense.window);
-            self.metrics.occupancy_series[carrier].push(OccupancySample {
-                at_s: now.as_secs(),
-                subband: sched.subband(),
-                occupancy: sense.ewma[own_rx],
-                attempts: window.attempts,
-                delivered: window.delivered,
-            });
-        }
-
-        let Some(policy) = config.restripe else {
+        let cx = self.coex.as_mut().expect("coex");
+        let Some(policy) = cx.config.restripe else {
             return;
         };
-        if wifi_rx.len() < 2 || sense.slots % policy.check_every_slots != 0 {
-            return;
-        }
-        if now.since(sense.last_restripe).as_nanos()
-            < Time::from_secs(policy.min_dwell_s).as_nanos()
+        let sense = &cx.carriers[carrier];
+        if cx.wifi_rx.len() < 2
+            || now.since(sense.last_restripe).as_nanos()
+                < Time::from_secs(policy.min_dwell_s).as_nanos()
         {
             return;
         }
@@ -1158,24 +1175,25 @@ impl<'a> EngineCore<'a> {
         // deliver (so an unstriped ward's channel-6 carriers are judged on
         // channel 6, not on the never-assigned subband 0). A carrier whose
         // own channel is not a Wi-Fi sink has nothing to re-stripe.
-        let Some(cur) = wifi_rx.iter().position(|&r| r == own_rx) else {
+        let Some(cur) = cx.wifi_rx.iter().position(|&r| r == own_rx) else {
             return;
         };
-        let cur_occ = sense.ewma[own_rx];
+        let cur_occ = cx.occupancy(own_rx);
         if cur_occ <= policy.high_occupancy {
             return;
         }
         // The least-occupied candidate stripe; ties break toward the lower
         // stripe index (strict `<` with an ascending scan).
         let (mut best, mut best_occ) = (cur, cur_occ);
-        for (b, &r) in wifi_rx.iter().enumerate() {
-            if sense.ewma[r] < best_occ {
-                (best, best_occ) = (b, sense.ewma[r]);
+        for (b, &r) in cx.wifi_rx.iter().enumerate() {
+            if cx.occupancy(r) < best_occ {
+                (best, best_occ) = (b, cx.occupancy(r));
             }
         }
         if best == cur || best_occ + policy.hysteresis >= cur_occ {
             return;
         }
+        let sched = &mut self.carriers[carrier].sched;
         let members = sched.members();
         let mac = self.mac_loop.as_ref();
         let quiescent = members
@@ -1187,7 +1205,7 @@ impl<'a> EngineCore<'a> {
         if !quiescent || !any_wifi {
             return;
         }
-        let to_rx = wifi_rx[best];
+        let to_rx = cx.wifi_rx[best];
         let SinkKind::Wifi { channel } = scenario.receivers[to_rx].kind else {
             unreachable!("wifi_rx only holds Wi-Fi sinks");
         };
@@ -1200,7 +1218,7 @@ impl<'a> EngineCore<'a> {
         }
         self.links.flush(scenario);
         sched.set_subband(best);
-        sense.last_restripe = now;
+        cx.carriers[carrier].last_restripe = now;
         self.metrics.restripe_events.push(ReStripeEvent {
             at_s: now.as_secs(),
             carrier,
@@ -1761,14 +1779,14 @@ mod tests {
             (
                 "congested_10_restripe",
                 Scenario::congested_ward(10).with_restripe(ReStripe::default()),
-                0x0C1E_CF22_AA41_DFF3,
+                0xB307_8593_5364_A277,
             ),
             (
                 "congested_8_closed_restripe",
                 Scenario::congested_ward(8)
                     .closed_loop()
                     .with_restripe(ReStripe::default()),
-                0xB83F_C0B5_6039_5C1E,
+                0xDD1A_A1CD_06CA_A752,
             ),
             (
                 "hospital_16_striped_pf",

@@ -61,9 +61,9 @@
 //! When the lane was measured, slots were 2.78M of ward's 2.94M events at
 //! seed 1, and 97% of them found no backlogged tag and returned at once,
 //! so a heap push and pop per slot was most of the loop; the lane made it
-//! a copy at each end. Idle carriers now sleep: at seed 1 ward runs 0.83M
+//! a copy at each end. Idle carriers now sleep: at seed 1 ward ran 0.83M
 //! events and 0.67M slots, 0.60M of them from the coex ward's carriers,
-//! which sense the medium every slot and never sleep. Re-measured then
+//! which then sensed the medium every slot and never slept. Re-measured then
 //! with the lane deleted and slots in the heap behind a flag bit in the
 //! key (`at`, then a slot bit, then carrier and `seq`): digests identical
 //! (ward `a73e386b617a1f22`, campus `5508da4d1b7cb487`), and over 10
@@ -71,6 +71,10 @@
 //! medians lane → heap: ward `wall_s` 0.058 → 0.117 s (slower in 10/10),
 //! `setup_s` 0.083 → 0.143 s; campus `wall_s` 0.073 → 0.083 s (slower in
 //! 9/10), `setup_s` 0.096 → 0.105 s, RSS 70.8 → 70.4 MiB. The lane stays.
+//! Since occupancy sensing moved to its own once-per-window tick, coex
+//! carriers sleep too: the coex ward fires 38,294 slots at seed 1 instead
+//! of 600,000, and ward's events fall to ≈0.28M, so the lane now carries
+//! a smaller share of them.
 
 use crate::time::Time;
 use std::collections::VecDeque;
@@ -136,6 +140,15 @@ pub enum EventKind {
     /// integer-nanosecond grid (tick `k` fires at exactly `k · period`),
     /// so the cadence never drifts against the carrier slots.
     MobilityTick,
+    /// A coex run's occupancy-sensing tick, one per
+    /// [`crate::coex`] sensing window on the integer-nanosecond grid:
+    /// every receiver channel's busy share of the window feeds its EWMA,
+    /// carriers record their occupancy samples and run the re-striping
+    /// check. At a nanosecond it shares, it pops in scheduling order among
+    /// the other non-slot events, before every carrier slot; a busy-time
+    /// reading is the same on either side of an emission that starts or
+    /// ends on that nanosecond.
+    SenseTick,
     /// End of the simulated horizon; processing stops here.
     Horizon,
 }
@@ -143,7 +156,7 @@ pub enum EventKind {
 impl EventKind {
     /// Every kind's name, indexed by [`EventKind::index`]: the vocabulary
     /// of a profiled run's per-kind totals ([`crate::prof`]).
-    pub(crate) const NAMES: [&'static str; 9] = [
+    pub(crate) const NAMES: [&'static str; 10] = [
         "PacketArrival",
         "CarrierSlot",
         "TxEnd",
@@ -152,6 +165,7 @@ impl EventKind {
         "CoexStart",
         "CoexEnd",
         "MobilityTick",
+        "SenseTick",
         "Horizon",
     ];
 
@@ -166,7 +180,8 @@ impl EventKind {
             EventKind::CoexStart { .. } => 5,
             EventKind::CoexEnd { .. } => 6,
             EventKind::MobilityTick => 7,
-            EventKind::Horizon => 8,
+            EventKind::SenseTick => 8,
+            EventKind::Horizon => 9,
         }
     }
 }
@@ -761,6 +776,7 @@ mod tests {
                 tx_id: 0,
             },
             EventKind::MobilityTick,
+            EventKind::SenseTick,
             EventKind::Horizon,
         ];
         assert_eq!(kinds.len(), EventKind::NAMES.len());

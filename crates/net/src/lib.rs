@@ -39,8 +39,8 @@
 //! carrier slots, which pop after those in carrier order, so the
 //! execution order is total and reproducible. Carrier slots go in a
 //! sorted FIFO lane; every other kind goes in a 4-ary min-heap, and a pop
-//! takes the earlier head. Eight event kinds drive everything, each
-//! handled by one engine method (a ninth, `Horizon`, ends the run):
+//! takes the earlier head. Nine event kinds drive everything, each
+//! handled by one engine method (a tenth, `Horizon`, ends the run):
 //!
 //! * `PacketArrival` — a tag's application emits a packet and schedules the
 //!   next arrival from its *own* seeded RNG stream. An accepted packet
@@ -51,10 +51,9 @@
 //!   medium (CSMA, optionally a CTS-to-Self reservation), and starts a
 //!   transmission. A carrier offers its tags a slot every slot interval,
 //!   but only while one of them holds a queued packet: a slot that finds
-//!   none puts the carrier to sleep (coex runs excepted, whose carriers
-//!   sense the medium every slot), and the arrival that wakes it
-//!   schedules its next slot on the same grid. The helper provides a
-//!   carrier only for a tag with data to send (§2.3.3).
+//!   none puts the carrier to sleep, coex runs included, and the arrival
+//!   that wakes it schedules its next slot on the same grid. The helper
+//!   provides a carrier only for a tag with data to send (§2.3.3).
 //! * `TxEnd` — a transmission completes: the [`medium::Medium`] reports
 //!   tag-to-tag collisions (including the *mirror copies* double-sideband
 //!   tags place on the opposite side of the carrier), the link budget
@@ -80,10 +79,13 @@
 //! * `CoexStart` / `CoexEnd` — when the scenario attaches a
 //!   [`coex::CoexConfig`], external traffic sources (bursty Wi-Fi, BLE
 //!   advertising, ZigBee chatter, a microwave duty cycle) put *real timed
-//!   emissions* on the medium from their own seeded streams, carriers
-//!   sense per-channel occupancy, and an optional [`coex::ReStripe`]
-//!   policy re-tunes congested carriers (and their tags) to the
-//!   least-occupied sub-band mid-run.
+//!   emissions* on the medium from their own seeded streams, and the
+//!   medium integrates each receiver channel's busy time.
+//! * `SenseTick` — in a coex run, once per 50 ms sensing window: each
+//!   channel's busy share of the window feeds one EWMA per channel,
+//!   carriers record their occupancy samples, and an optional
+//!   [`coex::ReStripe`] policy re-tunes congested carriers (and their
+//!   tags) to the least-occupied sub-band mid-run.
 //!
 //! Every entity owns a `SmallRng` seeded from the scenario seed and its
 //! entity id, so identical seeds reproduce byte-identical event traces and

@@ -22,6 +22,11 @@
 //! The medium is the one record of what is on the air: the engine asks
 //! it whether a tag is mid-flight instead of keeping flags of its own.
 //!
+//! It also integrates receive-side busy time on the bands a coex run
+//! senses ([`Medium::sense`]): per band, how long at least one emission
+//! overlapping it was on the air — 802.11's BSS Load channel utilization,
+//! the busy share of airtime over a window rather than a point sample.
+//!
 //! ## Boundary semantics
 //!
 //! Time intervals at the medium follow two pinned conventions (see the
@@ -91,7 +96,7 @@ struct Emission {
     end: Time,
     /// A hidden-terminal emission: invisible to [`Medium::busy`]
     /// (carrier-sense at the transmitting side cannot hear it) but still
-    /// interfering and still counted by [`Medium::occupied`].
+    /// interfering and still counted by the busy-time integrals.
     hidden: bool,
     /// Emissions that overlapped this one while it was on the air.
     interferers: Vec<Interferer>,
@@ -106,10 +111,9 @@ impl Emission {
         self.bands().any(|a| other.bands().any(|b| a.overlaps(b)))
     }
 
-    /// True while the emission's energy is on a band overlapping `band`
-    /// at `now` (the half-open `[start, end)` window).
-    fn on(&self, band: &Band, now: Time) -> bool {
-        self.end > now && self.bands().any(|b| b.overlaps(band))
+    /// True when any of the emission's bands overlaps `band`.
+    fn lands_in(&self, band: &Band) -> bool {
+        self.bands().any(|b| b.overlaps(band))
     }
 
     fn as_interferer(&self) -> Interferer {
@@ -149,8 +153,38 @@ impl Interferer {
     }
 }
 
+/// One sensed band's busy-time integral. A busy stretch runs from the
+/// start of an emission that finds the band idle to the latest end among
+/// the emissions that keep it busy; each emission is finished at its end
+/// instant (the engine's end events fire there), so a stretch is one
+/// unbroken interval.
+#[derive(Debug, Clone, Copy)]
+struct BusyIntegral {
+    band: Band,
+    /// Emissions started and not yet finished that overlap `band`.
+    on_air: u32,
+    /// Start of the current stretch (meaningful while `on_air > 0`).
+    since: Time,
+    /// Latest end among the current stretch's emissions.
+    until: Time,
+    /// Total length of the stretches already closed, ns.
+    closed_ns: u64,
+}
+
+impl BusyIntegral {
+    /// Busy time through `now`, ns.
+    fn through(&self, now: Time) -> u64 {
+        let open = if self.on_air > 0 {
+            now.min(self.until).since(self.since).as_nanos()
+        } else {
+            0
+        };
+        self.closed_ns + open
+    }
+}
+
 /// The shared-medium arbiter: one list of the emissions on the air, plus
-/// the CTS-to-Self reservations.
+/// the CTS-to-Self reservations and the sensed bands' busy-time integrals.
 ///
 /// Every query scans the whole list in storage order. The list is short:
 /// no preset or benchmark workload puts more than 3 emissions on the air
@@ -163,6 +197,8 @@ pub struct Medium {
     active: Vec<Emission>,
     reservations: Vec<Reservation>,
     next_tx_id: u64,
+    /// One integral per distinct sensed band, in registration order.
+    sensed: Vec<BusyIntegral>,
 }
 
 impl Medium {
@@ -185,22 +221,50 @@ impl Medium {
     /// (`[start, end]`) occupying a band that overlaps `band` at time
     /// `now`? Hidden-terminal emissions are *not* heard here — carrier-
     /// sense happens at the transmitting side, which by definition cannot
-    /// hear a hidden node (use [`Medium::occupied`] for the receive-side
-    /// truth).
+    /// hear a hidden node (the busy-time integrals, [`Medium::busy_ns`],
+    /// are the receive-side truth).
     pub fn busy(&mut self, band: Band, now: Time) -> bool {
         self.prune(now);
-        self.active.iter().any(|e| !e.hidden && e.on(&band, now))
+        self.active
+            .iter()
+            .any(|e| !e.hidden && e.end > now && e.lands_in(&band))
             || self.reservations.iter().any(|r| r.band.overlaps(&band))
     }
 
-    /// Occupancy sensing: is any emission — hidden or not — on a band
-    /// overlapping `band` at `now`? This is the *receive-side* channel
-    /// load an AP measures and reports (802.11's QBSS load element), which
-    /// is what the coex subsystem's per-carrier EWMA estimators sample:
-    /// unlike [`Medium::busy`] it hears hidden terminals, and it ignores
-    /// NAV reservations (a reservation is protocol state, not energy).
-    pub fn occupied(&self, band: Band, now: Time) -> bool {
-        self.active.iter().any(|e| e.on(&band, now))
+    /// Starts integrating busy time on `band` and returns the integral's
+    /// index; a band equal to one already sensed shares its integral. Only
+    /// emissions started after the call are counted, so a run registers
+    /// its bands before the first one.
+    pub fn sense(&mut self, band: Band) -> usize {
+        if let Some(idx) = self.sensed.iter().position(|s| s.band == band) {
+            return idx;
+        }
+        self.sensed.push(BusyIntegral {
+            band,
+            on_air: 0,
+            since: Time::ZERO,
+            until: Time::ZERO,
+            closed_ns: 0,
+        });
+        self.sensed.len() - 1
+    }
+
+    /// Occupancy sensing: how long, in ns up to `now`, at least one
+    /// emission — hidden or not — overlapped sensed band `idx`. This is
+    /// the *receive-side* load an AP reports as 802.11's BSS Load channel
+    /// utilization; unlike [`Medium::busy`] it hears hidden terminals, and
+    /// it ignores NAV reservations (a reservation is protocol state, not
+    /// energy). The busy share of a window is the difference of two
+    /// readings over the window's length.
+    pub fn busy_ns(&self, idx: usize, now: Time) -> u64 {
+        self.sensed[idx].through(now)
+    }
+
+    /// [`Medium::busy_ns`] once every emission now on the air has ended:
+    /// the band's busy time over everything started so far.
+    pub fn busy_ns_drained(&self, idx: usize) -> u64 {
+        let sensed = &self.sensed[idx];
+        sensed.through(sensed.until)
     }
 
     /// True while `who` has an emission started and not yet
@@ -230,7 +294,7 @@ impl Medium {
     }
 
     /// [`Medium::start`] for a hidden-terminal emission: it interferes and
-    /// counts toward [`Medium::occupied`], but [`Medium::busy`] cannot
+    /// counts toward the busy-time integrals, but [`Medium::busy`] cannot
     /// hear it.
     pub fn start_hidden(
         &mut self,
@@ -264,6 +328,15 @@ impl Medium {
             hidden,
             interferers: Vec::new(),
         };
+        for sensed in &mut self.sensed {
+            if emission.lands_in(&sensed.band) {
+                if sensed.on_air == 0 {
+                    (sensed.since, sensed.until) = (now, now);
+                }
+                sensed.until = sensed.until.max(end);
+                sensed.on_air += 1;
+            }
+        }
         for other in &mut self.active {
             if other.end > now && other.overlaps(&emission) {
                 if !emission.interferers.iter().any(|i| i.who == other.who) {
@@ -282,10 +355,19 @@ impl Medium {
     /// that overlapped it, dedup'd by owner, in first-overlap order. An id
     /// that is not on the air returns an empty list.
     pub fn finish(&mut self, tx_id: u64) -> Vec<Interferer> {
-        match self.active.iter().position(|e| e.tx_id == tx_id) {
-            Some(idx) => self.active.swap_remove(idx).interferers,
-            None => Vec::new(),
+        let Some(idx) = self.active.iter().position(|e| e.tx_id == tx_id) else {
+            return Vec::new();
+        };
+        let emission = self.active.swap_remove(idx);
+        for sensed in &mut self.sensed {
+            if emission.lands_in(&sensed.band) {
+                sensed.on_air -= 1;
+                if sensed.on_air == 0 {
+                    sensed.closed_ns += sensed.until.since(sensed.since).as_nanos();
+                }
+            }
         }
+        emission.interferers
     }
 
     /// Number of transmissions currently on the air.
@@ -422,6 +504,7 @@ mod tests {
     #[test]
     fn hidden_emissions_collide_but_escape_carrier_sense() {
         let mut medium = Medium::new();
+        let (ch6, ch11) = (medium.sense(wifi(CH6)), medium.sense(wifi(CH11)));
         // A hidden external burst occupies channel 6 for the AP…
         let ext = medium.start_hidden(
             Emitter::External(0),
@@ -433,8 +516,8 @@ mod tests {
         // …but the transmitting side cannot hear it: carrier-sense says
         // idle while receive-side occupancy says busy.
         assert!(!medium.busy(wifi(CH6), Time(100_000)));
-        assert!(medium.occupied(wifi(CH6), Time(100_000)));
-        assert!(!medium.occupied(wifi(CH11), Time(100_000)));
+        assert_eq!(medium.busy_ns(ch6, Time(100_000)), 100_000);
+        assert_eq!(medium.busy_ns(ch11, Time(100_000)), 0);
         // A tag transmission launched into the hidden burst collides with
         // it, both ways.
         let tag = medium.start(
@@ -454,7 +537,43 @@ mod tests {
         assert!(medium.busy(wifi(CH6), Time(10_000)));
         medium.reserve(wifi(CH11), Time(400_000));
         assert!(medium.busy(wifi(CH11), Time(350_000)));
-        assert!(!medium.occupied(wifi(CH11), Time(350_000)));
+        assert_eq!(medium.busy_ns(ch11, Time(350_000)), 0);
+    }
+
+    #[test]
+    fn busy_time_is_the_union_of_overlapping_emissions() {
+        let mut medium = Medium::new();
+        let ch6 = medium.sense(wifi(CH6));
+        let ch11 = medium.sense(wifi(CH11));
+        // An equal band shares its integral.
+        assert_eq!(medium.sense(wifi(CH6)), ch6);
+        // Two overlapping channel-6 emissions, [0, 200) and [100, 300),
+        // plus a DSB tag on channel 1 whose mirror copy lands in channel
+        // 6 over [400, 500), plus a channel-11 emission.
+        let a = medium.start(Emitter::Tag(0), wifi(CH6), None, Time(0), Time(200));
+        let b = medium.start(Emitter::Tag(1), wifi(CH6), None, Time(100), Time(300));
+        assert_eq!(medium.busy_ns(ch6, Time(150)), 150);
+        medium.finish(a);
+        // An emission that has ended but awaits its finish adds nothing
+        // past its end.
+        assert_eq!(medium.busy_ns(ch6, Time(350)), 300);
+        medium.finish(b);
+        let dsb = medium.start(
+            Emitter::Tag(2),
+            wifi(2.412e9),
+            Some(wifi(2.440e9)),
+            Time(400),
+            Time(500),
+        );
+        let far = medium.start(Emitter::Tag(3), wifi(CH11), None, Time(400), Time(450));
+        assert_eq!(medium.busy_ns(ch6, Time(450)), 350);
+        // Drained: everything started so far, through its end.
+        assert_eq!(medium.busy_ns_drained(ch6), 400);
+        assert_eq!(medium.busy_ns_drained(ch11), 50);
+        medium.finish(far);
+        medium.finish(dsb);
+        assert_eq!(medium.busy_ns(ch6, Time(1_000)), 400);
+        assert_eq!(medium.busy_ns(ch11, Time(1_000)), 50);
     }
 
     #[test]

@@ -107,8 +107,8 @@ impl MobilitySample {
 }
 
 /// One point of a carrier's sensed-occupancy series, recorded every
-/// 0.1 s of simulated time: what the carrier's EWMA busy
-/// estimator reads on its own stripe, and how its member tags' attempts
+/// 0.1 s of simulated time: what the EWMA busy-airtime estimate of the
+/// carrier's own channel reads, and how its member tags' attempts
 /// fared since the previous sample — the raw material of the
 /// PRR-under-congestion readout.
 ///
@@ -134,7 +134,7 @@ pub struct OccupancySample {
 /// sub-band stripe to another because its sensed occupancy spiked.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReStripeEvent {
-    /// Simulated time of the decision (slot-aligned), seconds.
+    /// Simulated time of the decision (a sensing tick), seconds.
     pub at_s: f64,
     /// The carrier that re-tuned.
     pub carrier: usize,
@@ -182,6 +182,12 @@ pub struct NetworkMetrics {
     pub coex_airtime_s: Vec<f64>,
     /// Per external source: CSMA deferrals (busy band or NAV honoured).
     pub coex_defers: Vec<usize>,
+    /// Per receiver: how long its channel was busy, seconds — the union of
+    /// every emission that overlapped it, hidden ones included, each
+    /// through its end even past the horizon (as `coex_airtime_s` counts
+    /// them). The integral occupancy sensing reads; empty unless the
+    /// scenario attaches a [`crate::coex::CoexConfig`].
+    pub busy_airtime_s: Vec<f64>,
 }
 
 impl NetworkMetrics {
@@ -201,6 +207,7 @@ impl NetworkMetrics {
             coex_emissions: Vec::new(),
             coex_airtime_s: Vec::new(),
             coex_defers: Vec::new(),
+            busy_airtime_s: Vec::new(),
         }
     }
 

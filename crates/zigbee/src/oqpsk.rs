@@ -63,20 +63,28 @@ pub fn modulate(chips: &[u8], config: OqpskConfig) -> Result<Vec<Cplx>, ZigbeeEr
     let total = (chips.len() + 2) * spc;
     let mut i_rail = vec![0.0f64; total];
     let mut q_rail = vec![0.0f64; total];
+    // The half-sine pulse, sampled once: `t` runs 0..1 over its 2*spc
+    // samples.
+    let pulse: Vec<f64> = (0..2 * spc)
+        .map(|s| {
+            let t = s as f64 / (2 * spc) as f64;
+            (std::f64::consts::PI * t).sin()
+        })
+        .collect();
     for (idx, &chip) in chips.iter().enumerate() {
         let level = if chip & 1 == 1 { 1.0 } else { -1.0 };
-        let rail_is_i = idx % 2 == 0;
+        let target = if idx % 2 == 0 {
+            &mut i_rail
+        } else {
+            &mut q_rail
+        };
         // The pulse for chip `idx` starts at sample idx*spc on its rail
         // (the Q rail's one-chip delay falls out naturally because odd
         // indices start one chip period later).
         let start = idx * spc;
-        for s in 0..2 * spc {
-            let t = s as f64 / (2 * spc) as f64; // 0..1 over the pulse
-            let pulse = (std::f64::consts::PI * t).sin();
-            let target = if rail_is_i { &mut i_rail } else { &mut q_rail };
-            if start + s < total {
-                target[start + s] += level * pulse;
-            }
+        let end = (start + pulse.len()).min(total);
+        for (sample, p) in target[start..end].iter_mut().zip(&pulse) {
+            *sample += level * p;
         }
     }
     Ok(i_rail

@@ -10,10 +10,17 @@
 //!   ceiling the other two rows chase;
 //! * **static striping** — carriers keep the sub-band the scenario
 //!   assigned them and ride the collapse out;
-//! * **adaptive re-striping** — each carrier's EWMA occupancy sensor
-//!   crosses the `ReStripe` threshold shortly after the spike begins, and
-//!   the stripe-1 carriers re-tune themselves (and their tags) to the
-//!   least-occupied sub-band, deterministically and slot-aligned.
+//! * **adaptive re-striping** — the sensed occupancy of channel 6 (an
+//!   EWMA of its busy share of airtime, one reading per 50 ms sensing
+//!   window) crosses the `ReStripe` threshold shortly after the spike
+//!   begins, and the stripe-1 carriers re-tune themselves (and their
+//!   tags) to the least-occupied sub-band, deterministically, at a
+//!   sensing tick.
+//!
+//! Sensing fires no carrier slot, so every row's carriers sleep while
+//! their tags hold nothing: at seed 42 the static row fires 604 of the
+//! 12,000 slots its six carriers would tick through in 10 s, and the
+//! adaptive row 491.
 //!
 //! Run with an optional seed (default 42):
 //!

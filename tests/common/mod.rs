@@ -4,8 +4,11 @@
 //! broke; [`check_invariants`] runs every row and names the row and the
 //! case that fails.
 
-use interscatter::net::engine::NetRunResult;
-use interscatter::net::mac::MacMode;
+use interscatter::backscatter::tag::SidebandMode;
+use interscatter::net::engine::{NetRunResult, AM_DOWNLINK_BANDWIDTH_HZ};
+use interscatter::net::entities::{NetPhy, TagNode};
+use interscatter::net::mac::{transaction_airtime_s, MacMode};
+use interscatter::net::medium::Band;
 use interscatter::net::metrics::TagStats;
 use interscatter::net::scenario::Scenario;
 
@@ -62,8 +65,25 @@ fn windows_within(
     })
 }
 
+/// True when a frame of `tag` — its uplink packet, a double-sideband
+/// mirror copy, or a poll or ack on its sink's channel — can overlap
+/// `band`. Under a re-stripe policy a tag can move to any sink, so any
+/// band.
+fn frames_may_land_in(scenario: &Scenario, tag: &TagNode, band: &Band) -> bool {
+    if scenario.coex.as_ref().is_some_and(|c| c.restripe.is_some()) {
+        return true;
+    }
+    let carrier_freq = scenario.carriers[tag.carrier].carrier_freq_hz();
+    let primary = Band::new(tag.phy.center_freq_hz(carrier_freq), tag.phy.bandwidth_hz());
+    let mirror = Band::new(2.0 * carrier_freq - primary.center_hz, primary.bandwidth_hz);
+    let dsb = tag.sideband == SidebandMode::Double && !matches!(tag.phy, NetPhy::CardOok { .. });
+    let sink = &scenario.receivers[tag.receiver];
+    let downlink = Band::new(sink.center_freq_hz(carrier_freq), AM_DOWNLINK_BANDWIDTH_HZ);
+    primary.overlaps(band) || downlink.overlaps(band) || (dsb && mirror.overlaps(band))
+}
+
 /// Every identity a run must keep.
-pub const INVARIANTS: [Invariant; 7] = [
+pub const INVARIANTS: [Invariant; 8] = [
     // Every offered packet was delivered, dropped, or is still queued at
     // the horizon.
     ("packet conservation", |_, run| {
@@ -142,6 +162,54 @@ pub const INVARIANTS: [Invariant; 7] = [
                 let windows = series.iter().map(|s| (s.attempts, s.delivered));
                 let counted = (tag.attempts, tag.delivered);
                 windows_within(("tag", t), windows, counted, open_loop)?;
+            }
+            Ok(())
+        },
+    ),
+    // Each receiver channel's busy airtime is the union of the emissions
+    // that overlapped it, each through its end: at least the airtime of
+    // any one coex source on the channel, at most their sum plus every
+    // fleet frame that can land there — one transaction's span per grant.
+    // With one source and no fleet frame on the channel the bounds meet:
+    // the channel is busy for exactly the source's airtime. Each emission
+    // and grant may round its end by up to 1 ns.
+    (
+        "busy airtime brackets the airtime on each channel",
+        |scenario, run| {
+            let m = &run.metrics;
+            let Some(coex) = &scenario.coex else {
+                return ensure(m.busy_airtime_s.is_empty(), || {
+                    format!("{:?} busy without a coex config", m.busy_airtime_s)
+                });
+            };
+            ensure(m.busy_airtime_s.len() == scenario.receivers.len(), || {
+                format!("{} busy times", m.busy_airtime_s.len())
+            })?;
+            let carrier_freq = scenario.carriers[0].carrier_freq_hz();
+            let eps = 1e-9 * (m.external_emissions() + 3 * m.grants()) as f64 + 1e-12;
+            let receivers = scenario.receivers.iter().zip(&m.busy_airtime_s);
+            for (r, (rx, &busy)) in receivers.enumerate() {
+                let band = Band::new(rx.center_freq_hz(carrier_freq), rx.bandwidth_hz());
+                let sources = coex.sources.iter().zip(&m.coex_airtime_s);
+                let on_band: Vec<f64> = sources
+                    .filter(|(source, _)| source.model.band().overlaps(&band))
+                    .map(|(_, &airtime)| airtime)
+                    .collect();
+                let fleet: f64 = scenario
+                    .tags
+                    .iter()
+                    .zip(&m.tags)
+                    .filter(|(spec, _)| frames_may_land_in(scenario, spec, &band))
+                    .map(|(spec, tag)| {
+                        let span = transaction_airtime_s(spec.phy.airtime_s(spec.payload_bytes));
+                        tag.grants as f64 * span
+                    })
+                    .sum();
+                let lower = on_band.iter().copied().fold(0.0, f64::max);
+                let upper = on_band.iter().sum::<f64>() + fleet;
+                ensure(lower - eps <= busy && busy <= upper + eps, || {
+                    format!("receiver {r}: busy {busy} s outside [{lower}, {upper}] s")
+                })?;
             }
             Ok(())
         },

@@ -19,6 +19,8 @@
 mod common;
 
 use common::{check_invariants, EVENTLESS_S};
+use interscatter::net::coex::{CoexConfig, CoexSource};
+use interscatter::net::entities::Position;
 use interscatter::net::scenario::{catalogue, ExecutionSection, Scenario};
 use interscatter::net::trace_digest::fnv1a_str;
 use rand::rngs::StdRng;
@@ -28,7 +30,7 @@ fn digest(s: &Scenario) -> u64 {
     fnv1a_str(&format!("{s:?}"))
 }
 
-/// Captured from the presets in [`catalogue`] order. Re-pinned five times,
+/// Captured from the presets in [`catalogue`] order. Re-pinned six times,
 /// each time for one moved or removed field and nothing else:
 /// * when `ExecutionConfig` lost its epoch length (each old pin hashed
 ///   the same `Debug` form with `epoch_s: 0.01` present);
@@ -70,6 +72,11 @@ fn digest(s: &Scenario) -> u64 {
 ///   c58889dc → 46d3eacb, f21ea900 → 0814f982, f796ec14 → cbd7962f,
 ///   a5902a14 → 39fdf32d, e0b4ea12 → 86653381, 7572220e → 60f144ff,
 ///   53ab7208 → 8a2c3d95, 573a49fe → faddba7c; top 32 bits).
+/// * when `ReStripe` lost its `check_every_slots` field (the check now
+///   runs on every sensing tick). Deleting `, check_every_slots: 10`
+///   from the two re-striped cases' old `Debug` text hashes to exactly
+///   the pin below (8a2c3d95 → 32c37d5a, faddba7c → daae7ec7); the other
+///   thirteen did not move.
 const PINNED: [u64; 15] = [
     0xEC96_FC2E_DDD7_9D7F,
     0x1C0D_4814_2CCC_3D94,
@@ -84,8 +91,8 @@ const PINNED: [u64; 15] = [
     0x39FD_F32D_8E7D_C329,
     0x8665_3381_EC85_E578,
     0x60F1_44FF_5EE0_B430,
-    0x8A2C_3D95_E101_E983,
-    0xFADD_BA7C_0DD1_F63C,
+    0x32C3_7D5A_6C48_E9CA,
+    0xDAAE_7EC7_C387_4BFF,
 ];
 
 #[test]
@@ -105,11 +112,24 @@ fn presets_and_variants_match_their_pinned_digests() {
 }
 
 /// Edge rows the catalogue's pinned sizes never reach: one tag, open and
-/// closed loop, at full length and cut shorter than any event, one
-/// carrier for a whole campus fleet, and a valid scenario whose second
-/// mobility tick lies past the last representable nanosecond.
+/// closed loop, at full length and cut shorter than any event, one tag
+/// beside a lone external source on a channel none of its frames reach
+/// (where the invariant table's busy-airtime bounds meet), one carrier
+/// for a whole campus fleet, and a valid scenario whose second mobility
+/// tick lies past the last representable nanosecond.
 fn edge_cases() -> Vec<(&'static str, Scenario)> {
     let open = Scenario::hospital_ward(1);
+    // The tag delivers on channel 1; the source hammers channel 11.
+    let lone_source = open
+        .clone()
+        .builder()
+        .coex(CoexConfig::with_sources(vec![CoexSource::hidden_wifi(
+            Position::new(10.0, 8.0, 2.0),
+            11,
+            0.3,
+        )]))
+        .build()
+        .unwrap();
     let closed = open.clone().closed_loop();
     let cut = |s: &Scenario, duration_s: f64| {
         assert!(duration_s <= EVENTLESS_S);
@@ -133,6 +153,10 @@ fn edge_cases() -> Vec<(&'static str, Scenario)> {
         (
             "hospital_ward(1).closed_loop() for 1 us",
             cut(&closed, 1e-6),
+        ),
+        (
+            "hospital_ward(1) beside a hidden channel-11 source",
+            lone_source,
         ),
         ("campus(256)", campus),
         ("walking_ward(2) ticking past u64::MAX ns", overflow),
