@@ -1,18 +1,21 @@
 //! Throughput benchmarks of the individual PHY pipelines the experiments are
 //! built from: how fast the simulator generates and decodes 802.11b frames,
 //! OFDM frames, ZigBee frames, GFSK advertisements and backscatter
-//! reflection sequences. These are the inner loops of every figure bench.
+//! reflection sequences, and how fast the channel adds AWGN to them. These
+//! are the inner loops of every figure bench.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use interscatter_backscatter::ssb::{reflection_sequence, SsbConfig};
 use interscatter_ble::channels::BleChannel;
 use interscatter_ble::gfsk::{GfskConfig, GfskModulator};
 use interscatter_ble::single_tone::{single_tone_packet, TonePolarity};
+use interscatter_channel::noise::NoiseModel;
 use interscatter_dsp::fft::Fft;
 use interscatter_dsp::Cplx;
 use interscatter_wifi::dot11b::{Dot11bReceiver, Dot11bTransmitter, DsssRate};
 use interscatter_wifi::ofdm::ppdu::{OfdmRate, OfdmReceiver, OfdmTransmitter};
 use interscatter_zigbee::{ZigbeeReceiver, ZigbeeTransmitter};
+use rand::SeedableRng;
 
 fn bench_fft(c: &mut Criterion) {
     let mut group = c.benchmark_group("dsp_fft");
@@ -101,9 +104,22 @@ fn bench_backscatter_ssb(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_awgn(c: &mut Criterion) {
+    let model = NoiseModel::wifi_dsss();
+    let mut samples: Vec<Cplx> = (0..4096).map(|i| Cplx::expj(i as f64 * 0.01)).collect();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xA7);
+    let mut group = c.benchmark_group("channel");
+    group.throughput(Throughput::Elements(samples.len() as u64));
+    group.bench_function("awgn_4096", |b| {
+        b.iter(|| model.add_noise_in_place(&mut samples, &mut rng))
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = phy;
     config = Criterion::default();
-    targets = bench_fft, bench_ble_single_tone, bench_dot11b, bench_ofdm, bench_zigbee, bench_backscatter_ssb
+    targets = bench_fft, bench_ble_single_tone, bench_dot11b, bench_ofdm, bench_zigbee,
+        bench_backscatter_ssb, bench_awgn
 }
 criterion_main!(phy);

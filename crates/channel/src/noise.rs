@@ -6,10 +6,10 @@
 //! streams under the workspace convention that a unit-amplitude sample is
 //! 0 dBm at the antenna reference plane.
 
-use crate::pathloss::gaussian;
 use interscatter_dsp::units::{db_to_amplitude, thermal_noise_dbm};
 use interscatter_dsp::Cplx;
 use rand::Rng;
+use std::f64::consts::PI;
 
 /// Standard noise temperature used throughout the workspace, kelvin.
 pub const NOISE_TEMPERATURE_K: f64 = 290.0;
@@ -82,18 +82,26 @@ impl NoiseModel {
 
     /// [`NoiseModel::add_noise`] without the copy: adds AWGN to `samples`
     /// where they lie.
+    ///
+    /// Each complex sample takes one Box–Muller pair, two uniform draws:
+    /// the cosine half goes to I and the sine half to Q, which are
+    /// independent standard normals.
     pub fn add_noise_in_place<R: Rng>(&self, samples: &mut [Cplx], rng: &mut R) {
         let sigma = self.noise_amplitude() / 2f64.sqrt();
         for s in samples {
-            *s += Cplx::new(gaussian(rng) * sigma, gaussian(rng) * sigma);
+            let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+            let u2: f64 = rng.gen_range(0.0..1.0);
+            let r = (-2.0 * u1.ln()).sqrt() * sigma;
+            let (sin, cos) = (2.0 * PI * u2).sin_cos();
+            *s += Cplx::new(r * cos, r * sin);
         }
     }
 
     /// Advances `rng` exactly as adding noise to `n` samples would, without
-    /// computing any noise: each complex sample takes two [`gaussian`]
-    /// draws of two uniform `next_u64` values each.
+    /// computing any noise: each complex sample takes two uniform
+    /// `next_u64` draws (one Box–Muller pair).
     pub fn skip_noise<R: Rng>(n: usize, rng: &mut R) {
-        for _ in 0..4 * n {
+        for _ in 0..2 * n {
             rng.next_u64();
         }
     }
@@ -175,12 +183,18 @@ mod tests {
         let samples: Vec<Cplx> = (0..257)
             .map(|i| Cplx::new((i as f64).sin(), (i as f64).cos()) * 1e-4)
             .collect();
-        // The allocate-and-map body `add_noise` had before it delegated.
+        // The kernel restated as an allocate-and-map body: one Box–Muller
+        // pair per complex sample, cosine half to I, sine half to Q.
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
         let sigma = model.noise_amplitude() / 2f64.sqrt();
         let mapped: Vec<Cplx> = samples
             .iter()
-            .map(|&s| s + Cplx::new(gaussian(&mut rng) * sigma, gaussian(&mut rng) * sigma))
+            .map(|&s| {
+                let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+                let u2: f64 = rng.gen_range(0.0..1.0);
+                let r = (-2.0 * u1.ln()).sqrt() * sigma;
+                s + Cplx::new(r * (2.0 * PI * u2).cos(), r * (2.0 * PI * u2).sin())
+            })
             .collect();
         let mut in_place = samples.clone();
         let mut rng_in_place = rand::rngs::StdRng::seed_from_u64(9);
@@ -195,6 +209,74 @@ mod tests {
             bits(&model.add_noise(&samples, &mut rng_alloc)),
             bits(&mapped)
         );
+    }
+
+    /// Standard normal CDF through erfc (Abramowitz & Stegun 7.1.26,
+    /// absolute error below 1.5e-7).
+    fn normal_cdf(x: f64) -> f64 {
+        let z = x.abs() / 2f64.sqrt();
+        let t = 1.0 / (1.0 + 0.327_591_1 * z);
+        let coeffs = [
+            1.061_405_429,
+            -1.453_152_027,
+            1.421_413_741,
+            -0.284_496_736,
+            0.254_829_592,
+        ];
+        let poly = t * coeffs.iter().fold(0.0, |acc, &a| acc * t + a);
+        let tail = 0.5 * poly * (-z * z).exp();
+        if x >= 0.0 {
+            1.0 - tail
+        } else {
+            tail
+        }
+    }
+
+    /// Kolmogorov–Smirnov distance of `values` against the standard normal.
+    fn ks_distance(mut values: Vec<f64>) -> f64 {
+        values.sort_by(f64::total_cmp);
+        let n = values.len() as f64;
+        values
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| {
+                let cdf = normal_cdf(v);
+                (cdf - i as f64 / n).max((i + 1) as f64 / n - cdf)
+            })
+            .fold(0.0, f64::max)
+    }
+
+    #[test]
+    fn in_place_noise_is_independent_standard_normal_in_i_and_q() {
+        let model = NoiseModel::zigbee();
+        let sigma = model.noise_amplitude() / 2f64.sqrt();
+        let n = 1usize << 17;
+        let mut noise = vec![Cplx::ZERO; n];
+        model.add_noise_in_place(&mut noise, &mut rand::rngs::StdRng::seed_from_u64(17));
+        let i: Vec<f64> = noise.iter().map(|c| c.re / sigma).collect();
+        let q: Vec<f64> = noise.iter().map(|c| c.im / sigma).collect();
+        let nf = n as f64;
+        let mean = |v: &[f64]| v.iter().sum::<f64>() / nf;
+        let (mean_i, mean_q) = (mean(&i), mean(&q));
+        let var = |v: &[f64], m: f64| v.iter().map(|x| (x - m).powi(2)).sum::<f64>() / nf;
+        let (var_i, var_q) = (var(&i, mean_i), var(&q, mean_q));
+        let cov = i
+            .iter()
+            .zip(&q)
+            .map(|(a, b)| (a - mean_i) * (b - mean_q))
+            .sum::<f64>()
+            / nf;
+        let rho = cov / (var_i * var_q).sqrt();
+        for (name, m, v) in [("I", mean_i, var_i), ("Q", mean_q, var_q)] {
+            assert!(m.abs() < 4.0 / nf.sqrt(), "{name} mean {m}");
+            assert!((v - 1.0).abs() < 0.02, "{name} variance {v} σ²");
+        }
+        assert!(rho.abs() < 0.01, "I/Q correlation {rho}");
+        let ks_bound = 1.63 / nf.sqrt();
+        for (name, v) in [("I", i), ("Q", q)] {
+            let d = ks_distance(v);
+            assert!(d < ks_bound, "{name} KS distance {d} ≥ {ks_bound}");
+        }
     }
 
     #[test]

@@ -107,6 +107,11 @@ impl LogDistanceModel {
 
 /// A standard-normal draw using the Box–Muller transform (kept local so the
 /// crate only needs the `rand` core traits).
+///
+/// This is the scalar draw for shadowing and other one-off normals; it
+/// keeps the cosine half of the pair only. Waveform noise
+/// ([`crate::noise::NoiseModel::add_noise_in_place`]) uses both halves of
+/// one pair per complex sample instead.
 pub fn gaussian<R: Rng>(rng: &mut R) -> f64 {
     let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);

@@ -150,8 +150,8 @@ impl CardToCardScenario {
                 waveform.push(interscatter_dsp::Cplx::expj(phase) * level);
             }
         }
-        let noisy = noise.add_noise(&waveform, rng);
-        let envelope = detector.envelope(&noisy)?;
+        noise.add_noise_in_place(&mut waveform, rng);
+        let envelope = detector.envelope(&waveform)?;
         // Decision threshold: midway between the on amplitude and the noise
         // floor, but never below the detector sensitivity.
         let threshold = (amplitude / 2.0).max(detector.sensitivity_amplitude());

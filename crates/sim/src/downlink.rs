@@ -70,7 +70,8 @@ impl DownlinkScenario {
     /// Simulates the transmission of `downlink_bits` over one AM frame at
     /// `distance_m`, for frame number `frame_index` (which determines the
     /// scrambler seed under the chipset's policy). Returns the number of bit
-    /// errors observed at the detector.
+    /// errors observed at the detector; a frame the detector misses scores
+    /// half its bits (rounded up) as errors, the expectation of guessing.
     pub fn simulate_frame<R: Rng>(
         &self,
         downlink_bits: &[u8],
@@ -97,11 +98,15 @@ impl DownlinkScenario {
         let _ = crafted_tx;
 
         let amplitude = db_to_amplitude(self.received_power_dbm(distance_m));
-        let attenuated: Vec<_> = frame.samples.iter().map(|&s| s * amplitude).collect();
-        let noisy = NoiseModel::envelope_detector().add_noise(&attenuated, rng);
+        let mut noisy = frame.samples;
+        for s in &mut noisy {
+            *s = *s * amplitude;
+        }
+        NoiseModel::envelope_detector().add_noise_in_place(&mut noisy, rng);
         match self.detector.decode_am_downlink(&noisy, SYMBOL_LEN) {
             Ok(decoded) => Ok(hamming_distance(&decoded, downlink_bits)),
-            Err(_) => Ok(downlink_bits.len()),
+            // No frame detected: the tag guesses, so half the bits are wrong.
+            Err(_) => Ok(downlink_bits.len().div_ceil(2)),
         }
     }
 

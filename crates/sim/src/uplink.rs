@@ -170,7 +170,7 @@ impl UplinkScenario {
     /// all at `rssi_dbm`, run across cores. Returns the same outcomes and
     /// leaves `rng` in the same state as calling it in a loop.
     ///
-    /// Each packet draws a known number of values (four per chip), so a
+    /// Each packet draws a known number of values (two per chip), so a
     /// sequential pass snapshots the generator at the start of every packet
     /// and skips that packet's draws; the packets then run in parallel, each
     /// from its own snapshot. Every packet must end where the next one
@@ -229,8 +229,11 @@ impl UplinkScenario {
         let tx = ZigbeeTransmitter::default();
         let wave = tx.transmit(payload)?;
         let amplitude = db_to_amplitude(rssi_dbm);
-        let scaled: Vec<_> = wave.samples.iter().map(|&c| c * amplitude).collect();
-        let noisy = self.noise_model().add_noise(&scaled, rng);
+        let mut noisy = wave.samples;
+        for c in &mut noisy {
+            *c = *c * amplitude;
+        }
+        self.noise_model().add_noise_in_place(&mut noisy, rng);
         let rx = ZigbeeReceiver::default();
         match rx.receive(&noisy) {
             Ok(frame) => Ok((frame.payload == payload, frame.lqi)),
