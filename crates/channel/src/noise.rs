@@ -34,14 +34,6 @@ impl NoiseModel {
         }
     }
 
-    /// Noise model for an 802.11g OFDM receiver.
-    pub fn wifi_ofdm() -> Self {
-        NoiseModel {
-            bandwidth_hz: 20e6,
-            noise_figure_db: 7.0,
-        }
-    }
-
     /// Noise model for a ZigBee (CC2531-class) receiver — narrower bandwidth
     /// means a lower noise floor, which is why §4.5 notes ZigBee has better
     /// sensitivity than Wi-Fi.

@@ -31,7 +31,7 @@ use crate::mac::{self, LoopPhase, MacLoop, MacMode};
 use crate::medium::{Band, Emitter, Interferer, Medium};
 use crate::metrics::{MobilitySample, NetworkMetrics, OccupancySample, ReStripeEvent};
 use crate::mobility::{MobilityConfig, MotionState};
-use crate::prof::{Clock, ProfReport, Profiler};
+use crate::prof::{self, Clock, ProfReport, Profiler};
 use crate::scenario::Scenario;
 use crate::sched::{CarrierSched, SlotView};
 use crate::telemetry::{ProgressRuntime, TelemetryReport};
@@ -319,17 +319,13 @@ impl<'a> EngineCore<'a> {
             .execution
             .profile
             .then(|| Profiler::new(Clock::wall()));
-        let init_tok = prof.as_mut().map(|p| p.begin("engine_init"));
-        let validate_tok = prof.as_mut().map(|p| p.begin("validate"));
+        let init_start = prof::begin(&mut prof);
+        let validate_start = prof::begin(&mut prof);
         scenario.validate()?;
-        if let (Some(p), Some(tok)) = (prof.as_mut(), validate_tok) {
-            p.end(tok);
-        }
-        let link_tok = prof.as_mut().map(|p| p.begin("link_build"));
+        prof::end(&mut prof, "validate", validate_start);
+        let link_start = prof::begin(&mut prof);
         let links = LinkMatrix::build(scenario)?;
-        if let (Some(p), Some(tok)) = (prof.as_mut(), link_tok) {
-            p.end(tok);
-        }
+        prof::end(&mut prof, "link_build", link_start);
         let horizon = Time::from_secs(scenario.duration_s);
 
         let mut queue = EventQueue::until(horizon);
@@ -417,9 +413,7 @@ impl<'a> EngineCore<'a> {
         queue.schedule(horizon, EventKind::Horizon);
 
         let asleep = vec![None; carriers.len()];
-        if let (Some(p), Some(tok)) = (prof.as_mut(), init_tok) {
-            p.end(tok);
-        }
+        prof::end(&mut prof, "engine_init", init_start);
         Ok(EngineCore {
             scenario,
             links,
@@ -446,7 +440,7 @@ impl<'a> EngineCore<'a> {
     /// phase name the benchmark's event-loop metrics read, and marks every
     /// dispatch for the per-kind totals ([`Profiler::dispatch`]).
     pub(crate) fn run(&mut self) {
-        let epoch_tok = self.prof.as_mut().map(|p| p.begin("epoch"));
+        let epoch_start = prof::begin(&mut self.prof);
         while let Some(event) = self.queue.pop() {
             if let Some(p) = self.progress.as_mut() {
                 // One status line per cadence boundary this event reaches,
@@ -483,9 +477,7 @@ impl<'a> EngineCore<'a> {
                 EventKind::SenseTick => self.on_sense_tick(now),
             }
         }
-        if let (Some(p), Some(tok)) = (self.prof.as_mut(), epoch_tok) {
-            p.end(tok);
-        }
+        prof::end(&mut self.prof, "epoch", epoch_start);
     }
 
     /// Records what each tag still holds at the horizon, materialises the
@@ -504,7 +496,7 @@ impl<'a> EngineCore<'a> {
             mut prof,
             ..
         } = self;
-        let fin_tok = prof.as_mut().map(|p| p.begin("finalize"));
+        let fin_start = prof::begin(&mut prof);
         for (stats, state) in metrics.tags.iter_mut().zip(&tags) {
             stats.queued = state.queue.len();
         }
@@ -521,9 +513,7 @@ impl<'a> EngineCore<'a> {
                 .map(ProgressRuntime::into_lines)
                 .unwrap_or_default(),
         };
-        if let (Some(p), Some(tok)) = (prof.as_mut(), fin_tok) {
-            p.end(tok);
-        }
+        prof::end(&mut prof, "finalize", fin_start);
         NetRunResult {
             metrics,
             trace,
@@ -1068,11 +1058,9 @@ impl<'a> EngineCore<'a> {
                 }
             }
         }
-        let flush_tok = self.prof.as_mut().map(|p| p.begin("link_flush"));
+        let flush_start = prof::begin(&mut self.prof);
         let refreshed = self.links.flush(scenario);
-        if let (Some(p), Some(tok)) = (self.prof.as_mut(), flush_tok) {
-            p.end(tok);
-        }
+        prof::end(&mut self.prof, "link_flush", flush_start);
         // One PRR-vs-displacement sample per tag per tick.
         let mut max_disp_mm = 0u64;
         for t in 0..scenario.tags.len() {

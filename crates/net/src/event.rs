@@ -415,11 +415,6 @@ impl EventTrace {
         }
     }
 
-    /// Whether records are being kept.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Appends a record (no-op when disabled).
     pub fn record(&mut self, at: Time, what: impl FnOnce() -> String) {
         if self.enabled {

@@ -289,7 +289,11 @@ pub fn run_trials(
         trials.push(metrics);
         prof.extend(summary);
     }
-    Ok(runner::MonteCarloReport::aggregate(scenario, trials, prof))
+    Ok(runner::MonteCarloReport {
+        scenario_name: scenario.name.clone(),
+        trials,
+        prof,
+    })
 }
 
 /// The commonly used types in one import.

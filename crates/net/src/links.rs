@@ -52,13 +52,18 @@
 //! ## Live geometry and invalidation
 //!
 //! Since mobility landed ([`crate::mobility`]), the matrix owns the *live*
-//! geometry: a position per entity, initialised from the scenario and
-//! updated through [`LinkMatrix::set_position`]. Pair powers read it
-//! directly and are never stale; the stored budgets are. Moving an entity
-//! marks it dirty, and [`LinkMatrix::flush`] refreshes **only the budgets
-//! of the tags it touches** — the tag itself, a carrier's illuminated
-//! tags, a sink's current members — from position-independent terms
-//! (antenna gains, tissue attenuations, conversion losses, per-frequency
+//! geometry: a position per entity, initialised from the scenario.
+//! Mobility moves tags, and body-worn carriers with their wearers, through
+//! [`LinkMatrix::set_position`]; a re-stripe re-tunes a tag in place
+//! ([`LinkMatrix::retune_tag`]). Sinks keep their build-time positions:
+//! [`EntityId`] has no sink variant, so nothing can move one after the
+//! build (place one before it with
+//! [`Scenario::place_sink`]). Pair powers
+//! read the live geometry directly and are never stale; the stored
+//! budgets are. Moving an entity marks it dirty, and [`LinkMatrix::flush`]
+//! refreshes **only the budgets of the tags it touches** — the tag
+//! itself, or a carrier's illuminated tags — from position-independent
+//! terms (antenna gains, tissue attenuations, conversion losses, per-frequency
 //! path-loss models) cached once at build time. A mobility tick over a
 //! hundred tags therefore costs a few `log10`s per tag instead of a
 //! rebuild — anchored by the `net_mobility` bench against a full
@@ -128,17 +133,16 @@ pub enum Listener {
     Carrier(usize),
 }
 
-/// One entity of the scenario, for geometry updates. Ordered by variant
-/// (tags, carriers, sinks), then by index: the derive's order, written out
-/// by hand for the reason [`crate::time::Time`] gives.
+/// One entity that moves during a run, for geometry updates: a tag, or a
+/// (body-worn) carrier. Sinks keep their build-time positions. Ordered by
+/// variant (tags, carriers), then by index: the derive's order, written
+/// out by hand for the reason [`crate::time::Time`] gives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EntityId {
     /// A backscatter tag.
     Tag(usize),
     /// A carrier device.
     Carrier(usize),
-    /// A sink receiver.
-    Sink(usize),
 }
 
 impl Ord for EntityId {
@@ -147,7 +151,6 @@ impl Ord for EntityId {
         let key = |e: &EntityId| match *e {
             EntityId::Tag(i) => (0u8, i),
             EntityId::Carrier(i) => (1, i),
-            EntityId::Sink(i) => (2, i),
         };
         key(self).cmp(&key(other))
     }
@@ -335,9 +338,6 @@ pub struct LinkMatrix {
     /// moved carrier refreshes exactly its own members instead of
     /// scanning the fleet — the membership never changes during a run.
     carrier_tags: Vec<Vec<usize>>,
-    /// Per sink: the tags currently delivering to it (in ascending tag
-    /// order; follows `tag_rx` across re-stripes).
-    sink_tags: Vec<Vec<usize>>,
     // --- position-independent uplink terms ---
     /// Per tag: every term of the two-hop uplink budget except the two
     /// path losses (with the standard 2 dBi listener package).
@@ -586,10 +586,6 @@ impl LinkMatrix {
         for (t, tag) in scenario.tags.iter().enumerate() {
             carrier_tags[tag.carrier].push(t);
         }
-        let mut sink_tags: Vec<Vec<usize>> = vec![Vec::new(); n_rx];
-        for (t, tag) in scenario.tags.iter().enumerate() {
-            sink_tags[tag.receiver].push(t);
-        }
 
         let mut matrix = LinkMatrix {
             budgets,
@@ -602,7 +598,6 @@ impl LinkMatrix {
             tag_rx: scenario.tags.iter().map(|t| t.receiver).collect(),
             tag_phy: scenario.tags.iter().map(|t| t.phy).collect(),
             carrier_tags,
-            sink_tags,
             up_fixed_db,
             up_pl_src,
             up_pl_emit,
@@ -620,7 +615,6 @@ impl LinkMatrix {
         match id {
             EntityId::Tag(t) => self.tag_pos[t],
             EntityId::Carrier(c) => self.carrier_pos[c],
-            EntityId::Sink(s) => self.sink_pos[s],
         }
     }
 
@@ -631,7 +625,6 @@ impl LinkMatrix {
         match id {
             EntityId::Tag(t) => self.tag_pos[t] = position,
             EntityId::Carrier(c) => self.carrier_pos[c] = position,
-            EntityId::Sink(s) => self.sink_pos[s] = position,
         }
         self.invalidate_entity(id);
     }
@@ -648,11 +641,11 @@ impl LinkMatrix {
     }
 
     /// Refreshes the budgets of every tag a dirty entity touches — the tag
-    /// itself, every tag a carrier illuminates (both uplink hops, the poll
-    /// and the ack), every tag a sink currently serves (uplink and ack) —
-    /// from the cached position-independent terms and the live geometry,
-    /// returning how many distinct entities were dirty. Each tag costs a
-    /// few `log10`s; nothing else of the build is repeated.
+    /// itself, or every tag a carrier illuminates (both uplink hops, the
+    /// poll and the ack) — from the cached position-independent terms and
+    /// the live geometry, returning how many distinct entities were dirty.
+    /// Each tag costs a few `log10`s; nothing else of the build is
+    /// repeated.
     pub fn flush(&mut self, scenario: &Scenario) -> usize {
         let mut dirty = std::mem::take(&mut self.dirty);
         dirty.sort_unstable();
@@ -666,7 +659,6 @@ impl LinkMatrix {
             let touched = match id {
                 EntityId::Tag(t) => std::slice::from_ref(t),
                 EntityId::Carrier(c) => &self.carrier_tags[*c],
-                EntityId::Sink(s) => &self.sink_tags[*s],
             };
             for &t in touched {
                 tag_dirty[t] = true;
@@ -723,14 +715,7 @@ impl LinkMatrix {
             scenario.receivers[new_rx].accepts(&new_phy),
             "tag {t}: receiver {new_rx} cannot decode the re-tuned PHY"
         );
-        let old_rx = self.tag_rx[t];
-        if old_rx != new_rx {
-            self.sink_tags[old_rx].retain(|&u| u != t);
-            let row = &mut self.sink_tags[new_rx];
-            let at = row.partition_point(|&u| u < t);
-            row.insert(at, t);
-            self.tag_rx[t] = new_rx;
-        }
+        self.tag_rx[t] = new_rx;
         self.tag_phy[t] = new_phy;
         let link = uplink_model(scenario, t, &new_phy);
         let (fixed, sigma) = uplink_fixed_terms(&link);
@@ -1113,8 +1098,9 @@ mod tests {
         // against the channel model itself: transmit power, the 2 dBi
         // monopole, the listener's package (a tag's antenna gain − tissue
         // at the emitter's frequency, 2 dBi otherwise) and the full
-        // `LogDistanceModel` path loss. The second round moves one entity
-        // of each kind without a flush: pair powers read the live geometry.
+        // `LogDistanceModel` path loss. The second round places a sink
+        // and rebuilds, then moves a tag and a carrier without a flush:
+        // pair powers read the live geometry.
         for base in presets() {
             let mut matrix = LinkMatrix::build(&base).unwrap();
             let mut moved = base.clone();
@@ -1157,9 +1143,10 @@ mod tests {
                     checked += 1;
                 }
                 assert!(checked > 0, "{}: no non-tag emitter", base.name);
+                place_sink(&mut moved, 0, 0.9, 0.2);
+                matrix = LinkMatrix::build(&moved).unwrap();
                 nudge(&mut matrix, &mut moved, EntityId::Tag(0), 0.7, -0.4);
                 nudge(&mut matrix, &mut moved, EntityId::Carrier(0), -0.3, 0.5);
-                nudge(&mut matrix, &mut moved, EntityId::Sink(0), 0.9, 0.2);
             }
         }
     }
@@ -1241,8 +1228,15 @@ mod tests {
         match id {
             EntityId::Tag(t) => moved.place_tag(t, p),
             EntityId::Carrier(c) => moved.place_carrier(c, p),
-            EntityId::Sink(s) => moved.place_sink(s, p),
         }
+    }
+
+    /// Moves sink `s` of `scenario` by `(dx, dy)` before a build: sinks
+    /// keep their build-time positions, so a matrix sees the move only
+    /// when rebuilt.
+    fn place_sink(scenario: &mut Scenario, s: usize, dx: f64, dy: f64) {
+        let p = scenario.receivers[s].position();
+        scenario.place_sink(s, Position::new(p.x + dx, p.y + dy, p.z));
     }
 
     /// Re-tunes the first Wi-Fi tag to another Wi-Fi receiver's channel, in
@@ -1271,30 +1265,32 @@ mod tests {
 
     #[test]
     fn incremental_update_matches_full_rebuild() {
-        // Move tags, a carrier and a sink and re-tune a tag through the
+        // Move tags and a carrier and re-tune a tag through the
         // incremental path, then build the moved scenario from scratch:
         // every budget and every emitter × listener power must agree bit
-        // for bit, through two rounds of moves and flushes.
-        for base in presets() {
+        // for bit, through two rounds of moves and flushes. The first and
+        // last sinks are placed before the build, as sinks do not move
+        // during a run.
+        for mut base in presets() {
+            place_sink(&mut base, 0, 0.9, 0.2);
+            let last_sink = base.receivers.len() - 1;
+            place_sink(&mut base, last_sink, -0.5, 0.4);
             let mut matrix = LinkMatrix::build(&base).unwrap();
             let mut moved = base.clone();
             let last = base.tags.len() - 1;
             nudge(&mut matrix, &mut moved, EntityId::Tag(0), 0.7, -0.4);
             nudge(&mut matrix, &mut moved, EntityId::Carrier(0), -0.3, 0.5);
-            nudge(&mut matrix, &mut moved, EntityId::Sink(0), 0.9, 0.2);
-            assert_eq!(matrix.dirty_len(), 3);
+            assert_eq!(matrix.dirty_len(), 2);
             // The re-tuned tag is tag 0, already dirty, on every Wi-Fi preset.
             retune_first_wifi_tag(&mut matrix, &base, &mut moved);
-            assert_eq!(matrix.flush(&base), 3);
+            assert_eq!(matrix.flush(&base), 2);
             assert_eq!(matrix.dirty_len(), 0);
             assert_tables_match(&matrix, &LinkMatrix::build(&moved).unwrap(), &base.name);
 
             // A second round, as a mobility tick would: every entity kind
-            // again, including the last tag and sink.
+            // again, including the last tag and carrier.
             nudge(&mut matrix, &mut moved, EntityId::Tag(last), -0.2, 0.3);
             nudge(&mut matrix, &mut moved, EntityId::Tag(0), 0.1, 0.1);
-            let last_sink = EntityId::Sink(base.receivers.len() - 1);
-            nudge(&mut matrix, &mut moved, last_sink, -0.5, 0.4);
             let last_carrier = EntityId::Carrier(base.carriers.len() - 1);
             nudge(&mut matrix, &mut moved, last_carrier, 0.2, -0.6);
             matrix.flush(&base);

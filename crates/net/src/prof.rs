@@ -13,13 +13,17 @@
 //!
 //! One run's profile is one timeline, recorded by the engine core from
 //! the start of its set-up to the end of finalisation; the scenario
-//! builder reads no clock. Three spans sit at the top level, in order
-//! and without overlap: `engine_init` (set-up), `epoch` (the event loop,
-//! one span per run) and `finalize`. Everything else nests inside one of
-//! them: `validate` and `link_build` in `engine_init`, one `link_flush`
-//! per mobility tick in `epoch`. A run thus closes five phase spans plus
-//! one per tick: about 600 for a 60 s ward at 0.1 s ticks, about 24 kB,
-//! kept in a plain `Vec`.
+//! builder reads no clock. The timeline has six fixed phases and one
+//! level of nesting. Three spans sit at the top level, in order and
+//! without overlap: `engine_init` (set-up), `epoch` (the event loop, one
+//! span per run) and `finalize`. The other three nest inside one of them:
+//! `validate` and `link_build` in `engine_init`, one `link_flush` per
+//! mobility tick in `epoch`. Each call site opens its span with [`begin`],
+//! which hands back the start instant, and closes it in the same function
+//! with [`end`], which records exactly that span; an error return in
+//! between drops the whole profiler, so nothing is ever left open. A run
+//! closes five phase spans plus one per tick: about 600 for a 60 s ward
+//! at 0.1 s ticks, about 20 kB, kept in a plain `Vec`.
 //!
 //! ## Determinism contract
 //!
@@ -40,7 +44,7 @@
 //!   `crates/net/clippy.toml` bans.
 //!
 //! Tests swap the monotonic wall clock for the deterministic
-//! [`Clock::fake`] counter, pinning span nesting and the Chrome-trace
+//! [`Clock::fake`] counter, pinning span geometry and the Chrome-trace
 //! JSON shape without touching the host clock.
 //!
 //! ## Exports
@@ -114,19 +118,16 @@ impl Clock {
 /// One closed span: a named phase of the pipeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Span {
-    /// Phase name, from the fixed vocabulary the instrumentation sites
-    /// use (`"engine_init"`, `"validate"`, `"link_build"`, `"epoch"` — the
-    /// event loop —, `"link_flush"`, `"finalize"`).
+    /// Phase name, from the fixed vocabulary the engine core's call sites
+    /// use (see the module doc's "The timeline").
     pub name: &'static str,
     /// Start, nanoseconds on the run timeline.
     pub start_ns: u64,
     /// Duration, nanoseconds.
     pub dur_ns: u64,
-    /// Nesting depth at which the span was open (0 = top level).
-    pub depth: u32,
 }
 
-/// A run's recorder: a clock, an open-span stack and the closed spans.
+/// A run's recorder: a clock, the closed spans and the per-kind totals.
 /// The engine core owns one when profiling is on, so the event loop needs
 /// no shared state.
 #[derive(Debug, Clone)]
@@ -134,8 +135,6 @@ pub struct Profiler {
     clock: Clock,
     /// Closed spans, in close order.
     spans: Vec<Span>,
-    /// Open spans, innermost last: `(name, start_ns)`.
-    open: Vec<(&'static str, u64)>,
     /// Dispatches and host time per event kind, indexed like
     /// [`EventKind::NAMES`].
     kinds: [KindTotal; EventKind::NAMES.len()],
@@ -154,18 +153,12 @@ pub struct KindTotal {
     pub ns: u64,
 }
 
-/// An opaque token returned by [`Profiler::begin`]: the open-stack depth
-/// to unwind back to at [`Profiler::end`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpanToken(usize);
-
 impl Profiler {
     /// A recorder over `clock`.
     pub fn new(clock: Clock) -> Profiler {
         Profiler {
             clock,
             spans: Vec::new(),
-            open: Vec::new(),
             kinds: [KindTotal::default(); EventKind::NAMES.len()],
             dispatched: None,
         }
@@ -190,37 +183,8 @@ impl Profiler {
         self.dispatched = Some((i, now));
     }
 
-    /// Opens a span; close it with [`Profiler::end`] and the returned
-    /// token.
-    pub fn begin(&mut self, name: &'static str) -> SpanToken {
-        let token = SpanToken(self.open.len());
-        let now = self.clock.now_ns();
-        self.open.push((name, now));
-        token
-    }
-
-    /// Closes spans down to (and including) the one `token` opened.
-    /// Closing is tolerant: any spans left open above the token close at
-    /// the same instant, so a panicking phase still yields a well-formed
-    /// profile.
-    pub fn end(&mut self, token: SpanToken) {
-        let now = self.clock.now_ns();
-        while self.open.len() > token.0 {
-            let (name, start_ns) = self.open.pop().expect("open stack is non-empty");
-            let depth = self.open.len() as u32;
-            self.spans.push(Span {
-                name,
-                start_ns,
-                dur_ns: now.saturating_sub(start_ns),
-                depth,
-            });
-        }
-    }
-
-    /// Closes any still-open spans and returns the report. Spans keep the
-    /// order they closed in.
-    pub fn finish(mut self, scenario: &str) -> ProfReport {
-        self.end(SpanToken(0));
+    /// Returns the report, spans in the order they closed.
+    pub fn finish(self, scenario: &str) -> ProfReport {
         let mut event_kinds: Vec<(&'static str, KindTotal)> = EventKind::NAMES
             .into_iter()
             .zip(self.kinds)
@@ -232,6 +196,25 @@ impl Profiler {
             spans: self.spans,
             event_kinds,
         }
+    }
+}
+
+/// Opens a span of a run that may be profiled: the start instant to hand
+/// to [`end`] (0, without a clock read, when `prof` is `None`).
+pub fn begin(prof: &mut Option<Profiler>) -> u64 {
+    prof.as_mut().map_or(0, |p| p.clock.now_ns())
+}
+
+/// Closes the span `name` opened at `start_ns` by [`begin`]: records
+/// exactly that span, from its start to now.
+pub fn end(prof: &mut Option<Profiler>, name: &'static str, start_ns: u64) {
+    if let Some(p) = prof {
+        let now = p.clock.now_ns();
+        p.spans.push(Span {
+            name,
+            start_ns,
+            dur_ns: now.saturating_sub(start_ns),
+        });
     }
 }
 
@@ -357,20 +340,21 @@ fn json_escape(s: &str) -> String {
 mod tests {
     use super::*;
 
-    fn fake() -> Profiler {
-        Profiler::new(Clock::fake())
+    fn fake() -> Option<Profiler> {
+        Some(Profiler::new(Clock::fake()))
     }
 
     #[test]
     fn spans_nest_and_close_in_stack_order() {
         // Fake clock: one tick per read. begin a (t=0), begin b (t=1),
-        // end b (t=2), end a (t=3).
+        // end b (t=2), end a (t=3). The inner span closes first and lies
+        // within the outer one.
         let mut p = fake();
-        let a = p.begin("engine_init");
-        let b = p.begin("link_build");
-        p.end(b);
-        p.end(a);
-        let report = p.finish("ward");
+        let a = begin(&mut p);
+        let b = begin(&mut p);
+        end(&mut p, "link_build", b);
+        end(&mut p, "engine_init", a);
+        let report = p.unwrap().finish("ward");
         assert_eq!(
             report.spans,
             vec![
@@ -378,48 +362,14 @@ mod tests {
                     name: "link_build",
                     start_ns: 1,
                     dur_ns: 1,
-                    depth: 1,
                 },
                 Span {
                     name: "engine_init",
                     start_ns: 0,
                     dur_ns: 3,
-                    depth: 0,
                 },
             ]
         );
-    }
-
-    #[test]
-    fn end_unwinds_everything_above_its_token() {
-        let mut p = fake();
-        let outer = p.begin("epoch");
-        p.begin("link_flush");
-        p.begin("link_build");
-        p.end(outer); // closes all three at the same instant
-        let report = p.finish("ward");
-        assert_eq!(report.spans.len(), 3);
-        // Innermost closes first; all three share the close timestamp.
-        assert_eq!(report.spans[0].name, "link_build");
-        assert_eq!(report.spans[1].name, "link_flush");
-        assert_eq!(report.spans[2].name, "epoch");
-        let close = report.spans[2].start_ns + report.spans[2].dur_ns;
-        for s in &report.spans {
-            assert_eq!(s.start_ns + s.dur_ns, close);
-        }
-        assert_eq!(report.spans[0].depth, 2);
-        assert_eq!(report.spans[2].depth, 0);
-    }
-
-    #[test]
-    fn finish_closes_spans_left_open() {
-        // A span still open when the profiler finishes is closed there.
-        let mut p = fake();
-        p.begin("finalize");
-        let report = p.finish("ward");
-        assert_eq!(report.spans.len(), 1);
-        assert_eq!(report.spans[0].name, "finalize");
-        assert_eq!(report.spans[0].dur_ns, 1);
     }
 
     #[test]
@@ -428,10 +378,10 @@ mod tests {
         // order, and the summary adds them up.
         let mut p = fake();
         for _ in 0..3 {
-            let t = p.begin("link_flush");
-            p.end(t);
+            let t = begin(&mut p);
+            end(&mut p, "link_flush", t);
         }
-        let report = p.finish("ward");
+        let report = p.unwrap().finish("ward");
         let starts: Vec<u64> = report.spans.iter().map(|s| s.start_ns).collect();
         assert_eq!(starts, vec![0, 2, 4]);
         assert_eq!(
@@ -443,11 +393,11 @@ mod tests {
     #[test]
     fn chrome_trace_has_the_trace_event_shape() {
         let mut p = fake();
-        let t = p.begin("engine_init");
-        p.end(t);
-        let t = p.begin("epoch");
-        p.end(t);
-        let json = p.finish("ward").to_chrome_trace();
+        let t = begin(&mut p);
+        end(&mut p, "engine_init", t);
+        let t = begin(&mut p);
+        end(&mut p, "epoch", t);
+        let json = p.unwrap().finish("ward").to_chrome_trace();
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.ends_with("}"));
         assert!(json.contains("\"name\":\"engine_init\""));
@@ -464,13 +414,13 @@ mod tests {
     #[test]
     fn summary_totals_each_phase_by_name() {
         let mut p = fake();
-        let t = p.begin("epoch");
-        let inner = p.begin("link_flush");
-        p.end(inner);
-        p.end(t);
-        let t = p.begin("finalize");
-        p.end(t);
-        let summary = p.finish("ward").summary();
+        let t = begin(&mut p);
+        let inner = begin(&mut p);
+        end(&mut p, "link_flush", inner);
+        end(&mut p, "epoch", t);
+        let t = begin(&mut p);
+        end(&mut p, "finalize", t);
+        let summary = p.unwrap().finish("ward").summary();
         assert_eq!(summary.scenario, "ward");
         // Ascending by name; nested spans count in their own phase and
         // in the enclosing one.
@@ -487,9 +437,9 @@ mod tests {
     #[test]
     fn summary_json_carries_phases_and_load() {
         let mut p = fake();
-        let t = p.begin("epoch");
-        p.end(t);
-        let json = p.finish("ward \"q\"").summary().to_json();
+        let t = begin(&mut p);
+        end(&mut p, "epoch", t);
+        let json = p.unwrap().finish("ward \"q\"").summary().to_json();
         assert_eq!(
             json,
             "{\"scenario\":\"ward \\\"q\\\"\",\
@@ -504,7 +454,7 @@ mod tests {
         // dispatches read 1 (first slot), 2 (arrival), 3 (slot), 4
         // (horizon). The second slot continues a run and reads nothing.
         let mut p = fake();
-        let epoch = p.begin("epoch");
+        let epoch = begin(&mut p);
         for kind in [
             EventKind::CarrierSlot { carrier: 0 },
             EventKind::CarrierSlot { carrier: 1 },
@@ -512,10 +462,10 @@ mod tests {
             EventKind::CarrierSlot { carrier: 0 },
             EventKind::Horizon,
         ] {
-            p.dispatch(&kind);
+            p.as_mut().unwrap().dispatch(&kind);
         }
-        p.end(epoch);
-        let summary = p.finish("ward").summary();
+        end(&mut p, "epoch", epoch);
+        let summary = p.unwrap().finish("ward").summary();
         let total = |count, ns| KindTotal { count, ns };
         assert_eq!(
             summary.event_kinds,

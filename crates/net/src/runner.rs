@@ -4,109 +4,62 @@
 
 use crate::metrics::NetworkMetrics;
 use crate::prof::ProfSummary;
-use crate::scenario::Scenario;
 use interscatter_sim::measurements::{mean, Cdf};
 
-/// Aggregates over a set of Monte-Carlo trials.
+/// A set of Monte-Carlo trials. Every aggregate is derived from the
+/// trials where it is read.
 #[derive(Debug, Clone)]
 pub struct MonteCarloReport {
     /// Scenario name the trials ran.
     pub scenario_name: String,
     /// Per-trial metrics, in trial order.
     pub trials: Vec<NetworkMetrics>,
-    /// Per-trial aggregate throughput samples, bits per second.
-    pub throughput_bps: Cdf,
-    /// Per-trial packet-error-rate samples.
-    pub per: Cdf,
-    /// Per-trial Jain fairness samples.
-    pub fairness: Cdf,
-    /// Pooled delivery-latency samples across all trials, milliseconds.
-    pub latency_ms: Cdf,
-    /// Pooled per-grant poll-latency samples across all trials,
-    /// milliseconds — the queueing delay the arbitration policy controls.
-    pub poll_latency_ms: Cdf,
-    /// Per-trial deadline-miss-rate samples (all zero unless the scenario
-    /// runs a deadline-aware scheduler).
-    pub deadline_miss_rate: Cdf,
     /// Per-trial self-profiling summaries, **in trial order**, when the
     /// scenario ran with [`crate::scenario::ExecutionConfig::profile`]
-    /// set. Empty otherwise — and never consulted by the aggregates
-    /// above, so reports are identical with profiling on or off.
+    /// set. Empty otherwise — and never consulted by the aggregates, so
+    /// reports are identical with profiling on or off.
     pub prof: Vec<ProfSummary>,
 }
 
 impl MonteCarloReport {
-    pub(crate) fn aggregate(
-        scenario: &Scenario,
-        trials: Vec<NetworkMetrics>,
-        prof: Vec<ProfSummary>,
-    ) -> Self {
-        let mut throughput = Cdf::new();
-        let mut per = Cdf::new();
-        let mut fairness = Cdf::new();
-        let mut latency = Cdf::new();
-        let mut poll_latency = Cdf::new();
-        let mut miss_rate = Cdf::new();
-        for m in &trials {
-            throughput.push(m.throughput_bps());
-            per.push(m.per());
-            fairness.push(m.jain_fairness());
-            for &sample in m.latency_ms.samples() {
-                latency.push(sample);
-            }
-            for &sample in m.poll_latency_ms.samples() {
-                poll_latency.push(sample);
-            }
-            miss_rate.push(m.deadline_miss_rate());
-        }
-        MonteCarloReport {
-            scenario_name: scenario.name.clone(),
-            trials,
-            throughput_bps: throughput,
-            per,
-            fairness,
-            latency_ms: latency,
-            poll_latency_ms: poll_latency,
-            deadline_miss_rate: miss_rate,
-            prof,
-        }
+    /// One value of `f` per trial, in trial order.
+    fn per_trial(&self, f: impl Fn(&NetworkMetrics) -> f64) -> Vec<f64> {
+        self.trials.iter().map(f).collect()
     }
 
-    /// Pooled delivery-latency quantile.
+    /// The samples of `f` pooled across all trials, in trial order.
+    fn pooled(&self, f: impl Fn(&NetworkMetrics) -> &Cdf) -> Cdf {
+        Cdf::from_samples(
+            self.trials
+                .iter()
+                .flat_map(|m| f(m).samples().iter().copied()),
+        )
+    }
+
+    /// Pooled delivery-latency quantile, milliseconds.
     pub fn latency_quantile(&self, q: f64) -> Option<f64> {
-        self.latency_ms.quantile(q)
+        self.pooled(|m| &m.latency_ms).quantile(q)
     }
 
-    /// Pooled poll-latency quantile.
+    /// Pooled per-grant poll-latency quantile, milliseconds — the queueing
+    /// delay the arbitration policy controls.
     pub fn poll_latency_quantile(&self, q: f64) -> Option<f64> {
-        self.poll_latency_ms.quantile(q)
+        self.pooled(|m| &m.poll_latency_ms).quantile(q)
     }
 
     /// Mean aggregate throughput across trials, bits per second.
     pub fn mean_throughput_bps(&self) -> f64 {
-        mean(
-            &self
-                .trials
-                .iter()
-                .map(|m| m.throughput_bps())
-                .collect::<Vec<_>>(),
-        )
+        mean(&self.per_trial(NetworkMetrics::throughput_bps))
     }
 
     /// Mean packet error rate across trials.
     pub fn mean_per(&self) -> f64 {
-        mean(&self.trials.iter().map(|m| m.per()).collect::<Vec<_>>())
+        mean(&self.per_trial(NetworkMetrics::per))
     }
 
     /// Mean Jain fairness across trials.
     pub fn mean_fairness(&self) -> f64 {
-        mean(
-            &self
-                .trials
-                .iter()
-                .map(|m| m.jain_fairness())
-                .collect::<Vec<_>>(),
-        )
+        mean(&self.per_trial(NetworkMetrics::jain_fairness))
     }
 
     /// A plain-text summary table.
@@ -120,12 +73,16 @@ impl MonteCarloReport {
         out.push_str(&format!(
             "throughput {:.1} bit/s (median {:.1})\n",
             self.mean_throughput_bps(),
-            self.throughput_bps.median().unwrap_or(0.0),
+            Cdf::from_samples(self.per_trial(NetworkMetrics::throughput_bps))
+                .median()
+                .unwrap_or(0.0),
         ));
         out.push_str(&format!(
             "PER {:.3} (median {:.3})  fairness {:.3}\n",
             self.mean_per(),
-            self.per.median().unwrap_or(0.0),
+            Cdf::from_samples(self.per_trial(NetworkMetrics::per))
+                .median()
+                .unwrap_or(0.0),
             self.mean_fairness(),
         ));
         if let (Some(p50), Some(p95)) = (self.latency_quantile(0.5), self.latency_quantile(0.95)) {
@@ -137,7 +94,7 @@ impl MonteCarloReport {
                 self.poll_latency_quantile(0.95).unwrap_or(0.0)
             ));
         }
-        let mean_miss = mean(self.deadline_miss_rate.samples());
+        let mean_miss = mean(&self.per_trial(NetworkMetrics::deadline_miss_rate));
         if mean_miss > 0.0 {
             out.push_str(&format!("deadline miss rate {mean_miss:.3}\n"));
         }
@@ -195,9 +152,8 @@ mod tests {
             .unwrap();
         let report = crate::run_trials(&scenario, 7).unwrap();
         // Every granted slot contributed a poll-latency sample, pooled
-        // across trials; the miss-rate Cdf holds one sample per trial.
-        assert!(report.poll_latency_ms.median().is_some());
-        assert_eq!(report.deadline_miss_rate.samples().len(), 3);
+        // across trials.
+        assert!(report.poll_latency_quantile(0.5).is_some());
         assert!(report.report().contains("poll latency p50"));
     }
 

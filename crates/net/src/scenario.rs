@@ -652,75 +652,36 @@ impl Scenario {
     /// device, body-worn so it stays inside the ~1 m illumination range
     /// while the patient moves). The three wall APs are fixed, so the
     /// tag → AP leg sweeps metres of path loss as patients wander — the
-    /// regime where link budgets must track geometry tick by tick.
+    /// regime where link budgets must track geometry tick by tick. Built
+    /// from [`Scenario::hospital_ward`]: its beds, APs and tags, each tag
+    /// single-sideband on its own helper.
     pub fn ambulatory_ward(n_tags: usize) -> Scenario {
-        let n = n_tags.max(1);
-        let (width, depth) = (12.0, 9.0);
-        let (patients, _) = couple_positions(n, width, depth, 1.0, 1.0);
-
+        let mut ward = Scenario::hospital_ward(n_tags);
         // One body-worn helper per patient, polled on a 5 ms cadence.
-        let carriers: Vec<CarrierSource> = patients
+        ward.carriers = ward
+            .tags
             .iter()
-            .map(|p| CarrierSource::helper(Position::new(p.x + 0.3, p.y, p.z), 5e-3))
-            .collect();
-
-        let ap_channels = [1u8, 6, 11];
-        let receivers: Vec<SinkReceiver> = ap_channels
-            .iter()
-            .enumerate()
-            .map(|(i, &ch)| {
-                let x = width * (i as f64 + 0.5) / 3.0;
-                let mut ap = SinkReceiver::wifi_ap(Position::new(x, depth - 0.5, 2.5), ch);
-                ap.external_occupancy = if ch == 6 { 0.2 } else { 0.05 };
-                ap
+            .map(|tag| {
+                let p = tag.position;
+                CarrierSource::helper(Position::new(p.x + 0.3, p.y, p.z), 5e-3)
             })
             .collect();
-
-        let tags: Vec<TagNode> = patients
-            .iter()
-            .enumerate()
-            .map(|(t, &position)| {
-                let rx = t % receivers.len();
-                TagNode {
-                    position,
-                    profile: TagProfile::NeuralImplant,
-                    sideband: SidebandMode::Single,
-                    phy: NetPhy::Wifi {
-                        rate: DsssRate::Mbps2,
-                        channel: ap_channels[rx],
-                    },
-                    carrier: t,
-                    receiver: rx,
-                    payload_bytes: 31,
-                    arrival_rate_pps: 2.0,
-                    max_retries: 8,
-                }
-            })
-            .collect();
-
-        Scenario {
-            name: format!("ambulatory-ward-{n}-mobile"),
-            duration_s: 10.0,
-            carriers,
-            tags,
-            receivers,
-            cts_to_self: true,
-            max_queue: 64,
-            mac: MacMode::OpenLoop,
-            mobility: Some(MobilityConfig {
-                model: MobilityModel::RandomWaypoint(RandomWaypoint {
-                    speed_min_mps: 0.6,
-                    speed_max_mps: 1.2,
-                    pause_s: 2.0,
-                }),
-                tick_interval_s: 0.1,
-                bounds: Bounds::room(width, depth, 1.0),
-                carriers_follow: true,
-            }),
-            scheduler: SchedPolicy::RoundRobin,
-            coex: None,
-            execution: ExecutionConfig::default(),
+        for (t, tag) in ward.tags.iter_mut().enumerate() {
+            tag.carrier = t;
+            tag.sideband = SidebandMode::Single;
         }
+        ward.mobility = Some(MobilityConfig {
+            model: MobilityModel::RandomWaypoint(RandomWaypoint {
+                speed_min_mps: 0.6,
+                speed_max_mps: 1.2,
+                pause_s: 2.0,
+            }),
+            tick_interval_s: 0.1,
+            bounds: Bounds::room(12.0, 9.0, 1.0),
+            carriers_follow: true,
+        });
+        ward.name = format!("ambulatory-ward-{}-mobile", ward.tags.len());
+        ward
     }
 
     /// The arbitration-stress ward: `n_tags` implanted patients *walking*

@@ -88,14 +88,12 @@ impl DownlinkScenario {
             _ => actual_seed,
         };
         // Payload is crafted against the predicted seed...
-        let crafted_tx = OfdmTransmitter::new(self.rate, predicted_seed);
         let schedule = interscatter_wifi::ofdm::am::symbol_schedule(downlink_bits);
         let data_bits =
             interscatter_wifi::ofdm::am::craft_data_bits(self.rate, predicted_seed, &schedule, rng);
         // ...but the radio scrambles with the seed it actually chose.
         let actual_tx = OfdmTransmitter::new(self.rate, actual_seed);
         let frame = actual_tx.transmit_raw_bits(&data_bits)?;
-        let _ = crafted_tx;
 
         let amplitude = db_to_amplitude(self.received_power_dbm(distance_m));
         let mut noisy = frame.samples;

@@ -136,6 +136,20 @@ fn determinism_survives_the_parallel_runner() {
     assert_eq!(a.report(), b.report());
 }
 
+/// The Monte-Carlo report text of a six-tag ward at four trials, base
+/// seed 7: its quantiles, medians and means are derived from the trials,
+/// and deriving them differently must not move a byte.
+#[test]
+fn monte_carlo_report_text_is_pinned() {
+    let scenario = Scenario::hospital_ward(6)
+        .builder()
+        .execution(ExecutionSection::new().trials(4))
+        .build()
+        .unwrap();
+    let text = run_trials(&scenario, 7).unwrap().report();
+    assert_eq!(fnv1a(text.as_bytes()), 0x5969_613B_9C97_2609, "{text}");
+}
+
 #[test]
 fn trace_is_meaningful() {
     let scenario = Scenario::hospital_ward(8);

@@ -129,7 +129,13 @@ fn top_level_spans_split_set_up_from_the_run() {
             .unwrap();
         let run = interscatter::net::run(&profiled, 42).unwrap();
         let prof = run.prof.expect("profiled run carries a report");
-        let (top, inner): (Vec<&Span>, Vec<&Span>) = prof.spans.iter().partition(|s| s.depth == 0);
+        // A span is top-level when no other span contains it.
+        let contained = |s: &Span| {
+            prof.spans
+                .iter()
+                .any(|o| !std::ptr::eq(o, s) && within(s, o))
+        };
+        let (inner, top): (Vec<&Span>, Vec<&Span>) = prof.spans.iter().partition(|s| contained(s));
         let names: Vec<&str> = top.iter().map(|s| s.name).collect();
         assert_eq!(
             names,
